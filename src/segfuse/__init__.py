@@ -1,6 +1,6 @@
 """segfuse: deterministic fusion of multi-model, multi-scale segmentation."""
 
-from .attention import (AttentionConfig, attention_to_map, difference_matrix,
+from .attention import (attention_to_map, difference_matrix,
                         fuse_global_local, local_attention, row_normalize)
 from .bundle import PredictionBundle
 from .config import PipelineConfig
@@ -9,29 +9,27 @@ from .errors import (DataValidationError, DegenerateAttentionError,
 from .fusion import (FusionWeights, MaskGroup, binarize, compute_weights,
                      fuse_logits, fuse_masks, group_predictions)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
-                    complement, pixelwise_add, pixelwise_mul, softmax_rows)
+                    softmax_rows)
 from .hierarchy import (ScaleChain, ScaleEntry, fuse_adjacent_scales,
                         run_inference_chain)
 from .masks import (COMPONENTS, BBox, BinaryMask, MaskInstance, RleMask, crop,
-                    expand_bbox, iou, paste, rle_decode, rle_encode,
-                    tight_bbox)
+                    expand_bbox, iou, rle_decode, rle_encode, tight_bbox)
 from .metrics import (ApTable, MatchResult, average_precision, group_ap,
                       match_predictions, normalize_ap)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApTable", "AttentionConfig", "AttentionMap", "BBox", "BinaryMask",
+    "ApTable", "AttentionMap", "BBox", "BinaryMask",
     "COMPONENTS", "DataValidationError", "DegenerateAttentionError",
     "FormatError", "FusionWeights", "LogitMap", "MaskGroup", "MaskInstance",
     "MatchResult", "PipelineConfig", "PredictionBundle", "RleMask",
     "ScaleChain", "ScaleEntry", "SegfuseError", "ShapeError",
     "argmax_channel", "attention_to_map", "average_precision",
-    "bilinear_resize", "binarize", "complement", "compute_weights", "crop",
+    "bilinear_resize", "binarize", "compute_weights", "crop",
     "difference_matrix", "expand_bbox", "fuse_adjacent_scales",
     "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap",
     "group_predictions", "iou", "local_attention", "match_predictions",
-    "normalize_ap", "paste", "pixelwise_add", "pixelwise_mul", "rle_decode",
-    "rle_encode", "row_normalize", "run_inference_chain", "softmax_rows",
-    "tight_bbox",
+    "normalize_ap", "rle_decode", "rle_encode", "row_normalize",
+    "run_inference_chain", "softmax_rows", "tight_bbox",
 ]

@@ -9,7 +9,6 @@ summed, pasted per-object maps by its complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,17 +17,6 @@ from .errors import DataValidationError, DegenerateAttentionError, ShapeError
 from .grids import (AttentionMap, LogitMap, bilinear_resize, gated_blend,
                     softmax_rows)
 from .masks import BBox, _check_in_bounds
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Sharpness factor for the difference softmax; larger is peakier."""
-
-    f: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.f > 0):
-            raise DataValidationError(f"attention factor must be positive, got {self.f}")
 
 
 def difference_matrix(global_feat, local_feat) -> np.ndarray:
@@ -44,12 +32,17 @@ def difference_matrix(global_feat, local_feat) -> np.ndarray:
     return np.abs(g - l)
 
 
-def local_attention(d: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
-    """Row-stochastic attention from a difference matrix: softmax of -f*d."""
+def local_attention(d: np.ndarray, f: float) -> np.ndarray:
+    """Row-stochastic attention from a difference matrix: softmax of -f*d.
+
+    ``f`` is the sharpness factor; larger is peakier.
+    """
+    if not (f > 0):
+        raise DataValidationError(f"attention factor must be positive, got {f}")
     a = np.asarray(d, dtype=np.float64)
     if a.size and a.min() < 0:
         raise DataValidationError("difference matrix entries must be nonnegative")
-    return softmax_rows(-cfg.f * a)
+    return softmax_rows(-f * a)
 
 
 def row_normalize(a) -> np.ndarray:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .config import PipelineConfig
 from .errors import SegfuseError
@@ -39,8 +40,8 @@ def _add_weight_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--calib", metavar="MANIFEST",
                    help="manifest of the weight-calibration split; required "
                         "with --weights ap")
-    p.add_argument("--weights", choices=("ap", "uniform"), default="ap",
-                   help="model weighting: AP-derived or uniform")
+    p.add_argument("--weights", dest="weights_mode", choices=("ap", "uniform"),
+                   default="ap", help="model weighting: AP-derived or uniform")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,32 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace, **extra) -> PipelineConfig:
-    fields = {}
-    mapping = {
-        "iou_threshold": "iou_threshold",
-        "normalization": "normalization",
-        "grouping": "grouping",
-        "attention_factor": "attention_factor",
-        "binarize_threshold": "binarize_threshold",
-        "alpha_const": "alpha_const",
-        "neutral_beta": "neutral_beta",
-        "beta_const": "beta_const",
-        "expand_factor": "expand_factor",
-        "out_dir": "out_dir",
-        "weights": "weights_mode",
-        "workers": "workers",
-        "seed": "seed",
-    }
-    for arg_name, cfg_name in mapping.items():
-        if hasattr(args, arg_name) and getattr(args, arg_name) is not None:
-            fields[cfg_name] = getattr(args, arg_name)
-    fields.update(extra)
-    return PipelineConfig(**fields)
+def _config_from(args: argparse.Namespace) -> PipelineConfig:
+    names = {f.name for f in fields(PipelineConfig)}
+    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _load_calib(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.weights == "uniform":
+    if args.weights_mode == "uniform":
         return None
     if not args.calib:
         parser.error("--weights ap requires --calib MANIFEST "
@@ -127,12 +109,10 @@ def _load_calib(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
 
 def _cmd_synth(args) -> int:
-    cfg = _config_from(args, scales=tuple(args.scales),
-                       synth_objects=args.objects, synth_models=args.models,
-                       synth_height=args.height, synth_width=args.width,
-                       synth_perturb=args.perturb)
-    bundle = generate(cfg)
-    path = save_manifest(bundle, f"{cfg.out_dir}/manifest.json")
+    bundle = generate(args.seed, objects=args.objects, models=args.models,
+                      height=args.height, width=args.width,
+                      perturb=args.perturb, scales=args.scales)
+    path = save_manifest(bundle, f"{args.out_dir}/manifest.json")
     print(f"wrote {path}")
     return 0
 
@@ -141,10 +121,11 @@ def _cmd_fuse(args, parser) -> int:
     cfg = _config_from(args)
     bundle = load_manifest(args.manifest)
     calib = _load_calib(args, parser)
-    modes = ("vertical", "horizontal") if cfg.grouping == "both" else (cfg.grouping,)
+    modes = (("vertical", "horizontal") if args.grouping == "both"
+             else (args.grouping,))
     for mode in modes:
         fused, records = run_fuse(bundle, calib, cfg, mode)
-        paths = write_fuse_outputs(fused, records, cfg, mode)
+        paths = write_fuse_outputs(fused, records, cfg, mode, args.out_dir)
         print(f"wrote {paths['manifest']}")
         print(f"wrote {paths['weights']}")
     return 0
@@ -155,14 +136,14 @@ def _cmd_pipeline(args, parser) -> int:
     bundle = load_manifest(args.manifest)
     calib = _load_calib(args, parser)
     result = run_pipeline(bundle, calib, cfg)
-    paths = write_pipeline_outputs(result, bundle, cfg)
+    paths = write_pipeline_outputs(result, bundle, args.out_dir)
     for key in ("fused_logits", "labels", "overlay", "manifest", "report"):
         print(f"wrote {paths[key]}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = PipelineConfig(iou_threshold=args.iou_threshold)
+    cfg = _config_from(args)
     pred = load_manifest(args.manifest)
     gt = load_manifest(args.gt_manifest)
     report = run_evaluate(pred, gt, cfg)
@@ -187,10 +168,7 @@ def main(argv=None) -> int:
             return _cmd_pipeline(args, parser)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
-    except SegfuseError as e:
-        print(f"segfuse: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (SegfuseError, OSError) as e:
         print(f"segfuse: error: {e}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

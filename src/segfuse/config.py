@@ -1,4 +1,4 @@
-"""Pipeline configuration shared by the CLI commands."""
+"""Algorithm parameters shared by the engine's commands."""
 
 from __future__ import annotations
 
@@ -11,24 +11,14 @@ from .errors import DataValidationError
 class PipelineConfig:
     iou_threshold: float = 0.6
     normalization: str = "fraction"          # fraction | minmax
-    grouping: str = "vertical"               # vertical | horizontal | both
     attention_factor: float = 1.0
     binarize_threshold: float = 0.5
     alpha_const: float = 0.5                 # fallback gate when alpha maps are absent
     neutral_beta: float = 0.5                # gate outside every object region
     beta_const: float | None = None          # override: skip attention, use a constant
     expand_factor: float = 1.2
-    scales: tuple[float, ...] = (1.0,)
-    seed: int = 0
-    out_dir: str = "out"
     weights_mode: str = "ap"                 # ap | uniform
     workers: int = 1
-    # synthetic fixture knobs
-    synth_objects: int = 4
-    synth_models: int = 3
-    synth_height: int = 96
-    synth_width: int = 128
-    synth_perturb: int = 2
 
     def __post_init__(self) -> None:
         for name in ("iou_threshold", "binarize_threshold"):
@@ -47,19 +37,7 @@ class PipelineConfig:
             raise DataValidationError("expand_factor must be >= 1")
         if self.normalization not in ("fraction", "minmax"):
             raise DataValidationError(f"unknown normalization {self.normalization!r}")
-        if self.grouping not in ("vertical", "horizontal", "both"):
-            raise DataValidationError(f"unknown grouping {self.grouping!r}")
         if self.weights_mode not in ("ap", "uniform"):
             raise DataValidationError(f"unknown weights mode {self.weights_mode!r}")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise DataValidationError("scales must be positive")
-        if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
-            raise DataValidationError("scales must be strictly increasing")
         if self.workers < 1:
             raise DataValidationError("workers must be >= 1")
-        if self.synth_objects < 1 or self.synth_models < 1:
-            raise DataValidationError("synthetic scene needs >= 1 object and model")
-        if self.synth_height < 16 or self.synth_width < 16:
-            raise DataValidationError("synthetic canvas must be at least 16x16")
-        if self.synth_perturb < 0:
-            raise DataValidationError("perturbation magnitude cannot be negative")

@@ -167,7 +167,7 @@ def _require(doc: dict, key: str, kind, where: str):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise FormatError(f"{where}: field {key!r} must be a number")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
 
@@ -218,6 +218,8 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
     out = {}
     for k, rec in enumerate(records):
         where = f"{field}[{k}]"
+        if not isinstance(rec, dict):
+            raise FormatError(f"{where}: map record must be an object")
         model = _require(rec, "model", str, where)
         scale = _require(rec, "scale", float, where)
         rel = _require(rec, "path", str, where)

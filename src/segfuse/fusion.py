@@ -56,12 +56,6 @@ class FusionWeights:
     def models(self) -> tuple[str, ...]:
         return tuple(m for m, _ in self.weights)
 
-    def value(self, model: str) -> float:
-        for m, w in self.weights:
-            if m == model:
-                return w
-        raise DataValidationError(f"no weight for model {model!r}")
-
 
 def compute_weights(ap_table: ApTable, group_key, normalization: str = "fraction") -> FusionWeights:
     """Per-model coefficients from one group's APs; higher AP, higher weight.
@@ -171,24 +165,29 @@ def fuse_masks(group: MaskGroup, weights: FusionWeights) -> np.ndarray:
     return weighted_average(arrays, coeffs)
 
 
-def fuse_logits(maps: Mapping[str, LogitMap], weights: FusionWeights) -> LogitMap:
-    """Channel-wise weighted average of per-model logit maps."""
-    if set(maps) != set(weights.models):
-        raise DataValidationError(
-            f"maps for {sorted(maps)} do not match weights for {list(weights.models)}")
-    shape = None
-    arrays = []
-    coeffs = []
-    for model, coeff in weights.weights:
-        m = maps[model]
-        if shape is None:
-            shape = m.shape
-        elif m.shape != shape:
-            raise ShapeError(f"logit map shapes {m.shape} vs {shape} mismatch")
-        arrays.append(m.data.astype(np.float64))
-        coeffs.append(coeff)
-    fused = weighted_average(arrays, coeffs).astype(np.float32)
-    return LogitMap(shape[0], shape[1], shape[2], fused)
+def fuse_logits(maps: Mapping[str, LogitMap],
+                weights: Sequence[FusionWeights]) -> LogitMap:
+    """Weighted average of per-model logit maps, one weight vector per channel.
+
+    Channel c averages the models with ``weights[c]``; channels are fused one
+    at a time, so only one channel plane per model is widened to float64.
+    """
+    shapes = sorted({m.shape for m in maps.values()})
+    if len(shapes) != 1:
+        raise ShapeError(f"logit maps must share one shape, got {shapes}")
+    h, w, c = shapes[0]
+    if len(weights) != c:
+        raise ShapeError(f"{len(weights)} weight vectors for {c} channels")
+    out = np.empty((h, w, c), dtype=np.float32)
+    for ch, vec in enumerate(weights):
+        if set(maps) != set(vec.models):
+            raise DataValidationError(
+                f"maps for {sorted(maps)} do not match weights for "
+                f"{list(vec.models)}")
+        arrays = [maps[model].data[:, :, ch].astype(np.float64)
+                  for model in vec.models]
+        out[:, :, ch] = weighted_average(arrays, [v for _, v in vec.weights])
+    return LogitMap(h, w, c, out)
 
 
 def binarize(soft: np.ndarray, threshold: float = 0.5) -> BinaryMask:

@@ -112,25 +112,6 @@ class AttentionMap:
         return (self.height, self.width)
 
 
-def pixelwise_mul(a: LogitMap, w: AttentionMap) -> LogitMap:
-    """Multiply every channel of ``a`` by the per-pixel gate ``w``."""
-    if (a.height, a.width) != (w.height, w.width):
-        raise ShapeError(f"grid {a.shape[:2]} vs gate {w.shape} mismatch")
-    return LogitMap(a.height, a.width, a.channels, a.data * w.data[:, :, None])
-
-
-def pixelwise_add(a: LogitMap, b: LogitMap) -> LogitMap:
-    """Elementwise sum of two identically shaped grids."""
-    if a.shape != b.shape:
-        raise ShapeError(f"grid shapes {a.shape} vs {b.shape} mismatch")
-    return LogitMap(a.height, a.width, a.channels, a.data + b.data)
-
-
-def complement(w: AttentionMap) -> AttentionMap:
-    """The gate ``1 - w``; stays in [0, 1]."""
-    return AttentionMap(w.height, w.width, np.float32(1.0) - w.data)
-
-
 def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     """Per-channel bilinear resample to (out_h, out_w).
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class BinaryMask:
     @classmethod
     def zeros(cls, height: int, width: int) -> "BinaryMask":
         return cls(height, width, np.zeros((height, width), dtype=bool))
-
-    @property
-    def area(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
 
 @dataclass(frozen=True)
@@ -210,23 +205,12 @@ def crop(grid, b: BBox):
     raise TypeError(f"crop expects LogitMap or BinaryMask, got {type(grid).__name__}")
 
 
-def paste(canvas: LogitMap, patch: LogitMap, b: BBox) -> LogitMap:
-    """Copy of ``canvas`` with the region ``b`` replaced by ``patch``."""
-    _check_in_bounds(b, canvas.height, canvas.width)
-    if (patch.height, patch.width) != (b.height, b.width):
-        raise ShapeError(
-            f"patch {patch.shape[:2]} does not fit box {(b.height, b.width)}")
-    if patch.channels != canvas.channels:
-        raise ShapeError(
-            f"patch channels {patch.channels} != canvas channels {canvas.channels}")
-    out = canvas.data.copy()
-    out[b.y0:b.y1, b.x0:b.x1, :] = patch.data
-    return LogitMap(canvas.height, canvas.width, canvas.channels, out)
-
-
 @dataclass(frozen=True)
 class MaskInstance:
-    """One predicted or ground-truth instance of a component."""
+    """One predicted or ground-truth instance of a component.
+
+    ``binary`` is the decoded mask, set once at construction.
+    """
 
     mask: RleMask
     bbox: BBox
@@ -251,7 +235,3 @@ class MaskInstance:
             raise DataValidationError(
                 f"bbox {self.bbox} does not enclose the mask extent {tight}")
         self.__dict__["binary"] = decoded
-
-    @cached_property
-    def binary(self) -> BinaryMask:
-        return rle_decode(self.mask)

@@ -125,11 +125,6 @@ class ApTable:
     def models(self) -> tuple[str, ...]:
         return tuple(sorted({m for m, _ in self.entries}))
 
-    @property
-    def group_keys(self) -> tuple:
-        keys = {g for _, g in self.entries}
-        return tuple(sorted(keys, key=lambda k: (str(type(k)), k)))
-
     def get(self, model: str, group) -> float:
         try:
             return self.entries[(model, group)]

@@ -16,15 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (AttentionConfig, attention_to_map, difference_matrix,
-                        fuse_global_local, local_attention, row_normalize)
+from .attention import (attention_to_map, difference_matrix, fuse_global_local,
+                        local_attention, row_normalize)
 from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
 from .formats import save_manifest, save_tensor, write_json_report, write_overlay
 from .fusion import (FusionWeights, MaskGroup, binarize, compute_weights,
-                     fuse_logits, fuse_masks, group_predictions,
-                     weighted_average)
+                     fuse_logits, fuse_masks, group_predictions)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     scaled_dim)
 from .hierarchy import ScaleChain, ScaleEntry, run_inference_chain
@@ -145,8 +144,9 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
 
 
 def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
-                       cfg: PipelineConfig, mode: str) -> dict[str, Path]:
-    out_dir = Path(cfg.out_dir)
+                       cfg: PipelineConfig, mode: str,
+                       out_dir) -> dict[str, Path]:
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = save_manifest(fused, out_dir / f"fused_{mode}.json")
     report = write_json_report(
@@ -176,17 +176,9 @@ def _channel_weights(table: ApTable | None, models: tuple[str, ...],
 
 
 def _fuse_global(maps: dict[str, LogitMap], vectors) -> LogitMap:
-    first = next(iter(maps.values()))
-    h, w, c = first.shape
-    out = np.empty((h, w, c), dtype=np.float32)
-    for ch, vec in enumerate(vectors):
-        arrays = []
-        coeffs = []
-        for model, coeff in vec.weights:
-            arrays.append(maps[model].data[:, :, ch].astype(np.float64))
-            coeffs.append(coeff)
-        out[:, :, ch] = weighted_average(arrays, coeffs).astype(np.float32)
-    return LogitMap(h, w, c, out)
+    """The whole-frame ensemble, kept as its own stage so traces can time it
+    apart from the per-object ensembles."""
+    return fuse_logits(maps, vectors)
 
 
 def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
@@ -204,8 +196,9 @@ def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
     return LogitMap(region_s.height, region_s.width, channels, data)
 
 
-def _object_regions(sub: PredictionBundle, cfg: PipelineConfig,
-                    height: int, width: int) -> dict[int, BBox]:
+def _object_regions(sub: PredictionBundle,
+                    cfg: PipelineConfig) -> dict[int, BBox]:
+    """Expanded union box of each object's instances in ``sub``, by id."""
     regions: dict[int, BBox] = {}
     for inst in sub.instances:
         if inst.object_id is None:
@@ -213,7 +206,7 @@ def _object_regions(sub: PredictionBundle, cfg: PipelineConfig,
                 "the pipeline requires object ids on every instance")
         box = regions.get(inst.object_id)
         regions[inst.object_id] = inst.bbox if box is None else box.union(inst.bbox)
-    return {oid: expand_bbox(box, cfg.expand_factor, height, width)
+    return {oid: expand_bbox(box, cfg.expand_factor, sub.height, sub.width)
             for oid, box in sorted(regions.items())}
 
 
@@ -255,7 +248,6 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
             f"components), got {channels}")
     weights_records: list[dict] = []
     entries = []
-    attn_cfg = AttentionConfig(cfg.attention_factor)
 
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
@@ -280,7 +272,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
             weights_records.append(_weights_record(scale, "vertical", vec))
         ens_global = _fuse_global(maps, vectors)
 
-        regions_ref = _object_regions(sub, cfg, height, width)
+        regions_ref = _object_regions(sub, cfg)
         oids = list(regions_ref)
         regions_s = {oid: scale_box(regions_ref[oid], height, width, sh, sw)
                      for oid in oids}
@@ -293,14 +285,14 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
             local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
                                         regions_s[oid], channels)
                           for m in sub.models}
-            fused_local = fuse_logits(local_maps, w)
+            fused_local = fuse_logits(local_maps, [w] * channels)
             beta_patch = None
             if cfg.beta_const is None:
                 g_rows = crop(ens_global, regions_s[oid]).data.reshape(
                     -1, channels).astype(np.float64)
                 l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
                 attn = row_normalize(local_attention(
-                    difference_matrix(g_rows, l_rows), attn_cfg))
+                    difference_matrix(g_rows, l_rows), cfg.attention_factor))
                 # scalar gate per pixel: a uniform row means no channel stands
                 # out as disagreeing (gate -> 1, trust the frame); a peaked row
                 # means concentrated disagreement (gate -> 0, trust the object)
@@ -361,17 +353,8 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
     # tail_probs[..., c] = P(label >= c): the component-or-deeper probability
     tail_probs = np.cumsum(probs[:, :, ::-1], axis=2)[:, :, ::-1]
 
-    regions: dict[int, BBox] = {}
-    for inst in bundle.instances:
-        if inst.object_id is None:
-            continue
-        box = regions.get(inst.object_id)
-        regions[inst.object_id] = inst.bbox if box is None else box.union(inst.bbox)
     out = []
-    uid = 0
-    for oid in sorted(regions):
-        region = expand_bbox(regions[oid], cfg.expand_factor,
-                             bundle.height, bundle.width)
+    for oid, region in _object_regions(bundle, cfg).items():
         inside = np.zeros_like(labels, dtype=bool)
         inside[region.y0:region.y1, region.x0:region.x1] = True
         for comp in COMPONENTS:
@@ -384,8 +367,7 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
             out.append(MaskInstance(
                 mask=rle_encode(mask), bbox=tight_bbox(mask), component=comp,
                 object_id=oid, score=min(1.0, max(0.0, score)),
-                model_id=PIPELINE_MODEL_ID, scale=1.0, uid=uid))
-            uid += 1
+                model_id=PIPELINE_MODEL_ID, scale=1.0, uid=len(out)))
     return tuple(out)
 
 
@@ -416,8 +398,8 @@ def _evaluation_records(bundle: PredictionBundle,
 
 
 def write_pipeline_outputs(result: PipelineResult, bundle: PredictionBundle,
-                           cfg: PipelineConfig) -> dict[str, Path]:
-    out_dir = Path(cfg.out_dir)
+                           out_dir) -> dict[str, Path]:
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     save_tensor(out_dir / "fused_logits.tns", result.final_logits)

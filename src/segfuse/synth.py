@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .bundle import PredictionBundle
-from .config import PipelineConfig
+from .errors import DataValidationError
 from .grids import LogitMap, AttentionMap, bilinear_resize, scaled_dim
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BinaryMask,
                     MaskInstance, rle_encode, tight_bbox, iou)
@@ -130,20 +130,31 @@ def _alpha_map(h, w, offset: float) -> np.ndarray:
     return np.clip(0.2 + 0.15 * radial + offset, 0.0, 0.9).astype(np.float32)
 
 
-def generate(cfg: PipelineConfig) -> PredictionBundle:
-    """Build a deterministic synthetic bundle from ``cfg.seed``."""
-    rng = np.random.default_rng(cfg.seed)
-    h, w = cfg.synth_height, cfg.synth_width
-    n_obj = cfg.synth_objects
-    models = tuple(f"m{i}" for i in range(cfg.synth_models))
+def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
+             height: int = 96, width: int = 128, perturb: int = 2,
+             scales: tuple[float, ...] = (1.0,)) -> PredictionBundle:
+    """Build a deterministic synthetic bundle from ``seed``."""
+    if objects < 1 or models < 1:
+        raise DataValidationError("synthetic scene needs >= 1 object and model")
+    if height < 16 or width < 16:
+        raise DataValidationError("synthetic canvas must be at least 16x16")
+    if perturb < 0:
+        raise DataValidationError("perturbation magnitude cannot be negative")
+    if not scales or any(s <= 0 for s in scales):
+        raise DataValidationError("scales must be positive")
+    if any(a >= b for a, b in zip(scales, scales[1:])):
+        raise DataValidationError("scales must be strictly increasing")
+    rng = np.random.default_rng(seed)
+    h, w = height, width
+    model_ids = tuple(f"m{i}" for i in range(models))
 
-    rows = max(1, int(math.floor(math.sqrt(n_obj))))
-    cols = int(math.ceil(n_obj / rows))
+    rows = max(1, int(math.floor(math.sqrt(objects))))
+    cols = int(math.ceil(objects / rows))
     cell_h = h / rows
     cell_w = w / cols
 
     gt_objects = []
-    for k in range(n_obj):
+    for k in range(objects):
         r, c = divmod(k, cols)
         cy = (r + 0.5) * cell_h + rng.uniform(-0.05, 0.05) * cell_h
         cx = (c + 0.5) * cell_w + rng.uniform(-0.05, 0.05) * cell_w
@@ -162,8 +173,8 @@ def generate(cfg: PipelineConfig) -> PredictionBundle:
 
     instances = []
     model_masks = {}  # (model, oid) -> {component: bits}
-    for mi, model in enumerate(models):
-        magnitude = _model_magnitude(mi, len(models), cfg.synth_perturb)
+    for mi, model in enumerate(model_ids):
+        magnitude = _model_magnitude(mi, len(model_ids), perturb)
         for oid, comps in enumerate(gt_objects):
             perturbed = {}
             for name in COMPONENTS:
@@ -171,9 +182,9 @@ def generate(cfg: PipelineConfig) -> PredictionBundle:
                 perturbed[name] = bits
             model_masks[(model, oid)] = perturbed
     uid = 0
-    for scale in cfg.scales:
-        for model in models:
-            for oid in range(n_obj):
+    for scale in scales:
+        for model in model_ids:
+            for oid in range(objects):
                 for name in COMPONENTS:
                     bits = model_masks[(model, oid)][name]
                     mask = BinaryMask(h, w, bits)
@@ -190,30 +201,28 @@ def generate(cfg: PipelineConfig) -> PredictionBundle:
 
     logit_maps = {}
     alpha_maps = {}
-    for mi, model in enumerate(models):
+    for mi, model in enumerate(model_ids):
         union = {name: np.zeros((h, w), dtype=bool) for name in COMPONENTS}
         scores = {name: 0.0 for name in COMPONENTS}
         seen = {name: 0 for name in COMPONENTS}
-        for oid in range(n_obj):
+        for oid in range(objects):
             for name in COMPONENTS:
                 union[name] |= model_masks[(model, oid)][name]
         for inst in instances:
-            if inst.model_id == model and inst.scale == cfg.scales[0]:
+            if inst.model_id == model and inst.scale == scales[0]:
                 scores[inst.component] += inst.score
                 seen[inst.component] += 1
         mean_scores = {name: (scores[name] / seen[name] if seen[name] else 0.0)
                        for name in COMPONENTS}
         base = LogitMap.from_array(_logit_map(h, w, union, mean_scores))
-        for scale in cfg.scales:
+        for si, scale in enumerate(scales):
             sh, sw = scaled_dim(h, scale), scaled_dim(w, scale)
             logit_maps[(model, scale)] = bilinear_resize(base, sh, sw)
-        for si, scale in enumerate(cfg.scales):
-            sh, sw = scaled_dim(h, scale), scaled_dim(w, scale)
             alpha_maps[(model, scale)] = AttentionMap(
                 sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
 
     return PredictionBundle(
-        image_id=f"synth-{cfg.seed}", height=h, width=w, models=models,
-        scales=tuple(cfg.scales), instances=tuple(instances),
+        image_id=f"synth-{seed}", height=h, width=w, models=model_ids,
+        scales=tuple(scales), instances=tuple(instances),
         ground_truth=tuple(ground_truth), logit_maps=logit_maps,
         alpha_maps=alpha_maps)

@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from segfuse.attention import (AttentionConfig, difference_matrix,
-                               fuse_global_local, local_attention,
-                               row_normalize)
+from segfuse.attention import (difference_matrix, fuse_global_local,
+                               local_attention, row_normalize)
 from segfuse.cli import main
 from segfuse.config import PipelineConfig
 from segfuse.formats import load_tensor, save_tensor
@@ -59,7 +58,7 @@ def test_01_attention_rows_are_stochastic():
             rows = int(rng.integers(1, 33))
             cols = int(rng.integers(1, 33))
             d = np.abs(rng.normal(scale=3.0, size=(rows, cols)))
-            beta = local_attention(d, AttentionConfig(factors[k % 3]))
+            beta = local_attention(d, factors[k % 3])
             assert np.abs(beta.sum(axis=1) - 1.0).max() <= 1e-9
             again = row_normalize(beta)
             assert np.abs(again - beta).max() <= 1e-12
@@ -72,8 +71,7 @@ def test_02_zero_difference_gives_uniform_rows():
             rows = int(rng.integers(1, 20))
             cols = int(rng.integers(1, 20))
             g = rng.normal(size=(rows, cols))
-            beta = local_attention(difference_matrix(g, g.copy()),
-                                   AttentionConfig(1.0))
+            beta = local_attention(difference_matrix(g, g.copy()), 1.0)
             assert np.abs(beta - 1.0 / cols).max() <= 1e-12
 
 
@@ -135,7 +133,7 @@ def test_04_scalar_oracle_reproduces_engine_bitwise():
         w = compute_weights(table, "shell")
         coeffs = [v for _, v in w.weights]
         maps = {f"m{i}": LogitMap.from_array(s) for i, s in enumerate(stacks)}
-        assert np.array_equal(fuse_logits(maps, w).data,
+        assert np.array_equal(fuse_logits(maps, [w] * 5).data,
                               fuse_logits_ref(stacks, coeffs))
 
         # frame/object blend with 2 locals
@@ -232,7 +230,8 @@ def test_07_degenerate_identities():
                               bits.astype(np.float64))
         data = rng.normal(size=(6, 6, 3)).astype(np.float32)
         assert np.array_equal(
-            fuse_logits({"m0": LogitMap.from_array(data)}, w1).data, data)
+            fuse_logits({"m0": LogitMap.from_array(data)}, [w1] * 3).data,
+            data)
 
         # alpha == 0 chain returns the finest logits bit-exactly
         finest = LogitMap.from_array(rng.normal(size=(8, 8, 3)).astype(np.float32))
@@ -258,15 +257,15 @@ def test_07_degenerate_identities():
 
 def test_08_ap_weighted_ensemble_helps():
     with criterion(8, "ensemble-helps fixture", budget_s=5.0):
-        cfg = PipelineConfig(seed=99, synth_objects=5, synth_models=3,
-                             synth_perturb=7, synth_height=96, synth_width=128)
-        bundle = generate(cfg)
+        cfg = PipelineConfig()
+        bundle = generate(99, objects=5, models=3, perturb=7, height=96,
+                          width=128)
         gts = bundle.ground_truth
 
         singles = group_ap(bundle, gts, "vertical", cfg.iou_threshold)
         weighted_bundle, _ = run_fuse(bundle, bundle, cfg, "vertical")
         uniform_bundle, _ = run_fuse(
-            bundle, None, PipelineConfig(seed=99, weights_mode="uniform"),
+            bundle, None, PipelineConfig(weights_mode="uniform"),
             "vertical")
         weighted = group_ap(weighted_bundle, gts, "vertical", cfg.iou_threshold)
         uniform = group_ap(uniform_bundle, gts, "vertical", cfg.iou_threshold)

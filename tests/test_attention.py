@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from segfuse.attention import (AttentionConfig, attention_to_map,
-                               difference_matrix, fuse_global_local,
-                               local_attention, row_normalize)
+from segfuse.attention import (attention_to_map, difference_matrix,
+                               fuse_global_local, local_attention,
+                               row_normalize)
 from segfuse.errors import (DataValidationError, DegenerateAttentionError,
                             ShapeError)
 from segfuse.grids import AttentionMap, LogitMap
@@ -34,45 +34,45 @@ class TestDifferenceMatrix:
 
 class TestLocalAttention:
     def test_zero_row_is_uniform(self):
-        out = local_attention(np.zeros((1, 5)), AttentionConfig(1.0))
+        out = local_attention(np.zeros((1, 5)), 1.0)
         assert np.allclose(out, 0.2, atol=1e-15)
 
     def test_ln2_hand_worked(self):
-        out = local_attention(np.array([[0.0, np.log(2.0)]]), AttentionConfig(1.0))
+        out = local_attention(np.array([[0.0, np.log(2.0)]]), 1.0)
         assert np.allclose(out[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_larger_factor_sharpens(self):
         d = np.array([[0.0, 1.0]])
-        soft = local_attention(d, AttentionConfig(1.0))[0, 0]
-        sharp = local_attention(d, AttentionConfig(2.0))[0, 0]
+        soft = local_attention(d, 1.0)[0, 0]
+        sharp = local_attention(d, 2.0)[0, 0]
         assert sharp > soft
 
     def test_rows_sum_to_one(self, rng):
         d = np.abs(rng.normal(size=(30, 12)))
-        out = local_attention(d, AttentionConfig(0.7))
+        out = local_attention(d, 0.7)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_row_shift_invariance(self, rng):
         # adding a constant to a whole row of differences cancels in the softmax
         d = np.abs(rng.normal(size=(10, 6)))
         shifted = d + rng.uniform(0.5, 3.0, size=(10, 1))
-        a = local_attention(d, AttentionConfig(1.0))
-        b = local_attention(shifted, AttentionConfig(1.0))
+        a = local_attention(d, 1.0)
+        b = local_attention(shifted, 1.0)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_negative_differences_rejected(self):
         with pytest.raises(DataValidationError):
-            local_attention(np.array([[-0.5]]), AttentionConfig(1.0))
+            local_attention(np.array([[-0.5]]), 1.0)
 
     def test_factor_must_be_positive(self):
         with pytest.raises(DataValidationError):
-            AttentionConfig(0.0)
+            local_attention(np.zeros((1, 2)), 0.0)
 
 
 class TestRowNormalize:
     def test_idempotent_on_stochastic_rows(self, rng):
         d = np.abs(rng.normal(size=(20, 9)))
-        stochastic = local_attention(d, AttentionConfig(1.0))
+        stochastic = local_attention(d, 1.0)
         again = row_normalize(stochastic)
         assert np.abs(again - stochastic).max() <= 1e-12
 

@@ -71,6 +71,21 @@ class TestSynthCommand:
         for t in sorted((a.parent / "tensors").iterdir()):
             assert t.read_bytes() == (b.parent / "tensors" / t.name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--objects", "0", "object"),
+        ("--height", "8", "16x16"),
+        ("--perturb", "-1", "perturbation"),
+        ("--scales", "1.0 0.5", "scales"),
+    ])
+    def test_bad_fixture_setting_is_data_error(self, tmp_path, capsys, flag,
+                                               value, named):
+        code = main(["synth", "--out-dir", str(tmp_path / "bad"), flag,
+                     *value.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestFuseCommand:
     def test_single_model_fusion_is_identity(self, tmp_path):
@@ -182,6 +197,14 @@ class TestPipelineCommand:
         for name in ("fused_logits.tns", "labels.tns", "overlay.ppm",
                      "instances.json", "report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_zero_workers_is_data_error(self, tmp_path, capsys):
+        manifest = single_model_manifest(tmp_path)
+        code = main(["pipeline", str(manifest), "--weights", "uniform",
+                     "--workers", "0", "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "workers" in err and "Traceback" not in err
 
     def test_missing_scale_logits_named(self, tmp_path, capsys):
         manifest = single_model_manifest(tmp_path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from segfuse.bundle import PredictionBundle
-from segfuse.config import PipelineConfig
+from segfuse.cli import main
 from segfuse.errors import DataValidationError, FormatError
 from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_attention_map,
                              load_manifest, load_tensor, save_manifest,
@@ -128,6 +128,27 @@ class TestManifest:
         with pytest.raises(DataValidationError, match=r"instances\[0\].*pearl"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize("field", ["logit_maps", "alpha_maps"])
+    def test_non_object_map_record_names_record(self, tmp_path, field):
+        doc = json.loads(save_manifest(_tiny_bundle(with_maps=True),
+                                       tmp_path / "m.json").read_text())
+        doc[field] = [doc[field][0], 5]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"{field}\[1\]"):
+            load_manifest(bad)
+        assert main(["pipeline", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+
+    def test_boolean_dimension_rejected(self, tmp_path):
+        doc = json.loads(save_manifest(_tiny_bundle(),
+                                       tmp_path / "m.json").read_text())
+        doc["height"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'height' must be int"):
+            load_manifest(bad)
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text("{not json")
@@ -153,9 +174,8 @@ class TestManifest:
             load_manifest(path)
 
     def test_synth_bundle_roundtrips(self, tmp_path):
-        cfg = PipelineConfig(seed=5, scales=(0.5, 1.0), synth_objects=2,
-                             synth_height=48, synth_width=64)
-        bundle = generate(cfg)
+        bundle = generate(5, scales=(0.5, 1.0), objects=2, height=48,
+                          width=64)
         path = save_manifest(bundle, tmp_path / "m.json")
         back = load_manifest(path)
         assert back.models == bundle.models

@@ -166,13 +166,13 @@ class TestFuseLogits:
         data = rng.normal(size=(4, 4, 2)).astype(np.float32)
         maps = {f"m{i}": LogitMap.from_array(data) for i in range(3)}
         w = FusionWeights(None, (("m0", 0.5), ("m1", 0.25), ("m2", 0.25)))
-        assert np.array_equal(fuse_logits(maps, w).data, data)
+        assert np.array_equal(fuse_logits(maps, [w] * 2).data, data)
 
     def test_uniform_two_maps_is_mean(self):
         a = LogitMap.full(2, 2, 1, 3.0)
         b = LogitMap.full(2, 2, 1, 5.0)
         w = FusionWeights(None, (("m0", 0.5), ("m1", 0.5)))
-        out = fuse_logits({"m0": a, "m1": b}, w)
+        out = fuse_logits({"m0": a, "m1": b}, [w])
         assert np.array_equal(out.data, np.full((2, 2, 1), 4.0, np.float32))
 
     def test_three_value_hand_worked(self):
@@ -180,7 +180,7 @@ class TestFuseLogits:
                 "m1": LogitMap.full(1, 1, 1, 2.0),
                 "m2": LogitMap.full(1, 1, 1, 4.0)}
         w = FusionWeights(None, (("m0", 0.5), ("m1", 0.25), ("m2", 0.25)))
-        assert fuse_logits(maps, w).data[0, 0, 0] == np.float32(2.0)
+        assert fuse_logits(maps, [w]).data[0, 0, 0] == np.float32(2.0)
 
     def test_matches_scalar_oracle_bitwise(self, rng):
         stacks = [rng.normal(scale=4.0, size=(8, 8, 5)).astype(np.float32)
@@ -188,22 +188,50 @@ class TestFuseLogits:
         coeffs = [0.33191, 0.33399, 0.33410]
         maps = {f"m{i}": LogitMap.from_array(s) for i, s in enumerate(stacks)}
         w = FusionWeights(None, tuple((f"m{i}", c) for i, c in enumerate(coeffs)))
-        got = fuse_logits(maps, w).data
+        got = fuse_logits(maps, [w] * 5).data
         assert np.array_equal(got, fuse_logits_ref(stacks, coeffs))
+
+    def test_per_channel_weights_match_oracle_bitwise(self, rng):
+        stacks = [rng.normal(scale=4.0, size=(8, 8, 5)).astype(np.float32)
+                  for _ in range(3)]
+        maps = {f"m{i}": LogitMap.from_array(s) for i, s in enumerate(stacks)}
+        vectors = []
+        for ch in range(5):
+            raw = rng.uniform(0.1, 1.0, 3)
+            coeffs = [float(c) for c in raw / raw.sum()]
+            coeffs[-1] = 1.0 - coeffs[0] - coeffs[1]
+            vectors.append(FusionWeights(ch, tuple(
+                (f"m{i}", c) for i, c in enumerate(coeffs))))
+        got = fuse_logits(maps, vectors).data
+        for ch, vec in enumerate(vectors):
+            want = fuse_logits_ref([s[:, :, ch] for s in stacks],
+                                   [c for _, c in vec.weights])
+            assert np.array_equal(got[:, :, ch], want)
+
+    def test_one_weight_vector_per_channel(self):
+        w = FusionWeights(None, (("m0", 1.0),))
+        with pytest.raises(ShapeError, match="2 weight vectors for 3"):
+            fuse_logits({"m0": LogitMap.zeros(2, 2, 3)}, [w, w])
+
+    def test_weights_must_cover_the_maps(self):
+        w = FusionWeights(None, (("m0", 1.0),))
+        with pytest.raises(DataValidationError, match="do not match"):
+            fuse_logits({"m0": LogitMap.zeros(2, 2, 1),
+                         "m1": LogitMap.zeros(2, 2, 1)}, [w])
 
     def test_shape_mismatch(self):
         w = FusionWeights(None, (("m0", 0.5), ("m1", 0.5)))
         with pytest.raises(ShapeError):
             fuse_logits({"m0": LogitMap.zeros(2, 2, 1),
-                         "m1": LogitMap.zeros(2, 3, 1)}, w)
+                         "m1": LogitMap.zeros(2, 3, 1)}, [w])
 
     def test_model_order_is_canonical(self, rng):
         # fusing the same maps presented in any dict order is bit-identical
         stacks = {f"m{i}": LogitMap.from_array(
             rng.normal(size=(4, 4, 2)).astype(np.float32)) for i in range(3)}
         w = FusionWeights(None, (("m0", 0.2), ("m1", 0.3), ("m2", 0.5)))
-        a = fuse_logits(dict(sorted(stacks.items())), w)
-        b = fuse_logits(dict(sorted(stacks.items(), reverse=True)), w)
+        a = fuse_logits(dict(sorted(stacks.items())), [w] * 2)
+        b = fuse_logits(dict(sorted(stacks.items(), reverse=True)), [w] * 2)
         assert np.array_equal(a.data, b.data)
 
 

@@ -1,83 +1,15 @@
-"""Grid primitives: pixel-wise ops, resampling, softmax, argmax."""
+"""Grid primitives: resampling, softmax, argmax, gated blend."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segfuse.errors import DataValidationError, ShapeError
+from segfuse.errors import DataValidationError
 from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
-                           bilinear_resize, complement, gated_blend,
-                           pixelwise_add, pixelwise_mul, softmax_rows)
+                           bilinear_resize, gated_blend, softmax_rows)
 
 from reference import bilinear_ref
-
-
-class TestPixelwise:
-    def test_mul_annihilator(self):
-        ones = LogitMap.full(2, 2, 1, 1.0)
-        zeros = AttentionMap.full(2, 2, 0.0)
-        assert np.array_equal(pixelwise_mul(ones, zeros).data, np.zeros((2, 2, 1)))
-
-    def test_mul_identity(self):
-        ones = LogitMap.full(2, 2, 1, 1.0)
-        gate = AttentionMap.full(2, 2, 1.0)
-        assert np.array_equal(pixelwise_mul(ones, gate).data, ones.data)
-
-    def test_mul_scalar_product(self):
-        a = LogitMap.full(1, 1, 1, 2.0)
-        w = AttentionMap.full(1, 1, 0.5)
-        assert pixelwise_mul(a, w).data[0, 0, 0] == 1.0
-
-    def test_mul_broadcasts_over_channels(self):
-        a = LogitMap.from_array(np.arange(12, dtype=np.float32).reshape(2, 2, 3))
-        w = AttentionMap.from_array([[0.5, 1.0], [0.0, 0.25]])
-        out = pixelwise_mul(a, w)
-        assert out.data[0, 0, 2] == np.float32(2 * 0.5)
-        assert np.array_equal(out.data[1, 0], np.zeros(3))
-
-    def test_mul_shape_error(self):
-        with pytest.raises(ShapeError):
-            pixelwise_mul(LogitMap.full(2, 2, 1, 1.0), AttentionMap.full(2, 3, 0.5))
-
-    def test_add_zeros_is_identity(self):
-        a = LogitMap.from_array(np.arange(4, dtype=np.float32).reshape(2, 2, 1))
-        z = LogitMap.zeros(2, 2, 1)
-        assert np.array_equal(pixelwise_add(z, z).data, z.data)
-        assert np.array_equal(pixelwise_add(a, z).data, a.data)
-
-    def test_add_values(self):
-        a = LogitMap.full(1, 1, 1, 1.5)
-        b = LogitMap.full(1, 1, 1, 2.5)
-        assert pixelwise_add(a, b).data[0, 0, 0] == 4.0
-
-    def test_add_shape_error(self):
-        with pytest.raises(ShapeError):
-            pixelwise_add(LogitMap.zeros(2, 2, 1), LogitMap.zeros(2, 2, 2))
-
-    def test_dims_preserved_and_finite(self, rng):
-        a = LogitMap.from_array(rng.normal(size=(5, 7, 3)).astype(np.float32))
-        w = AttentionMap.from_array(rng.uniform(size=(5, 7)).astype(np.float32))
-        assert pixelwise_mul(a, w).shape == a.shape
-        assert np.isfinite(pixelwise_add(a, a).data).all()
-
-
-class TestComplement:
-    def test_fixed_point(self):
-        assert np.array_equal(complement(AttentionMap.full(2, 2, 0.5)).data,
-                              np.full((2, 2), 0.5, dtype=np.float32))
-
-    def test_ones_to_zeros(self):
-        assert np.array_equal(complement(AttentionMap.full(3, 3, 1.0)).data,
-                              np.zeros((3, 3), dtype=np.float32))
-
-    def test_quarter(self):
-        assert complement(AttentionMap.full(1, 1, 0.25)).data[0, 0] == np.float32(0.75)
-
-    def test_stays_in_range(self, rng):
-        w = AttentionMap.from_array(rng.uniform(size=(6, 6)).astype(np.float32))
-        out = complement(w)
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
 class TestBilinearResize:

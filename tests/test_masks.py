@@ -8,9 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from segfuse.errors import DataValidationError, FormatError, ShapeError
 from segfuse.grids import LogitMap
-from segfuse.masks import (BBox, BinaryMask, RleMask, crop,
-                           expand_bbox, iou, paste, rle_decode, rle_encode,
-                           scale_box, tight_bbox)
+from segfuse.masks import (BBox, BinaryMask, RleMask, crop, expand_bbox,
+                           iou, rle_decode, rle_encode, scale_box, tight_bbox)
 
 from conftest import block_mask, make_instance
 
@@ -133,33 +132,6 @@ class TestCropPaste:
         a = LogitMap.from_array(np.arange(8, dtype=np.float32).reshape(2, 4, 1))
         assert crop(a, BBox(2, 1, 3, 2)).data[0, 0, 0] == 6.0
 
-    def test_crop_paste_roundtrip(self, rng):
-        canvas = LogitMap.from_array(rng.normal(size=(6, 6, 2)).astype(np.float32))
-        box = BBox(1, 2, 4, 5)
-        patch = crop(canvas, box)
-        assert np.array_equal(paste(canvas, patch, box).data, canvas.data)
-
-    def test_paste_then_crop_recovers_patch(self, rng):
-        patch = LogitMap.from_array(rng.normal(size=(3, 3, 2)).astype(np.float32))
-        box = BBox(2, 1, 5, 4)
-        pasted = paste(LogitMap.zeros(6, 6, 2), patch, box)
-        assert np.array_equal(crop(pasted, box).data, patch.data)
-
-    def test_paste_zeros_patch(self):
-        canvas = LogitMap.full(4, 4, 1, 2.0)
-        out = paste(canvas, LogitMap.zeros(2, 2, 1), BBox(1, 1, 3, 3))
-        assert (out.data[1:3, 1:3, 0] == 0).all()
-        assert out.data[0, 0, 0] == 2.0
-
-    def test_disjoint_pastes_commute(self, rng):
-        canvas = LogitMap.zeros(6, 6, 1)
-        p1 = LogitMap.from_array(rng.normal(size=(2, 2, 1)).astype(np.float32))
-        p2 = LogitMap.from_array(rng.normal(size=(2, 2, 1)).astype(np.float32))
-        b1, b2 = BBox(0, 0, 2, 2), BBox(3, 3, 5, 5)
-        one = paste(paste(canvas, p1, b1), p2, b2)
-        two = paste(paste(canvas, p2, b2), p1, b1)
-        assert np.array_equal(one.data, two.data)
-
     def test_crop_mask_kind(self):
         m = BinaryMask.from_array(block_mask(4, 4, 1, 3, 1, 3))
         out = crop(m, BBox(1, 1, 3, 3))
@@ -168,10 +140,6 @@ class TestCropPaste:
     def test_out_of_bounds_box(self):
         with pytest.raises(ShapeError):
             crop(LogitMap.zeros(4, 4, 1), BBox(2, 2, 6, 4))
-
-    def test_paste_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            paste(LogitMap.zeros(4, 4, 1), LogitMap.zeros(3, 3, 1), BBox(0, 0, 2, 2))
 
 
 class TestScaleBox:

@@ -1,15 +1,21 @@
 """Orchestration-level contracts not exercised through the CLI."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.grids import LogitMap
-from segfuse.pipeline import run_evaluate, run_fuse, run_pipeline
+from segfuse.pipeline import (_ap_table, _channel_weights, _fuse_global,
+                              _object_regions, run_evaluate, run_fuse,
+                              run_pipeline)
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
+from reference import fuse_logits_ref
 
 
 def test_fuse_requires_object_ids_for_correspondence():
@@ -56,13 +62,10 @@ def test_pipeline_requires_component_channel_layout():
 
 
 def test_pipeline_horizontal_weights_need_calibrated_object():
-    cfg = PipelineConfig(seed=3, synth_objects=2, synth_height=64,
-                         synth_width=64)
-    bundle = generate(cfg)
-    calib = generate(PipelineConfig(seed=3, synth_objects=1, synth_height=64,
-                                    synth_width=64))
+    bundle = generate(3, objects=2, height=64, width=64)
+    calib = generate(3, objects=1, height=64, width=64)
     with pytest.raises(DataValidationError, match="no AP entry"):
-        run_pipeline(bundle, calib, cfg)
+        run_pipeline(bundle, calib, PipelineConfig())
 
 
 def test_evaluate_requires_ground_truth():
@@ -76,12 +79,10 @@ def test_evaluate_requires_ground_truth():
 def test_uniform_and_ap_weights_agree_when_models_tie():
     # perturbation 0 makes every model identical, so AP weights collapse to
     # uniform and both fusions produce identical bytes
-    cfg = PipelineConfig(seed=8, synth_perturb=0, synth_objects=2,
-                         synth_height=64, synth_width=64)
-    bundle = generate(cfg)
-    ap_fused, _ = run_fuse(bundle, bundle, cfg, "vertical")
+    bundle = generate(8, perturb=0, objects=2, height=64, width=64)
+    ap_fused, _ = run_fuse(bundle, bundle, PipelineConfig(), "vertical")
     uni_fused, _ = run_fuse(bundle, None,
-                            PipelineConfig(seed=8, weights_mode="uniform"),
+                            PipelineConfig(weights_mode="uniform"),
                             "vertical")
     assert len(ap_fused.instances) == len(uni_fused.instances)
     for x, y in zip(ap_fused.instances, uni_fused.instances):
@@ -91,15 +92,13 @@ def test_uniform_and_ap_weights_agree_when_models_tie():
 def test_pipeline_ap_weights_beat_uniform_baseline():
     # one exact model, two heavily perturbed: AP-derived weights must not do
     # worse than the unweighted mean on any component of this fixture
-    cfg = PipelineConfig(seed=99, synth_objects=4, synth_models=3,
-                         synth_perturb=7, synth_height=96, synth_width=128,
-                         scales=(0.5, 1.0))
-    bundle = generate(cfg)
+    bundle = generate(99, objects=4, models=3, perturb=7, height=96,
+                      width=128, scales=(0.5, 1.0))
+    cfg = PipelineConfig()
     weighted = {r["group"]: r["ap"]
                 for r in run_pipeline(bundle, bundle, cfg).report["ap"]
                 if r["mode"] == "vertical"}
-    uniform_cfg = PipelineConfig(seed=99, weights_mode="uniform",
-                                 scales=(0.5, 1.0))
+    uniform_cfg = PipelineConfig(weights_mode="uniform")
     uniform = {r["group"]: r["ap"]
                for r in run_pipeline(bundle, None, uniform_cfg).report["ap"]
                if r["mode"] == "vertical"}
@@ -110,10 +109,8 @@ def test_pipeline_ap_weights_beat_uniform_baseline():
 
 
 def test_pipeline_result_instances_nest():
-    cfg = PipelineConfig(seed=5, synth_objects=2, synth_height=64,
-                         synth_width=64)
-    bundle = generate(cfg)
-    result = run_pipeline(bundle, bundle, cfg)
+    bundle = generate(5, objects=2, height=64, width=64)
+    result = run_pipeline(bundle, bundle, PipelineConfig())
     by_key = {(i.object_id, i.component): i.binary.bits
               for i in result.instances}
     for oid in {i.object_id for i in result.instances}:
@@ -122,3 +119,31 @@ def test_pipeline_result_instances_nest():
         present = [c for c in chain if c is not None]
         for outer, inner in zip(present, present[1:]):
             assert (inner <= outer).all()
+
+
+def test_frame_ensemble_matches_oracle_per_channel():
+    bundle = generate(6, objects=3, height=48, width=64)
+    cfg = PipelineConfig()
+    table = _ap_table(bundle, 1.0, "vertical", cfg)
+    vectors = _channel_weights(table, bundle.models, cfg, 5)
+    assert len({v.weights for v in vectors}) > 2  # channels weigh differently
+    maps = {m: bundle.logit_maps[(m, 1.0)] for m in bundle.models}
+    got = _fuse_global(maps, vectors).data
+    for ch, vec in enumerate(vectors):
+        want = fuse_logits_ref([maps[m].data[:, :, ch] for m in vec.models],
+                               [c for _, c in vec.weights])
+        assert np.array_equal(got[:, :, ch], want)
+
+
+def test_label_regions_span_every_scale():
+    # object 0 is predicted only at the coarse scale: its region still comes
+    # from the union over all scales, so its components are still carved
+    full = generate(5, objects=3, height=64, width=64, scales=(0.5, 1.0))
+    bundle = replace(full, instances=tuple(
+        i for i in full.instances if (i.object_id, i.scale) != (0, 1.0)))
+    cfg = PipelineConfig(weights_mode="uniform")
+    regions = _object_regions(bundle, cfg)
+    result = run_pipeline(bundle, None, cfg)
+    assert {i.object_id for i in result.instances} == set(regions) == {0, 1, 2}
+    for inst in result.instances:
+        assert regions[inst.object_id].encloses(inst.bbox)

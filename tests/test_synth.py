@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from segfuse.config import PipelineConfig
 from segfuse.masks import COMPONENTS
 from segfuse.synth import generate
 
@@ -18,10 +17,8 @@ def bits_of(bundle, model, oid, component, scale=None):
 
 class TestDeterminism:
     def test_same_seed_same_bundle(self):
-        cfg = PipelineConfig(seed=42, synth_objects=3, synth_height=64,
-                             synth_width=64)
-        a = generate(cfg)
-        b = generate(cfg)
+        a = generate(42, objects=3, height=64, width=64)
+        b = generate(42, objects=3, height=64, width=64)
         assert len(a.instances) == len(b.instances)
         for x, y in zip(a.instances, b.instances):
             assert x.mask.counts == y.mask.counts
@@ -32,17 +29,15 @@ class TestDeterminism:
             assert np.array_equal(a.alpha_maps[key].data, b.alpha_maps[key].data)
 
     def test_different_seeds_differ(self):
-        a = generate(PipelineConfig(seed=1, synth_height=64, synth_width=64))
-        b = generate(PipelineConfig(seed=2, synth_height=64, synth_width=64))
+        a = generate(1, height=64, width=64)
+        b = generate(2, height=64, width=64)
         assert any(x.mask.counts != y.mask.counts
                    for x, y in zip(a.instances, b.instances))
 
 
 class TestStructure:
     def test_zero_perturbation_makes_models_agree(self):
-        bundle = generate(PipelineConfig(seed=9, synth_perturb=0,
-                                         synth_objects=2, synth_height=64,
-                                         synth_width=64))
+        bundle = generate(9, perturb=0, objects=2, height=64, width=64)
         for oid in range(2):
             for comp in COMPONENTS:
                 reference = bits_of(bundle, "m0", oid, comp)
@@ -51,9 +46,7 @@ class TestStructure:
                                           reference)
 
     def test_model_zero_is_exact(self):
-        bundle = generate(PipelineConfig(seed=11, synth_perturb=4,
-                                         synth_objects=2, synth_height=64,
-                                         synth_width=64))
+        bundle = generate(11, perturb=4, objects=2, height=64, width=64)
         gt = {(g.object_id, g.component): g.binary.bits
               for g in bundle.ground_truth}
         for oid in range(2):
@@ -62,7 +55,7 @@ class TestStructure:
                                       gt[(oid, comp)])
 
     def test_components_nest(self):
-        bundle = generate(PipelineConfig(seed=3, synth_objects=4))
+        bundle = generate(3, objects=4)
         gt = {(g.object_id, g.component): g.binary.bits
               for g in bundle.ground_truth}
         for oid in range(4):
@@ -75,9 +68,7 @@ class TestStructure:
 
     def test_logit_argmax_recovers_nesting(self):
         from segfuse.grids import argmax_channel
-        bundle = generate(PipelineConfig(seed=3, synth_objects=2,
-                                         synth_perturb=0, synth_height=64,
-                                         synth_width=64))
+        bundle = generate(3, objects=2, perturb=0, height=64, width=64)
         labels = argmax_channel(bundle.logit_maps[("m0", 1.0)])
         gt = {(g.object_id, g.component): g.binary.bits
               for g in bundle.ground_truth}
@@ -88,15 +79,13 @@ class TestStructure:
             assert (labels[shell_only] == 1).all()
 
     def test_scales_get_scaled_grids(self):
-        bundle = generate(PipelineConfig(seed=4, scales=(0.5, 1.0),
-                                         synth_height=64, synth_width=96))
+        bundle = generate(4, scales=(0.5, 1.0), height=64, width=96)
         assert bundle.logit_maps[("m0", 0.5)].shape[:2] == (32, 48)
         assert bundle.logit_maps[("m0", 1.0)].shape[:2] == (64, 96)
         assert bundle.alpha_maps[("m0", 0.5)].shape == (32, 48)
 
     def test_scores_reflect_perturbation(self):
-        bundle = generate(PipelineConfig(seed=12, synth_perturb=6,
-                                         synth_objects=3))
+        bundle = generate(12, perturb=6, objects=3)
         exact = [i.score for i in bundle.instances if i.model_id == "m0"]
         worst = [i.score for i in bundle.instances
                  if i.model_id == bundle.models[-1]]
