@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import DataValidationError
@@ -9,6 +10,14 @@ from .grids import AttentionMap, LogitMap
 from .masks import MaskInstance
 
 GT_MODEL_ID = "gt"
+
+
+def check_listed(model: str, scale: float, models, scales, where: str) -> None:
+    """Reject a record whose model or scale is not among those listed."""
+    if model not in models:
+        raise DataValidationError(f"{where}: unknown model {model!r}")
+    if scale not in scales:
+        raise DataValidationError(f"{where}: unknown scale {scale}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,8 @@ class PredictionBundle:
             raise DataValidationError("model ids must be unique")
         if not self.scales:
             raise DataValidationError("bundle must list at least one scale")
-        if any(s <= 0 for s in self.scales):
-            raise DataValidationError("scales must be positive")
+        if any(not (0 < s < math.inf) for s in self.scales):
+            raise DataValidationError("scales must be positive and finite")
         if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
             raise DataValidationError("scales must be strictly increasing")
         object.__setattr__(self, "logit_maps", dict(self.logit_maps or {}))
@@ -54,7 +63,7 @@ class PredictionBundle:
         for (model, scale), m in self.logit_maps.items():
             if not isinstance(m, LogitMap):
                 raise DataValidationError("logit_maps values must be LogitMap")
-            self._check_key(model, scale, "logit map")
+            check_listed(model, scale, self.models, self.scales, "logit map")
         channels = {m.channels for m in self.logit_maps.values()}
         if len(channels) > 1:
             raise DataValidationError(
@@ -62,13 +71,7 @@ class PredictionBundle:
         for (model, scale), m in self.alpha_maps.items():
             if not isinstance(m, AttentionMap):
                 raise DataValidationError("alpha_maps values must be AttentionMap")
-            self._check_key(model, scale, "alpha map")
-
-    def _check_key(self, model: str, scale: float, what: str) -> None:
-        if model not in self.models:
-            raise DataValidationError(f"{what} for unknown model {model!r}")
-        if scale not in self.scales:
-            raise DataValidationError(f"{what} for unknown scale {scale}")
+            check_listed(model, scale, self.models, self.scales, "alpha map")
 
     def _check_instance(self, inst: MaskInstance, require_model: bool) -> None:
         if (inst.mask.height, inst.mask.width) != (self.height, self.width):
@@ -76,7 +79,8 @@ class PredictionBundle:
                 f"instance mask grid {(inst.mask.height, inst.mask.width)} "
                 f"!= image grid {(self.height, self.width)}")
         if require_model:
-            self._check_key(inst.model_id, inst.scale, "instance")
+            check_listed(inst.model_id, inst.scale, self.models, self.scales,
+                         "instance")
 
     @property
     def channels(self) -> int | None:
@@ -111,7 +115,3 @@ class PredictionBundle:
                 continue
             out.append(inst)
         return out
-
-    def object_ids(self) -> list[int]:
-        ids = {i.object_id for i in self.instances if i.object_id is not None}
-        return sorted(ids)

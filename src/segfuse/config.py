@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DataValidationError
@@ -31,10 +32,10 @@ class PipelineConfig:
                 raise DataValidationError(f"{name} {v} outside [0, 1]")
         if self.beta_const is not None and not (0.0 <= self.beta_const <= 1.0):
             raise DataValidationError(f"beta_const {self.beta_const} outside [0, 1]")
-        if not (self.attention_factor > 0):
-            raise DataValidationError("attention_factor must be positive")
-        if self.expand_factor < 1.0:
-            raise DataValidationError("expand_factor must be >= 1")
+        if not (0 < self.attention_factor < math.inf):
+            raise DataValidationError("attention_factor must be positive and finite")
+        if not (1.0 <= self.expand_factor < math.inf):
+            raise DataValidationError("expand_factor must be finite and >= 1")
         if self.normalization not in ("fraction", "minmax"):
             raise DataValidationError(f"unknown normalization {self.normalization!r}")
         if self.weights_mode not in ("ap", "uniform"):

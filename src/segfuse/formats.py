@@ -14,12 +14,13 @@ with a fixed 5-color palette.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .bundle import GT_MODEL_ID, PredictionBundle
+from .bundle import GT_MODEL_ID, PredictionBundle, check_listed
 from .errors import DataValidationError, FormatError
 from .grids import AttentionMap, LogitMap, scaled_dim
 from .masks import BBox, MaskInstance, RleMask
@@ -173,7 +174,7 @@ def _require(doc: dict, key: str, kind, where: str):
 
 
 def _load_instance(rec: dict, height: int, width: int, where: str,
-                   with_model: bool, uid: int) -> MaskInstance:
+                   with_model: bool, uid: int, models=(), scales=()) -> MaskInstance:
     if not isinstance(rec, dict):
         raise FormatError(f"{where}: instance record must be an object")
 
@@ -196,6 +197,8 @@ def _load_instance(rec: dict, height: int, width: int, where: str,
         raise FormatError(f"{where}: object_id must be an integer or null")
     model = _require(rec, "model", str, where) if with_model else GT_MODEL_ID
     scale = _require(rec, "scale", float, where) if with_model else 1.0
+    if with_model:
+        check_listed(model, scale, models, scales, where)
     try:
         mask = RleMask(height, width, tuple(counts))
         bbox = BBox(*raw_bbox)
@@ -223,10 +226,7 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
         model = _require(rec, "model", str, where)
         scale = _require(rec, "scale", float, where)
         rel = _require(rec, "path", str, where)
-        if model not in models:
-            raise DataValidationError(f"{where}: unknown model {model!r}")
-        if scale not in scales:
-            raise DataValidationError(f"{where}: unknown scale {scale}")
+        check_listed(model, scale, models, scales, where)
         if (model, scale) in out:
             raise DataValidationError(f"{where}: duplicate entry for "
                                       f"({model!r}, {scale})")
@@ -267,8 +267,8 @@ def load_manifest(path) -> PredictionBundle:
         raise FormatError("manifest: models must be a non-empty string list")
     scales = _require(doc, "scales", list, "manifest")
     if not scales or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
-                             for s in scales):
-        raise FormatError("manifest: scales must be a non-empty number list")
+                             and math.isfinite(s) for s in scales):
+        raise FormatError("manifest: scales must be a non-empty finite number list")
     scales = tuple(float(s) for s in scales)
     models = tuple(sorted(models))
 
@@ -276,7 +276,8 @@ def load_manifest(path) -> PredictionBundle:
     if not isinstance(raw_instances, list):
         raise FormatError("manifest: instances must be a list")
     instances = tuple(
-        _load_instance(rec, height, width, f"instances[{k}]", True, uid=k)
+        _load_instance(rec, height, width, f"instances[{k}]", True, uid=k,
+                       models=models, scales=scales)
         for k, rec in enumerate(raw_instances))
     raw_gt = doc.get("ground_truth", [])
     if not isinstance(raw_gt, list):

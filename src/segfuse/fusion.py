@@ -17,8 +17,8 @@ import numpy as np
 from .bundle import PredictionBundle
 from .errors import DataValidationError, ShapeError
 from .grids import LogitMap
-from .masks import COMPONENTS, BinaryMask, MaskInstance
-from .metrics import ApTable, normalize_ap
+from .masks import BinaryMask, MaskInstance
+from .metrics import GROUP_FIELDS, ApTable, group_keys, normalize_ap
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -96,23 +96,10 @@ def _sorted_members(members: list[MaskInstance]) -> tuple[MaskInstance, ...]:
 
 def group_predictions(bundle: PredictionBundle, mode: str) -> list[MaskGroup]:
     """Pool instances per component (vertical) or per object (horizontal)."""
-    if mode not in ("vertical", "horizontal"):
-        raise DataValidationError(f"unknown grouping mode {mode!r}")
-    groups = []
-    if mode == "vertical":
-        for comp in COMPONENTS:
-            members = bundle.instances_for(component=comp)
-            if members:
-                groups.append(MaskGroup(comp, _sorted_members(members)))
-    else:
-        if any(i.object_id is None for i in bundle.instances):
-            raise DataValidationError(
-                "horizontal grouping requires object ids on every instance")
-        for oid in bundle.object_ids():
-            members = bundle.instances_for(object_id=oid)
-            if members:
-                groups.append(MaskGroup(oid, _sorted_members(members)))
-    return groups
+    keys = group_keys(bundle.instances, mode)
+    field = GROUP_FIELDS[mode]
+    return [MaskGroup(key, _sorted_members(bundle.instances_for(**{field: key})))
+            for key in keys]
 
 
 def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:

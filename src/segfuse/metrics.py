@@ -133,35 +133,35 @@ class ApTable:
                 f"no AP entry for model {model!r} in group {group!r}") from None
 
 
+# the instance field each grouping mode pools by
+GROUP_FIELDS = {"vertical": "component", "horizontal": "object_id"}
+
+
+def group_keys(instances: Sequence[MaskInstance], mode: str) -> list:
+    """The group keys present among ``instances`` in output order: components
+    in COMPONENTS order (vertical), object ids ascending (horizontal)."""
+    if mode not in GROUP_FIELDS:
+        raise DataValidationError(f"unknown grouping mode {mode!r}")
+    present = {getattr(i, GROUP_FIELDS[mode]) for i in instances}
+    if None in present:
+        raise DataValidationError(
+            "horizontal grouping requires object ids on every instance")
+    return sorted(present, key=COMPONENTS.index if mode == "vertical" else None)
+
+
 def group_ap(bundle: PredictionBundle, gts: Sequence[MaskInstance], mode: str,
              iou_threshold: float) -> ApTable:
     """AP per (model, component) in vertical mode or (model, object id) in
     horizontal mode, pooling the complementary axis."""
-    if mode not in ("vertical", "horizontal"):
-        raise DataValidationError(f"unknown grouping mode {mode!r}")
+    keys = group_keys((*bundle.instances, *gts), mode)
+    field = GROUP_FIELDS[mode]
     entries = {}
-    if mode == "vertical":
-        present = {i.component for i in bundle.instances}
-        present |= {g.component for g in gts}
-        keys = [c for c in COMPONENTS if c in present]
-        for model in bundle.models:
-            for comp in keys:
-                preds = bundle.instances_for(model=model, component=comp)
-                comp_gts = [g for g in gts if g.component == comp]
-                entries[(model, comp)] = average_precision(
-                    match_predictions(preds, comp_gts, iou_threshold))
-    else:
-        ids = {i.object_id for i in bundle.instances}
-        ids |= {g.object_id for g in gts}
-        if None in ids:
-            raise DataValidationError(
-                "horizontal grouping requires object ids on every instance")
-        for model in bundle.models:
-            for oid in sorted(ids):
-                preds = bundle.instances_for(model=model, object_id=oid)
-                obj_gts = [g for g in gts if g.object_id == oid]
-                entries[(model, oid)] = average_precision(
-                    match_predictions(preds, obj_gts, iou_threshold))
+    for model in bundle.models:
+        for key in keys:
+            preds = bundle.instances_for(model=model, **{field: key})
+            key_gts = [g for g in gts if getattr(g, field) == key]
+            entries[(model, key)] = average_precision(
+                match_predictions(preds, key_gts, iou_threshold))
     return ApTable(entries)
 
 

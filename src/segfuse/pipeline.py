@@ -61,9 +61,20 @@ def _calib_slice(calib: PredictionBundle | None, scale: float) -> PredictionBund
 
 
 def _ap_table(calib: PredictionBundle | None, scale: float, mode: str,
-              cfg: PipelineConfig) -> ApTable:
+              cfg: PipelineConfig) -> ApTable | None:
+    """Calibration APs of one scale; None when the weights are uniform."""
+    if cfg.weights_mode == "uniform":
+        return None
     sub = _calib_slice(calib, scale)
     return group_ap(sub, sub.ground_truth, mode, cfg.iou_threshold)
+
+
+def _group_weights(table: ApTable | None, models: tuple[str, ...], key,
+                   cfg: PipelineConfig) -> FusionWeights:
+    """One group's weights: from its APs, or uniform without a table."""
+    if table is None:
+        return FusionWeights.uniform(models, key)
+    return compute_weights(table, key, cfg.normalization)
 
 
 def _weights_record(scale: float, mode: str, w: FusionWeights) -> dict:
@@ -86,29 +97,25 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
         groups = group_predictions(sub, mode)
-        if cfg.weights_mode == "uniform":
-            weights = {g.key: FusionWeights.uniform(sub.models, g.key)
-                       for g in groups}
-        else:
-            table = _ap_table(calib, scale, mode, cfg)
-            weights = {g.key: compute_weights(table, g.key, cfg.normalization)
-                       for g in groups}
+        table = _ap_table(calib, scale, mode, cfg)
         tasks = []
         for g in groups:
-            records.append(_weights_record(scale, mode, weights[g.key]))
+            w = _group_weights(table, sub.models, g.key, cfg)
+            records.append(_weights_record(scale, mode, w))
             cells: dict = {}
             for inst in g.members:
                 if inst.object_id is None:
                     raise DataValidationError(
                         "mask fusion requires object ids to put instances "
                         "from different models in correspondence")
-                cell = inst.object_id if mode == "vertical" else inst.component
-                cells.setdefault(cell, []).append(inst)
-            for cell_key in sorted(cells, key=str):
-                tasks.append((g.key, weights[g.key], cell_key, cells[cell_key]))
+                cells.setdefault((inst.component, inst.object_id), []).append(inst)
+            # one half of each (component, object) cell is the group key, so
+            # this orders cells by the str of the other half (object 10 < 2)
+            for cell in sorted(cells, key=lambda c: (c[0], str(c[1]))):
+                tasks.append((g.key, w, cells[cell]))
 
         def _fuse_cell(task):
-            group_key, w, cell_key, members = task
+            group_key, w, members = task
             soft = fuse_masks(MaskGroup(group_key, tuple(members)), w)
             binary = binarize(soft, cfg.binarize_threshold)
             box = tight_bbox(binary)
@@ -120,11 +127,9 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             score = 0.0
             for model, coeff in w.weights:
                 score += coeff * best.get(model, 0.0)
-            component = group_key if mode == "vertical" else cell_key
-            object_id = cell_key if mode == "vertical" else group_key
             return MaskInstance(
-                mask=rle_encode(binary), bbox=box, component=component,
-                object_id=object_id, score=min(1.0, max(0.0, score)),
+                mask=rle_encode(binary), bbox=box, component=members[0].component,
+                object_id=members[0].object_id, score=min(1.0, max(0.0, score)),
                 model_id=ENSEMBLE_MODEL_ID, scale=scale)
 
         for result in _pmap(_fuse_cell, tasks, cfg.workers):
@@ -164,14 +169,11 @@ def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
 def _channel_weights(table: ApTable | None, models: tuple[str, ...],
                      cfg: PipelineConfig, channels: int):
     """Per-channel weight vectors: component channels from vertical APs,
-    background uniform."""
-    vectors = []
-    for ch in range(channels):
-        if ch == 0 or table is None:
-            vectors.append(FusionWeights.uniform(models, f"channel{ch}"))
-        else:
-            vectors.append(compute_weights(table, COMPONENTS[ch - 1],
-                                           cfg.normalization))
+    background uniform.  Uniform vectors are keyed by their channel."""
+    vectors = [FusionWeights.uniform(models, "channel0")]
+    for ch in range(1, channels):
+        key = f"channel{ch}" if table is None else COMPONENTS[ch - 1]
+        vectors.append(_group_weights(table, models, key, cfg))
     return vectors
 
 
@@ -261,12 +263,8 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         sh = scaled_dim(height, scale)
         sw = scaled_dim(width, scale)
 
-        if cfg.weights_mode == "uniform":
-            vert_table = None
-            horiz_table = None
-        else:
-            vert_table = _ap_table(calib, scale, "vertical", cfg)
-            horiz_table = _ap_table(calib, scale, "horizontal", cfg)
+        vert_table = _ap_table(calib, scale, "vertical", cfg)
+        horiz_table = _ap_table(calib, scale, "horizontal", cfg)
         vectors = _channel_weights(vert_table, sub.models, cfg, channels)
         for vec in vectors[1:]:
             weights_records.append(_weights_record(scale, "vertical", vec))
@@ -278,10 +276,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                      for oid in oids}
 
         def _object_task(oid: int):
-            if cfg.weights_mode == "uniform":
-                w = FusionWeights.uniform(sub.models, oid)
-            else:
-                w = compute_weights(horiz_table, oid, cfg.normalization)
+            w = _group_weights(horiz_table, sub.models, oid, cfg)
             local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
                                         regions_s[oid], channels)
                           for m in sub.models}
@@ -380,20 +375,22 @@ def _evaluation_records(bundle: PredictionBundle,
         image_id=bundle.image_id, height=bundle.height, width=bundle.width,
         models=(PIPELINE_MODEL_ID,), scales=(1.0,), instances=instances,
         ground_truth=bundle.ground_truth)
+    ids_known = all(g.object_id is not None for g in bundle.ground_truth)
+    modes = ("vertical", "horizontal") if ids_known else ("vertical",)
+    return _ap_records(eval_bundle, bundle.ground_truth, modes, cfg)
+
+
+def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
+                modes: tuple[str, ...], cfg: PipelineConfig, **extra) -> list[dict]:
+    """AP records per mode, in ApTable entry order: (model, component) for
+    vertical, (model, object id) for horizontal.  ``extra`` fields are
+    added to every record."""
     records = []
-    vert = group_ap(eval_bundle, bundle.ground_truth, "vertical",
-                    cfg.iou_threshold)
-    for comp in COMPONENTS:
-        if (PIPELINE_MODEL_ID, comp) in vert.entries:
-            records.append({"mode": "vertical", "model": PIPELINE_MODEL_ID,
-                            "group": comp,
-                            "ap": vert.entries[(PIPELINE_MODEL_ID, comp)]})
-    if all(g.object_id is not None for g in bundle.ground_truth):
-        horiz = group_ap(eval_bundle, bundle.ground_truth, "horizontal",
-                         cfg.iou_threshold)
-        for key in sorted(horiz.entries):
-            records.append({"mode": "horizontal", "model": key[0],
-                            "group": key[1], "ap": horiz.entries[key]})
+    for mode in modes:
+        table = group_ap(bundle, gts, mode, cfg.iou_threshold)
+        for (model, group), ap in table.entries.items():
+            records.append({**extra, "mode": mode, "model": model,
+                            "group": group, "ap": ap})
     return records
 
 
@@ -435,18 +432,7 @@ def run_evaluate(pred: PredictionBundle, gt: PredictionBundle,
             "ground-truth manifest has no ground_truth records")
     records = []
     for scale in pred.scales:
-        sub = pred.with_scale(scale)
-        vert = group_ap(sub, gts, "vertical", cfg.iou_threshold)
-        for model in sub.models:
-            for comp in COMPONENTS:
-                if (model, comp) in vert.entries:
-                    records.append({"scale": scale, "mode": "vertical",
-                                    "model": model, "group": comp,
-                                    "ap": vert.entries[(model, comp)]})
-        horiz = group_ap(sub, gts, "horizontal", cfg.iou_threshold)
-        for key in sorted(horiz.entries):
-            records.append({"scale": scale, "mode": "horizontal",
-                            "model": key[0], "group": key[1],
-                            "ap": horiz.entries[key]})
+        records += _ap_records(pred.with_scale(scale), gts,
+                               ("vertical", "horizontal"), cfg, scale=scale)
     return {"schema_version": 1, "kind": "evaluation", "image_id": pred.image_id,
             "iou_threshold": cfg.iou_threshold, "records": records}

@@ -140,8 +140,8 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         raise DataValidationError("synthetic canvas must be at least 16x16")
     if perturb < 0:
         raise DataValidationError("perturbation magnitude cannot be negative")
-    if not scales or any(s <= 0 for s in scales):
-        raise DataValidationError("scales must be positive")
+    if not scales or any(not (0 < s < math.inf) for s in scales):
+        raise DataValidationError("scales must be positive and finite")
     if any(a >= b for a, b in zip(scales, scales[1:])):
         raise DataValidationError("scales must be strictly increasing")
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ from segfuse.bundle import PredictionBundle
 from segfuse.cli import main
 from segfuse.formats import load_manifest, load_tensor, save_manifest
 from segfuse.grids import LogitMap
+from segfuse.masks import COMPONENTS
 
 from conftest import block_mask, make_instance
 
@@ -76,6 +77,8 @@ class TestSynthCommand:
         ("--height", "8", "16x16"),
         ("--perturb", "-1", "perturbation"),
         ("--scales", "1.0 0.5", "scales"),
+        ("--scales", "nan", "scales"),
+        ("--scales", "0.5 inf", "scales"),
     ])
     def test_bad_fixture_setting_is_data_error(self, tmp_path, capsys, flag,
                                                value, named):
@@ -206,6 +209,20 @@ class TestPipelineCommand:
         assert code == 2
         assert "workers" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--expand-factor", "nan", "expand_factor"),
+        ("--expand-factor", "inf", "expand_factor"),
+        ("--attention-factor", "inf", "attention_factor"),
+    ])
+    def test_non_finite_setting_is_data_error(self, tmp_path, capsys, flag,
+                                              value, named):
+        manifest = single_model_manifest(tmp_path)
+        code = main(["pipeline", str(manifest), "--weights", "uniform",
+                     flag, value, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err
+
     def test_missing_scale_logits_named(self, tmp_path, capsys):
         manifest = single_model_manifest(tmp_path)
         doc = json.loads(manifest.read_text())
@@ -288,3 +305,62 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+class TestRecordOrder:
+    """The order of fused instances and AP records is part of the output
+    bytes; these pin it on a fixture whose object ids sort differently as
+    strings and as integers."""
+
+    @pytest.fixture
+    def twelve(self, tmp_path):
+        out = tmp_path / "twelve"
+        assert main(["synth", "--seed", "4", "--objects", "12",
+                     "--scales", "0.5", "1.0", "--out-dir", str(out)]) == 0
+        return out / "manifest.json"
+
+    def test_fuse_both_output_order(self, tmp_path, twelve):
+        out = tmp_path / "both"
+        assert main(["fuse", str(twelve), "--calib", str(twelve),
+                     "--grouping", "both", "--out-dir", str(out)]) == 0
+        rank = {c: k for k, c in enumerate(COMPONENTS)}
+        vert = load_manifest(out / "fused_vertical.json").instances
+        keys = [(i.scale, rank[i.component], str(i.object_id)) for i in vert]
+        assert keys == sorted(keys)
+        shell_ids = [i.object_id for i in vert
+                     if i.scale == 1.0 and i.component == "shell"]
+        assert shell_ids[:4] == [0, 1, 10, 11]
+        horiz = load_manifest(out / "fused_horizontal.json").instances
+        keys = [(i.scale, i.object_id, i.component) for i in horiz]
+        assert keys == sorted(keys)
+        first = [i.component for i in horiz
+                 if i.scale == 1.0 and i.object_id == 0]
+        assert first == ["gonad", "meat", "muscle", "shell"]
+        weights = json.loads((out / "weights_horizontal.json").read_text())
+        assert [r["group"] for r in weights["records"]
+                if r["scale"] == 1.0] == list(range(12))
+
+    def test_evaluate_record_order(self, tmp_path, twelve):
+        report_path = tmp_path / "eval.json"
+        assert main(["evaluate", str(twelve), str(twelve),
+                     "--out", str(report_path)]) == 0
+        records = json.loads(report_path.read_text())["records"]
+        rank = {c: k for k, c in enumerate(COMPONENTS)}
+        keys = [(r["scale"], r["mode"] == "horizontal", r["model"],
+                 rank[r["group"]] if r["mode"] == "vertical" else r["group"])
+                for r in records]
+        assert keys == sorted(keys)
+        assert len(records) == 2 * 3 * (len(COMPONENTS) + 12)
+
+    def test_report_without_gt_object_ids_is_vertical_only(self, tmp_path):
+        manifest = single_model_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        for rec in doc["ground_truth"]:
+            rec["object_id"] = None
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "rep"
+        assert main(["pipeline", str(manifest), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [(r["mode"], r["group"]) for r in report["ap"]] == [
+            ("vertical", c) for c in COMPONENTS]

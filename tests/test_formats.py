@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,49 @@ class TestManifest:
         bad.write_text(json.dumps(doc))
         with pytest.raises(DataValidationError, match=r"instances\[0\].*pearl"):
             load_manifest(bad)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("model", "m9", "unknown model 'm9'"),
+        ("scale", 2.0, "unknown scale 2.0"),
+    ])
+    def test_unlisted_instance_key_names_record(self, tmp_path, key, value,
+                                                message):
+        bundle = _tiny_bundle()
+        bundle = replace(bundle, instances=bundle.instances * 4)
+        doc = json.loads(save_manifest(bundle, tmp_path / "m.json").read_text())
+        doc["instances"][3][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError,
+                           match=rf"^instances\[3\]: {message}$"):
+            load_manifest(bad)
+        assert main(["fuse", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("with_maps", [False, True])
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_manifest_scale_rejected(self, tmp_path, capsys,
+                                                with_maps, scale):
+        doc = json.loads(save_manifest(_tiny_bundle(with_maps=with_maps),
+                                       tmp_path / "m.json").read_text())
+        doc["scales"] = [scale]
+        for rec in (*doc["instances"], *doc.get("logit_maps", []),
+                    *doc.get("alpha_maps", [])):
+            rec["scale"] = scale
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="finite"):
+            load_manifest(bad)
+        assert main(["fuse", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_bundle_rejects_non_finite_scale(self, scale):
+        with pytest.raises(DataValidationError, match="finite"):
+            PredictionBundle(image_id="x", height=4, width=4, models=("m0",),
+                             scales=(scale,), instances=())
 
     @pytest.mark.parametrize("field", ["logit_maps", "alpha_maps"])
     def test_non_object_map_record_names_record(self, tmp_path, field):
