@@ -160,14 +160,23 @@ def save_manifest(bundle: PredictionBundle, path, tensors_subdir: str = "tensors
     return path
 
 
+def _number(value, what: str) -> float:
+    """A JSON number (not a bool) as a float; an integer beyond the float
+    range is a FormatError, not an OverflowError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FormatError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"{what} is too large for a float") from None
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise FormatError(f"{where}: missing required field {key!r}")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"{where}: field {key!r} must be a number")
-        return float(value)
+        return _number(value, f"{where}: field {key!r}")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FormatError(f"{where}: field {key!r} must be {kind.__name__}")
     return value
@@ -265,11 +274,10 @@ def load_manifest(path) -> PredictionBundle:
     models = _require(doc, "models", list, "manifest")
     if not models or not all(isinstance(m, str) for m in models):
         raise FormatError("manifest: models must be a non-empty string list")
-    scales = _require(doc, "scales", list, "manifest")
-    if not scales or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
-                             and math.isfinite(s) for s in scales):
+    scales = tuple(_number(s, f"manifest: scales[{k}]") for k, s in
+                   enumerate(_require(doc, "scales", list, "manifest")))
+    if not scales or not all(math.isfinite(s) for s in scales):
         raise FormatError("manifest: scales must be a non-empty finite number list")
-    scales = tuple(float(s) for s in scales)
     models = tuple(sorted(models))
 
     raw_instances = doc.get("instances", [])

@@ -17,7 +17,7 @@ import numpy as np
 from .bundle import PredictionBundle
 from .errors import DataValidationError, ShapeError
 from .grids import LogitMap
-from .masks import BinaryMask, MaskInstance
+from .masks import BBox, BinaryMask, MaskInstance
 from .metrics import GROUP_FIELDS, ApTable, group_keys, normalize_ap
 
 WEIGHT_SUM_TOL = 1e-9
@@ -121,9 +121,12 @@ def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence[float]) -> n
     return np.minimum(np.maximum(acc, lo), hi)
 
 
-def fuse_masks(group: MaskGroup, weights: FusionWeights) -> np.ndarray:
+def fuse_masks(group: MaskGroup,
+               weights: FusionWeights) -> tuple[BBox, np.ndarray]:
     """Per-pixel weighted average of the group's masks as a float64 soft mask.
 
+    The average covers the union of the members' boxes and is returned with
+    that box; outside it every member, and so the average, is zero.
     Members are keyed by model id; a model contributing several masks to the
     group has them merged by elementwise max first; a model with no member
     contributes an empty (all-zero) mask.
@@ -137,19 +140,23 @@ def fuse_masks(group: MaskGroup, weights: FusionWeights) -> np.ndarray:
     if extra:
         raise DataValidationError(
             f"group has models without weights: {sorted(extra)}")
-    per_model = {}
+    box = group.members[0].bbox
     for inst in group.members:
         if (inst.mask.height, inst.mask.width) != (h, w):
             raise ShapeError("group members must share grid dimensions")
-        soft = inst.binary.bits.astype(np.float64)
+        box = box.union(inst.bbox)
+    per_model = {}
+    for inst in group.members:
+        soft = inst.window(box).bits.astype(np.float64)
         prev = per_model.get(inst.model_id)
         per_model[inst.model_id] = soft if prev is None else np.maximum(prev, soft)
     arrays = []
     coeffs = []
     for model, coeff in weights.weights:
-        arrays.append(per_model.get(model, np.zeros((h, w), dtype=np.float64)))
+        arrays.append(per_model.get(
+            model, np.zeros((box.height, box.width), dtype=np.float64)))
         coeffs.append(coeff)
-    return weighted_average(arrays, coeffs)
+    return box, weighted_average(arrays, coeffs)
 
 
 def fuse_logits(maps: Mapping[str, LogitMap],

@@ -79,28 +79,51 @@ class RleMask:
                 f"({self.height}x{self.width} grid)")
 
 
-def rle_encode(m: BinaryMask) -> RleMask:
-    """Losslessly encode a mask; decode(encode(m)) == m."""
-    flat = m.bits.ravel()
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    runs = [int(n) for n in ends - starts]
-    if flat[0]:
-        runs.insert(0, 0)
-    return RleMask(m.height, m.width, tuple(runs))
+def rle_encode(m: BinaryMask, box: BBox | None = None,
+               height: int | None = None, width: int | None = None) -> RleMask:
+    """Losslessly encode a mask; decode(encode(m)) == m.
+
+    With ``box``, ``m`` is the window over ``box`` of a height x width frame
+    that is empty outside it, and the result is that frame's RLE.
+    """
+    if box is None:
+        box, height, width = BBox(0, 0, m.width, m.height), m.height, m.width
+    # a zero column on each side ends every run of ones at its row's end
+    padded = np.zeros((m.height, m.width + 2), dtype=bool)
+    padded[:, 1:-1] = m.bits
+    flat = padded.ravel()
+    rows, cols = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1,
+                           m.width + 2)
+    pos = (rows + box.y0) * width + cols + box.x0 - 1
+    starts, ends = pos[0::2], pos[1::2]
+    # runs that end one row's window and start the next one touch in the
+    # frame when the window spans it: merge them
+    keep = np.flatnonzero(starts[1:] != ends[:-1])
+    starts = np.concatenate((starts[:1], starts[1:][keep]))
+    ends = np.concatenate((ends[:-1][keep], ends[-1:]))
+    runs = np.empty(2 * starts.size + 1, dtype=np.int64)
+    runs[0:-1:2] = starts - np.concatenate(([0], ends[:-1]))
+    runs[1::2] = ends - starts
+    runs[-1] = height * width - (ends[-1] if ends.size else 0)
+    runs = runs.tolist()
+    return RleMask(height, width, tuple(runs if runs[-1] else runs[:-1]))
 
 
-def rle_decode(r: RleMask) -> BinaryMask:
-    flat = np.zeros(r.height * r.width, dtype=bool)
-    pos = 0
-    bit = False
-    for c in r.counts:
-        if bit:
-            flat[pos:pos + c] = True
-        pos += c
-        bit = not bit
-    return BinaryMask(r.height, r.width, flat.reshape(r.height, r.width))
+def rle_decode(r: RleMask, box: BBox | None = None) -> BinaryMask:
+    """Decode ``r``, or only its window over ``box``."""
+    if box is None:
+        box = BBox(0, 0, r.width, r.height)
+    counts = np.asarray(r.counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    lo, hi = box.y0 * r.width, box.y1 * r.width
+    # the runs that meet the box's row band, clipped to it
+    first = int(np.searchsorted(ends, lo, side="right"))
+    last = int(np.searchsorted(ends - counts, hi, side="left"))
+    lengths = (np.minimum(ends[first:last], hi)
+               - np.maximum(ends[first:last] - counts[first:last], lo))
+    band = np.repeat(np.arange(first, last) % 2 == 1, lengths)
+    return BinaryMask(box.height, box.width,
+                      band.reshape(box.height, r.width)[:, box.x0:box.x1])
 
 
 def iou(a: BinaryMask, b: BinaryMask) -> float:
@@ -147,6 +170,19 @@ class BBox:
     def union(self, other: "BBox") -> "BBox":
         return BBox(min(self.x0, other.x0), min(self.y0, other.y0),
                     max(self.x1, other.x1), max(self.y1, other.y1))
+
+    def intersection(self, other: "BBox") -> "BBox | None":
+        x0, y0 = max(self.x0, other.x0), max(self.y0, other.y0)
+        x1, y1 = min(self.x1, other.x1), min(self.y1, other.y1)
+        return BBox(x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
+
+    def shifted(self, dx: int, dy: int) -> "BBox":
+        return BBox(self.x0 + dx, self.y0 + dy, self.x1 + dx, self.y1 + dy)
+
+    @property
+    def slices(self) -> tuple[slice, slice]:
+        """Row and column slices that select this box from a 2D array."""
+        return slice(self.y0, self.y1), slice(self.x0, self.x1)
 
 
 def tight_bbox(m: BinaryMask) -> BBox | None:
@@ -209,7 +245,8 @@ def crop(grid, b: BBox):
 class MaskInstance:
     """One predicted or ground-truth instance of a component.
 
-    ``binary`` is the decoded mask, set once at construction.
+    ``binary`` is the mask decoded inside ``bbox`` (a bbox-sized window),
+    set once at construction; ``window`` gives the bits over any other box.
     """
 
     mask: RleMask
@@ -229,9 +266,23 @@ class MaskInstance:
             raise DataValidationError(f"score {self.score} outside [0, 1]")
         if self.scale <= 0:
             raise DataValidationError(f"scale must be positive, got {self.scale}")
-        decoded = rle_decode(self.mask)
-        tight = tight_bbox(decoded)
-        if tight is not None and not self.bbox.encloses(tight):
+        if self.bbox.x1 > self.mask.width or self.bbox.y1 > self.mask.height:
             raise DataValidationError(
-                f"bbox {self.bbox} does not enclose the mask extent {tight}")
+                f"bbox {self.bbox} exceeds the {self.mask.height}x"
+                f"{self.mask.width} mask grid")
+        decoded = rle_decode(self.mask, self.bbox)
+        # the box holds every set pixel iff it holds as many as the one-runs
+        if np.count_nonzero(decoded.bits) != sum(self.mask.counts[1::2]):
+            raise DataValidationError(
+                f"bbox {self.bbox} does not enclose the mask extent "
+                f"{tight_bbox(rle_decode(self.mask))}")
         self.__dict__["binary"] = decoded
+
+    def window(self, box: BBox) -> BinaryMask:
+        """This instance's bits over ``box``, empty outside ``bbox``."""
+        bits = np.zeros((box.height, box.width), dtype=bool)
+        common = self.bbox.intersection(box)
+        if common is not None:
+            bits[common.shifted(-box.x0, -box.y0).slices] = self.binary.bits[
+                common.shifted(-self.bbox.x0, -self.bbox.y0).slices]
+        return BinaryMask(box.height, box.width, bits)

@@ -64,7 +64,11 @@ def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance]
         for j, gt in enumerate(gts):
             if taken[j] or gt.component != pred.component:
                 continue
-            v = iou(pred.binary, gt.binary)
+            # masks in disjoint boxes have IoU 0.0, which never beats best_iou
+            if pred.bbox.intersection(gt.bbox) is None:
+                continue
+            box = pred.bbox.union(gt.bbox)
+            v = iou(pred.window(box), gt.window(box))
             if v > best_iou:
                 best_iou = v
                 best_j = j

@@ -93,7 +93,7 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
     records used.
     """
     records: list[dict] = []
-    fused: list[MaskInstance] = []
+    fused: list[dict] = []  # each fused instance's fields, in output order
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
         groups = group_predictions(sub, mode)
@@ -116,10 +116,10 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
 
         def _fuse_cell(task):
             group_key, w, members = task
-            soft = fuse_masks(MaskGroup(group_key, tuple(members)), w)
+            box, soft = fuse_masks(MaskGroup(group_key, tuple(members)), w)
             binary = binarize(soft, cfg.binarize_threshold)
-            box = tight_bbox(binary)
-            if box is None:
+            tight = tight_bbox(binary)
+            if tight is None:
                 return None
             best = {}
             for m in members:
@@ -127,20 +127,18 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             score = 0.0
             for model, coeff in w.weights:
                 score += coeff * best.get(model, 0.0)
-            return MaskInstance(
-                mask=rle_encode(binary), bbox=box, component=members[0].component,
-                object_id=members[0].object_id, score=min(1.0, max(0.0, score)),
-                model_id=ENSEMBLE_MODEL_ID, scale=scale)
+            return dict(
+                mask=rle_encode(binary, box, bundle.height, bundle.width),
+                bbox=tight.shifted(box.x0, box.y0),
+                component=members[0].component, object_id=members[0].object_id,
+                score=min(1.0, max(0.0, score)), model_id=ENSEMBLE_MODEL_ID,
+                scale=scale)
 
-        for result in _pmap(_fuse_cell, tasks, cfg.workers):
-            if result is not None:
-                fused.append(result)
+        fused += [r for r in _pmap(_fuse_cell, tasks, cfg.workers)
+                  if r is not None]
 
-    fused = tuple(
-        MaskInstance(mask=i.mask, bbox=i.bbox, component=i.component,
-                     object_id=i.object_id, score=i.score, model_id=i.model_id,
-                     scale=i.scale, uid=k)
-        for k, i in enumerate(fused))
+    fused = tuple(MaskInstance(**fields, uid=k)
+                  for k, fields in enumerate(fused))
     out = PredictionBundle(
         image_id=bundle.image_id, height=bundle.height, width=bundle.width,
         models=(ENSEMBLE_MODEL_ID,), scales=bundle.scales, instances=fused,
@@ -189,7 +187,7 @@ def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
     using the shared gain ramp so nested components survive the argmax."""
     data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
     for inst in sub.instances_for(model=model, object_id=oid):
-        patch = crop(inst.binary, region_ref).bits.astype(np.float32)
+        patch = inst.window(region_ref).bits.astype(np.float32)
         resized = bilinear_resize(LogitMap.from_array(patch),
                                   region_s.height, region_s.width)
         ch = COMPONENT_IDS[inst.component]
@@ -350,18 +348,17 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
 
     out = []
     for oid, region in _object_regions(bundle, cfg).items():
-        inside = np.zeros_like(labels, dtype=bool)
-        inside[region.y0:region.y1, region.x0:region.x1] = True
         for comp in COMPONENTS:
             ch = COMPONENT_IDS[comp]
-            bits = (labels >= ch) & inside
+            bits = labels[region.slices] >= ch
             if not bits.any():
                 continue
-            mask = BinaryMask(bundle.height, bundle.width, bits)
-            score = float(np.mean(tail_probs[:, :, ch][bits]))
+            mask = BinaryMask(region.height, region.width, bits)
+            score = float(np.mean(tail_probs[region.slices][:, :, ch][bits]))
             out.append(MaskInstance(
-                mask=rle_encode(mask), bbox=tight_bbox(mask), component=comp,
-                object_id=oid, score=min(1.0, max(0.0, score)),
+                mask=rle_encode(mask, region, bundle.height, bundle.width),
+                bbox=tight_bbox(mask).shifted(region.x0, region.y0),
+                component=comp, object_id=oid, score=min(1.0, max(0.0, score)),
                 model_id=PIPELINE_MODEL_ID, scale=1.0, uid=len(out)))
     return tuple(out)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from segfuse.fusion import fuse_masks
 from segfuse.masks import BBox, BinaryMask, MaskInstance, rle_encode, tight_bbox
 
 
@@ -18,6 +19,15 @@ def make_instance(bits, component="shell", object_id=0, score=0.9,
     return MaskInstance(mask=rle_encode(mask), bbox=box, component=component,
                         object_id=object_id, score=score, model_id=model_id,
                         scale=scale, uid=uid)
+
+
+def fused_frame(group, weights):
+    """fuse_masks pasted into the full frame, zero outside its box."""
+    box, soft = fuse_masks(group, weights)
+    mask = group.members[0].mask
+    out = np.zeros((mask.height, mask.width), dtype=np.float64)
+    out[box.slices] = soft
+    return out
 
 
 def block_mask(h, w, y0, y1, x0, x1):

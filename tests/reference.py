@@ -139,3 +139,47 @@ def chain_ref(entries: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray
     for (_, alpha), (finer_logits, _) in zip(entries, entries[1:]):
         acc = fuse_adjacent_ref(acc, alpha, finer_logits)
     return acc
+
+
+def rle_decode_ref(counts, height: int, width: int) -> np.ndarray:
+    """Full-frame bool grid of an RLE, one pixel at a time."""
+    flat = [False] * (height * width)
+    pos = 0
+    for k, c in enumerate(counts):
+        for _ in range(c):
+            flat[pos] = k % 2 == 1
+            pos += 1
+    return np.array(flat, dtype=bool).reshape(height, width)
+
+
+def match_predictions_ref(preds, gts, iou_threshold: float) -> list:
+    """Greedy matching on full-frame grids: (prediction id, score, is_tp)."""
+    def frame(inst):
+        return rle_decode_ref(inst.mask.counts, inst.mask.height, inst.mask.width)
+
+    def iou(a, b):
+        inter = union = 0
+        for x, y in zip(a.ravel(), b.ravel()):
+            inter += int(x and y)
+            union += int(x or y)
+        return inter / union if union else 0.0
+
+    pred_bits = [frame(p) for p in preds]
+    gt_bits = [frame(g) for g in gts]
+    keys = [p.uid if p.uid is not None else i for i, p in enumerate(preds)]
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, keys[i]))
+    taken = [False] * len(gts)
+    out = []
+    for i in order:
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(gts):
+            if taken[j] or gt.component != preds[i].component:
+                continue
+            v = iou(pred_bits[i], gt_bits[j])
+            if v > best_iou:
+                best_iou, best_j = v, j
+        is_tp = best_j >= 0 and best_iou >= iou_threshold
+        if is_tp:
+            taken[best_j] = True
+        out.append((keys[i], preds[i].score, is_tp))
+    return out

@@ -19,7 +19,7 @@ from segfuse.cli import main
 from segfuse.config import PipelineConfig
 from segfuse.formats import load_tensor, save_tensor
 from segfuse.fusion import (FusionWeights, MaskGroup, compute_weights,
-                            fuse_logits, fuse_masks, weighted_average)
+                            fuse_logits, weighted_average)
 from segfuse.grids import AttentionMap, LogitMap, bilinear_resize
 from segfuse.hierarchy import ScaleChain, ScaleEntry, run_inference_chain
 from segfuse.masks import (BBox, BinaryMask, expand_bbox, rle_decode,
@@ -29,7 +29,7 @@ from segfuse.metrics import (ApTable, average_precision, group_ap,
 from segfuse.pipeline import run_fuse
 from segfuse.synth import generate
 
-from conftest import block_mask, make_instance
+from conftest import block_mask, fused_frame, make_instance
 from reference import (chain_ref, fuse_global_local_ref, fuse_logits_ref,
                        staircase_ap)
 
@@ -226,7 +226,7 @@ def test_07_degenerate_identities():
         bits = block_mask(8, 8, 1, 5, 2, 7)
         member = make_instance(bits, model_id="m0", score=0.8, uid=0)
         w1 = FusionWeights("shell", (("m0", 1.0),))
-        assert np.array_equal(fuse_masks(MaskGroup("shell", (member,)), w1),
+        assert np.array_equal(fused_frame(MaskGroup("shell", (member,)), w1),
                               bits.astype(np.float64))
         data = rng.normal(size=(6, 6, 3)).astype(np.float32)
         assert np.array_equal(

@@ -1,0 +1,171 @@
+"""Box-local masks against full-frame definitions.
+
+Each property draws masks inside random boxes on a small frame, including
+box pairs that are nested, touching, identical or disjoint, which the
+synthetic generator never produces, and checks that working inside boxes
+gives exactly what the full-frame definition gives.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segfuse.fusion import FusionWeights, MaskGroup, fuse_masks
+from segfuse.masks import (BBox, BinaryMask, MaskInstance, crop, iou,
+                           rle_decode, rle_encode)
+from segfuse.metrics import match_predictions
+
+from reference import match_predictions_ref, weighted_average_ref
+
+FRAMES = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def boxes(draw, h, w, within=None):
+    """A box on an h x w frame, inside ``within`` when given."""
+    lo = within or BBox(0, 0, w, h)
+    y0 = draw(st.integers(lo.y0, lo.y1 - 1))
+    x0 = draw(st.integers(lo.x0, lo.x1 - 1))
+    return BBox(x0, y0, draw(st.integers(x0 + 1, lo.x1)),
+                draw(st.integers(y0 + 1, lo.y1)))
+
+
+@st.composite
+def related_box(draw, h, w, a):
+    """A box that is random, nested in ``a``, equal to it, or touching it."""
+    kind = draw(st.sampled_from(("random", "nested", "same", "touching")))
+    if kind == "nested":
+        return draw(boxes(h, w, within=a))
+    if kind == "same":
+        return a
+    if kind == "touching":
+        rows = draw(boxes(h, w))
+        if a.x1 < w:
+            return BBox(a.x1, rows.y0, draw(st.integers(a.x1 + 1, w)), rows.y1)
+        if a.x0 > 0:
+            return BBox(draw(st.integers(0, a.x0 - 1)), rows.y0, a.x0, rows.y1)
+    return draw(boxes(h, w))
+
+
+@st.composite
+def frame_bits(draw, h, w, box):
+    """Full-frame bits that are random inside ``box`` and zero outside."""
+    inside = draw(st.lists(st.booleans(), min_size=box.height * box.width,
+                           max_size=box.height * box.width))
+    bits = np.zeros((h, w), dtype=bool)
+    bits[box.y0:box.y1, box.x0:box.x1] = np.reshape(
+        inside, (box.height, box.width))
+    return bits
+
+
+def instance(bits, box, **kw):
+    return MaskInstance(mask=rle_encode(BinaryMask.from_array(bits)), bbox=box,
+                        object_id=0, scale=1.0, **kw)
+
+
+@st.composite
+def instances(draw, h, w, count, model_ids=("m0",), components=("shell",)):
+    """``count`` instances whose boxes relate pairwise to earlier ones."""
+    out = []
+    for k in range(count):
+        box = (draw(boxes(h, w)) if not out else
+               draw(related_box(h, w, draw(st.sampled_from(out)).bbox)))
+        out.append(instance(
+            draw(frame_bits(h, w, box)), box, uid=k,
+            component=draw(st.sampled_from(components)),
+            score=draw(st.sampled_from((0.25, 0.5, 0.9, 1.0))),
+            model_id=draw(st.sampled_from(model_ids))))
+    return out
+
+
+def full(inst):
+    return rle_decode(inst.mask).bits
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_box_decode_is_the_crop_of_the_full_decode(data):
+    h, w = data.draw(FRAMES)
+    bits = data.draw(frame_bits(h, w, BBox(0, 0, w, h)))
+    box = data.draw(boxes(h, w))
+    got = rle_decode(rle_encode(BinaryMask.from_array(bits)), box)
+    assert (got.height, got.width) == (box.height, box.width)
+    assert np.array_equal(got.bits, bits[box.y0:box.y1, box.x0:box.x1])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_box_encode_is_the_encode_of_the_pasted_frame(data):
+    h, w = data.draw(FRAMES)
+    box = data.draw(boxes(h, w))
+    bits = data.draw(frame_bits(h, w, box))
+    window = BinaryMask.from_array(bits[box.y0:box.y1, box.x0:box.x1])
+    assert (rle_encode(window, box, h, w)
+            == rle_encode(BinaryMask.from_array(bits)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_window_is_the_full_frame_over_any_box(data):
+    h, w = data.draw(FRAMES)
+    inst, = data.draw(instances(h, w, 1))
+    box = data.draw(related_box(h, w, inst.bbox))
+    assert np.array_equal(inst.window(box).bits,
+                          full(inst)[box.y0:box.y1, box.x0:box.x1])
+    assert np.array_equal(inst.binary.bits, crop(
+        BinaryMask.from_array(full(inst)), inst.bbox).bits)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_union_box_iou_equals_full_frame_iou(data):
+    h, w = data.draw(FRAMES)
+    a, b = data.draw(instances(h, w, 2))
+    fa, fb = BinaryMask.from_array(full(a)), BinaryMask.from_array(full(b))
+    box = a.bbox.union(b.bbox)
+    assert iou(crop(fa, box), crop(fb, box)) == iou(fa, fb)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_matching_equals_full_frame_oracle(data):
+    h, w = data.draw(FRAMES)
+    comps = ("shell", "meat")
+    preds = data.draw(instances(h, w, data.draw(st.integers(0, 5)),
+                                components=comps))
+    gts = data.draw(instances(h, w, data.draw(st.integers(0, 4)),
+                              components=comps))
+    # some ground truths copy a prediction, so true positives occur
+    for k in data.draw(st.lists(st.integers(0, 3), max_size=2)):
+        if preds and k < len(gts):
+            src = preds[k % len(preds)]
+            gts[k] = instance(full(src), src.bbox, component=src.component,
+                              score=1.0, model_id="gt", uid=k)
+    threshold = data.draw(st.sampled_from((0.2, 0.5, 0.6, 1.0)))
+    got = match_predictions(preds, gts, threshold)
+    assert list(got.entries) == match_predictions_ref(preds, gts, threshold)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pasted_mask_fusion_equals_full_frame_average(data):
+    h, w = data.draw(FRAMES)
+    models = ("m0", "m1", "m2")
+    members = data.draw(instances(h, w, data.draw(st.integers(1, 5)),
+                                  model_ids=models))
+    members = tuple(sorted(members, key=lambda m: (-m.score, m.model_id, m.uid)))
+    raw = data.draw(st.lists(st.integers(0, 8), min_size=3, max_size=3).filter(any))
+    weights = FusionWeights("shell", tuple(
+        (m, r / sum(raw)) for m, r in zip(models, raw)))
+    box, soft = fuse_masks(MaskGroup("shell", members), weights)
+    pasted = np.zeros((h, w), dtype=np.float64)
+    pasted[box.y0:box.y1, box.x0:box.x1] = soft
+    per_model = []
+    for model in models:
+        acc = np.zeros((h, w), dtype=np.float64)
+        for m in members:
+            if m.model_id == model:
+                acc = np.maximum(acc, full(m).astype(np.float64))
+        per_model.append(acc)
+    want = weighted_average_ref(per_model, [v for _, v in weights.weights])
+    assert np.array_equal(pasted, want)

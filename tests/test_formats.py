@@ -1,6 +1,7 @@
 """Tensor files, manifests, and PPM overlays."""
 
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -165,6 +166,31 @@ class TestManifest:
                      "--out-dir", str(tmp_path / "o")]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, named", [
+        (("instances", 0, "score"), r"instances\[0\]: field 'score'"),
+        (("instances", 0, "scale"), r"instances\[0\]: field 'scale'"),
+        (("logit_maps", 0, "scale"), r"logit_maps\[0\]: field 'scale'"),
+        (("alpha_maps", 0, "scale"), r"alpha_maps\[0\]: field 'scale'"),
+        (("scales", 0), r"manifest: scales\[0\]"),
+        (("ground_truth", 0, "score"), r"ground_truth\[0\]: field 'score'"),
+    ], ids=["instance-score", "instance-scale", "logit-map-scale",
+            "alpha-map-scale", "scales-entry", "gt-score"])
+    def test_integer_too_large_for_a_float_names_field(self, tmp_path, capsys,
+                                                       path, named):
+        doc = json.loads(save_manifest(_tiny_bundle(with_maps=True),
+                                       tmp_path / "m.json").read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["fuse", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(rf"{named} is too large for a float", err), err
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_bundle_rejects_non_finite_scale(self, scale):

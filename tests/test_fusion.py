@@ -6,12 +6,12 @@ import pytest
 from segfuse.bundle import PredictionBundle
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import (FusionWeights, MaskGroup, binarize,
-                            compute_weights, fuse_logits, fuse_masks,
-                            group_predictions, weighted_average)
+                            compute_weights, fuse_logits, group_predictions,
+                            weighted_average)
 from segfuse.grids import LogitMap
 from segfuse.metrics import ApTable
 
-from conftest import block_mask, make_instance
+from conftest import block_mask, fused_frame, make_instance
 from reference import fuse_logits_ref, weighted_average_ref
 
 
@@ -116,7 +116,7 @@ class TestFuseMasks:
         members = tuple(make_instance(bits, model_id=f"m{i}", score=0.9, uid=i)
                         for i in range(3))
         w = FusionWeights("shell", (("m0", 0.2), ("m1", 0.3), ("m2", 0.5)))
-        soft = fuse_masks(MaskGroup("shell", members), w)
+        soft = fused_frame(MaskGroup("shell", members), w)
         assert np.array_equal(soft, bits.astype(np.float64))
 
     def test_degenerate_weight_selects_one_model(self):
@@ -125,7 +125,7 @@ class TestFuseMasks:
         members = (make_instance(a, model_id="m0", score=0.9, uid=0),
                    make_instance(b, model_id="m1", score=0.8, uid=1))
         w = FusionWeights("shell", (("m0", 1.0), ("m1", 0.0)))
-        soft = fuse_masks(MaskGroup("shell", members), w)
+        soft = fused_frame(MaskGroup("shell", members), w)
         assert np.array_equal(soft, a.astype(np.float64))
 
     def test_left_right_hand_worked(self):
@@ -134,7 +134,7 @@ class TestFuseMasks:
         members = (make_instance(left, model_id="m0", score=0.9, uid=0),
                    make_instance(right, model_id="m1", score=0.8, uid=1))
         w = FusionWeights("shell", (("m0", 0.6), ("m1", 0.4)))
-        soft = fuse_masks(MaskGroup("shell", members), w)
+        soft = fused_frame(MaskGroup("shell", members), w)
         assert np.allclose(soft[:, :2], 0.6, atol=0) and np.allclose(
             soft[:, 2:], 0.4, atol=0)
 
@@ -157,7 +157,7 @@ class TestFuseMasks:
         bits = block_mask(4, 4, 0, 4, 0, 4)
         members = (make_instance(bits, model_id="m0", score=0.9, uid=0),)
         w = FusionWeights("shell", (("m0", 0.5), ("m1", 0.5)))
-        soft = fuse_masks(MaskGroup("shell", members), w)
+        soft = fused_frame(MaskGroup("shell", members), w)
         assert np.allclose(soft, 0.5, atol=0)
 
 

@@ -1,16 +1,20 @@
-"""Byte-identity golden check for synth, fuse and evaluate.
+"""Byte-identity golden check for synth, fuse, evaluate and pipeline.
 
 Runs the CLI on a 96x128 synthetic fixture (12 objects, scales 0.5 and 1.0,
 used as its own calibration split) and compares the sha256 of every output
 file with the digests below.  A refactor that claims unchanged output must
 leave them unchanged; a deliberate output change updates them and says why.
 
-``pipeline`` is left out: its softmax goes through ``np.exp``, whose SIMD
-implementation may differ by an ulp between CPUs, so its digests would not
-be portable.  The worker-count determinism tests cover it on one machine.
+The default ``pipeline`` is left out: its attention and instance scores go
+through ``np.exp``, whose SIMD implementation may differ by an ulp between
+CPUs, so those digests would not be portable.  ``pipeline --weights uniform
+--beta-const 0.3`` skips the attention, so its logits, labels and overlay
+are pinned, and so is every instance except its score.  The worker-count
+determinism tests cover the default path on one machine.
 """
 
 import hashlib
+import json
 
 from segfuse.cli import main
 
@@ -56,6 +60,27 @@ GOLDEN = {
 }
 
 
+PIPELINE_GOLDEN = {
+    "fused_logits.tns":
+        "08d0c7aed4c0420f0ed775e7246ad4a28aeff985bfdb9d9fc0526c418c20e888",
+    "labels.tns":
+        "b43df88006eb34d27c5ab288d788c5c7f6d28ec8192f7d465c7452923e265734",
+    "overlay.ppm":
+        "6679ba9adc625cbb9d201b314661999280094fc0f4417a420105f40894898657",
+}
+
+# sha256 over the (object_id, component, bbox, rle) of every pipeline instance
+PIPELINE_INSTANCES_GOLDEN = (
+    "1b8fef43bb9729f9099a28d30056a7bf436675694a345e856a33995091eaf559")
+
+
+def _synth(out_dir):
+    assert main(["synth", "--seed", "11", "--objects", "12", "--height", "96",
+                 "--width", "128", "--scales", "0.5", "1.0",
+                 "--out-dir", str(out_dir)]) == 0
+    return out_dir / "manifest.json"
+
+
 def _digests(root):
     return {p.relative_to(root).as_posix():
             hashlib.sha256(p.read_bytes()).hexdigest()
@@ -63,10 +88,7 @@ def _digests(root):
 
 
 def test_outputs_match_golden_digests(tmp_path):
-    manifest = tmp_path / "synth" / "manifest.json"
-    assert main(["synth", "--seed", "11", "--objects", "12", "--height", "96",
-                 "--width", "128", "--scales", "0.5", "1.0",
-                 "--out-dir", str(manifest.parent)]) == 0
+    manifest = _synth(tmp_path / "synth")
     assert main(["fuse", str(manifest), "--calib", str(manifest),
                  "--grouping", "both", "--out-dir", str(tmp_path / "fuse")]) == 0
     assert main(["evaluate", str(manifest), str(manifest),
@@ -75,3 +97,18 @@ def test_outputs_match_golden_digests(tmp_path):
                  str(manifest),
                  "--out", str(tmp_path / "eval" / "fused_horizontal.json")]) == 0
     assert _digests(tmp_path) == GOLDEN
+
+
+def test_uniform_constant_gate_pipeline_matches_golden_digests(tmp_path):
+    manifest = _synth(tmp_path / "synth")
+    out = tmp_path / "pipeline"
+    assert main(["pipeline", str(manifest), "--weights", "uniform",
+                 "--beta-const", "0.3", "--out-dir", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PIPELINE_GOLDEN} == PIPELINE_GOLDEN
+    doc = json.loads((out / "instances.json").read_text(encoding="utf-8"))
+    rows = [[r["object_id"], r["component"], r["bbox"], r["rle"]]
+            for r in doc["instances"]]
+    assert rows
+    digest = hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+    assert digest == PIPELINE_INSTANCES_GOLDEN

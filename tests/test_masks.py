@@ -157,6 +157,12 @@ class TestMaskInstance:
         with pytest.raises(DataValidationError):
             make_instance(block_mask(6, 6, 0, 4, 0, 4), bbox=BBox(0, 0, 2, 2))
 
+    def test_bbox_must_lie_on_the_mask_grid(self):
+        with pytest.raises(DataValidationError,
+                           match=r"bbox BBox\(x0=0, y0=0, x1=10, y1=10\) "
+                                 r"exceeds the 4x4 mask grid"):
+            make_instance(block_mask(4, 4, 0, 2, 0, 2), bbox=BBox(0, 0, 10, 10))
+
     def test_enclosing_bbox_ok(self):
         inst = make_instance(block_mask(6, 6, 1, 3, 1, 3), bbox=BBox(0, 0, 6, 6))
         assert inst.bbox == BBox(0, 0, 6, 6)

@@ -9,6 +9,7 @@ from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.grids import LogitMap
+from segfuse.masks import rle_decode
 from segfuse.pipeline import (_ap_table, _channel_weights, _fuse_global,
                               _object_regions, run_evaluate, run_fuse,
                               run_pipeline)
@@ -111,7 +112,7 @@ def test_pipeline_ap_weights_beat_uniform_baseline():
 def test_pipeline_result_instances_nest():
     bundle = generate(5, objects=2, height=64, width=64)
     result = run_pipeline(bundle, bundle, PipelineConfig())
-    by_key = {(i.object_id, i.component): i.binary.bits
+    by_key = {(i.object_id, i.component): rle_decode(i.mask).bits
               for i in result.instances}
     for oid in {i.object_id for i in result.instances}:
         chain = [by_key.get((oid, c)) for c in
