@@ -6,12 +6,11 @@ from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import (DataValidationError, DegenerateAttentionError,
                      FormatError, SegfuseError, ShapeError)
-from .fusion import (FusionWeights, MaskGroup, binarize, compute_weights,
-                     fuse_logits, fuse_masks, group_predictions)
+from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
+                     fuse_masks)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     softmax_rows)
-from .hierarchy import (ScaleChain, ScaleEntry, fuse_adjacent_scales,
-                        run_inference_chain)
+from .hierarchy import fuse_adjacent_scales, run_inference_chain
 from .masks import (COMPONENTS, BBox, BinaryMask, MaskInstance, RleMask, crop,
                     expand_bbox, iou, rle_decode, rle_encode, tight_bbox)
 from .metrics import (ApTable, MatchResult, average_precision, group_ap,
@@ -22,14 +21,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ApTable", "AttentionMap", "BBox", "BinaryMask",
     "COMPONENTS", "DataValidationError", "DegenerateAttentionError",
-    "FormatError", "FusionWeights", "LogitMap", "MaskGroup", "MaskInstance",
+    "FormatError", "FusionWeights", "LogitMap", "MaskInstance",
     "MatchResult", "PipelineConfig", "PredictionBundle", "RleMask",
-    "ScaleChain", "ScaleEntry", "SegfuseError", "ShapeError",
+    "SegfuseError", "ShapeError",
     "argmax_channel", "attention_to_map", "average_precision",
     "bilinear_resize", "binarize", "compute_weights", "crop",
     "difference_matrix", "expand_bbox", "fuse_adjacent_scales",
-    "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap",
-    "group_predictions", "iou", "local_attention", "match_predictions",
-    "normalize_ap", "rle_decode", "rle_encode", "row_normalize",
-    "run_inference_chain", "softmax_rows", "tight_bbox",
+    "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap", "iou",
+    "local_attention", "match_predictions", "normalize_ap", "rle_decode",
+    "rle_encode", "row_normalize", "run_inference_chain", "softmax_rows",
+    "tight_bbox",
 ]

@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
-from .grids import (AttentionMap, LogitMap, bilinear_resize, gated_blend,
-                    softmax_rows)
+from .grids import AttentionMap, LogitMap, gated_blend, softmax_rows
 from .masks import BBox, _check_in_bounds
 
 
@@ -62,33 +61,25 @@ def attention_to_map(patches: Sequence[tuple[np.ndarray, BBox]], height: int,
                      width: int, neutral: float = 0.5) -> AttentionMap:
     """Assemble per-region attention values into one full-frame gate.
 
-    Each patch matrix is read as a spatial grid, bilinearly resized to its
-    region's pixel extent, and placed there; pixels outside every region get
-    the neutral value.  Later patches overwrite earlier ones where regions
-    overlap.
+    Each patch matrix is a spatial grid of its region's pixel extent and is
+    placed there; pixels outside every region get the neutral value.  Later
+    patches overwrite earlier ones where regions overlap.
     """
     if not (0.0 <= neutral <= 1.0):
         raise DataValidationError(f"neutral attention {neutral} outside [0, 1]")
     canvas = np.full((height, width), neutral, dtype=np.float32)
     for matrix, region in patches:
         m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ShapeError(f"attention patch must be 2D, got ndim={m.ndim}")
-        if m.size == 0:
-            raise ShapeError("attention patch cannot be empty")
+        _check_in_bounds(region, height, width)
+        if m.shape != (region.height, region.width):
+            raise ShapeError(
+                f"attention patch {m.shape} does not fit region "
+                f"{(region.height, region.width)}")
         if not np.isfinite(m).all():
             raise DataValidationError("attention patch must be finite")
         if m.min() < 0.0 or m.max() > 1.0:
             raise DataValidationError("attention patch values must lie in [0, 1]")
-        _check_in_bounds(region, height, width)
-        patch = m.astype(np.float32)
-        if (region.height, region.width) != m.shape:
-            resized = bilinear_resize(
-                LogitMap.from_array(patch), region.height, region.width)
-            patch = resized.data[:, :, 0]
-            # lerp can overshoot by one ulp; the gate must stay in [0, 1]
-            patch = np.minimum(np.maximum(patch, np.float32(0.0)), np.float32(1.0))
-        canvas[region.y0:region.y1, region.x0:region.x1] = patch
+        canvas[region.y0:region.y1, region.x0:region.x1] = m.astype(np.float32)
     return AttentionMap(height, width, canvas)
 
 

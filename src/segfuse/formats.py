@@ -209,12 +209,8 @@ def _load_instance(rec: dict, height: int, width: int, where: str,
     if with_model:
         check_listed(model, scale, models, scales, where)
     try:
-        mask = RleMask(height, width, tuple(counts))
-        bbox = BBox(*raw_bbox)
-        if bbox.x1 > width or bbox.y1 > height:
-            raise DataValidationError(
-                f"bbox {bbox} exceeds {height}x{width} image")
-        return MaskInstance(mask=mask, bbox=bbox, component=component,
+        return MaskInstance(mask=RleMask(height, width, tuple(counts)),
+                            bbox=BBox(*raw_bbox), component=component,
                             object_id=object_id, score=score, model_id=model,
                             scale=scale, uid=uid)
     except (FormatError, DataValidationError) as e:

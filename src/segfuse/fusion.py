@@ -14,11 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bundle import PredictionBundle
 from .errors import DataValidationError, ShapeError
 from .grids import LogitMap
 from .masks import BBox, BinaryMask, MaskInstance
-from .metrics import GROUP_FIELDS, ApTable, group_keys, normalize_ap
+from .metrics import ApTable, normalize_ap
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -75,33 +74,6 @@ def compute_weights(ap_table: ApTable, group_key, normalization: str = "fraction
     return FusionWeights(group_key, tuple((m, a / total) for m, a in zip(models, norm)))
 
 
-@dataclass(frozen=True)
-class MaskGroup:
-    """Instances pooled under one group key, sorted by score descending."""
-
-    key: object
-    members: tuple[MaskInstance, ...]
-
-    def __post_init__(self) -> None:
-        ranks = [(-m.score, m.model_id) for m in self.members]
-        if ranks != sorted(ranks):
-            raise DataValidationError("group members must be sorted by score desc")
-
-
-def _sorted_members(members: list[MaskInstance]) -> tuple[MaskInstance, ...]:
-    return tuple(sorted(
-        members,
-        key=lambda m: (-m.score, m.model_id, m.uid if m.uid is not None else -1)))
-
-
-def group_predictions(bundle: PredictionBundle, mode: str) -> list[MaskGroup]:
-    """Pool instances per component (vertical) or per object (horizontal)."""
-    keys = group_keys(bundle.instances, mode)
-    field = GROUP_FIELDS[mode]
-    return [MaskGroup(key, _sorted_members(bundle.instances_for(**{field: key})))
-            for key in keys]
-
-
 def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
     """Ascending-order weighted sum of aligned float64 arrays, clamped to the
     per-element envelope of the inputs."""
@@ -121,32 +93,31 @@ def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence[float]) -> n
     return np.minimum(np.maximum(acc, lo), hi)
 
 
-def fuse_masks(group: MaskGroup,
+def fuse_masks(members: Sequence[MaskInstance],
                weights: FusionWeights) -> tuple[BBox, np.ndarray]:
-    """Per-pixel weighted average of the group's masks as a float64 soft mask.
+    """Per-pixel weighted average of one cell's masks as a float64 soft mask.
 
     The average covers the union of the members' boxes and is returned with
     that box; outside it every member, and so the average, is zero.
-    Members are keyed by model id; a model contributing several masks to the
-    group has them merged by elementwise max first; a model with no member
+    Members are keyed by model id; a model contributing several masks has
+    them merged by elementwise max first; a model with no member
     contributes an empty (all-zero) mask.
     """
-    if not group.members:
+    if not members:
         raise DataValidationError("cannot fuse an empty group")
-    h = group.members[0].mask.height
-    w = group.members[0].mask.width
-    member_models = {m.model_id for m in group.members}
-    extra = member_models - set(weights.models)
+    h = members[0].mask.height
+    w = members[0].mask.width
+    extra = {m.model_id for m in members} - set(weights.models)
     if extra:
         raise DataValidationError(
             f"group has models without weights: {sorted(extra)}")
-    box = group.members[0].bbox
-    for inst in group.members:
+    box = members[0].bbox
+    for inst in members:
         if (inst.mask.height, inst.mask.width) != (h, w):
             raise ShapeError("group members must share grid dimensions")
         box = box.union(inst.bbox)
     per_model = {}
-    for inst in group.members:
+    for inst in members:
         soft = inst.window(box).bits.astype(np.float64)
         prev = per_model.get(inst.model_id)
         per_model[inst.model_id] = soft if prev is None else np.maximum(prev, soft)

@@ -2,13 +2,13 @@
 
 Each step upsamples the running coarse result and its gate to the next
 finer grid and blends: ``U(lower) * U(alpha) + finer * (1 - U(alpha))``.
-The fold starts at the coarsest scale; the finest entry's gate is never
+The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DataValidationError, ShapeError
 from .grids import AttentionMap, LogitMap, bilinear_resize, gated_blend
@@ -16,63 +16,38 @@ from .grids import AttentionMap, LogitMap, bilinear_resize, gated_blend
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ScaleEntry:
-    """One rung of the chain: fused logits plus the gate toward finer scales."""
-
-    scale: float
-    logits: LogitMap
-    alpha: AttentionMap | None = None
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise DataValidationError(f"scale must be positive, got {self.scale}")
-        if self.alpha is not None and self.alpha.shape != self.logits.shape[:2]:
-            raise ShapeError(
-                f"alpha grid {self.alpha.shape} != logits grid {self.logits.shape[:2]}")
-
-
-@dataclass(frozen=True)
-class ScaleChain:
-    entries: tuple[ScaleEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise DataValidationError("scale chain cannot be empty")
-        scales = [e.scale for e in self.entries]
-        if any(a >= b for a, b in zip(scales, scales[1:])):
-            raise DataValidationError(f"scales must be strictly increasing: {scales}")
-
-
-def fuse_adjacent_scales(lower: ScaleEntry, higher_logits: LogitMap) -> LogitMap:
-    """Blend a coarser entry into the next finer grid under its upsampled gate."""
-    if lower.alpha is None:
-        raise DataValidationError(
-            f"scale {lower.scale} entry needs an alpha map to fuse upward")
-    if lower.logits.channels != higher_logits.channels:
+def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
+                         higher: LogitMap) -> LogitMap:
+    """Blend coarser logits into the next finer grid under their upsampled gate."""
+    if alpha.shape != lower.shape[:2]:
         raise ShapeError(
-            f"channel counts differ: {lower.logits.channels} vs "
-            f"{higher_logits.channels}")
-    up = bilinear_resize(lower.logits, higher_logits.height, higher_logits.width)
-    alpha_src = LogitMap(lower.alpha.height, lower.alpha.width, 1,
-                         lower.alpha.data[:, :, None])
-    up_alpha = bilinear_resize(alpha_src, higher_logits.height,
-                               higher_logits.width).data[:, :, 0]
+            f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
+    if lower.channels != higher.channels:
+        raise ShapeError(
+            f"channel counts differ: {lower.channels} vs {higher.channels}")
+    up = bilinear_resize(lower, higher.height, higher.width)
+    alpha_src = LogitMap(alpha.height, alpha.width, 1, alpha.data[:, :, None])
+    up_alpha = bilinear_resize(alpha_src, higher.height,
+                               higher.width).data[:, :, 0]
     up_alpha = np.minimum(np.maximum(up_alpha, np.float32(0.0)), np.float32(1.0))
-    out = gated_blend(up.data, higher_logits.data, up_alpha)
-    return LogitMap(higher_logits.height, higher_logits.width,
-                    higher_logits.channels, out)
+    out = gated_blend(up.data, higher.data, up_alpha)
+    return LogitMap(higher.height, higher.width, higher.channels, out)
 
 
-def run_inference_chain(chain: ScaleChain) -> LogitMap:
-    """Left fold of :func:`fuse_adjacent_scales` from coarsest to finest.
+def run_inference_chain(
+        levels: Sequence[tuple[LogitMap, AttentionMap | None]]) -> LogitMap:
+    """Left fold of :func:`fuse_adjacent_scales` over ``(logits, alpha)``
+    levels from coarsest to finest.
 
-    A single-scale chain returns its logits unchanged; a chain of k scales
-    performs exactly k - 1 fusions.
+    Every level but the finest needs an alpha map.  A single level returns
+    its logits unchanged; k levels perform exactly k - 1 fusions.
     """
-    entries = chain.entries
-    acc = entries[0].logits
-    for lower, finer in zip(entries, entries[1:]):
-        carried = ScaleEntry(lower.scale, acc, lower.alpha)
-        acc = fuse_adjacent_scales(carried, finer.logits)
+    if not levels:
+        raise DataValidationError("scale chain cannot be empty")
+    acc = levels[0][0]
+    for k, ((_, alpha), (finer, _)) in enumerate(zip(levels, levels[1:])):
+        if alpha is None:
+            raise DataValidationError(
+                f"scale level {k} needs an alpha map to fuse upward")
+        acc = fuse_adjacent_scales(acc, alpha, finer)
     return acc

@@ -163,10 +163,6 @@ class BBox:
     def height(self) -> int:
         return self.y1 - self.y0
 
-    def encloses(self, other: "BBox") -> bool:
-        return (self.x0 <= other.x0 and self.y0 <= other.y0
-                and self.x1 >= other.x1 and self.y1 >= other.y1)
-
     def union(self, other: "BBox") -> "BBox":
         return BBox(min(self.x0, other.x0), min(self.y0, other.y0),
                     max(self.x1, other.x1), max(self.y1, other.y1))
@@ -229,16 +225,11 @@ def _check_in_bounds(b: BBox, height: int, width: int) -> None:
         raise ShapeError(f"box {b} exceeds {height}x{width} grid")
 
 
-def crop(grid, b: BBox):
-    """Sub-grid of a LogitMap or BinaryMask covered by ``b`` (same kind out)."""
-    if isinstance(grid, LogitMap):
-        _check_in_bounds(b, grid.height, grid.width)
-        return LogitMap(b.height, b.width, grid.channels,
-                        grid.data[b.y0:b.y1, b.x0:b.x1, :].copy())
-    if isinstance(grid, BinaryMask):
-        _check_in_bounds(b, grid.height, grid.width)
-        return BinaryMask(b.height, b.width, grid.bits[b.y0:b.y1, b.x0:b.x1].copy())
-    raise TypeError(f"crop expects LogitMap or BinaryMask, got {type(grid).__name__}")
+def crop(grid: LogitMap, b: BBox) -> LogitMap:
+    """Sub-grid of a LogitMap covered by ``b``."""
+    _check_in_bounds(b, grid.height, grid.width)
+    return LogitMap(b.height, b.width, grid.channels,
+                    grid.data[b.y0:b.y1, b.x0:b.x1, :].copy())
 
 
 @dataclass(frozen=True)

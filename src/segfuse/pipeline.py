@@ -22,15 +22,15 @@ from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
 from .formats import save_manifest, save_tensor, write_json_report, write_overlay
-from .fusion import (FusionWeights, MaskGroup, binarize, compute_weights,
-                     fuse_logits, fuse_masks, group_predictions)
+from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
+                     fuse_masks)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     scaled_dim)
-from .hierarchy import ScaleChain, ScaleEntry, run_inference_chain
+from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     BinaryMask, MaskInstance, crop, expand_bbox, rle_encode,
                     scale_box, tight_bbox)
-from .metrics import ApTable, group_ap
+from .metrics import GROUP_FIELDS, ApTable, group_ap, group_keys
 
 ENSEMBLE_MODEL_ID = "ensemble"
 PIPELINE_MODEL_ID = "pipeline"
@@ -45,7 +45,8 @@ def _pmap(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _calib_slice(calib: PredictionBundle | None, scale: float) -> PredictionBundle:
+def _calib_slice(calib: PredictionBundle | None, models: tuple[str, ...],
+                 scale: float) -> PredictionBundle:
     if calib is None:
         raise DataValidationError(
             "AP-based weights need a calibration manifest (--calib), or pass "
@@ -54,18 +55,23 @@ def _calib_slice(calib: PredictionBundle | None, scale: float) -> PredictionBund
         raise DataValidationError(
             "calibration manifest has no ground_truth records; AP-based "
             "weights cannot be computed (no silent uniform fallback)")
+    if calib.models != models:
+        raise DataValidationError(
+            f"calibration manifest models {list(calib.models)} differ from "
+            f"the image manifest's {list(models)}")
     if scale not in calib.scales:
         raise DataValidationError(
             f"calibration manifest has no predictions at scale {scale}")
     return calib.with_scale(scale)
 
 
-def _ap_table(calib: PredictionBundle | None, scale: float, mode: str,
-              cfg: PipelineConfig) -> ApTable | None:
-    """Calibration APs of one scale; None when the weights are uniform."""
+def _ap_table(calib: PredictionBundle | None, models: tuple[str, ...],
+              scale: float, mode: str, cfg: PipelineConfig) -> ApTable | None:
+    """Calibration APs of one scale for the image's ``models``; None when
+    the weights are uniform."""
     if cfg.weights_mode == "uniform":
         return None
-    sub = _calib_slice(calib, scale)
+    sub = _calib_slice(calib, models, scale)
     return group_ap(sub, sub.ground_truth, mode, cfg.iou_threshold)
 
 
@@ -96,14 +102,14 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
     fused: list[dict] = []  # each fused instance's fields, in output order
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
-        groups = group_predictions(sub, mode)
-        table = _ap_table(calib, scale, mode, cfg)
+        keys = group_keys(sub.instances, mode)
+        table = _ap_table(calib, sub.models, scale, mode, cfg)
         tasks = []
-        for g in groups:
-            w = _group_weights(table, sub.models, g.key, cfg)
+        for key in keys:
+            w = _group_weights(table, sub.models, key, cfg)
             records.append(_weights_record(scale, mode, w))
             cells: dict = {}
-            for inst in g.members:
+            for inst in sub.instances_for(**{GROUP_FIELDS[mode]: key}):
                 if inst.object_id is None:
                     raise DataValidationError(
                         "mask fusion requires object ids to put instances "
@@ -112,11 +118,11 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             # one half of each (component, object) cell is the group key, so
             # this orders cells by the str of the other half (object 10 < 2)
             for cell in sorted(cells, key=lambda c: (c[0], str(c[1]))):
-                tasks.append((g.key, w, cells[cell]))
+                tasks.append((w, cells[cell]))
 
         def _fuse_cell(task):
-            group_key, w, members = task
-            box, soft = fuse_masks(MaskGroup(group_key, tuple(members)), w)
+            w, members = task
+            box, soft = fuse_masks(members, w)
             binary = binarize(soft, cfg.binarize_threshold)
             tight = tight_bbox(binary)
             if tight is None:
@@ -247,7 +253,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
             f"pipeline expects {len(COMPONENTS) + 1} channels (background + "
             f"components), got {channels}")
     weights_records: list[dict] = []
-    entries = []
+    levels = []
 
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
@@ -261,8 +267,8 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         sh = scaled_dim(height, scale)
         sw = scaled_dim(width, scale)
 
-        vert_table = _ap_table(calib, scale, "vertical", cfg)
-        horiz_table = _ap_table(calib, scale, "horizontal", cfg)
+        vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
+        horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
         vectors = _channel_weights(vert_table, sub.models, cfg, channels)
         for vec in vectors[1:]:
             weights_records.append(_weights_record(scale, "vertical", vec))
@@ -311,10 +317,9 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         else:
             beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
         fused_scale = fuse_global_local(ens_global, locals_list, beta)
-        entries.append(ScaleEntry(scale, fused_scale,
-                                  _mean_alpha(sub, scale, sh, sw, cfg)))
+        levels.append((fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)))
 
-    final = run_inference_chain(ScaleChain(tuple(entries)))
+    final = run_inference_chain(levels)
     final_ref = bilinear_resize(final, height, width)
     labels = argmax_channel(final_ref)
 

@@ -21,10 +21,10 @@ def make_instance(bits, component="shell", object_id=0, score=0.9,
                         scale=scale, uid=uid)
 
 
-def fused_frame(group, weights):
+def fused_frame(members, weights):
     """fuse_masks pasted into the full frame, zero outside its box."""
-    box, soft = fuse_masks(group, weights)
-    mask = group.members[0].mask
+    box, soft = fuse_masks(members, weights)
+    mask = members[0].mask
     out = np.zeros((mask.height, mask.width), dtype=np.float64)
     out[box.slices] = soft
     return out

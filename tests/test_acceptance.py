@@ -18,10 +18,10 @@ from segfuse.attention import (difference_matrix, fuse_global_local,
 from segfuse.cli import main
 from segfuse.config import PipelineConfig
 from segfuse.formats import load_tensor, save_tensor
-from segfuse.fusion import (FusionWeights, MaskGroup, compute_weights,
-                            fuse_logits, weighted_average)
+from segfuse.fusion import (FusionWeights, compute_weights, fuse_logits,
+                            weighted_average)
 from segfuse.grids import AttentionMap, LogitMap, bilinear_resize
-from segfuse.hierarchy import ScaleChain, ScaleEntry, run_inference_chain
+from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import (BBox, BinaryMask, expand_bbox, rle_decode,
                            rle_encode)
 from segfuse.metrics import (ApTable, average_precision, group_ap,
@@ -112,10 +112,9 @@ def test_03_all_fusions_are_convex():
             alpha = rng.uniform(size=(4, 4)).astype(np.float32)
             higher = rng.normal(size=(8, 8, 2)).astype(np.float32)
             from segfuse.hierarchy import fuse_adjacent_scales
-            stepped = fuse_adjacent_scales(
-                ScaleEntry(0.5, LogitMap.from_array(lower),
-                           AttentionMap.from_array(alpha)),
-                LogitMap.from_array(higher))
+            stepped = fuse_adjacent_scales(LogitMap.from_array(lower),
+                                           AttentionMap.from_array(alpha),
+                                           LogitMap.from_array(higher))
             up = bilinear_resize(LogitMap.from_array(lower), 8, 8).data
             assert (stepped.data >= np.minimum(up, higher)).all()
             assert (stepped.data <= np.maximum(up, higher)).all()
@@ -157,11 +156,10 @@ def test_04_scalar_oracle_reproduces_engine_bitwise():
                   rng.normal(scale=2.0, size=(8, 8, 5)).astype(np.float32)]
         alphas = [rng.uniform(size=(2, 2)).astype(np.float32),
                   rng.uniform(size=(4, 4)).astype(np.float32), None]
-        entries = tuple(
-            ScaleEntry(0.25 * 2 ** k, LogitMap.from_array(a),
-                       None if al is None else AttentionMap.from_array(al))
-            for k, (a, al) in enumerate(zip(arrays, alphas)))
-        engine_chain = run_inference_chain(ScaleChain(entries))
+        levels = [(LogitMap.from_array(a),
+                   None if al is None else AttentionMap.from_array(al))
+                  for a, al in zip(arrays, alphas)]
+        engine_chain = run_inference_chain(levels)
         assert np.array_equal(engine_chain.data,
                               chain_ref(list(zip(arrays, alphas))))
 
@@ -226,7 +224,7 @@ def test_07_degenerate_identities():
         bits = block_mask(8, 8, 1, 5, 2, 7)
         member = make_instance(bits, model_id="m0", score=0.8, uid=0)
         w1 = FusionWeights("shell", (("m0", 1.0),))
-        assert np.array_equal(fused_frame(MaskGroup("shell", (member,)), w1),
+        assert np.array_equal(fused_frame((member,), w1),
                               bits.astype(np.float64))
         data = rng.normal(size=(6, 6, 3)).astype(np.float32)
         assert np.array_equal(
@@ -235,10 +233,8 @@ def test_07_degenerate_identities():
 
         # alpha == 0 chain returns the finest logits bit-exactly
         finest = LogitMap.from_array(rng.normal(size=(8, 8, 3)).astype(np.float32))
-        chain = ScaleChain((
-            ScaleEntry(0.5, LogitMap.full(4, 4, 3, 9.0),
-                       AttentionMap.full(4, 4, 0.0)),
-            ScaleEntry(1.0, finest)))
+        chain = [(LogitMap.full(4, 4, 3, 9.0), AttentionMap.full(4, 4, 0.0)),
+                 (finest, None)]
         assert np.array_equal(run_inference_chain(chain).data, finest.data)
 
         # beta == 1 returns the frame logits bit-exactly

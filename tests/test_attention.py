@@ -103,10 +103,24 @@ class TestAttentionToMap:
         outside[1:3, 1:3] = False
         assert np.allclose(out.data[outside], 0.5, atol=0)
 
-    def test_resizes_to_region(self):
-        patch = np.full((2, 2), 0.75)
-        out = attention_to_map([(patch, BBox(0, 0, 8, 8))], 8, 8)
-        assert np.allclose(out.data, 0.75, atol=0)
+    def test_later_patch_wins_on_overlap(self):
+        first = (np.full((3, 3), 0.25), BBox(0, 0, 3, 3))
+        second = (np.full((3, 3), 0.75), BBox(1, 1, 4, 4))
+        out = attention_to_map([first, second], 4, 4)
+        want = np.full((4, 4), 0.5, np.float32)
+        want[0:3, 0:3] = 0.25
+        want[1:4, 1:4] = 0.75
+        assert np.array_equal(out.data, want)
+        out = attention_to_map([second, first], 4, 4)
+        want[1:4, 1:4] = 0.75
+        want[0:3, 0:3] = 0.25
+        assert np.array_equal(out.data, want)
+
+    def test_patch_must_fit_region(self):
+        for shape in ((2, 2), (8,), (8, 8, 1)):
+            with pytest.raises(ShapeError, match="does not fit region"):
+                attention_to_map([(np.full(shape, 0.75), BBox(0, 0, 8, 8))],
+                                 8, 8)
 
     def test_region_outside_canvas(self):
         with pytest.raises(ShapeError):

@@ -156,6 +156,31 @@ class TestFuseCommand:
             assert a.mask.counts == b.mask.counts and a.score == b.score
 
 
+class TestCalibrationModels:
+    @pytest.mark.parametrize("command", ["fuse", "pipeline"])
+    @pytest.mark.parametrize("calib_models", ["2", "4"],
+                             ids=["lacks-a-model", "extra-model"])
+    def test_other_model_set_is_data_error(self, tmp_path, capsys, command,
+                                           calib_models):
+        paths = []
+        for seed, models in ((31, "3"), (32, calib_models)):
+            out = tmp_path / f"s{seed}"
+            assert main(["synth", "--seed", str(seed), "--models", models,
+                         "--height", "48", "--width", "48", "--objects", "2",
+                         "--out-dir", str(out)]) == 0
+            paths.append(str(out / "manifest.json"))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, paths[0], "--calib", paths[1],
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        calib = [f"m{k}" for k in range(int(calib_models))]
+        assert (f"calibration manifest models {calib} differ from the image "
+                f"manifest's ['m0', 'm1', 'm2']") in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestPipelineCommand:
     def test_constant_chain_folds_to_hand_value(self, tmp_path):
         manifest = constant_chain_manifest(tmp_path)

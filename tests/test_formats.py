@@ -192,6 +192,22 @@ class TestManifest:
         assert "Traceback" not in err
         assert re.search(rf"{named} is too large for a float", err), err
 
+    @pytest.mark.parametrize("field", ["instances", "ground_truth"])
+    def test_bbox_outside_image_names_record(self, tmp_path, capsys, field):
+        doc = json.loads(save_manifest(_tiny_bundle(),
+                                       tmp_path / "m.json").read_text())
+        doc[field][0]["bbox"] = [0, 0, 2, 5]  # 4x4 image
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        named = rf"{field}\[0\]: bbox .* exceeds .*4x4"
+        with pytest.raises(DataValidationError, match=rf"^{named}"):
+            load_manifest(bad)
+        assert main(["fuse", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(named, err), err
+
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_bundle_rejects_non_finite_scale(self, scale):
         with pytest.raises(DataValidationError, match="finite"):

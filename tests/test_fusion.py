@@ -4,67 +4,26 @@ import numpy as np
 import pytest
 
 from segfuse.bundle import PredictionBundle
+from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError, ShapeError
-from segfuse.fusion import (FusionWeights, MaskGroup, binarize,
-                            compute_weights, fuse_logits, group_predictions,
-                            weighted_average)
+from segfuse.fusion import (FusionWeights, binarize, compute_weights,
+                            fuse_logits, weighted_average)
 from segfuse.grids import LogitMap
 from segfuse.metrics import ApTable
+from segfuse.pipeline import run_fuse
 
 from conftest import block_mask, fused_frame, make_instance
 from reference import fuse_logits_ref, weighted_average_ref
 
 
-def bundle_mn(models=2, objects=1, scales=(1.0,), h=8, w=8):
-    """models x objects x 4 components, every mask a valid block."""
-    comps = {"shell": block_mask(h, w, 0, 6, 0, 6),
-             "meat": block_mask(h, w, 1, 5, 1, 5),
-             "gonad": block_mask(h, w, 2, 4, 2, 4),
-             "muscle": block_mask(h, w, 3, 4, 3, 4)}
-    instances = []
-    uid = 0
-    for scale in scales:
-        for mi in range(models):
-            for oid in range(objects):
-                for comp, bits in comps.items():
-                    instances.append(make_instance(
-                        bits, component=comp, object_id=oid,
-                        score=0.9 - 0.05 * mi, model_id=f"m{mi}",
-                        scale=scale, uid=uid))
-                    uid += 1
-    return PredictionBundle(
-        image_id="img", height=h, width=w,
-        models=tuple(f"m{i}" for i in range(models)), scales=scales,
-        instances=tuple(instances))
-
-
 class TestGroupPredictions:
-    def test_vertical_counts(self):
-        groups = group_predictions(bundle_mn(models=3, objects=1), "vertical")
-        assert len(groups) == 4
-        assert all(len(g.members) == 3 for g in groups)
-
-    def test_single_model_groups(self):
-        groups = group_predictions(bundle_mn(models=1, objects=1), "vertical")
-        assert all(len(g.members) == 1 for g in groups)
-
-    def test_horizontal_counts(self):
-        groups = group_predictions(bundle_mn(models=3, objects=2), "horizontal")
-        assert len(groups) == 2
-        assert all(len(g.members) == 3 * 4 for g in groups)
-
-    def test_members_sorted_by_score_then_model(self):
-        groups = group_predictions(bundle_mn(models=3, objects=2), "vertical")
-        for g in groups:
-            ranks = [(-m.score, m.model_id) for m in g.members]
-            assert ranks == sorted(ranks)
-
     def test_horizontal_requires_object_ids(self):
         inst = make_instance(block_mask(4, 4, 0, 2, 0, 2), object_id=None)
         b = PredictionBundle(image_id="x", height=4, width=4, models=("m0",),
                              scales=(1.0,), instances=(inst,))
-        with pytest.raises(DataValidationError):
-            group_predictions(b, "horizontal")
+        with pytest.raises(DataValidationError, match="object ids"):
+            run_fuse(b, None, PipelineConfig(weights_mode="uniform"),
+                     "horizontal")
 
 
 class TestComputeWeights:
@@ -116,7 +75,7 @@ class TestFuseMasks:
         members = tuple(make_instance(bits, model_id=f"m{i}", score=0.9, uid=i)
                         for i in range(3))
         w = FusionWeights("shell", (("m0", 0.2), ("m1", 0.3), ("m2", 0.5)))
-        soft = fused_frame(MaskGroup("shell", members), w)
+        soft = fused_frame(members, w)
         assert np.array_equal(soft, bits.astype(np.float64))
 
     def test_degenerate_weight_selects_one_model(self):
@@ -125,7 +84,7 @@ class TestFuseMasks:
         members = (make_instance(a, model_id="m0", score=0.9, uid=0),
                    make_instance(b, model_id="m1", score=0.8, uid=1))
         w = FusionWeights("shell", (("m0", 1.0), ("m1", 0.0)))
-        soft = fused_frame(MaskGroup("shell", members), w)
+        soft = fused_frame(members, w)
         assert np.array_equal(soft, a.astype(np.float64))
 
     def test_left_right_hand_worked(self):
@@ -134,7 +93,7 @@ class TestFuseMasks:
         members = (make_instance(left, model_id="m0", score=0.9, uid=0),
                    make_instance(right, model_id="m1", score=0.8, uid=1))
         w = FusionWeights("shell", (("m0", 0.6), ("m1", 0.4)))
-        soft = fused_frame(MaskGroup("shell", members), w)
+        soft = fused_frame(members, w)
         assert np.allclose(soft[:, :2], 0.6, atol=0) and np.allclose(
             soft[:, 2:], 0.4, atol=0)
 
@@ -157,7 +116,7 @@ class TestFuseMasks:
         bits = block_mask(4, 4, 0, 4, 0, 4)
         members = (make_instance(bits, model_id="m0", score=0.9, uid=0),)
         w = FusionWeights("shell", (("m0", 0.5), ("m1", 0.5)))
-        soft = fused_frame(MaskGroup("shell", members), w)
+        soft = fused_frame(members, w)
         assert np.allclose(soft, 0.5, atol=0)
 
 

@@ -1,84 +1,91 @@
 """Adjacent-scale fusion and the coarse-to-fine chain."""
 
+import json
+
 import numpy as np
 import pytest
 
+from segfuse.bundle import PredictionBundle
+from segfuse.cli import main
 from segfuse.errors import DataValidationError, ShapeError
+from segfuse.formats import save_manifest
 from segfuse.grids import AttentionMap, LogitMap
-from segfuse.hierarchy import (ScaleChain, ScaleEntry, fuse_adjacent_scales,
-                               run_inference_chain)
+from segfuse.hierarchy import fuse_adjacent_scales, run_inference_chain
 
 from reference import chain_ref, fuse_adjacent_ref
 
 
-def entry(scale, h, w, c, logit_value, alpha_value=None):
+def level(h, w, c, logit_value, alpha_value=None):
     alpha = None if alpha_value is None else AttentionMap.full(h, w, alpha_value)
-    return ScaleEntry(scale, LogitMap.full(h, w, c, logit_value), alpha)
+    return LogitMap.full(h, w, c, logit_value), alpha
 
 
 class TestFuseAdjacentScales:
     def test_alpha_one_returns_upsampled_lower(self, rng):
         lower_data = rng.normal(size=(2, 2, 1)).astype(np.float32)
-        lower = ScaleEntry(0.5, LogitMap.from_array(lower_data),
-                           AttentionMap.full(2, 2, 1.0))
+        lower = LogitMap.from_array(lower_data)
         higher = LogitMap.from_array(rng.normal(size=(4, 4, 1)).astype(np.float32))
-        out = fuse_adjacent_scales(lower, higher)
+        out = fuse_adjacent_scales(lower, AttentionMap.full(2, 2, 1.0), higher)
         from segfuse.grids import bilinear_resize
-        up = bilinear_resize(lower.logits, 4, 4)
+        up = bilinear_resize(lower, 4, 4)
         assert np.array_equal(out.data, up.data)
 
     def test_alpha_zero_returns_higher_bitwise(self, rng):
-        lower = entry(0.5, 2, 2, 1, 5.0, alpha_value=0.0)
+        lower, alpha = level(2, 2, 1, 5.0, alpha_value=0.0)
         higher = LogitMap.from_array(rng.normal(size=(4, 4, 1)).astype(np.float32))
-        out = fuse_adjacent_scales(lower, higher)
+        out = fuse_adjacent_scales(lower, alpha, higher)
         assert np.array_equal(out.data, higher.data)
 
     def test_constant_fields_hand_worked(self):
-        lower = entry(0.5, 1, 1, 1, 2.0, alpha_value=0.25)
+        lower, alpha = level(1, 1, 1, 2.0, alpha_value=0.25)
         higher = LogitMap.full(2, 2, 1, 4.0)
-        out = fuse_adjacent_scales(lower, higher)
+        out = fuse_adjacent_scales(lower, alpha, higher)
         assert np.array_equal(out.data, np.full((2, 2, 1), 3.5, np.float32))
 
     def test_convex_between_operands(self, rng):
         lower_data = rng.normal(size=(3, 3, 2)).astype(np.float32)
         alpha = rng.uniform(size=(3, 3)).astype(np.float32)
         higher = rng.normal(size=(6, 6, 2)).astype(np.float32)
-        lower = ScaleEntry(0.5, LogitMap.from_array(lower_data),
-                           AttentionMap.from_array(alpha))
-        out = fuse_adjacent_scales(lower, LogitMap.from_array(higher))
+        lower = LogitMap.from_array(lower_data)
+        out = fuse_adjacent_scales(lower, AttentionMap.from_array(alpha),
+                                   LogitMap.from_array(higher))
         from segfuse.grids import bilinear_resize
-        up = bilinear_resize(lower.logits, 6, 6).data
+        up = bilinear_resize(lower, 6, 6).data
         assert (out.data >= np.minimum(up, higher)).all()
         assert (out.data <= np.maximum(up, higher)).all()
 
     def test_channel_mismatch(self):
-        lower = entry(0.5, 2, 2, 2, 1.0, alpha_value=0.5)
+        lower, alpha = level(2, 2, 2, 1.0, alpha_value=0.5)
         with pytest.raises(ShapeError):
-            fuse_adjacent_scales(lower, LogitMap.zeros(4, 4, 3))
+            fuse_adjacent_scales(lower, alpha, LogitMap.zeros(4, 4, 3))
+
+    def test_alpha_grid_must_match_lower(self):
+        lower, _ = level(2, 2, 1, 1.0)
+        with pytest.raises(ShapeError, match="alpha grid"):
+            fuse_adjacent_scales(lower, AttentionMap.full(4, 4, 0.5),
+                                 LogitMap.zeros(4, 4, 1))
 
     def test_missing_alpha_rejected(self):
-        lower = entry(0.5, 2, 2, 1, 1.0)
-        with pytest.raises(DataValidationError):
-            fuse_adjacent_scales(lower, LogitMap.zeros(4, 4, 1))
+        with pytest.raises(DataValidationError, match="alpha map"):
+            run_inference_chain([level(2, 2, 1, 1.0),
+                                 (LogitMap.zeros(4, 4, 1), None)])
 
 
 class TestRunInferenceChain:
     def test_single_scale_is_identity(self, rng):
         logits = LogitMap.from_array(rng.normal(size=(4, 4, 2)).astype(np.float32))
-        chain = ScaleChain((ScaleEntry(1.0, logits),))
-        assert run_inference_chain(chain) is logits
+        assert run_inference_chain([(logits, None)]) is logits
 
     def test_two_scales_alpha_zero_returns_finest(self, rng):
         finest = LogitMap.from_array(rng.normal(size=(8, 8, 1)).astype(np.float32))
-        chain = ScaleChain((entry(0.5, 4, 4, 1, 3.0, alpha_value=0.0),
-                            ScaleEntry(1.0, finest)))
+        chain = [level(4, 4, 1, 3.0, alpha_value=0.0), (finest, None)]
         assert np.array_equal(run_inference_chain(chain).data, finest.data)
 
     def test_three_scale_hand_fold(self):
         # 0.5*1 + 0.5*2 = 1.5, then 0.5*1.5 + 0.5*4 = 2.75
-        chain = ScaleChain((entry(0.5, 2, 2, 1, 1.0, alpha_value=0.5),
-                            entry(1.0, 4, 4, 1, 2.0, alpha_value=0.5),
-                            entry(2.0, 8, 8, 1, 4.0)))
+        chain = [level(2, 2, 1, 1.0, alpha_value=0.5),
+                 level(4, 4, 1, 2.0, alpha_value=0.5),
+                 level(8, 8, 1, 4.0)]
         out = run_inference_chain(chain)
         assert np.array_equal(out.data, np.full((8, 8, 1), 2.75, np.float32))
 
@@ -87,11 +94,8 @@ class TestRunInferenceChain:
         finest_data = rng.normal(size=(8, 8, 2)).astype(np.float32)
         mid = LogitMap.from_array(rng.normal(size=(4, 4, 2)).astype(np.float32))
         mid_alpha = AttentionMap.full(4, 4, 0.7)
-        base = ScaleChain((ScaleEntry(1.0, mid, mid_alpha),
-                           ScaleEntry(2.0, LogitMap.from_array(finest_data))))
-        padded = ScaleChain((entry(0.5, 2, 2, 2, 9.0, alpha_value=0.0),
-                             ScaleEntry(1.0, mid, mid_alpha),
-                             ScaleEntry(2.0, LogitMap.from_array(finest_data))))
+        base = [(mid, mid_alpha), (LogitMap.from_array(finest_data), None)]
+        padded = [level(2, 2, 2, 9.0, alpha_value=0.0), *base]
         assert np.array_equal(run_inference_chain(padded).data,
                               run_inference_chain(base).data)
 
@@ -100,14 +104,13 @@ class TestRunInferenceChain:
         calls = []
         real = hierarchy_mod.fuse_adjacent_scales
         monkeypatch.setattr(hierarchy_mod, "fuse_adjacent_scales",
-                            lambda lo, hi: calls.append(1) or real(lo, hi))
+                            lambda lo, al, hi: calls.append(1) or real(lo, al, hi))
         sizes = ((2, 2), (4, 4), (8, 8), (16, 16))
-        entries = []
+        levels = []
         for k, (h, w) in enumerate(sizes):
             alpha = AttentionMap.full(h, w, 0.5) if k < len(sizes) - 1 else None
-            entries.append(ScaleEntry(0.25 * (k + 1), LogitMap.full(h, w, 1, float(k)),
-                                      alpha))
-        out = run_inference_chain(ScaleChain(tuple(entries)))
+            levels.append((LogitMap.full(h, w, 1, float(k)), alpha))
+        out = run_inference_chain(levels)
         assert out.shape == (16, 16, 1)
         assert len(calls) == len(sizes) - 1
 
@@ -117,21 +120,41 @@ class TestRunInferenceChain:
                   rng.normal(scale=2.0, size=(16, 16, 3)).astype(np.float32)]
         alphas = [rng.uniform(size=(4, 4)).astype(np.float32),
                   rng.uniform(size=(8, 8)).astype(np.float32), None]
-        entries = tuple(
-            ScaleEntry(0.25 * 2 ** k, LogitMap.from_array(a),
-                       None if al is None else AttentionMap.from_array(al))
-            for k, (a, al) in enumerate(zip(arrays, alphas)))
-        got = run_inference_chain(ScaleChain(entries))
+        levels = [(LogitMap.from_array(a),
+                   None if al is None else AttentionMap.from_array(al))
+                  for a, al in zip(arrays, alphas)]
+        got = run_inference_chain(levels)
         want = chain_ref(list(zip(arrays, alphas)))
         assert np.array_equal(got.data, want)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(DataValidationError):
-            ScaleChain(())
+            run_inference_chain(())
 
-    def test_scales_strictly_increasing(self):
-        with pytest.raises(DataValidationError):
-            ScaleChain((entry(1.0, 2, 2, 1, 0.0), entry(1.0, 4, 4, 1, 0.0)))
+    @pytest.mark.parametrize("scales", [(1.0, 0.5), (1.0, 1.0)],
+                             ids=["decreasing", "repeated"])
+    def test_bundle_rejects_non_increasing_scales(self, tmp_path, capsys,
+                                                  scales):
+        # the bundle is the only guard on the fold's coarse-to-fine order
+        with pytest.raises(DataValidationError, match="strictly increasing"):
+            PredictionBundle(image_id="x", height=4, width=4, models=("m0",),
+                             scales=scales, instances=())
+        maps = {("m0", 0.5): LogitMap.full(2, 2, 5, 1.0),
+                ("m0", 1.0): LogitMap.full(4, 4, 5, 2.0)}
+        good = PredictionBundle(image_id="x", height=4, width=4,
+                                models=("m0",), scales=(0.5, 1.0),
+                                instances=(), logit_maps=maps)
+        doc = json.loads(save_manifest(good, tmp_path / "m.json").read_text())
+        doc["scales"] = list(scales)
+        doc["logit_maps"] = [r for r in doc["logit_maps"]
+                             if r["scale"] in scales]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["pipeline", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err and "Traceback" not in err
+
 
 
 class TestAdjacentOracle:
@@ -139,9 +162,8 @@ class TestAdjacentOracle:
         lower_logits = rng.normal(size=(3, 5, 2)).astype(np.float32)
         alpha = rng.uniform(size=(3, 5)).astype(np.float32)
         higher = rng.normal(size=(7, 9, 2)).astype(np.float32)
-        got = fuse_adjacent_scales(
-            ScaleEntry(0.5, LogitMap.from_array(lower_logits),
-                       AttentionMap.from_array(alpha)),
-            LogitMap.from_array(higher))
+        got = fuse_adjacent_scales(LogitMap.from_array(lower_logits),
+                                   AttentionMap.from_array(alpha),
+                                   LogitMap.from_array(higher))
         assert np.array_equal(got.data, fuse_adjacent_ref(lower_logits, alpha,
                                                           higher))

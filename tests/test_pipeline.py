@@ -125,7 +125,7 @@ def test_pipeline_result_instances_nest():
 def test_frame_ensemble_matches_oracle_per_channel():
     bundle = generate(6, objects=3, height=48, width=64)
     cfg = PipelineConfig()
-    table = _ap_table(bundle, 1.0, "vertical", cfg)
+    table = _ap_table(bundle, bundle.models, 1.0, "vertical", cfg)
     vectors = _channel_weights(table, bundle.models, cfg, 5)
     assert len({v.weights for v in vectors}) > 2  # channels weigh differently
     maps = {m: bundle.logit_maps[(m, 1.0)] for m in bundle.models}
@@ -147,4 +147,5 @@ def test_label_regions_span_every_scale():
     result = run_pipeline(bundle, None, cfg)
     assert {i.object_id for i in result.instances} == set(regions) == {0, 1, 2}
     for inst in result.instances:
-        assert regions[inst.object_id].encloses(inst.bbox)
+        region = regions[inst.object_id]
+        assert region.union(inst.bbox) == region
