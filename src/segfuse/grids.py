@@ -9,7 +9,14 @@ the package:
 - Resampling uses half-pixel-center coordinates, ``src = (dst + 0.5) *
   in/out - 0.5``, with clamp-to-edge at the borders.  Interpolation is
   evaluated in float64 in lerp form, ``v0 + (v1 - v0) * t``, which is exact
-  on constant grids, then rounded once to float32.
+  on constant grids, then rounded once to float32.  It runs in two
+  separable passes, along x for each source row some output row reads,
+  then along y between two such rows: the same operations in the same
+  order as lerping the four corners of each output pixel.
+- A same-size resample is that lerp at t = 0, which keeps every value but
+  one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
+  are both strictly negative, and becomes +0.0 otherwise.  The rule is
+  applied directly; the input grid itself comes back when no zero flips.
 - Row reductions accumulate in ascending index order (via cumsum), not
   pairwise, so results are bit-reproducible run to run.
 - Softmax subtracts the row maximum before exponentiating.
@@ -121,7 +128,18 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     """
     if out_h < 1 or out_w < 1:
         raise DataValidationError("output dimensions must be positive")
-    src = a.data.astype(np.float64)
+    if (out_h, out_w) == (a.height, a.width):
+        # the lerp at t = 0 keeps every value but some -0.0 (see module notes)
+        d = a.data
+        ys, xs, cs = np.unravel_index(
+            np.flatnonzero((d == 0) & np.signbit(d)), d.shape)
+        flip = ~((d[ys, np.minimum(xs + 1, a.width - 1), cs] < 0)
+                 & (d[np.minimum(ys + 1, a.height - 1), xs, cs] < 0))
+        if not flip.any():
+            return a
+        out = d.copy()
+        out[ys[flip], xs[flip], cs[flip]] = 0.0
+        return LogitMap(a.height, a.width, a.channels, out)
 
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (a.height / out_h) - 0.5
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (a.width / out_w) - 0.5
@@ -136,17 +154,14 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     x0c = np.clip(x0, 0, a.width - 1)
     x1c = np.clip(x0 + 1, 0, a.width - 1)
 
-    v00 = src[y0c[:, None], x0c[None, :], :]
-    v01 = src[y0c[:, None], x1c[None, :], :]
-    v10 = src[y1c[:, None], x0c[None, :], :]
-    v11 = src[y1c[:, None], x1c[None, :], :]
-
-    wx = dx[None, :, None]
-    wy = dy[:, None, None]
-    top = v00 + (v01 - v00) * wx
-    bot = v10 + (v11 - v10) * wx
-    out = top + (bot - top) * wy
-    return LogitMap(out_h, out_w, a.channels, out.astype(np.float32))
+    # x pass over only the source rows some output row reads, then y pass
+    rows, pick = np.unique(np.concatenate([y0c, y1c]), return_inverse=True)
+    src = a.data[rows].astype(np.float64)
+    left = src[:, x0c]
+    xl = left + (src[:, x1c] - left) * dx[None, :, None]
+    top = xl[pick[:out_h]]
+    out = top + (xl[pick[out_h:]] - top) * dy[:, None, None]
+    return LogitMap(out_h, out_w, a.channels, out)  # rounds to float32
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Straight-line scalar reference implementations used as test oracles.
 
 These deliberately avoid the engine's vectorized code paths: everything is
-a per-element Python loop.  Where a test demands bit-for-bit agreement the
-arithmetic here follows the engine's documented evaluation order (same lerp
-form, same accumulation order, same envelope clamp, same float32 rounding
-points); where a tolerance applies, the algorithm is derived independently
-(the explicit PR staircase).
+a per-element Python loop, except ``bilinear_gather_ref``: four whole-grid
+corner gathers, the unfactored form of the engine's separable resize.
+Where a test demands bit-for-bit agreement the arithmetic here follows the
+engine's documented evaluation order (same lerp form, same accumulation
+order, same envelope clamp, same float32 rounding points); where a
+tolerance applies, the algorithm is derived independently (the explicit PR
+staircase).
 """
 
 from __future__ import annotations
@@ -42,6 +44,40 @@ def bilinear_ref(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
                 bot = v10 + (v11 - v10) * dx
                 out[yo, xo, c] = np.float32(top + (bot - top) * dy)
     return out
+
+
+def bilinear_gather_ref(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resample from four full-size corner gathers.
+
+    The same float64 lerps as :func:`bilinear_ref`, vectorized over the
+    whole output grid with no row reuse and no same-size shortcut.
+    """
+    in_h, in_w, _ = src.shape
+    src = src.astype(np.float64)
+    sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5
+    sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5
+    y0 = np.floor(sy)
+    x0 = np.floor(sx)
+    dy = sy - y0
+    dx = sx - x0
+    y0 = y0.astype(np.int64)
+    x0 = x0.astype(np.int64)
+    y0c = np.clip(y0, 0, in_h - 1)
+    y1c = np.clip(y0 + 1, 0, in_h - 1)
+    x0c = np.clip(x0, 0, in_w - 1)
+    x1c = np.clip(x0 + 1, 0, in_w - 1)
+
+    v00 = src[y0c[:, None], x0c[None, :], :]
+    v01 = src[y0c[:, None], x1c[None, :], :]
+    v10 = src[y1c[:, None], x0c[None, :], :]
+    v11 = src[y1c[:, None], x1c[None, :], :]
+
+    wx = dx[None, :, None]
+    wy = dy[:, None, None]
+    top = v00 + (v01 - v00) * wx
+    bot = v10 + (v11 - v10) * wx
+    out = top + (bot - top) * wy
+    return out.astype(np.float32)
 
 
 def staircase_ap(flags: list[bool], gt_count: int) -> float:

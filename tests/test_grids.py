@@ -2,14 +2,44 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segfuse.errors import DataValidationError
 from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
                            bilinear_resize, gated_blend, softmax_rows)
 
-from reference import bilinear_ref
+from reference import bilinear_gather_ref, bilinear_ref
+
+
+@st.composite
+def resize_cases(draw):
+    """(in_h, in_w, channels, out_h, out_w, seed, zero_frac) for up-, down-,
+    same-size and mixed resamples of small grids."""
+    in_h, in_w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    mode = draw(st.sampled_from(("up", "down", "same", "mixed")))
+    if mode == "same":
+        out_h, out_w = in_h, in_w
+    elif mode == "up":
+        out_h = draw(st.integers(in_h, 2 * in_h + 3))
+        out_w = draw(st.integers(in_w, 2 * in_w + 3))
+    elif mode == "down":
+        out_h, out_w = draw(st.integers(1, in_h)), draw(st.integers(1, in_w))
+    else:
+        out_h, out_w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    return (in_h, in_w, draw(st.integers(1, 5)), out_h, out_w,
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from((0.0, 0.25, 0.5))))
+
+
+def planted_grid(in_h, in_w, channels, seed, zero_frac):
+    """Signed float32 values with a ``zero_frac`` share replaced by +0.0 or
+    -0.0 at random."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(scale=3.0, size=(in_h, in_w, channels)).astype(np.float32)
+    zeros = rng.random(src.shape) < zero_frac
+    src[zeros] = np.where(rng.random(src.shape) < 0.5, 0.0, -0.0)[zeros]
+    return src
 
 
 class TestBilinearResize:
@@ -22,7 +52,7 @@ class TestBilinearResize:
 
     def test_identity_sizes(self, rng):
         a = LogitMap.from_array(rng.normal(size=(4, 6, 3)).astype(np.float32))
-        assert np.array_equal(bilinear_resize(a, 4, 6).data, a.data)
+        assert bilinear_resize(a, 4, 6).data.tobytes() == a.data.tobytes()
 
     def test_half_pixel_row_values(self):
         # hand evaluation of src = (dst + 0.5) * in/out - 0.5 on [[0,1],[0,1]]
@@ -39,7 +69,44 @@ class TestBilinearResize:
                                          (7, 3, 7, 3)):
             src = rng.normal(scale=5.0, size=(in_h, in_w, 2)).astype(np.float32)
             got = bilinear_resize(LogitMap.from_array(src), out_h, out_w)
-            assert np.array_equal(got.data, bilinear_ref(src, out_h, out_w))
+            assert (got.data.tobytes()
+                    == bilinear_ref(src, out_h, out_w).tobytes())
+
+    @given(resize_cases())
+    @example((1, 7, 2, 1, 3, 0, 0.5))
+    @example((6, 1, 3, 13, 1, 1, 0.5))
+    @example((1, 1, 5, 4, 4, 2, 0.5))
+    @example((3, 3, 1, 1, 7, 3, 0.25))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gather_oracle_bytes(self, case):
+        in_h, in_w, channels, out_h, out_w, seed, zero_frac = case
+        src = planted_grid(in_h, in_w, channels, seed, zero_frac)
+        got = bilinear_resize(LogitMap.from_array(src), out_h, out_w).data
+        assert got.tobytes() == bilinear_gather_ref(src, out_h, out_w).tobytes()
+        assert got.tobytes() == bilinear_ref(src, out_h, out_w).tobytes()
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_size_signed_zero_rule(self, h, w, channels, seed):
+        # half the cells are +-0.0, so every neighbour case of -0.0 occurs
+        src = planted_grid(h, w, channels, seed, 0.5)
+        a = LogitMap.from_array(src)
+        got = bilinear_resize(a, h, w)
+        expected = bilinear_gather_ref(src, h, w).tobytes()
+        assert got.data.tobytes() == expected
+        assert (got is a) == (expected == src.tobytes())
+
+    def test_same_size_returns_input_when_no_zero_flips(self):
+        # the -0.0 at (0, 0) keeps its sign: right and lower are negative
+        src = np.array([[-0.0, -1.0], [-2.0, 0.0]], dtype=np.float32)
+        a = LogitMap.from_array(src)
+        assert bilinear_resize(a, 2, 2) is a
+        flipped = LogitMap.from_array(np.array([[-0.0, 1.0], [-2.0, 0.0]],
+                                               dtype=np.float32))
+        out = bilinear_resize(flipped, 2, 2)
+        assert out is not flipped
+        assert not np.signbit(out.data[0, 0, 0])
 
     def test_rejects_bad_target(self):
         with pytest.raises(DataValidationError):
