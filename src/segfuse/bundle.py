@@ -20,6 +20,13 @@ def check_listed(model: str, scale: float, models, scales, where: str) -> None:
         raise DataValidationError(f"{where}: unknown scale {scale}")
 
 
+def check_channels(counts) -> None:
+    """Reject logit maps whose channel counts differ."""
+    if len(counts := set(counts)) > 1:
+        raise DataValidationError(
+            f"logit maps disagree on channel count: {sorted(counts)}")
+
+
 @dataclass(frozen=True)
 class PredictionBundle:
     """All instances and dense maps for one image.
@@ -64,10 +71,7 @@ class PredictionBundle:
             if not isinstance(m, LogitMap):
                 raise DataValidationError("logit_maps values must be LogitMap")
             check_listed(model, scale, self.models, self.scales, "logit map")
-        channels = {m.channels for m in self.logit_maps.values()}
-        if len(channels) > 1:
-            raise DataValidationError(
-                f"logit maps disagree on channel count: {sorted(channels)}")
+        check_channels(m.channels for m in self.logit_maps.values())
         for (model, scale), m in self.alpha_maps.items():
             if not isinstance(m, AttentionMap):
                 raise DataValidationError("alpha_maps values must be AttentionMap")

@@ -105,7 +105,7 @@ def _load_calib(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if not args.calib:
         parser.error("--weights ap requires --calib MANIFEST "
                      "(name the weight-calibration split explicitly)")
-    return load_manifest(args.calib)
+    return load_manifest(args.calib, maps=False)
 
 
 def _cmd_synth(args) -> int:
@@ -119,7 +119,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fuse(args, parser) -> int:
     cfg = _config_from(args)
-    bundle = load_manifest(args.manifest)
+    bundle = load_manifest(args.manifest, maps=False)
     calib = _load_calib(args, parser)
     modes = (("vertical", "horizontal") if args.grouping == "both"
              else (args.grouping,))
@@ -144,8 +144,8 @@ def _cmd_pipeline(args, parser) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _config_from(args)
-    pred = load_manifest(args.manifest)
-    gt = load_manifest(args.gt_manifest)
+    pred = load_manifest(args.manifest, maps=False)
+    gt = load_manifest(args.gt_manifest, maps=False)
     report = run_evaluate(pred, gt, cfg)
     if args.out:
         path = write_json_report(report, args.out)

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import GT_MODEL_ID, PredictionBundle, check_listed
+from .bundle import (GT_MODEL_ID, PredictionBundle, check_channels,
+                     check_listed)
 from .errors import DataValidationError, FormatError
 from .grids import AttentionMap, LogitMap, scaled_dim
 from .masks import BBox, MaskInstance, RleMask
@@ -63,24 +64,26 @@ def load_tensor(path) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"tensor file not found: {p}")
-    blob = p.read_bytes()
-    if len(blob) < 24:
-        raise FormatError(f"{p}: truncated header ({len(blob)} bytes)")
-    if blob[:8] != TENSOR_MAGIC:
-        raise FormatError(f"{p}: bad magic {blob[:8]!r}")
-    h, w, c, reserved = struct.unpack("<4I", blob[8:24])
-    if reserved != 0:
-        raise FormatError(f"{p}: reserved header field is {reserved}, expected 0")
-    if h < 1 or w < 1 or c < 1:
-        raise FormatError(f"{p}: non-positive dimensions {(h, w, c)}")
-    expected = 24 + h * w * c * 4
-    if len(blob) != expected:
-        raise FormatError(f"{p}: payload is {len(blob) - 24} bytes, "
-                          f"expected {expected - 24}")
-    arr = np.frombuffer(blob, dtype="<f4", offset=24).reshape(h, w, c)
+    with p.open("rb") as f:
+        head = f.read(24)
+        if len(head) < 24:
+            raise FormatError(f"{p}: truncated header ({len(head)} bytes)")
+        if head[:8] != TENSOR_MAGIC:
+            raise FormatError(f"{p}: bad magic {head[:8]!r}")
+        h, w, c, reserved = struct.unpack("<4I", head[8:24])
+        if reserved != 0:
+            raise FormatError(f"{p}: reserved header field is {reserved}, expected 0")
+        if h < 1 or w < 1 or c < 1:
+            raise FormatError(f"{p}: non-positive dimensions {(h, w, c)}")
+        size, expected = p.stat().st_size - 24, h * w * c * 4
+        if size == expected:  # read straight into the array returned
+            arr = np.empty((h, w, c), dtype="<f4")
+            size = f.readinto(arr)  # short only if the file shrank meanwhile
+        if size != expected:
+            raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
     if not np.isfinite(arr).all():
         raise FormatError(f"{p}: payload contains non-finite values")
-    return arr.astype(np.float32)
+    return arr.astype(np.float32, copy=False)
 
 
 def load_logit_map(path) -> LogitMap:
@@ -182,27 +185,28 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _ints(values) -> bool:
+    """Whether every value is a JSON integer (``type`` rejects booleans)."""
+    return set(map(type, values)) <= {int}
+
+
 def _load_instance(rec: dict, height: int, width: int, where: str,
                    with_model: bool, uid: int, models=(), scales=()) -> MaskInstance:
     if not isinstance(rec, dict):
         raise FormatError(f"{where}: instance record must be an object")
-
-    def _int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
     component = _require(rec, "component", str, where)
     if with_model or "score" in rec:
         score = _require(rec, "score", float, where)
     else:
         score = 1.0
     raw_bbox = _require(rec, "bbox", list, where)
-    if len(raw_bbox) != 4 or not all(_int(v) for v in raw_bbox):
+    if len(raw_bbox) != 4 or not _ints(raw_bbox):
         raise FormatError(f"{where}: bbox must be four integers")
     counts = _require(rec, "rle", list, where)
-    if not all(_int(v) for v in counts):
+    if not _ints(counts):
         raise FormatError(f"{where}: rle counts must be integers")
     object_id = rec.get("object_id")
-    if object_id is not None and not _int(object_id):
+    if object_id is not None and type(object_id) is not int:
         raise FormatError(f"{where}: object_id must be an integer or null")
     model = _require(rec, "model", str, where) if with_model else GT_MODEL_ID
     scale = _require(rec, "scale", float, where) if with_model else 1.0
@@ -218,12 +222,13 @@ def _load_instance(rec: dict, height: int, width: int, where: str,
 
 
 def _load_maps(doc: dict, field: str, base: Path, models, scales,
-               height: int, width: int):
+               height: int, width: int, keep: bool):
+    """Check every record of ``field``; return the grids kept and channels."""
     records = doc.get(field, [])
     if not isinstance(records, list):
         raise FormatError(f"{field} must be a list")
     loader = load_logit_map if field == "logit_maps" else load_attention_map
-    out = {}
+    out, channels = {}, {}
     for k, rec in enumerate(records):
         where = f"{field}[{k}]"
         if not isinstance(rec, dict):
@@ -232,7 +237,7 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
         scale = _require(rec, "scale", float, where)
         rel = _require(rec, "path", str, where)
         check_listed(model, scale, models, scales, where)
-        if (model, scale) in out:
+        if (model, scale) in channels:
             raise DataValidationError(f"{where}: duplicate entry for "
                                       f"({model!r}, {scale})")
         try:
@@ -245,12 +250,15 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
                 f"{where}: tensor grid {(grid.height, grid.width)} does not "
                 f"match scale {scale} of a {height}x{width} image "
                 f"(expected {expected})")
-        out[(model, scale)] = grid
-    return out
+        channels[(model, scale)] = getattr(grid, "channels", 1)  # alpha: 1
+        if keep:
+            out[(model, scale)] = grid
+    return out, channels
 
 
-def load_manifest(path) -> PredictionBundle:
-    """Parse and eagerly validate a manifest into a PredictionBundle."""
+def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
+    """Parse and eagerly validate a manifest into a PredictionBundle; with
+    ``maps=False`` every tensor is still read and checked but none is kept."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"manifest not found: {p}")
@@ -290,14 +298,16 @@ def load_manifest(path) -> PredictionBundle:
         _load_instance(rec, height, width, f"ground_truth[{k}]", False, uid=k)
         for k, rec in enumerate(raw_gt))
 
-    logit_maps = _load_maps(doc, "logit_maps", p.parent, models, scales,
-                            height, width)
-    alpha_maps = _load_maps(doc, "alpha_maps", p.parent, models, scales,
-                            height, width)
-    return PredictionBundle(
+    logit_maps, channels = _load_maps(doc, "logit_maps", p.parent, models,
+                                      scales, height, width, maps)
+    alpha_maps, _ = _load_maps(doc, "alpha_maps", p.parent, models, scales,
+                               height, width, maps)
+    bundle = PredictionBundle(
         image_id=image_id, height=height, width=width, models=models,
         scales=scales, instances=instances, ground_truth=ground_truth,
         logit_maps=logit_maps, alpha_maps=alpha_maps)
+    check_channels(channels.values())  # the bundle's own check, maps or not
+    return bundle
 
 
 def write_json_report(doc: dict, path) -> Path:

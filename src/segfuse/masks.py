@@ -62,15 +62,16 @@ class RleMask:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        # builtins over Python ints: one C loop each, no int64 to overflow
+        counts = tuple(map(int, self.counts))
         object.__setattr__(self, "counts", counts)
         if self.height < 1 or self.width < 1:
             raise DataValidationError("RleMask dimensions must be positive")
         if not counts:
             raise FormatError("RLE counts must be non-empty")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise FormatError("RLE counts must be nonnegative")
-        if any(c == 0 for c in counts[1:]):
+        if 0 in counts[1:]:
             raise FormatError("only the leading zero-run of an RLE may be empty")
         total = sum(counts)
         if total != self.height * self.width:

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from segfuse.errors import FormatError
+
 F32 = np.float32
 
 
@@ -186,6 +188,26 @@ def rle_decode_ref(counts, height: int, width: int) -> np.ndarray:
             flat[pos] = k % 2 == 1
             pos += 1
     return np.array(flat, dtype=bool).reshape(height, width)
+
+
+def rle_counts_ref(counts, height: int, width: int) -> None:
+    """Raise what ``RleMask`` must raise for these counts on a height x width
+    grid, checking one plain Python int at a time; return None if valid."""
+    if len(counts) == 0:
+        raise FormatError("RLE counts must be non-empty")
+    for c in counts:
+        if c < 0:
+            raise FormatError("RLE counts must be nonnegative")
+    for c in counts[1:]:
+        if c == 0:
+            raise FormatError("only the leading zero-run of an RLE may be empty")
+    total = 0
+    for c in counts:
+        total += c
+    if total != height * width:
+        raise FormatError(f"RLE counts sum {total} != {height * width} "
+                          f"({height}x{width} grid)")
+    return None
 
 
 def match_predictions_ref(preds, gts, iou_threshold: float) -> list:

@@ -1,13 +1,18 @@
 """CLI behavior: wiring, exit codes, determinism, degenerate identities."""
 
 import json
+import re
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import main
-from segfuse.formats import load_manifest, load_tensor, save_manifest
+from segfuse.errors import DataValidationError
+from segfuse.formats import (load_manifest, load_tensor, save_manifest,
+                             save_tensor)
 from segfuse.grids import LogitMap
 from segfuse.masks import COMPONENTS
 
@@ -179,6 +184,110 @@ class TestCalibrationModels:
                 f"manifest's ['m0', 'm1', 'm2']") in err, err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _break_tensor(path, how):
+    """Damage one tensor file in the way ``how`` names."""
+    blob = path.read_bytes()
+    h, w, c, _ = struct.unpack("<4I", blob[8:24])
+    first = {"nan": float("nan"), "alpha-above-one": 1.5}
+    if how == "missing":
+        path.unlink()
+    elif how == "bad-magic":
+        path.write_bytes(b"XXXXXXX\x00" + blob[8:])
+    elif how == "truncated":
+        path.write_bytes(blob[:-4])
+    elif how in first:
+        path.write_bytes(blob[:24] + struct.pack("<f", first[how]) + blob[28:])
+    elif how == "wrong-grid":
+        save_tensor(path, np.zeros((h + 1, w, c), np.float32))
+    else:  # two-channel alpha
+        save_tensor(path, np.full((h, w, 2), 0.5, np.float32))
+
+
+@pytest.fixture(scope="module")
+def map_fixture(tmp_path_factory):
+    out = tmp_path_factory.mktemp("maps") / "fx"
+    assert main(["synth", "--seed", "3", "--height", "24", "--width", "24",
+                 "--objects", "1", "--models", "2", "--scales", "0.5", "1.0",
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestDroppedMapsStillValidated:
+    """fuse, evaluate and every --calib load keep no maps, yet still read
+    and check every tensor the manifest lists."""
+
+    SITES = {
+        "fuse-image": lambda good, bad, out: [
+            "fuse", bad, "--calib", good, "--out-dir", out],
+        "fuse-calib": lambda good, bad, out: [
+            "fuse", good, "--calib", bad, "--out-dir", out],
+        "evaluate-pred": lambda good, bad, out: [
+            "evaluate", bad, good, "--out", f"{out}/report.json"],
+        "evaluate-gt": lambda good, bad, out: [
+            "evaluate", good, bad, "--out", f"{out}/report.json"],
+        "pipeline-calib": lambda good, bad, out: [
+            "pipeline", good, "--calib", bad, "--out-dir", out],
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("how, field, message", [
+        ("missing", "logit_maps", "tensor file not found"),
+        ("bad-magic", "logit_maps", "bad magic"),
+        ("truncated", "logit_maps", r"payload is \d+ bytes, expected \d+"),
+        ("nan", "logit_maps", "non-finite"),
+        ("wrong-grid", "logit_maps", r"tensor grid \(25, 24\) does not match"),
+        ("alpha-above-one", "alpha_maps", r"must lie in \[0, 1\]"),
+        ("two-channel-alpha", "alpha_maps", "must have 1 channel, got 2"),
+    ], ids=["missing", "bad-magic", "truncated", "nan", "wrong-grid",
+            "alpha-above-one", "two-channel-alpha"])
+    def test_broken_tensor_exits_two(self, tmp_path, capsys, map_fixture,
+                                     site, how, field, message):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        shutil.copytree(map_fixture, good)
+        shutil.copytree(map_fixture, bad)
+        doc = json.loads((bad / "manifest.json").read_text())
+        _break_tensor(bad / doc[field][1]["path"], how)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = self.SITES[site](str(good / "manifest.json"),
+                                str(bad / "manifest.json"), str(out))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert re.search(rf"{field}\[1\]: .*{message}", captured.err), \
+            captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    def test_load_without_maps_keeps_everything_else(self, map_fixture):
+        path = map_fixture / "manifest.json"
+        full, lean = load_manifest(path), load_manifest(path, maps=False)
+        assert full.logit_maps and full.alpha_maps
+        assert lean.logit_maps == {} and lean.alpha_maps == {}
+        assert lean.instances == full.instances
+        assert lean.ground_truth == full.ground_truth
+        assert (lean.image_id, lean.height, lean.width, lean.models,
+                lean.scales) == (full.image_id, full.height, full.width,
+                                 full.models, full.scales)
+
+    def test_channel_disagreement_exits_two(self, tmp_path, capsys,
+                                            map_fixture):
+        fx = tmp_path / "fx"
+        shutil.copytree(map_fixture, fx)
+        doc = json.loads((fx / "manifest.json").read_text())
+        save_tensor(fx / doc["logit_maps"][1]["path"],
+                    np.zeros((24, 24, 4), np.float32))
+        named = r"logit maps disagree on channel count: \[4, 5\]"
+        for maps in (True, False):
+            with pytest.raises(DataValidationError, match=named):
+                load_manifest(fx / "manifest.json", maps=maps)
+        capsys.readouterr()
+        assert main(["fuse", str(fx / "manifest.json"), "--weights",
+                     "uniform", "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and re.search(named, err), err
 
 
 class TestPipelineCommand:

@@ -121,6 +121,45 @@ class TestManifest:
         with pytest.raises(FormatError, match=r"instances\[0\].*15"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize("counts, total", [
+        ([2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 + 16], 2 ** 64 + 16),
+        ([10 ** 30, 16], 10 ** 30 + 16),
+    ], ids=["int64-sum-wraps-to-16", "beyond-int64"])
+    def test_hostile_rle_counts_name_record(self, tmp_path, capsys, counts,
+                                            total):
+        doc = json.loads(save_manifest(_tiny_bundle(),
+                                       tmp_path / "m.json").read_text())
+        doc["instances"][0]["rle"] = counts  # a 4x4 grid needs 16
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        named = rf"instances\[0\]: RLE counts sum {total} != 16"
+        with pytest.raises(FormatError, match=rf"^{named}"):
+            load_manifest(bad)
+        with pytest.raises(FormatError, match=rf"^{named}"):
+            load_manifest(bad, maps=False)
+        assert main(["fuse", str(bad), "--weights", "uniform",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(named, err), err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("rle", [True, 15], "rle counts must be integers"),
+        ("rle", [0, 2, 2, 2, 10.0], "rle counts must be integers"),
+        ("bbox", [False, 0, 2, 2], "bbox must be four integers"),
+        ("object_id", True, "object_id must be an integer or null"),
+    ], ids=["bool-count", "float-count", "bool-bbox", "bool-object-id"])
+    def test_non_integer_field_names_record(self, tmp_path, key, value,
+                                            message):
+        doc = json.loads(save_manifest(_tiny_bundle(),
+                                       tmp_path / "m.json").read_text())
+        doc["instances"][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"^instances\[0\]: {message}$"):
+            load_manifest(bad)
+
     def test_unknown_component_names_record(self, tmp_path):
         doc = json.loads(save_manifest(_tiny_bundle(),
                                        tmp_path / "m.json").read_text())

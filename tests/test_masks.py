@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,45 @@ from segfuse.masks import (BBox, BinaryMask, RleMask, crop, expand_bbox,
                            iou, rle_decode, rle_encode, scale_box, tight_bbox)
 
 from conftest import block_mask, make_instance
+from reference import rle_counts_ref
+
+# counts that break each rule, and ones past int64 whose int64 sum would
+# wrap around to a plausible total
+_WILD_COUNTS = st.one_of(
+    st.integers(-3, 20),
+    st.sampled_from([0, -1, 2 ** 62, 2 ** 63, 2 ** 64 + 16, 10 ** 30,
+                     -(10 ** 30)]),
+    st.integers(-(2 ** 70), 2 ** 70))
+
+
+@st.composite
+def _rle_cases(draw):
+    """A valid RLE of a small grid, then up to three edits of its counts."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = h * w
+    cuts = sorted(c for c in draw(st.sets(st.integers(1, n))) if c < n)
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    if draw(st.booleans()):
+        counts.insert(0, 0)  # an empty leading zero-run is valid
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["set", "insert", "drop"]))
+        at = draw(st.integers(0, len(counts)))
+        if edit == "insert":
+            counts.insert(at, draw(_WILD_COUNTS))
+        elif counts and at < len(counts):
+            if edit == "set":
+                counts[at] = draw(_WILD_COUNTS)
+            else:
+                del counts[at]
+    return h, w, counts
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as e:  # the type and message are what is compared
+        return type(e), str(e)
+    return None
 
 
 class TestRleCodec:
@@ -38,6 +77,21 @@ class TestRleCodec:
     def test_interior_zero_run_rejected(self):
         with pytest.raises(FormatError):
             RleMask(1, 4, (1, 0, 3))
+
+    @given(_rle_cases())
+    @example((4, 4, [2 ** 62, 2 ** 62, 2 ** 62, 2 ** 62 + 16]))
+    @example((4, 4, [10 ** 30, 16]))
+    @example((4, 4, [0, 16]))
+    @example((4, 4, [16, 0]))
+    @example((4, 4, [-1, 17]))
+    @example((4, 4, []))
+    @settings(max_examples=400, deadline=None)
+    def test_count_checks_match_scalar_oracle(self, case):
+        h, w, counts = case
+        expected = _outcome(lambda: rle_counts_ref(counts, h, w))
+        assert _outcome(lambda: RleMask(h, w, tuple(counts))) == expected
+        if expected is None:
+            assert RleMask(h, w, tuple(counts)).counts == tuple(counts)
 
     @given(hnp.arrays(dtype=bool, shape=st.tuples(st.integers(1, 16),
                                                   st.integers(1, 16))))
