@@ -104,14 +104,11 @@ class PredictionBundle:
             alpha_maps={k: v for k, v in self.alpha_maps.items() if k[1] == scale},
         )
 
-    def instances_for(self, model: str | None = None, scale: float | None = None,
-                      component: str | None = None,
+    def instances_for(self, model: str | None = None, component: str | None = None,
                       object_id: int | None = None) -> list[MaskInstance]:
         out = []
         for inst in self.instances:
             if model is not None and inst.model_id != model:
-                continue
-            if scale is not None and inst.scale != scale:
                 continue
             if component is not None and inst.component != component:
                 continue

@@ -17,6 +17,12 @@ from .pipeline import (run_evaluate, run_fuse, run_pipeline,
 from .synth import generate
 
 
+# PipelineConfig is the one place the algorithm defaults are written; each
+# command's set_defaults also fills in the defaults that --help shows
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+_IOU_HELP = "mask IoU needed for a true positive (default %(default)s)"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # data errors
@@ -26,13 +32,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iou-threshold", type=float, default=0.6,
-                   help="mask IoU needed for a true positive (default 0.6)")
+    p.add_argument("--iou-threshold", type=float, help=_IOU_HELP)
     p.add_argument("--normalization", choices=("fraction", "minmax"),
-                   default="fraction", help="AP normalization before weighting")
+                   help="AP normalization before weighting (default %(default)s)")
     p.add_argument("--out-dir", default="out", help="output directory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for independent groups (default 1)")
 
 
 def _add_weight_source(p: argparse.ArgumentParser) -> None:
@@ -41,7 +44,7 @@ def _add_weight_source(p: argparse.ArgumentParser) -> None:
                    help="manifest of the weight-calibration split; required "
                         "with --weights ap")
     p.add_argument("--weights", dest="weights_mode", choices=("ap", "uniform"),
-                   default="ap", help="model weighting: AP-derived or uniform")
+                   help="model weighting: AP-derived or uniform (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,37 +69,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grouping", choices=("vertical", "horizontal", "both"),
                    default="vertical")
-    p.add_argument("--binarize-threshold", type=float, default=0.5)
+    p.add_argument("--binarize-threshold", type=float,
+                   help="soft-mask threshold (default %(default)s)")
+    p.set_defaults(**_CONFIG_DEFAULTS)
 
     p = sub.add_parser("pipeline",
                        help="full dense pipeline: ensemble, attention, "
                             "scale chain")
     _add_weight_source(p)
     _add_common(p)
-    p.add_argument("--attention-factor", type=float, default=1.0)
-    p.add_argument("--beta-const", type=float, default=None,
+    p.add_argument("--attention-factor", type=float,
+                   help="sharpness of the difference softmax (default %(default)s)")
+    p.add_argument("--beta-const", type=float,
                    help="skip the attention computation and use this constant "
                         "frame/object gate")
-    p.add_argument("--neutral-beta", type=float, default=0.5,
-                   help="gate value outside every object region (default 0.5)")
-    p.add_argument("--alpha-const", type=float, default=0.5,
-                   help="scale gate used when the manifest has no alpha maps")
-    p.add_argument("--expand-factor", type=float, default=1.2,
-                   help="bounding-box expansion around each object (default 1.2)")
-    p.add_argument("--binarize-threshold", type=float, default=0.5)
+    p.add_argument("--neutral-beta", type=float,
+                   help="gate value outside every object region (default %(default)s)")
+    p.add_argument("--alpha-const", type=float,
+                   help="scale gate used when the manifest has no alpha maps "
+                        "(default %(default)s)")
+    p.add_argument("--expand-factor", type=float,
+                   help="expansion of each object's bounding box (default %(default)s)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads over independent objects; output is identical "
+                        "for any value (default 1)")
+    p.set_defaults(**_CONFIG_DEFAULTS)
 
     p = sub.add_parser("evaluate", help="AP tables of predictions vs ground truth")
     p.add_argument("manifest", help="prediction manifest (JSON)")
     p.add_argument("gt_manifest", help="manifest holding ground_truth records")
-    p.add_argument("--iou-threshold", type=float, default=0.6)
+    p.add_argument("--iou-threshold", type=float, help=_IOU_HELP)
     p.add_argument("--out", metavar="PATH",
                    help="write the report here instead of stdout")
+    p.set_defaults(**_CONFIG_DEFAULTS)
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    names = {f.name for f in fields(PipelineConfig)}
-    return PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
+    return PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_DEFAULTS})
 
 
 def _load_calib(args: argparse.Namespace, parser: argparse.ArgumentParser):
@@ -135,7 +145,7 @@ def _cmd_pipeline(args, parser) -> int:
     cfg = _config_from(args)
     bundle = load_manifest(args.manifest)
     calib = _load_calib(args, parser)
-    result = run_pipeline(bundle, calib, cfg)
+    result = run_pipeline(bundle, calib, cfg, args.workers)
     paths = write_pipeline_outputs(result, bundle, args.out_dir)
     for key in ("fused_logits", "labels", "overlay", "manifest", "report"):
         print(f"wrote {paths[key]}")

@@ -19,7 +19,6 @@ class PipelineConfig:
     beta_const: float | None = None          # override: skip attention, use a constant
     expand_factor: float = 1.2
     weights_mode: str = "ap"                 # ap | uniform
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("iou_threshold", "binarize_threshold"):
@@ -40,5 +39,3 @@ class PipelineConfig:
             raise DataValidationError(f"unknown normalization {self.normalization!r}")
         if self.weights_mode not in ("ap", "uniform"):
             raise DataValidationError(f"unknown weights mode {self.weights_mode!r}")
-        if self.workers < 1:
-            raise DataValidationError("workers must be >= 1")

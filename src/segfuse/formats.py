@@ -132,7 +132,7 @@ def _tensor_name(model: str, scale: float, kind: str) -> str:
     return f"{model}_s{scale!r}_{kind}.tns"
 
 
-def save_manifest(bundle: PredictionBundle, path, tensors_subdir: str = "tensors") -> Path:
+def save_manifest(bundle: PredictionBundle, path) -> Path:
     """Write a bundle as manifest JSON plus tensor files; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -151,7 +151,7 @@ def save_manifest(bundle: PredictionBundle, path, tensors_subdir: str = "tensors
         records = []
         kind = "logits" if field == "logit_maps" else "alpha"
         for (model, scale) in sorted(maps, key=lambda k: (k[0], k[1])):
-            rel = f"{tensors_subdir}/{_tensor_name(model, scale, kind)}"
+            rel = f"tensors/{_tensor_name(model, scale, kind)}"
             target = path.parent / rel
             target.parent.mkdir(parents=True, exist_ok=True)
             save_tensor(target, maps[(model, scale)])

@@ -230,7 +230,7 @@ def crop(grid: LogitMap, b: BBox) -> LogitMap:
     """Sub-grid of a LogitMap covered by ``b``."""
     _check_in_bounds(b, grid.height, grid.width)
     return LogitMap(b.height, b.width, grid.channels,
-                    grid.data[b.y0:b.y1, b.x0:b.x1, :].copy())
+                    grid.data[b.y0:b.y1, b.x0:b.x1, :])
 
 
 @dataclass(frozen=True)

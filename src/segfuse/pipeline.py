@@ -99,12 +99,11 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
     records used.
     """
     records: list[dict] = []
-    fused: list[dict] = []  # each fused instance's fields, in output order
+    fused: list[MaskInstance] = []
     for scale in bundle.scales:
         sub = bundle.with_scale(scale)
         keys = group_keys(sub.instances, mode)
         table = _ap_table(calib, sub.models, scale, mode, cfg)
-        tasks = []
         for key in keys:
             w = _group_weights(table, sub.models, key, cfg)
             records.append(_weights_record(scale, mode, w))
@@ -118,37 +117,30 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             # one half of each (component, object) cell is the group key, so
             # this orders cells by the str of the other half (object 10 < 2)
             for cell in sorted(cells, key=lambda c: (c[0], str(c[1]))):
-                tasks.append((w, cells[cell]))
+                members = cells[cell]
+                box, soft = fuse_masks(members, w)
+                binary = binarize(soft, cfg.binarize_threshold)
+                tight = tight_bbox(binary)
+                if tight is None:
+                    continue
+                best = {}
+                for m in members:
+                    best[m.model_id] = max(best.get(m.model_id, 0.0), m.score)
+                score = 0.0
+                for model, coeff in w.weights:
+                    score += coeff * best.get(model, 0.0)
+                fused.append(MaskInstance(
+                    mask=rle_encode(binary, box, bundle.height, bundle.width),
+                    bbox=tight.shifted(box.x0, box.y0),
+                    component=members[0].component,
+                    object_id=members[0].object_id,
+                    score=min(1.0, max(0.0, score)), model_id=ENSEMBLE_MODEL_ID,
+                    scale=scale, uid=len(fused)))
 
-        def _fuse_cell(task):
-            w, members = task
-            box, soft = fuse_masks(members, w)
-            binary = binarize(soft, cfg.binarize_threshold)
-            tight = tight_bbox(binary)
-            if tight is None:
-                return None
-            best = {}
-            for m in members:
-                best[m.model_id] = max(best.get(m.model_id, 0.0), m.score)
-            score = 0.0
-            for model, coeff in w.weights:
-                score += coeff * best.get(model, 0.0)
-            return dict(
-                mask=rle_encode(binary, box, bundle.height, bundle.width),
-                bbox=tight.shifted(box.x0, box.y0),
-                component=members[0].component, object_id=members[0].object_id,
-                score=min(1.0, max(0.0, score)), model_id=ENSEMBLE_MODEL_ID,
-                scale=scale)
-
-        fused += [r for r in _pmap(_fuse_cell, tasks, cfg.workers)
-                  if r is not None]
-
-    fused = tuple(MaskInstance(**fields, uid=k)
-                  for k, fields in enumerate(fused))
     out = PredictionBundle(
         image_id=bundle.image_id, height=bundle.height, width=bundle.width,
-        models=(ENSEMBLE_MODEL_ID,), scales=bundle.scales, instances=fused,
-        ground_truth=bundle.ground_truth)
+        models=(ENSEMBLE_MODEL_ID,), scales=bundle.scales,
+        instances=tuple(fused), ground_truth=bundle.ground_truth)
     return out, records
 
 
@@ -242,8 +234,11 @@ class PipelineResult:
 
 
 def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
-                 cfg: PipelineConfig) -> PipelineResult:
-    """Ensemble logits, local attention, and the coarse-to-fine fold."""
+                 cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
+    """Ensemble logits, local attention, and the coarse-to-fine fold;
+    ``workers`` threads run the per-object stage."""
+    if workers < 1:
+        raise DataValidationError("workers must be >= 1")
     height, width = bundle.height, bundle.width
     channels = bundle.channels
     if channels is None:
@@ -295,10 +290,8 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                 # scalar gate per pixel: a uniform row means no channel stands
                 # out as disagreeing (gate -> 1, trust the frame); a peaked row
                 # means concentrated disagreement (gate -> 0, trust the object)
-                k = attn.shape[1]
                 peak = attn.max(axis=1)
-                rows = (np.ones_like(peak) if k == 1
-                        else np.clip((1.0 - peak) / (1.0 - 1.0 / k), 0.0, 1.0))
+                rows = np.clip((1.0 - peak) / (1.0 - 1.0 / channels), 0.0, 1.0)
                 beta_patch = rows.reshape(
                     regions_s[oid].height, regions_s[oid].width)
             return w, fused_local, beta_patch
@@ -306,7 +299,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         locals_list = []
         beta_patches = []
         for oid, (w, fused_local, beta_patch) in zip(
-                oids, _pmap(_object_task, oids, cfg.workers)):
+                oids, _pmap(_object_task, oids, workers)):
             weights_records.append(_weights_record(scale, "horizontal", w))
             locals_list.append((fused_local, regions_s[oid]))
             if beta_patch is not None:

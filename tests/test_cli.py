@@ -4,12 +4,14 @@ import json
 import re
 import shutil
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from segfuse.bundle import PredictionBundle
-from segfuse.cli import main
+from segfuse.cli import build_parser, main
+from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor)
@@ -439,6 +441,38 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fuse", ("--workers", "2")),
+        ("pipeline", ("--binarize-threshold", "0.7")),
+    ])
+    def test_flag_of_another_command_is_usage_error(self, tmp_path, capsys,
+                                                    command, flag):
+        manifest = single_model_manifest(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(manifest), "--weights", "uniform", *flag,
+                  "--out-dir", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, positional", [
+        ("fuse", ["m.json"]),
+        ("pipeline", ["m.json"]),
+        ("evaluate", ["m.json", "gt.json"]),
+    ])
+    def test_algorithm_defaults_come_from_config(self, capsys, command,
+                                                 positional):
+        args = build_parser().parse_args([command, *positional])
+        for f in fields(PipelineConfig):
+            assert getattr(args, f.name) == f.default, f.name
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = capsys.readouterr().out
+        assert "(default None)" not in shown
+        assert f"(default {PipelineConfig.iou_threshold})" in shown
 
 
 class TestRecordOrder:

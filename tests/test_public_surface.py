@@ -1,7 +1,10 @@
-"""The public surface: ``segfuse.__all__`` is pinned name by name, so a
-change to it is a deliberate edit of this list."""
+"""The public surface: ``segfuse.__all__`` and the ``PipelineConfig`` fields
+are pinned name by name, so a change to either is a deliberate edit here."""
+
+from dataclasses import fields
 
 import segfuse
+from segfuse.config import PipelineConfig
 
 EXPECTED = {
     "ApTable", "AttentionMap", "BBox", "BinaryMask", "COMPONENTS",
@@ -27,3 +30,10 @@ def test_all_is_exactly_the_expected_names():
 def test_every_name_resolves():
     for name in segfuse.__all__:
         assert getattr(segfuse, name) is not None, name
+
+
+def test_config_holds_only_the_algorithm_parameters():
+    assert [f.name for f in fields(PipelineConfig)] == [
+        "iou_threshold", "normalization", "attention_factor",
+        "binarize_threshold", "alpha_const", "neutral_beta", "beta_const",
+        "expand_factor", "weights_mode"]
