@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import SegfuseError
@@ -146,7 +147,7 @@ def _cmd_pipeline(args, parser) -> int:
     bundle = load_manifest(args.manifest)
     calib = _load_calib(args, parser)
     result = run_pipeline(bundle, calib, cfg, args.workers)
-    paths = write_pipeline_outputs(result, bundle, args.out_dir)
+    paths = write_pipeline_outputs(result, args.out_dir)
     for key in ("fused_logits", "labels", "overlay", "manifest", "report"):
         print(f"wrote {paths[key]}")
     return 0
@@ -155,7 +156,9 @@ def _cmd_pipeline(args, parser) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     pred = load_manifest(args.manifest, maps=False)
-    gt = load_manifest(args.gt_manifest, maps=False)
+    # `evaluate M M` scores a manifest against its own ground truth
+    same = Path(args.gt_manifest).resolve() == Path(args.manifest).resolve()
+    gt = pred if same else load_manifest(args.gt_manifest, maps=False)
     report = run_evaluate(pred, gt, cfg)
     if args.out:
         path = write_json_report(report, args.out)

@@ -15,36 +15,19 @@ from .errors import DataValidationError
 from .masks import COMPONENTS, MaskInstance, iou
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Scored predictions in evaluation order, plus the group's gt count.
-
-    Entries are (prediction id, score, is_true_positive), sorted by score
-    descending with ties broken by prediction id ascending.
-    """
-
-    entries: tuple[tuple[int, float, bool], ...]
-    gt_count: int
-
-    def __post_init__(self) -> None:
-        if self.gt_count < 0:
-            raise DataValidationError("ground-truth count cannot be negative")
-        keys = [(-score, uid) for uid, score, _ in self.entries]
-        if keys != sorted(keys):
-            raise DataValidationError("match entries must be sorted by score desc")
-
-
 def _pred_key(inst: MaskInstance, position: int) -> int:
     return inst.uid if inst.uid is not None else position
 
 
 def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance],
-                      iou_threshold: float) -> MatchResult:
+                      iou_threshold: float) -> list[tuple[int, float, bool]]:
     """Greedily match predictions to same-component ground truths.
 
-    A prediction is a true positive iff its best-IoU unmatched ground truth
-    of the same component reaches the threshold; that ground truth is then
-    consumed.  Empty inputs are allowed.
+    Returns (prediction id, score, is_true_positive) in evaluation order:
+    score descending, ties broken by prediction id ascending.  A prediction
+    is a true positive iff its best-IoU unmatched ground truth of the same
+    component reaches the threshold; that ground truth is then consumed.
+    Empty inputs are allowed.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise DataValidationError(f"IoU threshold {iou_threshold} outside (0, 1]")
@@ -76,27 +59,30 @@ def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance]
         if is_tp:
             taken[best_j] = True
         entries.append((_pred_key(pred, i), pred.score, is_tp))
-    return MatchResult(tuple(entries), len(gts))
+    return entries
 
 
-def average_precision(m: MatchResult) -> float:
-    """All-point interpolated AP of a match result.
+def average_precision(flags: Sequence[bool], gt_count: int) -> float:
+    """All-point interpolated AP of true-positive ``flags`` in evaluation
+    order against ``gt_count`` ground truths.
 
     With no ground truths the value is 1.0 when there are also no
     predictions (nothing to find, nothing claimed) and 0.0 otherwise.
     """
-    n = len(m.entries)
-    if m.gt_count == 0:
+    if gt_count < 0:
+        raise DataValidationError("ground-truth count cannot be negative")
+    n = len(flags)
+    if gt_count == 0:
         return 1.0 if n == 0 else 0.0
     if n == 0:
         return 0.0
     precisions = []
     recalls = []
     tp_cum = 0
-    for k, (_, _, is_tp) in enumerate(m.entries, start=1):
+    for k, is_tp in enumerate(flags, start=1):
         tp_cum += int(is_tp)
         precisions.append(tp_cum / k)
-        recalls.append(tp_cum / m.gt_count)
+        recalls.append(tp_cum / gt_count)
     # precision envelope: max over the suffix, accumulated right to left
     envelope = [0.0] * n
     running = 0.0
@@ -164,8 +150,9 @@ def group_ap(bundle: PredictionBundle, gts: Sequence[MaskInstance], mode: str,
         for key in keys:
             preds = bundle.instances_for(model=model, **{field: key})
             key_gts = [g for g in gts if getattr(g, field) == key]
+            matched = match_predictions(preds, key_gts, iou_threshold)
             entries[(model, key)] = average_precision(
-                match_predictions(preds, key_gts, iou_threshold))
+                [tp for _, _, tp in matched], len(key_gts))
     return ApTable(entries)
 
 

@@ -25,7 +25,7 @@ from .formats import save_manifest, save_tensor, write_json_report, write_overla
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
-                    scaled_dim)
+                    scaled_dim, softmax_rows)
 from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     BinaryMask, MaskInstance, crop, expand_bbox, rle_encode,
@@ -229,7 +229,7 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
 class PipelineResult:
     final_logits: LogitMap            # at the reference grid
     labels: np.ndarray                # argmax label ids, reference grid
-    instances: tuple[MaskInstance, ...]
+    carved: PredictionBundle          # the label grid's instances, model "pipeline"
     report: dict
 
 
@@ -316,16 +316,20 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     final_ref = bilinear_resize(final, height, width)
     labels = argmax_channel(final_ref)
 
-    instances = _label_instances(bundle, final_ref, labels, cfg)
+    carved = PredictionBundle(
+        image_id=bundle.image_id, height=height, width=width,
+        models=(PIPELINE_MODEL_ID,), scales=(1.0,),
+        instances=_label_instances(bundle, final_ref, labels, cfg),
+        ground_truth=bundle.ground_truth)
     report = {
         "schema_version": 1,
         "kind": "pipeline_report",
         "image_id": bundle.image_id,
         "scales": list(bundle.scales),
         "weights": weights_records,
-        "ap": _evaluation_records(bundle, instances, cfg),
+        "ap": _evaluation_records(carved, cfg),
     }
-    return PipelineResult(final_ref, labels, instances, report)
+    return PipelineResult(final_ref, labels, carved, report)
 
 
 def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
@@ -335,24 +339,24 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
 
     Components form a containment chain (shell > meat > gonad > muscle) and
     the argmax keeps only the innermost label, so component c's mask is
-    every pixel labeled c or deeper, restricted to the object's region.
+    every pixel labeled c or deeper, restricted to the object's region.  Its
+    score is the mean of P(label >= c) over those pixels, from the softmax of
+    each region's logits.  Where two regions overlap, a labeled pixel is
+    carved into both objects' instances.
     """
-    shifted = final_ref.data.astype(np.float64)
-    shifted -= shifted.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / np.cumsum(e, axis=2)[:, :, -1:]
-    # tail_probs[..., c] = P(label >= c): the component-or-deeper probability
-    tail_probs = np.cumsum(probs[:, :, ::-1], axis=2)[:, :, ::-1]
-
     out = []
     for oid, region in _object_regions(bundle, cfg).items():
+        rows = final_ref.data[region.slices].reshape(-1, final_ref.channels)
+        # tail_probs[:, c] = P(label >= c): the component-or-deeper probability
+        tail_probs = np.cumsum(softmax_rows(rows)[:, ::-1], axis=1)[:, ::-1]
+        region_labels = labels[region.slices]
         for comp in COMPONENTS:
             ch = COMPONENT_IDS[comp]
-            bits = labels[region.slices] >= ch
+            bits = region_labels >= ch
             if not bits.any():
                 continue
             mask = BinaryMask(region.height, region.width, bits)
-            score = float(np.mean(tail_probs[region.slices][:, :, ch][bits]))
+            score = float(np.mean(tail_probs[:, ch][bits.ravel()]))
             out.append(MaskInstance(
                 mask=rle_encode(mask, region, bundle.height, bundle.width),
                 bbox=tight_bbox(mask).shifted(region.x0, region.y0),
@@ -361,18 +365,14 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
     return tuple(out)
 
 
-def _evaluation_records(bundle: PredictionBundle,
-                        instances: tuple[MaskInstance, ...],
+def _evaluation_records(carved: PredictionBundle,
                         cfg: PipelineConfig) -> list[dict] | None:
-    if not bundle.ground_truth:
+    gts = carved.ground_truth
+    if not gts:
         return None
-    eval_bundle = PredictionBundle(
-        image_id=bundle.image_id, height=bundle.height, width=bundle.width,
-        models=(PIPELINE_MODEL_ID,), scales=(1.0,), instances=instances,
-        ground_truth=bundle.ground_truth)
-    ids_known = all(g.object_id is not None for g in bundle.ground_truth)
-    modes = ("vertical", "horizontal") if ids_known else ("vertical",)
-    return _ap_records(eval_bundle, bundle.ground_truth, modes, cfg)
+    modes = (("vertical", "horizontal")
+             if all(g.object_id is not None for g in gts) else ("vertical",))
+    return _ap_records(carved, gts, modes, cfg)
 
 
 def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
@@ -389,8 +389,7 @@ def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
     return records
 
 
-def write_pipeline_outputs(result: PipelineResult, bundle: PredictionBundle,
-                           out_dir) -> dict[str, Path]:
+def write_pipeline_outputs(result: PipelineResult, out_dir) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -399,14 +398,10 @@ def write_pipeline_outputs(result: PipelineResult, bundle: PredictionBundle,
     save_tensor(out_dir / "labels.tns",
                 result.labels.astype(np.float32)[:, :, None])
     paths["labels"] = out_dir / "labels.tns"
-    write_overlay(bundle.height, bundle.width, result.labels,
+    write_overlay(result.carved.height, result.carved.width, result.labels,
                   out_dir / "overlay.ppm")
     paths["overlay"] = out_dir / "overlay.ppm"
-    fused_bundle = PredictionBundle(
-        image_id=bundle.image_id, height=bundle.height, width=bundle.width,
-        models=(PIPELINE_MODEL_ID,), scales=(1.0,),
-        instances=result.instances, ground_truth=bundle.ground_truth)
-    paths["manifest"] = save_manifest(fused_bundle, out_dir / "instances.json")
+    paths["manifest"] = save_manifest(result.carved, out_dir / "instances.json")
     paths["report"] = write_json_report(result.report, out_dir / "report.json")
     return paths
 

@@ -181,23 +181,23 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
                 bits = _perturb(rng, comps[name], magnitude)
                 perturbed[name] = bits
             model_masks[(model, oid)] = perturbed
-    uid = 0
+    # an instance differs between scales only in its scale and uid
+    predicted = []
+    for model in model_ids:
+        for oid in range(objects):
+            for name in COMPONENTS:
+                mask = BinaryMask(h, w, model_masks[(model, oid)][name])
+                box = tight_bbox(mask)
+                if box is None:
+                    continue  # the perturbation erased it: a missed component
+                gt_mask = BinaryMask(h, w, gt_objects[oid][name])
+                score = min(1.0, max(0.05, round(iou(mask, gt_mask), 4)))
+                predicted.append((rle_encode(mask), box, score, model, oid, name))
     for scale in scales:
-        for model in model_ids:
-            for oid in range(objects):
-                for name in COMPONENTS:
-                    bits = model_masks[(model, oid)][name]
-                    mask = BinaryMask(h, w, bits)
-                    box = tight_bbox(mask)
-                    if box is None:
-                        continue  # the perturbation erased it: a missed component
-                    gt_mask = BinaryMask(h, w, gt_objects[oid][name])
-                    score = min(1.0, max(0.05, round(iou(mask, gt_mask), 4)))
-                    instances.append(MaskInstance(
-                        mask=rle_encode(mask), bbox=box, component=name,
-                        object_id=oid, score=score, model_id=model,
-                        scale=scale, uid=uid))
-                    uid += 1
+        for rle, box, score, model, oid, name in predicted:
+            instances.append(MaskInstance(
+                mask=rle, bbox=box, component=name, object_id=oid, score=score,
+                model_id=model, scale=scale, uid=len(instances)))
 
     logit_maps = {}
     alpha_maps = {}

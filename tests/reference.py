@@ -241,3 +241,44 @@ def match_predictions_ref(preds, gts, iou_threshold: float) -> list:
             taken[best_j] = True
         out.append((keys[i], preds[i].score, is_tp))
     return out
+
+
+def label_instances_ref(logits: np.ndarray, labels: np.ndarray, regions: dict,
+                        components) -> list:
+    """Whole-frame carving: (object id, component, RLE counts, tight box,
+    score) per carved instance, in the engine's output order.
+
+    The softmax and tail probabilities are computed once over the whole
+    frame in float64; component c of object k is every pixel of k's region
+    labeled c or deeper, scored by the mean P(label >= c) over its pixels in
+    row-major order.  Components are ``components[c - 1]``.
+    """
+    shifted = logits.astype(np.float64)
+    shifted -= shifted.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / np.cumsum(e, axis=2)[:, :, -1:]
+    tail_probs = np.cumsum(probs[:, :, ::-1], axis=2)[:, :, ::-1]
+    height, width = labels.shape
+    out = []
+    for oid, region in regions.items():
+        for ch, comp in enumerate(components, start=1):
+            frame = np.zeros((height, width), dtype=bool)
+            frame[region.slices] = labels[region.slices] >= ch
+            if not frame.any():
+                continue
+            score = float(np.mean(tail_probs[region.slices][:, :, ch][
+                frame[region.slices]]))
+            counts = []
+            run, value = 0, False
+            for bit in frame.ravel().tolist():
+                if bit != value:
+                    counts.append(run)
+                    run, value = 0, bit
+                run += 1
+            counts.append(run)
+            ys, xs = np.nonzero(frame)
+            box = (int(xs.min()), int(ys.min()), int(xs.max()) + 1,
+                   int(ys.max()) + 1)
+            out.append((oid, comp, tuple(counts), box,
+                        min(1.0, max(0.0, score))))
+    return out

@@ -189,18 +189,17 @@ def test_05_ap_equals_staircase_on_all_small_sets():
         for size in range(0, 7):
             for subset in itertools.combinations(pool, size):
                 m = match_predictions(list(subset), gts, 0.6)
-                flags = [tp for _, _, tp in m.entries]
-                got = average_precision(m)
-                want = staircase_ap(flags, m.gt_count)
+                flags = [tp for _, _, tp in m]
+                got = average_precision(flags, len(gts))
+                want = staircase_ap(flags, len(gts))
                 assert abs(got - want) <= 1e-12
                 checked += 1
         assert checked == sum(
             len(list(itertools.combinations(range(8), k))) for k in range(7))
 
         # the worked fixture: TP, FP, TP over 2 gts
-        from segfuse.metrics import MatchResult
-        fixture = MatchResult(((0, 0.9, True), (1, 0.8, False), (2, 0.7, True)), 2)
-        assert average_precision(fixture) == pytest.approx(0.8333, abs=5e-5)
+        assert average_precision([True, False, True], 2) == pytest.approx(
+            0.8333, abs=5e-5)
 
 
 def test_06_published_shell_ap_weight_replay():

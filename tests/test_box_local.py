@@ -144,7 +144,7 @@ def test_matching_equals_full_frame_oracle(data):
                               score=1.0, model_id="gt", uid=k)
     threshold = data.draw(st.sampled_from((0.2, 0.5, 0.6, 1.0)))
     got = match_predictions(preds, gts, threshold)
-    assert list(got.entries) == match_predictions_ref(preds, gts, threshold)
+    assert got == match_predictions_ref(preds, gts, threshold)
 
 
 @given(st.data())

@@ -430,6 +430,35 @@ class TestEvaluateCommand:
                  if r["mode"] == "vertical" and r["group"] == "shell"]
         assert shell[0]["ap"] == pytest.approx(0.8333, abs=5e-5)
 
+    def test_same_manifest_twice_loads_once(self, tmp_path, monkeypatch):
+        out = tmp_path / "fx"
+        assert main(["synth", "--seed", "2", "--objects", "3",
+                     "--out-dir", str(out)]) == 0
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        manifest = out / "manifest.json"
+        loads = []
+
+        def counting_load(path, **kwargs):
+            loads.append(path)
+            return load_manifest(path, **kwargs)
+
+        monkeypatch.setattr("segfuse.cli.load_manifest", counting_load)
+        same, other = tmp_path / "same.json", tmp_path / "other.json"
+        assert main(["evaluate", str(manifest), str(manifest),
+                     "--out", str(same)]) == 0
+        assert len(loads) == 1
+        assert main(["evaluate", str(manifest), str(copy / "manifest.json"),
+                     "--out", str(other)]) == 0
+        assert len(loads) == 3
+        assert same.read_bytes() == other.read_bytes()
+
+    def test_same_missing_manifest_twice_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert main(["evaluate", missing, missing]) == 2
+        err = capsys.readouterr().err
+        assert "manifest not found" in err and "Traceback" not in err
+
 
 class TestUsage:
     def test_unknown_command_exits_one(self):

@@ -6,32 +6,30 @@ import pytest
 
 from segfuse.bundle import PredictionBundle
 from segfuse.errors import DataValidationError
-from segfuse.metrics import (ApTable, MatchResult, average_precision,
-                             group_ap, match_predictions, normalize_ap)
+from segfuse.metrics import (ApTable, average_precision, group_ap,
+                             match_predictions, normalize_ap)
 
 from conftest import block_mask, make_instance
 from reference import staircase_ap
 
 
-def result(flags, gt_count, scores=None):
-    scores = scores or [1.0 - 0.1 * k for k in range(len(flags))]
-    return MatchResult(tuple((k, s, f) for k, (s, f) in
-                             enumerate(zip(scores, flags))), gt_count)
+def flags_of(entries):
+    return [tp for _, _, tp in entries]
 
 
 class TestMatchPredictions:
     def test_empty_predictions(self):
         gt = [make_instance(block_mask(4, 4, 0, 2, 0, 2), model_id="gt")]
         m = match_predictions([], gt, 0.6)
-        assert m.entries == () and m.gt_count == 1
-        assert average_precision(m) == 0.0
+        assert m == []
+        assert average_precision(flags_of(m), len(gt)) == 0.0
 
     def test_exact_match_is_tp(self):
         bits = block_mask(4, 4, 0, 2, 0, 2)
         m = match_predictions([make_instance(bits)],
                               [make_instance(bits, model_id="gt")], 0.6)
-        assert m.entries[0][2] is True
-        assert average_precision(m) == 1.0
+        assert m[0][2] is True
+        assert average_precision(flags_of(m), 1) == 1.0
 
     def test_greedy_consumes_best_first(self):
         # two predictions on one gt: the higher-score one wins, other is FP
@@ -41,20 +39,20 @@ class TestMatchPredictions:
         preds = [make_instance(gt_bits, score=0.9, uid=0),
                  make_instance(close, score=0.8, uid=1)]
         m = match_predictions(preds, [make_instance(gt_bits, model_id="gt")], 0.6)
-        assert [e[2] for e in m.entries] == [True, False]
+        assert flags_of(m) == [True, False]
 
     def test_component_constraint(self):
         bits = block_mask(4, 4, 0, 2, 0, 2)
         preds = [make_instance(bits, component="meat")]
         gts = [make_instance(bits, component="shell", model_id="gt")]
         m = match_predictions(preds, gts, 0.6)
-        assert m.entries[0][2] is False
+        assert m[0][2] is False
 
     def test_below_threshold_is_fp(self):
         pred = make_instance(block_mask(6, 6, 0, 2, 0, 2))
         gt = make_instance(block_mask(6, 6, 0, 2, 1, 3), model_id="gt")
         m = match_predictions([pred], [gt], 0.6)  # IoU = 2/6
-        assert m.entries[0][2] is False
+        assert m[0][2] is False
 
     def test_no_double_assignment(self):
         bits = block_mask(4, 4, 0, 2, 0, 2)
@@ -64,7 +62,7 @@ class TestMatchPredictions:
         gts = [make_instance(bits, model_id="gt"),
                make_instance(bits, model_id="gt")]
         m = match_predictions(preds, gts, 0.6)
-        assert sum(e[2] for e in m.entries) == 2
+        assert sum(flags_of(m)) == 2
 
     def test_threshold_validated(self):
         with pytest.raises(DataValidationError):
@@ -79,20 +77,20 @@ class TestMatchPredictions:
 
 class TestAveragePrecision:
     def test_single_tp(self):
-        assert average_precision(result([True], 1)) == 1.0
+        assert average_precision([True], 1) == 1.0
 
     def test_no_predictions_some_gt(self):
-        assert average_precision(result([], 2)) == 0.0
+        assert average_precision([], 2) == 0.0
 
     def test_no_gt_no_predictions_is_one(self):
-        assert average_precision(result([], 0)) == 1.0
+        assert average_precision([], 0) == 1.0
 
     def test_no_gt_with_predictions_is_zero(self):
-        assert average_precision(result([False, False], 0)) == 0.0
+        assert average_precision([False, False], 0) == 0.0
 
     def test_hand_worked_staircase(self):
         # TP, FP, TP over 2 gts: 0.5 * 1 + 0.5 * (2/3)
-        ap = average_precision(result([True, False, True], 2))
+        ap = average_precision([True, False, True], 2)
         assert ap == pytest.approx(0.5 + 1.0 / 3.0, abs=1e-12)
         assert ap == pytest.approx(0.8333, abs=5e-5)
 
@@ -102,26 +100,38 @@ class TestAveragePrecision:
                 for gt_count in range(0, 4):
                     if sum(flags) > gt_count:
                         continue  # more TPs than gts cannot arise
-                    got = average_precision(result(list(flags), gt_count))
+                    got = average_precision(list(flags), gt_count)
                     want = staircase_ap(list(flags), gt_count)
                     assert abs(got - want) <= 1e-12, (flags, gt_count)
 
     def test_trailing_fp_never_raises_ap(self):
-        base = result([True, True, False], 3)
-        worse = result([True, True, False, False], 3,
-                       scores=[0.9, 0.8, 0.7, 0.1])
-        assert average_precision(worse) <= average_precision(base)
+        base = average_precision([True, True, False], 3)
+        worse = average_precision([True, True, False, False], 3)
+        assert worse <= base
 
     def test_score_rescaling_invariance(self, rng):
+        # prediction k covers column pair k; a ground truth sits under some
         for _ in range(50):
             n = int(rng.integers(1, 7))
-            flags = [bool(b) for b in rng.integers(0, 2, n)]
-            scores = sorted((float(s) for s in rng.uniform(0.01, 1.0, n)),
-                            reverse=True)
-            gt = int(max(sum(flags), rng.integers(1, 4)))
-            a = average_precision(result(flags, gt, scores))
-            b = average_precision(result(flags, gt, [s * 3 for s in scores]))
-            assert a == b
+            hits = [bool(b) for b in rng.integers(0, 2, n)]
+            scores = [float(s) for s in rng.uniform(0.01, 1.0, n)]
+            gts = [make_instance(block_mask(2, 2 * n, 0, 2, 2 * k, 2 * k + 2),
+                                 model_id="gt")
+                   for k in range(n) if hits[k]]
+            gt_count = max(len(gts), 1)
+
+            def ap(scale):
+                preds = [make_instance(block_mask(2, 2 * n, 0, 2, 2 * k, 2 * k + 2),
+                                       score=s * scale, uid=k)
+                         for k, s in enumerate(scores)]
+                return average_precision(
+                    flags_of(match_predictions(preds, gts, 0.6)), gt_count)
+
+            assert ap(1.0) == ap(1.0 / 3.0)
+
+    def test_negative_gt_count_rejected(self):
+        with pytest.raises(DataValidationError, match="negative"):
+            average_precision([], -1)
 
 
 def _two_model_bundle():
@@ -169,7 +179,9 @@ class TestGroupAp:
             for comp in ("shell", "meat", "gonad", "muscle"):
                 preds = bundle.instances_for(model=model, component=comp)
                 comp_gts = [g for g in gts if g.component == comp]
-                want = average_precision(match_predictions(preds, comp_gts, 0.6))
+                want = average_precision(
+                    flags_of(match_predictions(preds, comp_gts, 0.6)),
+                    len(comp_gts))
                 assert table.get(model, comp) == want
 
     def test_horizontal_mode(self):
@@ -177,8 +189,9 @@ class TestGroupAp:
         table = group_ap(bundle, gts, "horizontal", 0.6)
         assert table.get("m0", 0) == 1.0
         assert table.get("m1", 0) == pytest.approx(
-            average_precision(match_predictions(
-                bundle.instances_for(model="m1", object_id=0), gts, 0.6)))
+            average_precision(flags_of(match_predictions(
+                bundle.instances_for(model="m1", object_id=0), gts, 0.6)),
+                len(gts)))
 
     def test_missing_entry_raises(self):
         table = ApTable({("m0", "shell"): 0.5})

@@ -9,14 +9,14 @@ from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.grids import LogitMap
-from segfuse.masks import rle_decode
+from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_ap_table, _channel_weights, _fuse_global,
                               _object_regions, run_evaluate, run_fuse,
                               run_pipeline)
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
-from reference import fuse_logits_ref
+from reference import fuse_logits_ref, label_instances_ref
 
 
 def test_fuse_requires_object_ids_for_correspondence():
@@ -113,8 +113,8 @@ def test_pipeline_result_instances_nest():
     bundle = generate(5, objects=2, height=64, width=64)
     result = run_pipeline(bundle, bundle, PipelineConfig())
     by_key = {(i.object_id, i.component): rle_decode(i.mask).bits
-              for i in result.instances}
-    for oid in {i.object_id for i in result.instances}:
+              for i in result.carved.instances}
+    for oid in {i.object_id for i in result.carved.instances}:
         chain = [by_key.get((oid, c)) for c in
                  ("shell", "meat", "gonad", "muscle")]
         present = [c for c in chain if c is not None]
@@ -145,7 +145,84 @@ def test_label_regions_span_every_scale():
     cfg = PipelineConfig(weights_mode="uniform")
     regions = _object_regions(bundle, cfg)
     result = run_pipeline(bundle, None, cfg)
-    assert {i.object_id for i in result.instances} == set(regions) == {0, 1, 2}
-    for inst in result.instances:
+    assert {i.object_id for i in result.carved.instances} == set(regions) == {0, 1, 2}
+    for inst in result.carved.instances:
         region = regions[inst.object_id]
         assert region.union(inst.bbox) == region
+
+
+def _union_boxes(bundle):
+    boxes = {}
+    for inst in bundle.instances:
+        box = boxes.get(inst.object_id)
+        boxes[inst.object_id] = inst.bbox if box is None else box.union(inst.bbox)
+    return boxes
+
+
+def _overlapping_pairs(regions):
+    oids = sorted(regions)
+    return [(a, b) for k, a in enumerate(oids) for b in oids[k + 1:]
+            if regions[a].intersection(regions[b]) is not None]
+
+
+# (fixture, config): expanded regions that overlap, regions clipped at the
+# frame edge, and a single object
+CARVING_CASES = {
+    "overlap": (dict(seed=4, objects=12, height=96, width=128,
+                     scales=(0.5, 1.0)),
+                PipelineConfig(expand_factor=2.5)),
+    "overlap_minmax": (dict(seed=9, objects=12, height=96, width=128,
+                            scales=(0.25, 0.5, 1.0)),
+                       PipelineConfig(expand_factor=3.0,
+                                      normalization="minmax")),
+    "edge": (dict(seed=6, objects=4, height=64, width=80, scales=(1.0,)),
+             PipelineConfig(expand_factor=3.0, weights_mode="uniform")),
+    "single": (dict(seed=2, objects=1, height=48, width=40,
+                    scales=(0.5, 1.0)),
+               PipelineConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARVING_CASES))
+def test_carving_equals_whole_frame_oracle(case):
+    kwargs, cfg = CARVING_CASES[case]
+    bundle = generate(**kwargs)
+    regions = _object_regions(bundle, cfg)
+    if case.startswith("overlap"):
+        assert _overlapping_pairs(regions)
+    if case == "edge":
+        boxes = _union_boxes(bundle)
+        assert any(regions[o].width < boxes[o].width * cfg.expand_factor
+                   or regions[o].height < boxes[o].height * cfg.expand_factor
+                   for o in regions)
+    calib = None if cfg.weights_mode == "uniform" else bundle
+    result = run_pipeline(bundle, calib, cfg)
+    want = label_instances_ref(result.final_logits.data, result.labels,
+                               regions, COMPONENTS)
+    got = [(i.object_id, i.component, i.mask.counts,
+            (i.bbox.x0, i.bbox.y0, i.bbox.x1, i.bbox.y1), i.score)
+           for i in result.carved.instances]
+    assert want
+    assert got == want
+    assert [i.uid for i in result.carved.instances] == list(range(len(got)))
+
+
+def test_overlapping_regions_both_claim_shared_pixels():
+    kwargs, cfg = CARVING_CASES["overlap"]
+    bundle = generate(**kwargs)
+    regions = _object_regions(bundle, cfg)
+    result = run_pipeline(bundle, bundle, cfg)
+    masks = {(i.object_id, i.component): rle_decode(i.mask).bits
+             for i in result.carved.instances}
+    shared = 0
+    for a, b in _overlapping_pairs(regions):
+        common = regions[a].intersection(regions[b])
+        for ch, comp in enumerate(COMPONENTS, start=1):
+            labeled = np.zeros(result.labels.shape, dtype=bool)
+            labeled[common.slices] = result.labels[common.slices] >= ch
+            if not labeled.any():
+                continue
+            shared += 1
+            for oid in (a, b):
+                assert labeled[~masks[(oid, comp)]].sum() == 0, (oid, comp)
+    assert shared > 0

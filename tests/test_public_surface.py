@@ -9,9 +9,8 @@ from segfuse.config import PipelineConfig
 EXPECTED = {
     "ApTable", "AttentionMap", "BBox", "BinaryMask", "COMPONENTS",
     "DataValidationError", "DegenerateAttentionError", "FormatError",
-    "FusionWeights", "LogitMap", "MaskInstance", "MatchResult",
-    "PipelineConfig", "PredictionBundle", "RleMask", "SegfuseError",
-    "ShapeError", "argmax_channel", "attention_to_map", "average_precision",
+    "FusionWeights", "LogitMap", "MaskInstance", "PipelineConfig",
+    "PredictionBundle", "RleMask", "SegfuseError", "ShapeError", "argmax_channel", "attention_to_map", "average_precision",
     "bilinear_resize", "binarize", "compute_weights", "crop",
     "difference_matrix", "expand_bbox", "fuse_adjacent_scales",
     "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap", "iou",
@@ -22,7 +21,7 @@ EXPECTED = {
 
 
 def test_all_is_exactly_the_expected_names():
-    assert len(EXPECTED) == 41
+    assert len(EXPECTED) == 40
     assert len(segfuse.__all__) == len(set(segfuse.__all__))
     assert set(segfuse.__all__) == EXPECTED
 
