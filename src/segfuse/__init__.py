@@ -11,18 +11,17 @@ from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     softmax_rows)
 from .hierarchy import fuse_adjacent_scales, run_inference_chain
-from .masks import (COMPONENTS, BBox, BinaryMask, MaskInstance, RleMask, crop,
-                    expand_bbox, iou, rle_decode, rle_encode, tight_bbox)
+from .masks import (COMPONENTS, BBox, MaskInstance, RleMask, crop, expand_bbox,
+                    iou, rle_decode, rle_encode, tight_bbox)
 from .metrics import (ApTable, average_precision, group_ap,
                       match_predictions, normalize_ap)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApTable", "AttentionMap", "BBox", "BinaryMask",
-    "COMPONENTS", "DataValidationError", "DegenerateAttentionError",
-    "FormatError", "FusionWeights", "LogitMap", "MaskInstance",
-    "PipelineConfig", "PredictionBundle", "RleMask",
+    "ApTable", "AttentionMap", "BBox", "COMPONENTS", "DataValidationError",
+    "DegenerateAttentionError", "FormatError", "FusionWeights", "LogitMap",
+    "MaskInstance", "PipelineConfig", "PredictionBundle", "RleMask",
     "SegfuseError", "ShapeError",
     "argmax_channel", "attention_to_map", "average_precision",
     "bilinear_resize", "binarize", "compute_weights", "crop",

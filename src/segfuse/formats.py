@@ -242,9 +242,9 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
                                       f"({model!r}, {scale})")
         try:
             grid = loader(base / rel)
+            expected = (scaled_dim(height, scale), scaled_dim(width, scale))
         except (FormatError, DataValidationError) as e:
             raise type(e)(f"{where}: {e}") from None
-        expected = (scaled_dim(height, scale), scaled_dim(width, scale))
         if (grid.height, grid.width) != expected:
             raise DataValidationError(
                 f"{where}: tensor grid {(grid.height, grid.width)} does not "

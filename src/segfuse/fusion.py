@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, ShapeError
-from .grids import LogitMap
-from .masks import BBox, BinaryMask, MaskInstance
+from .grids import LogitMap, _frozen
+from .masks import BBox, MaskInstance
 from .metrics import ApTable, normalize_ap
 
 WEIGHT_SUM_TOL = 1e-9
@@ -118,7 +118,7 @@ def fuse_masks(members: Sequence[MaskInstance],
         box = box.union(inst.bbox)
     per_model = {}
     for inst in members:
-        soft = inst.window(box).bits.astype(np.float64)
+        soft = inst.window(box).astype(np.float64)
         prev = per_model.get(inst.model_id)
         per_model[inst.model_id] = soft if prev is None else np.maximum(prev, soft)
     arrays = []
@@ -155,11 +155,12 @@ def fuse_logits(maps: Mapping[str, LogitMap],
     return LogitMap(h, w, c, out)
 
 
-def binarize(soft: np.ndarray, threshold: float = 0.5) -> BinaryMask:
-    """Threshold a soft mask; a value exactly at the threshold is set."""
+def binarize(soft: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Threshold a soft mask into a read-only 2-D bool array; a value
+    exactly at the threshold is set."""
     if not (0.0 < threshold < 1.0):
         raise DataValidationError(f"threshold {threshold} outside (0, 1)")
     a = np.asarray(soft, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected 2D soft mask, got ndim={a.ndim}")
-    return BinaryMask(a.shape[0], a.shape[1], a >= threshold)
+    return _frozen(a >= threshold)

@@ -204,4 +204,6 @@ def gated_blend(a: np.ndarray, b: np.ndarray, gate: np.ndarray) -> np.ndarray:
 
 def scaled_dim(n: int, scale: float) -> int:
     """Grid size of an axis of length ``n`` rendered at ``scale`` (round half up)."""
+    if not math.isfinite(n * scale):
+        raise DataValidationError(f"scale {scale} gives no finite grid size")
     return max(1, int(math.floor(n * scale + 0.5)))

@@ -1,5 +1,8 @@
 """Binary instance masks, the RLE codec, IoU, and bounding-box machinery.
 
+A decoded mask is a read-only 2-D bool ndarray; functions that take one
+accept anything ``np.asarray(m, dtype=bool)`` makes 2-D.
+
 RLE convention (normative): row-major run lengths, first run counting zeros,
 runs alternating 0/1 afterwards.  Only the leading zero-run may be empty.
 Boxes are half-open integer rectangles [x0, x1) x [y0, y1).
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, FormatError, ShapeError
-from .grids import LogitMap
+from .grids import LogitMap, _frozen
 
 COMPONENTS = ("shell", "meat", "gonad", "muscle")
 
@@ -25,37 +28,18 @@ COMPONENT_IDS = {name: i + 1 for i, name in enumerate(COMPONENTS)}
 COMPONENT_GAIN = {name: 2.0 + 0.5 * COMPONENT_IDS[name] for name in COMPONENTS}
 
 
-@dataclass(frozen=True)
-class BinaryMask:
-    height: int
-    width: int
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise DataValidationError("BinaryMask dimensions must be positive")
-        arr = np.array(self.bits, dtype=bool, order="C")
-        if arr.shape != (self.height, self.width):
-            raise ShapeError(
-                f"BinaryMask bits shape {arr.shape} != {(self.height, self.width)}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def from_array(cls, arr) -> "BinaryMask":
-        a = np.asarray(arr, dtype=bool)
-        if a.ndim != 2:
-            raise ShapeError(f"expected 2D array, got ndim={a.ndim}")
-        return cls(a.shape[0], a.shape[1], a)
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "BinaryMask":
-        return cls(height, width, np.zeros((height, width), dtype=bool))
+def _mask_array(m) -> np.ndarray:
+    """``m`` as a 2-D bool array, the one mask representation."""
+    a = np.asarray(m, dtype=bool)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2D mask, got ndim={a.ndim}")
+    return a
 
 
 @dataclass(frozen=True)
 class RleMask:
-    """Run-length encoded BinaryMask (see module docstring for the layout)."""
+    """Run-length encoding of a height x width mask (layout in the module
+    docstring); ``rle_decode`` gives back a read-only 2-D bool array."""
 
     height: int
     width: int
@@ -80,21 +64,22 @@ class RleMask:
                 f"({self.height}x{self.width} grid)")
 
 
-def rle_encode(m: BinaryMask, box: BBox | None = None,
+def rle_encode(m: np.ndarray, box: BBox | None = None,
                height: int | None = None, width: int | None = None) -> RleMask:
     """Losslessly encode a mask; decode(encode(m)) == m.
 
     With ``box``, ``m`` is the window over ``box`` of a height x width frame
     that is empty outside it, and the result is that frame's RLE.
     """
+    m = _mask_array(m)
+    mh, mw = m.shape
     if box is None:
-        box, height, width = BBox(0, 0, m.width, m.height), m.height, m.width
+        box, height, width = BBox(0, 0, mw, mh), mh, mw
     # a zero column on each side ends every run of ones at its row's end
-    padded = np.zeros((m.height, m.width + 2), dtype=bool)
-    padded[:, 1:-1] = m.bits
+    padded = np.zeros((mh, mw + 2), dtype=bool)
+    padded[:, 1:-1] = m
     flat = padded.ravel()
-    rows, cols = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1,
-                           m.width + 2)
+    rows, cols = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, mw + 2)
     pos = (rows + box.y0) * width + cols + box.x0 - 1
     starts, ends = pos[0::2], pos[1::2]
     # runs that end one row's window and start the next one touch in the
@@ -110,7 +95,7 @@ def rle_encode(m: BinaryMask, box: BBox | None = None,
     return RleMask(height, width, tuple(runs if runs[-1] else runs[:-1]))
 
 
-def rle_decode(r: RleMask, box: BBox | None = None) -> BinaryMask:
+def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
     """Decode ``r``, or only its window over ``box``."""
     if box is None:
         box = BBox(0, 0, r.width, r.height)
@@ -123,20 +108,18 @@ def rle_decode(r: RleMask, box: BBox | None = None) -> BinaryMask:
     lengths = (np.minimum(ends[first:last], hi)
                - np.maximum(ends[first:last] - counts[first:last], lo))
     band = np.repeat(np.arange(first, last) % 2 == 1, lengths)
-    return BinaryMask(box.height, box.width,
-                      band.reshape(box.height, r.width)[:, box.x0:box.x1])
+    return _frozen(np.ascontiguousarray(
+        band.reshape(box.height, r.width)[:, box.x0:box.x1]))
 
 
-def iou(a: BinaryMask, b: BinaryMask) -> float:
+def iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union; 0.0 when both masks are empty."""
-    if (a.height, a.width) != (b.height, b.width):
-        raise ShapeError(
-            f"mask shapes {(a.height, a.width)} vs {(b.height, b.width)} mismatch")
-    inter = int(np.count_nonzero(a.bits & b.bits))
-    union = int(np.count_nonzero(a.bits | b.bits))
-    if union == 0:
-        return 0.0
-    return inter / union
+    a, b = _mask_array(a), _mask_array(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mask shapes {a.shape} vs {b.shape} mismatch")
+    inter = int(np.count_nonzero(a & b))
+    union = int(np.count_nonzero(a | b))
+    return inter / union if union else 0.0
 
 
 @dataclass(frozen=True)
@@ -182,12 +165,13 @@ class BBox:
         return slice(self.y0, self.y1), slice(self.x0, self.x1)
 
 
-def tight_bbox(m: BinaryMask) -> BBox | None:
+def tight_bbox(m: np.ndarray) -> BBox | None:
     """Smallest box enclosing the set pixels, or None for an empty mask."""
-    rows = np.flatnonzero(m.bits.any(axis=1))
+    m = _mask_array(m)
+    rows = np.flatnonzero(m.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(m.bits.any(axis=0))
+    cols = np.flatnonzero(m.any(axis=0))
     return BBox(int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
 
 
@@ -203,10 +187,11 @@ def expand_bbox(b: BBox, factor: float, image_h: int, image_w: int) -> BBox:
     cy = (b.y0 + b.y1) / 2.0
     half_w = (b.x1 - b.x0) * factor / 2.0
     half_h = (b.y1 - b.y0) * factor / 2.0
-    x0 = max(0, math.floor(cx - half_w))
-    y0 = max(0, math.floor(cy - half_h))
-    x1 = min(image_w, math.ceil(cx + half_w))
-    y1 = min(image_h, math.ceil(cy + half_h))
+    # clamp before rounding, so a huge factor's infinite edges never round
+    x0 = math.floor(max(0.0, cx - half_w))
+    y0 = math.floor(max(0.0, cy - half_h))
+    x1 = math.ceil(min(image_w, cx + half_w))
+    y1 = math.ceil(min(image_h, cy + half_h))
     return BBox(x0, y0, x1, y1)
 
 
@@ -237,8 +222,10 @@ def crop(grid: LogitMap, b: BBox) -> LogitMap:
 class MaskInstance:
     """One predicted or ground-truth instance of a component.
 
-    ``binary`` is the mask decoded inside ``bbox`` (a bbox-sized window),
-    set once at construction; ``window`` gives the bits over any other box.
+    ``binary`` is the mask decoded inside ``bbox`` (a bbox-sized, read-only
+    2-D bool window) and ``area`` its pixel count, both set once at
+    construction; ``window`` gives the bits over any other box and ``iou``
+    the IoU with another instance, counted on the two windows alone.
     """
 
     mask: RleMask
@@ -263,18 +250,31 @@ class MaskInstance:
                 f"bbox {self.bbox} exceeds the {self.mask.height}x"
                 f"{self.mask.width} mask grid")
         decoded = rle_decode(self.mask, self.bbox)
+        area = sum(self.mask.counts[1::2])
         # the box holds every set pixel iff it holds as many as the one-runs
-        if np.count_nonzero(decoded.bits) != sum(self.mask.counts[1::2]):
+        if np.count_nonzero(decoded) != area:
             raise DataValidationError(
                 f"bbox {self.bbox} does not enclose the mask extent "
                 f"{tight_bbox(rle_decode(self.mask))}")
-        self.__dict__["binary"] = decoded
+        self.__dict__.update(binary=decoded, area=area)
 
-    def window(self, box: BBox) -> BinaryMask:
+    def window(self, box: BBox) -> np.ndarray:
         """This instance's bits over ``box``, empty outside ``bbox``."""
         bits = np.zeros((box.height, box.width), dtype=bool)
         common = self.bbox.intersection(box)
         if common is not None:
-            bits[common.shifted(-box.x0, -box.y0).slices] = self.binary.bits[
+            bits[common.shifted(-box.x0, -box.y0).slices] = self.binary[
                 common.shifted(-self.bbox.x0, -self.bbox.y0).slices]
-        return BinaryMask(box.height, box.width, bits)
+        return _frozen(bits)
+
+    def iou(self, other: "MaskInstance") -> float:
+        """IoU with ``other`` on the same grid, counted over the overlap of
+        the two boxes; 0.0 for disjoint boxes or two empty masks."""
+        common = self.bbox.intersection(other.bbox)
+        if common is None:
+            return 0.0
+        inter = int(np.count_nonzero(
+            self.binary[common.shifted(-self.bbox.x0, -self.bbox.y0).slices]
+            & other.binary[common.shifted(-other.bbox.x0, -other.bbox.y0).slices]))
+        union = self.area + other.area - inter
+        return inter / union if union else 0.0

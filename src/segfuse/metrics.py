@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .bundle import PredictionBundle
 from .errors import DataValidationError
-from .masks import COMPONENTS, MaskInstance, iou
+from .masks import COMPONENTS, MaskInstance
 
 
 def _pred_key(inst: MaskInstance, position: int) -> int:
@@ -47,11 +47,7 @@ def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance]
         for j, gt in enumerate(gts):
             if taken[j] or gt.component != pred.component:
                 continue
-            # masks in disjoint boxes have IoU 0.0, which never beats best_iou
-            if pred.bbox.intersection(gt.bbox) is None:
-                continue
-            box = pred.bbox.union(gt.bbox)
-            v = iou(pred.window(box), gt.window(box))
+            v = pred.iou(gt)
             if v > best_iou:
                 best_iou = v
                 best_j = j

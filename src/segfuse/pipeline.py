@@ -28,8 +28,8 @@ from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     scaled_dim, softmax_rows)
 from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
-                    BinaryMask, MaskInstance, crop, expand_bbox, rle_encode,
-                    scale_box, tight_bbox)
+                    MaskInstance, crop, expand_bbox, rle_encode, scale_box,
+                    tight_bbox)
 from .metrics import GROUP_FIELDS, ApTable, group_ap, group_keys
 
 ENSEMBLE_MODEL_ID = "ensemble"
@@ -185,7 +185,7 @@ def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
     using the shared gain ramp so nested components survive the argmax."""
     data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
     for inst in sub.instances_for(model=model, object_id=oid):
-        patch = inst.window(region_ref).bits.astype(np.float32)
+        patch = inst.window(region_ref).astype(np.float32)
         resized = bilinear_resize(LogitMap.from_array(patch),
                                   region_s.height, region_s.width)
         ch = COMPONENT_IDS[inst.component]
@@ -355,11 +355,10 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
             bits = region_labels >= ch
             if not bits.any():
                 continue
-            mask = BinaryMask(region.height, region.width, bits)
             score = float(np.mean(tail_probs[:, ch][bits.ravel()]))
             out.append(MaskInstance(
-                mask=rle_encode(mask, region, bundle.height, bundle.width),
-                bbox=tight_bbox(mask).shifted(region.x0, region.y0),
+                mask=rle_encode(bits, region, bundle.height, bundle.width),
+                bbox=tight_bbox(bits).shifted(region.x0, region.y0),
                 component=comp, object_id=oid, score=min(1.0, max(0.0, score)),
                 model_id=PIPELINE_MODEL_ID, scale=1.0, uid=len(out)))
     return tuple(out)

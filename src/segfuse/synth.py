@@ -16,8 +16,8 @@ import numpy as np
 from .bundle import PredictionBundle
 from .errors import DataValidationError
 from .grids import LogitMap, AttentionMap, bilinear_resize, scaled_dim
-from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BinaryMask,
-                    MaskInstance, rle_encode, tight_bbox, iou)
+from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, MaskInstance,
+                    rle_encode, tight_bbox, iou)
 
 _BACKGROUND_BIAS = 0.5
 
@@ -144,6 +144,10 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         raise DataValidationError("scales must be positive and finite")
     if any(a >= b for a, b in zip(scales, scales[1:])):
         raise DataValidationError("scales must be strictly increasing")
+    try:
+        dims = [(scaled_dim(height, s), scaled_dim(width, s)) for s in scales]
+    except DataValidationError as e:
+        raise DataValidationError(f"scales: {e}") from None
     rng = np.random.default_rng(seed)
     h, w = height, width
     model_ids = tuple(f"m{i}" for i in range(models))
@@ -165,11 +169,10 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
     ground_truth = []
     for oid, comps in enumerate(gt_objects):
         for name in COMPONENTS:
-            mask = BinaryMask(h, w, comps[name])
-            box = tight_bbox(mask)
             ground_truth.append(MaskInstance(
-                mask=rle_encode(mask), bbox=box, component=name, object_id=oid,
-                score=1.0, model_id="gt", scale=1.0, uid=len(ground_truth)))
+                mask=rle_encode(comps[name]), bbox=tight_bbox(comps[name]),
+                component=name, object_id=oid, score=1.0, model_id="gt",
+                scale=1.0, uid=len(ground_truth)))
 
     instances = []
     model_masks = {}  # (model, oid) -> {component: bits}
@@ -186,11 +189,11 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
     for model in model_ids:
         for oid in range(objects):
             for name in COMPONENTS:
-                mask = BinaryMask(h, w, model_masks[(model, oid)][name])
+                mask = model_masks[(model, oid)][name]
                 box = tight_bbox(mask)
                 if box is None:
                     continue  # the perturbation erased it: a missed component
-                gt_mask = BinaryMask(h, w, gt_objects[oid][name])
+                gt_mask = gt_objects[oid][name]
                 score = min(1.0, max(0.05, round(iou(mask, gt_mask), 4)))
                 predicted.append((rle_encode(mask), box, score, model, oid, name))
     for scale in scales:
@@ -215,8 +218,7 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         mean_scores = {name: (scores[name] / seen[name] if seen[name] else 0.0)
                        for name in COMPONENTS}
         base = LogitMap.from_array(_logit_map(h, w, union, mean_scores))
-        for si, scale in enumerate(scales):
-            sh, sw = scaled_dim(h, scale), scaled_dim(w, scale)
+        for si, (scale, (sh, sw)) in enumerate(zip(scales, dims)):
             logit_maps[(model, scale)] = bilinear_resize(base, sh, sw)
             alpha_maps[(model, scale)] = AttentionMap(
                 sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from segfuse.fusion import fuse_masks
-from segfuse.masks import BBox, BinaryMask, MaskInstance, rle_encode, tight_bbox
+from segfuse.masks import BBox, MaskInstance, rle_encode, tight_bbox
 
 
 def make_instance(bits, component="shell", object_id=0, score=0.9,
                   model_id="m0", scale=1.0, uid=None, bbox=None):
     """MaskInstance from a 2D 0/1 array with an auto-derived tight box."""
-    mask = BinaryMask.from_array(np.asarray(bits, dtype=bool))
+    mask = np.asarray(bits, dtype=bool)
     box = bbox if bbox is not None else tight_bbox(mask)
     if box is None:
         box = BBox(0, 0, 1, 1)

@@ -7,12 +7,11 @@ gives exactly what the full-frame definition gives.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segfuse.fusion import FusionWeights, fuse_masks
-from segfuse.masks import (BBox, BinaryMask, MaskInstance, iou, rle_decode,
-                           rle_encode)
+from segfuse.masks import BBox, MaskInstance, iou, rle_decode, rle_encode
 from segfuse.metrics import match_predictions
 
 from reference import match_predictions_ref, weighted_average_ref
@@ -59,8 +58,8 @@ def frame_bits(draw, h, w, box):
 
 
 def instance(bits, box, **kw):
-    return MaskInstance(mask=rle_encode(BinaryMask.from_array(bits)), bbox=box,
-                        object_id=0, scale=1.0, **kw)
+    return MaskInstance(mask=rle_encode(bits), bbox=box, object_id=0,
+                        scale=1.0, **kw)
 
 
 @st.composite
@@ -79,7 +78,7 @@ def instances(draw, h, w, count, model_ids=("m0",), components=("shell",)):
 
 
 def full(inst):
-    return rle_decode(inst.mask).bits
+    return rle_decode(inst.mask)
 
 
 @given(st.data())
@@ -88,9 +87,9 @@ def test_box_decode_is_the_crop_of_the_full_decode(data):
     h, w = data.draw(FRAMES)
     bits = data.draw(frame_bits(h, w, BBox(0, 0, w, h)))
     box = data.draw(boxes(h, w))
-    got = rle_decode(rle_encode(BinaryMask.from_array(bits)), box)
-    assert (got.height, got.width) == (box.height, box.width)
-    assert np.array_equal(got.bits, bits[box.y0:box.y1, box.x0:box.x1])
+    got = rle_decode(rle_encode(bits), box)
+    assert got.shape == (box.height, box.width)
+    assert np.array_equal(got, bits[box.y0:box.y1, box.x0:box.x1])
 
 
 @given(st.data())
@@ -99,9 +98,8 @@ def test_box_encode_is_the_encode_of_the_pasted_frame(data):
     h, w = data.draw(FRAMES)
     box = data.draw(boxes(h, w))
     bits = data.draw(frame_bits(h, w, box))
-    window = BinaryMask.from_array(bits[box.y0:box.y1, box.x0:box.x1])
-    assert (rle_encode(window, box, h, w)
-            == rle_encode(BinaryMask.from_array(bits)))
+    window = bits[box.y0:box.y1, box.x0:box.x1]
+    assert rle_encode(window, box, h, w) == rle_encode(bits)
 
 
 @given(st.data())
@@ -110,21 +108,42 @@ def test_window_is_the_full_frame_over_any_box(data):
     h, w = data.draw(FRAMES)
     inst, = data.draw(instances(h, w, 1))
     box = data.draw(related_box(h, w, inst.bbox))
-    assert np.array_equal(inst.window(box).bits,
+    assert np.array_equal(inst.window(box),
                           full(inst)[box.y0:box.y1, box.x0:box.x1])
-    assert np.array_equal(inst.binary.bits, full(inst)[inst.bbox.slices])
+    assert np.array_equal(inst.binary, full(inst)[inst.bbox.slices])
 
 
-@given(st.data())
+@st.composite
+def instance_pairs(draw):
+    h, w = draw(FRAMES)
+    return tuple(draw(instances(h, w, 2)))
+
+
+def pair(h, w, a_box, b_box, a_fill=True, b_fill=True):
+    """Two instances on an h x w frame whose bits fill their boxes or are
+    empty."""
+    def make(box, fill, uid):
+        bits = np.zeros((h, w), dtype=bool)
+        bits[box.slices] = fill
+        return instance(bits, box, uid=uid, component="shell", score=0.5,
+                        model_id="m0")
+    return make(a_box, a_fill, 0), make(b_box, b_fill, 1)
+
+
+@given(instance_pairs())
+@example(pair(6, 6, BBox(0, 0, 4, 4), BBox(2, 2, 6, 6), False, False))
+@example(pair(6, 6, BBox(0, 0, 3, 4), BBox(3, 1, 6, 5)))
+@example(pair(6, 6, BBox(0, 3, 2, 6), BBox(4, 0, 6, 2)))
+@example(pair(6, 6, BBox(0, 0, 6, 6), BBox(1, 2, 3, 5)))
+@example(pair(6, 6, BBox(0, 0, 6, 6), BBox(1, 2, 3, 5), False, True))
 @settings(max_examples=300, deadline=None)
-def test_union_box_iou_equals_full_frame_iou(data):
-    h, w = data.draw(FRAMES)
-    a, b = data.draw(instances(h, w, 2))
-    fa, fb = full(a), full(b)
-    box = a.bbox.union(b.bbox)
-    assert (iou(BinaryMask.from_array(fa[box.slices]),
-                BinaryMask.from_array(fb[box.slices]))
-            == iou(BinaryMask.from_array(fa), BinaryMask.from_array(fb)))
+def test_pair_iou_equals_full_frame_iou(ab):
+    """Empty masks in overlapping boxes, boxes that share only an edge,
+    disjoint boxes and nested boxes are pinned as explicit examples."""
+    a, b = ab
+    want = iou(rle_decode(a.mask), rle_decode(b.mask))
+    assert a.iou(b) == want
+    assert b.iou(a) == want
 
 
 @given(st.data())

@@ -53,6 +53,12 @@ def single_model_manifest(tmp_path, name="single"):
     return save_manifest(bundle, tmp_path / name / "manifest.json")
 
 
+def _tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
 def synth_fixture(tmp_path, seed=21, scales=("0.5", "1.0")):
     out = tmp_path / f"fx{seed}"
     assert main(["synth", "--seed", str(seed), "--out-dir", str(out),
@@ -86,6 +92,8 @@ class TestSynthCommand:
         ("--scales", "1.0 0.5", "scales"),
         ("--scales", "nan", "scales"),
         ("--scales", "0.5 inf", "scales"),
+        ("--scales", "1e308", "scales"),
+        ("--scales", "0.5 1e308", "scales"),
     ])
     def test_bad_fixture_setting_is_data_error(self, tmp_path, capsys, flag,
                                                value, named):
@@ -359,6 +367,40 @@ class TestPipelineCommand:
         assert code == 2
         assert named in err and "Traceback" not in err
 
+    def test_huge_expand_factor_covers_the_frame(self, tmp_path):
+        # 1e308 * a box side overflows to an infinite half-width; the region
+        # clamps to the frame, as it already does at 1e6
+        manifest = synth_fixture(tmp_path)
+        outs = []
+        for factor in ("1e6", "1e308"):
+            out = tmp_path / f"x{factor}"
+            assert main(["pipeline", str(manifest), "--calib", str(manifest),
+                         "--expand-factor", factor, "--out-dir", str(out)]) == 0
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+
+    @pytest.mark.parametrize("command", ["fuse", "pipeline"])
+    def test_scale_without_finite_grid_is_data_error(self, tmp_path, capsys,
+                                                     command):
+        manifest = synth_fixture(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["scales"] = [0.5, 1e308]
+        for field in ("instances", "logit_maps", "alpha_maps"):
+            for rec in doc[field]:
+                if rec["scale"] == 1.0:
+                    rec["scale"] = 1e308
+        huge = manifest.parent / "huge.json"
+        huge.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([command, str(huge), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.search(r"logit_maps\[1\]: scale 1e\+308 gives no finite "
+                         r"grid size", err), err
+        assert not out.exists()
+
     def test_missing_scale_logits_named(self, tmp_path, capsys):
         manifest = single_model_manifest(tmp_path)
         doc = json.loads(manifest.read_text())
@@ -378,6 +420,46 @@ class TestPipelineCommand:
         assert report["kind"] == "pipeline_report"
         assert report["ap"], "expected AP records against bundled ground truth"
         assert {r["mode"] for r in report["ap"]} == {"vertical", "horizontal"}
+
+
+class TestModelMissesAnObject:
+    """One model predicts nothing for one object, at every scale: a case
+    the synthetic generator never produces."""
+
+    @pytest.fixture(scope="class")
+    def missing(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("missing") / "fx"
+        assert main(["synth", "--seed", "4", "--objects", "12", "--scales",
+                     "0.25", "0.5", "1.0", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        kept = [r for r in doc["instances"]
+                if (r["model"], r["object_id"]) != ("m2", 0)]
+        assert len(doc["instances"]) - len(kept) == 12  # 4 components x 3 scales
+        doc["instances"] = kept
+        path = out / "missing.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_pipeline_carves_the_object_at_any_worker_count(self, tmp_path,
+                                                            missing):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["pipeline", str(missing), "--calib", str(missing),
+                         "--workers", workers, "--out-dir", str(out)]) == 0
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+        carved = json.loads((outs[0] / "instances.json").read_text())
+        assert sorted(r["component"] for r in carved["instances"]
+                      if r["object_id"] == 0) == sorted(COMPONENTS)
+
+    def test_fuse_both_groupings(self, tmp_path, missing):
+        out = tmp_path / "both"
+        assert main(["fuse", str(missing), "--calib", str(missing),
+                     "--grouping", "both", "--out-dir", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "fused_horizontal.json", "fused_vertical.json",
+            "weights_horizontal.json", "weights_vertical.json"]
 
 
 class TestEvaluateCommand:

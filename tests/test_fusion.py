@@ -196,13 +196,13 @@ class TestFuseLogits:
 
 class TestBinarize:
     def test_all_zero_soft(self):
-        assert not binarize(np.zeros((3, 3)), 0.5).bits.any()
+        assert not binarize(np.zeros((3, 3)), 0.5).any()
 
     def test_all_one_soft(self):
-        assert binarize(np.ones((3, 3)), 0.5).bits.all()
+        assert binarize(np.ones((3, 3)), 0.5).all()
 
     def test_exact_threshold_is_set(self):
-        assert binarize(np.full((1, 1), 0.5), 0.5).bits[0, 0]
+        assert binarize(np.full((1, 1), 0.5), 0.5)[0, 0]
 
     def test_threshold_range(self):
         with pytest.raises(DataValidationError):

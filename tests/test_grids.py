@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from segfuse.errors import DataValidationError
 from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
-                           bilinear_resize, gated_blend, softmax_rows)
+                           bilinear_resize, gated_blend, scaled_dim,
+                           softmax_rows)
 
 from reference import bilinear_gather_ref, bilinear_ref
 
@@ -111,6 +112,18 @@ class TestBilinearResize:
     def test_rejects_bad_target(self):
         with pytest.raises(DataValidationError):
             bilinear_resize(LogitMap.zeros(2, 2, 1), 0, 4)
+
+
+class TestScaledDim:
+    def test_round_half_up_and_at_least_one(self):
+        assert scaled_dim(96, 0.5) == 48
+        assert scaled_dim(5, 0.5) == 3
+        assert scaled_dim(3, 0.01) == 1
+
+    @pytest.mark.parametrize("scale", [1e308, float("inf"), float("nan")])
+    def test_non_finite_size_is_data_error(self, scale):
+        with pytest.raises(DataValidationError, match="no finite grid size"):
+            scaled_dim(96, scale)
 
 
 class TestSoftmaxRows:

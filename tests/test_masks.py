@@ -8,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from segfuse.errors import DataValidationError, FormatError, ShapeError
 from segfuse.grids import LogitMap
-from segfuse.masks import (BBox, BinaryMask, RleMask, crop, expand_bbox,
-                           iou, rle_decode, rle_encode, scale_box, tight_bbox)
+from segfuse.fusion import binarize
+from segfuse.masks import (BBox, RleMask, crop, expand_bbox, iou, rle_decode,
+                           rle_encode, scale_box, tight_bbox)
 
 from conftest import block_mask, make_instance
 from reference import rle_counts_ref
@@ -55,20 +56,20 @@ def _outcome(build):
 
 class TestRleCodec:
     def test_all_zeros(self):
-        r = rle_encode(BinaryMask.zeros(2, 2))
+        r = rle_encode(np.zeros((2, 2), dtype=bool))
         assert r.counts == (4,)
 
     def test_all_ones(self):
-        r = rle_encode(BinaryMask.from_array(np.ones((2, 2), dtype=bool)))
+        r = rle_encode(np.ones((2, 2), dtype=bool))
         assert r.counts == (0, 4)
 
     def test_hand_worked_row(self):
-        r = rle_encode(BinaryMask.from_array([[0, 1, 1, 0]]))
+        r = rle_encode([[0, 1, 1, 0]])
         assert r.counts == (1, 2, 1)
 
     def test_decode_examples(self):
-        assert not rle_decode(RleMask(2, 2, (4,))).bits.any()
-        assert rle_decode(RleMask(2, 2, (0, 4))).bits.all()
+        assert not rle_decode(RleMask(2, 2, (4,))).any()
+        assert rle_decode(RleMask(2, 2, (0, 4))).all()
 
     def test_sum_mismatch_is_format_error(self):
         with pytest.raises(FormatError):
@@ -97,50 +98,47 @@ class TestRleCodec:
                                                   st.integers(1, 16))))
     @settings(max_examples=300, deadline=None)
     def test_roundtrip_is_lossless(self, bits):
-        mask = BinaryMask.from_array(bits)
-        back = rle_decode(rle_encode(mask))
-        assert np.array_equal(back.bits, mask.bits)
+        back = rle_decode(rle_encode(bits))
+        assert back.dtype == bool and np.array_equal(back, bits)
 
 
 class TestIou:
     def test_identical_nonempty(self):
-        m = BinaryMask.from_array(block_mask(4, 4, 0, 2, 0, 2))
+        m = block_mask(4, 4, 0, 2, 0, 2)
         assert iou(m, m) == 1.0
 
     def test_disjoint(self):
-        a = BinaryMask.from_array(block_mask(4, 4, 0, 2, 0, 2))
-        b = BinaryMask.from_array(block_mask(4, 4, 2, 4, 2, 4))
+        a = block_mask(4, 4, 0, 2, 0, 2)
+        b = block_mask(4, 4, 2, 4, 2, 4)
         assert iou(a, b) == 0.0
 
     def test_partial_overlap_hand_counted(self):
         # two 2x2 blocks sharing a 1x2 strip: 2 / (4 + 4 - 2)
-        a = BinaryMask.from_array(block_mask(4, 4, 0, 2, 0, 2))
-        b = BinaryMask.from_array(block_mask(4, 4, 1, 3, 0, 2))
+        a = block_mask(4, 4, 0, 2, 0, 2)
+        b = block_mask(4, 4, 1, 3, 0, 2)
         assert iou(a, b) == pytest.approx(2.0 / 6.0, abs=1e-12)
 
     def test_both_empty_is_zero(self):
-        assert iou(BinaryMask.zeros(3, 3), BinaryMask.zeros(3, 3)) == 0.0
+        assert iou(np.zeros((3, 3), bool), np.zeros((3, 3), bool)) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            iou(BinaryMask.zeros(2, 2), BinaryMask.zeros(2, 3))
+            iou(np.zeros((2, 2), bool), np.zeros((2, 3), bool))
 
     @given(hnp.arrays(dtype=bool, shape=(6, 6)), hnp.arrays(dtype=bool, shape=(6, 6)))
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_range(self, a_bits, b_bits):
-        a = BinaryMask.from_array(a_bits)
-        b = BinaryMask.from_array(b_bits)
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = iou(a_bits, b_bits)
+        assert v == iou(b_bits, a_bits)
         assert 0.0 <= v <= 1.0
         assert (v == 1.0) == (np.array_equal(a_bits, b_bits) and a_bits.any())
 
     def test_monotone_under_pixel_loss(self):
-        a = BinaryMask.from_array(block_mask(5, 5, 0, 3, 0, 3))
+        a = block_mask(5, 5, 0, 3, 0, 3)
         b_bits = block_mask(5, 5, 0, 3, 0, 3)
-        before = iou(a, BinaryMask.from_array(b_bits))
+        before = iou(a, b_bits)
         b_bits[1, 1] = False  # drop a pixel inside the intersection
-        after = iou(a, BinaryMask.from_array(b_bits))
+        after = iou(a, b_bits)
         assert after < before
 
 
@@ -175,6 +173,11 @@ class TestExpandBbox:
         with pytest.raises(DataValidationError):
             expand_bbox(BBox(0, 0, 4, 4), 0.9, 10, 10)
 
+    @pytest.mark.parametrize("factor", [1e6, 1e200, 1e308])
+    def test_huge_factor_clamps_to_the_image(self, factor):
+        # 1e308 * 6 overflows to an infinite half-width
+        assert expand_bbox(BBox(3, 4, 9, 11), factor, 40, 30) == BBox(0, 0, 30, 40)
+
 
 class TestCropPaste:
     def test_full_image_crop_is_copy(self, rng):
@@ -201,6 +204,41 @@ class TestScaleBox:
         assert out == BBox(0, 0, 3, 3)
 
 
+def _instance_of_block():
+    return make_instance(block_mask(6, 6, 1, 4, 2, 5))
+
+
+class TestMaskArrays:
+    """A decoded mask is a read-only 2-D bool ndarray; the functions that
+    take one reject any other rank."""
+
+    @pytest.mark.parametrize("fn", [rle_encode, tight_bbox,
+                                    lambda m: iou(m, m),
+                                    lambda m: iou(np.zeros((2, 2), bool), m),
+                                    lambda m: binarize(m.astype(float))],
+                             ids=["rle_encode", "tight_bbox", "iou", "iou_mixed",
+                                  "binarize"])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1d", "3d"])
+    def test_non_2d_mask_is_shape_error(self, fn, shape):
+        with pytest.raises(ShapeError, match="2D"):
+            fn(np.zeros(shape, dtype=bool))
+
+    @pytest.mark.parametrize("make", [
+        lambda: rle_decode(RleMask(2, 3, (1, 2, 3))),
+        lambda: rle_decode(RleMask(4, 4, (5, 2, 9)), BBox(1, 1, 3, 2)),
+        lambda: _instance_of_block().binary,
+        lambda: _instance_of_block().window(BBox(0, 0, 6, 6)),
+        lambda: _instance_of_block().window(BBox(4, 4, 6, 6)),
+        lambda: binarize(np.full((2, 3), 0.7)),
+    ], ids=["rle_decode", "rle_decode_box", "binary", "window",
+            "window_outside", "binarize"])
+    def test_returned_masks_are_read_only(self, make):
+        m = make()
+        assert isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 2
+        with pytest.raises(ValueError):
+            m[0, 0] = True
+
+
 class TestMaskInstance:
     def test_bbox_must_enclose_mask(self):
         with pytest.raises(DataValidationError):
@@ -225,4 +263,4 @@ class TestMaskInstance:
             make_instance(block_mask(4, 4, 0, 2, 0, 2), component="pearl")
 
     def test_tight_bbox_of_empty_mask(self):
-        assert tight_bbox(BinaryMask.zeros(3, 3)) is None
+        assert tight_bbox(np.zeros((3, 3), dtype=bool)) is None

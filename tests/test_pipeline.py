@@ -112,7 +112,7 @@ def test_pipeline_ap_weights_beat_uniform_baseline():
 def test_pipeline_result_instances_nest():
     bundle = generate(5, objects=2, height=64, width=64)
     result = run_pipeline(bundle, bundle, PipelineConfig())
-    by_key = {(i.object_id, i.component): rle_decode(i.mask).bits
+    by_key = {(i.object_id, i.component): rle_decode(i.mask)
               for i in result.carved.instances}
     for oid in {i.object_id for i in result.carved.instances}:
         chain = [by_key.get((oid, c)) for c in
@@ -212,7 +212,7 @@ def test_overlapping_regions_both_claim_shared_pixels():
     bundle = generate(**kwargs)
     regions = _object_regions(bundle, cfg)
     result = run_pipeline(bundle, bundle, cfg)
-    masks = {(i.object_id, i.component): rle_decode(i.mask).bits
+    masks = {(i.object_id, i.component): rle_decode(i.mask)
              for i in result.carved.instances}
     shared = 0
     for a, b in _overlapping_pairs(regions):

@@ -7,7 +7,7 @@ import segfuse
 from segfuse.config import PipelineConfig
 
 EXPECTED = {
-    "ApTable", "AttentionMap", "BBox", "BinaryMask", "COMPONENTS",
+    "ApTable", "AttentionMap", "BBox", "COMPONENTS",
     "DataValidationError", "DegenerateAttentionError", "FormatError",
     "FusionWeights", "LogitMap", "MaskInstance", "PipelineConfig",
     "PredictionBundle", "RleMask", "SegfuseError", "ShapeError", "argmax_channel", "attention_to_map", "average_precision",
@@ -21,7 +21,7 @@ EXPECTED = {
 
 
 def test_all_is_exactly_the_expected_names():
-    assert len(EXPECTED) == 40
+    assert len(EXPECTED) == 39
     assert len(segfuse.__all__) == len(set(segfuse.__all__))
     assert set(segfuse.__all__) == EXPECTED
 

@@ -12,7 +12,7 @@ def bits_of(bundle, model, oid, component, scale=None):
              if i.model_id == model and i.object_id == oid
              and i.component == component and i.scale == scale]
     assert len(found) <= 1
-    return rle_decode(found[0].mask).bits if found else None
+    return rle_decode(found[0].mask) if found else None
 
 
 class TestDeterminism:
@@ -47,7 +47,7 @@ class TestStructure:
 
     def test_model_zero_is_exact(self):
         bundle = generate(11, perturb=4, objects=2, height=64, width=64)
-        gt = {(g.object_id, g.component): rle_decode(g.mask).bits
+        gt = {(g.object_id, g.component): rle_decode(g.mask)
               for g in bundle.ground_truth}
         for oid in range(2):
             for comp in COMPONENTS:
@@ -56,7 +56,7 @@ class TestStructure:
 
     def test_components_nest(self):
         bundle = generate(3, objects=4)
-        gt = {(g.object_id, g.component): rle_decode(g.mask).bits
+        gt = {(g.object_id, g.component): rle_decode(g.mask)
               for g in bundle.ground_truth}
         for oid in range(4):
             shell, meat = gt[(oid, "shell")], gt[(oid, "meat")]
@@ -70,7 +70,7 @@ class TestStructure:
         from segfuse.grids import argmax_channel
         bundle = generate(3, objects=2, perturb=0, height=64, width=64)
         labels = argmax_channel(bundle.logit_maps[("m0", 1.0)])
-        gt = {(g.object_id, g.component): rle_decode(g.mask).bits
+        gt = {(g.object_id, g.component): rle_decode(g.mask)
               for g in bundle.ground_truth}
         for oid in range(2):
             muscle = gt[(oid, "muscle")]
