@@ -108,6 +108,4 @@ def fuse_global_local(global_logits: LogitMap,
                 f"local channels {patch.channels} != frame channels "
                 f"{global_logits.channels}")
         local_sum[box.y0:box.y1, box.x0:box.x1, :] += patch.data
-    out = gated_blend(global_logits.data, local_sum, beta.data)
-    return LogitMap(global_logits.height, global_logits.width,
-                    global_logits.channels, out)
+    return LogitMap._own(gated_blend(global_logits.data, local_sum, beta.data))

@@ -87,8 +87,7 @@ def load_tensor(path) -> np.ndarray:
 
 
 def load_logit_map(path) -> LogitMap:
-    arr = load_tensor(path)
-    return LogitMap(arr.shape[0], arr.shape[1], arr.shape[2], arr)
+    return LogitMap._own(load_tensor(path))
 
 
 def load_attention_map(path) -> AttentionMap:

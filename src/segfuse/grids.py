@@ -13,6 +13,10 @@ the package:
   separable passes, along x for each source row some output row reads,
   then along y between two such rows: the same operations in the same
   order as lerping the four corners of each output pixel.
+- Resampling and blending run per band of ``_BAND_ROWS`` output rows, each
+  written into one preallocated output, so no whole-frame temporary is
+  built.  Every element sees the same operations in the same order, so the
+  band height changes no byte.
 - A same-size resample is that lerp at t = 0, which keeps every value but
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
   are both strictly negative, and becomes +0.0 otherwise.  The rule is
@@ -32,6 +36,9 @@ import numpy as np
 
 from .errors import DataValidationError, ShapeError
 
+# output rows per band of bilinear_resize and gated_blend
+_BAND_ROWS = 64
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -48,16 +55,34 @@ class LogitMap:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        # own a copy: freezing a caller's array in place would be a surprise
+        self._freeze(np.array(self.data, dtype=np.float32, order="C"))
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise DataValidationError("LogitMap dimensions must be positive")
-        # own a copy: freezing a caller's array in place would be a surprise
-        arr = np.array(self.data, dtype=np.float32, order="C")
         expected = (self.height, self.width, self.channels)
         if arr.shape != expected:
             raise ShapeError(f"LogitMap data shape {arr.shape} != {expected}")
         if not np.isfinite(arr).all():
             raise DataValidationError("LogitMap contains non-finite values")
         object.__setattr__(self, "data", _frozen(arr))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "LogitMap":
+        """Wrap a float32 array the caller has just built and nobody else
+        holds, freezing it in place instead of copying it."""
+        if arr.ndim != 3:
+            raise ShapeError(f"expected 3D array, got ndim={arr.ndim}")
+        if (arr.dtype != np.float32 or not arr.flags.c_contiguous
+                or not arr.flags.owndata):
+            raise DataValidationError(
+                "LogitMap can only own a C-contiguous float32 array")
+        grid = object.__new__(cls)
+        for name, n in zip(("height", "width", "channels"), arr.shape):
+            object.__setattr__(grid, name, n)
+        grid._freeze(arr)
+        return grid
 
     @classmethod
     def from_array(cls, arr) -> "LogitMap":
@@ -139,7 +164,7 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
             return a
         out = d.copy()
         out[ys[flip], xs[flip], cs[flip]] = 0.0
-        return LogitMap(a.height, a.width, a.channels, out)
+        return LogitMap._own(out)
 
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (a.height / out_h) - 0.5
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (a.width / out_w) - 0.5
@@ -154,14 +179,20 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     x0c = np.clip(x0, 0, a.width - 1)
     x1c = np.clip(x0 + 1, 0, a.width - 1)
 
-    # x pass over only the source rows some output row reads, then y pass
-    rows, pick = np.unique(np.concatenate([y0c, y1c]), return_inverse=True)
-    src = a.data[rows].astype(np.float64)
-    left = src[:, x0c]
-    xl = left + (src[:, x1c] - left) * dx[None, :, None]
-    top = xl[pick[:out_h]]
-    out = top + (xl[pick[out_h:]] - top) * dy[:, None, None]
-    return LogitMap(out_h, out_w, a.channels, out)  # rounds to float32
+    out = np.empty((out_h, out_w, a.channels), dtype=np.float32)
+    for r0 in range(0, out_h, _BAND_ROWS):
+        band = slice(r0, min(r0 + _BAND_ROWS, out_h))
+        n = band.stop - r0
+        # x pass over only the source rows this band reads, then y pass
+        rows, pick = np.unique(np.concatenate([y0c[band], y1c[band]]),
+                               return_inverse=True)
+        src = a.data[rows].astype(np.float64)
+        left = src[:, x0c]
+        xl = left + (src[:, x1c] - left) * dx[None, :, None]
+        top = xl[pick[:n]]
+        # rounded once, to float32, as it is written into the output
+        out[band] = top + (xl[pick[n:]] - top) * dy[band, None, None]
+    return LogitMap._own(out)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -196,10 +227,15 @@ def gated_blend(a: np.ndarray, b: np.ndarray, gate: np.ndarray) -> np.ndarray:
     bitwise, and the output never escapes the operand envelope.
     """
     g = gate if gate.ndim == a.ndim else gate[..., None]
-    out = a * g + b * (np.float32(1.0) - g)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return np.minimum(np.maximum(out, lo), hi)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape, g.shape),
+                   dtype=np.result_type(a, b, g))
+    for r0 in range(0, out.shape[0], _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        ab, bb, gb = a[band], b[band], g[band]
+        blend = ab * gb + bb * (np.float32(1.0) - gb)
+        np.minimum(np.maximum(blend, np.minimum(ab, bb)), np.maximum(ab, bb),
+                   out=out[band])
+    return out
 
 
 def scaled_dim(n: int, scale: float) -> int:

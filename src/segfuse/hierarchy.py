@@ -30,8 +30,7 @@ def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
     up_alpha = bilinear_resize(alpha_src, higher.height,
                                higher.width).data[:, :, 0]
     up_alpha = np.minimum(np.maximum(up_alpha, np.float32(0.0)), np.float32(1.0))
-    out = gated_blend(up.data, higher.data, up_alpha)
-    return LogitMap(higher.height, higher.width, higher.channels, out)
+    return LogitMap._own(gated_blend(up.data, higher.data, up_alpha))
 
 
 def run_inference_chain(

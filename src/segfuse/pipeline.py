@@ -225,6 +225,74 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
     return AttentionMap(sh, sw, np.clip(acc, 0.0, 1.0).astype(np.float32))
 
 
+def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
+                cfg: PipelineConfig, scale: float, workers: int
+                ) -> tuple[tuple[LogitMap, AttentionMap], list[dict]]:
+    """One scale's level of the fold, ``(fused_scale, mean_alpha)``, and its
+    weight records.  The scale's whole-frame ensemble, gate and local maps
+    are freed when it returns."""
+    height, width, channels = bundle.height, bundle.width, bundle.channels
+    sub = bundle.with_scale(scale)
+    maps = {}
+    for model in sub.models:
+        grid = sub.logit_maps.get((model, scale))
+        if grid is None:
+            raise DataValidationError(
+                f"no logit map for model {model!r} at scale {scale}")
+        maps[model] = grid
+    sh = scaled_dim(height, scale)
+    sw = scaled_dim(width, scale)
+
+    vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
+    horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
+    vectors = _channel_weights(vert_table, sub.models, cfg, channels)
+    records = [_weights_record(scale, "vertical", vec) for vec in vectors[1:]]
+    ens_global = _fuse_global(maps, vectors)
+
+    regions_ref = _object_regions(sub, cfg)
+    oids = list(regions_ref)
+    regions_s = {oid: scale_box(regions_ref[oid], height, width, sh, sw)
+                 for oid in oids}
+
+    def _object_task(oid: int):
+        w = _group_weights(horiz_table, sub.models, oid, cfg)
+        local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
+                                    regions_s[oid], channels)
+                      for m in sub.models}
+        fused_local = fuse_logits(local_maps, [w] * channels)
+        beta_patch = None
+        if cfg.beta_const is None:
+            g_rows = crop(ens_global, regions_s[oid]).data.reshape(
+                -1, channels).astype(np.float64)
+            l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
+            attn = row_normalize(local_attention(
+                difference_matrix(g_rows, l_rows), cfg.attention_factor))
+            # scalar gate per pixel: a uniform row means no channel stands
+            # out as disagreeing (gate -> 1, trust the frame); a peaked row
+            # means concentrated disagreement (gate -> 0, trust the object)
+            peak = attn.max(axis=1)
+            rows = np.clip((1.0 - peak) / (1.0 - 1.0 / channels), 0.0, 1.0)
+            beta_patch = rows.reshape(
+                regions_s[oid].height, regions_s[oid].width)
+        return w, fused_local, beta_patch
+
+    locals_list = []
+    beta_patches = []
+    for oid, (w, fused_local, beta_patch) in zip(
+            oids, _pmap(_object_task, oids, workers)):
+        records.append(_weights_record(scale, "horizontal", w))
+        locals_list.append((fused_local, regions_s[oid]))
+        if beta_patch is not None:
+            beta_patches.append((beta_patch, regions_s[oid]))
+
+    if cfg.beta_const is not None:
+        beta = AttentionMap.full(sh, sw, cfg.beta_const)
+    else:
+        beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
+    fused_scale = fuse_global_local(ens_global, locals_list, beta)
+    return (fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)), records
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     final_logits: LogitMap            # at the reference grid
@@ -249,70 +317,12 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
             f"components), got {channels}")
     weights_records: list[dict] = []
     levels = []
-
     for scale in bundle.scales:
-        sub = bundle.with_scale(scale)
-        maps = {}
-        for model in sub.models:
-            grid = sub.logit_maps.get((model, scale))
-            if grid is None:
-                raise DataValidationError(
-                    f"no logit map for model {model!r} at scale {scale}")
-            maps[model] = grid
-        sh = scaled_dim(height, scale)
-        sw = scaled_dim(width, scale)
-
-        vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
-        horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
-        vectors = _channel_weights(vert_table, sub.models, cfg, channels)
-        for vec in vectors[1:]:
-            weights_records.append(_weights_record(scale, "vertical", vec))
-        ens_global = _fuse_global(maps, vectors)
-
-        regions_ref = _object_regions(sub, cfg)
-        oids = list(regions_ref)
-        regions_s = {oid: scale_box(regions_ref[oid], height, width, sh, sw)
-                     for oid in oids}
-
-        def _object_task(oid: int):
-            w = _group_weights(horiz_table, sub.models, oid, cfg)
-            local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
-                                        regions_s[oid], channels)
-                          for m in sub.models}
-            fused_local = fuse_logits(local_maps, [w] * channels)
-            beta_patch = None
-            if cfg.beta_const is None:
-                g_rows = crop(ens_global, regions_s[oid]).data.reshape(
-                    -1, channels).astype(np.float64)
-                l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
-                attn = row_normalize(local_attention(
-                    difference_matrix(g_rows, l_rows), cfg.attention_factor))
-                # scalar gate per pixel: a uniform row means no channel stands
-                # out as disagreeing (gate -> 1, trust the frame); a peaked row
-                # means concentrated disagreement (gate -> 0, trust the object)
-                peak = attn.max(axis=1)
-                rows = np.clip((1.0 - peak) / (1.0 - 1.0 / channels), 0.0, 1.0)
-                beta_patch = rows.reshape(
-                    regions_s[oid].height, regions_s[oid].width)
-            return w, fused_local, beta_patch
-
-        locals_list = []
-        beta_patches = []
-        for oid, (w, fused_local, beta_patch) in zip(
-                oids, _pmap(_object_task, oids, workers)):
-            weights_records.append(_weights_record(scale, "horizontal", w))
-            locals_list.append((fused_local, regions_s[oid]))
-            if beta_patch is not None:
-                beta_patches.append((beta_patch, regions_s[oid]))
-
-        if cfg.beta_const is not None:
-            beta = AttentionMap.full(sh, sw, cfg.beta_const)
-        else:
-            beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
-        fused_scale = fuse_global_local(ens_global, locals_list, beta)
-        levels.append((fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)))
-
+        level, records = _fuse_scale(bundle, calib, cfg, scale, workers)
+        levels.append(level)
+        weights_records += records
     final = run_inference_chain(levels)
+    del levels  # the per-scale frames are not needed for the carving
     final_ref = bilinear_resize(final, height, width)
     labels = argmax_channel(final_ref)
 

@@ -20,6 +20,8 @@ from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, MaskInstance,
                     rle_encode, tight_bbox, iou)
 
 _BACKGROUND_BIAS = 0.5
+# largest scale a fixture is rendered at: 4x the canvas on each axis
+_MAX_SCALE = 4.0
 
 _NEST_FACTORS = {"shell": 1.0, "meat": 0.72, "gonad": 0.50, "muscle": 0.32}
 
@@ -142,6 +144,10 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         raise DataValidationError("perturbation magnitude cannot be negative")
     if not scales or any(not (0 < s < math.inf) for s in scales):
         raise DataValidationError("scales must be positive and finite")
+    if max(scales) > _MAX_SCALE:
+        raise DataValidationError(
+            f"scales: {max(scales)} exceeds the largest synthetic scale "
+            f"{_MAX_SCALE}")
     if any(a >= b for a, b in zip(scales, scales[1:])):
         raise DataValidationError("scales must be strictly increasing")
     try:

@@ -104,6 +104,25 @@ class TestSynthCommand:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("scales", ["1e12", "0.5 100"])
+    def test_scale_above_bound_is_data_error(self, tmp_path, capsys, scales):
+        # rejected before any mask is drawn; the small canvas keeps the
+        # grids of an unbounded render small
+        code = main(["synth", "--height", "16", "--width", "16",
+                     "--out-dir", str(tmp_path / "bad"),
+                     "--scales", *scales.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "scales:" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_largest_scale_renders(self, tmp_path):
+        out = tmp_path / "big"
+        assert main(["synth", "--height", "16", "--width", "16", "--objects",
+                     "1", "--scales", "4.0", "--out-dir", str(out)]) == 0
+        assert load_manifest(out / "manifest.json").logit_maps[
+            ("m0", 4.0)].shape[:2] == (64, 64)
+
 
 class TestFuseCommand:
     def test_single_model_fusion_is_identity(self, tmp_path):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from segfuse import formats
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import main
 from segfuse.errors import DataValidationError, FormatError
@@ -35,6 +36,17 @@ class TestTensorFile:
         p = tmp_path / "t.tns"
         save_tensor(p, LogitMap.from_array(data))
         assert np.array_equal(load_tensor(p), data)
+
+    def test_logit_map_freezes_the_array_it_read(self, tmp_path, rng,
+                                                 monkeypatch):
+        p = tmp_path / "t.tns"
+        save_tensor(p, LogitMap.from_array(
+            rng.normal(size=(3, 4, 2)).astype(np.float32)))
+        read = []
+        monkeypatch.setattr(formats, "load_tensor",
+                            lambda path: read.append(load_tensor(path)) or read[0])
+        grid = formats.load_logit_map(p)
+        assert grid.data is read[0] and not grid.data.flags.writeable
 
     def test_attention_roundtrip(self, tmp_path, rng):
         data = rng.uniform(size=(4, 6)).astype(np.float32)

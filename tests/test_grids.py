@@ -1,25 +1,33 @@
 """Grid primitives: resampling, softmax, argmax, gated blend."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segfuse.errors import DataValidationError
+from segfuse.errors import DataValidationError, ShapeError
 from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
                            bilinear_resize, gated_blend, scaled_dim,
                            softmax_rows)
+from segfuse.hierarchy import fuse_adjacent_scales
 
-from reference import bilinear_gather_ref, bilinear_ref
+from reference import (bilinear_gather_ref, bilinear_ref, fuse_adjacent_ref,
+                       gated_blend_ref)
 
 
 @st.composite
 def resize_cases(draw):
     """(in_h, in_w, channels, out_h, out_w, seed, zero_frac) for up-, down-,
-    same-size and mixed resamples of small grids."""
+    same-size and mixed resamples of small grids, and for narrow grids up to
+    200 output rows, which cross the resampling bands."""
     in_h, in_w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    mode = draw(st.sampled_from(("up", "down", "same", "mixed")))
-    if mode == "same":
+    mode = draw(st.sampled_from(("up", "down", "same", "mixed", "tall")))
+    if mode == "tall":
+        in_h, in_w = draw(st.integers(1, 300)), draw(st.integers(1, 4))
+        out_h, out_w = draw(st.integers(1, 200)), draw(st.integers(1, 4))
+    elif mode == "same":
         out_h, out_w = in_h, in_w
     elif mode == "up":
         out_h = draw(st.integers(in_h, 2 * in_h + 3))
@@ -41,6 +49,20 @@ def planted_grid(in_h, in_w, channels, seed, zero_frac):
     zeros = rng.random(src.shape) < zero_frac
     src[zeros] = np.where(rng.random(src.shape) < 0.5, 0.0, -0.0)[zeros]
     return src
+
+
+def traced_peak_ratio(fn, *args):
+    """Traced allocation peak of ``fn(*args)`` above what was held before
+    the call, as a multiple of the size of the grid it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = out.data if isinstance(out, LogitMap) else out
+    return (peak - base) / data.nbytes
 
 
 class TestBilinearResize:
@@ -112,6 +134,34 @@ class TestBilinearResize:
     def test_rejects_bad_target(self):
         with pytest.raises(DataValidationError):
             bilinear_resize(LogitMap.zeros(2, 2, 1), 0, 4)
+
+    # output heights on both sides of the 64-row band edges
+    @pytest.mark.parametrize("out_h", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("factor", [8, 1 / 8])
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_bytes_across_band_edges(self, out_h, factor, channels):
+        # a band of 64 rows reads 128 source rows at 8x down, 9 at 8x up
+        in_h = max(1, round(out_h * factor))
+        in_w, out_w = (24, 3) if factor > 1 else (3, 24)
+        src = planted_grid(in_h, in_w, channels, out_h, 0.25)
+        got = bilinear_resize(LogitMap.from_array(src), out_h, out_w).data
+        assert got.tobytes() == bilinear_gather_ref(src, out_h, out_w).tobytes()
+        assert got.tobytes() == bilinear_ref(src, out_h, out_w).tobytes()
+
+    def test_result_is_read_only(self, rng):
+        a = LogitMap.from_array(rng.normal(size=(70, 3, 2)).astype(np.float32))
+        for out_h, out_w in ((140, 5), (70, 3)):
+            with pytest.raises(ValueError):
+                bilinear_resize(a, out_h, out_w).data[0, 0, 0] = 1.0
+        flipped = LogitMap.from_array(np.array([[-0.0, 1.0]], dtype=np.float32))
+        out = bilinear_resize(flipped, 1, 2)
+        assert out is not flipped and not out.data.flags.writeable
+
+    def test_peak_memory_bounded_by_bands(self, rng):
+        # a whole-frame float64 pass would cost 2x the output per temporary
+        a = LogitMap.from_array(
+            rng.normal(size=(256, 256, 5)).astype(np.float32))
+        assert traced_peak_ratio(bilinear_resize, a, 512, 512) <= 3.5
 
 
 class TestScaledDim:
@@ -194,11 +244,72 @@ class TestGatedBlend:
         g = rng.uniform(size=(8, 8)).astype(np.float32)
         assert np.array_equal(gated_blend(a, a.copy(), g), a)
 
+    @pytest.mark.parametrize("gate_ndim", [2, 3])
+    def test_matches_scalar_reference_across_bands(self, rng, gate_ndim):
+        shape = (130, 4, 3)
+        a = rng.normal(size=shape).astype(np.float32)
+        b = rng.normal(size=shape).astype(np.float32)
+        g = rng.uniform(size=shape[:gate_ndim]).astype(np.float32)
+        g.flat[::7] = 0.0
+        g.flat[3::7] = 1.0
+        out = gated_blend(a, b, g)
+        assert out.shape == shape and out.dtype == np.float32
+        g3 = g if gate_ndim == 3 else np.broadcast_to(g[..., None], shape)
+        for idx in np.ndindex(shape):
+            assert out[idx] == gated_blend_ref(a[idx], b[idx], g3[idx])
+
+    def test_peak_memory_bounded_by_bands(self, rng):
+        a = rng.normal(size=(512, 512, 5)).astype(np.float32)
+        b = rng.normal(size=(512, 512, 5)).astype(np.float32)
+        g = rng.uniform(size=(512, 512)).astype(np.float32)
+        assert traced_peak_ratio(gated_blend, a, b, g) <= 2.0
+
+
+class TestFuseAdjacentAcrossBands:
+    def test_matches_reference_65_to_130_rows(self, rng):
+        lower = rng.normal(scale=3.0, size=(65, 3, 2)).astype(np.float32)
+        alpha = rng.uniform(size=(65, 3)).astype(np.float32)
+        higher = rng.normal(scale=3.0, size=(130, 6, 2)).astype(np.float32)
+        got = fuse_adjacent_scales(LogitMap.from_array(lower),
+                                   AttentionMap.from_array(alpha),
+                                   LogitMap.from_array(higher))
+        assert (got.data.tobytes()
+                == fuse_adjacent_ref(lower, alpha, higher).tobytes())
+        assert not got.data.flags.writeable
+
+    def test_peak_memory_bounded_by_bands(self, rng):
+        lower = LogitMap.from_array(
+            rng.normal(size=(256, 256, 5)).astype(np.float32))
+        alpha = AttentionMap.from_array(
+            rng.uniform(size=(256, 256)).astype(np.float32))
+        higher = LogitMap.from_array(
+            rng.normal(size=(512, 512, 5)).astype(np.float32))
+        assert traced_peak_ratio(fuse_adjacent_scales, lower, alpha,
+                                 higher) <= 4.0
+
 
 class TestTypeInvariants:
     def test_logitmap_rejects_nan(self):
         with pytest.raises(DataValidationError):
             LogitMap.from_array(np.array([[[np.nan]]], dtype=np.float32))
+
+    def test_own_freezes_in_place_with_the_same_checks(self):
+        arr = np.ones((2, 3, 4), dtype=np.float32)
+        grid = LogitMap._own(arr)
+        assert grid.data is arr and not arr.flags.writeable
+        assert grid.shape == (2, 3, 4)
+        with pytest.raises(DataValidationError):
+            LogitMap._own(np.array([[[np.nan]]], dtype=np.float32))
+        with pytest.raises(DataValidationError):
+            LogitMap._own(np.ones((0, 3, 4), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            LogitMap._own(np.ones((2, 3), dtype=np.float32))
+        # float64, not C-contiguous, a view that does not own its data
+        for bad in (np.ones((2, 3, 4)),
+                    np.ones((3, 2, 4), np.float32).swapaxes(0, 1),
+                    np.ones((4, 3, 4), np.float32)[:2]):
+            with pytest.raises(DataValidationError):
+                LogitMap._own(bad)
 
     def test_attention_range_enforced(self):
         with pytest.raises(DataValidationError):
