@@ -5,6 +5,11 @@ fixtures have the containment structure the engine expects.  Model 0 always
 reproduces the ground truth exactly; model i is perturbed with magnitude
 growing in i (shift plus dilation or erosion).  Everything derives from one
 numpy Generator, so a seed fixes the fixture byte for byte.
+
+Masks are box-local: an object is drawn on a window around its shell and
+each model perturbs it on that window grown by twice the magnitude, so the
+only whole frames are one union per model and component and the logit and
+alpha maps.
 """
 
 from __future__ import annotations
@@ -16,12 +21,14 @@ import numpy as np
 from .bundle import PredictionBundle
 from .errors import DataValidationError
 from .grids import LogitMap, AttentionMap, bilinear_resize, scaled_dim
-from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, MaskInstance,
-                    rle_encode, tight_bbox, iou)
+from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
+                    MaskInstance, rle_encode, tight_bbox, iou)
 
 _BACKGROUND_BIAS = 0.5
 # largest scale a fixture is rendered at: 4x the canvas on each axis
 _MAX_SCALE = 4.0
+# largest side of a rendered grid: the canvas times max(1, largest scale)
+_MAX_SIDE = 4096
 
 _NEST_FACTORS = {"shell": 1.0, "meat": 0.72, "gonad": 0.50, "muscle": 0.32}
 
@@ -53,36 +60,52 @@ def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
     return out
 
 
-def _ellipse(h, w, cy, cx, ry, rx) -> np.ndarray:
-    yy = np.arange(h, dtype=np.float64)[:, None]
-    xx = np.arange(w, dtype=np.float64)[None, :]
+def _ellipse(win: BBox, cy, cx, ry, rx) -> np.ndarray:
+    yy = np.arange(win.y0, win.y1, dtype=np.float64)[:, None]
+    xx = np.arange(win.x0, win.x1, dtype=np.float64)[None, :]
     return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
 
 
-def _rect(h, w, cy, cx, ry, rx) -> np.ndarray:
-    yy = np.arange(h, dtype=np.float64)[:, None]
-    xx = np.arange(w, dtype=np.float64)[None, :]
+def _rect(win: BBox, cy, cx, ry, rx) -> np.ndarray:
+    yy = np.arange(win.y0, win.y1, dtype=np.float64)[:, None]
+    xx = np.arange(win.x0, win.x1, dtype=np.float64)[None, :]
     return (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
 
 
-def _object_components(rng, h, w, cy, cx, ry, rx) -> dict[str, np.ndarray]:
+def _object_components(rng, win, cy, cx, ry, rx) -> dict[str, np.ndarray]:
+    """One object's nested components, drawn on ``win`` (frame coordinates,
+    so every pixel sees the same float64 expression as on a whole frame)."""
     draw = _ellipse if rng.random() < 0.7 else _rect
     comps = {}
     parent = None
     for name in COMPONENTS:
         f = _NEST_FACTORS[name]
         if parent is None:
-            bits = draw(h, w, cy, cx, ry, rx)
+            bits = draw(win, cy, cx, ry, rx)
         else:
             # offset bounded by the shrink so the child stays inside its parent
             max_off = max(0.0, (prev_f - f) * min(ry, rx) * 0.6)
             oy = rng.uniform(-max_off, max_off)
             ox = rng.uniform(-max_off, max_off)
-            bits = draw(h, w, cy + oy, cx + ox, ry * f, rx * f) & parent
+            bits = draw(win, cy + oy, cx + ox, ry * f, rx * f) & parent
         comps[name] = bits
         parent = bits
         prev_f = f
     return comps
+
+
+def _grow(b: BBox, margin: int, h: int, w: int) -> BBox:
+    return BBox(max(0, b.x0 - margin), max(0, b.y0 - margin),
+                min(w, b.x1 + margin), min(h, b.y1 + margin))
+
+
+def _paste(bits: np.ndarray, box: BBox, onto: BBox) -> np.ndarray:
+    """``bits`` over ``box`` as a window over the enclosing ``onto``."""
+    if box == onto:  # magnitude 0: the unperturbed window itself
+        return bits
+    out = np.zeros((onto.height, onto.width), dtype=bool)
+    out[box.shifted(-onto.x0, -onto.y0).slices] = bits
+    return out
 
 
 def _perturb(rng, bits: np.ndarray, magnitude: int) -> np.ndarray:
@@ -150,10 +173,16 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
             f"{_MAX_SCALE}")
     if any(a >= b for a, b in zip(scales, scales[1:])):
         raise DataValidationError("scales must be strictly increasing")
-    try:
-        dims = [(scaled_dim(height, s), scaled_dim(width, s)) for s in scales]
-    except DataValidationError as e:
-        raise DataValidationError(f"scales: {e}") from None
+    # checked before anything is allocated; the canvas itself is rendered
+    # too, as the base every scale is resized from, and a side tested alone
+    # first never meets float arithmetic however large it is
+    top = max(1.0, max(scales))
+    for name, n in (("height", height), ("width", width)):
+        if n > _MAX_SIDE or scaled_dim(n, top) > _MAX_SIDE:
+            raise DataValidationError(
+                f"{name}: {n} at scale {top} exceeds the largest synthetic "
+                f"grid side {_MAX_SIDE}")
+    dims = [(scaled_dim(height, s), scaled_dim(width, s)) for s in scales]
     rng = np.random.default_rng(seed)
     h, w = height, width
     model_ids = tuple(f"m{i}" for i in range(models))
@@ -163,71 +192,74 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
     cell_h = h / rows
     cell_w = w / cols
 
-    gt_objects = []
+    # each object lives on a window: its shell's extent plus a 1-pixel
+    # margin, clamped to the frame; outside it every component is empty
+    gt_objects = []  # (window, {component: bits over the window})
+    ground_truth = []
     for k in range(objects):
         r, c = divmod(k, cols)
         cy = (r + 0.5) * cell_h + rng.uniform(-0.05, 0.05) * cell_h
         cx = (c + 0.5) * cell_w + rng.uniform(-0.05, 0.05) * cell_w
         ry = cell_h * rng.uniform(0.28, 0.38)
         rx = cell_w * rng.uniform(0.28, 0.38)
-        gt_objects.append(_object_components(rng, h, w, cy, cx, ry, rx))
-
-    ground_truth = []
-    for oid, comps in enumerate(gt_objects):
+        win = _grow(BBox(math.floor(cx - rx), math.floor(cy - ry),
+                         math.ceil(cx + rx) + 1, math.ceil(cy + ry) + 1),
+                    1, h, w)
+        comps = _object_components(rng, win, cy, cx, ry, rx)
         for name in COMPONENTS:
+            box = tight_bbox(comps[name])
+            if box is None:
+                raise DataValidationError(
+                    f"objects: object {k}'s {name} covers no pixel on a "
+                    f"{h}x{w} canvas")
             ground_truth.append(MaskInstance(
-                mask=rle_encode(comps[name]), bbox=tight_bbox(comps[name]),
-                component=name, object_id=oid, score=1.0, model_id="gt",
-                scale=1.0, uid=len(ground_truth)))
+                mask=rle_encode(comps[name], win, h, w),
+                bbox=box.shifted(win.x0, win.y0), component=name,
+                object_id=k, score=1.0, model_id="gt", scale=1.0,
+                uid=len(ground_truth)))
+        gt_objects.append((win, comps))
 
-    instances = []
-    model_masks = {}  # (model, oid) -> {component: bits}
+    predicted = []
+    logit_maps = {}
+    alpha_maps = {}
     for mi, model in enumerate(model_ids):
         magnitude = _model_magnitude(mi, len(model_ids), perturb)
-        for oid, comps in enumerate(gt_objects):
-            perturbed = {}
+        union = {name: np.zeros((h, w), dtype=bool) for name in COMPONENTS}
+        scores = {name: 0.0 for name in COMPONENTS}
+        seen = {name: 0 for name in COMPONENTS}
+        for oid, (win, comps) in enumerate(gt_objects):
+            # the largest shift plus the largest dilation stays inside this
+            # window, so only a clamped side, where the frame ends, loses
+            # pixels, exactly as on a whole frame
+            grown = _grow(win, 2 * magnitude, h, w)
             for name in COMPONENTS:
-                bits = _perturb(rng, comps[name], magnitude)
-                perturbed[name] = bits
-            model_masks[(model, oid)] = perturbed
-    # an instance differs between scales only in its scale and uid
-    predicted = []
-    for model in model_ids:
-        for oid in range(objects):
-            for name in COMPONENTS:
-                mask = model_masks[(model, oid)][name]
-                box = tight_bbox(mask)
+                truth = _paste(comps[name], win, grown)
+                bits = _perturb(rng, truth, magnitude)
+                box = tight_bbox(bits)
                 if box is None:
                     continue  # the perturbation erased it: a missed component
-                gt_mask = gt_objects[oid][name]
-                score = min(1.0, max(0.05, round(iou(mask, gt_mask), 4)))
-                predicted.append((rle_encode(mask), box, score, model, oid, name))
+                union[name][grown.slices] |= bits
+                score = min(1.0, max(0.05, round(iou(bits, truth), 4)))
+                scores[name] += score
+                seen[name] += 1
+                predicted.append((rle_encode(bits, grown, h, w),
+                                  box.shifted(grown.x0, grown.y0), score,
+                                  model, oid, name))
+        mean_scores = {name: (scores[name] / seen[name] if seen[name] else 0.0)
+                       for name in COMPONENTS}
+        base = LogitMap._own(_logit_map(h, w, union, mean_scores))
+        for si, (scale, (sh, sw)) in enumerate(zip(scales, dims)):
+            logit_maps[(model, scale)] = bilinear_resize(base, sh, sw)
+            alpha_maps[(model, scale)] = AttentionMap(
+                sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
+
+    # an instance differs between scales only in its scale and uid
+    instances = []
     for scale in scales:
         for rle, box, score, model, oid, name in predicted:
             instances.append(MaskInstance(
                 mask=rle, bbox=box, component=name, object_id=oid, score=score,
                 model_id=model, scale=scale, uid=len(instances)))
-
-    logit_maps = {}
-    alpha_maps = {}
-    for mi, model in enumerate(model_ids):
-        union = {name: np.zeros((h, w), dtype=bool) for name in COMPONENTS}
-        scores = {name: 0.0 for name in COMPONENTS}
-        seen = {name: 0 for name in COMPONENTS}
-        for oid in range(objects):
-            for name in COMPONENTS:
-                union[name] |= model_masks[(model, oid)][name]
-        for inst in instances:
-            if inst.model_id == model and inst.scale == scales[0]:
-                scores[inst.component] += inst.score
-                seen[inst.component] += 1
-        mean_scores = {name: (scores[name] / seen[name] if seen[name] else 0.0)
-                       for name in COMPONENTS}
-        base = LogitMap.from_array(_logit_map(h, w, union, mean_scores))
-        for si, (scale, (sh, sw)) in enumerate(zip(scales, dims)):
-            logit_maps[(model, scale)] = bilinear_resize(base, sh, sw)
-            alpha_maps[(model, scale)] = AttentionMap(
-                sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
 
     return PredictionBundle(
         image_id=f"synth-{seed}", height=h, width=w, models=model_ids,

@@ -2,12 +2,15 @@
 
 These deliberately avoid the engine's vectorized code paths: everything is
 a per-element Python loop, except ``bilinear_gather_ref``: four whole-grid
-corner gathers, the unfactored form of the engine's separable resize.
-Where a test demands bit-for-bit agreement the arithmetic here follows the
-engine's documented evaluation order (same lerp form, same accumulation
-order, same envelope clamp, same float32 rounding points); where a
-tolerance applies, the algorithm is derived independently (the explicit PR
-staircase).
+corner gathers, the unfactored form of the engine's separable resize; and
+``synth_ref``, the whole-frame synthetic scene generator, whose every mask
+is a full height x width frame, drawn and perturbed with the same rng
+draws in the same order as ``segfuse.synth.generate``, which works on
+windows.  Where a test demands bit-for-bit agreement the arithmetic here
+follows the engine's documented evaluation order (same lerp form, same
+accumulation order, same envelope clamp, same float32 rounding points);
+where a tolerance applies, the algorithm is derived independently (the
+explicit PR staircase).
 """
 
 from __future__ import annotations
@@ -281,4 +284,172 @@ def label_instances_ref(logits: np.ndarray, labels: np.ndarray, regions: dict,
                    int(ys.max()) + 1)
             out.append((oid, comp, tuple(counts), box,
                         min(1.0, max(0.0, score))))
+    return out
+
+
+def rle_counts_of(frame: np.ndarray) -> tuple:
+    """Row-major RLE counts of a full-frame bool grid, one pixel at a time."""
+    counts = []
+    run, value = 0, False
+    for bit in frame.ravel().tolist():
+        if bit != value:
+            counts.append(run)
+            run, value = 0, bit
+        run += 1
+    counts.append(run)
+    return tuple(counts)
+
+
+def box_of(frame: np.ndarray):
+    """Tight half-open (x0, y0, x1, y1) box of the set pixels, or None."""
+    ys, xs = np.nonzero(frame)
+    if ys.size == 0:
+        return None
+    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+
+
+def shift_ref(bits: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Move every pixel by (dy, dx); pixels moved off the frame are lost."""
+    h, w = bits.shape
+    out = np.zeros_like(bits)
+    out[max(0, dy):min(h, h + dy), max(0, dx):min(w, w + dx)] = \
+        bits[max(0, -dy):min(h, h - dy), max(0, -dx):min(w, w - dx)]
+    return out
+
+
+def dilate_ref(bits: np.ndarray, iterations: int) -> np.ndarray:
+    out = bits
+    for _ in range(iterations):
+        out = (out | shift_ref(out, 1, 0) | shift_ref(out, -1, 0)
+               | shift_ref(out, 0, 1) | shift_ref(out, 0, -1))
+    return out
+
+
+def erode_ref(bits: np.ndarray, iterations: int) -> np.ndarray:
+    out = bits
+    for _ in range(iterations):
+        out = (out & shift_ref(out, 1, 0) & shift_ref(out, -1, 0)
+               & shift_ref(out, 0, 1) & shift_ref(out, 0, -1))
+    return out
+
+
+def ellipse_ref(h, w, cy, cx, ry, rx) -> np.ndarray:
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
+    return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+
+
+def rect_ref(h, w, cy, cx, ry, rx) -> np.ndarray:
+    yy = np.arange(h, dtype=np.float64)[:, None]
+    xx = np.arange(w, dtype=np.float64)[None, :]
+    return (np.abs(yy - cy) <= ry) & (np.abs(xx - cx) <= rx)
+
+
+def perturb_ref(rng, bits: np.ndarray, magnitude: int) -> np.ndarray:
+    """A whole-frame perturbation: shift, then dilate, erode or neither."""
+    if magnitude == 0 or not bits.any():
+        return bits.copy()
+    x0, y0, x1, y1 = box_of(bits)
+    cap = max(1, min(y1 - y0, x1 - x0) // 4)
+    dy = int(np.clip(rng.integers(-magnitude, magnitude + 1), -cap, cap))
+    dx = int(np.clip(rng.integers(-magnitude, magnitude + 1), -cap, cap))
+    out = shift_ref(bits, dy, dx)
+    op = rng.integers(0, 3)
+    iters = min(int(rng.integers(1, magnitude + 1)), cap)
+    if op == 0:
+        out = dilate_ref(out, iters)
+    elif op == 1:
+        out = erode_ref(out, iters)
+    return out
+
+
+_NEST = (("shell", 1.0), ("meat", 0.72), ("gonad", 0.50), ("muscle", 0.32))
+_GAIN = {"shell": 2.5, "meat": 3.0, "gonad": 3.5, "muscle": 4.0}
+
+
+def _round_half_up(n: int, scale: float) -> int:
+    return max(1, int(math.floor(n * scale + 0.5)))
+
+
+def synth_ref(seed: int, *, objects: int, models: int, height: int,
+              width: int, perturb: int = 2, scales=(1.0,)) -> dict:
+    """Whole-frame synthetic scene.
+
+    Returns ``shapes`` (the draw per object), ``ground_truth`` as
+    (object id, component, RLE counts, box), ``instances`` as (model, object
+    id, component, RLE counts, box, score) for one scale, and ``logits`` and
+    ``alphas`` keyed by (model, scale).
+    """
+    rng = np.random.default_rng(seed)
+    h, w = height, width
+    rows = max(1, int(math.floor(math.sqrt(objects))))
+    cols = int(math.ceil(objects / rows))
+    cell_h, cell_w = h / rows, w / cols
+    shapes, gt = [], []
+    for k in range(objects):
+        r, c = divmod(k, cols)
+        cy = (r + 0.5) * cell_h + rng.uniform(-0.05, 0.05) * cell_h
+        cx = (c + 0.5) * cell_w + rng.uniform(-0.05, 0.05) * cell_w
+        ry = cell_h * rng.uniform(0.28, 0.38)
+        rx = cell_w * rng.uniform(0.28, 0.38)
+        draw = ellipse_ref if rng.random() < 0.7 else rect_ref
+        shapes.append("ellipse" if draw is ellipse_ref else "rect")
+        comps, parent, prev_f = {}, None, None
+        for name, f in _NEST:
+            if parent is None:
+                bits = draw(h, w, cy, cx, ry, rx)
+            else:
+                max_off = max(0.0, (prev_f - f) * min(ry, rx) * 0.6)
+                oy = rng.uniform(-max_off, max_off)
+                ox = rng.uniform(-max_off, max_off)
+                bits = draw(h, w, cy + oy, cx + ox, ry * f, rx * f) & parent
+            comps[name] = parent = bits
+            prev_f = f
+        gt.append(comps)
+
+    out = {"shapes": shapes, "instances": [], "logits": {}, "alphas": {},
+           "ground_truth": [(oid, name, rle_counts_of(comps[name]),
+                             box_of(comps[name]))
+                            for oid, comps in enumerate(gt)
+                            for name, _ in _NEST]}
+    perturbed = {}
+    for mi in range(models):
+        magnitude = (0 if models == 1 or perturb == 0
+                     else int(round(perturb * mi / (models - 1))))
+        for oid, comps in enumerate(gt):
+            for name, _ in _NEST:
+                perturbed[(mi, oid, name)] = perturb_ref(rng, comps[name],
+                                                         magnitude)
+    for mi in range(models):
+        union = {name: np.zeros((h, w), dtype=bool) for name, _ in _NEST}
+        total = {name: 0.0 for name, _ in _NEST}
+        seen = {name: 0 for name, _ in _NEST}
+        for oid, comps in enumerate(gt):
+            for name, _ in _NEST:
+                bits, truth = perturbed[(mi, oid, name)], comps[name]
+                union[name] |= bits
+                if not bits.any():
+                    continue
+                inter = int(np.count_nonzero(bits & truth))
+                score = min(1.0, max(0.05, round(
+                    inter / int(np.count_nonzero(bits | truth)), 4)))
+                total[name] += score
+                seen[name] += 1
+                out["instances"].append((f"m{mi}", oid, name,
+                                         rle_counts_of(bits), box_of(bits),
+                                         score))
+        base = np.zeros((h, w, 5), dtype=np.float32)
+        base[:, :, 0] = 0.5
+        for ch, (name, _) in enumerate(_NEST, start=1):
+            mean = total[name] / seen[name] if seen[name] else 0.0
+            base[:, :, ch] = np.where(union[name], np.float32(_GAIN[name] * mean),
+                                      np.float32(0.0))
+        for si, scale in enumerate(scales):
+            sh, sw = _round_half_up(h, scale), _round_half_up(w, scale)
+            out["logits"][(f"m{mi}", scale)] = bilinear_gather_ref(base, sh, sw)
+            yy = np.arange(sh, dtype=np.float64)[:, None] / max(1, sh - 1) - 0.5
+            xx = np.arange(sw, dtype=np.float64)[None, :] / max(1, sw - 1) - 0.5
+            out["alphas"][(f"m{mi}", scale)] = np.clip(
+                0.2 + 0.15 * np.sqrt(yy * yy + xx * xx) + 0.01 * mi + 0.02 * si,
+                0.0, 0.9).astype(np.float32)
     return out

@@ -116,6 +116,40 @@ class TestSynthCommand:
         assert "scales:" in err and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("canvas, named", [
+        ("--height 100000 --width 100000 --scales 1.0", "height: 100000"),
+        ("--height 16 --width 4097 --scales 1.0", "width: 4097"),
+        # the canvas is drawn at scale 1.0 whatever the scales
+        ("--height 100000 --scales 0.01", "height: 100000"),
+        ("--height 1025 --scales 0.5 4.0", "height: 1025 at scale 4.0"),
+        pytest.param("--width 1" + "0" * 400 + " --scales 1.0",
+                     "width: 10000", id="width-1e400"),
+    ])
+    def test_canvas_above_bound_is_data_error(self, tmp_path, capsys, canvas,
+                                              named):
+        # rejected before any grid or mask is allocated
+        code = main(["synth", "--out-dir", str(tmp_path / "bad"),
+                     *canvas.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "4096" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("canvas, object_id, component", [
+        ("--objects 20 --height 16 --width 16", 0, "gonad"),
+        ("--objects 400", 18, "muscle"),
+    ])
+    def test_crowded_canvas_is_data_error(self, tmp_path, capsys, canvas,
+                                          object_id, component):
+        code = main(["synth", "--out-dir", str(tmp_path / "bad"),
+                     *canvas.split()])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (f"objects: object {object_id}'s {component} covers no pixel "
+                f"on a ") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     def test_largest_scale_renders(self, tmp_path):
         out = tmp_path / "big"
         assert main(["synth", "--height", "16", "--width", "16", "--objects",

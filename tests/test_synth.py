@@ -1,9 +1,16 @@
 """The seeded synthetic scene generator."""
 
-import numpy as np
+import tracemalloc
 
-from segfuse.masks import COMPONENTS, rle_decode
-from segfuse.synth import generate
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segfuse.masks import COMPONENTS, BBox, rle_decode, tight_bbox
+from segfuse.synth import _perturb, generate
+
+from reference import perturb_ref, synth_ref
 
 
 def bits_of(bundle, model, oid, component, scale=None):
@@ -91,3 +98,116 @@ class TestStructure:
                  if i.model_id == bundle.models[-1]]
         assert min(exact) == 1.0
         assert np.mean(worst) < 1.0
+
+
+REFERENCE_FIXTURES = {
+    # pixels shifted off the frame and components erased at magnitude 6
+    "tiny-perturb6": dict(objects=7, models=6, height=16, width=20, perturb=6),
+    "no-perturb": dict(objects=5, models=3, height=32, width=40, perturb=0),
+    "one-model": dict(objects=4, models=1, height=24, width=32),
+    "multi-scale": dict(objects=6, models=3, height=32, width=48,
+                        scales=(0.25, 0.5, 1.0, 2.0)),
+    "crowded-edges": dict(objects=12, models=4, height=40, width=50,
+                          perturb=8),
+    # shells large enough that a shift plus a dilation passes the magnitude
+    "large-shift": dict(objects=2, models=4, height=96, width=96, perturb=9),
+}
+
+
+class TestAgainstWholeFrameReference:
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIXTURES))
+    def test_element_for_element(self, name, seed):
+        kw = REFERENCE_FIXTURES[name]
+        bundle = generate(seed, **kw)
+        ref = synth_ref(seed, **kw)
+        assert [(g.object_id, g.component, g.mask.counts,
+                 (g.bbox.x0, g.bbox.y0, g.bbox.x1, g.bbox.y1))
+                for g in bundle.ground_truth] == ref["ground_truth"]
+        expected = [(scale, *inst) for scale in bundle.scales
+                    for inst in ref["instances"]]
+        assert [(i.scale, i.model_id, i.object_id, i.component, i.mask.counts,
+                 (i.bbox.x0, i.bbox.y0, i.bbox.x1, i.bbox.y1), i.score)
+                for i in bundle.instances] == expected
+        assert [i.uid for i in bundle.instances] == list(range(len(expected)))
+        assert bundle.logit_maps.keys() == ref["logits"].keys()
+        for key, grid in bundle.logit_maps.items():
+            assert grid.data.tobytes() == ref["logits"][key].tobytes(), key
+        assert bundle.alpha_maps.keys() == ref["alphas"].keys()
+        for key, grid in bundle.alpha_maps.items():
+            assert grid.data.tobytes() == ref["alphas"][key].tobytes(), key
+
+    def test_fixtures_reach_the_edge_cases(self):
+        """The reference fixtures erase components, move masks against the
+        frame's sides and draw both shapes."""
+        erased = edge = 0
+        shapes = set()
+        for name, kw in REFERENCE_FIXTURES.items():
+            for seed in (2, 3, 7):
+                ref = synth_ref(seed, **kw)
+                shapes.update(ref["shapes"])
+                erased += kw["objects"] * kw["models"] * 4 - len(ref["instances"])
+                edge += sum(1 for *_, box, _ in ref["instances"]
+                            if box[0] == 0 or box[1] == 0
+                            or box[2] == kw["width"] or box[3] == kw["height"])
+        assert erased > 0 and edge > 0
+        assert shapes == {"ellipse", "rect"}
+
+
+@st.composite
+def edge_masks(draw, edge):
+    """(mask, magnitude, seed): a random mask on a small frame whose set
+    pixels touch the frame's ``edge`` side."""
+    h, w = draw(st.integers(4, 32)), draw(st.integers(4, 32))
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+    y0, y1, x0, x1 = {"top": (0, y1, x0, x1), "bottom": (y0, h, x0, x1),
+                      "left": (y0, y1, 0, x1), "right": (y0, y1, x0, w)}[edge]
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.zeros((h, w), dtype=bool)
+    bits[y0:y1, x0:x1] = np.random.default_rng(seed).random(
+        (y1 - y0, x1 - x0)) < density
+    # one set pixel on the edge itself
+    y, x = {"top": (0, x0), "bottom": (h - 1, x0), "left": (y0, 0),
+            "right": (y0, w - 1)}[edge]
+    bits[y, x] = True
+    return bits, draw(st.integers(0, 8)), seed
+
+
+class TestWindowPerturbation:
+    @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grown_window_equals_cropped_frame(self, edge, data):
+        bits, magnitude, seed = data.draw(edge_masks(edge))
+        h, w = bits.shape
+        box = tight_bbox(bits)
+        grown = BBox(max(0, box.x0 - 2 * magnitude),
+                     max(0, box.y0 - 2 * magnitude),
+                     min(w, box.x1 + 2 * magnitude),
+                     min(h, box.y1 + 2 * magnitude))
+        full_rng = np.random.default_rng(seed)
+        window_rng = np.random.default_rng(seed)
+        full = perturb_ref(full_rng, bits, magnitude)
+        window = _perturb(window_rng, bits[grown.slices], magnitude)
+        assert np.array_equal(window, full[grown.slices])
+        outside = full.copy()
+        outside[grown.slices] = False
+        assert not outside.any()
+        # the same draws were taken
+        assert full_rng.random() == window_rng.random()
+
+
+def test_traced_peak_stays_within_eight_logit_frames():
+    # one 5-channel float32 logit frame at 512x512 is 5.0 MiB; whole-frame
+    # masks would hold every component of every object and model at once
+    frame = 512 * 512 * 5 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        generate(2, objects=16, models=3, height=512, width=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 8 * frame
