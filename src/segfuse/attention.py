@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
-from .grids import AttentionMap, LogitMap, gated_blend, softmax_rows
+from .grids import AttentionMap, LogitMap, _row_sums, gated_blend, softmax_rows
 from .masks import BBox, _check_in_bounds
 
 
@@ -51,7 +51,7 @@ def row_normalize(a) -> np.ndarray:
         raise ShapeError(f"expected 2D matrix, got ndim={m.ndim}")
     if m.size and m.min() < 0:
         raise DataValidationError("attention entries must be nonnegative")
-    sums = np.cumsum(m, axis=1)[:, -1:]
+    sums = _row_sums(m)
     if (sums == 0).any():
         raise DegenerateAttentionError("cannot normalize an all-zero attention row")
     return m / sums

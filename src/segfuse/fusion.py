@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, ShapeError
-from .grids import LogitMap, _frozen
+from .grids import _BAND_ROWS, LogitMap, _frozen
 from .masks import BBox, MaskInstance
 from .metrics import ApTable, normalize_ap
 
@@ -134,8 +134,10 @@ def fuse_logits(maps: Mapping[str, LogitMap],
                 weights: Sequence[FusionWeights]) -> LogitMap:
     """Weighted average of per-model logit maps, one weight vector per channel.
 
-    Channel c averages the models with ``weights[c]``; channels are fused one
-    at a time, so only one channel plane per model is widened to float64.
+    Channel c averages the models with ``weights[c]``.  Every channel of a
+    band of ``_BAND_ROWS`` rows is fused at once, each model's band widened
+    to float64 and weighted by its coefficients along the channel axis, so
+    no whole-frame float64 plane is built.
     """
     shapes = sorted({m.shape for m in maps.values()})
     if len(shapes) != 1:
@@ -143,16 +145,23 @@ def fuse_logits(maps: Mapping[str, LogitMap],
     h, w, c = shapes[0]
     if len(weights) != c:
         raise ShapeError(f"{len(weights)} weight vectors for {c} channels")
-    out = np.empty((h, w, c), dtype=np.float32)
-    for ch, vec in enumerate(weights):
+    for vec in weights:
         if set(maps) != set(vec.models):
             raise DataValidationError(
                 f"maps for {sorted(maps)} do not match weights for "
                 f"{list(vec.models)}")
-        arrays = [maps[model].data[:, :, ch].astype(np.float64)
-                  for model in vec.models]
-        out[:, :, ch] = weighted_average(arrays, [v for _, v in vec.weights])
-    return LogitMap(h, w, c, out)
+    # every vector lists the same models in ascending id order
+    models = weights[0].models
+    coeffs = [np.array([vec.weights[i][1] for vec in weights])
+              for i in range(len(models))]
+    out = np.empty((h, w, c), dtype=np.float32)
+    for r0 in range(0, h, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        # rounded once, to float32, as it is written into the output
+        out[band] = weighted_average(
+            [maps[model].data[band].astype(np.float64) for model in models],
+            coeffs)
+    return LogitMap._own(out)
 
 
 def binarize(soft: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -13,15 +13,17 @@ the package:
   separable passes, along x for each source row some output row reads,
   then along y between two such rows: the same operations in the same
   order as lerping the four corners of each output pixel.
-- Resampling and blending run per band of ``_BAND_ROWS`` output rows, each
-  written into one preallocated output, so no whole-frame temporary is
-  built.  Every element sees the same operations in the same order, so the
-  band height changes no byte.
+- Resampling, blending and the logit ensembles run per band of
+  ``_BAND_ROWS`` output rows, each written into one preallocated output, so
+  no whole-frame temporary is built.  Every element sees the same
+  operations in the same order, so the band height changes no byte.
 - A same-size resample is that lerp at t = 0, which keeps every value but
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
   are both strictly negative, and becomes +0.0 otherwise.  The rule is
   applied directly; the input grid itself comes back when no zero flips.
-- Row reductions accumulate in ascending index order (via cumsum), not
+- Reductions across the channels of a row (sum, max, argmax) run as one
+  elementwise pass per column, left to right, never as numpy's per-row
+  reduction: a sum adds the columns in ascending index order, not
   pairwise, so results are bit-reproducible run to run.
 - Softmax subtracts the row maximum before exponentiating.
 - Argmax ties resolve to the lowest channel index.
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DataValidationError, ShapeError
 
-# output rows per band of bilinear_resize and gated_blend
+# output rows per band of bilinear_resize, gated_blend and fuse_logits
 _BAND_ROWS = 64
 
 
@@ -196,8 +198,20 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    # cumsum accumulates left to right; its last column is the sequential sum
-    return np.cumsum(a, axis=1)[:, -1:]
+    """Sum of each row of a 2-D matrix as a column, added left to right."""
+    # one elementwise pass per column: strictly sequential, never pairwise
+    s = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        s += a[:, j]
+    return s[:, None]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of a finite 2-D matrix as a column."""
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    return m[:, None]
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -209,13 +223,20 @@ def softmax_rows(m) -> np.ndarray:
         raise DataValidationError("softmax of an empty row is undefined")
     if not np.isfinite(a).all():
         raise DataValidationError("softmax input must be finite")
-    e = np.exp(a - a.max(axis=1, keepdims=True))
+    e = np.exp(a - _row_max(a))
     return e / _row_sums(e)
 
 
 def argmax_channel(a: LogitMap) -> np.ndarray:
     """Per-pixel index of the highest-scoring channel (lowest index on ties)."""
-    return np.argmax(a.data, axis=2).astype(np.int64)
+    best = a.data[:, :, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.int64)
+    for ch in range(1, a.channels):
+        col = a.data[:, :, ch]
+        # strictly greater: a tie keeps the lower channel
+        np.copyto(labels, ch, where=col > best)
+        np.maximum(best, col, out=best)
+    return labels
 
 
 def gated_blend(a: np.ndarray, b: np.ndarray, gate: np.ndarray) -> np.ndarray:

@@ -258,6 +258,16 @@ class MaskInstance:
                 f"{tight_bbox(rle_decode(self.mask))}")
         self.__dict__.update(binary=decoded, area=area)
 
+    def _at_scale(self, scale: float, uid: int | None) -> "MaskInstance":
+        """This instance at another ``scale`` under another ``uid``.  The
+        mask and box are the same, so the decoded window and area are shared
+        instead of decoded and checked again."""
+        if scale <= 0:
+            raise DataValidationError(f"scale must be positive, got {scale}")
+        twin = object.__new__(MaskInstance)
+        twin.__dict__.update(self.__dict__, scale=scale, uid=uid)
+        return twin
+
     def window(self, box: BBox) -> np.ndarray:
         """This instance's bits over ``box``, empty outside ``bbox``."""
         bits = np.zeros((box.height, box.width), dtype=bool)

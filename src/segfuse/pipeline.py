@@ -24,8 +24,8 @@ from .errors import DataValidationError
 from .formats import save_manifest, save_tensor, write_json_report, write_overlay
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
-from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
-                    scaled_dim, softmax_rows)
+from .grids import (AttentionMap, LogitMap, _row_max, argmax_channel,
+                    bilinear_resize, scaled_dim, softmax_rows)
 from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     MaskInstance, crop, expand_bbox, rle_encode, scale_box,
@@ -185,13 +185,13 @@ def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
     using the shared gain ramp so nested components survive the argmax."""
     data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
     for inst in sub.instances_for(model=model, object_id=oid):
-        patch = inst.window(region_ref).astype(np.float32)
-        resized = bilinear_resize(LogitMap.from_array(patch),
+        patch = inst.window(region_ref)[:, :, None].astype(np.float32)
+        resized = bilinear_resize(LogitMap._own(patch),
                                   region_s.height, region_s.width)
         ch = COMPONENT_IDS[inst.component]
         gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
         data[:, :, ch] = np.maximum(data[:, :, ch], gain * resized.data[:, :, 0])
-    return LogitMap(region_s.height, region_s.width, channels, data)
+    return LogitMap._own(data)
 
 
 def _object_regions(sub: PredictionBundle,
@@ -206,6 +206,19 @@ def _object_regions(sub: PredictionBundle,
         regions[inst.object_id] = inst.bbox if box is None else box.union(inst.bbox)
     return {oid: expand_bbox(box, cfg.expand_factor, sub.height, sub.width)
             for oid, box in sorted(regions.items())}
+
+
+def _object_gate(global_rows: np.ndarray, local_rows: np.ndarray,
+                 factor: float) -> np.ndarray:
+    """One object region's gate, a column of one value per pixel, from its
+    whole-frame and local logits as pixels x channels."""
+    attn = row_normalize(local_attention(
+        difference_matrix(global_rows, local_rows), factor))
+    # scalar gate per pixel: a uniform row means no channel stands out as
+    # disagreeing (gate -> 1, trust the frame); a peaked row means
+    # concentrated disagreement (gate -> 0, trust the object)
+    peak = _row_max(attn)
+    return np.clip((1.0 - peak) / (1.0 - 1.0 / global_rows.shape[1]), 0.0, 1.0)
 
 
 def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
@@ -265,15 +278,9 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
             g_rows = crop(ens_global, regions_s[oid]).data.reshape(
                 -1, channels).astype(np.float64)
             l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
-            attn = row_normalize(local_attention(
-                difference_matrix(g_rows, l_rows), cfg.attention_factor))
-            # scalar gate per pixel: a uniform row means no channel stands
-            # out as disagreeing (gate -> 1, trust the frame); a peaked row
-            # means concentrated disagreement (gate -> 0, trust the object)
-            peak = attn.max(axis=1)
-            rows = np.clip((1.0 - peak) / (1.0 - 1.0 / channels), 0.0, 1.0)
-            beta_patch = rows.reshape(
-                regions_s[oid].height, regions_s[oid].width)
+            gate = _object_gate(g_rows, l_rows, cfg.attention_factor)
+            beta_patch = gate.reshape(regions_s[oid].height,
+                                      regions_s[oid].width)
         return w, fused_local, beta_patch
 
     locals_list = []
@@ -357,8 +364,11 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
     out = []
     for oid, region in _object_regions(bundle, cfg).items():
         rows = final_ref.data[region.slices].reshape(-1, final_ref.channels)
-        # tail_probs[:, c] = P(label >= c): the component-or-deeper probability
-        tail_probs = np.cumsum(softmax_rows(rows)[:, ::-1], axis=1)[:, ::-1]
+        # tail_probs[:, c] = P(label >= c): the component-or-deeper
+        # probability, summed from the last channel down one column at a time
+        tail_probs = softmax_rows(rows)
+        for ch in range(final_ref.channels - 2, -1, -1):
+            tail_probs[:, ch] += tail_probs[:, ch + 1]
         region_labels = labels[region.slices]
         for comp in COMPONENTS:
             ch = COMPONENT_IDS[comp]

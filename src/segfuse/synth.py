@@ -253,13 +253,15 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
             alpha_maps[(model, scale)] = AttentionMap(
                 sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
 
-    # an instance differs between scales only in its scale and uid
-    instances = []
-    for scale in scales:
-        for rle, box, score, model, oid, name in predicted:
-            instances.append(MaskInstance(
-                mask=rle, bbox=box, component=name, object_id=oid, score=score,
-                model_id=model, scale=scale, uid=len(instances)))
+    # an instance differs between scales only in its scale and uid, so each
+    # mask is decoded once, for the first scale
+    first = [MaskInstance(mask=rle, bbox=box, component=name, object_id=oid,
+                          score=score, model_id=model, scale=scales[0], uid=uid)
+             for uid, (rle, box, score, model, oid, name) in enumerate(predicted)]
+    instances = list(first)
+    for scale in scales[1:]:
+        for inst in first:
+            instances.append(inst._at_scale(scale, len(instances)))
 
     return PredictionBundle(
         image_id=f"synth-{seed}", height=h, width=w, models=model_ids,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from segfuse.fusion import fuse_masks
+from segfuse.grids import LogitMap
 from segfuse.masks import BBox, MaskInstance, rle_encode, tight_bbox
 
 
@@ -34,6 +37,20 @@ def block_mask(h, w, y0, y1, x0, x1):
     bits = np.zeros((h, w), dtype=bool)
     bits[y0:y1, x0:x1] = True
     return bits
+
+
+def traced_peak_ratio(fn, *args):
+    """Traced allocation peak of ``fn(*args)`` above what was held before
+    the call, as a multiple of the size of the grid it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = out.data if isinstance(out, LogitMap) else out
+    return (peak - base) / data.nbytes
 
 
 @pytest.fixture

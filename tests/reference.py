@@ -2,11 +2,14 @@
 
 These deliberately avoid the engine's vectorized code paths: everything is
 a per-element Python loop, except ``bilinear_gather_ref``: four whole-grid
-corner gathers, the unfactored form of the engine's separable resize; and
+corner gathers, the unfactored form of the engine's separable resize;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
 is a full height x width frame, drawn and perturbed with the same rng
 draws in the same order as ``segfuse.synth.generate``, which works on
-windows.  Where a test demands bit-for-bit agreement the arithmetic here
+windows; and the channel reductions (``softmax_rows_ref``,
+``row_normalize_ref``, ``argmax_ref``, ``object_gate_ref``), written with
+numpy's own axis reductions (``max(axis=1)``, the last column of
+``cumsum(axis=1)``, ``np.argmax``) where the engine passes over columns.  Where a test demands bit-for-bit agreement the arithmetic here
 follows the engine's documented evaluation order (same lerp form, same
 accumulation order, same envelope clamp, same float32 rounding points);
 where a tolerance applies, the algorithm is derived independently (the
@@ -127,6 +130,34 @@ def fuse_logits_ref(stacks: list[np.ndarray], coeffs: list[float]) -> np.ndarray
     """fuse_logits oracle: float64 accumulation, clamp, one float32 rounding."""
     acc = weighted_average_ref([a.astype(np.float64) for a in stacks], coeffs)
     return acc.astype(np.float32)
+
+
+def softmax_rows_ref(m: np.ndarray) -> np.ndarray:
+    """Row softmax from numpy's axis reductions: the row max, then the
+    sequential row sum that cumsum's last column holds."""
+    a = np.asarray(m, dtype=np.float64)
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / np.cumsum(e, axis=1)[:, -1:]
+
+
+def row_normalize_ref(m: np.ndarray) -> np.ndarray:
+    """Each row divided by its sequential sum, cumsum's last column."""
+    a = np.asarray(m, dtype=np.float64)
+    return a / np.cumsum(a, axis=1)[:, -1:]
+
+
+def argmax_ref(logits: np.ndarray) -> np.ndarray:
+    """Per-pixel channel argmax of an H x W x C grid (first index on ties)."""
+    return np.argmax(logits, axis=2).astype(np.int64)
+
+
+def object_gate_ref(g: np.ndarray, l: np.ndarray, f: float) -> np.ndarray:
+    """One object's attention gate, a column, from its whole-frame and local
+    logits as pixels x channels: 1 - the row max of the normalized softmax
+    of ``-f * |g - l|``, rescaled so a uniform row gives 1 and clipped."""
+    attn = row_normalize_ref(softmax_rows_ref(-f * np.abs(g - l)))
+    peak = attn.max(axis=1, keepdims=True)
+    return np.clip((1.0 - peak) / (1.0 - 1.0 / g.shape[1]), 0.0, 1.0)
 
 
 def gated_blend_ref(a, b, gate):

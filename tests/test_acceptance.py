@@ -25,12 +25,12 @@ from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import BBox, expand_bbox, rle_decode, rle_encode
 from segfuse.metrics import (ApTable, average_precision, group_ap,
                              match_predictions)
-from segfuse.pipeline import run_fuse
+from segfuse.pipeline import _object_gate, run_fuse
 from segfuse.synth import generate
 
 from conftest import block_mask, fused_frame, make_instance
 from reference import (chain_ref, fuse_global_local_ref, fuse_logits_ref,
-                       staircase_ap)
+                       object_gate_ref, staircase_ap)
 
 
 @contextlib.contextmanager
@@ -148,6 +148,14 @@ def test_04_scalar_oracle_reproduces_engine_bitwise():
         assert np.array_equal(engine.data,
                               fuse_global_local_ref(g, [(p1, boxes[0]),
                                                         (p2, boxes[1])], beta))
+
+        # one object's attention gate over 6x5 pixels, some rows in agreement
+        g_rows = rng.normal(scale=3.0, size=(30, 5))
+        l_rows = g_rows + rng.normal(size=(30, 5))
+        l_rows[::4] = g_rows[::4]
+        for factor in (0.5, 1.0, 4.0):
+            assert (_object_gate(g_rows, l_rows, factor).tobytes()
+                    == object_gate_ref(g_rows, l_rows, factor).tobytes())
 
         # 3-scale chain ending on the 8x8 frame
         arrays = [rng.normal(scale=2.0, size=(2, 2, 5)).astype(np.float32),
@@ -275,20 +283,29 @@ def test_08_ap_weighted_ensemble_helps():
         assert strictly_better_somewhere
 
 
-def test_09_pipeline_is_byte_deterministic(tmp_path):
-    with criterion(9, "pipeline determinism", budget_s=5.0):
+def _check_pipeline_determinism(tmp_path, label: str, image_args: list[str],
+                                calib_args: list[str] | None, budget_s: float):
+    """Three pipeline runs at workers 1, 3 and 1 on one synth fixture write
+    the same bytes; ``calib_args`` None uses the image as its own
+    calibration split.  The budget covers the synths and the runs."""
+    with criterion(9, f"pipeline determinism ({label})", budget_s=budget_s):
         fixture = tmp_path / "fx"
         quiet = io.StringIO()
         with contextlib.redirect_stdout(quiet):
-            assert main(["synth", "--seed", "31", "--objects", "3", "--height",
-                         "64", "--width", "96", "--scales", "0.5", "1.0",
+            assert main(["synth", *image_args,
                          "--out-dir", str(fixture)]) == 0
+            calib = fixture
+            if calib_args is not None:
+                calib = tmp_path / "calib"
+                assert main(["synth", *calib_args,
+                             "--out-dir", str(calib)]) == 0
         manifest = str(fixture / "manifest.json")
         runs = []
         for tag, workers in (("a", "1"), ("b", "3"), ("c", "1")):
             out = tmp_path / tag
             with contextlib.redirect_stdout(quiet):
-                assert main(["pipeline", manifest, "--calib", manifest,
+                assert main(["pipeline", manifest,
+                             "--calib", str(calib / "manifest.json"),
                              "--workers", workers, "--out-dir", str(out)]) == 0
             runs.append(out)
         for name in ("fused_logits.tns", "labels.tns", "overlay.ppm",
@@ -296,6 +313,23 @@ def test_09_pipeline_is_byte_deterministic(tmp_path):
             first = (runs[0] / name).read_bytes()
             assert (runs[1] / name).read_bytes() == first
             assert (runs[2] / name).read_bytes() == first
+
+
+def test_09_pipeline_is_byte_deterministic(tmp_path):
+    _check_pipeline_determinism(
+        tmp_path, "desk", ["--seed", "31", "--objects", "3", "--height", "64",
+                           "--width", "96", "--scales", "0.5", "1.0"],
+        None, budget_s=5.0)
+
+
+def test_09_pipeline_is_byte_deterministic_on_the_ap_geometry(tmp_path):
+    # the pipeline_ap benchmark geometry: the paper's default attention
+    # path, at a size the golden digests cannot pin
+    geometry = ["--objects", "16", "--models", "4", "--height", "640",
+                "--width", "640", "--scales", "0.5", "1.0"]
+    _check_pipeline_determinism(
+        tmp_path, "pipeline_ap geometry", ["--seed", "2", *geometry],
+        ["--seed", "3", *geometry], budget_s=15.0)
 
 
 def test_10_codec_roundtrips_are_lossless(tmp_path):

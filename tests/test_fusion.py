@@ -8,11 +8,11 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import (FusionWeights, binarize, compute_weights,
                             fuse_logits, weighted_average)
-from segfuse.grids import LogitMap
+from segfuse.grids import _BAND_ROWS, LogitMap
 from segfuse.metrics import ApTable
 from segfuse.pipeline import run_fuse
 
-from conftest import block_mask, fused_frame, make_instance
+from conftest import block_mask, fused_frame, make_instance, traced_peak_ratio
 from reference import fuse_logits_ref, weighted_average_ref
 
 
@@ -166,6 +166,35 @@ class TestFuseLogits:
             want = fuse_logits_ref([s[:, :, ch] for s in stacks],
                                    [c for _, c in vec.weights])
             assert np.array_equal(got[:, :, ch], want)
+
+    # heights on both sides of the band edges
+    @pytest.mark.parametrize("height", [1, _BAND_ROWS - 1, _BAND_ROWS,
+                                        _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_bytes_across_band_edges(self, height, channels):
+        rng = np.random.default_rng(100 * height + channels)
+        stacks = [rng.normal(scale=4.0, size=(height, 3, channels)
+                             ).astype(np.float32) for _ in range(3)]
+        maps = {f"m{i}": LogitMap.from_array(s) for i, s in enumerate(stacks)}
+        vectors = []
+        for ch in range(channels):
+            raw = rng.uniform(0.1, 1.0, 3)
+            vectors.append(FusionWeights(ch, tuple(
+                (f"m{i}", float(c)) for i, c in enumerate(raw / raw.sum()))))
+        got = fuse_logits(maps, vectors).data
+        assert not got.flags.writeable
+        for ch, vec in enumerate(vectors):
+            want = fuse_logits_ref([s[:, :, ch] for s in stacks],
+                                   [c for _, c in vec.weights])
+            assert got[:, :, ch].tobytes() == want.tobytes()
+
+    def test_peak_memory_bounded_by_bands(self, rng):
+        # whole-frame float64 channel planes would peak at 4.2x the output
+        maps = {f"m{i}": LogitMap.from_array(
+            rng.normal(size=(512, 512, 5)).astype(np.float32))
+            for i in range(3)}
+        w = FusionWeights(None, (("m0", 0.2), ("m1", 0.3), ("m2", 0.5)))
+        assert traced_peak_ratio(fuse_logits, maps, [w] * 5) <= 3.5
 
     def test_one_weight_vector_per_channel(self):
         w = FusionWeights(None, (("m0", 1.0),))

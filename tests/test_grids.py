@@ -1,7 +1,5 @@
 """Grid primitives: resampling, softmax, argmax, gated blend."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +11,7 @@ from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
                            softmax_rows)
 from segfuse.hierarchy import fuse_adjacent_scales
 
+from conftest import traced_peak_ratio
 from reference import (bilinear_gather_ref, bilinear_ref, fuse_adjacent_ref,
                        gated_blend_ref)
 
@@ -49,20 +48,6 @@ def planted_grid(in_h, in_w, channels, seed, zero_frac):
     zeros = rng.random(src.shape) < zero_frac
     src[zeros] = np.where(rng.random(src.shape) < 0.5, 0.0, -0.0)[zeros]
     return src
-
-
-def traced_peak_ratio(fn, *args):
-    """Traced allocation peak of ``fn(*args)`` above what was held before
-    the call, as a multiple of the size of the grid it returns."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    data = out.data if isinstance(out, LogitMap) else out
-    return (peak - base) / data.nbytes
 
 
 class TestBilinearResize:
@@ -200,6 +185,11 @@ class TestSoftmaxRows:
         base = softmax_rows([row])
         shifted = softmax_rows([[v + shift for v in row]])
         assert np.abs(base - shifted).max() <= 1e-12
+
+    def test_underflowed_entries_are_zero(self):
+        # every entry but the row max underflows: the softmax is one-hot
+        out = softmax_rows([[0.0, -1000.0, -2000.0], [-5000.0, 0.0, -900.0]])
+        assert out.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
     def test_empty_row_rejected(self):
         with pytest.raises(DataValidationError):

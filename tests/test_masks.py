@@ -262,5 +262,15 @@ class TestMaskInstance:
         with pytest.raises(DataValidationError):
             make_instance(block_mask(4, 4, 0, 2, 0, 2), component="pearl")
 
+    def test_at_scale_shares_the_decoded_window(self):
+        inst = make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=0.5, uid=3)
+        twin = inst._at_scale(1.0, 9)
+        assert twin == make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=1.0,
+                                     uid=9)
+        assert twin.binary is inst.binary and twin.area == inst.area == 9
+        assert (inst.scale, inst.uid) == (0.5, 3)
+        with pytest.raises(DataValidationError, match="scale must be positive"):
+            inst._at_scale(0.0, 10)
+
     def test_tight_bbox_of_empty_mask(self):
         assert tight_bbox(np.zeros((3, 3), dtype=bool)) is None

@@ -1,0 +1,107 @@
+"""Reductions across the channels of a row, byte for byte against numpy's
+axis reductions.
+
+``softmax_rows``, ``row_normalize``, ``argmax_channel`` and the pipeline's
+per-object gate pass over the channel columns one at a time; the oracles in
+``tests/reference.py`` use ``max(axis=1)``, the last column of
+``cumsum(axis=1)`` and ``np.argmax``.  Matrices cover 1, 2, 5 and 7
+channels, exact ties and signed zeros, rows whose shifted ``exp``
+underflows to 0, non-contiguous layouts, and more rows than a band.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segfuse.attention import row_normalize
+from segfuse.grids import _BAND_ROWS, LogitMap, argmax_channel, softmax_rows
+from segfuse.pipeline import _object_gate
+
+from reference import (argmax_ref, object_gate_ref, row_normalize_ref,
+                       softmax_rows_ref)
+
+LAYOUTS = ("c", "columns", "fortran", "transpose")
+
+
+@st.composite
+def channel_rows(draw, channels=(1, 2, 5, 7)):
+    """(rows x channels float64 matrix, layout name)."""
+    k = draw(st.sampled_from(channels))
+    n = draw(st.integers(1, 2 * _BAND_ROWS + 10))
+    kind = draw(st.sampled_from(("normal", "ties", "underflow")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        # few distinct values, both zeros among them: rows tie exactly
+        m = rng.choice(np.array([-2.5, -0.0, 0.0, 0.75, 3.0]), size=(n, k))
+    elif kind == "underflow":
+        # spreads far beyond 745, where exp(x - row max) is 0.0
+        m = rng.normal(scale=2000.0, size=(n, k))
+    else:
+        m = rng.normal(scale=4.0, size=(n, k))
+    return m, draw(st.sampled_from(LAYOUTS))
+
+
+def lay_out(m: np.ndarray, layout: str) -> np.ndarray:
+    """The values of ``m`` in another memory layout."""
+    if layout == "columns":
+        wide = np.zeros((m.shape[0], 2 * m.shape[1] + 1))
+        wide[:, 1::2] = m
+        return wide[:, 1::2]
+    if layout == "fortran":
+        return np.asfortranarray(m)
+    if layout == "transpose":
+        return np.ascontiguousarray(m.T).T
+    return m
+
+
+def test_layouts_are_what_they_say():
+    m = np.arange(12.0).reshape(4, 3)
+    for layout in LAYOUTS:
+        assert np.array_equal(lay_out(m, layout), m)
+    assert not lay_out(m, "columns").flags.forc
+    assert lay_out(m, "fortran").flags.f_contiguous
+    assert not lay_out(m, "transpose").flags.c_contiguous
+
+
+@given(channel_rows())
+@settings(max_examples=300, deadline=None)
+def test_softmax_rows_matches_axis_oracle(case):
+    m, layout = case
+    a = lay_out(m, layout)
+    assert softmax_rows(a).tobytes() == softmax_rows_ref(a).tobytes()
+
+
+@given(channel_rows())
+@settings(max_examples=300, deadline=None)
+def test_row_normalize_matches_axis_oracle(case):
+    m, layout = case
+    # nonnegative, keeping -0.0 (it is not below 0); all-zero rows are
+    # rejected, which test_attention covers
+    w = np.where(m < 0, -m, m)
+    w[(w == 0).all(axis=1)] = 1.0
+    a = lay_out(w, layout)
+    assert row_normalize(a).tobytes() == row_normalize_ref(a).tobytes()
+    s = lay_out(softmax_rows_ref(m), layout)
+    assert row_normalize(s).tobytes() == row_normalize_ref(s).tobytes()
+
+
+@given(channel_rows())
+@settings(max_examples=300, deadline=None)
+def test_argmax_channel_matches_axis_oracle(case):
+    m, _ = case
+    # two pixels per grid row where the row count allows, one otherwise
+    w = 2 if len(m) % 2 == 0 else 1
+    grid = LogitMap.from_array(
+        m.astype(np.float32).reshape(len(m) // w, w, m.shape[1]))
+    assert argmax_channel(grid).tobytes() == argmax_ref(grid.data).tobytes()
+
+
+@given(channel_rows(channels=(2, 5, 7)),
+       st.sampled_from((0.5, 1.0, 3.0, 40.0)))
+@settings(max_examples=300, deadline=None)
+def test_object_gate_matches_oracle(case, factor):
+    m, layout = case
+    # the rows reversed disagree with the frame except where they meet
+    g, l = lay_out(m, layout), lay_out(m[::-1].copy(), layout)
+    got = _object_gate(g, l, factor)
+    assert got.tobytes() == object_gate_ref(g, l, factor).tobytes()

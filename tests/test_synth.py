@@ -199,6 +199,27 @@ class TestWindowPerturbation:
         assert full_rng.random() == window_rng.random()
 
 
+def test_each_mask_is_decoded_once(monkeypatch):
+    import segfuse.masks as masks
+    calls = []
+    decode = masks.rle_decode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(masks, "rle_decode", counted)
+    bundle = generate(3, objects=4, models=3, scales=(0.25, 0.5, 1.0))
+    per_scale = len(bundle.instances) // 3
+    assert len(calls) == len(bundle.ground_truth) + per_scale
+    first, later = bundle.instances[:per_scale], bundle.instances[per_scale:]
+    for k, inst in enumerate(later):
+        twin = first[k % per_scale]
+        assert inst.binary is twin.binary and inst.area == twin.area
+        assert (inst.scale, inst.uid) == ((0.5, 1.0)[k // per_scale],
+                                          per_scale + k)
+
+
 def test_traced_peak_stays_within_eight_logit_frames():
     # one 5-channel float32 logit frame at 512x512 is 5.0 MiB; whole-frame
     # masks would hold every component of every object and model at once
