@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
-from .grids import AttentionMap, LogitMap, _row_sums, gated_blend, softmax_rows
+from .fusion import weighted_average
+from .grids import AttentionMap, LogitMap, _row_sums, softmax_rows
 from .masks import BBox, _check_in_bounds
 
 
@@ -90,8 +91,8 @@ def fuse_global_local(global_logits: LogitMap,
 
     Each local map is pasted into a zero frame at its box; the pasted maps
     are summed in the given order, and the output is
-    ``global * beta + local_sum * (1 - beta)`` with the exact-envelope clamp
-    of :func:`segfuse.grids.gated_blend`.
+    ``global * beta + local_sum * (1 - beta)`` in float32, clamped per pixel
+    to the envelope of the two by :func:`segfuse.fusion.weighted_average`.
     """
     if (global_logits.height, global_logits.width) != (beta.height, beta.width):
         raise ShapeError(
@@ -108,4 +109,6 @@ def fuse_global_local(global_logits: LogitMap,
                 f"local channels {patch.channels} != frame channels "
                 f"{global_logits.channels}")
         local_sum[box.y0:box.y1, box.x0:box.x1, :] += patch.data
-    return LogitMap._own(gated_blend(global_logits.data, local_sum, beta.data))
+    gate = beta.data[:, :, None]
+    return LogitMap._own(weighted_average([global_logits.data, local_sum],
+                                          [gate, np.float32(1) - gate]))

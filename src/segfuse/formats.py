@@ -263,7 +263,7 @@ def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
         raise DataValidationError(f"manifest not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise FormatError(f"{p}: malformed JSON ({e})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{p}: manifest must be a JSON object")

@@ -74,23 +74,39 @@ def compute_weights(ap_table: ApTable, group_key, normalization: str = "fraction
     return FusionWeights(group_key, tuple((m, a / total) for m, a in zip(models, norm)))
 
 
-def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence[float]) -> np.ndarray:
-    """Ascending-order weighted sum of aligned float64 arrays, clamped to the
-    per-element envelope of the inputs."""
+def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence) -> np.ndarray:
+    """Ascending-order weighted sum of aligned arrays, clamped to the
+    per-element envelope of the inputs: the one kernel of every fusion.
+
+    It fills one output of the arrays' dtype per band of ``_BAND_ROWS``
+    rows.  A coefficient with as many axes as the arrays is cut per band;
+    any other (a scalar, a per-channel vector) broadcasts as it is.  Terms
+    are formed in the promoted type of arrays and coefficients and rounded
+    once, as the clamped sum is written.
+    """
     if len(arrays) != len(coeffs) or not arrays:
         raise DataValidationError("arrays and coefficients must pair up, non-empty")
     shape = arrays[0].shape
+    if not shape:
+        raise ShapeError("cannot fuse rank-0 arrays")
     for a in arrays[1:]:
         if a.shape != shape:
             raise ShapeError(f"array shapes {a.shape} vs {shape} mismatch")
-    acc = arrays[0] * coeffs[0]
-    lo = arrays[0]
-    hi = arrays[0]
-    for a, w in zip(arrays[1:], coeffs[1:]):
-        acc = acc + a * w
-        lo = np.minimum(lo, a)
-        hi = np.maximum(hi, a)
-    return np.minimum(np.maximum(acc, lo), hi)
+    cut = [np.ndim(w) == len(shape) for w in coeffs]
+    out = np.empty(shape, dtype=np.result_type(*arrays))
+    for r0 in range(0, shape[0], _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        terms = [(a[band], w[band] if c else w)
+                 for a, w, c in zip(arrays, coeffs, cut)]
+        lo = hi = terms[0][0]
+        acc = lo * terms[0][1]
+        for a, w in terms[1:]:
+            acc = acc + a * w
+            lo = np.minimum(lo, a)
+            hi = np.maximum(hi, a)
+        np.maximum(acc, lo, out=acc)
+        np.minimum(acc, hi, out=out[band])
+    return out
 
 
 def fuse_masks(members: Sequence[MaskInstance],
@@ -134,15 +150,14 @@ def fuse_logits(maps: Mapping[str, LogitMap],
                 weights: Sequence[FusionWeights]) -> LogitMap:
     """Weighted average of per-model logit maps, one weight vector per channel.
 
-    Channel c averages the models with ``weights[c]``.  Every channel of a
-    band of ``_BAND_ROWS`` rows is fused at once, each model's band widened
-    to float64 and weighted by its coefficients along the channel axis, so
-    no whole-frame float64 plane is built.
+    Channel c averages the models with ``weights[c]``: each model's float32
+    map is weighted by one float64 coefficient per channel, which widens
+    every term exactly, and the clamped sum is rounded once to float32.
     """
     shapes = sorted({m.shape for m in maps.values()})
     if len(shapes) != 1:
         raise ShapeError(f"logit maps must share one shape, got {shapes}")
-    h, w, c = shapes[0]
+    c = shapes[0][2]
     if len(weights) != c:
         raise ShapeError(f"{len(weights)} weight vectors for {c} channels")
     for vec in weights:
@@ -154,14 +169,8 @@ def fuse_logits(maps: Mapping[str, LogitMap],
     models = weights[0].models
     coeffs = [np.array([vec.weights[i][1] for vec in weights])
               for i in range(len(models))]
-    out = np.empty((h, w, c), dtype=np.float32)
-    for r0 in range(0, h, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        # rounded once, to float32, as it is written into the output
-        out[band] = weighted_average(
-            [maps[model].data[band].astype(np.float64) for model in models],
-            coeffs)
-    return LogitMap._own(out)
+    return LogitMap._own(
+        weighted_average([maps[model].data for model in models], coeffs))
 
 
 def binarize(soft: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -13,9 +13,10 @@ the package:
   separable passes, along x for each source row some output row reads,
   then along y between two such rows: the same operations in the same
   order as lerping the four corners of each output pixel.
-- Resampling, blending and the logit ensembles run per band of
-  ``_BAND_ROWS`` output rows, each written into one preallocated output, so
-  no whole-frame temporary is built.  Every element sees the same
+- Resampling and every weighted fusion (``fusion.weighted_average``: the
+  logit ensembles, the frame/object blend and the scale fold) run per band
+  of ``_BAND_ROWS`` output rows, each written into one preallocated output,
+  so no whole-frame temporary is built.  Every element sees the same
   operations in the same order, so the band height changes no byte.
 - A same-size resample is that lerp at t = 0, which keeps every value but
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DataValidationError, ShapeError
 
-# output rows per band of bilinear_resize, gated_blend and fuse_logits
+# output rows per band of bilinear_resize and fusion.weighted_average
 _BAND_ROWS = 64
 
 
@@ -237,26 +238,6 @@ def argmax_channel(a: LogitMap) -> np.ndarray:
         np.copyto(labels, ch, where=col > best)
         np.maximum(best, col, out=best)
     return labels
-
-
-def gated_blend(a: np.ndarray, b: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """``a * gate + b * (1 - gate)`` in float32, clamped per pixel to
-    [min(a, b), max(a, b)].
-
-    The clamp costs at most one float32 ulp and makes the convex-combination
-    contract exact: gate == 1 returns ``a`` bitwise, gate == 0 returns ``b``
-    bitwise, and the output never escapes the operand envelope.
-    """
-    g = gate if gate.ndim == a.ndim else gate[..., None]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape, g.shape),
-                   dtype=np.result_type(a, b, g))
-    for r0 in range(0, out.shape[0], _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        ab, bb, gb = a[band], b[band], g[band]
-        blend = ab * gb + bb * (np.float32(1.0) - gb)
-        np.minimum(np.maximum(blend, np.minimum(ab, bb)), np.maximum(ab, bb),
-                   out=out[band])
-    return out
 
 
 def scaled_dim(n: int, scale: float) -> int:

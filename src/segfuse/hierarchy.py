@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DataValidationError, ShapeError
-from .grids import AttentionMap, LogitMap, bilinear_resize, gated_blend
+from .fusion import weighted_average
+from .grids import AttentionMap, LogitMap, bilinear_resize
 
 import numpy as np
 
@@ -27,10 +28,11 @@ def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
             f"channel counts differ: {lower.channels} vs {higher.channels}")
     up = bilinear_resize(lower, higher.height, higher.width)
     alpha_src = LogitMap(alpha.height, alpha.width, 1, alpha.data[:, :, None])
-    up_alpha = bilinear_resize(alpha_src, higher.height,
-                               higher.width).data[:, :, 0]
-    up_alpha = np.minimum(np.maximum(up_alpha, np.float32(0.0)), np.float32(1.0))
-    return LogitMap._own(gated_blend(up.data, higher.data, up_alpha))
+    # rebound, so the unclamped frame is freed before the blend
+    gate = bilinear_resize(alpha_src, higher.height, higher.width).data
+    gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
+    return LogitMap._own(weighted_average([up.data, higher.data],
+                                          [gate, np.float32(1) - gate]))
 
 
 def run_inference_chain(

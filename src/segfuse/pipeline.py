@@ -28,7 +28,7 @@ from .grids import (AttentionMap, LogitMap, _row_max, argmax_channel,
                     bilinear_resize, scaled_dim, softmax_rows)
 from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
-                    MaskInstance, crop, expand_bbox, rle_encode, scale_box,
+                    MaskInstance, expand_bbox, rle_encode, scale_box,
                     tight_bbox)
 from .metrics import GROUP_FIELDS, ApTable, group_ap, group_keys
 
@@ -275,8 +275,8 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
         fused_local = fuse_logits(local_maps, [w] * channels)
         beta_patch = None
         if cfg.beta_const is None:
-            g_rows = crop(ens_global, regions_s[oid]).data.reshape(
-                -1, channels).astype(np.float64)
+            g_rows = ens_global.data[regions_s[oid].slices].astype(
+                np.float64).reshape(-1, channels)
             l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
             gate = _object_gate(g_rows, l_rows, cfg.attention_factor)
             beta_patch = gate.reshape(regions_s[oid].height,

@@ -2,11 +2,15 @@
 
 Runs ``segfuse synth``, ``fuse``, ``pipeline`` and ``evaluate`` in process
 on eight fixtures into a temporary directory and prints
-``{relative path: sha256}`` of every file written, as sorted JSON.  Run it
-on two commits and diff the results; any output byte that moved shows up
-as a changed line::
+``{relative path: sha256}`` of every file written, as sorted JSON.  Save
+the digests of one commit, then check another against them::
 
     PYTHONPATH=src python3 tests/ladder.py > digests.json
+    PYTHONPATH=src python3 tests/ladder.py --against digests.json
+
+``--against FILE`` prints every path whose digest changed, every path
+that was added and every path that is missing, and exits 1 on any
+difference, 0 when every output byte is the same.
 
 pytest does not collect this file.  The 640x640 fixture is the
 ``pipeline_ap`` benchmark geometry; the whole ladder takes well under a
@@ -15,6 +19,7 @@ minute on one core.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -104,14 +109,39 @@ def digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def main_ladder() -> int:
+def compare(saved: dict[str, str], now: dict[str, str]) -> list[str]:
+    """One line per path whose digest changed, was added or is missing."""
+    lines = []
+    for path in sorted(saved.keys() | now.keys()):
+        if path not in now:
+            lines.append(f"missing: {path}")
+        elif path not in saved:
+            lines.append(f"added: {path}")
+        elif saved[path] != now[path]:
+            lines.append(f"changed: {path}")
+    return lines
+
+
+def main_ladder(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with digests saved from an earlier run")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="segfuse-ladder-") as tmp:
         root = Path(tmp)
         for name, geometry in FIXTURES.items():
             run_fixture(root / name, geometry)
-        json.dump(digests(root), sys.stdout, indent=1, sort_keys=True)
+        now = digests(root)
+    if args.against is None:
+        json.dump(now, sys.stdout, indent=1, sort_keys=True)
         print()
-    return 0
+        return 0
+    diffs = compare(json.loads(Path(args.against).read_text()), now)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} differences from {args.against} "
+          f"({len(now)} files written)")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -108,18 +108,24 @@ def staircase_ap(flags: list[bool], gt_count: int) -> float:
     return ap
 
 
-def weighted_average_ref(arrays: list[np.ndarray], coeffs: list[float]) -> np.ndarray:
-    """Scalar weighted sum in given order with the envelope clamp (float64)."""
+def weighted_average_ref(arrays: list[np.ndarray], coeffs: list) -> np.ndarray:
+    """Scalar weighted sum in given order with the envelope clamp (float64).
+
+    A coefficient is a number or an array that broadcasts to the arrays'
+    shape, read element by element.
+    """
     out = np.empty(arrays[0].shape, dtype=np.float64)
     flat = [a.reshape(-1) for a in arrays]
+    ws = [np.broadcast_to(np.asarray(w, dtype=np.float64), out.shape).reshape(-1)
+          for w in coeffs]
     flat_out = out.reshape(-1)
     for i in range(flat[0].size):
-        acc = float(flat[0][i]) * coeffs[0]
+        acc = float(flat[0][i]) * float(ws[0][i])
         lo = float(flat[0][i])
         hi = lo
-        for a, w in zip(flat[1:], coeffs[1:]):
+        for a, w in zip(flat[1:], ws[1:]):
             v = float(a[i])
-            acc = acc + v * w
+            acc = acc + v * float(w[i])
             lo = min(lo, v)
             hi = max(hi, v)
         flat_out[i] = min(max(acc, lo), hi)

@@ -249,6 +249,30 @@ class TestCalibrationModels:
         assert not out.exists()
 
 
+class TestHostileManifest:
+    """A manifest that is not UTF-8, or nested past the recursion limit,
+    is a format error naming the file, wherever a manifest is read."""
+
+    @pytest.mark.parametrize("raw", [b'\xff\xfe{"schema_version": 1}',
+                                     b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested"])
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline", "calib"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, command, raw):
+        bad = tmp_path / "hostile.json"
+        bad.write_bytes(raw)
+        good = str(single_model_manifest(tmp_path))
+        argv = {"evaluate": ["evaluate", good, str(bad),
+                             "--out", str(tmp_path / "e.json")],
+                "pipeline": ["pipeline", str(bad),
+                             "--out-dir", str(tmp_path / "o")],
+                "calib": ["pipeline", good, "--calib", str(bad),
+                          "--out-dir", str(tmp_path / "o")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed JSON" in err and "Traceback" not in err
+
+
 def _break_tensor(path, how):
     """Damage one tensor file in the way ``how`` names."""
     blob = path.read_bytes()
@@ -476,8 +500,11 @@ class TestPipelineCommand:
 
 
 class TestModelMissesAnObject:
-    """One model predicts nothing for one object, at every scale: a case
-    the synthetic generator never produces."""
+    """Models predict nothing for some objects, at every scale: ``m2``
+    misses objects 0 and 1 and ``m1`` misses object 0, so object 0 is left
+    to ``m0`` alone.  A case the synthetic generator never produces."""
+
+    MISSED = {("m2", 0), ("m2", 1), ("m1", 0)}
 
     @pytest.fixture(scope="class")
     def missing(self, tmp_path_factory):
@@ -486,8 +513,9 @@ class TestModelMissesAnObject:
                      "0.25", "0.5", "1.0", "--out-dir", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         kept = [r for r in doc["instances"]
-                if (r["model"], r["object_id"]) != ("m2", 0)]
-        assert len(doc["instances"]) - len(kept) == 12  # 4 components x 3 scales
+                if (r["model"], r["object_id"]) not in self.MISSED]
+        # 4 components x 3 scales for each missed (model, object)
+        assert len(doc["instances"]) - len(kept) == 12 * len(self.MISSED)
         doc["instances"] = kept
         path = out / "missing.json"
         path.write_text(json.dumps(doc))
@@ -513,6 +541,18 @@ class TestModelMissesAnObject:
         assert sorted(f.name for f in out.iterdir()) == [
             "fused_horizontal.json", "fused_vertical.json",
             "weights_horizontal.json", "weights_vertical.json"]
+
+    def test_evaluate(self, tmp_path, missing):
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", str(missing), str(missing),
+                     "--out", str(out)]) == 0
+        ap = {(r["scale"], r["model"], r["group"]): r["ap"]
+              for r in json.loads(out.read_text())["records"]
+              if r["mode"] == "horizontal"}
+        for scale in (0.25, 0.5, 1.0):
+            # a missed object scores 0; m0, synth's exact model, scores 1
+            assert all(ap[(scale, *pair)] == 0.0 for pair in self.MISSED)
+            assert ap[(scale, "m0", 0)] == ap[(scale, "m0", 1)] == 1.0
 
 
 class TestEvaluateCommand:

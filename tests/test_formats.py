@@ -291,6 +291,12 @@ class TestManifest:
         p.write_text("{not json")
         with pytest.raises(FormatError):
             load_manifest(p)
+        # not UTF-8, and nested past the recursion limit
+        for raw in (b'\xff\xfe{"schema_version": 1}',
+                    b"[" * 100_000 + b"]" * 100_000):
+            p.write_bytes(raw)
+            with pytest.raises(FormatError, match=re.escape(str(p))):
+                load_manifest(p)
 
     def test_wrong_schema_version(self, tmp_path):
         p = tmp_path / "x.json"

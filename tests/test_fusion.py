@@ -120,6 +120,36 @@ class TestFuseMasks:
         assert np.allclose(soft, 0.5, atol=0)
 
 
+class TestWeightedAverage:
+    """The one fusion kernel: bands, coefficients cut per band, promotion."""
+
+    @pytest.mark.parametrize("height", [1, 63, 64, 65, 129])
+    def test_per_element_coefficients_across_band_edges(self, rng, height):
+        assert _BAND_ROWS == 64
+        shape = (height, 3, 2)
+        arrays = [rng.normal(scale=3.0, size=shape) for _ in range(3)]
+        raw = rng.uniform(0.05, 1.0, size=(3, height, 3, 1))
+        coeffs = list(raw / raw.sum(axis=0))
+        got = weighted_average(arrays, coeffs)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == weighted_average_ref(arrays, coeffs).tobytes()
+
+    def test_float32_arrays_with_float64_vectors_equal_widening_first(self, rng):
+        shape = (130, 4, 5)
+        arrays = [rng.normal(scale=4.0, size=shape).astype(np.float32)
+                  for _ in range(3)]
+        raw = rng.uniform(0.05, 1.0, size=(3, 5))
+        coeffs = list(raw / raw.sum(axis=0))
+        got = weighted_average(arrays, coeffs)
+        wide = weighted_average([a.astype(np.float64) for a in arrays], coeffs)
+        assert got.dtype == np.float32 and wide.dtype == np.float64
+        assert got.tobytes() == wide.astype(np.float32).tobytes()
+
+    def test_rank0_input_raises(self):
+        with pytest.raises(ShapeError):
+            weighted_average([np.array(1.0), np.array(2.0)], [0.5, 0.5])
+
+
 class TestFuseLogits:
     def test_identical_maps_unchanged(self, rng):
         data = rng.normal(size=(4, 4, 2)).astype(np.float32)

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segfuse.errors import DataValidationError, ShapeError
+from segfuse.fusion import weighted_average
 from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
-                           bilinear_resize, gated_blend, scaled_dim,
-                           softmax_rows)
+                           bilinear_resize, scaled_dim, softmax_rows)
 from segfuse.hierarchy import fuse_adjacent_scales
 
 from conftest import traced_peak_ratio
@@ -212,6 +212,14 @@ class TestArgmaxChannel:
     def test_tie_goes_to_lowest_index(self):
         a = LogitMap.from_array(np.array([[[5.0, 5.0]]], dtype=np.float32))
         assert argmax_channel(a)[0, 0] == 0
+
+
+def gated_blend(a, b, gate):
+    """``a * gate + b * (1 - gate)`` as the frame/object blend and the
+    scale fold call it: the two-term weighted_average, with a 2-D gate
+    given its channel axis."""
+    g = gate if gate.ndim == a.ndim else gate[..., None]
+    return weighted_average([a, b], [g, np.float32(1) - g])
 
 
 class TestGatedBlend:
