@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 from pathlib import Path
 
@@ -28,6 +29,10 @@ from .masks import BBox, MaskInstance, RleMask
 
 TENSOR_MAGIC = b"SGFTENS\x00"
 SCHEMA_VERSION = 1
+
+# payload bytes a tensor load reads and checks at a time: a load that keeps
+# no tensor holds no more of any payload than this, whatever its size
+_CHUNK_BYTES = 256 * 1024
 
 # background, shell, meat, gonad, muscle (Okabe-Ito, colorblind safe)
 PALETTE = (
@@ -54,13 +59,22 @@ def save_tensor(path, grid) -> None:
     if not np.isfinite(arr).all():
         raise DataValidationError("refusing to write non-finite tensor payload")
     h, w, c = arr.shape
-    header = TENSOR_MAGIC + struct.pack("<4I", h, w, c, 0)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    with Path(path).open("wb") as f:
+        f.write(TENSOR_MAGIC + struct.pack("<4I", h, w, c, 0))
+        f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def load_tensor(path) -> np.ndarray:
-    """Read a tensor file back as a (h, w, c) float32 array."""
+def _read_tensor(path, *, alpha: bool, keep: bool):
+    """Read and check the tensor file at ``path``.  Returns its (h, w, c)
+    shape and, when ``keep``, the (h, w, c) float32 array read, else None.
+
+    The payload is read ``_CHUNK_BYTES`` at a time, straight into the array
+    returned or, when nothing is kept, into one reused scratch buffer, and
+    each chunk is checked as it arrives: every value finite and, for an
+    ``alpha`` tensor, within [0, 1].  At most the payload size the header
+    gives is read.  Whichever chunk holds a fault, errors keep one order:
+    payload size, non-finite values, then an alpha tensor's channel count
+    and its range."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"tensor file not found: {p}")
@@ -76,26 +90,47 @@ def load_tensor(path) -> np.ndarray:
         if h < 1 or w < 1 or c < 1:
             raise FormatError(f"{p}: non-positive dimensions {(h, w, c)}")
         size, expected = p.stat().st_size - 24, h * w * c * 4
-        if size == expected:  # read straight into the array returned
-            arr = np.empty((h, w, c), dtype="<f4")
-            size = f.readinto(arr)  # short only if the file shrank meanwhile
-        if size != expected:
+        if size != expected:  # checked before anything is allocated
             raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
-    if not np.isfinite(arr).all():
+        arr = np.empty((h, w, c), dtype="<f4") if keep else None
+        buf = (arr.reshape(-1) if keep
+               else np.empty(min(expected, _CHUNK_BYTES) // 4, dtype="<f4"))
+        raw = memoryview(buf).cast("B")
+        size, finite, in_range = 0, True, True
+        while size < expected:
+            n = min(expected - size, _CHUNK_BYTES)
+            at = size if keep else 0
+            got = f.readinto(raw[at:at + n])  # short only if the file shrank
+            vals = buf[at // 4:(at + got) // 4]
+            size += got
+            finite = finite and bool(np.isfinite(vals).all())
+            if alpha and finite and vals.size:
+                in_range = in_range and not (vals.min() < 0.0 or vals.max() > 1.0)
+            if got < n:
+                break
+    if size != expected:
+        raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
+    if not finite:
         raise FormatError(f"{p}: payload contains non-finite values")
-    return arr.astype(np.float32, copy=False)
+    if alpha and c != 1:
+        raise FormatError(f"{path}: attention tensor must have 1 channel, got {c}")
+    if not in_range:
+        raise DataValidationError("AttentionMap values must lie in [0, 1]")
+    return (h, w, c), (arr.astype(np.float32, copy=False) if keep else None)
+
+
+def load_tensor(path) -> np.ndarray:
+    """Read a tensor file back as a (h, w, c) float32 array."""
+    return _read_tensor(path, alpha=False, keep=True)[1]
 
 
 def load_logit_map(path) -> LogitMap:
-    return LogitMap._own(load_tensor(path))
+    return LogitMap._own(load_tensor(path), finite=True)
 
 
 def load_attention_map(path) -> AttentionMap:
-    arr = load_tensor(path)
-    if arr.shape[2] != 1:
-        raise FormatError(f"{path}: attention tensor must have 1 channel, "
-                          f"got {arr.shape[2]}")
-    return AttentionMap(arr.shape[0], arr.shape[1], arr[:, :, 0])
+    (h, w, _), arr = _read_tensor(path, alpha=True, keep=True)
+    return AttentionMap._own(arr.reshape(h, w))
 
 
 def write_overlay(height: int, width: int, labels: np.ndarray, path) -> None:
@@ -107,9 +142,10 @@ def write_overlay(height: int, width: int, labels: np.ndarray, path) -> None:
         raise DataValidationError(
             f"labels must lie in [0, {len(PALETTE) - 1}]")
     lut = np.array(PALETTE, dtype=np.uint8)
-    pixels = lut[a.astype(np.int64)]
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + pixels.tobytes())
+    pixels = lut[a.astype(np.int64, copy=False)]
+    with Path(path).open("wb") as f:
+        f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        f.write(pixels)
 
 
 def _instance_record(inst: MaskInstance, with_model: bool) -> dict:
@@ -226,7 +262,8 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
     records = doc.get(field, [])
     if not isinstance(records, list):
         raise FormatError(f"{field} must be a list")
-    loader = load_logit_map if field == "logit_maps" else load_attention_map
+    alpha = field == "alpha_maps"
+    loader = load_attention_map if alpha else load_logit_map
     out, channels = {}, {}
     for k, rec in enumerate(records):
         where = f"{field}[{k}]"
@@ -240,16 +277,20 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
             raise DataValidationError(f"{where}: duplicate entry for "
                                       f"({model!r}, {scale})")
         try:
-            grid = loader(base / rel)
+            if keep:
+                grid = loader(base / rel)
+                shape = (grid.height, grid.width, getattr(grid, "channels", 1))
+            else:
+                shape, _ = _read_tensor(base / rel, alpha=alpha, keep=False)
             expected = (scaled_dim(height, scale), scaled_dim(width, scale))
         except (FormatError, DataValidationError) as e:
             raise type(e)(f"{where}: {e}") from None
-        if (grid.height, grid.width) != expected:
+        if shape[:2] != expected:
             raise DataValidationError(
-                f"{where}: tensor grid {(grid.height, grid.width)} does not "
+                f"{where}: tensor grid {shape[:2]} does not "
                 f"match scale {scale} of a {height}x{width} image "
                 f"(expected {expected})")
-        channels[(model, scale)] = getattr(grid, "channels", 1)  # alpha: 1
+        channels[(model, scale)] = shape[2]
         if keep:
             out[(model, scale)] = grid
     return out, channels
@@ -257,7 +298,8 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
 
 def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
     """Parse and eagerly validate a manifest into a PredictionBundle; with
-    ``maps=False`` every tensor is still read and checked but none is kept."""
+    ``maps=False`` every tensor is still read and checked but none is kept,
+    each one through one fixed-size buffer."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"manifest not found: {p}")
@@ -269,7 +311,8 @@ def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
         raise FormatError(f"{p}: manifest must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise FormatError(f"{p}: schema_version {version!r} is not "
+        # reprlib cuts depth and length: the manifest sets the value's size
+        raise FormatError(f"{p}: schema_version {reprlib.repr(version)} is not "
                           f"{SCHEMA_VERSION}")
     image_id = _require(doc, "image_id", str, "manifest")
     height = _require(doc, "height", int, "manifest")

@@ -61,20 +61,22 @@ class LogitMap:
         # own a copy: freezing a caller's array in place would be a surprise
         self._freeze(np.array(self.data, dtype=np.float32, order="C"))
 
-    def _freeze(self, arr: np.ndarray) -> None:
+    def _freeze(self, arr: np.ndarray, finite: bool = False) -> None:
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise DataValidationError("LogitMap dimensions must be positive")
         expected = (self.height, self.width, self.channels)
         if arr.shape != expected:
             raise ShapeError(f"LogitMap data shape {arr.shape} != {expected}")
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise DataValidationError("LogitMap contains non-finite values")
         object.__setattr__(self, "data", _frozen(arr))
 
     @classmethod
-    def _own(cls, arr: np.ndarray) -> "LogitMap":
+    def _own(cls, arr: np.ndarray, *, finite: bool = False) -> "LogitMap":
         """Wrap a float32 array the caller has just built and nobody else
-        holds, freezing it in place instead of copying it."""
+        holds, freezing it in place instead of copying it.  ``finite=True``
+        says the caller has already checked every value (a tensor load does,
+        chunk by chunk as it reads), so they are not scanned again."""
         if arr.ndim != 3:
             raise ShapeError(f"expected 3D array, got ndim={arr.ndim}")
         if (arr.dtype != np.float32 or not arr.flags.c_contiguous
@@ -84,7 +86,7 @@ class LogitMap:
         grid = object.__new__(cls)
         for name, n in zip(("height", "width", "channels"), arr.shape):
             object.__setattr__(grid, name, n)
-        grid._freeze(arr)
+        grid._freeze(arr, finite)
         return grid
 
     @classmethod
@@ -130,6 +132,22 @@ class AttentionMap:
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise DataValidationError("AttentionMap values must lie in [0, 1]")
         object.__setattr__(self, "data", _frozen(arr))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "AttentionMap":
+        """Wrap a 2-D float32 array the caller has just read, holds alone and
+        found finite and within [0, 1], freezing it in place instead of
+        copying and checking it again."""
+        if arr.ndim != 2:
+            raise ShapeError(f"expected 2D array, got ndim={arr.ndim}")
+        if arr.dtype != np.float32 or not arr.flags.c_contiguous:
+            raise DataValidationError(
+                "AttentionMap can only own a C-contiguous float32 array")
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "height", arr.shape[0])
+        object.__setattr__(grid, "width", arr.shape[1])
+        object.__setattr__(grid, "data", _frozen(arr))
+        return grid
 
     @classmethod
     def from_array(cls, arr) -> "AttentionMap":

@@ -272,6 +272,16 @@ class TestHostileManifest:
         err = capsys.readouterr().err
         assert f"{bad}: malformed JSON" in err and "Traceback" not in err
 
+    def test_bad_schema_version_is_not_echoed_whole(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"schema_version": ' + "[" * 900 + "]" * 900 + "}")
+        capsys.readouterr()
+        assert main(["evaluate", str(bad), str(bad),
+                     "--out", str(tmp_path / "e.json")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{bad}: schema_version" in err
+        assert max(map(len, err.splitlines())) < 200, err
+
 
 def _break_tensor(path, how):
     """Damage one tensor file in the way ``how`` names."""

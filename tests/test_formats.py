@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,12 @@ class TestTensorFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError):
             load_tensor(tmp_path / "absent.tns")
+
+    def test_save_makes_no_whole_payload_copy(self, tmp_path, rng):
+        grid = LogitMap.from_array(
+            rng.normal(size=(256, 256, 5)).astype(np.float32))
+        peak = _traced_peak(lambda: save_tensor(tmp_path / "t.tns", grid))
+        assert peak < grid.data.nbytes / 2, peak
 
     def test_nonzero_reserved_rejected(self, tmp_path):
         p = tmp_path / "r.tns"
@@ -332,6 +339,120 @@ class TestManifest:
                                   bundle.logit_maps[key].data)
 
 
+def _large_manifest(tmp_path, side, rng):
+    """One model at scale 1.0 on a side x side image, with random logits and
+    alphas; returns the manifest path and both arrays written."""
+    inst = make_instance(block_mask(side, side, 0, 2, 0, 2), uid=0)
+    logits = rng.normal(size=(side, side, 5)).astype(np.float32)
+    alpha = rng.uniform(size=(side, side)).astype(np.float32)
+    bundle = PredictionBundle(
+        image_id="large", height=side, width=side, models=("m0",),
+        scales=(1.0,), instances=(inst,), ground_truth=(),
+        logit_maps={("m0", 1.0): LogitMap.from_array(logits)},
+        alpha_maps={("m0", 1.0): AttentionMap.from_array(alpha)})
+    return save_manifest(bundle, tmp_path / "m.json"), logits, alpha
+
+
+def _poke(path, index, value):
+    """Overwrite float ``index`` of a tensor file's payload in place."""
+    blob = bytearray(path.read_bytes())
+    at = 24 + 4 * index if index >= 0 else len(blob) + 4 * index
+    blob[at:at + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+
+
+def _traced_peak(fn):
+    """Traced allocation peak of ``fn()`` above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedCheck:
+    """Tensor payloads are read and checked in chunks of
+    ``formats._CHUNK_BYTES``; a kept load and a validation-only load give
+    the same error, in the same order of checks, wherever the fault lies."""
+
+    SIDE = 300  # every tensor here spans more than one chunk
+
+    @staticmethod
+    def _break(logits, alpha, how):
+        side = TestChunkedCheck.SIDE
+        if how == "nan-in-last-chunk":
+            _poke(logits, -1, float("nan"))
+        elif how == "alpha-above-one-in-last-chunk":
+            _poke(alpha, -1, 1.5)
+        elif how == "extra-bytes":
+            logits.write_bytes(logits.read_bytes() + b"\x00" * 4)
+        elif how == "alpha-range-first-nan-last":
+            _poke(alpha, 0, 1.5)
+            _poke(alpha, -1, float("nan"))
+        elif how == "two-channel-alpha-with-nan":
+            save_tensor(alpha, np.full((side, side, 2), 0.5, np.float32))
+            _poke(alpha, -1, float("nan"))
+        elif how == "two-channel-alpha-above-one":
+            save_tensor(alpha, np.full((side, side, 2), 1.5, np.float32))
+        elif how == "wrong-grid-alpha-above-one":
+            save_tensor(alpha, np.full((side + 1, side), 1.5, np.float32))
+        else:  # wrong-grid-logits-with-nan
+            save_tensor(logits, np.zeros((side + 1, side, 5), np.float32))
+            _poke(logits, -1, float("inf"))
+
+    NON_FINITE = r"{}_maps\[0\]: \S+_{}\.tns: payload contains non-finite values"
+    OUT_OF_RANGE = r"alpha_maps\[0\]: AttentionMap values must lie in \[0, 1\]"
+    ERRORS = {
+        "nan-in-last-chunk": (FormatError, NON_FINITE.format("logit", "logits")),
+        "alpha-above-one-in-last-chunk": (DataValidationError, OUT_OF_RANGE),
+        "extra-bytes": (FormatError, r"logit_maps\[0\]: \S+_logits\.tns: "
+                        r"payload is 1800004 bytes, expected 1800000"),
+        "alpha-range-first-nan-last": (FormatError,
+                                       NON_FINITE.format("alpha", "alpha")),
+        "two-channel-alpha-with-nan": (FormatError,
+                                       NON_FINITE.format("alpha", "alpha")),
+        "two-channel-alpha-above-one": (
+            FormatError, r"alpha_maps\[0\]: \S+_alpha\.tns: attention tensor "
+                         r"must have 1 channel, got 2"),
+        "wrong-grid-alpha-above-one": (DataValidationError, OUT_OF_RANGE),
+        "wrong-grid-logits-with-nan": (FormatError,
+                                       NON_FINITE.format("logit", "logits")),
+    }
+
+    @pytest.mark.parametrize("how", list(ERRORS))
+    def test_same_error_kept_or_not(self, tmp_path, rng, how):
+        kind, message = self.ERRORS[how]
+        path = _large_manifest(tmp_path, self.SIDE, rng)[0]
+        logits = tmp_path / "tensors" / "m0_s1.0_logits.tns"
+        alpha = tmp_path / "tensors" / "m0_s1.0_alpha.tns"
+        self._break(logits, alpha, how)
+        assert alpha.stat().st_size - 24 > formats._CHUNK_BYTES
+        errors = []
+        for maps in (True, False):
+            with pytest.raises((FormatError, DataValidationError)) as caught:
+                load_manifest(path, maps=maps)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is kind and re.fullmatch(message, errors[0][1]), \
+            errors[0]
+
+    def test_kept_load_returns_every_chunk(self, tmp_path, rng):
+        path, logits, alpha = _large_manifest(tmp_path, self.SIDE, rng)
+        bundle = load_manifest(path)
+        for grid, data in ((bundle.logit_maps[("m0", 1.0)], logits),
+                           (bundle.alpha_maps[("m0", 1.0)], alpha)):
+            assert np.array_equal(grid.data, data)
+            assert not grid.data.flags.writeable
+
+    def test_validation_only_load_holds_no_whole_tensor(self, tmp_path, rng):
+        path, logits, _ = _large_manifest(tmp_path, 512, rng)
+        assert logits.nbytes >= 4 * 2**20
+        peak = _traced_peak(lambda: load_manifest(path, maps=False))
+        assert peak < logits.nbytes, peak
+
+
 class TestOverlay:
     def test_all_background(self, tmp_path):
         p = tmp_path / "o.ppm"
@@ -350,6 +471,14 @@ class TestOverlay:
         write_overlay(8, 8, labels, p1)
         write_overlay(8, 8, labels, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_int64_labels_are_not_copied(self, tmp_path):
+        labels = np.zeros((256, 256), dtype=np.int64)
+        labels[::2] = 3
+        p = tmp_path / "o.ppm"
+        peak = _traced_peak(lambda: write_overlay(256, 256, labels, p))
+        assert peak < 2 * labels.size * 3, peak  # the pixels, built once
+        assert p.read_bytes()[-3:] == bytes(PALETTE[0])
 
     def test_out_of_range_label(self, tmp_path):
         with pytest.raises(DataValidationError):
