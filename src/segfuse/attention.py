@@ -81,7 +81,7 @@ def attention_to_map(patches: Sequence[tuple[np.ndarray, BBox]], height: int,
         if m.min() < 0.0 or m.max() > 1.0:
             raise DataValidationError("attention patch values must lie in [0, 1]")
         canvas[region.y0:region.y1, region.x0:region.x1] = m.astype(np.float32)
-    return AttentionMap(height, width, canvas)
+    return AttentionMap._own(canvas)
 
 
 def fuse_global_local(global_logits: LogitMap,

@@ -31,9 +31,9 @@ def check_channels(counts) -> None:
 class PredictionBundle:
     """All instances and dense maps for one image.
 
-    Instances are indexed by (model, scale, object, component).  RLE masks
-    always live on the reference grid (height x width); logit and alpha maps
-    live on the per-scale grids.
+    Instances are a flat tuple; ``instances_for`` and ``with_scale`` select
+    from it by scanning.  RLE masks always live on the reference grid
+    (height x width); logit and alpha maps live on the per-scale grids.
     """
 
     image_id: str

@@ -125,12 +125,13 @@ def load_tensor(path) -> np.ndarray:
 
 
 def load_logit_map(path) -> LogitMap:
-    return LogitMap._own(load_tensor(path), finite=True)
+    return LogitMap._own(load_tensor(path), checked=True)
 
 
 def load_attention_map(path) -> AttentionMap:
     (h, w, _), arr = _read_tensor(path, alpha=True, keep=True)
-    return AttentionMap._own(arr.reshape(h, w))
+    arr.shape = (h, w)  # in place: a reshaped view would not own its data
+    return AttentionMap._own(arr, checked=True)
 
 
 def write_overlay(height: int, width: int, labels: np.ndarray, path) -> None:
@@ -305,7 +306,7 @@ def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
         raise DataValidationError(f"manifest not found: {p}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # also JSON and UTF-8 errors
         raise FormatError(f"{p}: malformed JSON ({e})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{p}: manifest must be a JSON object")

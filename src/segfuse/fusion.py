@@ -9,6 +9,7 @@ point (identical inputs fuse to themselves bitwise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -37,6 +38,9 @@ class FusionWeights:
             raise DataValidationError("weights must be ordered by ascending model id")
         if len(set(models)) != len(models):
             raise DataValidationError("duplicate model id in weights")
+        for m, w in self.weights:
+            if not math.isfinite(w):
+                raise DataValidationError(f"weight of model {m!r} is {w}, not finite")
         values = [w for _, w in self.weights]
         if any(w < 0 for w in values):
             raise DataValidationError("weights must be nonnegative")

@@ -33,7 +33,7 @@ the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,46 +48,63 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Grid:
+    """The invariants both grid types hold: positive dimensions, float32
+    C-ordered data of exactly ``shape``, finite values, frozen data, and for
+    an ``AttentionMap`` values in [0, 1].  Each subclass is a frozen
+    dataclass whose fields are its dimensions in axis order, then ``data``."""
+
+    _unit = False  # values must lie in [0, 1]
+
+    def __post_init__(self) -> None:
+        # own a copy: freezing a caller's array in place would be a surprise
+        self._freeze(np.array(self.data, dtype=np.float32, order="C"))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self)[:-1])
+
+    def _freeze(self, arr: np.ndarray, checked: bool = False) -> None:
+        kind = type(self).__name__
+        if min(self.shape) < 1:
+            raise DataValidationError(f"{kind} dimensions must be positive")
+        if arr.shape != self.shape:
+            raise ShapeError(f"{kind} data shape {arr.shape} != {self.shape}")
+        if not checked:
+            if not np.isfinite(arr).all():
+                raise DataValidationError(f"{kind} contains non-finite values")
+            if self._unit and (arr.min() < 0.0 or arr.max() > 1.0):
+                raise DataValidationError(f"{kind} values must lie in [0, 1]")
+        object.__setattr__(self, "data", _frozen(arr))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray, *, checked: bool = False):
+        """Wrap a float32 array the caller has just built and nobody else
+        holds, freezing it in place instead of copying it.  Its values are
+        checked unless ``checked=True`` says the caller has already checked
+        every one (a tensor load does, chunk by chunk as it reads)."""
+        dims = fields(cls)[:-1]
+        if arr.ndim != len(dims):
+            raise ShapeError(f"expected {len(dims)}D array, got ndim={arr.ndim}")
+        if (arr.dtype != np.float32 or not arr.flags.c_contiguous
+                or not arr.flags.owndata):
+            raise DataValidationError(
+                f"{cls.__name__} can only own a C-contiguous float32 array")
+        grid = object.__new__(cls)
+        for f, n in zip(dims, arr.shape):
+            object.__setattr__(grid, f.name, n)
+        grid._freeze(arr, checked)
+        return grid
+
+
 @dataclass(frozen=True)
-class LogitMap:
+class LogitMap(_Grid):
     """An immutable height x width x channels grid of per-class scores."""
 
     height: int
     width: int
     channels: int
     data: np.ndarray
-
-    def __post_init__(self) -> None:
-        # own a copy: freezing a caller's array in place would be a surprise
-        self._freeze(np.array(self.data, dtype=np.float32, order="C"))
-
-    def _freeze(self, arr: np.ndarray, finite: bool = False) -> None:
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise DataValidationError("LogitMap dimensions must be positive")
-        expected = (self.height, self.width, self.channels)
-        if arr.shape != expected:
-            raise ShapeError(f"LogitMap data shape {arr.shape} != {expected}")
-        if not finite and not np.isfinite(arr).all():
-            raise DataValidationError("LogitMap contains non-finite values")
-        object.__setattr__(self, "data", _frozen(arr))
-
-    @classmethod
-    def _own(cls, arr: np.ndarray, *, finite: bool = False) -> "LogitMap":
-        """Wrap a float32 array the caller has just built and nobody else
-        holds, freezing it in place instead of copying it.  ``finite=True``
-        says the caller has already checked every value (a tensor load does,
-        chunk by chunk as it reads), so they are not scanned again."""
-        if arr.ndim != 3:
-            raise ShapeError(f"expected 3D array, got ndim={arr.ndim}")
-        if (arr.dtype != np.float32 or not arr.flags.c_contiguous
-                or not arr.flags.owndata):
-            raise DataValidationError(
-                "LogitMap can only own a C-contiguous float32 array")
-        grid = object.__new__(cls)
-        for name, n in zip(("height", "width", "channels"), arr.shape):
-            object.__setattr__(grid, name, n)
-        grid._freeze(arr, finite)
-        return grid
 
     @classmethod
     def from_array(cls, arr) -> "LogitMap":
@@ -96,73 +113,37 @@ class LogitMap:
             a = a[:, :, None]
         if a.ndim != 3:
             raise ShapeError(f"expected 2D or 3D array, got ndim={a.ndim}")
-        return cls(a.shape[0], a.shape[1], a.shape[2], a)
+        return cls(*a.shape, a)
 
     @classmethod
     def full(cls, height: int, width: int, channels: int, value: float) -> "LogitMap":
-        return cls(height, width, channels,
-                   np.full((height, width, channels), value, dtype=np.float32))
+        return cls._own(np.full((height, width, channels), value, dtype=np.float32))
 
     @classmethod
     def zeros(cls, height: int, width: int, channels: int) -> "LogitMap":
         return cls.full(height, width, channels, 0.0)
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.height, self.width, self.channels)
-
 
 @dataclass(frozen=True)
-class AttentionMap:
+class AttentionMap(_Grid):
     """An immutable height x width grid of blend gates in [0, 1]."""
 
     height: int
     width: int
     data: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise DataValidationError("AttentionMap dimensions must be positive")
-        arr = np.array(self.data, dtype=np.float32, order="C")
-        if arr.shape != (self.height, self.width):
-            raise ShapeError(
-                f"AttentionMap data shape {arr.shape} != {(self.height, self.width)}")
-        if not np.isfinite(arr).all():
-            raise DataValidationError("AttentionMap contains non-finite values")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise DataValidationError("AttentionMap values must lie in [0, 1]")
-        object.__setattr__(self, "data", _frozen(arr))
-
-    @classmethod
-    def _own(cls, arr: np.ndarray) -> "AttentionMap":
-        """Wrap a 2-D float32 array the caller has just read, holds alone and
-        found finite and within [0, 1], freezing it in place instead of
-        copying and checking it again."""
-        if arr.ndim != 2:
-            raise ShapeError(f"expected 2D array, got ndim={arr.ndim}")
-        if arr.dtype != np.float32 or not arr.flags.c_contiguous:
-            raise DataValidationError(
-                "AttentionMap can only own a C-contiguous float32 array")
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "height", arr.shape[0])
-        object.__setattr__(grid, "width", arr.shape[1])
-        object.__setattr__(grid, "data", _frozen(arr))
-        return grid
+    _unit = True
 
     @classmethod
     def from_array(cls, arr) -> "AttentionMap":
         a = np.asarray(arr, dtype=np.float32)
         if a.ndim != 2:
             raise ShapeError(f"expected 2D array, got ndim={a.ndim}")
-        return cls(a.shape[0], a.shape[1], a)
+        return cls(*a.shape, a)
 
     @classmethod
     def full(cls, height: int, width: int, value: float) -> "AttentionMap":
-        return cls(height, width, np.full((height, width), value, dtype=np.float32))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
+        return cls._own(np.full((height, width), value, dtype=np.float32))
 
 
 def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:

@@ -235,7 +235,7 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
     for a in present[1:]:
         acc = acc + a.data.astype(np.float64)
     acc = acc / len(present)
-    return AttentionMap(sh, sw, np.clip(acc, 0.0, 1.0).astype(np.float32))
+    return AttentionMap._own(np.clip(acc, 0.0, 1.0).astype(np.float32))
 
 
 def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,

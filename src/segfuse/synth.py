@@ -250,8 +250,8 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         base = LogitMap._own(_logit_map(h, w, union, mean_scores))
         for si, (scale, (sh, sw)) in enumerate(zip(scales, dims)):
             logit_maps[(model, scale)] = bilinear_resize(base, sh, sw)
-            alpha_maps[(model, scale)] = AttentionMap(
-                sh, sw, _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
+            alpha_maps[(model, scale)] = AttentionMap._own(
+                _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
 
     # an instance differs between scales only in its scale and uid, so each
     # mask is decoded once, for the first scale

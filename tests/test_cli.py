@@ -16,7 +16,7 @@ from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor)
 from segfuse.grids import LogitMap
-from segfuse.masks import COMPONENTS
+from segfuse.masks import COMPONENTS, BBox, scale_box
 
 from conftest import block_mask, make_instance
 
@@ -281,6 +281,25 @@ class TestHostileManifest:
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"{bad}: schema_version" in err
         assert max(map(len, err.splitlines())) < 200, err
+
+    @pytest.mark.parametrize("field, digits", [("schema_version", 5001),
+                                               ("score", 5000)])
+    def test_oversized_integer_is_not_echoed(self, tmp_path, capsys, field,
+                                             digits):
+        # json.loads refuses integers past 4,300 digits with a ValueError
+        doc = json.loads(single_model_manifest(tmp_path).read_text())
+        record = doc if field == "schema_version" else doc["instances"][0]
+        record[field] = "HUGE"
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+        capsys.readouterr()
+        assert main(["evaluate", str(bad), str(bad),
+                     "--out", str(tmp_path / "e.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert "0" * 100 not in err
+        assert max(len(line.replace(str(bad), ""))
+                   for line in err.splitlines()) < 200, err
 
 
 def _break_tensor(path, how):
@@ -563,6 +582,47 @@ class TestModelMissesAnObject:
             # a missed object scores 0; m0, synth's exact model, scores 1
             assert all(ap[(scale, *pair)] == 0.0 for pair in self.MISSED)
             assert ap[(scale, "m0", 0)] == ap[(scale, "m0", 1)] == 1.0
+
+
+class TestModelLogitsMissAnObject:
+    """``m2`` misses object 0 twice over: it has no instances of it, and at
+    every scale its logit maps hold zero in every component channel over
+    the object's box.  A case the synthetic generator never produces."""
+
+    @pytest.fixture(scope="class")
+    def missing(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("missing_logits") / "fx"
+        assert main(["synth", "--seed", "4", "--objects", "12", "--scales",
+                     "0.25", "0.5", "1.0", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["instances"] = [r for r in doc["instances"]
+                            if (r["model"], r["object_id"]) != ("m2", 0)]
+        x0, y0, x1, y1 = zip(*(r["bbox"] for r in doc["ground_truth"]
+                               if r["object_id"] == 0))
+        box = BBox(min(x0), min(y0), max(x1), max(y1))
+        for rec in doc["logit_maps"]:
+            if rec["model"] == "m2":
+                data = load_tensor(out / rec["path"])
+                b = scale_box(box, doc["height"], doc["width"], *data.shape[:2])
+                assert data[b.y0:b.y1, b.x0:b.x1, 1:].any()
+                data[b.y0:b.y1, b.x0:b.x1, 1:] = 0.0
+                save_tensor(out / rec["path"], data)
+        path = out / "missing.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_pipeline_carves_the_object_deterministically(self, tmp_path,
+                                                          missing):
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["pipeline", str(missing), "--calib", str(missing),
+                         "--out-dir", str(out)]) == 0
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+        carved = json.loads((outs[0] / "instances.json").read_text())
+        assert sorted(r["component"] for r in carved["instances"]
+                      if r["object_id"] == 0) == sorted(COMPONENTS)
 
 
 class TestEvaluateCommand:

@@ -56,6 +56,14 @@ class TestTensorFile:
         back = load_attention_map(p)
         assert np.array_equal(back.data, data)
 
+    def test_attention_map_freezes_the_array_it_read(self, tmp_path, rng):
+        p = tmp_path / "a.tns"
+        save_tensor(p, rng.uniform(size=(4, 6)).astype(np.float32))
+        data = load_attention_map(p).data
+        # reshaped in place: the grid holds the array the read filled
+        assert data.shape == (4, 6) and data.flags.owndata
+        assert not data.flags.writeable
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.tns"
         p.write_bytes(b"XXXXXXX\x00" + struct.pack("<4I", 1, 1, 1, 0) + b"\x00" * 4)

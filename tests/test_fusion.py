@@ -7,7 +7,7 @@ from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import (FusionWeights, binarize, compute_weights,
-                            fuse_logits, weighted_average)
+                            fuse_logits, fuse_masks, weighted_average)
 from segfuse.grids import _BAND_ROWS, LogitMap
 from segfuse.metrics import ApTable
 from segfuse.pipeline import run_fuse
@@ -280,3 +280,17 @@ class TestFusionWeightsInvariants:
     def test_ascending_model_order(self):
         with pytest.raises(DataValidationError):
             FusionWeights(None, (("m1", 0.5), ("m0", 0.5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_the_model(self, bad):
+        # nan < 0 and abs(nan - 1) > tol are both false: no other check fires
+        with pytest.raises(DataValidationError, match="model 'a'.*not finite"):
+            FusionWeights("shell", (("a", bad), ("b", 1.0)))
+
+    def test_nan_weight_never_reaches_a_fused_mask(self):
+        bits = block_mask(4, 4, 0, 4, 0, 4)
+        members = (make_instance(bits, model_id="a", score=0.9, uid=0),
+                   make_instance(bits, model_id="b", score=0.8, uid=1))
+        with pytest.raises(DataValidationError, match="model 'a'"):
+            fuse_masks(members, FusionWeights("shell", (("a", np.nan),
+                                                        ("b", 1.0))))

@@ -317,3 +317,39 @@ class TestTypeInvariants:
         a = LogitMap.zeros(2, 2, 1)
         with pytest.raises(ValueError):
             a.data[0, 0, 0] = 1.0
+
+
+class TestOwnChecksByDefault:
+    """Both grid types wrap a fresh array through one ``_own``, which checks
+    its values unless the caller says it already has."""
+
+    @pytest.mark.parametrize("bad", [np.nan, 7.0])
+    def test_attention_own_rejects_bad_values(self, bad):
+        with pytest.raises(DataValidationError, match="^AttentionMap "):
+            AttentionMap._own(np.array([[bad, 0.5]], np.float32))
+
+    def test_checked_skips_only_the_value_scan(self):
+        arr = np.array([[np.nan]], np.float32)
+        assert AttentionMap._own(arr, checked=True).data is arr
+        with pytest.raises(DataValidationError, match="must be positive"):
+            AttentionMap._own(np.ones((0, 2), np.float32), checked=True)
+        with pytest.raises(DataValidationError, match="can only own"):
+            AttentionMap._own(np.ones((4, 2), np.float32)[:2], checked=True)
+        with pytest.raises(ShapeError, match="expected 2D array"):
+            AttentionMap._own(np.ones((2, 2, 1), np.float32), checked=True)
+
+    @pytest.mark.parametrize("grid", [LogitMap.full(2, 3, 4, 0.25),
+                                      AttentionMap.full(2, 3, 0.25)],
+                             ids=["logits", "attention"])
+    def test_full_owns_its_frozen_array(self, grid):
+        assert grid.data.flags.owndata and not grid.data.flags.writeable
+        assert grid.data.shape == grid.shape
+        assert (grid.data == np.float32(0.25)).all()
+
+    def test_full_keeps_the_constructor_errors(self):
+        with pytest.raises(DataValidationError, match="AttentionMap values"):
+            AttentionMap.full(2, 2, 1.5)
+        with pytest.raises(DataValidationError, match="LogitMap contains"):
+            LogitMap.full(2, 2, 1, np.inf)
+        with pytest.raises(DataValidationError, match="LogitMap dimensions"):
+            LogitMap.zeros(0, 2, 1)
