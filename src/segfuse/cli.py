@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max perturbation magnitude; model 0 is always exact")
     p.add_argument("--scales", type=float, nargs="+", default=[0.5, 1.0])
     p.add_argument("--out-dir", default="out")
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("fuse", help="weighted mask fusion across models")
     _add_weight_source(p)
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="vertical")
     p.add_argument("--binarize-threshold", type=float,
                    help="soft-mask threshold (default %(default)s)")
-    p.set_defaults(**_CONFIG_DEFAULTS)
+    p.set_defaults(**_CONFIG_DEFAULTS, run=_cmd_fuse)
 
     p = sub.add_parser("pipeline",
                        help="full dense pipeline: ensemble, attention, "
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="threads over independent objects; output is identical "
                         "for any value (default 1)")
-    p.set_defaults(**_CONFIG_DEFAULTS)
+    p.set_defaults(**_CONFIG_DEFAULTS, run=_cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="AP tables of predictions vs ground truth")
     p.add_argument("manifest", help="prediction manifest (JSON)")
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou-threshold", type=float, help=_IOU_HELP)
     p.add_argument("--out", metavar="PATH",
                    help="write the report here instead of stdout")
-    p.set_defaults(**_CONFIG_DEFAULTS)
+    p.set_defaults(**_CONFIG_DEFAULTS, run=_cmd_evaluate)
     return parser
 
 
@@ -110,16 +111,23 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**{name: getattr(args, name) for name in _CONFIG_DEFAULTS})
 
 
-def _load_calib(args: argparse.Namespace, parser: argparse.ArgumentParser):
+def _load_again(path, args, first):
+    """``first``, loaded from ``args.manifest``, when ``path`` names the same
+    file; otherwise the manifest at ``path``, without its maps."""
+    same = Path(path).resolve() == Path(args.manifest).resolve()
+    return first if same else load_manifest(path, maps=False)
+
+
+def _load_calib(args, parser, bundle):
     if args.weights_mode == "uniform":
         return None
     if not args.calib:
         parser.error("--weights ap requires --calib MANIFEST "
                      "(name the weight-calibration split explicitly)")
-    return load_manifest(args.calib, maps=False)
+    return _load_again(args.calib, args, bundle)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, parser) -> int:
     bundle = generate(args.seed, objects=args.objects, models=args.models,
                       height=args.height, width=args.width,
                       perturb=args.perturb, scales=args.scales)
@@ -131,34 +139,31 @@ def _cmd_synth(args) -> int:
 def _cmd_fuse(args, parser) -> int:
     cfg = _config_from(args)
     bundle = load_manifest(args.manifest, maps=False)
-    calib = _load_calib(args, parser)
+    calib = _load_calib(args, parser, bundle)
     modes = (("vertical", "horizontal") if args.grouping == "both"
              else (args.grouping,))
-    for mode in modes:
-        fused, records = run_fuse(bundle, calib, cfg, mode)
-        paths = write_fuse_outputs(fused, records, cfg, mode, args.out_dir)
-        print(f"wrote {paths['manifest']}")
-        print(f"wrote {paths['weights']}")
+    # run every grouping before writing, so a failing one leaves no files
+    runs = [(mode, *run_fuse(bundle, calib, cfg, mode)) for mode in modes]
+    for mode, fused, records in runs:
+        for path in write_fuse_outputs(fused, records, cfg, mode, args.out_dir):
+            print(f"wrote {path}")
     return 0
 
 
 def _cmd_pipeline(args, parser) -> int:
     cfg = _config_from(args)
     bundle = load_manifest(args.manifest)
-    calib = _load_calib(args, parser)
-    result = run_pipeline(bundle, calib, cfg, args.workers)
-    paths = write_pipeline_outputs(result, args.out_dir)
-    for key in ("fused_logits", "labels", "overlay", "manifest", "report"):
-        print(f"wrote {paths[key]}")
+    result = run_pipeline(bundle, _load_calib(args, parser, bundle), cfg,
+                          args.workers)
+    for path in write_pipeline_outputs(result, args.out_dir):
+        print(f"wrote {path}")
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, parser) -> int:
     cfg = _config_from(args)
     pred = load_manifest(args.manifest, maps=False)
-    # `evaluate M M` scores a manifest against its own ground truth
-    same = Path(args.gt_manifest).resolve() == Path(args.manifest).resolve()
-    gt = pred if same else load_manifest(args.gt_manifest, maps=False)
+    gt = _load_again(args.gt_manifest, args, pred)
     report = run_evaluate(pred, gt, cfg)
     if args.out:
         path = write_json_report(report, args.out)
@@ -173,18 +178,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "fuse":
-            return _cmd_fuse(args, parser)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args, parser)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
+        return args.run(args, parser)
     except (SegfuseError, OSError) as e:
         print(f"segfuse: error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -145,18 +145,17 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
 
 
 def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
-                       cfg: PipelineConfig, mode: str,
-                       out_dir) -> dict[str, Path]:
+                       cfg: PipelineConfig, mode: str, out_dir) -> list[Path]:
+    """Returns the paths written, in write order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = save_manifest(fused, out_dir / f"fused_{mode}.json")
-    report = write_json_report(
-        {"schema_version": 1, "kind": "fusion_weights",
-         "image_id": fused.image_id, "grouping": mode,
-         "normalization": cfg.normalization, "weights_mode": cfg.weights_mode,
-         "records": records},
-        out_dir / f"weights_{mode}.json")
-    return {"manifest": manifest, "weights": report}
+    return [save_manifest(fused, out_dir / f"fused_{mode}.json"),
+            write_json_report(
+                {"schema_version": 1, "kind": "fusion_weights",
+                 "image_id": fused.image_id, "grouping": mode,
+                 "normalization": cfg.normalization,
+                 "weights_mode": cfg.weights_mode, "records": records},
+                out_dir / f"weights_{mode}.json")]
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +245,19 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
     are freed when it returns."""
     height, width, channels = bundle.height, bundle.width, bundle.channels
     sub = bundle.with_scale(scale)
+    sh = scaled_dim(height, scale)
+    sw = scaled_dim(width, scale)
     maps = {}
     for model in sub.models:
         grid = sub.logit_maps.get((model, scale))
         if grid is None:
             raise DataValidationError(
                 f"no logit map for model {model!r} at scale {scale}")
+        if (grid.height, grid.width) != (sh, sw):
+            raise DataValidationError(
+                f"logit map grid {(grid.height, grid.width)} of model "
+                f"{model!r} at scale {scale} != scale grid {(sh, sw)}")
         maps[model] = grid
-    sh = scaled_dim(height, scale)
-    sw = scaled_dim(width, scale)
 
     vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
     horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
@@ -387,20 +390,18 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
 def _evaluation_records(carved: PredictionBundle,
                         cfg: PipelineConfig) -> list[dict] | None:
     gts = carved.ground_truth
-    if not gts:
-        return None
-    modes = (("vertical", "horizontal")
-             if all(g.object_id is not None for g in gts) else ("vertical",))
-    return _ap_records(carved, gts, modes, cfg)
+    return _ap_records(carved, gts, cfg) if gts else None
 
 
 def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
-                modes: tuple[str, ...], cfg: PipelineConfig, **extra) -> list[dict]:
-    """AP records per mode, in ApTable entry order: (model, component) for
-    vertical, (model, object id) for horizontal.  ``extra`` fields are
-    added to every record."""
+                cfg: PipelineConfig, **extra) -> list[dict]:
+    """AP records in ApTable entry order: vertical by (model, component),
+    then horizontal by (model, object id) when every prediction and
+    ground-truth record has an object id.  ``extra`` fields are added to
+    every record."""
     records = []
-    for mode in modes:
+    have_ids = all(i.object_id is not None for i in (*bundle.instances, *gts))
+    for mode in ("vertical", "horizontal") if have_ids else ("vertical",):
         table = group_ap(bundle, gts, mode, cfg.iou_threshold)
         for (model, group), ap in table.entries.items():
             records.append({**extra, "mode": mode, "model": model,
@@ -408,21 +409,19 @@ def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
     return records
 
 
-def write_pipeline_outputs(result: PipelineResult, out_dir) -> dict[str, Path]:
+def write_pipeline_outputs(result: PipelineResult, out_dir) -> list[Path]:
+    """Returns the paths written, in write order."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    save_tensor(out_dir / "fused_logits.tns", result.final_logits)
-    paths["fused_logits"] = out_dir / "fused_logits.tns"
-    save_tensor(out_dir / "labels.tns",
-                result.labels.astype(np.float32)[:, :, None])
-    paths["labels"] = out_dir / "labels.tns"
+    logits, labels, overlay = (out_dir / name for name in
+                               ("fused_logits.tns", "labels.tns", "overlay.ppm"))
+    save_tensor(logits, result.final_logits)
+    save_tensor(labels, result.labels.astype(np.float32)[:, :, None])
     write_overlay(result.carved.height, result.carved.width, result.labels,
-                  out_dir / "overlay.ppm")
-    paths["overlay"] = out_dir / "overlay.ppm"
-    paths["manifest"] = save_manifest(result.carved, out_dir / "instances.json")
-    paths["report"] = write_json_report(result.report, out_dir / "report.json")
-    return paths
+                  overlay)
+    return [logits, labels, overlay,
+            save_manifest(result.carved, out_dir / "instances.json"),
+            write_json_report(result.report, out_dir / "report.json")]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,6 @@ def run_evaluate(pred: PredictionBundle, gt: PredictionBundle,
             "ground-truth manifest has no ground_truth records")
     records = []
     for scale in pred.scales:
-        records += _ap_records(pred.with_scale(scale), gts,
-                               ("vertical", "horizontal"), cfg, scale=scale)
+        records += _ap_records(pred.with_scale(scale), gts, cfg, scale=scale)
     return {"schema_version": 1, "kind": "evaluation", "image_id": pred.image_id,
             "iou_threshold": cfg.iou_threshold, "records": records}

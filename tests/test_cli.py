@@ -59,6 +59,30 @@ def _tree_bytes(root):
             for f in sorted(root.rglob("*")) if f.is_file()}
 
 
+def _edited(manifest, name, edit):
+    """A copy of ``manifest`` named ``name`` beside it, so its tensor paths
+    still resolve, with ``edit`` applied to its JSON."""
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    path = manifest.parent / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _null_ids(field):
+    def edit(doc):
+        for rec in doc[field]:
+            rec["object_id"] = None
+    return edit
+
+
+def _drop(field, model, scale):
+    def edit(doc):
+        doc[field] = [r for r in doc[field]
+                      if (r["model"], r["scale"]) != (model, scale)]
+    return edit
+
+
 def synth_fixture(tmp_path, seed=21, scales=("0.5", "1.0")):
     out = tmp_path / f"fx{seed}"
     assert main(["synth", "--seed", str(seed), "--out-dir", str(out),
@@ -208,6 +232,17 @@ class TestFuseCommand:
         assert (out / "fused_vertical.json").is_file()
         assert (out / "fused_horizontal.json").is_file()
 
+    def test_both_grouping_writes_nothing_when_one_fails(self, tmp_path,
+                                                         capsys):
+        manifest = synth_fixture(tmp_path)
+        calib = _edited(manifest, "no_ids.json", _null_ids("ground_truth"))
+        out = tmp_path / "both"
+        assert main(["fuse", str(manifest), "--calib", str(calib),
+                     "--grouping", "both", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "horizontal grouping requires object ids" in err, err
+        assert not out.exists()
+
     def test_matches_library_composition(self, tmp_path):
         # CLI output equals running the module pipeline by hand
         from segfuse.config import PipelineConfig
@@ -247,6 +282,28 @@ class TestCalibrationModels:
                 f"manifest's ['m0', 'm1', 'm2']") in err, err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "pipeline"])
+    def test_image_manifest_as_calib_is_read_once(self, tmp_path, monkeypatch,
+                                                  command):
+        manifest = synth_fixture(tmp_path)
+        copy = tmp_path / "copy"
+        shutil.copytree(manifest.parent, copy)
+        loads = []
+
+        def counting_load(path, **kwargs):
+            loads.append(path)
+            return load_manifest(path, **kwargs)
+
+        monkeypatch.setattr("segfuse.cli.load_manifest", counting_load)
+        outs = []
+        for calib, total in ((manifest, 1), (copy / "manifest.json", 3)):
+            out = tmp_path / f"out{total}"
+            assert main([command, str(manifest), "--calib", str(calib),
+                         "--out-dir", str(out)]) == 0
+            assert len(loads) == total
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
 
 
 class TestHostileManifest:
@@ -517,6 +574,33 @@ class TestPipelineCommand:
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
 
+    def test_missing_model_logits_at_one_scale_named(self, tmp_path, capsys):
+        manifest = synth_fixture(tmp_path)
+        dropped = _edited(manifest, "dropped.json",
+                          _drop("logit_maps", "m1", 0.5))
+        out = tmp_path / "o"
+        assert main(["pipeline", str(dropped), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no logit map for model 'm1' at scale 0.5" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_coarse_alpha_of_one_model_missing(self, tmp_path):
+        manifest = synth_fixture(tmp_path)
+        dropped = _edited(manifest, "dropped.json",
+                          _drop("alpha_maps", "m1", 0.5))
+        outs = []
+        for path, run in ((dropped, "a"), (dropped, "b"), (manifest, "full")):
+            out = tmp_path / run
+            assert main(["pipeline", str(path), "--calib", str(path),
+                         "--out-dir", str(out)]) == 0
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+        # the mean of the two alpha maps left is not the mean of all three
+        assert ((outs[0] / "fused_logits.tns").read_bytes()
+                != (outs[2] / "fused_logits.tns").read_bytes())
+
     def test_report_contains_ap_records(self, tmp_path):
         manifest = synth_fixture(tmp_path)
         out = tmp_path / "rep"
@@ -698,6 +782,21 @@ class TestEvaluateCommand:
         assert len(loads) == 3
         assert same.read_bytes() == other.read_bytes()
 
+    @pytest.mark.parametrize("field", ["ground_truth", "instances"])
+    def test_null_object_ids_give_vertical_records_only(self, tmp_path, field):
+        manifest = single_model_manifest(tmp_path)
+        edited = _edited(manifest, "no_ids.json", _null_ids(field))
+        pred, gt = ((manifest, edited) if field == "ground_truth"
+                    else (edited, manifest))
+        reports = []
+        for args in ((pred, gt), (manifest, manifest)):
+            out = tmp_path / f"eval{len(reports)}.json"
+            assert main(["evaluate", *map(str, args), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["records"])
+        assert [(r["mode"], r["group"]) for r in reports[0]] == [
+            ("vertical", c) for c in COMPONENTS]
+        assert reports[0] == [r for r in reports[1] if r["mode"] == "vertical"]
+
     def test_same_missing_manifest_twice_exits_two(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert main(["evaluate", missing, missing]) == 2
@@ -747,6 +846,25 @@ class TestUsage:
         shown = capsys.readouterr().out
         assert "(default None)" not in shown
         assert f"(default {PipelineConfig.iou_threshold})" in shown
+
+
+    @pytest.mark.parametrize("argv, names", [
+        (["fuse", "--grouping", "both"],
+         ["fused_vertical.json", "weights_vertical.json",
+          "fused_horizontal.json", "weights_horizontal.json"]),
+        (["pipeline"], ["fused_logits.tns", "labels.tns", "overlay.ppm",
+                        "instances.json", "report.json"]),
+    ], ids=["fuse", "pipeline"])
+    def test_wrote_lines_follow_write_order(self, tmp_path, capsys, argv,
+                                            names):
+        manifest = synth_fixture(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([*argv[:1], str(manifest), *argv[1:], "--calib",
+                     str(manifest), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(f.name for f in out.iterdir()) == sorted(names)
 
 
 class TestRecordOrder:

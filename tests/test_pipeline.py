@@ -11,8 +11,8 @@ from segfuse.errors import DataValidationError
 from segfuse.grids import LogitMap
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_ap_table, _channel_weights, _fuse_global,
-                              _object_regions, run_evaluate, run_fuse,
-                              run_pipeline)
+                              _mean_alpha, _object_regions, run_evaluate,
+                              run_fuse, run_pipeline)
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
@@ -67,6 +67,35 @@ def test_pipeline_horizontal_weights_need_calibrated_object():
     calib = generate(3, objects=1, height=64, width=64)
     with pytest.raises(DataValidationError, match="no AP entry"):
         run_pipeline(bundle, calib, PipelineConfig())
+
+
+def test_logit_map_off_its_scale_grid_is_named():
+    bundle = generate(5, scales=(0.5, 1.0))
+    maps = {**bundle.logit_maps, ("m1", 0.5): LogitMap.full(40, 60, 5, 0.0)}
+    with pytest.raises(DataValidationError,
+                       match=r"logit map grid \(40, 60\) of model 'm1' at "
+                             r"scale 0.5 != scale grid \(48, 64\)"):
+        run_pipeline(replace(bundle, logit_maps=maps), None,
+                     PipelineConfig(weights_mode="uniform"))
+
+
+@pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
+def test_mean_alpha_over_present_maps_matches_reference(dropped):
+    bundle = generate(5, scales=(0.5, 1.0))
+    alphas = {k: v for k, v in bundle.alpha_maps.items()
+              if k not in {(m, 0.5) for m in dropped}}
+    sub = replace(bundle, alpha_maps=alphas).with_scale(0.5)
+    got = _mean_alpha(sub, 0.5, 48, 64, PipelineConfig())
+    # float64 mean of the present maps in model order, clipped, then float32
+    present = [alphas[(m, 0.5)].data for m in bundle.models
+               if m not in dropped]
+    acc = present[0].astype(np.float64)
+    for a in present[1:]:
+        acc = acc + a.astype(np.float64)
+    ref = np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
+    assert got.data.tobytes() == ref.tobytes()
+    full = _mean_alpha(bundle.with_scale(0.5), 0.5, 48, 64, PipelineConfig())
+    assert got.data.tobytes() != full.data.tobytes()
 
 
 def test_evaluate_requires_ground_truth():
