@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 from .errors import DataValidationError
-from .grids import AttentionMap, LogitMap
+from .grids import AttentionMap, LogitMap, scaled_dim
 from .masks import MaskInstance
 
 GT_MODEL_ID = "gt"
@@ -18,6 +19,18 @@ def check_listed(model: str, scale: float, models, scales, where: str) -> None:
         raise DataValidationError(f"{where}: unknown model {model!r}")
     if scale not in scales:
         raise DataValidationError(f"{where}: unknown scale {scale}")
+
+
+def check_grid(grid, scale: float, height: int, width: int, where: str) -> None:
+    """Reject a map whose (rows, columns) ``grid`` is off its scale's grid."""
+    try:
+        expected = (scaled_dim(height, scale), scaled_dim(width, scale))
+    except DataValidationError as e:
+        raise DataValidationError(f"{where}: {e}") from None
+    if grid != expected:
+        raise DataValidationError(
+            f"{where}: tensor grid {grid} does not match scale {scale} "
+            f"of a {height}x{width} image (expected {expected})")
 
 
 def check_channels(counts) -> None:
@@ -33,7 +46,7 @@ class PredictionBundle:
 
     Instances are a flat tuple; ``instances_for`` and ``with_scale`` select
     from it by scanning.  RLE masks always live on the reference grid
-    (height x width); logit and alpha maps live on the per-scale grids.
+    (height x width); logit and alpha maps, read-only, on their scales' grids.
     """
 
     image_id: str
@@ -61,21 +74,21 @@ class PredictionBundle:
             raise DataValidationError("scales must be positive and finite")
         if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
             raise DataValidationError("scales must be strictly increasing")
-        object.__setattr__(self, "logit_maps", dict(self.logit_maps or {}))
-        object.__setattr__(self, "alpha_maps", dict(self.alpha_maps or {}))
         for inst in self.instances:
             self._check_instance(inst, require_model=True)
         for inst in self.ground_truth:
             self._check_instance(inst, require_model=False)
-        for (model, scale), m in self.logit_maps.items():
-            if not isinstance(m, LogitMap):
-                raise DataValidationError("logit_maps values must be LogitMap")
-            check_listed(model, scale, self.models, self.scales, "logit map")
+        for kind, cls in (("logit", LogitMap), ("alpha", AttentionMap)):
+            maps = MappingProxyType(dict(getattr(self, f"{kind}_maps") or {}))
+            object.__setattr__(self, f"{kind}_maps", maps)
+            for (model, scale), m in maps.items():
+                if not isinstance(m, cls):
+                    raise DataValidationError(
+                        f"{kind}_maps values must be {cls.__name__}")
+                check_listed(model, scale, self.models, self.scales, f"{kind} map")
+                check_grid(m.shape[:2], scale, self.height, self.width,
+                           f"{kind} map {(model, scale)!r}")
         check_channels(m.channels for m in self.logit_maps.values())
-        for (model, scale), m in self.alpha_maps.items():
-            if not isinstance(m, AttentionMap):
-                raise DataValidationError("alpha_maps values must be AttentionMap")
-            check_listed(model, scale, self.models, self.scales, "alpha map")
 
     def _check_instance(self, inst: MaskInstance, require_model: bool) -> None:
         if (inst.mask.height, inst.mask.width) != (self.height, self.width):

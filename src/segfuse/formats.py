@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import (GT_MODEL_ID, PredictionBundle, check_channels,
-                     check_listed)
+                     check_grid, check_listed)
 from .errors import DataValidationError, FormatError
-from .grids import AttentionMap, LogitMap, scaled_dim
+from .grids import AttentionMap, LogitMap
 from .masks import BBox, MaskInstance, RleMask
 
 TENSOR_MAGIC = b"SGFTENS\x00"
@@ -283,14 +283,9 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
                 shape = (grid.height, grid.width, getattr(grid, "channels", 1))
             else:
                 shape, _ = _read_tensor(base / rel, alpha=alpha, keep=False)
-            expected = (scaled_dim(height, scale), scaled_dim(width, scale))
         except (FormatError, DataValidationError) as e:
             raise type(e)(f"{where}: {e}") from None
-        if shape[:2] != expected:
-            raise DataValidationError(
-                f"{where}: tensor grid {shape[:2]} does not "
-                f"match scale {scale} of a {height}x{width} image "
-                f"(expected {expected})")
+        check_grid(shape[:2], scale, height, width, where)
         channels[(model, scale)] = shape[2]
         if keep:
             out[(model, scale)] = grid

@@ -198,9 +198,6 @@ def _object_regions(sub: PredictionBundle,
     """Expanded union box of each object's instances in ``sub``, by id."""
     regions: dict[int, BBox] = {}
     for inst in sub.instances:
-        if inst.object_id is None:
-            raise DataValidationError(
-                "the pipeline requires object ids on every instance")
         box = regions.get(inst.object_id)
         regions[inst.object_id] = inst.bbox if box is None else box.union(inst.bbox)
     return {oid: expand_bbox(box, cfg.expand_factor, sub.height, sub.width)
@@ -226,10 +223,6 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
                if (m, scale) in sub.alpha_maps]
     if not present:
         return AttentionMap.full(sh, sw, cfg.alpha_const)
-    for a in present:
-        if a.shape != (sh, sw):
-            raise DataValidationError(
-                f"alpha map grid {a.shape} != scale grid {(sh, sw)}")
     acc = present[0].data.astype(np.float64)
     for a in present[1:]:
         acc = acc + a.data.astype(np.float64)
@@ -247,17 +240,7 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
     sub = bundle.with_scale(scale)
     sh = scaled_dim(height, scale)
     sw = scaled_dim(width, scale)
-    maps = {}
-    for model in sub.models:
-        grid = sub.logit_maps.get((model, scale))
-        if grid is None:
-            raise DataValidationError(
-                f"no logit map for model {model!r} at scale {scale}")
-        if (grid.height, grid.width) != (sh, sw):
-            raise DataValidationError(
-                f"logit map grid {(grid.height, grid.width)} of model "
-                f"{model!r} at scale {scale} != scale grid {(sh, sw)}")
-        maps[model] = grid
+    maps = {m: sub.logit_maps[(m, scale)] for m in sub.models}
 
     vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
     horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
@@ -325,6 +308,14 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         raise DataValidationError(
             f"pipeline expects {len(COMPONENTS) + 1} channels (background + "
             f"components), got {channels}")
+    for scale in bundle.scales:
+        for model in bundle.models:
+            if (model, scale) not in bundle.logit_maps:
+                raise DataValidationError(
+                    f"no logit map for model {model!r} at scale {scale}")
+    if any(inst.object_id is None for inst in bundle.instances):
+        raise DataValidationError(
+            "the pipeline requires object ids on every instance")
     weights_records: list[dict] = []
     levels = []
     for scale in bundle.scales:

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from segfuse import pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import build_parser, main
 from segfuse.config import PipelineConfig
@@ -411,10 +412,11 @@ class TestDroppedMapsStillValidated:
         ("truncated", "logit_maps", r"payload is \d+ bytes, expected \d+"),
         ("nan", "logit_maps", "non-finite"),
         ("wrong-grid", "logit_maps", r"tensor grid \(25, 24\) does not match"),
+        ("wrong-grid", "alpha_maps", r"tensor grid \(25, 24\) does not match"),
         ("alpha-above-one", "alpha_maps", r"must lie in \[0, 1\]"),
         ("two-channel-alpha", "alpha_maps", "must have 1 channel, got 2"),
     ], ids=["missing", "bad-magic", "truncated", "nan", "wrong-grid",
-            "alpha-above-one", "two-channel-alpha"])
+            "wrong-grid-alpha", "alpha-above-one", "two-channel-alpha"])
     def test_broken_tensor_exits_two(self, tmp_path, capsys, map_fixture,
                                      site, how, field, message):
         good, bad = tmp_path / "good", tmp_path / "bad"
@@ -431,6 +433,7 @@ class TestDroppedMapsStillValidated:
         assert "Traceback" not in captured.err
         assert re.search(rf"{field}\[1\]: .*{message}", captured.err), \
             captured.err
+        assert captured.err.count(f"{field}[1]") == 1, captured.err
         assert "wrote" not in captured.out
         assert not out.exists()
 
@@ -584,6 +587,31 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert "no logit map for model 'm1' at scale 0.5" in err, err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (_drop("logit_maps", "m1", 1.0),
+         "no logit map for model 'm1' at scale 1.0"),
+        (lambda doc: doc["instances"][-1].update(object_id=None),
+         "the pipeline requires object ids on every instance"),
+    ], ids=["finest-logits-missing", "null-object-id"])
+    def test_inputs_checked_before_any_scale(self, tmp_path, capsys,
+                                             monkeypatch, edit, named):
+        broken = _edited(synth_fixture(tmp_path), "broken.json", edit)
+        calls, fuse_global = [], pipeline._fuse_global
+
+        def counting_fuse_global(*args):
+            calls.append(args)
+            return fuse_global(*args)
+
+        monkeypatch.setattr(pipeline, "_fuse_global", counting_fuse_global)
+        out = tmp_path / "o"
+        assert main(["pipeline", str(broken), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err, err
+        assert "Traceback" not in err
+        assert calls == []
         assert not out.exists()
 
     def test_coarse_alpha_of_one_model_missing(self, tmp_path):

@@ -16,7 +16,7 @@ from segfuse.errors import DataValidationError, FormatError
 from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_attention_map,
                              load_manifest, load_tensor, save_manifest,
                              save_tensor, write_overlay)
-from segfuse.grids import AttentionMap, LogitMap
+from segfuse.grids import AttentionMap, LogitMap, scaled_dim
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
@@ -345,6 +345,64 @@ class TestManifest:
         for key in bundle.logit_maps:
             assert np.array_equal(back.logit_maps[key].data,
                                   bundle.logit_maps[key].data)
+
+
+def _odd_bundle(rng):
+    """Two models at three scales on a 5x7 image, with random maps on each
+    scale's round-half-up grid."""
+    logits, alphas = {}, {}
+    for key in ((m, s) for m in ("m0", "m1") for s in (0.25, 0.5, 1.0)):
+        grid = (scaled_dim(5, key[1]), scaled_dim(7, key[1]))
+        logits[key] = LogitMap.from_array(
+            rng.normal(size=(*grid, 5)).astype(np.float32))
+        alphas[key] = AttentionMap.from_array(
+            rng.uniform(size=grid).astype(np.float32))
+    return PredictionBundle(
+        image_id="odd", height=5, width=7, models=("m0", "m1"),
+        scales=(0.25, 0.5, 1.0),
+        instances=(make_instance(block_mask(5, 7, 0, 2, 0, 2), uid=0),),
+        logit_maps=logits, alpha_maps=alphas)
+
+
+class TestBundleMaps:
+    """A bundle holds only maps on their scales' grids, in read-only
+    mappings, so every bundle it accepts can be saved and loaded back."""
+
+    OFF_GRID = {"logit": LogitMap.full(90, 120, 5, 0.0),
+                "alpha": AttentionMap.full(90, 120, 0.5)}
+
+    @pytest.mark.parametrize("build", ["init", "replace"])
+    @pytest.mark.parametrize("kind", ["logit", "alpha"])
+    def test_off_grid_map_is_named(self, kind, build):
+        bundle = generate(5, scales=(0.5, 1.0))
+        maps = {**getattr(bundle, f"{kind}_maps"),
+                ("m1", 1.0): self.OFF_GRID[kind]}
+        named = (rf"{kind} map \('m1', 1.0\): tensor grid \(90, 120\) does "
+                 rf"not match scale 1.0 of a 96x128 image "
+                 rf"\(expected \(96, 128\)\)")
+        with pytest.raises(DataValidationError, match=named):
+            if build == "init":
+                PredictionBundle(**{**vars(bundle), f"{kind}_maps": maps})
+            else:
+                replace(bundle, **{f"{kind}_maps": maps})
+
+    @pytest.mark.parametrize("field", ["logit_maps", "alpha_maps"])
+    def test_maps_are_read_only(self, field):
+        bundle = generate(5, scales=(0.5, 1.0))
+        maps = getattr(bundle, field)
+        with pytest.raises(TypeError):
+            maps[("m0", 0.5)] = maps[("m0", 1.0)]
+
+    @pytest.mark.parametrize("built", ["generate", "hand"])
+    def test_round_trip_keeps_every_map_bitwise(self, tmp_path, rng, built):
+        bundle = (generate(5, scales=(0.5, 1.0)) if built == "generate"
+                  else _odd_bundle(rng))
+        back = load_manifest(save_manifest(bundle, tmp_path / "m.json"))
+        for field in ("logit_maps", "alpha_maps"):
+            mine, theirs = getattr(bundle, field), getattr(back, field)
+            assert sorted(mine) == sorted(theirs)
+            for key, grid in mine.items():
+                assert grid.data.tobytes() == theirs[key].data.tobytes()
 
 
 def _large_manifest(tmp_path, side, rng):

@@ -73,10 +73,10 @@ def test_logit_map_off_its_scale_grid_is_named():
     bundle = generate(5, scales=(0.5, 1.0))
     maps = {**bundle.logit_maps, ("m1", 0.5): LogitMap.full(40, 60, 5, 0.0)}
     with pytest.raises(DataValidationError,
-                       match=r"logit map grid \(40, 60\) of model 'm1' at "
-                             r"scale 0.5 != scale grid \(48, 64\)"):
-        run_pipeline(replace(bundle, logit_maps=maps), None,
-                     PipelineConfig(weights_mode="uniform"))
+                       match=r"logit map \('m1', 0.5\): tensor grid \(40, 60\) "
+                             r"does not match scale 0.5 of a 96x128 image "
+                             r"\(expected \(48, 64\)\)"):
+        replace(bundle, logit_maps=maps)
 
 
 @pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
