@@ -51,6 +51,10 @@ class RleMask:
         object.__setattr__(self, "counts", counts)
         if self.height < 1 or self.width < 1:
             raise DataValidationError("RleMask dimensions must be positive")
+        if self.height * self.width > 2 ** 63 - 1:
+            raise DataValidationError(
+                f"{self.height}x{self.width} grid has more pixels than a "
+                f"signed 64-bit count holds")
         if not counts:
             raise FormatError("RLE counts must be non-empty")
         if min(counts) < 0:
@@ -99,17 +103,21 @@ def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
     """Decode ``r``, or only its window over ``box``."""
     if box is None:
         box = BBox(0, 0, r.width, r.height)
-    counts = np.asarray(r.counts, dtype=np.int64)
-    ends = np.cumsum(counts)
+    starts = np.asarray((0, *r.counts), dtype=np.int64).cumsum()
     lo, hi = box.y0 * r.width, box.y1 * r.width
-    # the runs that meet the box's row band, clipped to it
-    first = int(np.searchsorted(ends, lo, side="right"))
-    last = int(np.searchsorted(ends - counts, hi, side="left"))
-    lengths = (np.minimum(ends[first:last], hi)
-               - np.maximum(ends[first:last] - counts[first:last], lo))
-    band = np.repeat(np.arange(first, last) % 2 == 1, lengths)
-    return _frozen(np.ascontiguousarray(
-        band.reshape(box.height, r.width)[:, box.x0:box.x1]))
+    # the runs that meet the box's rows, their bounds clipped to those rows
+    first = int(starts.searchsorted(lo, side="right")) - 1
+    last = int(starts.searchsorted(hi - 1, side="right"))
+    bounds = starts[first:last + 1].copy()
+    bounds[0], bounds[-1] = lo, hi
+    # a bound's row-major place among the box's pixels, up to a constant;
+    # one left or right of the box takes the place of the box's next pixel
+    rows, cols = np.divmod(bounds, r.width)
+    at = rows * box.width + np.minimum(np.maximum(cols, box.x0), box.x1)
+    ones = np.zeros(last - first, dtype=bool)
+    ones[1 - first % 2::2] = True  # odd-numbered runs are ones
+    window = np.repeat(ones, at[1:] - at[:-1])
+    return _frozen(window.reshape(box.height, box.width))
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -45,47 +45,55 @@ def _pmap(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _calib_slice(calib: PredictionBundle | None, models: tuple[str, ...],
-                 scale: float) -> PredictionBundle:
-    if calib is None:
-        raise DataValidationError(
-            "AP-based weights need a calibration manifest (--calib), or pass "
-            "--weights uniform")
-    if not calib.ground_truth:
-        raise DataValidationError(
-            "calibration manifest has no ground_truth records; AP-based "
-            "weights cannot be computed (no silent uniform fallback)")
-    if calib.models != models:
-        raise DataValidationError(
-            f"calibration manifest models {list(calib.models)} differ from "
-            f"the image manifest's {list(models)}")
-    if scale not in calib.scales:
-        raise DataValidationError(
-            f"calibration manifest has no predictions at scale {scale}")
-    return calib.with_scale(scale)
+def _ap_table(calib: PredictionBundle, models: tuple[str, ...], scale: float,
+              mode: str, cfg: PipelineConfig) -> ApTable:
+    """Calibration APs of ``mode`` for the image's ``models``, from
+    ``calib``, the calibration split's slice at ``scale``."""
+    return group_ap(calib, calib.ground_truth, mode, cfg.iou_threshold)
 
 
-def _ap_table(calib: PredictionBundle | None, models: tuple[str, ...],
-              scale: float, mode: str, cfg: PipelineConfig) -> ApTable | None:
-    """Calibration APs of one scale for the image's ``models``; None when
-    the weights are uniform."""
-    if cfg.weights_mode == "uniform":
-        return None
-    sub = _calib_slice(calib, models, scale)
-    return group_ap(sub, sub.ground_truth, mode, cfg.iou_threshold)
+def _fusion_weights(bundle: PredictionBundle, calib: PredictionBundle | None,
+                    cfg: PipelineConfig, groups: dict) -> tuple[dict, list[dict]]:
+    """Every scale's weights, ``{(scale, mode): {AP key: FusionWeights}}``,
+    and their records in report order, computed before any pixel.
 
-
-def _group_weights(table: ApTable | None, models: tuple[str, ...], key,
-                   cfg: PipelineConfig) -> FusionWeights:
-    """One group's weights: from its APs, or uniform without a table."""
-    if table is None:
-        return FusionWeights.uniform(models, key)
-    return compute_weights(table, key, cfg.normalization)
-
-
-def _weights_record(scale: float, mode: str, w: FusionWeights) -> dict:
-    return {"scale": scale, "mode": mode, "group": w.group_key,
-            "weights": {m: v for m, v in w.weights}}
+    ``groups[scale][mode]`` maps each group's AP key to the key its vector
+    carries under uniform weights.  AP weights need a calibration split
+    with ground truth, the image's models and scales, and an AP entry for
+    every group."""
+    models = bundle.models
+    ap = cfg.weights_mode == "ap"
+    if ap:
+        if calib is None:
+            raise DataValidationError("AP-based weights need a calibration "
+                                      "manifest (--calib), or pass --weights uniform")
+        if not calib.ground_truth:
+            raise DataValidationError(
+                "calibration manifest has no ground_truth records; AP-based "
+                "weights cannot be computed (no silent uniform fallback)")
+        if calib.models != models:
+            raise DataValidationError(
+                f"calibration manifest models {list(calib.models)} differ "
+                f"from the image manifest's {list(models)}")
+        for scale in bundle.scales:
+            if scale not in calib.scales:
+                raise DataValidationError(
+                    f"calibration manifest has no predictions at scale {scale}")
+    weights: dict = {}
+    records: list[dict] = []
+    for scale, by_mode in groups.items():
+        sub = calib.with_scale(scale) if ap else None
+        for mode, keys in by_mode.items():
+            if ap:
+                table = _ap_table(sub, models, scale, mode, cfg)
+                vectors = [compute_weights(table, k, cfg.normalization)
+                           for k in keys]
+            else:
+                vectors = [FusionWeights.uniform(models, keys[k]) for k in keys]
+            weights[scale, mode] = dict(zip(keys, vectors))
+            records += [{"scale": scale, "mode": mode, "group": w.group_key,
+                         "weights": dict(w.weights)} for w in vectors]
+    return weights, records
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +106,19 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
     Returns the fused bundle (model id "ensemble") and the per-group weight
     records used.
     """
-    records: list[dict] = []
+    subs = [bundle.with_scale(scale) for scale in bundle.scales]
+    keys = [group_keys(sub.instances, mode) for sub in subs]
+    if any(inst.object_id is None for inst in bundle.instances):
+        raise DataValidationError(
+            "mask fusion requires object ids to put instances from different "
+            "models in correspondence")
+    weights, records = _fusion_weights(bundle, calib, cfg, {
+        scale: {mode: dict(zip(k, k))} for scale, k in zip(bundle.scales, keys)})
     fused: list[MaskInstance] = []
-    for scale in bundle.scales:
-        sub = bundle.with_scale(scale)
-        keys = group_keys(sub.instances, mode)
-        table = _ap_table(calib, sub.models, scale, mode, cfg)
-        for key in keys:
-            w = _group_weights(table, sub.models, key, cfg)
-            records.append(_weights_record(scale, mode, w))
+    for scale, sub in zip(bundle.scales, subs):
+        for key, w in weights[scale, mode].items():
             cells: dict = {}
             for inst in sub.instances_for(**{GROUP_FIELDS[mode]: key}):
-                if inst.object_id is None:
-                    raise DataValidationError(
-                        "mask fusion requires object ids to put instances "
-                        "from different models in correspondence")
                 cells.setdefault((inst.component, inst.object_id), []).append(inst)
             # one half of each (component, object) cell is the group key, so
             # this orders cells by the str of the other half (object 10 < 2)
@@ -160,17 +166,6 @@ def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
 
 # ---------------------------------------------------------------------------
 # dense pipeline (the "pipeline" command)
-
-def _channel_weights(table: ApTable | None, models: tuple[str, ...],
-                     cfg: PipelineConfig, channels: int):
-    """Per-channel weight vectors: component channels from vertical APs,
-    background uniform.  Uniform vectors are keyed by their channel."""
-    vectors = [FusionWeights.uniform(models, "channel0")]
-    for ch in range(1, channels):
-        key = f"channel{ch}" if table is None else COMPONENTS[ch - 1]
-        vectors.append(_group_weights(table, models, key, cfg))
-    return vectors
-
 
 def _fuse_global(maps: dict[str, LogitMap], vectors) -> LogitMap:
     """The whole-frame ensemble, kept as its own stage so traces can time it
@@ -230,23 +225,21 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
     return AttentionMap._own(np.clip(acc, 0.0, 1.0).astype(np.float32))
 
 
-def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
-                cfg: PipelineConfig, scale: float, workers: int
-                ) -> tuple[tuple[LogitMap, AttentionMap], list[dict]]:
-    """One scale's level of the fold, ``(fused_scale, mean_alpha)``, and its
-    weight records.  The scale's whole-frame ensemble, gate and local maps
-    are freed when it returns."""
-    height, width, channels = bundle.height, bundle.width, bundle.channels
-    sub = bundle.with_scale(scale)
-    sh = scaled_dim(height, scale)
-    sw = scaled_dim(width, scale)
+def _fuse_scale(sub: PredictionBundle, weights: dict, cfg: PipelineConfig,
+                workers: int) -> tuple[LogitMap, AttentionMap]:
+    """The level of the fold, ``(fused_scale, mean_alpha)``, of ``sub``, the
+    image at one scale, under that scale's ``weights``.  The scale's
+    whole-frame ensemble, gate and local maps are freed when it returns."""
+    height, width, channels = sub.height, sub.width, sub.channels
+    scale = sub.scales[0]
+    sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
     maps = {m: sub.logit_maps[(m, scale)] for m in sub.models}
 
-    vert_table = _ap_table(calib, sub.models, scale, "vertical", cfg)
-    horiz_table = _ap_table(calib, sub.models, scale, "horizontal", cfg)
-    vectors = _channel_weights(vert_table, sub.models, cfg, channels)
-    records = [_weights_record(scale, "vertical", vec) for vec in vectors[1:]]
-    ens_global = _fuse_global(maps, vectors)
+    # background is fused with uniform weights, each component channel with
+    # its component's vertical weights
+    ens_global = _fuse_global(maps, [FusionWeights.uniform(sub.models, "channel0"),
+                                     *weights[scale, "vertical"].values()])
+    horizontal = weights[scale, "horizontal"]
 
     regions_ref = _object_regions(sub, cfg)
     oids = list(regions_ref)
@@ -254,11 +247,10 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
                  for oid in oids}
 
     def _object_task(oid: int):
-        w = _group_weights(horiz_table, sub.models, oid, cfg)
         local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
                                     regions_s[oid], channels)
                       for m in sub.models}
-        fused_local = fuse_logits(local_maps, [w] * channels)
+        fused_local = fuse_logits(local_maps, [horizontal[oid]] * channels)
         beta_patch = None
         if cfg.beta_const is None:
             g_rows = ens_global.data[regions_s[oid].slices].astype(
@@ -267,13 +259,11 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
             gate = _object_gate(g_rows, l_rows, cfg.attention_factor)
             beta_patch = gate.reshape(regions_s[oid].height,
                                       regions_s[oid].width)
-        return w, fused_local, beta_patch
+        return fused_local, beta_patch
 
-    locals_list = []
-    beta_patches = []
-    for oid, (w, fused_local, beta_patch) in zip(
+    locals_list, beta_patches = [], []
+    for oid, (fused_local, beta_patch) in zip(
             oids, _pmap(_object_task, oids, workers)):
-        records.append(_weights_record(scale, "horizontal", w))
         locals_list.append((fused_local, regions_s[oid]))
         if beta_patch is not None:
             beta_patches.append((beta_patch, regions_s[oid]))
@@ -283,7 +273,7 @@ def _fuse_scale(bundle: PredictionBundle, calib: PredictionBundle | None,
     else:
         beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
     fused_scale = fuse_global_local(ens_global, locals_list, beta)
-    return (fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)), records
+    return fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)
 
 
 @dataclass(frozen=True)
@@ -316,12 +306,14 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     if any(inst.object_id is None for inst in bundle.instances):
         raise DataValidationError(
             "the pipeline requires object ids on every instance")
-    weights_records: list[dict] = []
-    levels = []
-    for scale in bundle.scales:
-        level, records = _fuse_scale(bundle, calib, cfg, scale, workers)
-        levels.append(level)
-        weights_records += records
+    subs = [bundle.with_scale(scale) for scale in bundle.scales]
+    # under uniform weights a component channel's vector is keyed by channel
+    vertical = {comp: f"channel{COMPONENT_IDS[comp]}" for comp in COMPONENTS}
+    horizontal = [group_keys(sub.instances, "horizontal") for sub in subs]
+    weights, weights_records = _fusion_weights(bundle, calib, cfg, {
+        scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
+        for scale, oids in zip(bundle.scales, horizontal)})
+    levels = [_fuse_scale(sub, weights, cfg, workers) for sub in subs]
     final = run_inference_chain(levels)
     del levels  # the per-scale frames are not needed for the carving
     final_ref = bilinear_resize(final, height, width)

@@ -87,9 +87,12 @@ def test_box_decode_is_the_crop_of_the_full_decode(data):
     h, w = data.draw(FRAMES)
     bits = data.draw(frame_bits(h, w, BBox(0, 0, w, h)))
     box = data.draw(boxes(h, w))
-    got = rle_decode(rle_encode(bits), box)
+    r = rle_encode(bits)
+    got = rle_decode(r, box)
     assert got.shape == (box.height, box.width)
     assert np.array_equal(got, bits[box.y0:box.y1, box.x0:box.x1])
+    want = rle_decode(r)[box.slices]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @given(st.data())

@@ -340,6 +340,22 @@ class TestHostileManifest:
         assert "Traceback" not in err and f"{bad}: schema_version" in err
         assert max(map(len, err.splitlines())) < 200, err
 
+    def test_grid_past_a_signed_64_bit_count(self, tmp_path, capsys):
+        side = 10 ** 10
+        bad = tmp_path / "huge_grid.json"
+        bad.write_text(json.dumps({
+            "schema_version": 1, "image_id": "huge", "height": side,
+            "width": side, "models": ["m0"], "scales": [1.0],
+            "instances": [{"model": "m0", "scale": 1.0, "score": 0.9,
+                           "component": "shell", "object_id": 0,
+                           "bbox": [0, 0, 1, 1],
+                           "rle": [0, 1, side * side - 1]}]}))
+        capsys.readouterr()
+        assert main(["evaluate", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "instances[0]: " in err and "signed 64-bit" in err, err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field, digits", [("schema_version", 5001),
                                                ("score", 5000)])
     def test_oversized_integer_is_not_echoed(self, tmp_path, capsys, field,

@@ -438,6 +438,20 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_window_decode_is_bounded_by_the_box(tmp_path):
+    # one pixel on a 2 x 200,000,000 grid: decoding whole rows of the box
+    # would take 200 MB
+    width = 200_000_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "image_id": "wide", "height": 2, "width": width,
+        "models": ["m0"], "scales": [1.0],
+        "instances": [{"model": "m0", "scale": 1.0, "score": 0.9,
+                       "component": "shell", "object_id": 0,
+                       "bbox": [5, 1, 6, 2], "rle": [width + 5, 1, width - 6]}]}))
+    assert _traced_peak(lambda: load_manifest(path, maps=False)) < 256 * 1024
+
+
 class TestChunkedCheck:
     """Tensor payloads are read and checked in chunks of
     ``formats._CHUNK_BYTES``; a kept load and a validation-only load give

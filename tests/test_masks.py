@@ -101,6 +101,11 @@ class TestRleCodec:
         back = rle_decode(rle_encode(bits))
         assert back.dtype == bool and np.array_equal(back, bits)
 
+    def test_grid_past_a_signed_64_bit_count_is_rejected(self):
+        side = 10 ** 10
+        with pytest.raises(DataValidationError, match="signed 64-bit"):
+            RleMask(side, side, (0, 1, side * side - 1))
+
 
 class TestIou:
     def test_identical_nonempty(self):

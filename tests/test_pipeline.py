@@ -1,22 +1,43 @@
 """Orchestration-level contracts not exercised through the CLI."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from segfuse import pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
+from segfuse.fusion import FusionWeights
 from segfuse.grids import LogitMap
 from segfuse.masks import COMPONENTS, rle_decode
-from segfuse.pipeline import (_ap_table, _channel_weights, _fuse_global,
+from segfuse.pipeline import (_fuse_global, _fusion_weights,
                               _mean_alpha, _object_regions, run_evaluate,
                               run_fuse, run_pipeline)
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
 from reference import fuse_logits_ref, label_instances_ref
+
+
+@pytest.fixture
+def pixel_calls(monkeypatch):
+    """Calls of each pixel stage of ``fuse`` and ``pipeline``, by name."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_fuse_global", "_local_map", "fuse_masks"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    return calls
 
 
 def test_fuse_requires_object_ids_for_correspondence():
@@ -62,11 +83,45 @@ def test_pipeline_requires_component_channel_layout():
         run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
 
 
-def test_pipeline_horizontal_weights_need_calibrated_object():
-    bundle = generate(3, objects=2, height=64, width=64)
-    calib = generate(3, objects=1, height=64, width=64)
-    with pytest.raises(DataValidationError, match="no AP entry"):
+@pytest.mark.parametrize("mode, message", [
+    ("vertical", "mask fusion requires object ids"),
+    ("horizontal", "horizontal grouping requires object ids on every instance"),
+])
+def test_fuse_checks_object_ids_before_any_cell(pixel_calls, mode, message):
+    bundle = generate(3, objects=2, height=64, width=64, scales=(0.5, 1.0))
+    *kept, last = bundle.instances  # the last cell of the finest scale
+    bundle = replace(bundle, instances=(*kept, replace(last, object_id=None)))
+    with pytest.raises(DataValidationError, match=message):
+        run_fuse(bundle, None, PipelineConfig(weights_mode="uniform"), mode)
+    assert pixel_calls == Counter()
+
+
+@pytest.mark.parametrize("run", [
+    lambda bundle, calib: run_pipeline(bundle, calib, PipelineConfig()),
+    lambda bundle, calib: run_fuse(bundle, calib, PipelineConfig(), "vertical"),
+], ids=["pipeline", "fuse"])
+def test_calibration_without_finest_scale_fails_before_pixels(pixel_calls,
+                                                              run):
+    bundle = generate(3, objects=2, height=64, width=64, scales=(0.5, 1.0))
+    calib = generate(4, objects=2, height=64, width=64, scales=(0.5,))
+    with pytest.raises(DataValidationError, match=r"calibration manifest "
+                       r"has no predictions at scale 1\.0"):
+        run(bundle, calib)
+    assert pixel_calls == Counter()
+
+
+def test_pipeline_horizontal_weights_need_calibrated_object(pixel_calls):
+    # object 1 of the image is missing from the split: no pixel is worked
+    # before the weights fail
+    bundle = generate(3, objects=2, height=64, width=64, scales=(0.5, 1.0))
+    calib = generate(3, objects=1, height=64, width=64, scales=(0.5, 1.0))
+    with pytest.raises(DataValidationError,
+                       match="no AP entry for model 'm0' in group 1"):
         run_pipeline(bundle, calib, PipelineConfig())
+    with pytest.raises(DataValidationError,
+                       match="no AP entry for model 'm0' in group 1"):
+        run_fuse(bundle, calib, PipelineConfig(), "horizontal")
+    assert pixel_calls == Counter()
 
 
 def test_logit_map_off_its_scale_grid_is_named():
@@ -154,8 +209,10 @@ def test_pipeline_result_instances_nest():
 def test_frame_ensemble_matches_oracle_per_channel():
     bundle = generate(6, objects=3, height=48, width=64)
     cfg = PipelineConfig()
-    table = _ap_table(bundle, bundle.models, 1.0, "vertical", cfg)
-    vectors = _channel_weights(table, bundle.models, cfg, 5)
+    weights, _ = _fusion_weights(bundle, bundle, cfg, {
+        1.0: {"vertical": dict.fromkeys(COMPONENTS)}})
+    vectors = [FusionWeights.uniform(bundle.models),
+               *weights[1.0, "vertical"].values()]
     assert len({v.weights for v in vectors}) > 2  # channels weigh differently
     maps = {m: bundle.logit_maps[(m, 1.0)] for m in bundle.models}
     got = _fuse_global(maps, vectors).data
