@@ -99,12 +99,6 @@ class PredictionBundle:
             check_listed(inst.model_id, inst.scale, self.models, self.scales,
                          "instance")
 
-    @property
-    def channels(self) -> int | None:
-        for m in self.logit_maps.values():
-            return m.channels
-        return None
-
     def with_scale(self, scale: float) -> "PredictionBundle":
         """Single-scale slice of this bundle (instances and maps at ``scale``)."""
         if scale not in self.scales:

@@ -152,9 +152,10 @@ def _cmd_fuse(args, parser) -> int:
 
 def _cmd_pipeline(args, parser) -> int:
     cfg = _config_from(args)
-    bundle = load_manifest(args.manifest)
+    maps = {}  # each scale's tensors are read again when it is fused
+    bundle = load_manifest(args.manifest, maps=maps)
     result = run_pipeline(bundle, _load_calib(args, parser, bundle), cfg,
-                          args.workers)
+                          args.workers, maps)
     for path in write_pipeline_outputs(result, args.out_dir):
         print(f"wrote {path}")
     return 0

@@ -17,6 +17,7 @@ import json
 import math
 import reprlib
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -257,14 +258,33 @@ def _load_instance(rec: dict, height: int, width: int, where: str,
         raise type(e)(f"{where}: {e}") from None
 
 
+def _read_map(path: Path, where: str, alpha: bool, keep: bool):
+    """Map record ``where``'s checked (h, w, c) shape, and grid if ``keep``."""
+    try:
+        if not keep:
+            return _read_tensor(path, alpha=alpha, keep=False)[0], None
+        grid = (load_attention_map if alpha else load_logit_map)(path)
+        return (grid.height, grid.width, getattr(grid, "channels", 1)), grid
+    except (FormatError, DataValidationError) as e:
+        raise type(e)(f"{where}: {e}") from None
+
+
+def _reread(path: Path, where: str, alpha: bool, shape: tuple):
+    """Map record ``where`` read again, checked as on load and to keep ``shape``."""
+    got, grid = _read_map(path, where, alpha, keep=True)
+    if got != shape:
+        raise DataValidationError(f"{where}: {path} changed since the manifest "
+                                  f"was loaded: shape {got}, was {shape}")
+    return grid
+
+
 def _load_maps(doc: dict, field: str, base: Path, models, scales,
-               height: int, width: int, keep: bool):
+               height: int, width: int, maps):
     """Check every record of ``field``; return the grids kept and channels."""
     records = doc.get(field, [])
     if not isinstance(records, list):
         raise FormatError(f"{field} must be a list")
     alpha = field == "alpha_maps"
-    loader = load_attention_map if alpha else load_logit_map
     out, channels = {}, {}
     for k, rec in enumerate(records):
         where = f"{field}[{k}]"
@@ -277,25 +297,22 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
         if (model, scale) in channels:
             raise DataValidationError(f"{where}: duplicate entry for "
                                       f"({model!r}, {scale})")
-        try:
-            if keep:
-                grid = loader(base / rel)
-                shape = (grid.height, grid.width, getattr(grid, "channels", 1))
-            else:
-                shape, _ = _read_tensor(base / rel, alpha=alpha, keep=False)
-        except (FormatError, DataValidationError) as e:
-            raise type(e)(f"{where}: {e}") from None
+        shape, grid = _read_map(base / rel, where, alpha, maps is True)
         check_grid(shape[:2], scale, height, width, where)
         channels[(model, scale)] = shape[2]
-        if keep:
+        if grid is not None:
             out[(model, scale)] = grid
+        elif isinstance(maps, dict):
+            maps[field, model, scale] = (shape[2], partial(
+                _reread, base / rel, where, alpha, shape))
     return out, channels
 
 
-def load_manifest(path, *, maps: bool = True) -> PredictionBundle:
+def load_manifest(path, *, maps: bool | dict = True) -> PredictionBundle:
     """Parse and eagerly validate a manifest into a PredictionBundle; with
     ``maps=False`` every tensor is still read and checked but none is kept,
-    each one through one fixed-size buffer."""
+    each one through one fixed-size buffer.  A dict ``maps`` keeps none but gets
+    each map's ``(field, model, scale) -> (channels, read)``, to re-read it."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"manifest not found: {p}")

@@ -120,6 +120,17 @@ def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
     return _frozen(window.reshape(box.height, box.width))
 
 
+def _run_extent(r: RleMask) -> BBox:
+    """``tight_bbox(rle_decode(r))`` of a mask with set pixels, from its runs."""
+    counts = np.asarray(r.counts, dtype=np.int64)
+    ends = counts.cumsum()[1::2]
+    rows0, cols0 = np.divmod(ends - counts[1::2], r.width)
+    rows1, cols1 = np.divmod(ends - 1, r.width)
+    if (rows0 != rows1).any():  # a run across rows spans every column
+        cols0, cols1 = 0, r.width - 1
+    return BBox(np.min(cols0), rows0[0], np.max(cols1) + 1, rows1[-1] + 1)
+
+
 def iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union; 0.0 when both masks are empty."""
     a, b = _mask_array(a), _mask_array(b)
@@ -263,7 +274,7 @@ class MaskInstance:
         if np.count_nonzero(decoded) != area:
             raise DataValidationError(
                 f"bbox {self.bbox} does not enclose the mask extent "
-                f"{tight_bbox(rle_decode(self.mask))}")
+                f"{_run_extent(self.mask)}")
         self.__dict__.update(binary=decoded, area=area)
 
     def _at_scale(self, scale: float, uid: int | None) -> "MaskInstance":

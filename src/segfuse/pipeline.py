@@ -11,7 +11,7 @@ byte-identical outputs regardless of worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -225,20 +225,28 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
     return AttentionMap._own(np.clip(acc, 0.0, 1.0).astype(np.float32))
 
 
-def _fuse_scale(sub: PredictionBundle, weights: dict, cfg: PipelineConfig,
-                workers: int) -> tuple[LogitMap, AttentionMap]:
+def _read_maps(maps: dict, field: str, scale: float) -> dict:
+    """``field``'s maps at ``scale``, by (model, scale), from a map source."""
+    return {(m, s): read() for (f, m, s), (_, read) in maps.items()
+            if (f, s) == (field, scale)}
+
+
+def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
+                cfg: PipelineConfig, workers: int) -> tuple[LogitMap, AttentionMap]:
     """The level of the fold, ``(fused_scale, mean_alpha)``, of ``sub``, the
-    image at one scale, under that scale's ``weights``.  The scale's
-    whole-frame ensemble, gate and local maps are freed when it returns."""
-    height, width, channels = sub.height, sub.width, sub.channels
+    image at one scale, under that scale's ``weights``.  It holds the scale's
+    logit maps, read from ``maps``, only for the whole-frame ensemble, then
+    its alpha maps for the mean alpha; its frames are freed when it returns."""
+    height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
-    maps = {m: sub.logit_maps[(m, scale)] for m in sub.models}
 
     # background is fused with uniform weights, each component channel with
     # its component's vertical weights
-    ens_global = _fuse_global(maps, [FusionWeights.uniform(sub.models, "channel0"),
-                                     *weights[scale, "vertical"].values()])
+    ens_global = _fuse_global(
+        {m: g for (m, _), g in _read_maps(maps, "logit_maps", scale).items()},
+        [FusionWeights.uniform(sub.models, "channel0"), *weights[scale, "vertical"].values()])
+    channels = ens_global.channels
     horizontal = weights[scale, "horizontal"]
 
     regions_ref = _object_regions(sub, cfg)
@@ -273,6 +281,7 @@ def _fuse_scale(sub: PredictionBundle, weights: dict, cfg: PipelineConfig,
     else:
         beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
     fused_scale = fuse_global_local(ens_global, locals_list, beta)
+    sub = replace(sub, alpha_maps=_read_maps(maps, "alpha_maps", scale))
     return fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)
 
 
@@ -285,22 +294,29 @@ class PipelineResult:
 
 
 def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
-                 cfg: PipelineConfig, workers: int = 1) -> PipelineResult:
+                 cfg: PipelineConfig, workers: int = 1,
+                 maps: dict | None = None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
-    ``workers`` threads run the per-object stage."""
+    ``workers`` threads run the per-object stage.  Each scale's maps are
+    read when it is fused, from ``maps`` as ``load_manifest(path, maps={})``
+    fills it, or else from the bundle."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
+    if maps is None:
+        maps = {(f, m, s): (getattr(g, "channels", 1), lambda g=g: g)
+                for f in ("logit_maps", "alpha_maps")
+                for (m, s), g in getattr(bundle, f).items()}
     height, width = bundle.height, bundle.width
-    channels = bundle.channels
-    if channels is None:
+    channels = [c for (f, _, _), (c, _) in maps.items() if f == "logit_maps"]
+    if not channels:
         raise DataValidationError("pipeline needs logit maps in the manifest")
-    if channels != len(COMPONENTS) + 1:
+    if channels[0] != len(COMPONENTS) + 1:
         raise DataValidationError(
             f"pipeline expects {len(COMPONENTS) + 1} channels (background + "
-            f"components), got {channels}")
+            f"components), got {channels[0]}")
     for scale in bundle.scales:
         for model in bundle.models:
-            if (model, scale) not in bundle.logit_maps:
+            if ("logit_maps", model, scale) not in maps:
                 raise DataValidationError(
                     f"no logit map for model {model!r} at scale {scale}")
     if any(inst.object_id is None for inst in bundle.instances):
@@ -313,7 +329,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     weights, weights_records = _fusion_weights(bundle, calib, cfg, {
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
-    levels = [_fuse_scale(sub, weights, cfg, workers) for sub in subs]
+    levels = [_fuse_scale(sub, maps, weights, cfg, workers) for sub in subs]
     final = run_inference_chain(levels)
     del levels  # the per-scale frames are not needed for the carving
     final_ref = bilinear_resize(final, height, width)

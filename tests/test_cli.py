@@ -4,12 +4,16 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segfuse import pipeline
+from segfuse import formats, pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import build_parser, main
 from segfuse.config import PipelineConfig
@@ -751,6 +755,154 @@ class TestModelLogitsMissAnObject:
         carved = json.loads((outs[0] / "instances.json").read_text())
         assert sorted(r["component"] for r in carved["instances"]
                       if r["object_id"] == 0) == sorted(COMPONENTS)
+
+
+def _poke_header(path, **dims):
+    """Rewrite fields of a tensor file's header in place."""
+    blob = bytearray(path.read_bytes())
+    h, w, c, r = struct.unpack("<4I", blob[8:24])
+    new = {"h": h, "w": w, "c": c, **dims}
+    blob[8:24] = struct.pack("<4I", new["h"], new["w"], new["c"], r)
+    path.write_bytes(bytes(blob))
+
+
+class TestPipelineReadsEachScaleWhenItFusesIt:
+    """``pipeline`` checks every tensor of its image manifest on load but
+    keeps none; each scale's maps are read again when that scale is fused,
+    and its logit maps are dropped once its whole-frame ensemble is built."""
+
+    @pytest.fixture(scope="class")
+    def dense(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dense")
+        for seed in (4, 5):
+            assert main(["synth", "--seed", str(seed), "--height", "256",
+                         "--width", "256", "--objects", "4", "--models", "3",
+                         "--scales", "0.25", "0.5", "1.0",
+                         "--out-dir", str(root / f"s{seed}")]) == 0
+        return root / "s4" / "manifest.json", root / "s5" / "manifest.json"
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        # a 24x32 image, so swapping a header's height and width keeps its size
+        out = tmp_path / "small"
+        assert main(["synth", "--seed", "3", "--height", "24", "--width", "32",
+                     "--objects", "1", "--models", "2", "--scales", "0.5",
+                     "1.0", "--out-dir", str(out)]) == 0
+        return out / "manifest.json"
+
+    @pytest.mark.parametrize("how, message", [
+        ("truncated", r"payload is \d+ bytes, expected \d+"),
+        ("nan", "payload contains non-finite values"),
+        ("swapped", r"changed since the manifest was loaded: shape "
+                    r"\(32, 24, 5\), was \(24, 32, 5\)"),
+        ("channels", r"changed since the manifest was loaded: shape "
+                     r"\(24, 32, 4\), was \(24, 32, 5\)"),
+    ], ids=["truncated", "nan", "swapped", "channels"])
+    def test_tensor_changed_after_load_exits_two(self, tmp_path, capsys,
+                                                  monkeypatch, small, how,
+                                                  message):
+        doc = json.loads(small.read_text())
+        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
+                      if r["scale"] == 1.0)
+        target = (small.parent / rec["path"]).resolve()
+        read = formats.load_logit_map
+
+        def changed_then_read(path):
+            # the load has checked the file; change it before its re-read
+            if Path(path).resolve() == target:
+                if how in ("truncated", "nan"):
+                    _break_tensor(target, how)
+                elif how == "swapped":
+                    _poke_header(target, h=32, w=24)
+                else:
+                    save_tensor(target, np.zeros((24, 32, 4), np.float32))
+            return read(path)
+
+        monkeypatch.setattr(formats, "load_logit_map", changed_then_read)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", str(small), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert re.search(rf"logit_maps\[{k}\]: .*{message}", captured.err), \
+            captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    def test_one_scale_of_logit_maps_lives_at_a_time(self, tmp_path,
+                                                     monkeypatch, dense):
+        image, calib = dense
+        scale_of = {}
+        for manifest in dense:
+            doc = json.loads(manifest.read_text())
+            for rec in doc["logit_maps"]:
+                scale_of[(manifest.parent / rec["path"]).resolve()] = rec["scale"]
+        events, refs, reads = [], {}, Counter()
+        read_tensor, load_logit_map = formats._read_tensor, formats.load_logit_map
+        local_map, fuse_scale = pipeline._local_map, pipeline._fuse_scale
+
+        def counted_read(path, **kw):
+            reads[Path(path).resolve()] += 1
+            return read_tensor(path, **kw)
+
+        def watched_load(path):
+            grid = load_logit_map(path)
+            scale = scale_of[Path(path).resolve()]
+            events.append(("read", scale))
+            refs.setdefault(scale, []).append(weakref.ref(grid))
+            return grid
+
+        def watched_local(sub, *args):
+            scale = sub.scales[0]
+            if ("local", scale) not in events:
+                alive = sum(r() is not None for r in refs.get(scale, ()))
+                events.append(("alive", scale, alive))
+            events.append(("local", scale))
+            return local_map(sub, *args)
+
+        def watched_scale(sub, *args):
+            level = fuse_scale(sub, *args)
+            events.append(("level", sub.scales[0]))
+            return level
+
+        monkeypatch.setattr(formats, "_read_tensor", counted_read)
+        monkeypatch.setattr(formats, "load_logit_map", watched_load)
+        monkeypatch.setattr(pipeline, "_local_map", watched_local)
+        monkeypatch.setattr(pipeline, "_fuse_scale", watched_scale)
+        assert main(["pipeline", str(image), "--calib", str(calib),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+        order = [e for e in events if e[0] != "local"]
+        # per scale: its three logit maps read after the previous scale's
+        # level exists, all dead before its first local map, then its level
+        assert order == [e for scale in (0.25, 0.5, 1.0) for e in
+                         [("read", scale)] * 3 + [("alive", scale, 0),
+                                                  ("level", scale)]]
+        assert [e for e in events if e[0] == "local"]
+        for manifest, times in ((image, 2), (calib, 1)):
+            doc = json.loads(manifest.read_text())
+            files = [(manifest.parent / r["path"]).resolve()
+                     for field in ("logit_maps", "alpha_maps")
+                     for r in doc[field]]
+            assert len(files) == 18
+            assert {reads[f] for f in files} == {times}, manifest
+        assert len(reads) == 36
+
+    def test_traced_peak_holds_one_scale_of_maps(self, tmp_path, dense):
+        # 256x256, 3 models, scales 0.25/0.5/1.0: about 14.8 MiB traced when
+        # every map was kept to the end, 9.4 MiB with one scale at a time
+        image, calib = dense
+        argv = ["pipeline", str(image), "--calib", str(calib),
+                "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 class TestEvaluateCommand:

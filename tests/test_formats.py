@@ -452,6 +452,29 @@ def test_window_decode_is_bounded_by_the_box(tmp_path):
     assert _traced_peak(lambda: load_manifest(path, maps=False)) < 256 * 1024
 
 
+
+def test_bbox_error_names_the_extent_from_the_runs(tmp_path):
+    # the one pixel, at x=5 of row 1, lies outside its bbox: decoding the
+    # whole 2 x 200,000,000 frame to name the mask's extent would take 400 MB
+    width = 200_000_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "image_id": "wide", "height": 2, "width": width,
+        "models": ["m0"], "scales": [1.0],
+        "instances": [{"model": "m0", "scale": 1.0, "score": 0.9,
+                       "component": "shell", "object_id": 0,
+                       "bbox": [7, 1, 8, 2], "rle": [width + 5, 1, width - 6]}]}))
+    errors = []
+
+    def load():
+        with pytest.raises(DataValidationError) as info:
+            load_manifest(path, maps=False)
+        errors.append(str(info.value))
+
+    assert _traced_peak(load) < 256 * 1024
+    assert errors == ["instances[0]: bbox BBox(x0=7, y0=1, x1=8, y1=2) does "
+                      "not enclose the mask extent BBox(x0=5, y0=1, x1=6, y1=2)"]
+
 class TestChunkedCheck:
     """Tensor payloads are read and checked in chunks of
     ``formats._CHUNK_BYTES``; a kept load and a validation-only load give

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 from segfuse.errors import DataValidationError, FormatError, ShapeError
 from segfuse.grids import LogitMap
 from segfuse.fusion import binarize
-from segfuse.masks import (BBox, RleMask, crop, expand_bbox, iou, rle_decode,
-                           rle_encode, scale_box, tight_bbox)
+from segfuse.masks import (BBox, RleMask, _run_extent, crop, expand_bbox, iou,
+                           rle_decode, rle_encode, scale_box, tight_bbox)
 
 from conftest import block_mask, make_instance
 from reference import rle_counts_ref
@@ -100,6 +100,16 @@ class TestRleCodec:
     def test_roundtrip_is_lossless(self, bits):
         back = rle_decode(rle_encode(bits))
         assert back.dtype == bool and np.array_equal(back, bits)
+
+    @given(hnp.arrays(dtype=bool, shape=st.tuples(st.integers(1, 12),
+                                                  st.integers(1, 12))))
+    @example(np.eye(3, dtype=bool)[::-1])
+    @example(np.array([[0, 0, 1], [1, 0, 0]], dtype=bool))
+    @settings(max_examples=300, deadline=None)
+    def test_run_extent_is_the_decoded_tight_box(self, bits):
+        r = rle_encode(bits)
+        if bits.any():
+            assert _run_extent(r) == tight_bbox(rle_decode(r))
 
     def test_grid_past_a_signed_64_bit_count_is_rejected(self):
         side = 10 ** 10
