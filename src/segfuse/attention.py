@@ -4,7 +4,9 @@ The gate is built from the absolute difference of aligned feature matrices:
 softmax over each row of the negated, f-scaled differences, then an explicit
 row normalization (a no-op on already stochastic rows, kept for fidelity).
 The whole-frame/per-object blend multiplies the frame by the gate and the
-summed, pasted per-object maps by its complement.
+summed, pasted per-object maps by its complement.  It checks every patch
+first, then pastes and blends one band of ``_BAND_ROWS`` rows at a time,
+so the summed maps never take a whole frame.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
 from .fusion import weighted_average
-from .grids import AttentionMap, LogitMap, _row_sums, softmax_rows
+from .grids import _BAND_ROWS, AttentionMap, LogitMap, _row_sums, softmax_rows
 from .masks import BBox, _check_in_bounds
 
 
@@ -93,11 +95,12 @@ def fuse_global_local(global_logits: LogitMap,
     are summed in the given order, and the output is
     ``global * beta + local_sum * (1 - beta)`` in float32, clamped per pixel
     to the envelope of the two by :func:`segfuse.fusion.weighted_average`.
+    Every patch is checked before any pixel is blended; the sum and the
+    blend are then built one band of rows at a time, which changes no byte.
     """
     if (global_logits.height, global_logits.width) != (beta.height, beta.width):
         raise ShapeError(
             f"frame {global_logits.shape[:2]} vs gate {beta.shape} mismatch")
-    local_sum = np.zeros_like(global_logits.data)
     for patch, box in local_logits:
         _check_in_bounds(box, global_logits.height, global_logits.width)
         if (patch.height, patch.width) != (box.height, box.width):
@@ -108,7 +111,16 @@ def fuse_global_local(global_logits: LogitMap,
             raise ShapeError(
                 f"local channels {patch.channels} != frame channels "
                 f"{global_logits.channels}")
-        local_sum[box.y0:box.y1, box.x0:box.x1, :] += patch.data
-    gate = beta.data[:, :, None]
-    return LogitMap._own(weighted_average([global_logits.data, local_sum],
-                                          [gate, np.float32(1) - gate]))
+    out = np.empty_like(global_logits.data)
+    for r0 in range(0, global_logits.height, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        g = global_logits.data[band]
+        local_sum = np.zeros_like(g)
+        for patch, box in local_logits:
+            y0, y1 = max(box.y0, r0), min(box.y1, r0 + len(g))
+            if y0 < y1:
+                local_sum[y0 - r0:y1 - r0, box.x0:box.x1] += \
+                    patch.data[y0 - box.y0:y1 - box.y0]
+        gate = beta.data[band, :, None]
+        out[band] = weighted_average([g, local_sum], [gate, np.float32(1) - gate])
+    return LogitMap._own(out)

@@ -18,6 +18,10 @@ the package:
   of ``_BAND_ROWS`` output rows, each written into one preallocated output,
   so no whole-frame temporary is built.  Every element sees the same
   operations in the same order, so the band height changes no byte.
+- One lerp core, ``_lerp``, builds any rows x cols window of a resample
+  from the taps of those rows and columns; ``bilinear_resize`` runs it over
+  the whole output.  A window can leave out an output pixel whose four
+  taps read zeros: such a pixel lerps to exactly +0.0.
 - A same-size resample is that lerp at t = 0, which keeps every value but
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
   are both strictly negative, and becomes +0.0 otherwise.  The rule is
@@ -168,33 +172,41 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
         out[ys[flip], xs[flip], cs[flip]] = 0.0
         return LogitMap._own(out)
 
-    sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (a.height / out_h) - 0.5
-    sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (a.width / out_w) - 0.5
-    y0 = np.floor(sy)
-    x0 = np.floor(sx)
-    dy = sy - y0
-    dx = sx - x0
-    y0 = y0.astype(np.int64)
-    x0 = x0.astype(np.int64)
-    y0c = np.clip(y0, 0, a.height - 1)
-    y1c = np.clip(y0 + 1, 0, a.height - 1)
-    x0c = np.clip(x0, 0, a.width - 1)
-    x1c = np.clip(x0 + 1, 0, a.width - 1)
+    return LogitMap._own(
+        _lerp(a.data, _taps(a.height, out_h), _taps(a.width, out_w)))
 
-    out = np.empty((out_h, out_w, a.channels), dtype=np.float32)
-    for r0 in range(0, out_h, _BAND_ROWS):
-        band = slice(r0, min(r0 + _BAND_ROWS, out_h))
-        n = band.stop - r0
+
+def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each output index's two clamped source taps on an axis of ``n_in``
+    resampled to ``n_out``, and its lerp weight; both taps are
+    nondecreasing in the output index."""
+    s = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(s)
+    t = s - i0
+    i0 = i0.astype(np.int64)
+    return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), t
+
+
+def _lerp(src: np.ndarray, ys, xs) -> np.ndarray:
+    """The rows x cols x channels float32 window of a resample of ``src``
+    whose rows have the ``_taps`` ``ys`` and whose columns have ``xs``: the
+    lerp core of every bilinear resample."""
+    y0, y1, dy = ys
+    x0, x1, dx = xs
+    out = np.empty((len(dy), len(dx), src.shape[2]), dtype=np.float32)
+    for r0 in range(0, len(dy), _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        n = len(dy[band])
         # x pass over only the source rows this band reads, then y pass
-        rows, pick = np.unique(np.concatenate([y0c[band], y1c[band]]),
+        rows, pick = np.unique(np.concatenate([y0[band], y1[band]]),
                                return_inverse=True)
-        src = a.data[rows].astype(np.float64)
-        left = src[:, x0c]
-        xl = left + (src[:, x1c] - left) * dx[None, :, None]
+        read = src[rows].astype(np.float64)
+        left = read[:, x0]
+        xl = left + (read[:, x1] - left) * dx[None, :, None]
         top = xl[pick[:n]]
         # rounded once, to float32, as it is written into the output
         out[band] = top + (xl[pick[n:]] - top) * dy[band, None, None]
-    return LogitMap._own(out)
+    return out
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

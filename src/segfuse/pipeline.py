@@ -6,6 +6,10 @@ per-object local ensembles use that object's horizontal weights.  All
 weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
+
+The per-object stage builds no whole-region float64 temporary: each
+object's gate runs per band of ``_BAND_ROWS`` region rows, and each
+instance is rasterized only over the output window its box reaches.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .errors import DataValidationError
 from .formats import save_manifest, save_tensor, write_json_report, write_overlay
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
-from .grids import (AttentionMap, LogitMap, _row_max, argmax_channel,
-                    bilinear_resize, scaled_dim, softmax_rows)
+from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _row_max,
+                    _taps, argmax_channel, bilinear_resize, scaled_dim,
+                    softmax_rows)
 from .hierarchy import run_inference_chain
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     MaskInstance, expand_bbox, rle_encode, scale_box,
@@ -176,16 +181,39 @@ def _fuse_global(maps: dict[str, LogitMap], vectors) -> LogitMap:
 def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
                region_s: BBox, channels: int) -> LogitMap:
     """Rasterize one model's per-object component masks into crop logits,
-    using the shared gain ramp so nested components survive the argmax."""
+    using the shared gain ramp so nested components survive the argmax.
+
+    ``region_ref`` encloses the box of every instance of the object, as
+    ``_object_regions`` makes it.  Each instance's bits are resampled only
+    over the output window whose taps reach its box: any other pixel lerps
+    four zero taps to +0.0, which leaves the running maximum as it is.  At
+    equal sizes the window is the box and the resample is the bits, since
+    a bool window holds no -0.0."""
     data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
+    same = (region_s.height, region_s.width) == (region_ref.height,
+                                                 region_ref.width)
+    ys = _taps(region_ref.height, region_s.height)
+    xs = _taps(region_ref.width, region_s.width)
     for inst in sub.instances_for(model=model, object_id=oid):
-        patch = inst.window(region_ref)[:, :, None].astype(np.float32)
-        resized = bilinear_resize(LogitMap._own(patch),
-                                  region_s.height, region_s.width)
+        box = inst.bbox.shifted(-region_ref.x0, -region_ref.y0)
+        if same:
+            rows, cols = box.slices
+            resized = inst.binary
+        else:
+            rows, cols = _reach(ys, box.y0, box.y1), _reach(xs, box.x0, box.x1)
+            resized = _lerp(inst.window(region_ref)[:, :, None],
+                            [t[rows] for t in ys], [t[cols] for t in xs])[:, :, 0]
         ch = COMPONENT_IDS[inst.component]
         gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
-        data[:, :, ch] = np.maximum(data[:, :, ch], gain * resized.data[:, :, 0])
+        data[rows, cols, ch] = np.maximum(data[rows, cols, ch], gain * resized)
     return LogitMap._own(data)
+
+
+def _reach(taps, lo: int, hi: int) -> slice:
+    """The outputs of an axis whose ``_taps`` meet source indices [lo, hi);
+    both taps are nondecreasing, so they are one run."""
+    first, last = taps[1].searchsorted(lo), taps[0].searchsorted(hi)
+    return slice(int(first), int(last))
 
 
 def _object_regions(sub: PredictionBundle,
@@ -212,6 +240,23 @@ def _object_gate(global_rows: np.ndarray, local_rows: np.ndarray,
     return np.clip((1.0 - peak) / (1.0 - 1.0 / global_rows.shape[1]), 0.0, 1.0)
 
 
+def _region_gate(global_region: np.ndarray, local_region: np.ndarray,
+                 factor: float) -> np.ndarray:
+    """``_object_gate`` of one object region's whole-frame and local logits,
+    both height x width x channels, as a height x width patch.  It runs per
+    band of ``_BAND_ROWS`` region rows, each widened to float64 on its own;
+    a pixel's gate depends on its own row alone, so no byte changes."""
+    height, width, channels = local_region.shape
+    gate = np.empty((height, width))
+    for r0 in range(0, height, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        gate[band] = _object_gate(
+            global_region[band].astype(np.float64).reshape(-1, channels),
+            local_region[band].reshape(-1, channels).astype(np.float64),
+            factor).reshape(-1, width)
+    return gate
+
+
 def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
                 cfg: PipelineConfig) -> AttentionMap:
     present = [sub.alpha_maps[(m, scale)] for m in sub.models
@@ -235,8 +280,10 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 cfg: PipelineConfig, workers: int) -> tuple[LogitMap, AttentionMap]:
     """The level of the fold, ``(fused_scale, mean_alpha)``, of ``sub``, the
     image at one scale, under that scale's ``weights``.  It holds the scale's
-    logit maps, read from ``maps``, only for the whole-frame ensemble, then
-    its alpha maps for the mean alpha; its frames are freed when it returns."""
+    logit maps, read from ``maps``, only for the whole-frame ensemble.  Each
+    object's gate and the frame/object blend run per band of rows; the
+    ensemble, the local maps and the gate are dropped after the blend,
+    before the alpha maps are read for the mean alpha."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -255,32 +302,27 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                  for oid in oids}
 
     def _object_task(oid: int):
-        local_maps = {m: _local_map(sub, m, oid, regions_ref[oid],
-                                    regions_s[oid], channels)
-                      for m in sub.models}
-        fused_local = fuse_logits(local_maps, [horizontal[oid]] * channels)
-        beta_patch = None
-        if cfg.beta_const is None:
-            g_rows = ens_global.data[regions_s[oid].slices].astype(
-                np.float64).reshape(-1, channels)
-            l_rows = fused_local.data.reshape(-1, channels).astype(np.float64)
-            gate = _object_gate(g_rows, l_rows, cfg.attention_factor)
-            beta_patch = gate.reshape(regions_s[oid].height,
-                                      regions_s[oid].width)
-        return fused_local, beta_patch
+        region = regions_s[oid]
+        fused_local = fuse_logits(
+            {m: _local_map(sub, m, oid, regions_ref[oid], region, channels)
+             for m in sub.models}, [horizontal[oid]] * channels)
+        if cfg.beta_const is not None:
+            return fused_local, None
+        return fused_local, _region_gate(ens_global.data[region.slices],
+                                         fused_local.data, cfg.attention_factor)
 
-    locals_list, beta_patches = [], []
-    for oid, (fused_local, beta_patch) in zip(
-            oids, _pmap(_object_task, oids, workers)):
-        locals_list.append((fused_local, regions_s[oid]))
-        if beta_patch is not None:
-            beta_patches.append((beta_patch, regions_s[oid]))
-
+    tasks = _pmap(_object_task, oids, workers)
     if cfg.beta_const is not None:
         beta = AttentionMap.full(sh, sw, cfg.beta_const)
     else:
-        beta = attention_to_map(beta_patches, sh, sw, neutral=cfg.neutral_beta)
-    fused_scale = fuse_global_local(ens_global, locals_list, beta)
+        beta = attention_to_map(
+            [(gate, regions_s[oid]) for oid, (_, gate) in zip(oids, tasks)],
+            sh, sw, neutral=cfg.neutral_beta)
+    fused_scale = fuse_global_local(
+        ens_global, [(local, regions_s[oid])
+                     for oid, (local, _) in zip(oids, tasks)], beta)
+    # the mean alpha needs none of the frames the blend has used
+    del ens_global, tasks, beta
     sub = replace(sub, alpha_maps=_read_maps(maps, "alpha_maps", scale))
     return fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)
 

@@ -3,6 +3,9 @@
 These deliberately avoid the engine's vectorized code paths: everything is
 a per-element Python loop, except ``bilinear_gather_ref``: four whole-grid
 corner gathers, the unfactored form of the engine's separable resize;
+``local_map_ref``, the whole-region rasterisation of one model's masks of
+one object, which resamples each instance's whole region window through
+``bilinear_gather_ref``;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
 is a full height x width frame, drawn and perturbed with the same rng
 draws in the same order as ``segfuse.synth.generate``, which works on
@@ -23,6 +26,7 @@ import math
 import numpy as np
 
 from segfuse.errors import FormatError
+from segfuse.masks import COMPONENT_GAIN, COMPONENT_IDS
 
 F32 = np.float32
 
@@ -86,6 +90,22 @@ def bilinear_gather_ref(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     bot = v10 + (v11 - v10) * wx
     out = top + (bot - top) * wy
     return out.astype(np.float32)
+
+
+def local_map_ref(sub, model: str, oid: int, region_ref, region_s,
+                  channels: int) -> np.ndarray:
+    """One model's local logits of one object, as the engine's
+    ``_local_map`` computes them: each instance's window over the whole
+    region is resampled to the scaled region, scaled by its component's
+    gain times its score and max-combined into its component's channel."""
+    data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
+    for inst in sub.instances_for(model=model, object_id=oid):
+        patch = inst.window(region_ref)[:, :, None].astype(np.float32)
+        resized = bilinear_gather_ref(patch, region_s.height, region_s.width)
+        ch = COMPONENT_IDS[inst.component]
+        gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
+        data[:, :, ch] = np.maximum(data[:, :, ch], gain * resized[:, :, 0])
+    return data
 
 
 def staircase_ap(flags: list[bool], gt_count: int) -> float:

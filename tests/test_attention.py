@@ -1,14 +1,17 @@
 """Difference attention and the whole-frame / per-object blend."""
 
+import re
+
 import numpy as np
 import pytest
 
+from segfuse import attention
 from segfuse.attention import (attention_to_map, difference_matrix,
                                fuse_global_local, local_attention,
                                row_normalize)
 from segfuse.errors import (DataValidationError, DegenerateAttentionError,
                             ShapeError)
-from segfuse.grids import AttentionMap, LogitMap
+from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap
 from segfuse.masks import BBox
 
 from reference import fuse_global_local_ref
@@ -214,3 +217,41 @@ class TestFuseGlobalLocal:
                 LogitMap.zeros(4, 4, 2),
                 [(LogitMap.zeros(2, 2, 1), BBox(0, 0, 2, 2))],
                 AttentionMap.full(4, 4, 0.5))
+
+    def test_patches_across_bands_match_scalar_oracle(self, rng):
+        # patches that start and end inside bands, overlap each other and
+        # cross one or two band edges
+        h, w, c = 2 * _BAND_ROWS + 20, 6, 3
+        boxes = [BBox(0, 10, 4, _BAND_ROWS + 6), BBox(2, 30, 6, h - 8),
+                 BBox(1, _BAND_ROWS - 1, 3, _BAND_ROWS + 1),
+                 BBox(0, 2 * _BAND_ROWS + 3, 6, 2 * _BAND_ROWS + 9)]
+        g = rng.normal(scale=3.0, size=(h, w, c)).astype(np.float32)
+        patches = [rng.normal(scale=3.0, size=(b.height, b.width, c)).astype(
+            np.float32) for b in boxes]
+        beta = rng.uniform(size=(h, w)).astype(np.float32)
+        got = fuse_global_local(
+            LogitMap.from_array(g),
+            [(LogitMap.from_array(p), b) for p, b in zip(patches, boxes)],
+            AttentionMap.from_array(beta))
+        want = fuse_global_local_ref(g, list(zip(patches, boxes)), beta)
+        assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("patch, box, message", [
+        (LogitMap.zeros(2, 2, 1), BBox(0, 100, 3, 103),
+         "local patch (2, 2) does not fit box (3, 3)"),
+        (LogitMap.zeros(2, 2, 2), BBox(0, 100, 2, 102),
+         "local channels 2 != frame channels 1"),
+        (LogitMap.zeros(2, 2, 1), BBox(3, 100, 5, 102),
+         "exceeds 130x4 grid"),
+    ], ids=["shape", "channels", "bounds"])
+    def test_misfit_patch_raises_before_any_band(self, monkeypatch, patch,
+                                                 box, message):
+        blends = []
+        monkeypatch.setattr(attention, "weighted_average",
+                            lambda *args: blends.append(args))
+        # a fitting patch in the first band, the misfit one in a later band
+        good = (LogitMap.zeros(2, 2, 1), BBox(0, 0, 2, 2))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            fuse_global_local(LogitMap.zeros(130, 4, 1), [good, (patch, box)],
+                              AttentionMap.full(130, 4, 0.5))
+        assert blends == []

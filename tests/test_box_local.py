@@ -3,18 +3,25 @@
 Each property draws masks inside random boxes on a small frame, including
 box pairs that are nested, touching, identical or disjoint, which the
 synthetic generator never produces, and checks that working inside boxes
-gives exactly what the full-frame definition gives.
+gives exactly what the full-frame definition gives.  The per-object
+rasterisation, which resamples each mask only over the output window its
+box reaches, is checked against resampling its whole region window.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segfuse.bundle import PredictionBundle
 from segfuse.fusion import FusionWeights, fuse_masks
-from segfuse.masks import BBox, MaskInstance, iou, rle_decode, rle_encode
+from segfuse.grids import scaled_dim
+from segfuse.masks import (BBox, MaskInstance, iou, rle_decode, rle_encode,
+                           scale_box)
 from segfuse.metrics import match_predictions
+from segfuse.pipeline import _local_map
 
-from reference import match_predictions_ref, weighted_average_ref
+from reference import (local_map_ref, match_predictions_ref,
+                       weighted_average_ref)
 
 FRAMES = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
@@ -191,3 +198,73 @@ def test_pasted_mask_fusion_equals_full_frame_average(data):
         per_model.append(acc)
     want = weighted_average_ref(per_model, [v for _, v in weights.weights])
     assert np.array_equal(pasted, want)
+
+
+@st.composite
+def region_box(draw, h, w, region):
+    """A box in ``region``: random, one pixel, or flush with one of its
+    edges."""
+    kind = draw(st.sampled_from(("random", "pixel", "edge")))
+    if kind == "pixel":
+        y = draw(st.integers(region.y0, region.y1 - 1))
+        x = draw(st.integers(region.x0, region.x1 - 1))
+        return BBox(x, y, x + 1, y + 1)
+    box = draw(boxes(h, w, within=region))
+    if kind == "edge":
+        x0, y0, x1, y1 = box.x0, box.y0, box.x1, box.y1
+        edge = draw(st.sampled_from(("top", "bottom", "left", "right")))
+        y0 = region.y0 if edge == "top" else y0
+        y1 = region.y1 if edge == "bottom" else y1
+        x0 = region.x0 if edge == "left" else x0
+        x1 = region.x1 if edge == "right" else x1
+        box = BBox(x0, y0, x1, y1)
+    return box
+
+
+def local_case(h, w, region, scale, members):
+    """(bundle, region, scaled region) for model m0's instances of object 0,
+    each given as (box, bits inside it or None for a full box, component,
+    score)."""
+    insts = []
+    for k, (box, bits, component, score) in enumerate(members):
+        frame = np.zeros((h, w), dtype=bool)
+        frame[box.slices] = True if bits is None else bits
+        insts.append(instance(frame, box, uid=k, component=component,
+                              score=score, model_id="m0"))
+    sub = PredictionBundle(image_id="x", height=h, width=w, models=("m0",),
+                           scales=(1.0,), instances=tuple(insts))
+    return sub, region, scale_box(region, h, w, scaled_dim(h, scale),
+                                  scaled_dim(w, scale))
+
+
+@st.composite
+def local_cases(draw):
+    h, w = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+    region = draw(boxes(h, w))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = draw(region_box(h, w, region))
+        members.append((box, draw(frame_bits(h, w, box))[box.slices],
+                        draw(st.sampled_from(("shell", "meat"))),
+                        draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))))
+    scale = draw(st.sampled_from((0.25, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0,
+                                  4.0)))
+    return local_case(h, w, region, scale, members)
+
+
+@given(local_cases())
+# two shells of one model overlap in a corner of the region, upsampled
+@example(local_case(8, 8, BBox(1, 1, 7, 7), 4.0, [
+    (BBox(1, 1, 5, 5), None, "shell", 0.5),
+    (BBox(3, 3, 7, 7), None, "shell", 0.9),
+    (BBox(6, 1, 7, 2), None, "meat", 0.0)]))
+# a one-pixel box that no output tap reaches at a quarter of the size
+@example(local_case(16, 16, BBox(0, 0, 16, 16), 0.25, [
+    (BBox(4, 4, 5, 5), None, "shell", 1.0),
+    (BBox(0, 15, 16, 16), None, "meat", 0.9)]))
+@settings(max_examples=300, deadline=None)
+def test_local_map_windows_equal_the_whole_region_resample(case):
+    sub, region, region_s = case
+    got = _local_map(sub, "m0", 0, region, region_s, 5)
+    want = local_map_ref(sub, "m0", 0, region, region_s, 5)
+    assert got.data.tobytes() == want.tobytes()

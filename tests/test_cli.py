@@ -24,6 +24,7 @@ from segfuse.grids import LogitMap
 from segfuse.masks import COMPONENTS, BBox, scale_box
 
 from conftest import block_mask, make_instance
+from reference import local_map_ref
 
 
 def constant_chain_manifest(tmp_path):
@@ -487,6 +488,29 @@ class TestDroppedMapsStillValidated:
 
 
 class TestPipelineCommand:
+    def test_upsampled_local_windows_match_whole_region_resamples(
+            self, tmp_path, monkeypatch):
+        # at scale 2.0 every local window is upsampled; the run must write
+        # the bytes of one whose local maps resample each whole region
+        manifest = synth_fixture(tmp_path, scales=("1.0", "2.0"))
+        local_map, upsampled = pipeline._local_map, []
+
+        def watched(sub, model, oid, region_ref, region_s, channels):
+            upsampled.append((region_s.height, region_s.width)
+                             > (region_ref.height, region_ref.width))
+            return local_map(sub, model, oid, region_ref, region_s, channels)
+
+        def whole(*args):
+            return LogitMap._own(local_map_ref(*args))
+
+        outs = tmp_path / "windows", tmp_path / "whole"
+        for out, fn in zip(outs, (watched, whole)):
+            monkeypatch.setattr(pipeline, "_local_map", fn)
+            assert main(["pipeline", str(manifest), "--weights", "uniform",
+                         "--out-dir", str(out)]) == 0
+        assert any(upsampled) and not all(upsampled)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+
     def test_constant_chain_folds_to_hand_value(self, tmp_path):
         manifest = constant_chain_manifest(tmp_path)
         out = tmp_path / "pipe"
@@ -888,6 +912,46 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
             assert len(files) == 18
             assert {reads[f] for f in files} == {times}, manifest
         assert len(reads) == 36
+
+    def test_blend_frames_are_dead_when_the_mean_alpha_starts(
+            self, tmp_path, monkeypatch, dense):
+        image, calib = dense
+        refs, alive = [], []
+
+        def watched(fn, scale_starts=False):
+            def call(*args, **kwargs):
+                if scale_starts:
+                    refs.clear()
+                out = fn(*args, **kwargs)
+                refs.append(weakref.ref(out))
+                return out
+            return call
+
+        def watched_gate(patches, *args, **kwargs):
+            refs.extend(weakref.ref(gate) for gate, _ in patches)
+            return attention_to_map(patches, *args, **kwargs)
+
+        def watched_alpha(sub, scale, *args):
+            alive.append((scale, sum(r() is not None for r in refs)))
+            return mean_alpha(sub, scale, *args)
+
+        attention_to_map = watched(pipeline.attention_to_map)
+        mean_alpha = pipeline._mean_alpha
+        # the ensemble, each model's and each object's local maps, the gate
+        # patches and the gate
+        monkeypatch.setattr(pipeline, "_fuse_global",
+                            watched(pipeline._fuse_global, scale_starts=True))
+        monkeypatch.setattr(pipeline, "fuse_logits",
+                            watched(pipeline.fuse_logits))
+        monkeypatch.setattr(pipeline, "_local_map", watched(pipeline._local_map))
+        monkeypatch.setattr(pipeline, "attention_to_map", watched_gate)
+        monkeypatch.setattr(pipeline, "_mean_alpha", watched_alpha)
+        assert main(["pipeline", str(image), "--calib", str(calib),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert alive == [(0.25, 0), (0.5, 0), (1.0, 0)]
+        # at scale 1.0: 2 ensemble refs, 3 x 4 model maps, 4 object maps,
+        # 4 gate patches and the gate
+        assert len(refs) == 2 + 12 + 4 + 4 + 1
 
     def test_traced_peak_holds_one_scale_of_maps(self, tmp_path, dense):
         # 256x256, 3 models, scales 0.25/0.5/1.0: about 14.8 MiB traced when

@@ -6,16 +6,19 @@ per-object gate pass over the channel columns one at a time; the oracles in
 ``tests/reference.py`` use ``max(axis=1)``, the last column of
 ``cumsum(axis=1)`` and ``np.argmax``.  Matrices cover 1, 2, 5 and 7
 channels, exact ties and signed zeros, rows whose shifted ``exp``
-underflows to 0, non-contiguous layouts, and more rows than a band.
+underflows to 0, non-contiguous layouts, and more rows than a band.  The
+gate of a whole object region, computed per band of region rows, is
+checked against the oracle on the whole region.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segfuse.attention import row_normalize
 from segfuse.grids import _BAND_ROWS, LogitMap, argmax_channel, softmax_rows
-from segfuse.pipeline import _object_gate
+from segfuse.pipeline import _object_gate, _region_gate
 
 from reference import (argmax_ref, object_gate_ref, row_normalize_ref,
                        softmax_rows_ref)
@@ -105,3 +108,19 @@ def test_object_gate_matches_oracle(case, factor):
     g, l = lay_out(m, layout), lay_out(m[::-1].copy(), layout)
     got = _object_gate(g, l, factor)
     assert got.tobytes() == object_gate_ref(g, l, factor).tobytes()
+
+
+@pytest.mark.parametrize("height", [1, _BAND_ROWS - 1, _BAND_ROWS,
+                                    _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
+@pytest.mark.parametrize("width", [1, 7])
+def test_region_gate_bands_match_the_whole_region_oracle(rng, height, width):
+    # the region is a window of a larger frame, as the engine crops it
+    frame = rng.normal(scale=3.0, size=(height + 5, width + 3, 5))
+    g = frame.astype(np.float32)[2:2 + height, 1:1 + width]
+    l = rng.normal(scale=3.0, size=(height, width, 5)).astype(np.float32)
+    l[::3] = g[::3]  # rows that agree give uniform attention, a gate of 1
+    got = _region_gate(g, l, 1.5)
+    want = object_gate_ref(g.reshape(-1, 5).astype(np.float64),
+                           l.reshape(-1, 5).astype(np.float64), 1.5)
+    assert got.shape == (height, width)
+    assert got.tobytes() == want.tobytes()
