@@ -15,7 +15,7 @@ instance is rasterized only over the output window its box reaches.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +50,10 @@ def _pmap(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _ap_table(calib: PredictionBundle, models: tuple[str, ...], scale: float,
-              mode: str, cfg: PipelineConfig) -> ApTable:
-    """Calibration APs of ``mode`` for the image's ``models``, from
-    ``calib``, the calibration split's slice at ``scale``."""
+def _ap_table(calib: PredictionBundle, mode: str,
+              cfg: PipelineConfig) -> ApTable:
+    """Calibration APs of ``mode`` from ``calib``, the calibration split's
+    slice at one scale."""
     return group_ap(calib, calib.ground_truth, mode, cfg.iou_threshold)
 
 
@@ -90,7 +90,7 @@ def _fusion_weights(bundle: PredictionBundle, calib: PredictionBundle | None,
         sub = calib.with_scale(scale) if ap else None
         for mode, keys in by_mode.items():
             if ap:
-                table = _ap_table(sub, models, scale, mode, cfg)
+                table = _ap_table(sub, mode, cfg)
                 vectors = [compute_weights(table, k, cfg.normalization)
                            for k in keys]
             else:
@@ -257,12 +257,15 @@ def _region_gate(global_region: np.ndarray, local_region: np.ndarray,
     return gate
 
 
-def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
+def _mean_alpha(sub: PredictionBundle, alphas: dict[str, AttentionMap],
                 cfg: PipelineConfig) -> AttentionMap:
-    present = [sub.alpha_maps[(m, scale)] for m in sub.models
-               if (m, scale) in sub.alpha_maps]
+    """The gate of ``sub``, the image at one scale: the float64 mean of
+    ``alphas``, by model, in ``sub.models`` order; else ``cfg.alpha_const``."""
+    present = [alphas[m] for m in sub.models if m in alphas]
     if not present:
-        return AttentionMap.full(sh, sw, cfg.alpha_const)
+        scale = sub.scales[0]
+        return AttentionMap.full(scaled_dim(sub.height, scale),
+                                 scaled_dim(sub.width, scale), cfg.alpha_const)
     acc = present[0].data.astype(np.float64)
     for a in present[1:]:
         acc = acc + a.data.astype(np.float64)
@@ -271,19 +274,17 @@ def _mean_alpha(sub: PredictionBundle, scale: float, sh: int, sw: int,
 
 
 def _read_maps(maps: dict, field: str, scale: float) -> dict:
-    """``field``'s maps at ``scale``, by (model, scale), from a map source."""
-    return {(m, s): read() for (f, m, s), (_, read) in maps.items()
+    """``field``'s maps at ``scale``, by model, from a map source."""
+    return {m: read() for (f, m, s), (_, read) in maps.items()
             if (f, s) == (field, scale)}
 
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
-                cfg: PipelineConfig, workers: int) -> tuple[LogitMap, AttentionMap]:
-    """The level of the fold, ``(fused_scale, mean_alpha)``, of ``sub``, the
-    image at one scale, under that scale's ``weights``.  It holds the scale's
-    logit maps, read from ``maps``, only for the whole-frame ensemble.  Each
-    object's gate and the frame/object blend run per band of rows; the
-    ensemble, the local maps and the gate are dropped after the blend,
-    before the alpha maps are read for the mean alpha."""
+                cfg: PipelineConfig, workers: int) -> LogitMap:
+    """The fused frame of ``sub``, the image at one scale, under that
+    scale's ``weights``.  It reads no alpha map, and holds the scale's logit
+    maps, read again from ``maps``, only for the whole-frame ensemble.  Each
+    object's gate and the frame/object blend run per band of rows."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -291,7 +292,7 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     # background is fused with uniform weights, each component channel with
     # its component's vertical weights
     ens_global = _fuse_global(
-        {m: g for (m, _), g in _read_maps(maps, "logit_maps", scale).items()},
+        _read_maps(maps, "logit_maps", scale),
         [FusionWeights.uniform(sub.models, "channel0"), *weights[scale, "vertical"].values()])
     channels = ens_global.channels
     horizontal = weights[scale, "horizontal"]
@@ -318,13 +319,9 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
         beta = attention_to_map(
             [(gate, regions_s[oid]) for oid, (_, gate) in zip(oids, tasks)],
             sh, sw, neutral=cfg.neutral_beta)
-    fused_scale = fuse_global_local(
+    return fuse_global_local(
         ens_global, [(local, regions_s[oid])
                      for oid, (local, _) in zip(oids, tasks)], beta)
-    # the mean alpha needs none of the frames the blend has used
-    del ens_global, tasks, beta
-    sub = replace(sub, alpha_maps=_read_maps(maps, "alpha_maps", scale))
-    return fused_scale, _mean_alpha(sub, scale, sh, sw, cfg)
 
 
 @dataclass(frozen=True)
@@ -339,9 +336,10 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  cfg: PipelineConfig, workers: int = 1,
                  maps: dict | None = None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
-    ``workers`` threads run the per-object stage.  Each scale's maps are
-    read when it is fused, from ``maps`` as ``load_manifest(path, maps={})``
-    fills it, or else from the bundle."""
+    ``workers`` threads run the per-object stage.  Each scale's logit maps
+    are read again to fuse its frame, then its alpha maps for its gate, but
+    the finest scale has no gate.  Maps are read from ``maps`` as
+    ``load_manifest(path, maps={})`` fills it, or else from the bundle."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
     if maps is None:
@@ -371,9 +369,10 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     weights, weights_records = _fusion_weights(bundle, calib, cfg, {
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
-    levels = [_fuse_scale(sub, maps, weights, cfg, workers) for sub in subs]
-    final = run_inference_chain(levels)
-    del levels  # the per-scale frames are not needed for the carving
+    final = run_inference_chain([
+        (_fuse_scale(sub, maps, weights, cfg, workers), None if sub is subs[-1]
+         else _mean_alpha(sub, _read_maps(maps, "alpha_maps", sub.scales[0]), cfg))
+        for sub in subs])
     final_ref = bilinear_resize(final, height, width)
     labels = argmax_channel(final_ref)
 

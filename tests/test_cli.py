@@ -792,8 +792,10 @@ def _poke_header(path, **dims):
 
 class TestPipelineReadsEachScaleWhenItFusesIt:
     """``pipeline`` checks every tensor of its image manifest on load but
-    keeps none; each scale's maps are read again when that scale is fused,
-    and its logit maps are dropped once its whole-frame ensemble is built."""
+    keeps none; each scale's logit maps are read again when that scale is
+    fused, and dropped once its whole-frame ensemble is built.  Its alpha
+    maps are read again after its frame is built, but for the finest scale:
+    the finest level has no gate, so its alpha maps are checked on load only."""
 
     @pytest.fixture(scope="class")
     def dense(self, tmp_path_factory):
@@ -814,45 +816,81 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                      "1.0", "--out-dir", str(out)]) == 0
         return out / "manifest.json"
 
-    @pytest.mark.parametrize("how, message", [
-        ("truncated", r"payload is \d+ bytes, expected \d+"),
-        ("nan", "payload contains non-finite values"),
-        ("swapped", r"changed since the manifest was loaded: shape "
-                    r"\(32, 24, 5\), was \(24, 32, 5\)"),
-        ("channels", r"changed since the manifest was loaded: shape "
-                     r"\(24, 32, 4\), was \(24, 32, 5\)"),
-    ], ids=["truncated", "nan", "swapped", "channels"])
+    @pytest.mark.parametrize("field, how, message", [
+        pytest.param("logit_maps", "truncated",
+                     r"payload is \d+ bytes, expected \d+", id="truncated"),
+        pytest.param("logit_maps", "nan", "payload contains non-finite values",
+                     id="nan"),
+        pytest.param("logit_maps", "swapped",
+                     r"changed since the manifest was loaded: shape "
+                     r"\(32, 24, 5\), was \(24, 32, 5\)", id="swapped"),
+        pytest.param("logit_maps", "channels",
+                     r"changed since the manifest was loaded: shape "
+                     r"\(24, 32, 4\), was \(24, 32, 5\)", id="channels"),
+        pytest.param("alpha_maps", "truncated",
+                     r"payload is \d+ bytes, expected \d+", id="alpha-truncated"),
+        pytest.param("alpha_maps", "alpha-above-one",
+                     r"AttentionMap values must lie in \[0, 1\]",
+                     id="alpha-above-one"),
+        pytest.param("alpha_maps", "swapped",
+                     r"changed since the manifest was loaded: shape "
+                     r"\(16, 12, 1\), was \(12, 16, 1\)", id="alpha-swapped"),
+    ])
     def test_tensor_changed_after_load_exits_two(self, tmp_path, capsys,
-                                                  monkeypatch, small, how,
-                                                  message):
+                                                  monkeypatch, small, field,
+                                                  how, message):
+        # a logit map at the finest scale; an alpha map at the coarser one,
+        # since the finest scale's alpha maps are not read again
+        alpha = field == "alpha_maps"
         doc = json.loads(small.read_text())
-        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
-                      if r["scale"] == 1.0)
+        k, rec = next((k, r) for k, r in enumerate(doc[field])
+                      if r["scale"] == (0.5 if alpha else 1.0))
         target = (small.parent / rec["path"]).resolve()
-        read = formats.load_logit_map
+        loader = "load_attention_map" if alpha else "load_logit_map"
+        read = getattr(formats, loader)
 
         def changed_then_read(path):
             # the load has checked the file; change it before its re-read
             if Path(path).resolve() == target:
-                if how in ("truncated", "nan"):
-                    _break_tensor(target, how)
-                elif how == "swapped":
-                    _poke_header(target, h=32, w=24)
-                else:
+                if how == "swapped":
+                    h, w = struct.unpack("<2I", target.read_bytes()[8:16])
+                    _poke_header(target, h=w, w=h)
+                elif how == "channels":
                     save_tensor(target, np.zeros((24, 32, 4), np.float32))
+                else:
+                    _break_tensor(target, how)
             return read(path)
 
-        monkeypatch.setattr(formats, "load_logit_map", changed_then_read)
+        monkeypatch.setattr(formats, loader, changed_then_read)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["pipeline", str(small), "--weights", "uniform",
                      "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert re.search(rf"logit_maps\[{k}\]: .*{message}", captured.err), \
+        assert re.search(rf"{field}\[{k}\]: .*{message}", captured.err), \
             captured.err
         assert "wrote" not in captured.out
         assert not out.exists()
+
+    def test_finest_alpha_maps_are_never_read_again(self, tmp_path, dense):
+        image, calib = dense
+        src = tmp_path / "src"
+        shutil.copytree(image.parent, src)
+        doc = json.loads(image.read_text())
+        finest = max(doc["scales"])
+        doc["alpha_maps"] = [r for r in doc["alpha_maps"]
+                             if r["scale"] != finest]
+        assert len(doc["alpha_maps"]) == 6
+        trimmed = src / "trimmed.json"
+        trimmed.write_text(json.dumps(doc))
+        outs = []
+        for manifest, run in ((src / image.name, "full"), (trimmed, "trimmed")):
+            out = tmp_path / run
+            assert main(["pipeline", str(manifest), "--calib", str(calib),
+                         "--out-dir", str(out)]) == 0
+            outs.append(out)
+        assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
 
     def test_one_scale_of_logit_maps_lives_at_a_time(self, tmp_path,
                                                      monkeypatch, dense):
@@ -904,13 +942,17 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                          [("read", scale)] * 3 + [("alive", scale, 0),
                                                   ("level", scale)]]
         assert [e for e in events if e[0] == "local"]
-        for manifest, times in ((image, 2), (calib, 1)):
+        # each image tensor is read on load and once more, but the finest
+        # scale's alpha maps only on load; each calibration tensor once
+        for manifest in dense:
             doc = json.loads(manifest.read_text())
-            files = [(manifest.parent / r["path"]).resolve()
-                     for field in ("logit_maps", "alpha_maps")
-                     for r in doc[field]]
-            assert len(files) == 18
-            assert {reads[f] for f in files} == {times}, manifest
+            for field in ("logit_maps", "alpha_maps"):
+                assert len(doc[field]) == 9
+                for r in doc[field]:
+                    once = manifest == calib or (field, r["scale"]) == (
+                        "alpha_maps", 1.0)
+                    path = (manifest.parent / r["path"]).resolve()
+                    assert reads[path] == (1 if once else 2), (path, r)
         assert len(reads) == 36
 
     def test_blend_frames_are_dead_when_the_mean_alpha_starts(
@@ -931,9 +973,9 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
             refs.extend(weakref.ref(gate) for gate, _ in patches)
             return attention_to_map(patches, *args, **kwargs)
 
-        def watched_alpha(sub, scale, *args):
-            alive.append((scale, sum(r() is not None for r in refs)))
-            return mean_alpha(sub, scale, *args)
+        def watched_alpha(sub, *args):
+            alive.append((sub.scales[0], sum(r() is not None for r in refs)))
+            return mean_alpha(sub, *args)
 
         attention_to_map = watched(pipeline.attention_to_map)
         mean_alpha = pipeline._mean_alpha
@@ -948,7 +990,8 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         monkeypatch.setattr(pipeline, "_mean_alpha", watched_alpha)
         assert main(["pipeline", str(image), "--calib", str(calib),
                      "--out-dir", str(tmp_path / "out")]) == 0
-        assert alive == [(0.25, 0), (0.5, 0), (1.0, 0)]
+        # the finest level has no gate, so no mean alpha at scale 1.0
+        assert alive == [(0.25, 0), (0.5, 0)]
         # at scale 1.0: 2 ensemble refs, 3 x 4 model maps, 4 object maps,
         # 4 gate patches and the gate
         assert len(refs) == 2 + 12 + 4 + 4 + 1

@@ -137,21 +137,22 @@ def test_logit_map_off_its_scale_grid_is_named():
 
 @pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
 def test_mean_alpha_over_present_maps_matches_reference(dropped):
-    bundle = generate(5, scales=(0.5, 1.0))
-    alphas = {k: v for k, v in bundle.alpha_maps.items()
-              if k not in {(m, 0.5) for m in dropped}}
-    sub = replace(bundle, alpha_maps=alphas).with_scale(0.5)
-    got = _mean_alpha(sub, 0.5, 48, 64, PipelineConfig())
+    sub = generate(5, scales=(0.5, 1.0)).with_scale(0.5)
+    by_model = {m: a for (m, _), a in sub.alpha_maps.items()}
+    # keyed in reverse model order; the reference below sums in model order
+    alphas = {m: by_model[m] for m in reversed(sub.models) if m not in dropped}
+    got = _mean_alpha(sub, alphas, PipelineConfig())
     # float64 mean of the present maps in model order, clipped, then float32
-    present = [alphas[(m, 0.5)].data for m in bundle.models
-               if m not in dropped]
+    present = [by_model[m].data for m in sub.models if m not in dropped]
     acc = present[0].astype(np.float64)
     for a in present[1:]:
         acc = acc + a.astype(np.float64)
     ref = np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
     assert got.data.tobytes() == ref.tobytes()
-    full = _mean_alpha(bundle.with_scale(0.5), 0.5, 48, 64, PipelineConfig())
+    full = _mean_alpha(sub, by_model, PipelineConfig())
     assert got.data.tobytes() != full.data.tobytes()
+    const = _mean_alpha(sub, {}, PipelineConfig(alpha_const=0.25))
+    assert const.data.tobytes() == np.full((48, 64), 0.25, np.float32).tobytes()
 
 
 def test_evaluate_requires_ground_truth():
