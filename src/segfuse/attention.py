@@ -5,8 +5,11 @@ softmax over each row of the negated, f-scaled differences, then an explicit
 row normalization (a no-op on already stochastic rows, kept for fidelity).
 The whole-frame/per-object blend multiplies the frame by the gate and the
 summed, pasted per-object maps by its complement.  It checks every patch
-first, then pastes and blends one band of ``_BAND_ROWS`` rows at a time,
-so the summed maps never take a whole frame.
+first, then pastes and blends one band of ``_BAND_ROWS`` rows at a time
+through one row core, ``_blend_rows``, so the summed maps never take a
+whole frame.  The pipeline's band pass runs the same row core on the
+bands it builds, so ``fuse_global_local`` is the whole-frame form of the
+blend it does, kept as library API and as a test oracle.
 """
 
 from __future__ import annotations
@@ -101,26 +104,42 @@ def fuse_global_local(global_logits: LogitMap,
     if (global_logits.height, global_logits.width) != (beta.height, beta.width):
         raise ShapeError(
             f"frame {global_logits.shape[:2]} vs gate {beta.shape} mismatch")
+    _check_locals(local_logits, *global_logits.shape)
+    out = np.empty_like(global_logits.data)
+    for r0 in range(0, global_logits.height, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        out[band] = _blend_rows(global_logits.data[band], r0, local_logits,
+                                beta.data[band, :, None])
+    return LogitMap._own(out)
+
+
+def _check_locals(local_logits: Sequence[tuple[LogitMap, BBox]], height: int,
+                  width: int, channels: int) -> None:
+    """Every local map must fit its box, inside a height x width frame of
+    ``channels`` channels."""
     for patch, box in local_logits:
-        _check_in_bounds(box, global_logits.height, global_logits.width)
+        _check_in_bounds(box, height, width)
         if (patch.height, patch.width) != (box.height, box.width):
             raise ShapeError(
                 f"local patch {patch.shape[:2]} does not fit box "
                 f"{(box.height, box.width)}")
-        if patch.channels != global_logits.channels:
+        if patch.channels != channels:
             raise ShapeError(
-                f"local channels {patch.channels} != frame channels "
-                f"{global_logits.channels}")
-    out = np.empty_like(global_logits.data)
-    for r0 in range(0, global_logits.height, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        g = global_logits.data[band]
-        local_sum = np.zeros_like(g)
-        for patch, box in local_logits:
-            y0, y1 = max(box.y0, r0), min(box.y1, r0 + len(g))
-            if y0 < y1:
-                local_sum[y0 - r0:y1 - r0, box.x0:box.x1] += \
-                    patch.data[y0 - box.y0:y1 - box.y0]
-        gate = beta.data[band, :, None]
-        out[band] = weighted_average([g, local_sum], [gate, np.float32(1) - gate])
-    return LogitMap._own(out)
+                f"local channels {patch.channels} != frame channels {channels}")
+
+
+def _blend_rows(frame: np.ndarray, r0: int,
+                local_logits: Sequence[tuple[LogitMap, BBox]],
+                gate: np.ndarray) -> np.ndarray:
+    """Rows [r0, r0 + len(frame)) of the blend, from ``frame``, those rows of
+    the whole-frame logits, and ``gate``, their beta as rows x width x 1.
+    The local maps, checked by ``_check_locals``, are pasted and summed
+    over these rows alone."""
+    band = BBox(0, r0, frame.shape[1], r0 + len(frame))
+    local_sum = np.zeros_like(frame)
+    for patch, box in local_logits:
+        cut = box.intersection(band)
+        if cut is not None:
+            local_sum[cut.y0 - r0:cut.y1 - r0, cut.x0:cut.x1] += \
+                patch.data[cut.y0 - box.y0:cut.y1 - box.y0]
+    return weighted_average([frame, local_sum], [gate, np.float32(1) - gate])

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 import struct
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -65,6 +67,32 @@ def save_tensor(path, grid) -> None:
         f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
+def _open_tensor(p: Path):
+    """The tensor file at ``p``, open for reading, and its (h, w, c) shape,
+    once its header and its payload's size are checked."""
+    if not p.is_file():
+        raise DataValidationError(f"tensor file not found: {p}")
+    f = p.open("rb")
+    try:
+        head = f.read(24)
+        if len(head) < 24:
+            raise FormatError(f"{p}: truncated header ({len(head)} bytes)")
+        if head[:8] != TENSOR_MAGIC:
+            raise FormatError(f"{p}: bad magic {head[:8]!r}")
+        h, w, c, reserved = struct.unpack("<4I", head[8:24])
+        if reserved != 0:
+            raise FormatError(f"{p}: reserved header field is {reserved}, expected 0")
+        if h < 1 or w < 1 or c < 1:
+            raise FormatError(f"{p}: non-positive dimensions {(h, w, c)}")
+        size, expected = os.fstat(f.fileno()).st_size - 24, h * w * c * 4
+        if size != expected:  # checked before anything is allocated
+            raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
+    except BaseException:
+        f.close()
+        raise
+    return f, (h, w, c)
+
+
 def _read_tensor(path, *, alpha: bool, keep: bool):
     """Read and check the tensor file at ``path``.  Returns its (h, w, c)
     shape and, when ``keep``, the (h, w, c) float32 array read, else None.
@@ -77,22 +105,9 @@ def _read_tensor(path, *, alpha: bool, keep: bool):
     payload size, non-finite values, then an alpha tensor's channel count
     and its range."""
     p = Path(path)
-    if not p.is_file():
-        raise DataValidationError(f"tensor file not found: {p}")
-    with p.open("rb") as f:
-        head = f.read(24)
-        if len(head) < 24:
-            raise FormatError(f"{p}: truncated header ({len(head)} bytes)")
-        if head[:8] != TENSOR_MAGIC:
-            raise FormatError(f"{p}: bad magic {head[:8]!r}")
-        h, w, c, reserved = struct.unpack("<4I", head[8:24])
-        if reserved != 0:
-            raise FormatError(f"{p}: reserved header field is {reserved}, expected 0")
-        if h < 1 or w < 1 or c < 1:
-            raise FormatError(f"{p}: non-positive dimensions {(h, w, c)}")
-        size, expected = p.stat().st_size - 24, h * w * c * 4
-        if size != expected:  # checked before anything is allocated
-            raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
+    f, (h, w, c) = _open_tensor(p)
+    with f:
+        expected = h * w * c * 4
         arr = np.empty((h, w, c), dtype="<f4") if keep else None
         buf = (arr.reshape(-1) if keep
                else np.empty(min(expected, _CHUNK_BYTES) // 4, dtype="<f4"))
@@ -269,13 +284,44 @@ def _read_map(path: Path, where: str, alpha: bool, keep: bool):
         raise type(e)(f"{where}: {e}") from None
 
 
-def _reread(path: Path, where: str, alpha: bool, shape: tuple):
-    """Map record ``where`` read again, checked as on load and to keep ``shape``."""
-    got, grid = _read_map(path, where, alpha, keep=True)
-    if got != shape:
-        raise DataValidationError(f"{where}: {path} changed since the manifest "
-                                  f"was loaded: shape {got}, was {shape}")
-    return grid
+@contextmanager
+def _tensor_rows(path: Path, where: str, alpha: bool, shape: tuple):
+    """Map record ``where`` opened again, to be read by rows: yields
+    ``read(r0, r1)``, the ``_read_rows`` of the open file.  The open checks
+    the header and the payload's size as a load does, and that the tensor
+    still has ``shape``, the (h, w, c) the load saw."""
+    try:
+        f, got = _open_tensor(path)
+    except (FormatError, DataValidationError) as e:
+        raise type(e)(f"{where}: {e}") from None
+    with f:
+        if got != shape:
+            raise DataValidationError(f"{where}: {path} changed since the "
+                                      f"manifest was loaded: shape {got}, "
+                                      f"was {shape}")
+        yield partial(_read_rows, f, path, where, alpha, shape)
+
+
+def _read_rows(f, path: Path, where: str, alpha: bool, shape: tuple,
+               r0: int, r1: int) -> np.ndarray:
+    """Rows [r0, r1) of map record ``where``'s open tensor file ``f``, of
+    ``shape``, as a new (r1 - r0, w, c) float32 array: one byte range of
+    the row-major payload, its values checked as a load checks them."""
+    h, w, c = shape
+    arr = np.empty((r1 - r0, w, c), dtype="<f4")
+    f.seek(24 + r0 * w * c * 4)
+    try:
+        if f.readinto(memoryview(arr).cast("B")) < arr.nbytes:  # it shrank
+            raise FormatError(f"{path}: payload is "
+                              f"{os.fstat(f.fileno()).st_size - 24} bytes, "
+                              f"expected {h * w * c * 4}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: payload contains non-finite values")
+        if alpha and (arr.min() < 0.0 or arr.max() > 1.0):
+            raise DataValidationError("AttentionMap values must lie in [0, 1]")
+    except (FormatError, DataValidationError) as e:
+        raise type(e)(f"{where}: {e}") from None
+    return arr.astype(np.float32, copy=False)
 
 
 def _load_maps(doc: dict, field: str, base: Path, models, scales,
@@ -304,7 +350,7 @@ def _load_maps(doc: dict, field: str, base: Path, models, scales,
             out[(model, scale)] = grid
         elif isinstance(maps, dict):
             maps[field, model, scale] = (shape[2], partial(
-                _reread, base / rel, where, alpha, shape))
+                _tensor_rows, base / rel, where, alpha, shape))
     return out, channels
 
 
@@ -312,7 +358,8 @@ def load_manifest(path, *, maps: bool | dict = True) -> PredictionBundle:
     """Parse and eagerly validate a manifest into a PredictionBundle; with
     ``maps=False`` every tensor is still read and checked but none is kept,
     each one through one fixed-size buffer.  A dict ``maps`` keeps none but gets
-    each map's ``(field, model, scale) -> (channels, read)``, to re-read it."""
+    each map's ``(field, model, scale) -> (channels, rows)``, where
+    ``rows()`` opens the map again to be read by rows (``_tensor_rows``)."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"manifest not found: {p}")

@@ -26,6 +26,8 @@ the package:
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
   are both strictly negative, and becomes +0.0 otherwise.  The rule is
   applied directly; the input grid itself comes back when no zero flips.
+  The scale fold's row core lerps equal grids at t = 0 instead, band by
+  band, which gives the same bytes.
 - Reductions across the channels of a row (sum, max, argmax) run as one
   elementwise pass per column, left to right, never as numpy's per-row
   reduction: a sum adds the columns in ascending index order, not

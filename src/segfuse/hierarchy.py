@@ -4,6 +4,13 @@ Each step upsamples the running coarse result and its gate to the next
 finer grid and blends: ``U(lower) * U(alpha) + finer * (1 - U(alpha))``.
 The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
+
+One row core, ``_fold_rows``, upsamples both over just the rows it folds,
+through ``grids._lerp``, and blends them; ``fuse_adjacent_scales`` runs it
+one band of ``_BAND_ROWS`` rows at a time.  The pipeline's band pass folds
+each band it builds through the same row core, so ``fuse_adjacent_scales``
+and ``run_inference_chain`` are the whole-frame form of its fold, kept as
+library API and as test oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from typing import Sequence
 
 from .errors import DataValidationError, ShapeError
 from .fusion import weighted_average
-from .grids import AttentionMap, LogitMap, bilinear_resize
+from .grids import _BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps
 
 import numpy as np
 
@@ -20,19 +27,40 @@ import numpy as np
 def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
                          higher: LogitMap) -> LogitMap:
     """Blend coarser logits into the next finer grid under their upsampled gate."""
+    _check_fold(lower, alpha, higher.channels)
+    ys, xs = _taps(lower.height, higher.height), _taps(lower.width, higher.width)
+    out = np.empty_like(higher.data)
+    for r0 in range(0, higher.height, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        out[band] = _fold_rows(lower, alpha, higher.data[band],
+                               [t[band] for t in ys], xs)
+    return LogitMap._own(out)
+
+
+def _check_fold(lower: LogitMap, alpha: AttentionMap, channels: int) -> None:
+    """``alpha`` must gate ``lower`` on its grid, and ``lower`` must have
+    the finer level's ``channels``."""
     if alpha.shape != lower.shape[:2]:
         raise ShapeError(
             f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
-    if lower.channels != higher.channels:
+    if lower.channels != channels:
         raise ShapeError(
-            f"channel counts differ: {lower.channels} vs {higher.channels}")
-    up = bilinear_resize(lower, higher.height, higher.width)
-    alpha_src = LogitMap(alpha.height, alpha.width, 1, alpha.data[:, :, None])
-    # rebound, so the unclamped frame is freed before the blend
-    gate = bilinear_resize(alpha_src, higher.height, higher.width).data
+            f"channel counts differ: {lower.channels} vs {channels}")
+
+
+def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
+               ys, xs) -> np.ndarray:
+    """Some rows of the fold of ``lower``, gated by ``alpha``, into a finer
+    grid: ``finer`` holds those rows of the finer level, ``ys`` are their
+    ``_taps`` into ``lower``'s rows and ``xs`` the finer grid's column taps.
+
+    ``lower`` and ``alpha`` are upsampled over just those rows.  On equal
+    grids the taps have t = 0, and the lerp keeps every value but the -0.0
+    that ``bilinear_resize``'s same-size rule flips, so this is that rule."""
+    up = _lerp(lower.data, ys, xs)
+    gate = _lerp(alpha.data[:, :, None], ys, xs)
     gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
-    return LogitMap._own(weighted_average([up.data, higher.data],
-                                          [gate, np.float32(1) - gate]))
+    return weighted_average([up, finer], [gate, np.float32(1) - gate])
 
 
 def run_inference_chain(

@@ -7,21 +7,27 @@ weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
 
-The per-object stage builds no whole-region float64 temporary: each
-object's gate runs per band of ``_BAND_ROWS`` region rows, and each
-instance is rasterized only over the output window its box reaches.
+Each scale is fused in one pass over bands of ``_BAND_ROWS`` rows: each
+model's rows of logits are read from a map source, ensembled, gated and
+blended with the per-object maps that cross the band, and folded with the
+coarser level, upsampled over those rows alone.  The scale's output frame
+is the only whole frame the pass builds; the per-object maps are built
+before it, each instance rasterized only over the output window its box
+reaches.  The carving's softmax runs per band of region rows.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .attention import (attention_to_map, difference_matrix, fuse_global_local,
-                        local_attention, row_normalize)
+from .attention import (_blend_rows, _check_locals, attention_to_map,
+                        difference_matrix, local_attention, row_normalize)
 from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
@@ -31,7 +37,7 @@ from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
 from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _row_max,
                     _taps, argmax_channel, bilinear_resize, scaled_dim,
                     softmax_rows)
-from .hierarchy import run_inference_chain
+from .hierarchy import _check_fold, _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     MaskInstance, expand_bbox, rle_encode, scale_box,
                     tight_bbox)
@@ -173,8 +179,8 @@ def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
 # dense pipeline (the "pipeline" command)
 
 def _fuse_global(maps: dict[str, LogitMap], vectors) -> LogitMap:
-    """The whole-frame ensemble, kept as its own stage so traces can time it
-    apart from the per-object ensembles."""
+    """The ensemble of one band of rows of the frame, kept as its own stage
+    so traces can time it apart from the per-object ensembles."""
     return fuse_logits(maps, vectors)
 
 
@@ -240,21 +246,30 @@ def _object_gate(global_rows: np.ndarray, local_rows: np.ndarray,
     return np.clip((1.0 - peak) / (1.0 - 1.0 / global_rows.shape[1]), 0.0, 1.0)
 
 
-def _region_gate(global_region: np.ndarray, local_region: np.ndarray,
-                 factor: float) -> np.ndarray:
-    """``_object_gate`` of one object region's whole-frame and local logits,
-    both height x width x channels, as a height x width patch.  It runs per
-    band of ``_BAND_ROWS`` region rows, each widened to float64 on its own;
-    a pixel's gate depends on its own row alone, so no byte changes."""
-    height, width, channels = local_region.shape
-    gate = np.empty((height, width))
-    for r0 in range(0, height, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        gate[band] = _object_gate(
-            global_region[band].astype(np.float64).reshape(-1, channels),
-            local_region[band].reshape(-1, channels).astype(np.float64),
-            factor).reshape(-1, width)
-    return gate
+def _band_gate(ens: np.ndarray, r0: int,
+               local_logits: list[tuple[LogitMap, BBox]],
+               cfg: PipelineConfig) -> AttentionMap:
+    """Rows [r0, r0 + len(ens)) of one scale's gate, from ``ens``, those
+    rows of the scale's ensemble: each object's ``_object_gate`` over the
+    rows of its region in the band, widened to float64, pasted by
+    ``attention_to_map`` in object order, so a later object's gate
+    overwrites an earlier one's where regions overlap.  A pixel's gate
+    depends on its own row alone, so the band height changes no byte."""
+    rows, width, channels = ens.shape
+    band = BBox(0, r0, width, r0 + rows)
+    patches = []
+    for local, box in local_logits:
+        cut = box.intersection(band)
+        if cut is None:
+            continue
+        gate = _object_gate(
+            ens[cut.y0 - r0:cut.y1 - r0, cut.x0:cut.x1].astype(np.float64)
+            .reshape(-1, channels),
+            local.data[cut.y0 - box.y0:cut.y1 - box.y0].reshape(-1, channels)
+            .astype(np.float64), cfg.attention_factor)
+        patches.append((gate.reshape(cut.height, cut.width),
+                        cut.shifted(0, -r0)))
+    return attention_to_map(patches, rows, width, neutral=cfg.neutral_beta)
 
 
 def _mean_alpha(sub: PredictionBundle, alphas: dict[str, AttentionMap],
@@ -273,55 +288,87 @@ def _mean_alpha(sub: PredictionBundle, alphas: dict[str, AttentionMap],
     return AttentionMap._own(np.clip(acc, 0.0, 1.0).astype(np.float32))
 
 
-def _read_maps(maps: dict, field: str, scale: float) -> dict:
-    """``field``'s maps at ``scale``, by model, from a map source."""
-    return {m: read() for (f, m, s), (_, read) in maps.items()
-            if (f, s) == (field, scale)}
+def _read_alphas(maps: dict, sub: PredictionBundle) -> dict[str, AttentionMap]:
+    """The alpha maps of ``sub``, the image at one scale, by model, each
+    read from a map source over all its rows."""
+    scale = sub.scales[0]
+    alphas = {}
+    for (field, model, s), (_, rows) in maps.items():
+        if (field, s) == ("alpha_maps", scale):
+            with rows() as read:
+                data = read(0, scaled_dim(sub.height, scale))
+            data.shape = data.shape[:2]  # in place: a view would not own it
+            alphas[model] = AttentionMap._own(data, checked=True)
+    return alphas
+
+
+@contextmanager
+def _grid_rows(grid):
+    """A map source's reader over an in-memory grid: ``read(r0, r1)``
+    returns a copy of rows [r0, r1) as rows x width x channels."""
+    data = grid.data.reshape(grid.height, grid.width, -1)
+    yield lambda r0, r1: data[r0:r1].copy()
 
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
-                cfg: PipelineConfig, workers: int) -> LogitMap:
+                cfg: PipelineConfig, workers: int,
+                coarser: tuple[LogitMap, AttentionMap] | None = None
+                ) -> LogitMap:
     """The fused frame of ``sub``, the image at one scale, under that
-    scale's ``weights``.  It reads no alpha map, and holds the scale's logit
-    maps, read again from ``maps``, only for the whole-frame ensemble.  Each
-    object's gate and the frame/object blend run per band of rows."""
+    scale's ``weights``, with ``coarser``, the next coarser level's folded
+    frame and gate, folded in when given.
+
+    The per-object maps are built first.  Then one pass over bands of
+    ``_BAND_ROWS`` rows reads each model's rows of logits from ``maps``,
+    ensembles them, gates and blends them with the per-object maps that
+    cross the band, and folds in the coarser level upsampled over those
+    rows.  Each logit map is opened once, and the output frame is the only
+    whole frame the pass builds."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
-
     # background is fused with uniform weights, each component channel with
     # its component's vertical weights
-    ens_global = _fuse_global(
-        _read_maps(maps, "logit_maps", scale),
-        [FusionWeights.uniform(sub.models, "channel0"), *weights[scale, "vertical"].values()])
-    channels = ens_global.channels
+    vectors = [FusionWeights.uniform(sub.models, "channel0"),
+               *weights[scale, "vertical"].values()]
+    channels = len(vectors)
     horizontal = weights[scale, "horizontal"]
 
     regions_ref = _object_regions(sub, cfg)
-    oids = list(regions_ref)
-    regions_s = {oid: scale_box(regions_ref[oid], height, width, sh, sw)
-                 for oid in oids}
+    regions_s = {oid: scale_box(box, height, width, sh, sw)
+                 for oid, box in regions_ref.items()}
 
-    def _object_task(oid: int):
-        region = regions_s[oid]
-        fused_local = fuse_logits(
-            {m: _local_map(sub, m, oid, regions_ref[oid], region, channels)
-             for m in sub.models}, [horizontal[oid]] * channels)
-        if cfg.beta_const is not None:
-            return fused_local, None
-        return fused_local, _region_gate(ens_global.data[region.slices],
-                                         fused_local.data, cfg.attention_factor)
+    def _object_task(oid: int) -> LogitMap:
+        return fuse_logits(
+            {m: _local_map(sub, m, oid, regions_ref[oid], regions_s[oid],
+                           channels) for m in sub.models},
+            [horizontal[oid]] * channels)
 
-    tasks = _pmap(_object_task, oids, workers)
-    if cfg.beta_const is not None:
-        beta = AttentionMap.full(sh, sw, cfg.beta_const)
-    else:
-        beta = attention_to_map(
-            [(gate, regions_s[oid]) for oid, (_, gate) in zip(oids, tasks)],
-            sh, sw, neutral=cfg.neutral_beta)
-    return fuse_global_local(
-        ens_global, [(local, regions_s[oid])
-                     for oid, (local, _) in zip(oids, tasks)], beta)
+    local_logits = list(zip(_pmap(_object_task, regions_s, workers),
+                            regions_s.values()))
+    _check_locals(local_logits, sh, sw, channels)
+    if coarser is not None:
+        lower, alpha = coarser
+        _check_fold(lower, alpha, channels)
+        ys, xs = _taps(lower.height, sh), _taps(lower.width, sw)
+    out = np.empty((sh, sw, channels), dtype=np.float32)
+    with ExitStack() as stack:
+        reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
+                 for m in sub.models}
+        for r0 in range(0, sh, _BAND_ROWS):
+            r1 = min(r0 + _BAND_ROWS, sh)
+            ens = _fuse_global(
+                {m: LogitMap._own(read(r0, r1), checked=True)
+                 for m, read in reads.items()}, vectors).data
+            beta = (AttentionMap.full(r1 - r0, sw, cfg.beta_const)
+                    if cfg.beta_const is not None
+                    else _band_gate(ens, r0, local_logits, cfg))
+            band = _blend_rows(ens, r0, local_logits, beta.data[:, :, None])
+            if coarser is not None:
+                band = _fold_rows(lower, alpha, band,
+                                  [t[r0:r1] for t in ys], xs)
+            out[r0:r1] = band
+    return LogitMap._own(out)
 
 
 @dataclass(frozen=True)
@@ -336,14 +383,15 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  cfg: PipelineConfig, workers: int = 1,
                  maps: dict | None = None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
-    ``workers`` threads run the per-object stage.  Each scale's logit maps
-    are read again to fuse its frame, then its alpha maps for its gate, but
-    the finest scale has no gate.  Maps are read from ``maps`` as
+    ``workers`` threads run the per-object stage.  Each scale is fused in
+    one pass of row bands, which reads its logit maps band by band and
+    folds in the coarser level; then its alpha maps are read whole for its
+    gate, but the finest scale has no gate.  Maps are read from ``maps`` as
     ``load_manifest(path, maps={})`` fills it, or else from the bundle."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
     if maps is None:
-        maps = {(f, m, s): (getattr(g, "channels", 1), lambda g=g: g)
+        maps = {(f, m, s): (getattr(g, "channels", 1), partial(_grid_rows, g))
                 for f in ("logit_maps", "alpha_maps")
                 for (m, s), g in getattr(bundle, f).items()}
     height, width = bundle.height, bundle.width
@@ -369,10 +417,11 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     weights, weights_records = _fusion_weights(bundle, calib, cfg, {
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
-    final = run_inference_chain([
-        (_fuse_scale(sub, maps, weights, cfg, workers), None if sub is subs[-1]
-         else _mean_alpha(sub, _read_maps(maps, "alpha_maps", sub.scales[0]), cfg))
-        for sub in subs])
+    level = None
+    for sub in subs[:-1]:
+        frame = _fuse_scale(sub, maps, weights, cfg, workers, level)
+        level = frame, _mean_alpha(sub, _read_alphas(maps, sub), cfg)
+    final = _fuse_scale(subs[-1], maps, weights, cfg, workers, level)
     final_ref = bilinear_resize(final, height, width)
     labels = argmax_channel(final_ref)
 
@@ -403,22 +452,33 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
     score is the mean of P(label >= c) over those pixels, from the softmax of
     each region's logits.  Where two regions overlap, a labeled pixel is
     carved into both objects' instances.
+
+    The softmax runs per band of ``_BAND_ROWS`` region rows.  Each
+    component's selected tail probabilities are gathered in row order and
+    averaged by one ``np.mean``, so the score is that of the whole region.
     """
     out = []
     for oid, region in _object_regions(bundle, cfg).items():
-        rows = final_ref.data[region.slices].reshape(-1, final_ref.channels)
-        # tail_probs[:, c] = P(label >= c): the component-or-deeper
-        # probability, summed from the last channel down one column at a time
-        tail_probs = softmax_rows(rows)
-        for ch in range(final_ref.channels - 2, -1, -1):
-            tail_probs[:, ch] += tail_probs[:, ch + 1]
+        picked = {comp: [] for comp in COMPONENTS}
+        for r0 in range(region.y0, region.y1, _BAND_ROWS):
+            band = slice(r0, min(r0 + _BAND_ROWS, region.y1)), region.slices[1]
+            # tail_probs[:, c] = P(label >= c): the component-or-deeper
+            # probability, summed from the last channel down one column at
+            # a time
+            tail_probs = softmax_rows(
+                final_ref.data[band].reshape(-1, final_ref.channels))
+            for ch in range(final_ref.channels - 2, -1, -1):
+                tail_probs[:, ch] += tail_probs[:, ch + 1]
+            band_labels = labels[band].ravel()
+            for comp in COMPONENTS:
+                ch = COMPONENT_IDS[comp]
+                picked[comp].append(tail_probs[:, ch][band_labels >= ch])
         region_labels = labels[region.slices]
         for comp in COMPONENTS:
-            ch = COMPONENT_IDS[comp]
-            bits = region_labels >= ch
+            bits = region_labels >= COMPONENT_IDS[comp]
             if not bits.any():
                 continue
-            score = float(np.mean(tail_probs[:, ch][bits.ravel()]))
+            score = float(np.mean(np.concatenate(picked[comp])))
             out.append(MaskInstance(
                 mask=rle_encode(bits, region, bundle.height, bundle.width),
                 bbox=tight_bbox(bits).shifted(region.x0, region.y0),

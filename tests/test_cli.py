@@ -5,7 +5,6 @@ import re
 import shutil
 import struct
 import tracemalloc
-import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -13,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segfuse import formats, pipeline
+from segfuse import cli, formats, pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import build_parser, main
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor)
-from segfuse.grids import LogitMap
+from segfuse.grids import _BAND_ROWS, LogitMap
 from segfuse.masks import COMPONENTS, BBox, scale_box
 
 from conftest import block_mask, make_instance
@@ -792,8 +791,8 @@ def _poke_header(path, **dims):
 
 class TestPipelineReadsEachScaleWhenItFusesIt:
     """``pipeline`` checks every tensor of its image manifest on load but
-    keeps none; each scale's logit maps are read again when that scale is
-    fused, and dropped once its whole-frame ensemble is built.  Its alpha
+    keeps none; each scale's logit maps are read again band by band by the
+    pass that fuses that scale, and no logit map is held whole.  Its alpha
     maps are read again after its frame is built, but for the finest scale:
     the finest level has no gate, so its alpha maps are checked on load only."""
 
@@ -846,11 +845,11 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         k, rec = next((k, r) for k, r in enumerate(doc[field])
                       if r["scale"] == (0.5 if alpha else 1.0))
         target = (small.parent / rec["path"]).resolve()
-        loader = "load_attention_map" if alpha else "load_logit_map"
-        read = getattr(formats, loader)
+        open_rows = formats._tensor_rows
 
-        def changed_then_read(path):
-            # the load has checked the file; change it before its re-read
+        def changed_then_opened(path, *args):
+            # the load has checked the file; change it before it is opened
+            # again to be read by rows
             if Path(path).resolve() == target:
                 if how == "swapped":
                     h, w = struct.unpack("<2I", target.read_bytes()[8:16])
@@ -859,9 +858,9 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                     save_tensor(target, np.zeros((24, 32, 4), np.float32))
                 else:
                     _break_tensor(target, how)
-            return read(path)
+            return open_rows(path, *args)
 
-        monkeypatch.setattr(formats, loader, changed_then_read)
+        monkeypatch.setattr(formats, "_tensor_rows", changed_then_opened)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(["pipeline", str(small), "--weights", "uniform",
@@ -869,6 +868,49 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert re.search(rf"{field}\[{k}\]: .*{message}", captured.err), \
+            captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how, message", [
+        ("truncated", r"payload is \d+ bytes, expected \d+"),
+        ("nan-last-row", "payload contains non-finite values"),
+    ])
+    def test_tensor_changed_between_bands_exits_two(self, tmp_path, capsys,
+                                                     monkeypatch, dense, how,
+                                                     message):
+        src = tmp_path / "src"
+        shutil.copytree(dense[0].parent, src)
+        image = src / dense[0].name
+        doc = json.loads(image.read_text())
+        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
+                      if r["scale"] == 1.0)
+        target = (src / rec["path"]).resolve()
+        h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
+        assert h > _BAND_ROWS
+        read_rows = formats._read_rows
+
+        def read_then_changed(f, path, *args):
+            band = read_rows(f, path, *args)
+            # the file is open; change it in place after its first band
+            if Path(path).resolve() == target and args[-2] == 0:
+                blob = bytearray(target.read_bytes())
+                if how == "truncated":
+                    del blob[-4:]
+                else:
+                    at = 24 + (h - 1) * w * c * 4
+                    blob[at:at + 4] = struct.pack("<f", float("nan"))
+                target.write_bytes(bytes(blob))
+            return band
+
+        monkeypatch.setattr(formats, "_read_rows", read_then_changed)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", str(image), "--weights", "uniform",
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert re.search(rf"logit_maps\[{k}\]: .*{message}", captured.err), \
             captured.err
         assert "wrote" not in captured.out
         assert not out.exists()
@@ -892,109 +934,96 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
             outs.append(out)
         assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
 
-    def test_one_scale_of_logit_maps_lives_at_a_time(self, tmp_path,
-                                                     monkeypatch, dense):
+    def test_image_logit_maps_are_read_only_in_bands(self, tmp_path,
+                                                    monkeypatch, dense):
         image, calib = dense
-        scale_of = {}
-        for manifest in dense:
-            doc = json.loads(manifest.read_text())
-            for rec in doc["logit_maps"]:
-                scale_of[(manifest.parent / rec["path"]).resolve()] = rec["scale"]
-        events, refs, reads = [], {}, Counter()
-        read_tensor, load_logit_map = formats._read_tensor, formats.load_logit_map
-        local_map, fuse_scale = pipeline._local_map, pipeline._fuse_scale
+        loads, opens, bands, whole = Counter(), Counter(), {}, []
+        read_tensor, tensor_rows = formats._read_tensor, formats._tensor_rows
+        read_rows, load_logit_map = formats._read_rows, formats.load_logit_map
 
         def counted_read(path, **kw):
-            reads[Path(path).resolve()] += 1
+            loads[Path(path).resolve()] += 1
             return read_tensor(path, **kw)
 
+        def counted_open(path, *args):
+            opens[Path(path).resolve()] += 1
+            return tensor_rows(path, *args)
+
+        def spied_rows(f, path, *args):
+            bands.setdefault(Path(path).resolve(), []).append(args[-2:])
+            return read_rows(f, path, *args)
+
         def watched_load(path):
-            grid = load_logit_map(path)
-            scale = scale_of[Path(path).resolve()]
-            events.append(("read", scale))
-            refs.setdefault(scale, []).append(weakref.ref(grid))
-            return grid
-
-        def watched_local(sub, *args):
-            scale = sub.scales[0]
-            if ("local", scale) not in events:
-                alive = sum(r() is not None for r in refs.get(scale, ()))
-                events.append(("alive", scale, alive))
-            events.append(("local", scale))
-            return local_map(sub, *args)
-
-        def watched_scale(sub, *args):
-            level = fuse_scale(sub, *args)
-            events.append(("level", sub.scales[0]))
-            return level
+            whole.append(Path(path).resolve())
+            return load_logit_map(path)
 
         monkeypatch.setattr(formats, "_read_tensor", counted_read)
+        monkeypatch.setattr(formats, "_tensor_rows", counted_open)
+        monkeypatch.setattr(formats, "_read_rows", spied_rows)
         monkeypatch.setattr(formats, "load_logit_map", watched_load)
-        monkeypatch.setattr(pipeline, "_local_map", watched_local)
-        monkeypatch.setattr(pipeline, "_fuse_scale", watched_scale)
         assert main(["pipeline", str(image), "--calib", str(calib),
                      "--out-dir", str(tmp_path / "out")]) == 0
 
-        order = [e for e in events if e[0] != "local"]
-        # per scale: its three logit maps read after the previous scale's
-        # level exists, all dead before its first local map, then its level
-        assert order == [e for scale in (0.25, 0.5, 1.0) for e in
-                         [("read", scale)] * 3 + [("alive", scale, 0),
-                                                  ("level", scale)]]
-        assert [e for e in events if e[0] == "local"]
-        # each image tensor is read on load and once more, but the finest
-        # scale's alpha maps only on load; each calibration tensor once
+        assert whole == []
+        # each image tensor is read on load and opened once more, but the
+        # finest scale's alpha maps only on load; each calibration tensor
+        # once
         for manifest in dense:
             doc = json.loads(manifest.read_text())
             for field in ("logit_maps", "alpha_maps"):
                 assert len(doc[field]) == 9
                 for r in doc[field]:
+                    path = (manifest.parent / r["path"]).resolve()
                     once = manifest == calib or (field, r["scale"]) == (
                         "alpha_maps", 1.0)
-                    path = (manifest.parent / r["path"]).resolve()
-                    assert reads[path] == (1 if once else 2), (path, r)
-        assert len(reads) == 36
+                    assert (loads[path], opens[path]) == (
+                        (1, 0) if once else (1, 1)), (path, r)
+                    if once:
+                        assert path not in bands
+                        continue
+                    height = struct.unpack("<I", path.read_bytes()[8:12])[0]
+                    got = bands[path]
+                    if field == "alpha_maps":  # read whole, for its mean
+                        assert got == [(0, height)]
+                        continue
+                    # bands of at most _BAND_ROWS rows, in order, each row
+                    # read once
+                    assert got[0][0] == 0 and got[-1][1] == height
+                    assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+                    assert all(0 < r1 - r0 <= _BAND_ROWS for r0, r1 in got)
+        assert len(loads) == 36 and len(opens) == len(bands) == 15
 
-    def test_blend_frames_are_dead_when_the_mean_alpha_starts(
-            self, tmp_path, monkeypatch, dense):
-        image, calib = dense
-        refs, alive = [], []
+    def test_run_pipeline_peak_is_under_4_5_frames(
+            self, tmp_path, monkeypatch):
+        # 512x512, 3 models, scales 0.25/0.5/1.0: a finest frame is 5 MiB.
+        # Whole-frame logit maps and a whole upsampled level put the peak
+        # at about 5.2 frames; the band pass leaves the output frame the
+        # only whole finest-grid frame
+        root = tmp_path / "fx"
+        for seed in (4, 5):
+            assert main(["synth", "--seed", str(seed), "--height", "512",
+                         "--width", "512", "--objects", "4", "--models", "3",
+                         "--scales", "0.25", "0.5", "1.0",
+                         "--out-dir", str(root / f"s{seed}")]) == 0
+        peaks = []
 
-        def watched(fn, scale_starts=False):
-            def call(*args, **kwargs):
-                if scale_starts:
-                    refs.clear()
-                out = fn(*args, **kwargs)
-                refs.append(weakref.ref(out))
-                return out
-            return call
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = run_pipeline(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            return result
 
-        def watched_gate(patches, *args, **kwargs):
-            refs.extend(weakref.ref(gate) for gate, _ in patches)
-            return attention_to_map(patches, *args, **kwargs)
-
-        def watched_alpha(sub, *args):
-            alive.append((sub.scales[0], sum(r() is not None for r in refs)))
-            return mean_alpha(sub, *args)
-
-        attention_to_map = watched(pipeline.attention_to_map)
-        mean_alpha = pipeline._mean_alpha
-        # the ensemble, each model's and each object's local maps, the gate
-        # patches and the gate
-        monkeypatch.setattr(pipeline, "_fuse_global",
-                            watched(pipeline._fuse_global, scale_starts=True))
-        monkeypatch.setattr(pipeline, "fuse_logits",
-                            watched(pipeline.fuse_logits))
-        monkeypatch.setattr(pipeline, "_local_map", watched(pipeline._local_map))
-        monkeypatch.setattr(pipeline, "attention_to_map", watched_gate)
-        monkeypatch.setattr(pipeline, "_mean_alpha", watched_alpha)
-        assert main(["pipeline", str(image), "--calib", str(calib),
+        run_pipeline = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline", traced)
+        assert main(["pipeline", str(root / "s4" / "manifest.json"),
+                     "--calib", str(root / "s5" / "manifest.json"),
                      "--out-dir", str(tmp_path / "out")]) == 0
-        # the finest level has no gate, so no mean alpha at scale 1.0
-        assert alive == [(0.25, 0), (0.5, 0)]
-        # at scale 1.0: 2 ensemble refs, 3 x 4 model maps, 4 object maps,
-        # 4 gate patches and the gate
-        assert len(refs) == 2 + 12 + 4 + 4 + 1
+        frame = 512 * 512 * 5 * 4
+        assert len(peaks) == 1 and peaks[0] < 4.5 * frame, peaks[0] / frame
 
     def test_traced_peak_holds_one_scale_of_maps(self, tmp_path, dense):
         # 256x256, 3 models, scales 0.25/0.5/1.0: about 14.8 MiB traced when

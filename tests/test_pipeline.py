@@ -11,8 +11,9 @@ from segfuse import pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
-from segfuse.fusion import FusionWeights
-from segfuse.grids import LogitMap
+from segfuse.fusion import FusionWeights, weighted_average
+from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, bilinear_resize
+from segfuse.hierarchy import fuse_adjacent_scales
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
                               _mean_alpha, _object_regions, run_evaluate,
@@ -254,7 +255,8 @@ def _overlapping_pairs(regions):
 
 
 # (fixture, config): expanded regions that overlap, regions clipped at the
-# frame edge, and a single object
+# frame edge, a single object, and overlapping regions taller than two bands
+# of the carving's softmax
 CARVING_CASES = {
     "overlap": (dict(seed=4, objects=12, height=96, width=128,
                      scales=(0.5, 1.0)),
@@ -268,6 +270,8 @@ CARVING_CASES = {
     "single": (dict(seed=2, objects=1, height=48, width=40,
                     scales=(0.5, 1.0)),
                PipelineConfig()),
+    "tall": (dict(seed=3, objects=2, height=300, width=64, scales=(0.5, 1.0)),
+             PipelineConfig(expand_factor=2.0)),
 }
 
 
@@ -276,8 +280,10 @@ def test_carving_equals_whole_frame_oracle(case):
     kwargs, cfg = CARVING_CASES[case]
     bundle = generate(**kwargs)
     regions = _object_regions(bundle, cfg)
-    if case.startswith("overlap"):
+    if case.startswith("overlap") or case == "tall":
         assert _overlapping_pairs(regions)
+    if case == "tall":
+        assert all(r.height > 2 * _BAND_ROWS for r in regions.values())
     if case == "edge":
         boxes = _union_boxes(bundle)
         assert any(regions[o].width < boxes[o].width * cfg.expand_factor
@@ -293,6 +299,46 @@ def test_carving_equals_whole_frame_oracle(case):
     assert want
     assert got == want
     assert [i.uid for i in result.carved.instances] == list(range(len(got)))
+
+
+@pytest.mark.parametrize("height", [16, 2 * _BAND_ROWS + 9])
+def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
+    # at scales 0.999 and 1.0 both levels round to one grid, so the band
+    # pass folds equal grids, where a resample keeps every value but the
+    # -0.0 that bilinear_resize's same-size rule flips.  The coarser level
+    # is swapped for one full of signed zeros, beside negative neighbours
+    # and positive ones, so every case of that rule occurs
+    bundle = generate(2, objects=1, height=height, width=16,
+                      scales=(0.999, 1.0))
+    assert {m.shape[:2] for m in bundle.logit_maps.values()} == {(height, 16)}
+    rng = np.random.default_rng(height)
+    fuse_scale, folds = pipeline._fuse_scale, []
+
+    def swapped(sub, maps, weights, cfg, workers, coarser=None):
+        if coarser is None:
+            return fuse_scale(sub, maps, weights, cfg, workers)
+        shape = coarser[0].shape
+        lower = LogitMap.from_array(rng.choice(
+            np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=shape))
+        alpha = AttentionMap.from_array(rng.choice(
+            np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape[:2]))
+        finer = fuse_scale(sub, maps, weights, cfg, workers)
+        folded = fuse_scale(sub, maps, weights, cfg, workers, (lower, alpha))
+        folds.append((lower, alpha, finer, folded))
+        return folded
+
+    monkeypatch.setattr(pipeline, "_fuse_scale", swapped)
+    run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
+    [(lower, alpha, finer, folded)] = folds
+    assert np.signbit(lower.data[lower.data == 0]).any()
+    assert (fuse_adjacent_scales(lower, alpha, finer).data.tobytes()
+            == folded.data.tobytes())
+    # the rule itself, as bilinear_resize applies it to whole frames
+    up = bilinear_resize(lower, height, 16).data
+    gate = bilinear_resize(LogitMap.from_array(alpha.data), height, 16).data
+    gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
+    assert (weighted_average([up, finer.data], [gate, np.float32(1) - gate])
+            .tobytes() == folded.data.tobytes())
 
 
 def test_overlapping_regions_both_claim_shared_pixels():

@@ -7,8 +7,9 @@ per-object gate pass over the channel columns one at a time; the oracles in
 ``cumsum(axis=1)`` and ``np.argmax``.  Matrices cover 1, 2, 5 and 7
 channels, exact ties and signed zeros, rows whose shifted ``exp``
 underflows to 0, non-contiguous layouts, and more rows than a band.  The
-gate of a whole object region, computed per band of region rows, is
-checked against the oracle on the whole region.
+gate of a whole object region, computed per band of frame rows as the
+pipeline's band pass computes it, is checked against the oracle on the
+whole region.
 """
 
 import numpy as np
@@ -16,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segfuse import pipeline
 from segfuse.attention import row_normalize
+from segfuse.config import PipelineConfig
 from segfuse.grids import _BAND_ROWS, LogitMap, argmax_channel, softmax_rows
-from segfuse.pipeline import _object_gate, _region_gate
+from segfuse.masks import BBox
+from segfuse.pipeline import _band_gate, _object_gate
 
 from reference import (argmax_ref, object_gate_ref, row_normalize_ref,
                        softmax_rows_ref)
@@ -113,14 +117,35 @@ def test_object_gate_matches_oracle(case, factor):
 @pytest.mark.parametrize("height", [1, _BAND_ROWS - 1, _BAND_ROWS,
                                     _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
 @pytest.mark.parametrize("width", [1, 7])
-def test_region_gate_bands_match_the_whole_region_oracle(rng, height, width):
-    # the region is a window of a larger frame, as the engine crops it
+def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
+                                                         height, width):
+    # the region is a window of a larger frame, as the engine crops it, and
+    # the frame's bands cut it where the band pass does
     frame = rng.normal(scale=3.0, size=(height + 5, width + 3, 5))
-    g = frame.astype(np.float32)[2:2 + height, 1:1 + width]
+    frame = frame.astype(np.float32)
+    region = BBox(1, 2, 1 + width, 2 + height)
+    g = frame[region.slices]
     l = rng.normal(scale=3.0, size=(height, width, 5)).astype(np.float32)
     l[::3] = g[::3]  # rows that agree give uniform attention, a gate of 1
-    got = _region_gate(g, l, 1.5)
+    patches = np.full((height, width), np.nan)
+
+    def pasted(band_patches, *args, **kwargs):
+        for patch, box in band_patches:
+            patches[box.y0 + r0 - region.y0:box.y1 + r0 - region.y0] = patch
+        return attention_to_map(band_patches, *args, **kwargs)
+
+    attention_to_map = pipeline.attention_to_map
+    monkeypatch.setattr(pipeline, "attention_to_map", pasted)
+    cfg = PipelineConfig(attention_factor=1.5, neutral_beta=0.25)
+    bands = []
+    for r0 in range(0, len(frame), _BAND_ROWS):
+        bands.append(_band_gate(frame[r0:r0 + _BAND_ROWS], r0,
+                                [(LogitMap.from_array(l), region)], cfg).data)
+    got = np.concatenate(bands)
     want = object_gate_ref(g.reshape(-1, 5).astype(np.float64),
                            l.reshape(-1, 5).astype(np.float64), 1.5)
-    assert got.shape == (height, width)
-    assert got.tobytes() == want.tobytes()
+    assert patches.tobytes() == want.tobytes()
+    assert got[region.slices].tobytes() == \
+        want.reshape(height, width).astype(np.float32).tobytes()
+    got[region.slices] = 0.25
+    assert (got == np.float32(0.25)).all()
