@@ -104,19 +104,7 @@ def fuse_global_local(global_logits: LogitMap,
     if (global_logits.height, global_logits.width) != (beta.height, beta.width):
         raise ShapeError(
             f"frame {global_logits.shape[:2]} vs gate {beta.shape} mismatch")
-    _check_locals(local_logits, *global_logits.shape)
-    out = np.empty_like(global_logits.data)
-    for r0 in range(0, global_logits.height, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        out[band] = _blend_rows(global_logits.data[band], r0, local_logits,
-                                beta.data[band, :, None])
-    return LogitMap._own(out)
-
-
-def _check_locals(local_logits: Sequence[tuple[LogitMap, BBox]], height: int,
-                  width: int, channels: int) -> None:
-    """Every local map must fit its box, inside a height x width frame of
-    ``channels`` channels."""
+    height, width, channels = global_logits.shape
     for patch, box in local_logits:
         _check_in_bounds(box, height, width)
         if (patch.height, patch.width) != (box.height, box.width):
@@ -126,6 +114,12 @@ def _check_locals(local_logits: Sequence[tuple[LogitMap, BBox]], height: int,
         if patch.channels != channels:
             raise ShapeError(
                 f"local channels {patch.channels} != frame channels {channels}")
+    out = np.empty_like(global_logits.data)
+    for r0 in range(0, global_logits.height, _BAND_ROWS):
+        band = slice(r0, r0 + _BAND_ROWS)
+        out[band] = _blend_rows(global_logits.data[band], r0, local_logits,
+                                beta.data[band, :, None])
+    return LogitMap._own(out)
 
 
 def _blend_rows(frame: np.ndarray, r0: int,
@@ -133,8 +127,8 @@ def _blend_rows(frame: np.ndarray, r0: int,
                 gate: np.ndarray) -> np.ndarray:
     """Rows [r0, r0 + len(frame)) of the blend, from ``frame``, those rows of
     the whole-frame logits, and ``gate``, their beta as rows x width x 1.
-    The local maps, checked by ``_check_locals``, are pasted and summed
-    over these rows alone."""
+    Each local map must fit its box inside the frame; the maps are pasted
+    and summed over these rows alone."""
     band = BBox(0, r0, frame.shape[1], r0 + len(frame))
     local_sum = np.zeros_like(frame)
     for patch, box in local_logits:

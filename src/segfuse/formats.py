@@ -93,41 +93,43 @@ def _open_tensor(p: Path):
     return f, (h, w, c)
 
 
+def _read_range(f, path: Path, out: np.ndarray, at: int, size: int,
+                alpha: bool) -> bool:
+    """Fill ``out`` from byte ``at`` of the payload of ``f``, the open
+    tensor file at ``path``, whose payload is ``size`` bytes: one byte
+    range, checked as it arrives.  A short read means the file shrank since
+    its size was checked, and every value must be finite.  Returns whether
+    every value lies in [0, 1] for an ``alpha`` tensor, else True."""
+    f.seek(24 + at)
+    if f.readinto(memoryview(out).cast("B")) < out.nbytes:
+        raise FormatError(f"{path}: payload is "
+                          f"{os.fstat(f.fileno()).st_size - 24} bytes, "
+                          f"expected {size}")
+    if not np.isfinite(out).all():
+        raise FormatError(f"{path}: payload contains non-finite values")
+    return not (alpha and (out.min() < 0.0 or out.max() > 1.0))
+
+
 def _read_tensor(path, *, alpha: bool, keep: bool):
     """Read and check the tensor file at ``path``.  Returns its (h, w, c)
     shape and, when ``keep``, the (h, w, c) float32 array read, else None.
 
-    The payload is read ``_CHUNK_BYTES`` at a time, straight into the array
-    returned or, when nothing is kept, into one reused scratch buffer, and
-    each chunk is checked as it arrives: every value finite and, for an
-    ``alpha`` tensor, within [0, 1].  At most the payload size the header
-    gives is read.  Whichever chunk holds a fault, errors keep one order:
-    payload size, non-finite values, then an alpha tensor's channel count
-    and its range."""
+    The payload is read ``_CHUNK_BYTES`` at a time, each chunk one
+    ``_read_range`` straight into the array returned or, when nothing is
+    kept, into one reused scratch buffer.  Errors keep one order: payload
+    size, non-finite values, then an alpha tensor's channel count and its
+    range, which every chunk checks but only the last raises.  A file that
+    shrinks while it is read fails at its first short chunk."""
     p = Path(path)
     f, (h, w, c) = _open_tensor(p)
+    n, step = h * w * c, _CHUNK_BYTES // 4
+    arr = np.empty((h, w, c), dtype="<f4") if keep else None
+    buf = arr.reshape(-1) if keep else np.empty(min(n, step), dtype="<f4")
+    in_range = True
     with f:
-        expected = h * w * c * 4
-        arr = np.empty((h, w, c), dtype="<f4") if keep else None
-        buf = (arr.reshape(-1) if keep
-               else np.empty(min(expected, _CHUNK_BYTES) // 4, dtype="<f4"))
-        raw = memoryview(buf).cast("B")
-        size, finite, in_range = 0, True, True
-        while size < expected:
-            n = min(expected - size, _CHUNK_BYTES)
-            at = size if keep else 0
-            got = f.readinto(raw[at:at + n])  # short only if the file shrank
-            vals = buf[at // 4:(at + got) // 4]
-            size += got
-            finite = finite and bool(np.isfinite(vals).all())
-            if alpha and finite and vals.size:
-                in_range = in_range and not (vals.min() < 0.0 or vals.max() > 1.0)
-            if got < n:
-                break
-    if size != expected:
-        raise FormatError(f"{p}: payload is {size} bytes, expected {expected}")
-    if not finite:
-        raise FormatError(f"{p}: payload contains non-finite values")
+        for at in range(0, n, step):
+            chunk = buf[at:at + step] if keep else buf[:min(step, n - at)]
+            in_range &= _read_range(f, p, chunk, 4 * at, 4 * n, alpha)
     if alpha and c != 1:
         raise FormatError(f"{path}: attention tensor must have 1 channel, got {c}")
     if not in_range:
@@ -305,19 +307,12 @@ def _tensor_rows(path: Path, where: str, alpha: bool, shape: tuple):
 def _read_rows(f, path: Path, where: str, alpha: bool, shape: tuple,
                r0: int, r1: int) -> np.ndarray:
     """Rows [r0, r1) of map record ``where``'s open tensor file ``f``, of
-    ``shape``, as a new (r1 - r0, w, c) float32 array: one byte range of
-    the row-major payload, its values checked as a load checks them."""
+    ``shape``, as a new (r1 - r0, w, c) float32 array: one ``_read_range``
+    of the row-major payload, its values checked as a load checks them."""
     h, w, c = shape
     arr = np.empty((r1 - r0, w, c), dtype="<f4")
-    f.seek(24 + r0 * w * c * 4)
     try:
-        if f.readinto(memoryview(arr).cast("B")) < arr.nbytes:  # it shrank
-            raise FormatError(f"{path}: payload is "
-                              f"{os.fstat(f.fileno()).st_size - 24} bytes, "
-                              f"expected {h * w * c * 4}")
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: payload contains non-finite values")
-        if alpha and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not _read_range(f, path, arr, r0 * w * c * 4, h * w * c * 4, alpha):
             raise DataValidationError("AttentionMap values must lie in [0, 1]")
     except (FormatError, DataValidationError) as e:
         raise type(e)(f"{where}: {e}") from None
@@ -359,7 +354,9 @@ def load_manifest(path, *, maps: bool | dict = True) -> PredictionBundle:
     ``maps=False`` every tensor is still read and checked but none is kept,
     each one through one fixed-size buffer.  A dict ``maps`` keeps none but gets
     each map's ``(field, model, scale) -> (channels, rows)``, where
-    ``rows()`` opens the map again to be read by rows (``_tensor_rows``)."""
+    ``rows()`` opens the map again to be read by rows (``_tensor_rows``).
+    The load and those row reads check bytes through one ``_read_range``,
+    so a fault gives the same error whichever meets it."""
     p = Path(path)
     if not p.is_file():
         raise DataValidationError(f"manifest not found: {p}")

@@ -27,7 +27,12 @@ import numpy as np
 def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
                          higher: LogitMap) -> LogitMap:
     """Blend coarser logits into the next finer grid under their upsampled gate."""
-    _check_fold(lower, alpha, higher.channels)
+    if alpha.shape != lower.shape[:2]:
+        raise ShapeError(
+            f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
+    if lower.channels != higher.channels:
+        raise ShapeError(
+            f"channel counts differ: {lower.channels} vs {higher.channels}")
     ys, xs = _taps(lower.height, higher.height), _taps(lower.width, higher.width)
     out = np.empty_like(higher.data)
     for r0 in range(0, higher.height, _BAND_ROWS):
@@ -35,17 +40,6 @@ def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
         out[band] = _fold_rows(lower, alpha, higher.data[band],
                                [t[band] for t in ys], xs)
     return LogitMap._own(out)
-
-
-def _check_fold(lower: LogitMap, alpha: AttentionMap, channels: int) -> None:
-    """``alpha`` must gate ``lower`` on its grid, and ``lower`` must have
-    the finer level's ``channels``."""
-    if alpha.shape != lower.shape[:2]:
-        raise ShapeError(
-            f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
-    if lower.channels != channels:
-        raise ShapeError(
-            f"channel counts differ: {lower.channels} vs {channels}")
 
 
 def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,

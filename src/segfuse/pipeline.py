@@ -10,10 +10,12 @@ byte-identical outputs regardless of worker count.
 Each scale is fused in one pass over bands of ``_BAND_ROWS`` rows: each
 model's rows of logits are read from a map source, ensembled, gated and
 blended with the per-object maps that cross the band, and folded with the
-coarser level, upsampled over those rows alone.  The scale's output frame
-is the only whole frame the pass builds; the per-object maps are built
-before it, each instance rasterized only over the output window its box
-reaches.  The carving's softmax runs per band of region rows.
+coarser level, upsampled over those rows alone.  The same rows of the
+scale's alpha maps are read and averaged into its gate, but for the finest
+scale, whose gate no fold reads.  The scale's output frame and gate are the
+only whole frames the pass builds; the per-object maps are built before
+it, each instance rasterized only over the output window its box reaches.
+The carving's softmax runs per band of region rows.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (_blend_rows, _check_locals, attention_to_map,
-                        difference_matrix, local_attention, row_normalize)
+from .attention import (_blend_rows, attention_to_map, difference_matrix,
+                        local_attention, row_normalize)
 from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
@@ -37,7 +39,7 @@ from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
 from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _row_max,
                     _taps, argmax_channel, bilinear_resize, scaled_dim,
                     softmax_rows)
-from .hierarchy import _check_fold, _fold_rows
+from .hierarchy import _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     MaskInstance, expand_bbox, rle_encode, scale_box,
                     tight_bbox)
@@ -272,34 +274,18 @@ def _band_gate(ens: np.ndarray, r0: int,
     return attention_to_map(patches, rows, width, neutral=cfg.neutral_beta)
 
 
-def _mean_alpha(sub: PredictionBundle, alphas: dict[str, AttentionMap],
-                cfg: PipelineConfig) -> AttentionMap:
-    """The gate of ``sub``, the image at one scale: the float64 mean of
-    ``alphas``, by model, in ``sub.models`` order; else ``cfg.alpha_const``."""
-    present = [alphas[m] for m in sub.models if m in alphas]
+def _mean_alpha(models, alphas: dict[str, np.ndarray], shape: tuple,
+                cfg: PipelineConfig) -> np.ndarray:
+    """Rows of the gate of one scale, of ``shape``: the float64 mean of
+    ``alphas``, those rows of the scale's alpha maps by model, in
+    ``models`` order, clipped to [0, 1] and rounded to float32; else
+    ``cfg.alpha_const``.  Each pixel's mean is its own, so the rows the
+    gate is built by change no byte."""
+    present = [alphas[m] for m in models if m in alphas]
     if not present:
-        scale = sub.scales[0]
-        return AttentionMap.full(scaled_dim(sub.height, scale),
-                                 scaled_dim(sub.width, scale), cfg.alpha_const)
-    acc = present[0].data.astype(np.float64)
-    for a in present[1:]:
-        acc = acc + a.data.astype(np.float64)
-    acc = acc / len(present)
-    return AttentionMap._own(np.clip(acc, 0.0, 1.0).astype(np.float32))
-
-
-def _read_alphas(maps: dict, sub: PredictionBundle) -> dict[str, AttentionMap]:
-    """The alpha maps of ``sub``, the image at one scale, by model, each
-    read from a map source over all its rows."""
-    scale = sub.scales[0]
-    alphas = {}
-    for (field, model, s), (_, rows) in maps.items():
-        if (field, s) == ("alpha_maps", scale):
-            with rows() as read:
-                data = read(0, scaled_dim(sub.height, scale))
-            data.shape = data.shape[:2]  # in place: a view would not own it
-            alphas[model] = AttentionMap._own(data, checked=True)
-    return alphas
+        return np.full(shape, cfg.alpha_const, dtype=np.float32)
+    acc = sum(present[1:], present[0].astype(np.float64))
+    return np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
 
 
 @contextmanager
@@ -312,18 +298,21 @@ def _grid_rows(grid):
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 cfg: PipelineConfig, workers: int,
-                coarser: tuple[LogitMap, AttentionMap] | None = None
-                ) -> LogitMap:
-    """The fused frame of ``sub``, the image at one scale, under that
-    scale's ``weights``, with ``coarser``, the next coarser level's folded
-    frame and gate, folded in when given.
+                coarser: tuple[LogitMap, AttentionMap] | None = None,
+                finest: bool = False
+                ) -> tuple[LogitMap, AttentionMap | None]:
+    """The level of ``sub``, the image at one scale: its fused frame under
+    that scale's ``weights``, with ``coarser``, the next coarser level,
+    folded in when given, and its gate, the ``_mean_alpha`` of its alpha
+    maps, or None when it is the ``finest``, whose gate no fold reads.
 
     The per-object maps are built first.  Then one pass over bands of
     ``_BAND_ROWS`` rows reads each model's rows of logits from ``maps``,
     ensembles them, gates and blends them with the per-object maps that
     cross the band, and folds in the coarser level upsampled over those
-    rows.  Each logit map is opened once, and the output frame is the only
-    whole frame the pass builds."""
+    rows; it reads the same rows of the alpha maps for the gate.  Each map
+    is opened once, and the output frame and gate are the only whole
+    frames the pass builds."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -346,15 +335,17 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
 
     local_logits = list(zip(_pmap(_object_task, regions_s, workers),
                             regions_s.values()))
-    _check_locals(local_logits, sh, sw, channels)
     if coarser is not None:
         lower, alpha = coarser
-        _check_fold(lower, alpha, channels)
         ys, xs = _taps(lower.height, sh), _taps(lower.width, sw)
     out = np.empty((sh, sw, channels), dtype=np.float32)
+    gate = None if finest else np.empty((sh, sw), dtype=np.float32)
     with ExitStack() as stack:
-        reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
-                 for m in sub.models}
+        def opened(field: str) -> dict:
+            return {m: stack.enter_context(maps[field, m, scale][1]())
+                    for m in sub.models if (field, m, scale) in maps}
+        reads = opened("logit_maps")
+        alphas = {} if finest else opened("alpha_maps")
         for r0 in range(0, sh, _BAND_ROWS):
             r1 = min(r0 + _BAND_ROWS, sh)
             ens = _fuse_global(
@@ -368,7 +359,11 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 band = _fold_rows(lower, alpha, band,
                                   [t[r0:r1] for t in ys], xs)
             out[r0:r1] = band
-    return LogitMap._own(out)
+            if not finest:
+                gate[r0:r1] = _mean_alpha(
+                    sub.models, {m: read(r0, r1) for m, read in alphas.items()},
+                    (r1 - r0, sw, 1), cfg)[:, :, 0]
+    return LogitMap._own(out), None if finest else AttentionMap._own(gate)
 
 
 @dataclass(frozen=True)
@@ -384,9 +379,9 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  maps: dict | None = None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
     ``workers`` threads run the per-object stage.  Each scale is fused in
-    one pass of row bands, which reads its logit maps band by band and
-    folds in the coarser level; then its alpha maps are read whole for its
-    gate, but the finest scale has no gate.  Maps are read from ``maps`` as
+    one pass of row bands, which reads its logit and alpha maps band by
+    band and folds in the coarser level; the finest scale has no gate, so
+    its alpha maps are not read.  Maps are read from ``maps`` as
     ``load_manifest(path, maps={})`` fills it, or else from the bundle."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
@@ -418,11 +413,10 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
     level = None
-    for sub in subs[:-1]:
-        frame = _fuse_scale(sub, maps, weights, cfg, workers, level)
-        level = frame, _mean_alpha(sub, _read_alphas(maps, sub), cfg)
-    final = _fuse_scale(subs[-1], maps, weights, cfg, workers, level)
-    final_ref = bilinear_resize(final, height, width)
+    for sub in subs:
+        level = _fuse_scale(sub, maps, weights, cfg, workers, level,
+                            finest=sub is subs[-1])
+    final_ref = bilinear_resize(level[0], height, width)
     labels = argmax_channel(final_ref)
 
     carved = PredictionBundle(

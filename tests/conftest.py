@@ -39,6 +39,16 @@ def block_mask(h, w, y0, y1, x0, x1):
     return bits
 
 
+def signed_zeros(rng, a, share=0.5):
+    """A copy of ``a`` with about ``share`` of its entries set to +0.0 or
+    -0.0 at random: the ties on which ``np.minimum``/``np.maximum`` and
+    Python's ``min``/``max`` keep different zeros."""
+    out = np.array(a)
+    pick = rng.random(out.shape) < share
+    out[pick] = rng.choice(np.array([0.0, -0.0], out.dtype), size=pick.sum())
+    return out
+
+
 def traced_peak_ratio(fn, *args):
     """Traced allocation peak of ``fn(*args)`` above what was held before
     the call, as a multiple of the size of the grid it returns."""

@@ -31,6 +31,17 @@ from segfuse.masks import COMPONENT_GAIN, COMPONENT_IDS
 F32 = np.float32
 
 
+def _lesser(x, y):
+    """min(x, y) as ``np.minimum`` takes it: on a tie, such as +0.0 against
+    -0.0, the second operand wins (Python's ``min`` keeps the first)."""
+    return x if x < y else y
+
+
+def _greater(x, y):
+    """max(x, y) as ``np.maximum`` takes it: the second operand wins a tie."""
+    return x if x > y else y
+
+
 def bilinear_ref(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Per-output-pixel half-pixel-center bilinear resample (scalar loops)."""
     in_h, in_w, channels = src.shape
@@ -146,9 +157,9 @@ def weighted_average_ref(arrays: list[np.ndarray], coeffs: list) -> np.ndarray:
         for a, w in zip(flat[1:], ws[1:]):
             v = float(a[i])
             acc = acc + v * float(w[i])
-            lo = min(lo, v)
-            hi = max(hi, v)
-        flat_out[i] = min(max(acc, lo), hi)
+            lo = _lesser(lo, v)
+            hi = _greater(hi, v)
+        flat_out[i] = _lesser(_greater(acc, lo), hi)
     return out
 
 
@@ -187,14 +198,14 @@ def object_gate_ref(g: np.ndarray, l: np.ndarray, f: float) -> np.ndarray:
 
 
 def gated_blend_ref(a, b, gate):
-    """One pixel of a * g + b * (1 - g) in float32 with the envelope clamp."""
+    """One pixel of a * g + b * (1 - g) in float32 with the envelope clamp,
+    whose ties go to the second operand, as in ``weighted_average``."""
     a = F32(a)
     b = F32(b)
     g = F32(gate)
     out = F32(F32(a * g) + F32(b * F32(F32(1.0) - g)))
-    lo = min(a, b)
-    hi = max(a, b)
-    return min(max(out, lo), hi)
+    lo, hi = _lesser(a, b), _greater(a, b)
+    return _lesser(_greater(out, lo), hi)
 
 
 def fuse_global_local_ref(gdata: np.ndarray, locals_: list, beta: np.ndarray) -> np.ndarray:
@@ -225,7 +236,7 @@ def fuse_adjacent_ref(lower_logits: np.ndarray, lower_alpha: np.ndarray,
     out = np.empty((h, w, c), dtype=np.float32)
     for y in range(h):
         for x in range(w):
-            g = min(max(up_alpha[y, x], F32(0.0)), F32(1.0))
+            g = _lesser(_greater(up_alpha[y, x], F32(0.0)), F32(1.0))
             for ch in range(c):
                 out[y, x, ch] = gated_blend_ref(up[y, x, ch], higher[y, x, ch], g)
     return out

@@ -14,6 +14,7 @@ from segfuse.errors import (DataValidationError, DegenerateAttentionError,
 from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap
 from segfuse.masks import BBox
 
+from conftest import signed_zeros
 from reference import fuse_global_local_ref
 
 
@@ -193,18 +194,21 @@ class TestFuseGlobalLocal:
         assert (out.data <= np.maximum(g.data, lsum)).all()
 
     def test_matches_scalar_oracle_bitwise(self, rng):
-        g = rng.normal(scale=3.0, size=(8, 8, 5)).astype(np.float32)
-        p1 = rng.normal(scale=3.0, size=(3, 4, 5)).astype(np.float32)
-        p2 = rng.normal(scale=3.0, size=(4, 3, 5)).astype(np.float32)
+        g = signed_zeros(rng, rng.normal(scale=3.0, size=(8, 8, 5))
+                         .astype(np.float32))
+        p1 = signed_zeros(rng, rng.normal(scale=3.0, size=(3, 4, 5))
+                          .astype(np.float32))
+        p2 = signed_zeros(rng, rng.normal(scale=3.0, size=(4, 3, 5))
+                          .astype(np.float32))
         boxes = [BBox(0, 0, 4, 3), BBox(4, 4, 7, 8)]
-        beta = rng.uniform(size=(8, 8)).astype(np.float32)
+        beta = signed_zeros(rng, rng.uniform(size=(8, 8)).astype(np.float32))
         got = fuse_global_local(
             LogitMap.from_array(g),
             [(LogitMap.from_array(p1), boxes[0]),
              (LogitMap.from_array(p2), boxes[1])],
             AttentionMap.from_array(beta))
         want = fuse_global_local_ref(g, [(p1, boxes[0]), (p2, boxes[1])], beta)
-        assert np.array_equal(got.data, want)
+        assert got.data.tobytes() == want.tobytes()
 
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
@@ -225,10 +229,12 @@ class TestFuseGlobalLocal:
         boxes = [BBox(0, 10, 4, _BAND_ROWS + 6), BBox(2, 30, 6, h - 8),
                  BBox(1, _BAND_ROWS - 1, 3, _BAND_ROWS + 1),
                  BBox(0, 2 * _BAND_ROWS + 3, 6, 2 * _BAND_ROWS + 9)]
-        g = rng.normal(scale=3.0, size=(h, w, c)).astype(np.float32)
-        patches = [rng.normal(scale=3.0, size=(b.height, b.width, c)).astype(
-            np.float32) for b in boxes]
-        beta = rng.uniform(size=(h, w)).astype(np.float32)
+        g = signed_zeros(rng, rng.normal(scale=3.0, size=(h, w, c))
+                         .astype(np.float32))
+        patches = [signed_zeros(rng, rng.normal(
+            scale=3.0, size=(b.height, b.width, c)).astype(np.float32))
+            for b in boxes]
+        beta = signed_zeros(rng, rng.uniform(size=(h, w)).astype(np.float32))
         got = fuse_global_local(
             LogitMap.from_array(g),
             [(LogitMap.from_array(p), b) for p, b in zip(patches, boxes)],

@@ -791,10 +791,9 @@ def _poke_header(path, **dims):
 
 class TestPipelineReadsEachScaleWhenItFusesIt:
     """``pipeline`` checks every tensor of its image manifest on load but
-    keeps none; each scale's logit maps are read again band by band by the
-    pass that fuses that scale, and no logit map is held whole.  Its alpha
-    maps are read again after its frame is built, but for the finest scale:
-    the finest level has no gate, so its alpha maps are checked on load only."""
+    keeps none; each scale's logit and alpha maps are read again band by
+    band by the pass that fuses that scale, and no map is held whole.  The
+    finest level has no gate, so its alpha maps are checked on load only."""
 
     @pytest.fixture(scope="class")
     def dense(self, tmp_path_factory):
@@ -875,16 +874,22 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
     @pytest.mark.parametrize("how, message", [
         ("truncated", r"payload is \d+ bytes, expected \d+"),
         ("nan-last-row", "payload contains non-finite values"),
+        ("alpha-nan-last-row", "payload contains non-finite values"),
+        ("alpha-above-one-last-row",
+         r"AttentionMap values must lie in \[0, 1\]"),
     ])
     def test_tensor_changed_between_bands_exits_two(self, tmp_path, capsys,
                                                      monkeypatch, dense, how,
                                                      message):
+        # a logit map at the finest scale, or an alpha map at scale 0.5,
+        # whose 128 rows are two bands
+        field = "alpha_maps" if how.startswith("alpha-") else "logit_maps"
         src = tmp_path / "src"
         shutil.copytree(dense[0].parent, src)
         image = src / dense[0].name
         doc = json.loads(image.read_text())
-        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
-                      if r["scale"] == 1.0)
+        k, rec = next((k, r) for k, r in enumerate(doc[field])
+                      if r["scale"] == (0.5 if field == "alpha_maps" else 1.0))
         target = (src / rec["path"]).resolve()
         h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
         assert h > _BAND_ROWS
@@ -899,7 +904,8 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                     del blob[-4:]
                 else:
                     at = 24 + (h - 1) * w * c * 4
-                    blob[at:at + 4] = struct.pack("<f", float("nan"))
+                    bad = 1.5 if "above-one" in how else float("nan")
+                    blob[at:at + 4] = struct.pack("<f", bad)
                 target.write_bytes(bytes(blob))
             return band
 
@@ -910,7 +916,7 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                      "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert re.search(rf"logit_maps\[{k}\]: .*{message}", captured.err), \
+        assert re.search(rf"{field}\[{k}\]: .*{message}", captured.err), \
             captured.err
         assert "wrote" not in captured.out
         assert not out.exists()
@@ -983,9 +989,6 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                         continue
                     height = struct.unpack("<I", path.read_bytes()[8:12])[0]
                     got = bands[path]
-                    if field == "alpha_maps":  # read whole, for its mean
-                        assert got == [(0, height)]
-                        continue
                     # bands of at most _BAND_ROWS rows, in order, each row
                     # read once
                     assert got[0][0] == 0 and got[-1][1] == height

@@ -16,7 +16,7 @@ from segfuse.errors import DataValidationError, FormatError
 from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_attention_map,
                              load_manifest, load_tensor, save_manifest,
                              save_tensor, write_overlay)
-from segfuse.grids import AttentionMap, LogitMap, scaled_dim
+from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, scaled_dim
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
@@ -538,6 +538,34 @@ class TestChunkedCheck:
                 load_manifest(path, maps=maps)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1]
+        assert errors[0][0] is kind and re.fullmatch(message, errors[0][1]), \
+            errors[0]
+
+    @pytest.mark.parametrize("how", ["nan-in-last-chunk",
+                                     "alpha-above-one-in-last-chunk"])
+    def test_band_read_raises_what_the_load_raises(self, tmp_path, rng, how):
+        # the band reader and the load share one checked range read: the
+        # same fault gives the same error, record name included
+        path = _large_manifest(tmp_path, self.SIDE, rng)[0]
+        logits = tmp_path / "tensors" / "m0_s1.0_logits.tns"
+        alpha = tmp_path / "tensors" / "m0_s1.0_alpha.tns"
+        self._break(logits, alpha, how)
+        field = "alpha_maps" if how.startswith("alpha") else "logit_maps"
+        [rec] = json.loads(path.read_text())[field]
+        shape = (self.SIDE, self.SIDE, 1 if field == "alpha_maps" else 5)
+        errors = []
+        for maps in (True, False):
+            with pytest.raises((FormatError, DataValidationError)) as caught:
+                load_manifest(path, maps=maps)
+            errors.append((type(caught.value), str(caught.value)))
+        with pytest.raises((FormatError, DataValidationError)) as caught:
+            with formats._tensor_rows(path.parent / rec["path"], f"{field}[0]",
+                                      field == "alpha_maps", shape) as read:
+                for r0 in range(0, self.SIDE, _BAND_ROWS):
+                    read(r0, min(r0 + _BAND_ROWS, self.SIDE))
+        errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1] == errors[2]
+        kind, message = self.ERRORS[how]
         assert errors[0][0] is kind and re.fullmatch(message, errors[0][1]), \
             errors[0]
 

@@ -11,7 +11,7 @@ from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
                            bilinear_resize, scaled_dim, softmax_rows)
 from segfuse.hierarchy import fuse_adjacent_scales
 
-from conftest import traced_peak_ratio
+from conftest import signed_zeros, traced_peak_ratio
 from reference import (bilinear_gather_ref, bilinear_ref, fuse_adjacent_ref,
                        gated_blend_ref)
 
@@ -245,16 +245,17 @@ class TestGatedBlend:
     @pytest.mark.parametrize("gate_ndim", [2, 3])
     def test_matches_scalar_reference_across_bands(self, rng, gate_ndim):
         shape = (130, 4, 3)
-        a = rng.normal(size=shape).astype(np.float32)
-        b = rng.normal(size=shape).astype(np.float32)
+        a = signed_zeros(rng, rng.normal(size=shape).astype(np.float32))
+        b = signed_zeros(rng, rng.normal(size=shape).astype(np.float32))
         g = rng.uniform(size=shape[:gate_ndim]).astype(np.float32)
         g.flat[::7] = 0.0
         g.flat[3::7] = 1.0
         out = gated_blend(a, b, g)
         assert out.shape == shape and out.dtype == np.float32
         g3 = g if gate_ndim == 3 else np.broadcast_to(g[..., None], shape)
-        for idx in np.ndindex(shape):
-            assert out[idx] == gated_blend_ref(a[idx], b[idx], g3[idx])
+        for idx in np.ndindex(shape):  # bytes, so a zero's sign counts
+            assert (out[idx].tobytes()
+                    == gated_blend_ref(a[idx], b[idx], g3[idx]).tobytes())
 
     def test_peak_memory_bounded_by_bands(self, rng):
         a = rng.normal(size=(512, 512, 5)).astype(np.float32)
@@ -265,9 +266,12 @@ class TestGatedBlend:
 
 class TestFuseAdjacentAcrossBands:
     def test_matches_reference_65_to_130_rows(self, rng):
-        lower = rng.normal(scale=3.0, size=(65, 3, 2)).astype(np.float32)
-        alpha = rng.uniform(size=(65, 3)).astype(np.float32)
-        higher = rng.normal(scale=3.0, size=(130, 6, 2)).astype(np.float32)
+        # mostly signed zeros, so that many upsampled pixels are zeros too
+        lower = signed_zeros(rng, rng.normal(scale=3.0, size=(65, 3, 2))
+                             .astype(np.float32), share=0.8)
+        alpha = signed_zeros(rng, rng.uniform(size=(65, 3)).astype(np.float32))
+        higher = signed_zeros(rng, rng.normal(scale=3.0, size=(130, 6, 2))
+                              .astype(np.float32))
         got = fuse_adjacent_scales(LogitMap.from_array(lower),
                                    AttentionMap.from_array(alpha),
                                    LogitMap.from_array(higher))

@@ -12,6 +12,7 @@ from segfuse.formats import save_manifest
 from segfuse.grids import AttentionMap, LogitMap
 from segfuse.hierarchy import fuse_adjacent_scales, run_inference_chain
 
+from conftest import signed_zeros
 from reference import chain_ref, fuse_adjacent_ref
 
 
@@ -159,11 +160,12 @@ class TestRunInferenceChain:
 
 class TestAdjacentOracle:
     def test_single_step_bitwise(self, rng):
-        lower_logits = rng.normal(size=(3, 5, 2)).astype(np.float32)
-        alpha = rng.uniform(size=(3, 5)).astype(np.float32)
-        higher = rng.normal(size=(7, 9, 2)).astype(np.float32)
+        lower_logits = signed_zeros(
+            rng, rng.normal(size=(3, 5, 2)).astype(np.float32), share=0.8)
+        alpha = signed_zeros(rng, rng.uniform(size=(3, 5)).astype(np.float32))
+        higher = signed_zeros(rng, rng.normal(size=(7, 9, 2)).astype(np.float32))
         got = fuse_adjacent_scales(LogitMap.from_array(lower_logits),
                                    AttentionMap.from_array(alpha),
                                    LogitMap.from_array(higher))
-        assert np.array_equal(got.data, fuse_adjacent_ref(lower_logits, alpha,
-                                                          higher))
+        assert got.data.tobytes() == fuse_adjacent_ref(lower_logits, alpha,
+                                                       higher).tobytes()

@@ -11,6 +11,7 @@ from segfuse import pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
+from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
 from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, bilinear_resize
 from segfuse.hierarchy import fuse_adjacent_scales
@@ -136,24 +137,65 @@ def test_logit_map_off_its_scale_grid_is_named():
         replace(bundle, logit_maps=maps)
 
 
-@pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
-def test_mean_alpha_over_present_maps_matches_reference(dropped):
-    sub = generate(5, scales=(0.5, 1.0)).with_scale(0.5)
-    by_model = {m: a for (m, _), a in sub.alpha_maps.items()}
-    # keyed in reverse model order; the reference below sums in model order
-    alphas = {m: by_model[m] for m in reversed(sub.models) if m not in dropped}
-    got = _mean_alpha(sub, alphas, PipelineConfig())
-    # float64 mean of the present maps in model order, clipped, then float32
-    present = [by_model[m].data for m in sub.models if m not in dropped]
+def _mean_ref(present):
+    """The float64 mean of whole alpha maps in the given order, clipped,
+    then rounded to float32."""
     acc = present[0].astype(np.float64)
     for a in present[1:]:
         acc = acc + a.astype(np.float64)
-    ref = np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
-    assert got.data.tobytes() == ref.tobytes()
-    full = _mean_alpha(sub, by_model, PipelineConfig())
-    assert got.data.tobytes() != full.data.tobytes()
-    const = _mean_alpha(sub, {}, PipelineConfig(alpha_const=0.25))
-    assert const.data.tobytes() == np.full((48, 64), 0.25, np.float32).tobytes()
+    return np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
+def test_mean_alpha_over_present_maps_matches_reference(dropped):
+    sub = generate(5, scales=(0.5, 1.0)).with_scale(0.5)
+    by_model = {m: a.data for (m, _), a in sub.alpha_maps.items()}
+    # keyed in reverse model order; the reference below sums in model order
+    alphas = {m: by_model[m] for m in reversed(sub.models) if m not in dropped}
+    got = _mean_alpha(sub.models, alphas, (48, 64), PipelineConfig())
+    ref = _mean_ref([by_model[m] for m in sub.models if m not in dropped])
+    assert got.tobytes() == ref.tobytes()
+    full = _mean_alpha(sub.models, by_model, (48, 64), PipelineConfig())
+    assert got.tobytes() != full.tobytes()
+    const = _mean_alpha(sub.models, {}, (48, 64),
+                        PipelineConfig(alpha_const=0.25))
+    assert const.tobytes() == np.full((48, 64), 0.25, np.float32).tobytes()
+
+
+@pytest.mark.parametrize("alphas", ["all", "one-missing", "none"])
+@pytest.mark.parametrize("rows", [1, 63, _BAND_ROWS, 65, 2 * _BAND_ROWS + 1])
+def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
+                                                  rows, alphas):
+    # the coarser scale's grid has ``rows`` rows, so its gate is built from
+    # one band, from whole bands, or from whole bands and one row more
+    height, scale = (16, 0.0625) if rows == 1 else (2 * rows, 0.5)
+    bundle = generate(3, objects=1, height=height, width=16,
+                      scales=(scale, 1.0))
+    keep = {"all": bundle.models, "one-missing": ("m0", "m2"),
+            "none": ()}[alphas]
+    # random gates: synth's are mirror-symmetric in rows, which would hide
+    # a band read from the mirrored rows
+    rng = np.random.default_rng(rows)
+    bundle = replace(bundle, alpha_maps={
+        k: AttentionMap.from_array(rng.uniform(size=a.shape).astype(np.float32))
+        for k, a in bundle.alpha_maps.items() if k[0] in keep})
+    path = save_manifest(bundle, tmp_path / "manifest.json")
+    maps = {}
+    loaded = load_manifest(path, maps=maps)
+    fuse_scale, levels = pipeline._fuse_scale, []
+
+    def recorded(*args, **kwargs):
+        levels.append(fuse_scale(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(pipeline, "_fuse_scale", recorded)
+    run_pipeline(loaded, None, PipelineConfig(weights_mode="uniform",
+                                              alpha_const=0.25), maps=maps)
+    (_, gate), (_, finest_gate) = levels
+    assert finest_gate is None and gate.shape == (rows, 8 if rows > 1 else 1)
+    want = (_mean_ref([bundle.alpha_maps[m, scale].data for m in keep])
+            if keep else np.full(gate.shape, 0.25, np.float32))
+    assert gate.data.tobytes() == want.tobytes()
 
 
 def test_evaluate_requires_ground_truth():
@@ -314,17 +356,18 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     rng = np.random.default_rng(height)
     fuse_scale, folds = pipeline._fuse_scale, []
 
-    def swapped(sub, maps, weights, cfg, workers, coarser=None):
+    def swapped(sub, maps, weights, cfg, workers, coarser=None, finest=False):
         if coarser is None:
-            return fuse_scale(sub, maps, weights, cfg, workers)
+            return fuse_scale(sub, maps, weights, cfg, workers, None, finest)
         shape = coarser[0].shape
         lower = LogitMap.from_array(rng.choice(
             np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=shape))
         alpha = AttentionMap.from_array(rng.choice(
             np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape[:2]))
-        finer = fuse_scale(sub, maps, weights, cfg, workers)
-        folded = fuse_scale(sub, maps, weights, cfg, workers, (lower, alpha))
-        folds.append((lower, alpha, finer, folded))
+        finer, _ = fuse_scale(sub, maps, weights, cfg, workers, None, finest)
+        folded = fuse_scale(sub, maps, weights, cfg, workers, (lower, alpha),
+                            finest)
+        folds.append((lower, alpha, finer, folded[0]))
         return folded
 
     monkeypatch.setattr(pipeline, "_fuse_scale", swapped)
