@@ -13,8 +13,8 @@ from pathlib import Path
 from .config import PipelineConfig
 from .errors import SegfuseError
 from .formats import load_manifest, save_manifest, write_json_report
-from .pipeline import (run_evaluate, run_fuse, run_pipeline,
-                       write_fuse_outputs, write_pipeline_outputs)
+from .pipeline import (_PipelineFiles, run_evaluate, run_fuse, run_pipeline,
+                       write_fuse_outputs)
 from .synth import generate
 
 
@@ -154,9 +154,13 @@ def _cmd_pipeline(args, parser) -> int:
     cfg = _config_from(args)
     maps = {}  # each scale's tensors are read again when it is fused
     bundle = load_manifest(args.manifest, maps=maps)
-    result = run_pipeline(bundle, _load_calib(args, parser, bundle), cfg,
-                          args.workers, maps)
-    for path in write_pipeline_outputs(result, args.out_dir):
+    calib = _load_calib(args, parser, bundle)
+    # the finest scale streams the frame, labels and overlay to files that
+    # are renamed into --out-dir only once every output is complete
+    with _PipelineFiles(args.out_dir) as files:
+        result = run_pipeline(bundle, calib, cfg, args.workers, maps, files)
+        paths = files.commit(result)
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

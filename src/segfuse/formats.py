@@ -59,12 +59,22 @@ def save_tensor(path, grid) -> None:
             arr = arr[:, :, None]
         if arr.ndim != 3:
             raise FormatError(f"tensor payload must be 2D or 3D, got ndim={arr.ndim}")
+    payload = _payload(arr)
+    with Path(path).open("wb") as f:
+        f.write(_tensor_header(*arr.shape))
+        f.write(payload)
+
+
+def _tensor_header(h: int, w: int, c: int) -> bytes:
+    return TENSOR_MAGIC + struct.pack("<4I", h, w, c, 0)
+
+
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """Some rows of a tensor payload, as the little-endian float32 array
+    that is written, once every value is checked finite."""
     if not np.isfinite(arr).all():
         raise DataValidationError("refusing to write non-finite tensor payload")
-    h, w, c = arr.shape
-    with Path(path).open("wb") as f:
-        f.write(TENSOR_MAGIC + struct.pack("<4I", h, w, c, 0))
-        f.write(np.ascontiguousarray(arr, dtype="<f4"))
+    return np.ascontiguousarray(arr, dtype="<f4")
 
 
 def _open_tensor(p: Path):
@@ -157,14 +167,23 @@ def write_overlay(height: int, width: int, labels: np.ndarray, path) -> None:
     a = np.asarray(labels)
     if a.shape != (height, width):
         raise FormatError(f"label grid shape {a.shape} != {(height, width)}")
-    if a.size and (a.min() < 0 or a.max() >= len(PALETTE)):
+    pixels = _overlay_pixels(a)
+    with Path(path).open("wb") as f:
+        f.write(_overlay_header(height, width))
+        f.write(pixels)
+
+
+def _overlay_header(height: int, width: int) -> bytes:
+    return f"P6\n{width} {height}\n255\n".encode("ascii")
+
+
+def _overlay_pixels(labels: np.ndarray) -> np.ndarray:
+    """The palette colours of some rows of a label grid, once every label is
+    checked to be a palette index."""
+    if labels.size and (labels.min() < 0 or labels.max() >= len(PALETTE)):
         raise DataValidationError(
             f"labels must lie in [0, {len(PALETTE) - 1}]")
-    lut = np.array(PALETTE, dtype=np.uint8)
-    pixels = lut[a.astype(np.int64, copy=False)]
-    with Path(path).open("wb") as f:
-        f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        f.write(pixels)
+    return np.array(PALETTE, dtype=np.uint8)[labels.astype(np.int64, copy=False)]
 
 
 def _instance_record(inst: MaskInstance, with_model: bool) -> dict:

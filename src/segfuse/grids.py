@@ -25,7 +25,9 @@ the package:
 - A same-size resample is that lerp at t = 0, which keeps every value but
   one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
   are both strictly negative, and becomes +0.0 otherwise.  The rule is
-  applied directly; the input grid itself comes back when no zero flips.
+  applied directly, by one row core, ``_same_size_rows``, that needs only
+  the row below the rows it is given; the input grid itself comes back
+  when no zero flips.
   The scale fold's row core lerps equal grids at t = 0 instead, band by
   band, which gives the same bytes.
 - Reductions across the channels of a row (sum, max, argmax) run as one
@@ -162,20 +164,30 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     if out_h < 1 or out_w < 1:
         raise DataValidationError("output dimensions must be positive")
     if (out_h, out_w) == (a.height, a.width):
-        # the lerp at t = 0 keeps every value but some -0.0 (see module notes)
-        d = a.data
-        ys, xs, cs = np.unravel_index(
-            np.flatnonzero((d == 0) & np.signbit(d)), d.shape)
-        flip = ~((d[ys, np.minimum(xs + 1, a.width - 1), cs] < 0)
-                 & (d[np.minimum(ys + 1, a.height - 1), xs, cs] < 0))
-        if not flip.any():
-            return a
-        out = d.copy()
-        out[ys[flip], xs[flip], cs[flip]] = 0.0
-        return LogitMap._own(out)
+        out = _same_size_rows(a.data, a.data[-1])
+        return a if out is a.data else LogitMap._own(out)
 
     return LogitMap._own(
         _lerp(a.data, _taps(a.height, out_h), _taps(a.width, out_w)))
+
+
+def _same_size_rows(rows: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """Some rows of a same-size resample: ``rows`` under the -0.0 rule (see
+    module notes), where ``below`` is the row under the last of them, or
+    that last row itself at the bottom edge, which clamps.  Returns ``rows``
+    itself when no zero flips, else a copy."""
+    ys, xs, cs = np.unravel_index(
+        np.flatnonzero((rows == 0) & np.signbit(rows)), rows.shape)
+    last = len(rows) - 1
+    under = np.where(ys < last, rows[np.minimum(ys + 1, last), xs, cs],
+                     below[xs, cs])
+    flip = ~((rows[ys, np.minimum(xs + 1, rows.shape[1] - 1), cs] < 0)
+             & (under < 0))
+    if not flip.any():
+        return rows
+    out = rows.copy()
+    out[ys[flip], xs[flip], cs[flip]] = 0.0
+    return out
 
 
 def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

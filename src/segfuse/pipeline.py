@@ -10,16 +10,28 @@ byte-identical outputs regardless of worker count.
 Each scale is fused in one pass over bands of ``_BAND_ROWS`` rows: each
 model's rows of logits are read from a map source, ensembled, gated and
 blended with the per-object maps that cross the band, and folded with the
-coarser level, upsampled over those rows alone.  The same rows of the
-scale's alpha maps are read and averaged into its gate, but for the finest
-scale, whose gate no fold reads.  The scale's output frame and gate are the
-only whole frames the pass builds; the per-object maps are built before
-it, each instance rasterized only over the output window its box reaches.
-The carving's softmax runs per band of region rows.
+coarser level, upsampled over those rows alone.  The same rows of a
+coarser scale's alpha maps are read and averaged into its gate; its frame
+and gate are the only whole frames its pass builds.  The per-object maps
+are built before each pass, each instance rasterized only over the output
+window its box reaches.
+
+The finest scale keeps no level.  Its pass hands each band to a sink:
+resampled to the reference grid (``_ReferenceRows``, one row of lookahead
+on equal grids), checked finite and labeled by its argmax (``_emit``).
+The in-memory sink (``_Frames``) fills the frame and labels that
+``PipelineResult`` returns; the CLI's file sink (``_PipelineFiles``)
+writes ``fused_logits.tns``, ``labels.tns`` and ``overlay.ppm`` band by
+band under a staging directory, and renames every output into the output
+directory only once all five are complete.  The carving reads its
+regions' rows back from the sink and takes its softmax per band of them.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -33,11 +45,13 @@ from .attention import (_blend_rows, attention_to_map, difference_matrix,
 from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
-from .formats import save_manifest, save_tensor, write_json_report, write_overlay
+from .formats import (_overlay_header, _overlay_pixels, _payload,
+                      _tensor_header, _tensor_rows, save_manifest,
+                      write_json_report)
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
 from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _row_max,
-                    _taps, argmax_channel, bilinear_resize, scaled_dim,
+                    _same_size_rows, _taps, argmax_channel, scaled_dim,
                     softmax_rows)
 from .hierarchy import _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
@@ -299,20 +313,20 @@ def _grid_rows(grid):
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 cfg: PipelineConfig, workers: int,
                 coarser: tuple[LogitMap, AttentionMap] | None = None,
-                finest: bool = False
-                ) -> tuple[LogitMap, AttentionMap | None]:
+                emit=None) -> tuple[LogitMap, AttentionMap] | None:
     """The level of ``sub``, the image at one scale: its fused frame under
     that scale's ``weights``, with ``coarser``, the next coarser level,
     folded in when given, and its gate, the ``_mean_alpha`` of its alpha
-    maps, or None when it is the ``finest``, whose gate no fold reads.
+    maps.  At the finest scale, whose gate no fold reads, ``emit(r0,
+    band)`` takes each band of the frame instead, and None is returned.
 
     The per-object maps are built first.  Then one pass over bands of
     ``_BAND_ROWS`` rows reads each model's rows of logits from ``maps``,
     ensembles them, gates and blends them with the per-object maps that
     cross the band, and folds in the coarser level upsampled over those
     rows; it reads the same rows of the alpha maps for the gate.  Each map
-    is opened once, and the output frame and gate are the only whole
-    frames the pass builds."""
+    is opened once, and the level's frame and gate are the only whole
+    frames the pass builds, and only when it keeps the level."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -338,14 +352,15 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     if coarser is not None:
         lower, alpha = coarser
         ys, xs = _taps(lower.height, sh), _taps(lower.width, sw)
-    out = np.empty((sh, sw, channels), dtype=np.float32)
-    gate = None if finest else np.empty((sh, sw), dtype=np.float32)
+    if emit is None:
+        out = np.empty((sh, sw, channels), dtype=np.float32)
+        gate = np.empty((sh, sw), dtype=np.float32)
     with ExitStack() as stack:
         def opened(field: str) -> dict:
             return {m: stack.enter_context(maps[field, m, scale][1]())
                     for m in sub.models if (field, m, scale) in maps}
         reads = opened("logit_maps")
-        alphas = {} if finest else opened("alpha_maps")
+        alphas = opened("alpha_maps") if emit is None else {}
         for r0 in range(0, sh, _BAND_ROWS):
             r1 = min(r0 + _BAND_ROWS, sh)
             ens = _fuse_global(
@@ -358,31 +373,187 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
             if coarser is not None:
                 band = _fold_rows(lower, alpha, band,
                                   [t[r0:r1] for t in ys], xs)
+            if emit is not None:
+                emit(r0, band)
+                continue
             out[r0:r1] = band
-            if not finest:
-                gate[r0:r1] = _mean_alpha(
-                    sub.models, {m: read(r0, r1) for m, read in alphas.items()},
-                    (r1 - r0, sw, 1), cfg)[:, :, 0]
-    return LogitMap._own(out), None if finest else AttentionMap._own(gate)
+            gate[r0:r1] = _mean_alpha(
+                sub.models, {m: read(r0, r1) for m, read in alphas.items()},
+                (r1 - r0, sw, 1), cfg)[:, :, 0]
+    if emit is None:
+        return LogitMap._own(out), AttentionMap._own(gate)
+    return None
+
+
+# output names in write order: the three frames the finest pass streams,
+# then the carving and the report
+_OUTPUTS = ("fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
+            "report.json")
+
+
+class _Frames:
+    """The in-memory sink: the reference-grid logits and label grid that
+    ``PipelineResult`` holds, filled a band of rows at a time."""
+
+    def start(self, height: int, width: int, channels: int) -> None:
+        self.logits = np.empty((height, width, channels), dtype=np.float32)
+        self.labels = np.empty((height, width), dtype=np.int64)
+
+    def write(self, r0: int, logits: np.ndarray, labels: np.ndarray) -> None:
+        self.logits[r0:r0 + len(logits)] = logits
+        self.labels[r0:r0 + len(labels)] = labels
+
+    @contextmanager
+    def rows(self):
+        """``read(r0, r1)``: rows [r0, r1) of the logits and of the labels."""
+        yield lambda r0, r1: (self.logits[r0:r1], self.labels[r0:r1])
+
+
+class _PipelineFiles:
+    """The file sink: the pipeline's outputs, written under their names in
+    a staging directory, the three frames a band of rows at a time, and
+    renamed into ``out_dir`` by ``commit`` once all five are complete.
+    Leaving the ``with`` block removes what is still staged, so a failed
+    run leaves ``out_dir`` as it was and no temporary behind."""
+
+    def __init__(self, out_dir) -> None:
+        self.out_dir = Path(out_dir)
+        self.staging = None
+        self.files = []
+
+    def __enter__(self) -> "_PipelineFiles":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._close()
+        if self.staging is not None:
+            shutil.rmtree(self.staging, ignore_errors=True)
+
+    def _close(self) -> None:
+        while self.files:
+            self.files.pop().close()
+
+    def start(self, height: int, width: int, channels: int) -> None:
+        # staged in out_dir, or where it would be made, so that the renames
+        # stay on one file system and a failed run makes no out_dir
+        anchor = next(p for p in (self.out_dir, *self.out_dir.parents)
+                      if p.is_dir())
+        self.staging = Path(tempfile.mkdtemp(prefix=".segfuse-", dir=anchor))
+        self.shape = (height, width, channels)
+        self.files = [(self.staging / name).open("wb") for name in _OUTPUTS[:3]]
+        for f, head in zip(self.files, (_tensor_header(height, width, channels),
+                                        _tensor_header(height, width, 1),
+                                        _overlay_header(height, width))):
+            f.write(head)
+
+    def write(self, r0: int, logits: np.ndarray, labels: np.ndarray) -> None:
+        logits_file, labels_file, overlay_file = self.files
+        logits_file.write(logits)
+        labels_file.write(labels.astype("<f4"))
+        overlay_file.write(_overlay_pixels(labels))
+
+    @contextmanager
+    def rows(self):
+        """``read(r0, r1)``: rows [r0, r1) of the logits and of the labels,
+        read back from the files written, each read checked as a band read
+        of an input map is (``formats._tensor_rows``)."""
+        self._close()
+        h, w, c = self.shape
+        logits_path, labels_path = (self.staging / n for n in _OUTPUTS[:2])
+        with _tensor_rows(logits_path, _OUTPUTS[0], False, (h, w, c)) as logits, \
+                _tensor_rows(labels_path, _OUTPUTS[1], False, (h, w, 1)) as labels:
+            yield lambda r0, r1: (logits(r0, r1), labels(r0, r1)[:, :, 0])
+
+    def commit(self, result: "PipelineResult") -> list[Path]:
+        """Write the carving and the report, then move all five outputs
+        into ``out_dir``; returns their paths, in write order."""
+        save_manifest(result.carved, self.staging / _OUTPUTS[3])
+        write_json_report(result.report, self.staging / _OUTPUTS[4])
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        paths = [self.out_dir / name for name in _OUTPUTS]
+        for name, path in zip(_OUTPUTS, paths):
+            os.replace(self.staging / name, path)
+        return paths
+
+
+def _emit(sink, r0: int, logits: np.ndarray,
+          labels: np.ndarray | None = None) -> None:
+    """Hand rows [r0, r0 + len(logits)) of the reference-grid logits to
+    ``sink`` with their labels, ``argmax_channel`` of the rows unless
+    given, once every value is checked as a tensor write checks it."""
+    logits = _payload(logits)
+    if labels is None:
+        labels = argmax_channel(LogitMap._own(logits, checked=True))
+    sink.write(r0, logits, labels)
+
+
+class _ReferenceRows:
+    """The finest level's bands, resampled to the reference grid as
+    ``bilinear_resize`` resamples a whole frame and handed to a sink.
+
+    On equal grids the same-size rule of a band's last row reads the row
+    below it, so each band waits for the first row of the next; the last
+    band's last row clamps to itself.  On other grids the level is kept
+    whole, and each reference band is lerped from it once it is complete.
+    Making one starts the sink."""
+
+    def __init__(self, sink, shape: tuple[int, int], height: int, width: int,
+                 channels: int) -> None:
+        self.sink, self.height, self.width = sink, height, width
+        self.same = shape == (height, width)
+        self.held = None
+        self.level = (None if self.same
+                      else np.empty((*shape, channels), dtype=np.float32))
+        sink.start(height, width, channels)
+
+    def add(self, r0: int, band: np.ndarray) -> None:
+        if not self.same:
+            self.level[r0:r0 + len(band)] = band
+            return
+        if self.held is not None:
+            _emit(self.sink, r0 - len(self.held),
+                  _same_size_rows(self.held, band[0]))
+        self.held = band
+
+    def close(self) -> None:
+        if self.same:
+            held, self.held = self.held, None
+            _emit(self.sink, self.height - len(held),
+                  _same_size_rows(held, held[-1]))
+            return
+        level, self.level = self.level, None
+        ys, xs = _taps(len(level), self.height), _taps(level.shape[1], self.width)
+        for r0 in range(0, self.height, _BAND_ROWS):
+            _emit(self.sink, r0,
+                  _lerp(level, [t[r0:r0 + _BAND_ROWS] for t in ys], xs))
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    final_logits: LogitMap            # at the reference grid
-    labels: np.ndarray                # argmax label ids, reference grid
+    """What ``run_pipeline`` returns; ``final_logits`` and ``labels`` are
+    None when the run streamed them to a file sink."""
+
+    final_logits: LogitMap | None     # at the reference grid
+    labels: np.ndarray | None         # argmax label ids, reference grid
     carved: PredictionBundle          # the label grid's instances, model "pipeline"
     report: dict
 
 
 def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  cfg: PipelineConfig, workers: int = 1,
-                 maps: dict | None = None) -> PipelineResult:
+                 maps: dict | None = None, sink=None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
     ``workers`` threads run the per-object stage.  Each scale is fused in
     one pass of row bands, which reads its logit and alpha maps band by
     band and folds in the coarser level; the finest scale has no gate, so
     its alpha maps are not read.  Maps are read from ``maps`` as
-    ``load_manifest(path, maps={})`` fills it, or else from the bundle."""
+    ``load_manifest(path, maps={})`` fills it, or else from the bundle.
+
+    The finest pass hands each band, resampled to the reference grid, with
+    its argmax labels, to ``sink``: by default an in-memory one, whose
+    frame and labels the result holds, or the CLI's ``_PipelineFiles``,
+    which writes them to files; the carving reads its regions' rows back
+    from the sink."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
     if maps is None:
@@ -412,17 +583,22 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     weights, weights_records = _fusion_weights(bundle, calib, cfg, {
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
-    level = None
+    frames = _Frames() if sink is None else sink
+    finest = bundle.scales[-1]
+    final = _ReferenceRows(frames, (scaled_dim(height, finest),
+                                    scaled_dim(width, finest)),
+                           height, width, channels[0])
+    level = None  # the finest scale streams to the sink and returns None
     for sub in subs:
         level = _fuse_scale(sub, maps, weights, cfg, workers, level,
-                            finest=sub is subs[-1])
-    final_ref = bilinear_resize(level[0], height, width)
-    labels = argmax_channel(final_ref)
+                            final.add if sub is subs[-1] else None)
+    final.close()
 
+    with frames.rows() as rows:
+        instances = _label_instances(bundle, rows, cfg)
     carved = PredictionBundle(
         image_id=bundle.image_id, height=height, width=width,
-        models=(PIPELINE_MODEL_ID,), scales=(1.0,),
-        instances=_label_instances(bundle, final_ref, labels, cfg),
+        models=(PIPELINE_MODEL_ID,), scales=(1.0,), instances=instances,
         ground_truth=bundle.ground_truth)
     report = {
         "schema_version": 1,
@@ -432,11 +608,13 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         "weights": weights_records,
         "ap": _evaluation_records(carved, cfg),
     }
-    return PipelineResult(final_ref, labels, carved, report)
+    if sink is not None:
+        return PipelineResult(None, None, carved, report)
+    return PipelineResult(LogitMap._own(frames.logits, checked=True),
+                          frames.labels, carved, report)
 
 
-def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
-                     labels: np.ndarray, cfg: PipelineConfig
+def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
                      ) -> tuple[MaskInstance, ...]:
     """Carve the final label grid into per-object component instances.
 
@@ -447,27 +625,33 @@ def _label_instances(bundle: PredictionBundle, final_ref: LogitMap,
     each region's logits.  Where two regions overlap, a labeled pixel is
     carved into both objects' instances.
 
-    The softmax runs per band of ``_BAND_ROWS`` region rows.  Each
-    component's selected tail probabilities are gathered in row order and
-    averaged by one ``np.mean``, so the score is that of the whole region.
+    ``rows(r0, r1)`` reads rows [r0, r1) of the reference-grid logits and
+    labels, a band of ``_BAND_ROWS`` region rows at a time, and the softmax
+    runs per band.  Each component's selected tail probabilities are
+    gathered in row order and averaged by one ``np.mean``, so the score is
+    that of the whole region.
     """
     out = []
     for oid, region in _object_regions(bundle, cfg).items():
+        cols = region.slices[1]
         picked = {comp: [] for comp in COMPONENTS}
+        region_labels = []
         for r0 in range(region.y0, region.y1, _BAND_ROWS):
-            band = slice(r0, min(r0 + _BAND_ROWS, region.y1)), region.slices[1]
+            logits, labels = rows(r0, min(r0 + _BAND_ROWS, region.y1))
+            logits, labels = logits[:, cols], labels[:, cols]
+            channels = logits.shape[2]
             # tail_probs[:, c] = P(label >= c): the component-or-deeper
             # probability, summed from the last channel down one column at
             # a time
-            tail_probs = softmax_rows(
-                final_ref.data[band].reshape(-1, final_ref.channels))
-            for ch in range(final_ref.channels - 2, -1, -1):
+            tail_probs = softmax_rows(logits.reshape(-1, channels))
+            for ch in range(channels - 2, -1, -1):
                 tail_probs[:, ch] += tail_probs[:, ch + 1]
-            band_labels = labels[band].ravel()
+            band_labels = labels.ravel()
             for comp in COMPONENTS:
                 ch = COMPONENT_IDS[comp]
                 picked[comp].append(tail_probs[:, ch][band_labels >= ch])
-        region_labels = labels[region.slices]
+            region_labels.append(labels)
+        region_labels = np.concatenate(region_labels)
         for comp in COMPONENTS:
             bits = region_labels >= COMPONENT_IDS[comp]
             if not bits.any():
@@ -504,18 +688,17 @@ def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
 
 
 def write_pipeline_outputs(result: PipelineResult, out_dir) -> list[Path]:
-    """Returns the paths written, in write order."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    logits, labels, overlay = (out_dir / name for name in
-                               ("fused_logits.tns", "labels.tns", "overlay.ppm"))
-    save_tensor(logits, result.final_logits)
-    save_tensor(labels, result.labels.astype(np.float32)[:, :, None])
-    write_overlay(result.carved.height, result.carved.width, result.labels,
-                  overlay)
-    return [logits, labels, overlay,
-            save_manifest(result.carved, out_dir / "instances.json"),
-            write_json_report(result.report, out_dir / "report.json")]
+    """Write an in-memory result's outputs into ``out_dir`` through the file
+    sink the CLI streams to: its frame and labels a band of rows at a time,
+    renamed into ``out_dir`` once all five are complete.  Returns the paths
+    written, in write order."""
+    with _PipelineFiles(out_dir) as files:
+        height, width, channels = result.final_logits.shape
+        files.start(height, width, channels)
+        for r0 in range(0, height, _BAND_ROWS):
+            band = slice(r0, r0 + _BAND_ROWS)
+            _emit(files, r0, result.final_logits.data[band], result.labels[band])
+        return files.commit(result)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ from segfuse.cli import build_parser, main
 from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
-                             save_tensor)
+                             save_tensor, write_json_report, write_overlay)
 from segfuse.grids import _BAND_ROWS, LogitMap
 from segfuse.masks import COMPONENTS, BBox, scale_box
+from segfuse.pipeline import run_pipeline, write_pipeline_outputs
 
 from conftest import block_mask, make_instance
 from reference import local_map_ref
@@ -994,7 +995,13 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                     assert got[0][0] == 0 and got[-1][1] == height
                     assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
                     assert all(0 < r1 - r0 <= _BAND_ROWS for r0, r1 in got)
-        assert len(loads) == 36 and len(opens) == len(bands) == 15
+        # the carving reads rows back from the two frame files it staged,
+        # which are gone once renamed into --out-dir
+        staged = [p for p in bands if p.parent.name.startswith(".segfuse-")]
+        assert sorted(p.name for p in staged) == ["fused_logits.tns",
+                                                  "labels.tns"]
+        assert not any(p.parent.exists() for p in staged)
+        assert len(loads) == 36 and len(opens) == len(bands) - 2 == 15
 
     def test_run_pipeline_peak_is_under_4_5_frames(
             self, tmp_path, monkeypatch):
@@ -1042,6 +1049,158 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak
+
+    @pytest.mark.parametrize("prior", ["none", "earlier-run", "file"])
+    def test_failed_finest_pass_leaves_out_dir_as_it_was(
+            self, tmp_path, capsys, monkeypatch, dense, prior):
+        # a scale-1.0 logit map whose last row turns NaN after the load: the
+        # finest pass fails at its last band, after the sink has written
+        # the bands before it
+        image, calib = dense
+        src = tmp_path / "src"
+        shutil.copytree(image.parent, src)
+        image = src / image.name
+        doc = json.loads(image.read_text())
+        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
+                      if r["scale"] == 1.0)
+        target = (src / rec["path"]).resolve()
+        h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
+        assert h > 2 * _BAND_ROWS
+        out = tmp_path / "out"
+        if prior == "earlier-run":
+            assert main(["pipeline", str(image), "--calib", str(calib),
+                         "--out-dir", str(out)]) == 0
+        elif prior == "file":
+            out.write_bytes(b"not a directory")
+
+        def state():
+            if out.is_dir():
+                return _tree_bytes(out)
+            return out.read_bytes() if out.exists() else None
+        before = state()
+        read_rows, written = formats._read_rows, []
+
+        def read_then_changed(f, path, *args):
+            band = read_rows(f, path, *args)
+            if Path(path).resolve() == target and args[-2] == 0:
+                blob = bytearray(target.read_bytes())
+                at = 24 + (h - 1) * w * c * 4
+                blob[at:at + 4] = struct.pack("<f", float("nan"))
+                target.write_bytes(bytes(blob))
+            return band
+
+        write = pipeline._PipelineFiles.write
+
+        def counted_write(files, r0, *args):
+            written.append(r0)
+            return write(files, r0, *args)
+
+        monkeypatch.setattr(formats, "_read_rows", read_then_changed)
+        monkeypatch.setattr(pipeline._PipelineFiles, "write", counted_write)
+        capsys.readouterr()
+        assert main(["pipeline", str(image), "--calib", str(calib),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert re.search(rf"logit_maps\[{k}\]: .*payload contains "
+                         r"non-finite values", captured.err), captured.err
+        assert "wrote" not in captured.out
+        assert written == [0, _BAND_ROWS]
+        assert state() == before
+        assert not list(tmp_path.rglob(".segfuse-*"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["out", "src"] if prior != "none" else ["src"])
+
+    def test_out_dir_that_is_a_file_fails_after_the_run(self, tmp_path,
+                                                       capsys, dense):
+        # the outputs are staged beside it, then making the directory fails
+        image, calib = dense
+        out = tmp_path / "out"
+        out.write_bytes(b"not a directory")
+        capsys.readouterr()
+        assert main(["pipeline", str(image), "--calib", str(calib),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "File exists" in captured.err and "wrote" not in captured.out
+        assert out.read_bytes() == b"not a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+class TestPipelineStreamsTheFinestScale:
+    """The finest scale's band pass writes the reference-grid logits, labels
+    and overlay to files band by band, and the carving reads them back; the
+    library's ``run_pipeline`` fills the same bands into memory."""
+
+    def test_finest_scale_below_one_writes_the_library_bytes(self, tmp_path):
+        # the last scale is 0.5 of a 130 x 97 image, so the final resize
+        # upsamples a kept level, in reference bands that do not divide
+        # the height
+        root = tmp_path / "fx"
+        for seed in (2, 3):
+            assert main(["synth", "--seed", str(seed), "--height", "130",
+                         "--width", "97", "--objects", "4", "--scales",
+                         "0.25", "0.5", "--out-dir",
+                         str(root / f"s{seed}")]) == 0
+        image, calib = (root / f"s{seed}" / "manifest.json" for seed in (2, 3))
+        out = tmp_path / "cli"
+        assert main(["pipeline", str(image), "--calib", str(calib),
+                     "--out-dir", str(out)]) == 0
+        result = run_pipeline(load_manifest(image),
+                              load_manifest(calib, maps=False),
+                              PipelineConfig())
+        assert result.final_logits.shape == (130, 97, 5)
+        assert result.carved.instances
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        save_tensor(lib / "fused_logits.tns", result.final_logits)
+        save_tensor(lib / "labels.tns", result.labels.astype(np.float32))
+        write_overlay(130, 97, result.labels, lib / "overlay.ppm")
+        save_manifest(result.carved, lib / "instances.json")
+        write_json_report(result.report, lib / "report.json")
+        assert _tree_bytes(out) == _tree_bytes(lib)
+        # an in-memory result's writer goes through the same sink
+        written = write_pipeline_outputs(result, tmp_path / "again")
+        assert [p.name for p in written] == sorted(_tree_bytes(lib), key=[
+            "fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
+            "report.json"].index)
+        assert _tree_bytes(tmp_path / "again") == _tree_bytes(lib)
+
+    def test_cli_holds_no_reference_frame_or_label_grid(self, tmp_path,
+                                                        monkeypatch):
+        # one scale of 512 x 512: the library's result holds the 5 MiB
+        # reference frame and the 2 MiB int64 label grid; the CLI streams
+        # both to files, so its peak after the load is well below
+        fx = tmp_path / "fx"
+        assert main(["synth", "--seed", "4", "--height", "512", "--width",
+                     "512", "--objects", "4", "--models", "3", "--scales",
+                     "1.0", "--out-dir", str(fx)]) == 0
+        manifest = fx / "manifest.json"
+        load, bases = cli.load_manifest, []
+
+        def loaded(*args, **kwargs):
+            bundle = load(*args, **kwargs)
+            tracemalloc.reset_peak()
+            bases.append(tracemalloc.get_traced_memory()[0])
+            return bundle
+
+        monkeypatch.setattr(cli, "load_manifest", loaded)
+        tracemalloc.start()
+        try:
+            assert main(["pipeline", str(manifest), "--weights", "uniform",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+            cli_peak = tracemalloc.get_traced_memory()[1] - bases[-1]
+            maps = {}
+            bundle = load_manifest(manifest, maps=maps)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_pipeline(bundle, None,
+                                  PipelineConfig(weights_mode="uniform"),
+                                  maps=maps)
+            lib_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(bases) == 1 and result.labels.dtype == np.int64
+        assert cli_peak <= lib_peak - 4 * 2**20, (cli_peak, lib_peak)
 
 
 class TestEvaluateCommand:

@@ -13,7 +13,8 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
-from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, bilinear_resize
+from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap,
+                           argmax_channel, bilinear_resize)
 from segfuse.hierarchy import fuse_adjacent_scales
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
@@ -191,8 +192,9 @@ def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
     monkeypatch.setattr(pipeline, "_fuse_scale", recorded)
     run_pipeline(loaded, None, PipelineConfig(weights_mode="uniform",
                                               alpha_const=0.25), maps=maps)
-    (_, gate), (_, finest_gate) = levels
-    assert finest_gate is None and gate.shape == (rows, 8 if rows > 1 else 1)
+    # the finest scale streams its bands out and keeps no level, no gate
+    (_, gate), finest = levels
+    assert finest is None and gate.shape == (rows, 8 if rows > 1 else 1)
     want = (_mean_ref([bundle.alpha_maps[m, scale].data for m in keep])
             if keep else np.full(gate.shape, 0.25, np.float32))
     assert gate.data.tobytes() == want.tobytes()
@@ -356,19 +358,30 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     rng = np.random.default_rng(height)
     fuse_scale, folds = pipeline._fuse_scale, []
 
-    def swapped(sub, maps, weights, cfg, workers, coarser=None, finest=False):
+    def streamed(sub, maps, weights, cfg, workers, coarser, emit=None):
+        # the finest scale's frame, from the bands it emits
+        bands = []
+
+        def kept(r0, band):
+            bands.append(band)
+            if emit is not None:
+                emit(r0, band)
+        assert fuse_scale(sub, maps, weights, cfg, workers, coarser,
+                          kept) is None
+        return LogitMap.from_array(np.concatenate(bands))
+
+    def swapped(sub, maps, weights, cfg, workers, coarser=None, emit=None):
         if coarser is None:
-            return fuse_scale(sub, maps, weights, cfg, workers, None, finest)
+            return fuse_scale(sub, maps, weights, cfg, workers, None, emit)
         shape = coarser[0].shape
         lower = LogitMap.from_array(rng.choice(
             np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=shape))
         alpha = AttentionMap.from_array(rng.choice(
             np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape[:2]))
-        finer, _ = fuse_scale(sub, maps, weights, cfg, workers, None, finest)
-        folded = fuse_scale(sub, maps, weights, cfg, workers, (lower, alpha),
-                            finest)
-        folds.append((lower, alpha, finer, folded[0]))
-        return folded
+        finer = streamed(sub, maps, weights, cfg, workers, None)
+        folded = streamed(sub, maps, weights, cfg, workers, (lower, alpha),
+                          emit)
+        folds.append((lower, alpha, finer, folded))
 
     monkeypatch.setattr(pipeline, "_fuse_scale", swapped)
     run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
@@ -426,3 +439,75 @@ def test_per_object_stage_builds_no_whole_region_float64_frames(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1 and peaks[0] < 8 * 2**20, peaks
+
+
+class _Recorder:
+    """A sink that keeps every band it is handed."""
+
+    def start(self, height, width, channels):
+        self.shape, self.bands = (height, width, channels), []
+
+    def write(self, r0, logits, labels):
+        self.bands.append((r0, logits.copy(), labels.copy()))
+
+    def frames(self):
+        return (np.concatenate([b[1] for b in self.bands]),
+                np.concatenate([b[2] for b in self.bands]))
+
+
+def _streamed(level, height, width):
+    """The sink's bands when ``level`` streams out in bands of
+    ``_BAND_ROWS`` rows toward a height x width reference grid."""
+    sink = _Recorder()
+    final = pipeline._ReferenceRows(sink, level.shape[:2], height, width,
+                                    level.shape[2])
+    for r0 in range(0, len(level), _BAND_ROWS):
+        final.add(r0, level[r0:r0 + _BAND_ROWS].copy())
+    final.close()
+    assert sink.shape == (height, width, level.shape[2])
+    assert [b[0] for b in sink.bands] == list(range(0, height, _BAND_ROWS))
+    return sink.frames()
+
+
+@pytest.mark.parametrize("height", [_BAND_ROWS, _BAND_ROWS + 1,
+                                    2 * _BAND_ROWS + 7])
+def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
+    # -0.0 on rows 63 and 64, either side of the first band edge, on the
+    # last row and in the last column.  A -0.0 on row 63 beside a negative
+    # right neighbour stays -0.0 only where row 64, the next band's first
+    # row, is negative below it; the last row and column clamp to
+    # themselves, so every zero there flips
+    width = 12
+    rng = np.random.default_rng(height)
+    frame = rng.choice(np.array([-1.5, -0.0, 0.0, 0.75], np.float32),
+                       size=(height, width, 5))
+    cols = np.arange(width)[:, None]
+    frame[-1] = np.where(cols % 2 == 0, -0.0, -1.5)
+    frame[63] = np.where(cols % 2 == 0, -0.0, -1.5)
+    if height > 64:
+        frame[64] = np.where(cols % 4 == 2, -0.0, -1.5)
+    frame[:, -1] = -0.0
+    want = bilinear_resize(LogitMap.from_array(frame), height, width)
+    logits, labels = _streamed(frame, height, width)
+    assert logits.tobytes() == want.data.tobytes()
+    assert labels.tobytes() == argmax_channel(want).tobytes()
+    kept = np.signbit(want.data) & (want.data == 0)
+    assert not kept[-1].any() and not kept[:, -1].any()
+    if height > 64:
+        # row 63 keeps its zeros where row 64 is negative, flips the others
+        assert kept[63, cols[:, 0] % 4 == 0].all()
+        assert not kept[63, cols[:, 0] % 4 == 2].any()
+
+
+@pytest.mark.parametrize("shape, ref", [((65, 49), (130, 97)),
+                                        ((33, 25), (130, 97)),
+                                        ((130, 97), (65, 49))])
+def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
+                                                                   ref):
+    level = np.random.default_rng(shape[0]).normal(
+        scale=3.0, size=(*shape, 5)).astype(np.float32)
+    level[::7, ::5] = -0.0
+    want = bilinear_resize(LogitMap.from_array(level), *ref)
+    logits, labels = _streamed(level, *ref)
+    assert logits.tobytes() == want.data.tobytes()
+    assert labels.tobytes() == argmax_channel(want).tobytes()
