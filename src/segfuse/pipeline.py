@@ -7,24 +7,15 @@ weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
 
-Each scale is fused in one pass over bands of ``_BAND_ROWS`` rows: each
-model's rows of logits are read from a map source, ensembled, gated and
-blended with the per-object maps that cross the band, and folded with the
-coarser level, upsampled over those rows alone.  The same rows of a
-coarser scale's alpha maps are read and averaged into its gate; its frame
-and gate are the only whole frames its pass builds.  The per-object maps
-are built before each pass, each instance rasterized only over the output
-window its box reaches.
-
-The finest scale keeps no level.  Its pass hands each band to a sink:
-resampled to the reference grid (``_ReferenceRows``, one row of lookahead
-on equal grids), checked finite and labeled by its argmax (``_emit``).
-The in-memory sink (``_Frames``) fills the frame and labels that
-``PipelineResult`` returns; the CLI's file sink (``_PipelineFiles``)
-writes ``fused_logits.tns``, ``labels.tns`` and ``overlay.ppm`` band by
-band under a staging directory, and renames every output into the output
-directory only once all five are complete.  The carving reads its
-regions' rows back from the sink and takes its softmax per band of them.
+Each scale is one pass over bands of ``_BAND_ROWS`` rows that yields the
+scale's fused rows (``_fuse_scale``), so no pass holds a whole frame of
+the finest grid.  A coarser scale's bands, and the same rows of its alpha
+maps, are collected into its level (``_level``), which the next finer
+pass folds in band by band.  The finest scale's bands are resampled to
+the reference grid as the rows they tap arrive (``_reference_rows``),
+labeled by their argmax (``_emit``) and handed to a sink: the in-memory
+``_Frames`` or the CLI's ``_PipelineFiles``.  The carving reads its
+regions' rows back from the sink.
 """
 
 from __future__ import annotations
@@ -312,21 +303,17 @@ def _grid_rows(grid):
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 cfg: PipelineConfig, workers: int,
-                coarser: tuple[LogitMap, AttentionMap] | None = None,
-                emit=None) -> tuple[LogitMap, AttentionMap] | None:
-    """The level of ``sub``, the image at one scale: its fused frame under
-    that scale's ``weights``, with ``coarser``, the next coarser level,
-    folded in when given, and its gate, the ``_mean_alpha`` of its alpha
-    maps.  At the finest scale, whose gate no fold reads, ``emit(r0,
-    band)`` takes each band of the frame instead, and None is returned.
+                coarser: tuple[LogitMap, AttentionMap] | None = None):
+    """Yield ``(r0, rows)`` for each band of ``_BAND_ROWS`` rows of the
+    fused frame of ``sub``, the image at one scale, under that scale's
+    ``weights``, with ``coarser``, the next coarser level, folded in when
+    given.
 
-    The per-object maps are built first.  Then one pass over bands of
-    ``_BAND_ROWS`` rows reads each model's rows of logits from ``maps``,
-    ensembles them, gates and blends them with the per-object maps that
-    cross the band, and folds in the coarser level upsampled over those
-    rows; it reads the same rows of the alpha maps for the gate.  Each map
-    is opened once, and the level's frame and gate are the only whole
-    frames the pass builds, and only when it keeps the level."""
+    The per-object maps are built first.  Then one pass over the bands
+    reads each model's rows of logits from ``maps``, ensembles them, gates
+    and blends them with the per-object maps that cross the band, and
+    folds in the coarser level upsampled over those rows.  Each logit map
+    is opened once, and no whole frame is built."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -352,15 +339,9 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     if coarser is not None:
         lower, alpha = coarser
         ys, xs = _taps(lower.height, sh), _taps(lower.width, sw)
-    if emit is None:
-        out = np.empty((sh, sw, channels), dtype=np.float32)
-        gate = np.empty((sh, sw), dtype=np.float32)
     with ExitStack() as stack:
-        def opened(field: str) -> dict:
-            return {m: stack.enter_context(maps[field, m, scale][1]())
-                    for m in sub.models if (field, m, scale) in maps}
-        reads = opened("logit_maps")
-        alphas = opened("alpha_maps") if emit is None else {}
+        reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
+                 for m in sub.models}
         for r0 in range(0, sh, _BAND_ROWS):
             r1 = min(r0 + _BAND_ROWS, sh)
             ens = _fuse_global(
@@ -373,16 +354,30 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
             if coarser is not None:
                 band = _fold_rows(lower, alpha, band,
                                   [t[r0:r1] for t in ys], xs)
-            if emit is not None:
-                emit(r0, band)
-                continue
-            out[r0:r1] = band
+            yield r0, band
+
+
+def _level(sub: PredictionBundle, maps: dict, cfg: PipelineConfig,
+           channels: int, bands) -> tuple[LogitMap, AttentionMap]:
+    """The level of ``sub``, a scale whose fold into the next finer one
+    reads it whole: its frame, collected from ``bands``, its
+    ``_fuse_scale`` bands, and its gate, the ``_mean_alpha`` of the same
+    rows of its alpha maps, read as each band arrives.  Each alpha map is
+    opened once."""
+    scale = sub.scales[0]
+    sh, sw = scaled_dim(sub.height, scale), scaled_dim(sub.width, scale)
+    frame = np.empty((sh, sw, channels), dtype=np.float32)
+    gate = np.empty((sh, sw), dtype=np.float32)
+    with ExitStack() as stack:
+        alphas = {m: stack.enter_context(maps["alpha_maps", m, scale][1]())
+                  for m in sub.models if ("alpha_maps", m, scale) in maps}
+        for r0, rows in bands:
+            r1 = r0 + len(rows)
+            frame[r0:r1] = rows
             gate[r0:r1] = _mean_alpha(
                 sub.models, {m: read(r0, r1) for m, read in alphas.items()},
                 (r1 - r0, sw, 1), cfg)[:, :, 0]
-    if emit is None:
-        return LogitMap._own(out), AttentionMap._own(gate)
-    return None
+    return LogitMap._own(frame), AttentionMap._own(gate)
 
 
 # output names in write order: the three frames the finest pass streams,
@@ -476,56 +471,58 @@ class _PipelineFiles:
         return paths
 
 
-def _emit(sink, r0: int, logits: np.ndarray,
-          labels: np.ndarray | None = None) -> None:
-    """Hand rows [r0, r0 + len(logits)) of the reference-grid logits to
-    ``sink`` with their labels, ``argmax_channel`` of the rows unless
-    given, once every value is checked as a tensor write checks it."""
-    logits = _payload(logits)
-    if labels is None:
-        labels = argmax_channel(LogitMap._own(logits, checked=True))
-    sink.write(r0, logits, labels)
+def _emit(sink, bands) -> None:
+    """Hand each ``(r0, rows)`` of ``bands``, rows of the reference-grid
+    logits that own their data, to ``sink`` with their labels,
+    ``argmax_channel`` of the rows, once every value is checked as a tensor
+    write checks it."""
+    for r0, logits in bands:
+        logits = _payload(logits)
+        sink.write(r0, logits, argmax_channel(LogitMap._own(logits, checked=True)))
+        del logits  # so that it is not held while the next band is built
 
 
-class _ReferenceRows:
-    """The finest level's bands, resampled to the reference grid as
-    ``bilinear_resize`` resamples a whole frame and handed to a sink.
+def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
+    """Yield ``(r0, rows)`` for each band of ``_BAND_ROWS`` rows of the
+    finest level resampled to the height x width reference grid, as
+    ``bilinear_resize`` resamples the whole level, from ``bands``, the
+    level's ``_fuse_scale`` bands, of ``shape``.
 
-    On equal grids the same-size rule of a band's last row reads the row
-    below it, so each band waits for the first row of the next; the last
-    band's last row clamps to itself.  On other grids the level is kept
-    whole, and each reference band is lerped from it once it is complete.
-    Making one starts the sink."""
+    A reference band is built once the last level row its ``_taps`` read
+    has arrived, and a level band is dropped once no later reference row
+    reads it.  On equal grids the taps of a band's last row read the row
+    below it, which ``_same_size_rows`` takes; on other grids the tapped
+    rows are lerped."""
+    same = shape == (height, width)
+    ys, xs = _taps(shape[0], height), _taps(shape[1], width)
+    held = []  # (r0, rows) of the level bands a later reference row reads
+    q0 = 0
+    for r0, band in bands:
+        held.append((r0, band))
+        while q0 < height:
+            q1 = min(q0 + _BAND_ROWS, height)
+            lo, hi = ys[0][q0], ys[1][q1 - 1] + 1
+            if hi > r0 + len(band):
+                break  # a row it taps has not arrived
+            # yielded as it is built, so that no local holds it while the
+            # next band is built
+            yield q0, (_same_size_rows(_held_rows(held, q0, q1),
+                                       _held_rows(held, hi - 1, hi)[0])
+                       if same else
+                       _lerp(_held_rows(held, lo, hi),
+                             [ys[0][q0:q1] - lo, ys[1][q0:q1] - lo,
+                              ys[2][q0:q1]], xs))
+            q0 = q1
+            first = ys[0][q0] if q0 < height else shape[0]
+            held = [(b0, b) for b0, b in held if b0 + len(b) > first]
 
-    def __init__(self, sink, shape: tuple[int, int], height: int, width: int,
-                 channels: int) -> None:
-        self.sink, self.height, self.width = sink, height, width
-        self.same = shape == (height, width)
-        self.held = None
-        self.level = (None if self.same
-                      else np.empty((*shape, channels), dtype=np.float32))
-        sink.start(height, width, channels)
 
-    def add(self, r0: int, band: np.ndarray) -> None:
-        if not self.same:
-            self.level[r0:r0 + len(band)] = band
-            return
-        if self.held is not None:
-            _emit(self.sink, r0 - len(self.held),
-                  _same_size_rows(self.held, band[0]))
-        self.held = band
-
-    def close(self) -> None:
-        if self.same:
-            held, self.held = self.held, None
-            _emit(self.sink, self.height - len(held),
-                  _same_size_rows(held, held[-1]))
-            return
-        level, self.level = self.level, None
-        ys, xs = _taps(len(level), self.height), _taps(level.shape[1], self.width)
-        for r0 in range(0, self.height, _BAND_ROWS):
-            _emit(self.sink, r0,
-                  _lerp(level, [t[r0:r0 + _BAND_ROWS] for t in ys], xs))
+def _held_rows(held, lo: int, hi: int) -> np.ndarray:
+    """Level rows [lo, hi) from ``held``'s bands: a band itself when it is
+    all of them, a view of one band, or the pieces of several joined."""
+    parts = [b if lo <= b0 and b0 + len(b) <= hi else b[max(lo - b0, 0):hi - b0]
+             for b0, b in held if b0 < hi and lo < b0 + len(b)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -543,14 +540,11 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  cfg: PipelineConfig, workers: int = 1,
                  maps: dict | None = None, sink=None) -> PipelineResult:
     """Ensemble logits, local attention, and the coarse-to-fine fold;
-    ``workers`` threads run the per-object stage.  Each scale is fused in
-    one pass of row bands, which reads its logit and alpha maps band by
-    band and folds in the coarser level; the finest scale has no gate, so
-    its alpha maps are not read.  Maps are read from ``maps`` as
-    ``load_manifest(path, maps={})`` fills it, or else from the bundle.
-
-    The finest pass hands each band, resampled to the reference grid, with
-    its argmax labels, to ``sink``: by default an in-memory one, whose
+    ``workers`` threads run the per-object stage.  Maps are read from
+    ``maps`` as ``load_manifest(path, maps={})`` fills it, or else from the
+    bundle.  Each scale's level is folded into the next finer scale's pass;
+    the finest scale's bands, resampled to the reference grid, go with
+    their argmax labels to ``sink``: by default an in-memory one, whose
     frame and labels the result holds, or the CLI's ``_PipelineFiles``,
     which writes them to files; the carving reads its regions' rows back
     from the sink."""
@@ -584,15 +578,15 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
     frames = _Frames() if sink is None else sink
+    frames.start(height, width, channels[0])
+    level = None
+    for sub in subs[:-1]:
+        level = _level(sub, maps, cfg, channels[0],
+                       _fuse_scale(sub, maps, weights, cfg, workers, level))
     finest = bundle.scales[-1]
-    final = _ReferenceRows(frames, (scaled_dim(height, finest),
-                                    scaled_dim(width, finest)),
-                           height, width, channels[0])
-    level = None  # the finest scale streams to the sink and returns None
-    for sub in subs:
-        level = _fuse_scale(sub, maps, weights, cfg, workers, level,
-                            final.add if sub is subs[-1] else None)
-    final.close()
+    _emit(frames, _reference_rows(
+        _fuse_scale(subs[-1], maps, weights, cfg, workers, level),
+        (scaled_dim(height, finest), scaled_dim(width, finest)), height, width))
 
     with frames.rows() as rows:
         instances = _label_instances(bundle, rows, cfg)
@@ -689,15 +683,19 @@ def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
 
 def write_pipeline_outputs(result: PipelineResult, out_dir) -> list[Path]:
     """Write an in-memory result's outputs into ``out_dir`` through the file
-    sink the CLI streams to: its frame and labels a band of rows at a time,
-    renamed into ``out_dir`` once all five are complete.  Returns the paths
-    written, in write order."""
+    sink the CLI streams to: its frame a band of rows at a time, with the
+    labels ``argmax_channel`` derives from each band, as the run derived
+    ``result.labels``, renamed into ``out_dir`` once all five are
+    complete.  Returns the paths written, in write order."""
+    logits = result.final_logits
+    if logits is None:
+        raise DataValidationError(
+            "this pipeline result was streamed to a file sink and holds no "
+            "frame to write")
     with _PipelineFiles(out_dir) as files:
-        height, width, channels = result.final_logits.shape
-        files.start(height, width, channels)
-        for r0 in range(0, height, _BAND_ROWS):
-            band = slice(r0, r0 + _BAND_ROWS)
-            _emit(files, r0, result.final_logits.data[band], result.labels[band])
+        files.start(*logits.shape)
+        _emit(files, ((r0, logits.data[r0:r0 + _BAND_ROWS].copy())
+                      for r0 in range(0, logits.height, _BAND_ROWS)))
         return files.commit(result)
 
 

@@ -1,7 +1,7 @@
-"""Byte ladder: every CLI command on eight synthetic fixtures, as digests.
+"""Byte ladder: every CLI command on twelve synthetic fixtures, as digests.
 
 Runs ``segfuse synth``, ``fuse``, ``pipeline`` and ``evaluate`` in process
-on eight fixtures into a temporary directory and prints
+on twelve fixtures into a temporary directory and prints
 ``{relative path: sha256}`` of every file written, as sorted JSON.  Save
 the digests of one commit, then check another against them::
 
@@ -43,6 +43,13 @@ FIXTURES = {
               "--models", "4", "--scales", "0.5", "1.0"],
     "s512": ["--height", "512", "--width", "512", "--scales", "0.25", "0.5",
              "1.0"],
+    # finest scales off the reference grid: upsampled, downsampled, and
+    # near-equal grids that round to one size; and a canvas of two bands
+    # and two rows, with an odd width
+    "s025_05": ["--scales", "0.25", "0.5"],
+    "s05_2": ["--scales", "0.5", "2.0"],
+    "s0999": ["--scales", "0.999", "1.0"],
+    "h130": ["--height", "130", "--width", "97", "--scales", "0.5", "1.0"],
 }
 
 # name -> fuse arguments after the manifest

@@ -6,6 +6,8 @@ corner gathers, the unfactored form of the engine's separable resize;
 ``local_map_ref``, the whole-region rasterisation of one model's masks of
 one object, which resamples each instance's whole region window through
 ``bilinear_gather_ref``;
+``pipeline_ref``, the whole-frame composition of these oracles that the
+``pipeline`` command must match byte for byte;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
 is a full height x width frame, drawn and perturbed with the same rng
 draws in the same order as ``segfuse.synth.generate``, which works on
@@ -248,6 +250,90 @@ def chain_ref(entries: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray
     for (_, alpha), (finer_logits, _) in zip(entries, entries[1:]):
         acc = fuse_adjacent_ref(acc, alpha, finer_logits)
     return acc
+
+
+def mean_alpha_ref(present: list[np.ndarray]) -> np.ndarray:
+    """The float64 mean of whole alpha maps in the given order, clipped,
+    then rounded to float32."""
+    acc = present[0].astype(np.float64)
+    for a in present[1:]:
+        acc = acc + a.astype(np.float64)
+    return np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
+
+
+def _channels_ref(stacks: dict, vectors) -> np.ndarray:
+    """``fuse_logits_ref`` of each channel of the per-model ``stacks`` under
+    that channel's weight vector, stacked back into channels."""
+    return np.stack([fuse_logits_ref([stacks[m][:, :, ch] for m in vec.models],
+                                     [c for _, c in vec.weights])
+                     for ch, vec in enumerate(vectors)], axis=2)
+
+
+def pipeline_ref(bundle, calib, cfg):
+    """The ``pipeline`` command on whole frames: ``(logits, labels,
+    instances, weight records)``, the reference-grid logits and labels,
+    the carving as ``label_instances_ref`` gives it, and the weight records
+    of the report.
+
+    At each scale, in order: the ensemble of the models' logits, channel 0
+    with uniform weights and each component channel with its vertical
+    weights; each object's local map, the ensemble under its horizontal
+    weights of ``local_map_ref``; the gate, each object's
+    ``object_gate_ref`` over its whole region, pasted in object order over
+    ``cfg.neutral_beta``, or ``cfg.beta_const``; the blend of the ensemble
+    with the summed local maps; and the mean of the scale's alpha maps, or
+    ``cfg.alpha_const``.  Then the coarse-to-fine fold, the resize to the
+    reference grid, the argmax and the carving.  The weights come from
+    ``pipeline._fusion_weights`` and the object regions from
+    ``pipeline._object_regions``; no band, no sink and no other engine
+    code is used."""
+    from segfuse.fusion import FusionWeights
+    from segfuse.masks import COMPONENTS, scale_box
+    from segfuse.metrics import group_keys
+    from segfuse.pipeline import _fusion_weights, _object_regions
+
+    height, width, models = bundle.height, bundle.width, bundle.models
+    subs = [bundle.with_scale(scale) for scale in bundle.scales]
+    vertical = {comp: f"channel{COMPONENT_IDS[comp]}" for comp in COMPONENTS}
+    weights, records = _fusion_weights(bundle, calib, cfg, {
+        scale: {"vertical": vertical,
+                "horizontal": {o: o for o in group_keys(sub.instances,
+                                                        "horizontal")}}
+        for scale, sub in zip(bundle.scales, subs)})
+    channels = len(COMPONENTS) + 1
+    levels = []
+    for scale, sub in zip(bundle.scales, subs):
+        sh, sw = _round_half_up(height, scale), _round_half_up(width, scale)
+        ens = _channels_ref(
+            {m: bundle.logit_maps[m, scale].data for m in models},
+            [FusionWeights.uniform(models), *weights[scale, "vertical"].values()])
+        locals_ = []
+        for oid, region in _object_regions(sub, cfg).items():
+            box = scale_box(region, height, width, sh, sw)
+            locals_.append((_channels_ref(
+                {m: local_map_ref(sub, m, oid, region, box, channels)
+                 for m in models},
+                [weights[scale, "horizontal"][oid]] * channels), box))
+        if cfg.beta_const is not None:
+            beta = np.full((sh, sw), cfg.beta_const, dtype=np.float32)
+        else:
+            beta = np.full((sh, sw), cfg.neutral_beta, dtype=np.float32)
+            for local, box in locals_:
+                gate = object_gate_ref(
+                    ens[box.slices].astype(np.float64).reshape(-1, channels),
+                    local.astype(np.float64).reshape(-1, channels),
+                    cfg.attention_factor)
+                beta[box.slices] = gate.reshape(box.height, box.width)
+        present = [bundle.alpha_maps[m, scale].data for m in models
+                   if (m, scale) in bundle.alpha_maps]
+        levels.append((fuse_global_local_ref(ens, locals_, beta),
+                       mean_alpha_ref(present) if present else
+                       np.full((sh, sw), cfg.alpha_const, dtype=np.float32)))
+    logits = bilinear_ref(chain_ref(levels), height, width)
+    labels = argmax_ref(logits)
+    instances = label_instances_ref(logits, labels,
+                                    _object_regions(bundle, cfg), COMPONENTS)
+    return logits, labels, instances, records
 
 
 def rle_decode_ref(counts, height: int, width: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +20,11 @@ from segfuse.hierarchy import fuse_adjacent_scales
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
                               _mean_alpha, _object_regions, run_evaluate,
-                              run_fuse, run_pipeline)
+                              run_fuse, run_pipeline, write_pipeline_outputs)
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
-from reference import fuse_logits_ref, label_instances_ref
+from reference import fuse_logits_ref, label_instances_ref, mean_alpha_ref
 
 
 @pytest.fixture
@@ -138,15 +139,6 @@ def test_logit_map_off_its_scale_grid_is_named():
         replace(bundle, logit_maps=maps)
 
 
-def _mean_ref(present):
-    """The float64 mean of whole alpha maps in the given order, clipped,
-    then rounded to float32."""
-    acc = present[0].astype(np.float64)
-    for a in present[1:]:
-        acc = acc + a.astype(np.float64)
-    return np.clip(acc / len(present), 0.0, 1.0).astype(np.float32)
-
-
 @pytest.mark.parametrize("dropped", [("m1",), ("m0", "m2")])
 def test_mean_alpha_over_present_maps_matches_reference(dropped):
     sub = generate(5, scales=(0.5, 1.0)).with_scale(0.5)
@@ -154,7 +146,7 @@ def test_mean_alpha_over_present_maps_matches_reference(dropped):
     # keyed in reverse model order; the reference below sums in model order
     alphas = {m: by_model[m] for m in reversed(sub.models) if m not in dropped}
     got = _mean_alpha(sub.models, alphas, (48, 64), PipelineConfig())
-    ref = _mean_ref([by_model[m] for m in sub.models if m not in dropped])
+    ref = mean_alpha_ref([by_model[m] for m in sub.models if m not in dropped])
     assert got.tobytes() == ref.tobytes()
     full = _mean_alpha(sub.models, by_model, (48, 64), PipelineConfig())
     assert got.tobytes() != full.tobytes()
@@ -183,19 +175,20 @@ def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
     path = save_manifest(bundle, tmp_path / "manifest.json")
     maps = {}
     loaded = load_manifest(path, maps=maps)
-    fuse_scale, levels = pipeline._fuse_scale, []
+    level, levels = pipeline._level, []
 
-    def recorded(*args, **kwargs):
-        levels.append(fuse_scale(*args, **kwargs))
+    def recorded(*args):
+        levels.append(level(*args))
         return levels[-1]
 
-    monkeypatch.setattr(pipeline, "_fuse_scale", recorded)
+    monkeypatch.setattr(pipeline, "_level", recorded)
     run_pipeline(loaded, None, PipelineConfig(weights_mode="uniform",
                                               alpha_const=0.25), maps=maps)
-    # the finest scale streams its bands out and keeps no level, no gate
-    (_, gate), finest = levels
-    assert finest is None and gate.shape == (rows, 8 if rows > 1 else 1)
-    want = (_mean_ref([bundle.alpha_maps[m, scale].data for m in keep])
+    # the finest scale's bands go to the reference grid: it makes no level,
+    # no gate
+    [(_, gate)] = levels
+    assert gate.shape == (rows, 8 if rows > 1 else 1)
+    want = (mean_alpha_ref([bundle.alpha_maps[m, scale].data for m in keep])
             if keep else np.full(gate.shape, 0.25, np.float32))
     assert gate.data.tobytes() == want.tobytes()
 
@@ -358,30 +351,26 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     rng = np.random.default_rng(height)
     fuse_scale, folds = pipeline._fuse_scale, []
 
-    def streamed(sub, maps, weights, cfg, workers, coarser, emit=None):
-        # the finest scale's frame, from the bands it emits
-        bands = []
+    def frame(bands):
+        return LogitMap.from_array(np.concatenate([rows for _, rows in bands]))
 
-        def kept(r0, band):
-            bands.append(band)
-            if emit is not None:
-                emit(r0, band)
-        assert fuse_scale(sub, maps, weights, cfg, workers, coarser,
-                          kept) is None
-        return LogitMap.from_array(np.concatenate(bands))
-
-    def swapped(sub, maps, weights, cfg, workers, coarser=None, emit=None):
+    def swapped(sub, maps, weights, cfg, workers, coarser=None):
         if coarser is None:
-            return fuse_scale(sub, maps, weights, cfg, workers, None, emit)
+            yield from fuse_scale(sub, maps, weights, cfg, workers)
+            return
         shape = coarser[0].shape
         lower = LogitMap.from_array(rng.choice(
             np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=shape))
         alpha = AttentionMap.from_array(rng.choice(
             np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape[:2]))
-        finer = streamed(sub, maps, weights, cfg, workers, None)
-        folded = streamed(sub, maps, weights, cfg, workers, (lower, alpha),
-                          emit)
-        folds.append((lower, alpha, finer, folded))
+        finer = frame(fuse_scale(sub, maps, weights, cfg, workers))
+        # the finest scale's frame, from the bands it yields
+        bands = list(fuse_scale(sub, maps, weights, cfg, workers,
+                                (lower, alpha)))
+        assert [r0 for r0, _ in bands] == list(range(0, len(finer.data),
+                                                     _BAND_ROWS))
+        folds.append((lower, alpha, finer, frame(bands)))
+        yield from bands
 
     monkeypatch.setattr(pipeline, "_fuse_scale", swapped)
     run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
@@ -456,15 +445,14 @@ class _Recorder:
 
 
 def _streamed(level, height, width):
-    """The sink's bands when ``level`` streams out in bands of
-    ``_BAND_ROWS`` rows toward a height x width reference grid."""
+    """The sink's bands when ``level`` arrives in bands of ``_BAND_ROWS``
+    rows and is resampled toward a height x width reference grid."""
     sink = _Recorder()
-    final = pipeline._ReferenceRows(sink, level.shape[:2], height, width,
-                                    level.shape[2])
-    for r0 in range(0, len(level), _BAND_ROWS):
-        final.add(r0, level[r0:r0 + _BAND_ROWS].copy())
-    final.close()
-    assert sink.shape == (height, width, level.shape[2])
+    sink.start(height, width, level.shape[2])
+    bands = ((r0, level[r0:r0 + _BAND_ROWS].copy())
+             for r0 in range(0, len(level), _BAND_ROWS))
+    pipeline._emit(sink, pipeline._reference_rows(bands, level.shape[:2],
+                                                  height, width))
     assert [b[0] for b in sink.bands] == list(range(0, height, _BAND_ROWS))
     return sink.frames()
 
@@ -499,9 +487,16 @@ def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
         assert not kept[63, cols[:, 0] % 4 == 2].any()
 
 
+# upsampled by 2 and by about 4, downsampled by 2; a 1-row level, a
+# near-equal ratio whose taps cross band edges one row apart from the
+# level's, and a downsample by more than 2, whose reference bands tap
+# several level bands each
 @pytest.mark.parametrize("shape, ref", [((65, 49), (130, 97)),
                                         ((33, 25), (130, 97)),
-                                        ((130, 97), (65, 49))])
+                                        ((130, 97), (65, 49)),
+                                        ((1, 49), (130, 97)),
+                                        ((129, 97), (130, 97)),
+                                        ((300, 61), (97, 23))])
 def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
                                                                    ref):
     level = np.random.default_rng(shape[0]).normal(
@@ -511,3 +506,55 @@ def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
     logits, labels = _streamed(level, *ref)
     assert logits.tobytes() == want.data.tobytes()
     assert labels.tobytes() == argmax_channel(want).tobytes()
+
+
+def test_resampling_holds_a_few_level_bands_not_the_level():
+    # a 512-row level resampled to 1024 reference rows: besides the band
+    # of logits and labels being handed to the sink, the run holds a few
+    # level bands (the ones later reference rows tap, and the band pass's
+    # own), never the whole level, which is 8 bands
+    level = np.random.default_rng(0).normal(
+        size=(512, 256, 5)).astype(np.float32)
+    band = level.nbytes // 8
+    bundle = PredictionBundle(
+        image_id="x", height=1024, width=512, models=("m0",), scales=(0.5,),
+        instances=(), logit_maps={("m0", 0.5): LogitMap.from_array(level)})
+    held = []
+
+    class Sink:
+        def start(self, height, width, channels):
+            pass
+
+        def write(self, r0, logits, labels):
+            held.append(tracemalloc.get_traced_memory()[0] - base
+                        - logits.nbytes - labels.nbytes)
+
+        @contextmanager
+        def rows(self):
+            yield None  # no object regions, so the carving reads no rows
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"),
+                     sink=Sink())
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1024 // _BAND_ROWS
+    assert max(held) < 4 * band, [round(h / band, 2) for h in held]
+
+
+def test_writing_a_streamed_result_is_refused(tmp_path):
+    # a result whose frames went to a file sink holds no frame to write:
+    # the writer says so, and makes no output or staging directory
+    bundle = generate(5, objects=1, height=32, width=32)
+    with pipeline._PipelineFiles(tmp_path / "streamed") as files:
+        result = run_pipeline(bundle, None,
+                              PipelineConfig(weights_mode="uniform"),
+                              sink=files)
+        files.commit(result)
+    assert result.final_logits is None and result.labels is None
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(DataValidationError, match="streamed"):
+        write_pipeline_outputs(result, tmp_path / "out")
+    assert sorted(tmp_path.rglob("*")) == before
