@@ -100,9 +100,11 @@ def rle_encode(m: np.ndarray, box: BBox | None = None,
 
 
 def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
-    """Decode ``r``, or only its window over ``box``."""
+    """Decode ``r``, or only its window over ``box``, which must lie on
+    ``r``'s grid (``ShapeError`` otherwise)."""
     if box is None:
         box = BBox(0, 0, r.width, r.height)
+    _check_in_bounds(box, r.height, r.width)
     starts = np.asarray((0, *r.counts), dtype=np.int64).cumsum()
     lo, hi = box.y0 * r.width, box.y1 * r.width
     # the runs that meet the box's rows, their bounds clipped to those rows
@@ -241,10 +243,10 @@ def crop(grid: LogitMap, b: BBox) -> LogitMap:
 class MaskInstance:
     """One predicted or ground-truth instance of a component.
 
-    ``binary`` is the mask decoded inside ``bbox`` (a bbox-sized, read-only
-    2-D bool window) and ``area`` its pixel count, both set once at
-    construction; ``window`` gives the bits over any other box and ``iou``
-    the IoU with another instance, counted on the two windows alone.
+    The runs in ``mask`` are the only copy of the mask it holds: ``area``,
+    its pixel count, is set once at construction, ``window`` decodes the
+    bits over any box and ``iou`` the IoU with another instance, over the
+    overlap of the two boxes alone.
     """
 
     mask: RleMask
@@ -268,19 +270,18 @@ class MaskInstance:
             raise DataValidationError(
                 f"bbox {self.bbox} exceeds the {self.mask.height}x"
                 f"{self.mask.width} mask grid")
-        decoded = rle_decode(self.mask, self.bbox)
         area = sum(self.mask.counts[1::2])
         # the box holds every set pixel iff it holds as many as the one-runs
-        if np.count_nonzero(decoded) != area:
+        if np.count_nonzero(rle_decode(self.mask, self.bbox)) != area:
             raise DataValidationError(
                 f"bbox {self.bbox} does not enclose the mask extent "
                 f"{_run_extent(self.mask)}")
-        self.__dict__.update(binary=decoded, area=area)
+        self.__dict__["area"] = area
 
     def _at_scale(self, scale: float, uid: int | None) -> "MaskInstance":
         """This instance at another ``scale`` under another ``uid``.  The
-        mask and box are the same, so the decoded window and area are shared
-        instead of decoded and checked again."""
+        mask and box are the same, so the area is shared instead of decoded
+        and checked again."""
         if scale <= 0:
             raise DataValidationError(f"scale must be positive, got {scale}")
         twin = object.__new__(MaskInstance)
@@ -289,12 +290,7 @@ class MaskInstance:
 
     def window(self, box: BBox) -> np.ndarray:
         """This instance's bits over ``box``, empty outside ``bbox``."""
-        bits = np.zeros((box.height, box.width), dtype=bool)
-        common = self.bbox.intersection(box)
-        if common is not None:
-            bits[common.shifted(-box.x0, -box.y0).slices] = self.binary[
-                common.shifted(-self.bbox.x0, -self.bbox.y0).slices]
-        return _frozen(bits)
+        return rle_decode(self.mask, box)
 
     def iou(self, other: "MaskInstance") -> float:
         """IoU with ``other`` on the same grid, counted over the overlap of
@@ -302,8 +298,7 @@ class MaskInstance:
         common = self.bbox.intersection(other.bbox)
         if common is None:
             return 0.0
-        inter = int(np.count_nonzero(
-            self.binary[common.shifted(-self.bbox.x0, -self.bbox.y0).slices]
-            & other.binary[common.shifted(-other.bbox.x0, -other.bbox.y0).slices]))
+        inter = int(np.count_nonzero(rle_decode(self.mask, common)
+                                     & rle_decode(other.mask, common)))
         union = self.area + other.area - inter
         return inter / union if union else 0.0

@@ -211,7 +211,7 @@ def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
         box = inst.bbox.shifted(-region_ref.x0, -region_ref.y0)
         if same:
             rows, cols = box.slices
-            resized = inst.binary
+            resized = inst.window(inst.bbox)
         else:
             rows, cols = _reach(ys, box.y0, box.y1), _reach(xs, box.x0, box.x1)
             resized = _lerp(inst.window(region_ref)[:, :, None],

@@ -16,7 +16,7 @@ from segfuse.bundle import PredictionBundle
 from segfuse.fusion import FusionWeights, fuse_masks
 from segfuse.grids import scaled_dim
 from segfuse.masks import (BBox, MaskInstance, iou, rle_decode, rle_encode,
-                           scale_box)
+                           scale_box, tight_bbox)
 from segfuse.metrics import match_predictions
 from segfuse.pipeline import _local_map
 
@@ -120,7 +120,6 @@ def test_window_is_the_full_frame_over_any_box(data):
     box = data.draw(related_box(h, w, inst.bbox))
     assert np.array_equal(inst.window(box),
                           full(inst)[box.y0:box.y1, box.x0:box.x1])
-    assert np.array_equal(inst.binary, full(inst)[inst.bbox.slices])
 
 
 @st.composite
@@ -140,16 +139,49 @@ def pair(h, w, a_box, b_box, a_fill=True, b_fill=True):
     return make(a_box, a_fill, 0), make(b_box, b_fill, 1)
 
 
+def wrapped(h, w, a_span, b_span):
+    """Two instances on an h x w frame, each one run of row-major pixels
+    [start, stop) that wraps across rows, in its tight box."""
+    def make(span, uid):
+        bits = np.zeros(h * w, dtype=bool)
+        bits[slice(*span)] = True
+        bits = bits.reshape(h, w)
+        return instance(bits, tight_bbox(bits), uid=uid, component="shell",
+                        score=0.5, model_id="m0")
+    return make(a_span, 0), make(b_span, 1)
+
+
+CORNERS = (BBox(0, 0, 1, 1), BBox(5, 0, 6, 1), BBox(0, 5, 1, 6),
+           BBox(5, 5, 6, 6))
+
+
 @given(instance_pairs())
 @example(pair(6, 6, BBox(0, 0, 4, 4), BBox(2, 2, 6, 6), False, False))
+@example(pair(6, 6, BBox(1, 1, 5, 5), BBox(1, 1, 5, 5), False, False))
+@example(pair(6, 6, BBox(1, 1, 5, 5), BBox(1, 1, 5, 5), False, True))
 @example(pair(6, 6, BBox(0, 0, 3, 4), BBox(3, 1, 6, 5)))
+@example(pair(6, 6, BBox(0, 0, 3, 3), BBox(3, 3, 6, 6)))
 @example(pair(6, 6, BBox(0, 3, 2, 6), BBox(4, 0, 6, 2)))
 @example(pair(6, 6, BBox(0, 0, 6, 6), BBox(1, 2, 3, 5)))
 @example(pair(6, 6, BBox(0, 0, 6, 6), BBox(1, 2, 3, 5), False, True))
+@example(wrapped(5, 6, (4, 15), (10, 22)))
+@example(wrapped(5, 6, (4, 15), (15, 30)))
+@example(wrapped(5, 6, (0, 30), (5, 7)))
+@example(wrapped(1, 7, (2, 5), (4, 7)))
+@example(pair(6, 6, CORNERS[0], CORNERS[0]))
+@example(pair(6, 6, CORNERS[0], CORNERS[3]))
+@example(pair(6, 6, CORNERS[1], CORNERS[2]))
+@example(pair(6, 6, CORNERS[0], BBox(0, 0, 6, 6)))
+@example(pair(6, 6, CORNERS[1], BBox(0, 0, 6, 6)))
+@example(pair(6, 6, CORNERS[2], BBox(0, 0, 6, 6)))
+@example(pair(6, 6, CORNERS[3], BBox(0, 0, 6, 6)))
+@example(pair(6, 6, CORNERS[3], BBox(0, 0, 6, 6), True, False))
 @settings(max_examples=300, deadline=None)
 def test_pair_iou_equals_full_frame_iou(ab):
-    """Empty masks in overlapping boxes, boxes that share only an edge,
-    disjoint boxes and nested boxes are pinned as explicit examples."""
+    """Explicit examples pin empty masks in overlapping and identical
+    boxes, boxes that share only an edge or a corner, disjoint and nested
+    boxes, runs that wrap across rows, and one-pixel masks at each corner
+    of the grid."""
     a, b = ab
     want = iou(rle_decode(a.mask), rle_decode(b.mask))
     assert a.iou(b) == want

@@ -475,6 +475,25 @@ def test_bbox_error_names_the_extent_from_the_runs(tmp_path):
     assert errors == ["instances[0]: bbox BBox(x0=7, y0=1, x1=8, y1=2) does "
                       "not enclose the mask extent BBox(x0=5, y0=1, x1=6, y1=2)"]
 
+
+def test_a_loaded_bundle_holds_no_decoded_mask(tmp_path):
+    # one large object per frame, so its runs take far fewer bytes than
+    # its box has pixels; a decoded window would take a byte per pixel
+    path = save_manifest(generate(2, objects=1, models=2, height=256,
+                                  width=256), tmp_path / "manifest.json")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bundle = load_manifest(path, maps=False)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    insts = bundle.instances + bundle.ground_truth
+    assert not [name for inst in insts for name, value in vars(inst).items()
+                if isinstance(value, np.ndarray)]
+    assert held < sum(i.bbox.width * i.bbox.height for i in insts) / 2
+
+
 class TestChunkedCheck:
     """Tensor payloads are read and checked in chunks of
     ``formats._CHUNK_BYTES``; a kept load and a validation-only load give

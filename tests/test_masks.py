@@ -71,6 +71,16 @@ class TestRleCodec:
         assert not rle_decode(RleMask(2, 2, (4,))).any()
         assert rle_decode(RleMask(2, 2, (0, 4))).all()
 
+    @pytest.mark.parametrize("box", [BBox(2, 2, 6, 6), BBox(0, 1, 4, 5),
+                                     BBox(2, 0, 5, 4)],
+                             ids=["rows_and_columns", "rows", "columns"])
+    def test_decode_box_off_the_grid_is_shape_error(self, box):
+        r = rle_encode(block_mask(4, 4, 1, 3, 1, 3))
+        with pytest.raises(ShapeError, match=r"exceeds 4x4 grid"):
+            rle_decode(r, box)
+        with pytest.raises(ShapeError, match=r"exceeds 4x4 grid"):
+            make_instance(block_mask(4, 4, 1, 3, 1, 3)).window(box)
+
     def test_sum_mismatch_is_format_error(self):
         with pytest.raises(FormatError):
             RleMask(2, 2, (3,))
@@ -241,12 +251,11 @@ class TestMaskArrays:
     @pytest.mark.parametrize("make", [
         lambda: rle_decode(RleMask(2, 3, (1, 2, 3))),
         lambda: rle_decode(RleMask(4, 4, (5, 2, 9)), BBox(1, 1, 3, 2)),
-        lambda: _instance_of_block().binary,
         lambda: _instance_of_block().window(BBox(0, 0, 6, 6)),
         lambda: _instance_of_block().window(BBox(4, 4, 6, 6)),
         lambda: binarize(np.full((2, 3), 0.7)),
-    ], ids=["rle_decode", "rle_decode_box", "binary", "window",
-            "window_outside", "binarize"])
+    ], ids=["rle_decode", "rle_decode_box", "window", "window_outside",
+            "binarize"])
     def test_returned_masks_are_read_only(self, make):
         m = make()
         assert isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 2
@@ -277,12 +286,12 @@ class TestMaskInstance:
         with pytest.raises(DataValidationError):
             make_instance(block_mask(4, 4, 0, 2, 0, 2), component="pearl")
 
-    def test_at_scale_shares_the_decoded_window(self):
+    def test_at_scale_shares_the_area(self):
         inst = make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=0.5, uid=3)
         twin = inst._at_scale(1.0, 9)
         assert twin == make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=1.0,
                                      uid=9)
-        assert twin.binary is inst.binary and twin.area == inst.area == 9
+        assert twin.mask is inst.mask and twin.area == inst.area == 9
         assert (inst.scale, inst.uid) == (0.5, 3)
         with pytest.raises(DataValidationError, match="scale must be positive"):
             inst._at_scale(0.0, 10)

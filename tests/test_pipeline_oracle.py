@@ -5,8 +5,11 @@ compares all five output files byte for byte with what the writers write
 from ``reference.pipeline_ref``'s arrays: no bands, no sink, only the
 scalar oracles composed in the paper's order.  The cases cover heights on
 either side of a band edge and two bands and more, finest scales on and
-off the reference grid, near-equal grids, runs with and without alpha
-maps, the gate and a constant gate, and AP and uniform weights.
+off the reference grid, near-equal grids, runs with synth's alpha maps,
+random ones and none, the gate and a constant gate, and AP and uniform
+weights.  Hand-built manifests add what synth does not draw: a height of
+1, random logits, and a -0.0 at the first band edge whose sign the row
+below it decides.
 """
 
 from dataclasses import replace
@@ -18,26 +21,46 @@ from segfuse import pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import main
 from segfuse.config import PipelineConfig
-from segfuse.formats import (load_manifest, save_manifest, save_tensor,
-                             write_json_report, write_overlay)
-from segfuse.grids import _BAND_ROWS
-from segfuse.masks import BBox, MaskInstance, RleMask
+from segfuse.formats import (load_manifest, load_tensor, save_manifest,
+                             save_tensor, write_json_report, write_overlay)
+from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, scaled_dim
+from segfuse.masks import (COMPONENTS, BBox, MaskInstance, RleMask,
+                           rle_encode, tight_bbox)
 from segfuse.synth import generate
 
 from reference import pipeline_ref
 
-# name -> (height, width, scales, alpha maps, beta const, weights)
+# name -> (height, width, scales, alpha maps, beta const, weights); alpha
+# maps are synth's, random, or none
 CASES = {
-    "s1_h63_gate_ap": (63, 33, (1.0,), True, None, "ap"),
-    "s05_h64_gate_uniform_noalpha": (64, 35, (0.5, 1.0), False, None,
+    "s1_h63_gate_ap": (63, 33, (1.0,), "synth", None, "ap"),
+    "s05_h64_gate_uniform_noalpha": (64, 35, (0.5, 1.0), None, None,
                                      "uniform"),
-    "s05_h130_beta_uniform": (130, 31, (0.5, 1.0), True, 0.5, "uniform"),
-    "s025_05_h130_gate_ap": (130, 37, (0.25, 0.5), True, None, "ap"),
-    "s025_05_h65_beta_ap_noalpha": (65, 29, (0.25, 0.5), False, 0.25, "ap"),
-    "s0999_h65_gate_ap": (65, 27, (0.999, 1.0), True, None, "ap"),
-    "s0999_h130_gate_uniform_noalpha": (130, 25, (0.999, 1.0), False, None,
+    "s05_h130_beta_uniform": (130, 31, (0.5, 1.0), "synth", 0.5, "uniform"),
+    "s025_05_h130_gate_ap": (130, 37, (0.25, 0.5), "synth", None, "ap"),
+    "s025_05_h65_beta_ap_noalpha": (65, 29, (0.25, 0.5), None, 0.25, "ap"),
+    "s0999_h65_gate_ap": (65, 27, (0.999, 1.0), "synth", None, "ap"),
+    "s0999_h130_gate_uniform_noalpha": (130, 25, (0.999, 1.0), None, None,
                                         "uniform"),
+    "s05_h130_gate_ap_random_alpha": (130, 27, (0.5, 1.0), "random", None,
+                                      "ap"),
+    "s025_05_h65_gate_uniform_random_alpha": (65, 31, (0.25, 0.5), "random",
+                                              None, "uniform"),
 }
+
+# hand-built manifests, for shapes synth does not draw: name -> (height,
+# width, scales, beta const, weights, signed zeros planted)
+HAND_CASES = {
+    "h1_s1_gate_ap": (1, 29, (1.0,), None, "ap", False),
+    "h1_s05_beta_uniform": (1, 31, (0.5, 1.0), 0.75, "uniform", False),
+    "h1_s0999_gate_ap": (1, 27, (0.999, 1.0), None, "ap", False),
+    "h130_s05_gate_ap": (130, 31, (0.5, 1.0), None, "ap", False),
+    "h130_s05_signed_zeros": (130, 30, (0.5, 1.0), 1.0, "uniform", True),
+}
+
+# reference-grid row -> the columns where ``_plant_signed_zeros`` makes the
+# fused frame -0.0: the first band's last row and the second band's first
+PLANTED = {_BAND_ROWS - 1: (3, 11, 19), _BAND_ROWS: (7, 15, 23)}
 
 OUTPUTS = ("fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
            "report.json")
@@ -70,36 +93,153 @@ def _write_oracle(bundle, calib, cfg, out_dir):
     return instances
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_pipeline_matches_the_whole_frame_oracle(tmp_path, case):
-    height, width, scales, alphas, beta, weights = CASES[case]
-    paths = []
-    for seed in (2, 3):
-        bundle = generate(seed, objects=3, height=height, width=width,
-                          scales=scales)
-        if not alphas:
-            bundle = replace(bundle, alpha_maps={})
-        paths.append(save_manifest(bundle, tmp_path / f"s{seed}" /
-                                   "manifest.json"))
-    image, calib = paths
-    argv = ["pipeline", str(image), "--out-dir", str(tmp_path / "cli")]
-    argv += (["--calib", str(calib)] if weights == "ap"
-             else ["--weights", "uniform"])
+def _random_alphas(bundle, seed):
+    """``bundle`` with its alpha maps replaced by random ones: synth's are
+    mirror-symmetric, so a read of the mirrored rows would go unseen."""
+    rng = np.random.default_rng(seed)
+    return replace(bundle, alpha_maps={
+        key: AttentionMap.from_array(
+            rng.random(alpha.data.shape[:2]).astype(np.float32))
+        for key, alpha in bundle.alpha_maps.items()})
+
+
+def _hand_bundle(seed, height, width, scales):
+    """A bundle of two models and two objects side by side, with random
+    logits and random alpha maps at every scale.  Each object's components
+    nest in boxes over its rows; ground truth fills each box, and each
+    model's mask is a random fill of it."""
+    rng = np.random.default_rng(seed)
+    models, objects = ("m0", "m1"), 2
+    cell = width // objects
+    rows = (height // 4, height - height // 4)
+    truth, preds = [], []
+    for oid in range(objects):
+        for k, comp in enumerate(COMPONENTS):
+            dy = min(k, (rows[1] - rows[0] - 1) // 2)
+            box = BBox(oid * cell + 1 + k, rows[0] + dy,
+                       (oid + 1) * cell - 1 - k, rows[1] - dy)
+            bits = np.zeros((height, width), dtype=bool)
+            bits[box.slices] = True
+            truth.append(MaskInstance(
+                mask=rle_encode(bits), bbox=box, component=comp,
+                object_id=oid, score=1.0, model_id="gt", scale=1.0,
+                uid=len(truth)))
+            for model in models:
+                bits = np.zeros((height, width), dtype=bool)
+                bits[box.slices] = rng.random((box.height, box.width)) < 0.8
+                bits[box.y0, box.x0] = True
+                preds.append((rle_encode(bits), tight_bbox(bits), comp, oid,
+                              round(float(rng.uniform(0.3, 1.0)), 4), model))
+    logit_maps, alpha_maps = {}, {}
+    for scale in scales:
+        sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
+        for model in models:
+            logit_maps[model, scale] = LogitMap.from_array(
+                rng.normal(scale=2.0, size=(sh, sw, 5)).astype(np.float32))
+            alpha_maps[model, scale] = AttentionMap.from_array(
+                rng.random((sh, sw)).astype(np.float32))
+    return PredictionBundle(
+        image_id=f"hand-{seed}", height=height, width=width, models=models,
+        scales=scales, ground_truth=tuple(truth),
+        instances=tuple(
+            MaskInstance(mask=rle, bbox=box, component=comp, object_id=oid,
+                         score=score, model_id=model, scale=scale, uid=uid)
+            for uid, (scale, (rle, box, comp, oid, score, model)) in
+            enumerate((s, p) for s in scales for p in preds)),
+        logit_maps=logit_maps, alpha_maps=alpha_maps)
+
+
+def _plant_signed_zeros(bundle):
+    """``bundle``, of scales (0.5, 1.0) on an even grid, with channel 0 of
+    every map set about the first band edge so that, under a constant gate
+    of 1, the fused finest level is -0.0 at the ``PLANTED`` pixels and
+    negative to their right and below.
+
+    A -0.0 cannot be planted in the logits themselves: the blend adds the
+    object maps' +0.0 to it.  On equal grids the fold keeps each value.  So
+    the coarse level holds subnormals whose 2x upsampling rounds to -0.0,
+    its gate is 1 over those rows, and the finest level is negative there,
+    so that the fold takes the coarse value and its sign."""
+    tiny = np.float32(2.0 ** -149)  # the smallest subnormal
+    # coarse rows 31 and 32 are the taps of reference rows 63 and 64;
+    # reference column 2j + 1 taps coarse columns j and j + 1
+    patterns = {_BAND_ROWS - 1: ((0, -tiny), (0, -3 * tiny)),
+                _BAND_ROWS: ((0, 0), (0, -tiny))}
+    logit_maps, alpha_maps = {}, dict(bundle.alpha_maps)
+    for (model, scale), logits in bundle.logit_maps.items():
+        data = logits.data.copy()
+        if scale == 1.0:
+            data[_BAND_ROWS - 2:_BAND_ROWS + 3, :, 0] = -1.0
+        else:
+            rows = data[_BAND_ROWS // 2 - 2:_BAND_ROWS // 2 + 2, :, 0]
+            rows[:] = -1.0
+            for row, columns in PLANTED.items():
+                for x in columns:
+                    rows[1:3, x // 2:x // 2 + 2] = patterns[row]
+            alpha = bundle.alpha_maps[model, scale].data.copy()
+            alpha[_BAND_ROWS // 2 - 2:_BAND_ROWS // 2 + 2] = 1.0
+            alpha_maps[model, scale] = AttentionMap.from_array(alpha)
+        logit_maps[model, scale] = LogitMap.from_array(data)
+    return replace(bundle, logit_maps=logit_maps, alpha_maps=alpha_maps)
+
+
+def _check_against_oracle(tmp_path, image, calib, beta, weights):
+    """Run the CLI ``pipeline`` on the manifests of ``image`` and, with AP
+    weights, ``calib``; assert that its five outputs are the oracle's bytes
+    and return the oracle's carving."""
+    image_path = save_manifest(image, tmp_path / "image" / "manifest.json")
+    argv = ["pipeline", str(image_path), "--out-dir", str(tmp_path / "cli")]
+    if weights == "ap":
+        calib_path = save_manifest(calib, tmp_path / "calib" / "manifest.json")
+        argv += ["--calib", str(calib_path)]
+    else:
+        argv += ["--weights", "uniform"]
     if beta is not None:
         argv += ["--beta-const", str(beta)]
     assert main(argv) == 0
 
-    bundle = load_manifest(image)
     cfg = PipelineConfig(weights_mode=weights, beta_const=beta)
     instances = _write_oracle(
-        bundle, load_manifest(calib, maps=False) if weights == "ap" else None,
+        load_manifest(image_path),
+        load_manifest(calib_path, maps=False) if weights == "ap" else None,
         cfg, tmp_path / "oracle")
     for name in OUTPUTS:
         assert ((tmp_path / "cli" / name).read_bytes()
                 == (tmp_path / "oracle" / name).read_bytes()), name
     assert instances
+    return instances
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_pipeline_matches_the_whole_frame_oracle(tmp_path, case):
+    height, width, scales, alphas, beta, weights = CASES[case]
+    image, calib = (generate(seed, objects=3, height=height, width=width,
+                             scales=scales) for seed in (2, 3))
+    if alphas is None:
+        image, calib = (replace(b, alpha_maps={}) for b in (image, calib))
+    elif alphas == "random":
+        image, calib = _random_alphas(image, 4), _random_alphas(calib, 5)
+    _check_against_oracle(tmp_path, image, calib, beta, weights)
     if height > 2 * _BAND_ROWS:
         # the three objects sit in one row, so their regions cross the
         # first band edge
-        regions = pipeline._object_regions(bundle, cfg).values()
+        regions = pipeline._object_regions(image, PipelineConfig()).values()
         assert all(r.y0 < _BAND_ROWS < r.y1 for r in regions)
+
+
+@pytest.mark.parametrize("case", list(HAND_CASES))
+def test_hand_built_manifest_matches_the_whole_frame_oracle(tmp_path, case):
+    height, width, scales, beta, weights, planted = HAND_CASES[case]
+    image = _hand_bundle(2, height, width, scales)
+    if planted:
+        image = _plant_signed_zeros(image)
+    _check_against_oracle(tmp_path, image, _hand_bundle(3, height, width, scales),
+                          beta, weights)
+    if planted:
+        # the -0.0 in the last row of the first band stays only because the
+        # first row of the next band is negative below it
+        logits = load_tensor(tmp_path / "cli" / OUTPUTS[0])
+        for y, columns in PLANTED.items():
+            for x in columns:
+                assert logits[y, x, 0] == 0 and np.signbit(logits[y, x, 0])
+                assert logits[y, x + 1, 0] < 0 and logits[y + 1, x, 0] < 0

@@ -215,7 +215,7 @@ def test_each_mask_is_decoded_once(monkeypatch):
     first, later = bundle.instances[:per_scale], bundle.instances[per_scale:]
     for k, inst in enumerate(later):
         twin = first[k % per_scale]
-        assert inst.binary is twin.binary and inst.area == twin.area
+        assert inst.mask is twin.mask and inst.area == twin.area
         assert (inst.scale, inst.uid) == ((0.5, 1.0)[k // per_scale],
                                           per_scale + k)
 
