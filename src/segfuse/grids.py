@@ -22,14 +22,11 @@ the package:
   from the taps of those rows and columns; ``bilinear_resize`` runs it over
   the whole output.  A window can leave out an output pixel whose four
   taps read zeros: such a pixel lerps to exactly +0.0.
-- A same-size resample is that lerp at t = 0, which keeps every value but
-  one: a -0.0 stays -0.0 only when its clamped right and lower neighbours
-  are both strictly negative, and becomes +0.0 otherwise.  The rule is
-  applied directly, by one row core, ``_same_size_rows``, that needs only
-  the row below the rows it is given; the input grid itself comes back
-  when no zero flips.
-  The scale fold's row core lerps equal grids at t = 0 instead, band by
-  band, which gives the same bytes.
+- A same-size resample is that lerp at t = 0, ``v + (w - v) * 0``, which
+  returns every value bit for bit except a -0.0, which may become +0.0.
+  So rows that hold no -0.0 (``_negative_zeros``, counted band by band)
+  are their own resample and are not lerped; the input grid itself comes
+  back when the lerp changes no bit.
 - Reductions across the channels of a row (sum, max, argmax) run as one
   elementwise pass per column, left to right, never as numpy's per-row
   reduction: a sum adds the columns in ascending index order, not
@@ -159,35 +156,26 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
 
     Half-pixel-center mapping with clamp-to-edge; lerp form evaluated in
     float64, rounded once to float32.  A constant grid resamples to exactly
-    that constant at every output pixel.
+    that constant at every output pixel.  On equal grids ``a`` itself comes
+    back when the resample changes no bit.
     """
     if out_h < 1 or out_w < 1:
         raise DataValidationError("output dimensions must be positive")
-    if (out_h, out_w) == (a.height, a.width):
-        out = _same_size_rows(a.data, a.data[-1])
-        return a if out is a.data else LogitMap._own(out)
+    same = (out_h, out_w) == (a.height, a.width)
+    zeros = _negative_zeros(a.data) if same else 0
+    if same and not zeros:
+        return a
+    out = _lerp(a.data, _taps(a.height, out_h), _taps(a.width, out_w))
+    # at t = 0 the lerp can only turn a -0.0 into +0.0
+    return a if same and _negative_zeros(out) == zeros else LogitMap._own(out)
 
-    return LogitMap._own(
-        _lerp(a.data, _taps(a.height, out_h), _taps(a.width, out_w)))
 
-
-def _same_size_rows(rows: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """Some rows of a same-size resample: ``rows`` under the -0.0 rule (see
-    module notes), where ``below`` is the row under the last of them, or
-    that last row itself at the bottom edge, which clamps.  Returns ``rows``
-    itself when no zero flips, else a copy."""
-    ys, xs, cs = np.unravel_index(
-        np.flatnonzero((rows == 0) & np.signbit(rows)), rows.shape)
-    last = len(rows) - 1
-    under = np.where(ys < last, rows[np.minimum(ys + 1, last), xs, cs],
-                     below[xs, cs])
-    flip = ~((rows[ys, np.minimum(xs + 1, rows.shape[1] - 1), cs] < 0)
-             & (under < 0))
-    if not flip.any():
-        return rows
-    out = rows.copy()
-    out[ys[flip], xs[flip], cs[flip]] = 0.0
-    return out
+def _negative_zeros(rows: np.ndarray) -> int:
+    """How many -0.0 ``rows`` hold, counted a band of ``_BAND_ROWS`` rows at
+    a time."""
+    bits = rows.view(np.uint32)
+    return sum(int(np.count_nonzero(bits[r0:r0 + _BAND_ROWS] == 0x80000000))
+               for r0 in range(0, len(bits), _BAND_ROWS))
 
 
 def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

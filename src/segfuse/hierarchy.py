@@ -48,9 +48,8 @@ def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
     grid: ``finer`` holds those rows of the finer level, ``ys`` are their
     ``_taps`` into ``lower``'s rows and ``xs`` the finer grid's column taps.
 
-    ``lower`` and ``alpha`` are upsampled over just those rows.  On equal
-    grids the taps have t = 0, and the lerp keeps every value but the -0.0
-    that ``bilinear_resize``'s same-size rule flips, so this is that rule."""
+    ``lower`` and ``alpha`` are upsampled over just those rows, by the
+    lerp core of ``bilinear_resize``, on equal grids too."""
     up = _lerp(lower.data, ys, xs)
     gate = _lerp(alpha.data[:, :, None], ys, xs)
     gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))

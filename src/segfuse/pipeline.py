@@ -41,9 +41,9 @@ from .formats import (_overlay_header, _overlay_pixels, _payload,
                       write_json_report)
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
-from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _row_max,
-                    _same_size_rows, _taps, argmax_channel, scaled_dim,
-                    softmax_rows)
+from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp,
+                    _negative_zeros, _row_max, _taps, argmax_channel,
+                    scaled_dim, softmax_rows)
 from .hierarchy import _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
                     MaskInstance, expand_bbox, rle_encode, scale_box,
@@ -490,9 +490,9 @@ def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
 
     A reference band is built once the last level row its ``_taps`` read
     has arrived, and a level band is dropped once no later reference row
-    reads it.  On equal grids the taps of a band's last row read the row
-    below it, which ``_same_size_rows`` takes; on other grids the tapped
-    rows are lerped."""
+    reads it.  The tapped rows are lerped, except that on equal grids
+    level rows that hold no -0.0 are their own resample and pass on as
+    they are."""
     same = shape == (height, width)
     ys, xs = _taps(shape[0], height), _taps(shape[1], width)
     held = []  # (r0, rows) of the level bands a later reference row reads
@@ -504,11 +504,10 @@ def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
             lo, hi = ys[0][q0], ys[1][q1 - 1] + 1
             if hi > r0 + len(band):
                 break  # a row it taps has not arrived
+            keep = same and not _negative_zeros(_held_rows(held, q0, q1))
             # yielded as it is built, so that no local holds it while the
             # next band is built
-            yield q0, (_same_size_rows(_held_rows(held, q0, q1),
-                                       _held_rows(held, hi - 1, hi)[0])
-                       if same else
+            yield q0, (_held_rows(held, q0, q1) if keep else
                        _lerp(_held_rows(held, lo, hi),
                              [ys[0][q0:q1] - lo, ys[1][q0:q1] - lo,
                               ys[2][q0:q1]], xs))

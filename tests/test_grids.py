@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import weighted_average
-from segfuse.grids import (AttentionMap, LogitMap, argmax_channel,
-                           bilinear_resize, scaled_dim, softmax_rows)
+from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps,
+                           argmax_channel, bilinear_resize, scaled_dim,
+                           softmax_rows)
 from segfuse.hierarchy import fuse_adjacent_scales
 
 from conftest import signed_zeros, traced_peak_ratio
@@ -147,6 +149,38 @@ class TestBilinearResize:
         a = LogitMap.from_array(
             rng.normal(size=(256, 256, 5)).astype(np.float32))
         assert traced_peak_ratio(bilinear_resize, a, 512, 512) <= 3.5
+
+    def test_same_size_looks_for_negative_zero_a_band_at_a_time(self, rng):
+        # 16 bands, every third row +0.0 and no -0.0: the grid is its own
+        # resample, and the search for a -0.0 builds no whole-frame mask
+        src = rng.normal(size=(16 * _BAND_ROWS, 64, 5)).astype(np.float32)
+        src[::3] = 0.0
+        a = LogitMap.from_array(src)
+        assert bilinear_resize(a, *src.shape[:2]) is a
+        assert traced_peak_ratio(bilinear_resize, a, *src.shape[:2]) < 1 / 16
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@given(arrays(np.float32, array_shapes(min_dims=3, max_dims=3, max_side=7),
+              elements=st.floats(width=32, allow_nan=False,
+                                 allow_infinity=False)))
+@example(np.array([[[0.0, F32_TINY], [F32_MAX, -F32_MAX]],
+                   [[-F32_TINY, -F32_MAX], [0.0, F32_MAX]]], np.float32))
+@example(np.array([[[-0.0, F32_TINY], [-F32_MAX, -0.0]],
+                   [[-F32_TINY, -0.0], [-0.0, F32_MAX]]], np.float32))
+@settings(max_examples=300, deadline=None)
+def test_equal_grid_lerp_changes_no_bit_but_a_negative_zero(src):
+    # the premise of the same-size early-out: at t = 0 the lerp returns
+    # every value bit for bit, +0.0, subnormals and the float32 extremes
+    # included; only a -0.0 may change, as the gather oracle changes it
+    h, w = src.shape[:2]
+    got = _lerp(src, _taps(h, h), _taps(w, w))
+    assert got.tobytes() == bilinear_gather_ref(src, h, w).tobytes()
+    if not np.signbit(src[src == 0]).any():
+        assert got.tobytes() == src.tobytes()
 
 
 class TestScaledDim:

@@ -1,6 +1,7 @@
 """Orchestration-level contracts not exercised through the CLI."""
 
 import tracemalloc
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -485,6 +486,38 @@ def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
         # row 63 keeps its zeros where row 64 is negative, flips the others
         assert kept[63, cols[:, 0] % 4 == 0].all()
         assert not kept[63, cols[:, 0] % 4 == 2].any()
+
+
+def test_equal_grid_stream_passes_bands_on_and_holds_no_stale_band():
+    # five level bands and 7 rows; bands 1 and 5 hold a -0.0 beside
+    # positive neighbours, which the resample turns to +0.0.  Every other
+    # band is its own resample and passes on as the level band itself, and
+    # no level band is still held while the band two after it is built
+    height, width = 5 * _BAND_ROWS + 7, 12
+    frame = np.random.default_rng(0).uniform(
+        0.5, 2.0, size=(height, width, 5)).astype(np.float32)
+    frame[_BAND_ROWS + 3, 4, 1] = frame[-1, -1, -1] = -0.0
+    want = bilinear_resize(LogitMap.from_array(frame), height, width).data
+    assert not np.signbit(want[_BAND_ROWS + 3, 4, 1])
+    refs = []
+
+    def level_bands():
+        for k, r0 in enumerate(range(0, height, _BAND_ROWS)):
+            if k >= 2:
+                assert refs[k - 2]() is None, f"level band {k - 2} is held"
+            band = frame[r0:r0 + _BAND_ROWS].copy()
+            refs.append(weakref.ref(band))
+            yield r0, band
+
+    built = []
+    for q0, rows in pipeline._reference_rows(level_bands(), (height, width),
+                                             height, width):
+        k = q0 // _BAND_ROWS
+        assert (rows is refs[k]()) == (k not in (1, 5))
+        assert rows.tobytes() == want[q0:q0 + _BAND_ROWS].tobytes()
+        built.append(q0)
+        del rows  # so that the loop holds no band while the next is built
+    assert built == list(range(0, height, _BAND_ROWS))
 
 
 # upsampled by 2 and by about 4, downsampled by 2; a 1-row level, a
