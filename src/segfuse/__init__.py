@@ -10,7 +10,7 @@ from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
 from .grids import (AttentionMap, LogitMap, argmax_channel, bilinear_resize,
                     softmax_rows)
-from .hierarchy import fuse_adjacent_scales, run_inference_chain
+from .hierarchy import run_inference_chain
 from .masks import (COMPONENTS, BBox, MaskInstance, RleMask, crop, expand_bbox,
                     iou, rle_decode, rle_encode, tight_bbox)
 from .metrics import (ApTable, average_precision, group_ap,
@@ -25,9 +25,8 @@ __all__ = [
     "SegfuseError", "ShapeError",
     "argmax_channel", "attention_to_map", "average_precision",
     "bilinear_resize", "binarize", "compute_weights", "crop",
-    "difference_matrix", "expand_bbox", "fuse_adjacent_scales",
-    "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap", "iou",
-    "local_attention", "match_predictions", "normalize_ap", "rle_decode",
-    "rle_encode", "row_normalize", "run_inference_chain", "softmax_rows",
-    "tight_bbox",
+    "difference_matrix", "expand_bbox", "fuse_global_local", "fuse_logits",
+    "fuse_masks", "group_ap", "iou", "local_attention", "match_predictions",
+    "normalize_ap", "rle_decode", "rle_encode", "row_normalize",
+    "run_inference_chain", "softmax_rows", "tight_bbox",
 ]

@@ -6,11 +6,9 @@ The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
 
 One row core, ``_fold_rows``, upsamples both over just the rows it folds,
-through ``grids._lerp``, and blends them; ``fuse_adjacent_scales`` runs it
-one band of ``_BAND_ROWS`` rows at a time.  The pipeline's band pass folds
-each band it builds through the same row core, so ``fuse_adjacent_scales``
-and ``run_inference_chain`` are the whole-frame form of its fold, kept as
-library API and as test oracles.
+through ``grids._lerp``, and blends them.  The pipeline's band pass folds
+each band it builds through it; ``run_inference_chain`` is the whole-frame
+form of that fold, kept as library API and as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,24 +20,6 @@ from .fusion import weighted_average
 from .grids import _BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps
 
 import numpy as np
-
-
-def fuse_adjacent_scales(lower: LogitMap, alpha: AttentionMap,
-                         higher: LogitMap) -> LogitMap:
-    """Blend coarser logits into the next finer grid under their upsampled gate."""
-    if alpha.shape != lower.shape[:2]:
-        raise ShapeError(
-            f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
-    if lower.channels != higher.channels:
-        raise ShapeError(
-            f"channel counts differ: {lower.channels} vs {higher.channels}")
-    ys, xs = _taps(lower.height, higher.height), _taps(lower.width, higher.width)
-    out = np.empty_like(higher.data)
-    for r0 in range(0, higher.height, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        out[band] = _fold_rows(lower, alpha, higher.data[band],
-                               [t[band] for t in ys], xs)
-    return LogitMap._own(out)
 
 
 def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
@@ -58,18 +38,33 @@ def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
 
 def run_inference_chain(
         levels: Sequence[tuple[LogitMap, AttentionMap | None]]) -> LogitMap:
-    """Left fold of :func:`fuse_adjacent_scales` over ``(logits, alpha)``
-    levels from coarsest to finest.
+    """Fold ``(logits, alpha)`` levels, coarsest first, into the finest
+    grid, one band of ``_BAND_ROWS`` rows at a time.
 
-    Every level but the finest needs an alpha map.  A single level returns
-    its logits unchanged; k levels perform exactly k - 1 fusions.
+    Every level but the finest needs an alpha map on its own grid and the
+    next level's channel count; every level is checked before any is
+    folded.  A single level returns its logits unchanged; k levels perform
+    exactly k - 1 folds.
     """
     if not levels:
         raise DataValidationError("scale chain cannot be empty")
-    acc = levels[0][0]
-    for k, ((_, alpha), (finer, _)) in enumerate(zip(levels, levels[1:])):
+    for k, ((lower, alpha), (finer, _)) in enumerate(zip(levels, levels[1:])):
         if alpha is None:
             raise DataValidationError(
                 f"scale level {k} needs an alpha map to fuse upward")
-        acc = fuse_adjacent_scales(acc, alpha, finer)
+        if alpha.shape != lower.shape[:2]:
+            raise ShapeError(
+                f"alpha grid {alpha.shape} != logits grid {lower.shape[:2]}")
+        if lower.channels != finer.channels:
+            raise ShapeError(
+                f"channel counts differ: {lower.channels} vs {finer.channels}")
+    acc = levels[0][0]
+    for (_, alpha), (finer, _) in zip(levels, levels[1:]):
+        ys, xs = _taps(acc.height, finer.height), _taps(acc.width, finer.width)
+        out = np.empty_like(finer.data)
+        for r0 in range(0, finer.height, _BAND_ROWS):
+            band = slice(r0, r0 + _BAND_ROWS)
+            out[band] = _fold_rows(acc, alpha, finer.data[band],
+                                   [t[band] for t in ys], xs)
+        acc = LogitMap._own(out)
     return acc

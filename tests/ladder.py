@@ -9,8 +9,10 @@ the digests of one commit, then check another against them::
     PYTHONPATH=src python3 tests/ladder.py --against digests.json
 
 ``--against FILE`` prints every path whose digest changed, every path
-that was added and every path that is missing, and exits 1 on any
-difference, 0 when every output byte is the same.
+that was added and every path that is missing.  It exits 0 when every
+output byte is the same and 3 on any difference.  Any other status means
+that the ladder did not finish: 1 is Python's status for an uncaught
+exception, and the ladder's own for a command that failed.
 
 pytest does not collect this file.  The 640x640 fixture is the
 ``pipeline_ap`` benchmark geometry; the whole ladder takes well under a
@@ -148,7 +150,7 @@ def main_ladder(argv: list[str] | None = None) -> int:
         print(line)
     print(f"{len(diffs)} differences from {args.against} "
           f"({len(now)} files written)")
-    return 1 if diffs else 0
+    return 3 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -110,10 +110,9 @@ def test_03_all_fusions_are_convex():
             lower = rng.normal(size=(4, 4, 2)).astype(np.float32)
             alpha = rng.uniform(size=(4, 4)).astype(np.float32)
             higher = rng.normal(size=(8, 8, 2)).astype(np.float32)
-            from segfuse.hierarchy import fuse_adjacent_scales
-            stepped = fuse_adjacent_scales(LogitMap.from_array(lower),
-                                           AttentionMap.from_array(alpha),
-                                           LogitMap.from_array(higher))
+            stepped = run_inference_chain([
+                (LogitMap.from_array(lower), AttentionMap.from_array(alpha)),
+                (LogitMap.from_array(higher), None)])
             up = bilinear_resize(LogitMap.from_array(lower), 8, 8).data
             assert (stepped.data >= np.minimum(up, higher)).all()
             assert (stepped.data <= np.maximum(up, higher)).all()

@@ -11,7 +11,7 @@ from segfuse.fusion import weighted_average
 from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps,
                            argmax_channel, bilinear_resize, scaled_dim,
                            softmax_rows)
-from segfuse.hierarchy import fuse_adjacent_scales
+from segfuse.hierarchy import run_inference_chain
 
 from conftest import signed_zeros, traced_peak_ratio
 from reference import (bilinear_gather_ref, bilinear_ref, fuse_adjacent_ref,
@@ -306,9 +306,9 @@ class TestFuseAdjacentAcrossBands:
         alpha = signed_zeros(rng, rng.uniform(size=(65, 3)).astype(np.float32))
         higher = signed_zeros(rng, rng.normal(scale=3.0, size=(130, 6, 2))
                               .astype(np.float32))
-        got = fuse_adjacent_scales(LogitMap.from_array(lower),
-                                   AttentionMap.from_array(alpha),
-                                   LogitMap.from_array(higher))
+        got = run_inference_chain([
+            (LogitMap.from_array(lower), AttentionMap.from_array(alpha)),
+            (LogitMap.from_array(higher), None)])
         assert (got.data.tobytes()
                 == fuse_adjacent_ref(lower, alpha, higher).tobytes())
         assert not got.data.flags.writeable
@@ -320,8 +320,8 @@ class TestFuseAdjacentAcrossBands:
             rng.uniform(size=(256, 256)).astype(np.float32))
         higher = LogitMap.from_array(
             rng.normal(size=(512, 512, 5)).astype(np.float32))
-        assert traced_peak_ratio(fuse_adjacent_scales, lower, alpha,
-                                 higher) <= 4.0
+        assert traced_peak_ratio(run_inference_chain,
+                                 [(lower, alpha), (higher, None)]) <= 4.0
 
 
 class TestTypeInvariants:

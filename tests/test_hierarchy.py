@@ -1,4 +1,7 @@
-"""Adjacent-scale fusion and the coarse-to-fine chain."""
+"""Adjacent-scale fusion and the coarse-to-fine chain.
+
+A fold of one coarser level into the next finer grid is the two-level
+chain ``run_inference_chain([(lower, alpha), (finer, None)])``."""
 
 import json
 
@@ -10,7 +13,7 @@ from segfuse.cli import main
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.formats import save_manifest
 from segfuse.grids import AttentionMap, LogitMap
-from segfuse.hierarchy import fuse_adjacent_scales, run_inference_chain
+from segfuse.hierarchy import run_inference_chain
 
 from conftest import signed_zeros
 from reference import chain_ref, fuse_adjacent_ref
@@ -21,12 +24,17 @@ def level(h, w, c, logit_value, alpha_value=None):
     return LogitMap.full(h, w, c, logit_value), alpha
 
 
+def fold(lower, alpha, finer):
+    """One fold step: the two-level chain."""
+    return run_inference_chain([(lower, alpha), (finer, None)])
+
+
 class TestFuseAdjacentScales:
     def test_alpha_one_returns_upsampled_lower(self, rng):
         lower_data = rng.normal(size=(2, 2, 1)).astype(np.float32)
         lower = LogitMap.from_array(lower_data)
         higher = LogitMap.from_array(rng.normal(size=(4, 4, 1)).astype(np.float32))
-        out = fuse_adjacent_scales(lower, AttentionMap.full(2, 2, 1.0), higher)
+        out = fold(lower, AttentionMap.full(2, 2, 1.0), higher)
         from segfuse.grids import bilinear_resize
         up = bilinear_resize(lower, 4, 4)
         assert np.array_equal(out.data, up.data)
@@ -34,13 +42,13 @@ class TestFuseAdjacentScales:
     def test_alpha_zero_returns_higher_bitwise(self, rng):
         lower, alpha = level(2, 2, 1, 5.0, alpha_value=0.0)
         higher = LogitMap.from_array(rng.normal(size=(4, 4, 1)).astype(np.float32))
-        out = fuse_adjacent_scales(lower, alpha, higher)
+        out = fold(lower, alpha, higher)
         assert np.array_equal(out.data, higher.data)
 
     def test_constant_fields_hand_worked(self):
         lower, alpha = level(1, 1, 1, 2.0, alpha_value=0.25)
         higher = LogitMap.full(2, 2, 1, 4.0)
-        out = fuse_adjacent_scales(lower, alpha, higher)
+        out = fold(lower, alpha, higher)
         assert np.array_equal(out.data, np.full((2, 2, 1), 3.5, np.float32))
 
     def test_convex_between_operands(self, rng):
@@ -48,8 +56,8 @@ class TestFuseAdjacentScales:
         alpha = rng.uniform(size=(3, 3)).astype(np.float32)
         higher = rng.normal(size=(6, 6, 2)).astype(np.float32)
         lower = LogitMap.from_array(lower_data)
-        out = fuse_adjacent_scales(lower, AttentionMap.from_array(alpha),
-                                   LogitMap.from_array(higher))
+        out = fold(lower, AttentionMap.from_array(alpha),
+                   LogitMap.from_array(higher))
         from segfuse.grids import bilinear_resize
         up = bilinear_resize(lower, 6, 6).data
         assert (out.data >= np.minimum(up, higher)).all()
@@ -58,13 +66,12 @@ class TestFuseAdjacentScales:
     def test_channel_mismatch(self):
         lower, alpha = level(2, 2, 2, 1.0, alpha_value=0.5)
         with pytest.raises(ShapeError):
-            fuse_adjacent_scales(lower, alpha, LogitMap.zeros(4, 4, 3))
+            fold(lower, alpha, LogitMap.zeros(4, 4, 3))
 
     def test_alpha_grid_must_match_lower(self):
         lower, _ = level(2, 2, 1, 1.0)
         with pytest.raises(ShapeError, match="alpha grid"):
-            fuse_adjacent_scales(lower, AttentionMap.full(4, 4, 0.5),
-                                 LogitMap.zeros(4, 4, 1))
+            fold(lower, AttentionMap.full(4, 4, 0.5), LogitMap.zeros(4, 4, 1))
 
     def test_missing_alpha_rejected(self):
         with pytest.raises(DataValidationError, match="alpha map"):
@@ -100,20 +107,53 @@ class TestRunInferenceChain:
         assert np.array_equal(run_inference_chain(padded).data,
                               run_inference_chain(base).data)
 
-    def test_fold_count_matches_scale_count(self, rng, monkeypatch):
+    @staticmethod
+    def count_row_folds(monkeypatch):
         import segfuse.hierarchy as hierarchy_mod
         calls = []
-        real = hierarchy_mod.fuse_adjacent_scales
-        monkeypatch.setattr(hierarchy_mod, "fuse_adjacent_scales",
-                            lambda lo, al, hi: calls.append(1) or real(lo, al, hi))
+        real = hierarchy_mod._fold_rows
+        monkeypatch.setattr(hierarchy_mod, "_fold_rows",
+                            lambda *args: calls.append(1) or real(*args))
+        return calls
+
+    @staticmethod
+    def four_levels():
         sizes = ((2, 2), (4, 4), (8, 8), (16, 16))
-        levels = []
-        for k, (h, w) in enumerate(sizes):
-            alpha = AttentionMap.full(h, w, 0.5) if k < len(sizes) - 1 else None
-            levels.append((LogitMap.full(h, w, 1, float(k)), alpha))
+        return [(LogitMap.full(h, w, 1, float(k)),
+                 AttentionMap.full(h, w, 0.5) if k < len(sizes) - 1 else None)
+                for k, (h, w) in enumerate(sizes)]
+
+    def test_fold_count_matches_scale_count(self, monkeypatch):
+        # no grid has more than one band of rows, so each step is one call
+        calls = self.count_row_folds(monkeypatch)
+        levels = self.four_levels()
         out = run_inference_chain(levels)
         assert out.shape == (16, 16, 1)
-        assert len(calls) == len(sizes) - 1
+        assert len(calls) == len(levels) - 1
+
+    @pytest.mark.parametrize("bad, error, match", [
+        ("alpha_missing", DataValidationError,
+         "^scale level 2 needs an alpha map to fuse upward$"),
+        ("alpha_off_grid", ShapeError,
+         r"^alpha grid \(4, 4\) != logits grid \(8, 8\)$"),
+        ("channels", ShapeError, "^channel counts differ: 1 vs 2$"),
+    ], ids=["alpha_missing", "alpha_off_grid", "channels"])
+    def test_last_level_checked_before_any_fold(self, monkeypatch, bad,
+                                                error, match):
+        # the messages are those the fold raised when it checked each step
+        # only as it reached it
+        calls = self.count_row_folds(monkeypatch)
+        levels = self.four_levels()
+        logits = levels[2][0]
+        if bad == "alpha_missing":
+            levels[2] = (logits, None)
+        elif bad == "alpha_off_grid":
+            levels[2] = (logits, AttentionMap.full(4, 4, 0.5))
+        else:
+            levels[3] = (LogitMap.full(16, 16, 2, 3.0), None)
+        with pytest.raises(error, match=match):
+            run_inference_chain(levels)
+        assert calls == []
 
     def test_matches_scalar_oracle_bitwise(self, rng):
         arrays = [rng.normal(scale=2.0, size=(4, 4, 3)).astype(np.float32),
@@ -164,8 +204,7 @@ class TestAdjacentOracle:
             rng, rng.normal(size=(3, 5, 2)).astype(np.float32), share=0.8)
         alpha = signed_zeros(rng, rng.uniform(size=(3, 5)).astype(np.float32))
         higher = signed_zeros(rng, rng.normal(size=(7, 9, 2)).astype(np.float32))
-        got = fuse_adjacent_scales(LogitMap.from_array(lower_logits),
-                                   AttentionMap.from_array(alpha),
-                                   LogitMap.from_array(higher))
+        got = fold(LogitMap.from_array(lower_logits),
+                   AttentionMap.from_array(alpha), LogitMap.from_array(higher))
         assert got.data.tobytes() == fuse_adjacent_ref(lower_logits, alpha,
                                                        higher).tobytes()

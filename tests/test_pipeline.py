@@ -17,7 +17,7 @@ from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
 from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap,
                            argmax_channel, bilinear_resize)
-from segfuse.hierarchy import fuse_adjacent_scales
+from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
                               _mean_alpha, _object_regions, run_evaluate,
@@ -377,7 +377,7 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
     [(lower, alpha, finer, folded)] = folds
     assert np.signbit(lower.data[lower.data == 0]).any()
-    assert (fuse_adjacent_scales(lower, alpha, finer).data.tobytes()
+    assert (run_inference_chain([(lower, alpha), (finer, None)]).data.tobytes()
             == folded.data.tobytes())
     # the rule itself, as bilinear_resize applies it to whole frames
     up = bilinear_resize(lower, height, 16).data

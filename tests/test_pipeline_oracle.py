@@ -8,8 +8,9 @@ either side of a band edge and two bands and more, finest scales on and
 off the reference grid, near-equal grids, runs with synth's alpha maps,
 random ones and none, the gate and a constant gate, and AP and uniform
 weights.  Hand-built manifests add what synth does not draw: a height of
-1, random logits, and a -0.0 at the first band edge whose sign the row
-below it decides.
+1, random logits, a -0.0 at the first band edge whose sign the row below
+it decides, two objects whose shells overlap, and a model that misses an
+object.
 """
 
 from dataclasses import replace
@@ -49,14 +50,24 @@ CASES = {
 }
 
 # hand-built manifests, for shapes synth does not draw: name -> (height,
-# width, scales, beta const, weights, signed zeros planted)
+# width, scales, beta const, weights, variant); the variant plants signed
+# zeros, shifts object 1 onto object 0 ("touching"), or drops model m1's
+# instances of object 1 from the image ("missed")
 HAND_CASES = {
-    "h1_s1_gate_ap": (1, 29, (1.0,), None, "ap", False),
-    "h1_s05_beta_uniform": (1, 31, (0.5, 1.0), 0.75, "uniform", False),
-    "h1_s0999_gate_ap": (1, 27, (0.999, 1.0), None, "ap", False),
-    "h130_s05_gate_ap": (130, 31, (0.5, 1.0), None, "ap", False),
-    "h130_s05_signed_zeros": (130, 30, (0.5, 1.0), 1.0, "uniform", True),
+    "h1_s1_gate_ap": (1, 29, (1.0,), None, "ap", None),
+    "h1_s05_beta_uniform": (1, 31, (0.5, 1.0), 0.75, "uniform", None),
+    "h1_s0999_gate_ap": (1, 27, (0.999, 1.0), None, "ap", None),
+    "h130_s05_gate_ap": (130, 31, (0.5, 1.0), None, "ap", None),
+    "h130_s05_signed_zeros": (130, 30, (0.5, 1.0), 1.0, "uniform",
+                              "signed_zeros"),
+    "h130_s05_touching_gate_ap": (130, 31, (0.5, 1.0), None, "ap",
+                                  "touching"),
+    "h130_s05_missed_gate_ap": (130, 31, (0.5, 1.0), None, "ap", "missed"),
 }
+
+# columns that the "touching" variant moves object 1's boxes to the left:
+# its shell then overlaps object 0's by 3 columns
+TOUCH_SHIFT = 5
 
 # reference-grid row -> the columns where ``_plant_signed_zeros`` makes the
 # fused frame -0.0: the first band's last row and the second band's first
@@ -103,11 +114,13 @@ def _random_alphas(bundle, seed):
         for key, alpha in bundle.alpha_maps.items()})
 
 
-def _hand_bundle(seed, height, width, scales):
+def _hand_bundle(seed, height, width, scales, shift=0, missed=False):
     """A bundle of two models and two objects side by side, with random
     logits and random alpha maps at every scale.  Each object's components
     nest in boxes over its rows; ground truth fills each box, and each
-    model's mask is a random fill of it."""
+    model's mask is a random fill of it.  Object 1's boxes sit ``shift``
+    columns to the left of their cell, and with ``missed`` model m1 has no
+    instance of object 1."""
     rng = np.random.default_rng(seed)
     models, objects = ("m0", "m1"), 2
     cell = width // objects
@@ -117,7 +130,8 @@ def _hand_bundle(seed, height, width, scales):
         for k, comp in enumerate(COMPONENTS):
             dy = min(k, (rows[1] - rows[0] - 1) // 2)
             box = BBox(oid * cell + 1 + k, rows[0] + dy,
-                       (oid + 1) * cell - 1 - k, rows[1] - dy)
+                       (oid + 1) * cell - 1 - k,
+                       rows[1] - dy).shifted(-shift * oid, 0)
             bits = np.zeros((height, width), dtype=bool)
             bits[box.slices] = True
             truth.append(MaskInstance(
@@ -125,6 +139,8 @@ def _hand_bundle(seed, height, width, scales):
                 object_id=oid, score=1.0, model_id="gt", scale=1.0,
                 uid=len(truth)))
             for model in models:
+                if missed and (model, oid) == ("m1", 1):
+                    continue
                 bits = np.zeros((height, width), dtype=bool)
                 bits[box.slices] = rng.random((box.height, box.width)) < 0.8
                 bits[box.y0, box.x0] = True
@@ -229,13 +245,33 @@ def test_pipeline_matches_the_whole_frame_oracle(tmp_path, case):
 
 @pytest.mark.parametrize("case", list(HAND_CASES))
 def test_hand_built_manifest_matches_the_whole_frame_oracle(tmp_path, case):
-    height, width, scales, beta, weights, planted = HAND_CASES[case]
-    image = _hand_bundle(2, height, width, scales)
-    if planted:
+    height, width, scales, beta, weights, variant = HAND_CASES[case]
+    shift = TOUCH_SHIFT if variant == "touching" else 0
+    image = _hand_bundle(2, height, width, scales, shift,
+                         missed=variant == "missed")
+    if variant == "signed_zeros":
         image = _plant_signed_zeros(image)
-    _check_against_oracle(tmp_path, image, _hand_bundle(3, height, width, scales),
-                          beta, weights)
-    if planted:
+    # the calibration split keeps every instance, so a missed object keeps
+    # its horizontal weights
+    calib = _hand_bundle(3, height, width, scales, shift)
+    _check_against_oracle(tmp_path, image, calib, beta, weights)
+    if variant == "touching":
+        # every model's two shells overlap, over rows across the first
+        # band edge, so their local maps are summed there
+        for scale in scales:
+            for model in image.models:
+                shells = [i.bbox for i in image.instances
+                          if (i.model_id, i.scale, i.component)
+                          == (model, scale, "shell")]
+                overlap = shells[0].intersection(shells[1])
+                assert overlap is not None
+                assert overlap.y0 < _BAND_ROWS < overlap.y1
+    if variant == "missed":
+        held = {(i.model_id, i.object_id) for i in image.instances}
+        assert ("m1", 1) not in held and ("m0", 1) in held
+        assert ("m1", 1) in {(i.model_id, i.object_id)
+                             for i in calib.instances}
+    if variant == "signed_zeros":
         # the -0.0 in the last row of the first band stays only because the
         # first row of the next band is negative below it
         logits = load_tensor(tmp_path / "cli" / OUTPUTS[0])

@@ -12,16 +12,15 @@ EXPECTED = {
     "FusionWeights", "LogitMap", "MaskInstance", "PipelineConfig",
     "PredictionBundle", "RleMask", "SegfuseError", "ShapeError", "argmax_channel", "attention_to_map", "average_precision",
     "bilinear_resize", "binarize", "compute_weights", "crop",
-    "difference_matrix", "expand_bbox", "fuse_adjacent_scales",
-    "fuse_global_local", "fuse_logits", "fuse_masks", "group_ap", "iou",
-    "local_attention", "match_predictions", "normalize_ap", "rle_decode",
-    "rle_encode", "row_normalize", "run_inference_chain", "softmax_rows",
-    "tight_bbox",
+    "difference_matrix", "expand_bbox", "fuse_global_local", "fuse_logits",
+    "fuse_masks", "group_ap", "iou", "local_attention", "match_predictions",
+    "normalize_ap", "rle_decode", "rle_encode", "row_normalize",
+    "run_inference_chain", "softmax_rows", "tight_bbox",
 }
 
 
 def test_all_is_exactly_the_expected_names():
-    assert len(EXPECTED) == 39
+    assert len(EXPECTED) == 38
     assert len(segfuse.__all__) == len(set(segfuse.__all__))
     assert set(segfuse.__all__) == EXPECTED
 
