@@ -152,16 +152,6 @@ def load_tensor(path) -> np.ndarray:
     return _read_tensor(path, alpha=False, keep=True)[1]
 
 
-def load_logit_map(path) -> LogitMap:
-    return LogitMap._own(load_tensor(path), checked=True)
-
-
-def load_attention_map(path) -> AttentionMap:
-    (h, w, _), arr = _read_tensor(path, alpha=True, keep=True)
-    arr.shape = (h, w)  # in place: a reshaped view would not own its data
-    return AttentionMap._own(arr, checked=True)
-
-
 def write_overlay(height: int, width: int, labels: np.ndarray, path) -> None:
     """Render a label grid (values 0..4) as a deterministic binary PPM."""
     a = np.asarray(labels)
@@ -202,13 +192,16 @@ def _instance_record(inst: MaskInstance, with_model: bool) -> dict:
 
 def _tensor_name(model: str, scale: float, kind: str) -> str:
     # repr keeps distinct scales distinct (%g would collide past 6 digits)
-    return f"{model}_s{scale!r}_{kind}.tns"
+    name = f"{model}_s{scale!r}_{kind}.tns"
+    if Path(name).name != name:  # a model id may hold a path separator
+        raise DataValidationError(f"map {(model, scale)!r}: tensor file "
+                                  f"{name!r} is not one path component")
+    return name
 
 
 def save_manifest(bundle: PredictionBundle, path) -> Path:
     """Write a bundle as manifest JSON plus tensor files; returns the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "image_id": bundle.image_id,
@@ -219,18 +212,21 @@ def save_manifest(bundle: PredictionBundle, path) -> Path:
         "instances": [_instance_record(i, True) for i in bundle.instances],
         "ground_truth": [_instance_record(g, False) for g in bundle.ground_truth],
     }
+    tensors = []  # (path, grid): every name is checked before a file is written
     for field, maps in (("logit_maps", bundle.logit_maps),
                         ("alpha_maps", bundle.alpha_maps)):
         records = []
         kind = "logits" if field == "logit_maps" else "alpha"
-        for (model, scale) in sorted(maps, key=lambda k: (k[0], k[1])):
+        for (model, scale) in sorted(maps):
             rel = f"tensors/{_tensor_name(model, scale, kind)}"
-            target = path.parent / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            save_tensor(target, maps[(model, scale)])
+            tensors.append((path.parent / rel, maps[model, scale]))
             records.append({"model": model, "scale": scale, "path": rel})
         if records:
             doc[field] = records
+    path.parent.mkdir(parents=True, exist_ok=True)
+    for target, grid in tensors:
+        target.parent.mkdir(exist_ok=True)
+        save_tensor(target, grid)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
@@ -263,6 +259,15 @@ def _ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+@contextmanager
+def _named(where: str):
+    """Prefix ``where`` to a FormatError or DataValidationError's message."""
+    try:
+        yield
+    except (FormatError, DataValidationError) as e:
+        raise type(e)(f"{where}: {e}") from None
+
+
 def _load_instance(rec: dict, height: int, width: int, where: str,
                    with_model: bool, uid: int, models=(), scales=()) -> MaskInstance:
     if not isinstance(rec, dict):
@@ -285,36 +290,33 @@ def _load_instance(rec: dict, height: int, width: int, where: str,
     scale = _require(rec, "scale", float, where) if with_model else 1.0
     if with_model:
         check_listed(model, scale, models, scales, where)
-    try:
+    with _named(where):
         return MaskInstance(mask=RleMask(height, width, tuple(counts)),
                             bbox=BBox(*raw_bbox), component=component,
                             object_id=object_id, score=score, model_id=model,
                             scale=scale, uid=uid)
-    except (FormatError, DataValidationError) as e:
-        raise type(e)(f"{where}: {e}") from None
 
 
 def _read_map(path: Path, where: str, alpha: bool, keep: bool):
     """Map record ``where``'s checked (h, w, c) shape, and grid if ``keep``."""
-    try:
-        if not keep:
-            return _read_tensor(path, alpha=alpha, keep=False)[0], None
-        grid = (load_attention_map if alpha else load_logit_map)(path)
-        return (grid.height, grid.width, getattr(grid, "channels", 1)), grid
-    except (FormatError, DataValidationError) as e:
-        raise type(e)(f"{where}: {e}") from None
+    with _named(where):
+        shape, arr = _read_tensor(path, alpha=alpha, keep=keep)
+        if arr is None:
+            return shape, None
+        if not alpha:
+            return shape, LogitMap._own(arr, checked=True)
+        arr.shape = shape[:2]  # in place: a reshaped view would not own its data
+        return shape, AttentionMap._own(arr, checked=True)
 
 
 @contextmanager
 def _tensor_rows(path: Path, where: str, alpha: bool, shape: tuple):
-    """Map record ``where`` opened again, to be read by rows: yields
+    """Input map record ``where`` opened again, to be read by rows: yields
     ``read(r0, r1)``, the ``_read_rows`` of the open file.  The open checks
     the header and the payload's size as a load does, and that the tensor
     still has ``shape``, the (h, w, c) the load saw."""
-    try:
+    with _named(where):
         f, got = _open_tensor(path)
-    except (FormatError, DataValidationError) as e:
-        raise type(e)(f"{where}: {e}") from None
     with f:
         if got != shape:
             raise DataValidationError(f"{where}: {path} changed since the "
@@ -325,16 +327,14 @@ def _tensor_rows(path: Path, where: str, alpha: bool, shape: tuple):
 
 def _read_rows(f, path: Path, where: str, alpha: bool, shape: tuple,
                r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of map record ``where``'s open tensor file ``f``, of
+    """Rows [r0, r1) of record ``where``'s open tensor file ``f``, of
     ``shape``, as a new (r1 - r0, w, c) float32 array: one ``_read_range``
     of the row-major payload, its values checked as a load checks them."""
     h, w, c = shape
     arr = np.empty((r1 - r0, w, c), dtype="<f4")
-    try:
+    with _named(where):
         if not _read_range(f, path, arr, r0 * w * c * 4, h * w * c * 4, alpha):
             raise DataValidationError("AttentionMap values must lie in [0, 1]")
-    except (FormatError, DataValidationError) as e:
-        raise type(e)(f"{where}: {e}") from None
     return arr.astype(np.float32, copy=False)
 
 

@@ -21,7 +21,6 @@ regions' rows back from the sink.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -37,7 +36,7 @@ from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
 from .formats import (_overlay_header, _overlay_pixels, _payload,
-                      _tensor_header, _tensor_rows, save_manifest,
+                      _read_rows, _tensor_header, save_manifest,
                       write_json_report)
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
@@ -406,39 +405,37 @@ class _Frames:
 
 class _PipelineFiles:
     """The file sink: the pipeline's outputs, written under their names in
-    a staging directory, the three frames a band of rows at a time, and
-    renamed into ``out_dir`` by ``commit`` once all five are complete.
-    Leaving the ``with`` block removes what is still staged, so a failed
-    run leaves ``out_dir`` as it was and no temporary behind."""
+    a staging directory, the three frames a band of rows at a time to files
+    opened once, and renamed into ``out_dir`` by ``commit`` once all five
+    are complete.  One ``ExitStack`` owns the directory and the files:
+    leaving the ``with`` block closes them and removes what is still
+    staged, so a failed run leaves ``out_dir`` as it was and no temporary
+    behind."""
 
     def __init__(self, out_dir) -> None:
         self.out_dir = Path(out_dir)
-        self.staging = None
-        self.files = []
+        self._owned = ExitStack()
 
     def __enter__(self) -> "_PipelineFiles":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._close()
-        if self.staging is not None:
-            shutil.rmtree(self.staging, ignore_errors=True)
-
-    def _close(self) -> None:
-        while self.files:
-            self.files.pop().close()
+        self._owned.close()
 
     def start(self, height: int, width: int, channels: int) -> None:
         # staged in out_dir, or where it would be made, so that the renames
-        # stay on one file system and a failed run makes no out_dir
+        # stay on one file system and a failed run makes no out_dir; a
+        # failed cleanup does not hide the run's own error
         anchor = next(p for p in (self.out_dir, *self.out_dir.parents)
                       if p.is_dir())
-        self.staging = Path(tempfile.mkdtemp(prefix=".segfuse-", dir=anchor))
-        self.shape = (height, width, channels)
-        self.files = [(self.staging / name).open("wb") for name in _OUTPUTS[:3]]
-        for f, head in zip(self.files, (_tensor_header(height, width, channels),
-                                        _tensor_header(height, width, 1),
-                                        _overlay_header(height, width))):
+        own = self._owned.enter_context
+        self.staging = Path(own(tempfile.TemporaryDirectory(
+            prefix=".segfuse-", dir=anchor, ignore_cleanup_errors=True)))
+        self.shapes = (height, width, channels), (height, width, 1)
+        self.files = [own((self.staging / name).open("w+b"))
+                      for name in _OUTPUTS[:3]]
+        heads = [_tensor_header(*shape) for shape in self.shapes]
+        for f, head in zip(self.files, (*heads, _overlay_header(height, width))):
             f.write(head)
 
     def write(self, r0: int, logits: np.ndarray, labels: np.ndarray) -> None:
@@ -450,18 +447,19 @@ class _PipelineFiles:
     @contextmanager
     def rows(self):
         """``read(r0, r1)``: rows [r0, r1) of the logits and of the labels,
-        read back from the files written, each read checked as a band read
-        of an input map is (``formats._tensor_rows``)."""
-        self._close()
-        h, w, c = self.shape
-        logits_path, labels_path = (self.staging / n for n in _OUTPUTS[:2])
-        with _tensor_rows(logits_path, _OUTPUTS[0], False, (h, w, c)) as logits, \
-                _tensor_rows(labels_path, _OUTPUTS[1], False, (h, w, 1)) as labels:
-            yield lambda r0, r1: (logits(r0, r1), labels(r0, r1)[:, :, 0])
+        read back through the handles that wrote them, each read checked
+        as a band read of an input map is (``formats._read_rows``)."""
+        logits, labels = (partial(_read_rows, f, self.staging / name, name,
+                                  False, shape)
+                          for f, name, shape in zip(self.files, _OUTPUTS,
+                                                    self.shapes))
+        yield lambda r0, r1: (logits(r0, r1), labels(r0, r1)[:, :, 0])
 
     def commit(self, result: "PipelineResult") -> list[Path]:
-        """Write the carving and the report, then move all five outputs
-        into ``out_dir``; returns their paths, in write order."""
+        """Close the frames, write the carving and the report, then move all
+        five into ``out_dir``; returns their paths, in write order."""
+        for f in self.files:
+            f.close()
         save_manifest(result.carved, self.staging / _OUTPUTS[3])
         write_json_report(result.report, self.staging / _OUTPUTS[4])
         self.out_dir.mkdir(parents=True, exist_ok=True)

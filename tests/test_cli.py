@@ -944,12 +944,16 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
     def test_image_logit_maps_are_read_only_in_bands(self, tmp_path,
                                                     monkeypatch, dense):
         image, calib = dense
-        loads, opens, bands, whole = Counter(), Counter(), {}, []
+        loads, opens, bands, whole, files = Counter(), Counter(), {}, [], []
+        staged_opens = Counter()
         read_tensor, tensor_rows = formats._read_tensor, formats._tensor_rows
-        read_rows, load_logit_map = formats._read_rows, formats.load_logit_map
+        read_rows, open_tensor = formats._read_rows, formats._open_tensor
+        path_open = Path.open
 
         def counted_read(path, **kw):
             loads[Path(path).resolve()] += 1
+            if kw["keep"]:
+                whole.append(Path(path).resolve())
             return read_tensor(path, **kw)
 
         def counted_open(path, *args):
@@ -960,18 +964,33 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
             bands.setdefault(Path(path).resolve(), []).append(args[-2:])
             return read_rows(f, path, *args)
 
-        def watched_load(path):
-            whole.append(Path(path).resolve())
-            return load_logit_map(path)
+        def watched_open(path):
+            files.append(Path(path).resolve())
+            return open_tensor(path)
+
+        def counted_path_open(path, *args, **kw):
+            if path.parent.name.startswith(".segfuse-"):
+                staged_opens[path.name] += 1
+            return path_open(path, *args, **kw)
 
         monkeypatch.setattr(formats, "_read_tensor", counted_read)
         monkeypatch.setattr(formats, "_tensor_rows", counted_open)
+        # the file sink reads its frames back through the name pipeline
+        # bound at import
         monkeypatch.setattr(formats, "_read_rows", spied_rows)
-        monkeypatch.setattr(formats, "load_logit_map", watched_load)
+        monkeypatch.setattr(pipeline, "_read_rows", spied_rows)
+        monkeypatch.setattr(formats, "_open_tensor", watched_open)
+        monkeypatch.setattr(Path, "open", counted_path_open)
         assert main(["pipeline", str(image), "--calib", str(calib),
                      "--out-dir", str(tmp_path / "out")]) == 0
 
         assert whole == []
+        # each staged frame is opened once and read back through the handle
+        # that wrote it, never opened again as an input map
+        assert all(staged_opens[n] == 1 for n in ("fused_logits.tns",
+                                                  "labels.tns", "overlay.ppm"))
+        assert files and not any(p.parent.name.startswith(".segfuse-")
+                                 for p in files)
         # each image tensor is read on load and opened once more, but the
         # finest scale's alpha maps only on load; each calibration tensor
         # once

@@ -13,9 +13,9 @@ from segfuse import formats
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import main
 from segfuse.errors import DataValidationError, FormatError
-from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_attention_map,
-                             load_manifest, load_tensor, save_manifest,
-                             save_tensor, write_overlay)
+from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_manifest,
+                             load_tensor, save_manifest, save_tensor,
+                             write_overlay)
 from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, scaled_dim
 from segfuse.synth import generate
 
@@ -43,26 +43,31 @@ class TestTensorFile:
         p = tmp_path / "t.tns"
         save_tensor(p, LogitMap.from_array(
             rng.normal(size=(3, 4, 2)).astype(np.float32)))
-        read = []
-        monkeypatch.setattr(formats, "load_tensor",
-                            lambda path: read.append(load_tensor(path)) or read[0])
-        grid = formats.load_logit_map(p)
-        assert grid.data is read[0] and not grid.data.flags.writeable
+        read, read_tensor = [], formats._read_tensor
+        monkeypatch.setattr(formats, "_read_tensor", lambda path, **kw: (
+            read.append(read_tensor(path, **kw)) or read[0]))
+        grid = formats._read_map(p, "logit_maps[0]", False, True)[1]
+        assert grid.data is read[0][1] and not grid.data.flags.writeable
 
     def test_attention_roundtrip(self, tmp_path, rng):
         data = rng.uniform(size=(4, 6)).astype(np.float32)
         p = tmp_path / "a.tns"
         save_tensor(p, AttentionMap.from_array(data))
-        back = load_attention_map(p)
-        assert np.array_equal(back.data, data)
+        shape, back = formats._read_map(p, "alpha_maps[0]", True, True)
+        assert shape == (4, 6, 1) and isinstance(back, AttentionMap)
+        assert back.data.tobytes() == data.tobytes()
 
-    def test_attention_map_freezes_the_array_it_read(self, tmp_path, rng):
+    def test_attention_map_freezes_the_array_it_read(self, tmp_path, rng,
+                                                     monkeypatch):
         p = tmp_path / "a.tns"
         save_tensor(p, rng.uniform(size=(4, 6)).astype(np.float32))
-        data = load_attention_map(p).data
+        read, read_tensor = [], formats._read_tensor
+        monkeypatch.setattr(formats, "_read_tensor", lambda path, **kw: (
+            read.append(read_tensor(path, **kw)) or read[0]))
+        data = formats._read_map(p, "alpha_maps[0]", True, True)[1].data
         # reshaped in place: the grid holds the array the read filled
-        assert data.shape == (4, 6) and data.flags.owndata
-        assert not data.flags.writeable
+        assert data is read[0][1] and data.shape == (4, 6)
+        assert data.flags.owndata and not data.flags.writeable
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.tns"
@@ -133,6 +138,24 @@ class TestManifest:
                               np.full((4, 4, 5), 0.25, np.float32))
         assert np.array_equal(bundle.alpha_maps[("m0", 1.0)].data,
                               np.full((4, 4), 0.5, np.float32))
+
+    @pytest.mark.parametrize("field", ["logit_maps", "alpha_maps"])
+    def test_model_id_that_leaves_the_directory_is_refused(self, tmp_path,
+                                                           field):
+        # a tensor's file name is built from its model id; "m0"'s maps sort
+        # first, so a writer that checked each name only as it came to it
+        # would have written them before it refused
+        escaped = "m1/../../../escaped"
+        tiny = _tiny_bundle(with_maps=True)
+        maps = {f: dict(getattr(tiny, f)) for f in ("logit_maps", "alpha_maps")}
+        maps[field][escaped, 1.0] = maps[field]["m0", 1.0]
+        bundle = replace(tiny, models=("m0", escaped), **maps)
+        target = tmp_path / "a" / "b" / "m.json"
+        with pytest.raises(DataValidationError,
+                           match=re.escape(f"map {(escaped, 1.0)!r}: tensor "
+                                           f"file '{escaped}_s1.0_")):
+            save_manifest(bundle, target)
+        assert list(tmp_path.rglob("*")) == []
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
         p1 = save_manifest(_tiny_bundle(with_maps=True), tmp_path / "a" / "m.json")
