@@ -7,11 +7,12 @@ the division still changes a bit of about 3 rows in 10 (random 5-channel
 rows, numpy 2.4.6), so dropping it would move output bytes.
 The whole-frame/per-object blend multiplies the frame by the gate and the
 summed, pasted per-object maps by its complement.  It checks every patch
-first, then pastes and blends one band of ``_BAND_ROWS`` rows at a time
-through one row core, ``_blend_rows``, so the summed maps never take a
-whole frame.  The pipeline's band pass runs the same row core on the
-bands it builds, so ``fuse_global_local`` is the whole-frame form of the
-blend it does, kept as library API and as a test oracle.
+first, then pastes and blends one band of ``grids._band_rows`` rows of
+the frame's width at a time through one row core, ``_blend_rows``, so the
+summed maps never take a whole frame.  The pipeline's band pass runs the
+same row core on the bands it builds, so ``fuse_global_local`` is the
+whole-frame form of the blend it does, kept as library API and as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
 from .fusion import weighted_average
-from .grids import _BAND_ROWS, AttentionMap, LogitMap, _row_sums, softmax_rows
+from .grids import (AttentionMap, LogitMap, _band_rows, _row_sums,
+                    softmax_rows)
 from .masks import BBox, _check_in_bounds
 
 
@@ -117,8 +119,9 @@ def fuse_global_local(global_logits: LogitMap,
             raise ShapeError(
                 f"local channels {patch.channels} != frame channels {channels}")
     out = np.empty_like(global_logits.data)
-    for r0 in range(0, global_logits.height, _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
+    step = _band_rows(width)
+    for r0 in range(0, height, step):
+        band = slice(r0, r0 + step)
         out[band] = _blend_rows(global_logits.data[band], r0, local_logits,
                                 beta.data[band, :, None])
     return LogitMap._own(out)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, ShapeError
-from .grids import _BAND_ROWS, LogitMap, _frozen
+from .grids import LogitMap, _band_rows, _frozen
 from .masks import BBox, MaskInstance
 from .metrics import ApTable, normalize_ap
 
@@ -82,11 +82,15 @@ def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence) -> np.ndarr
     """Ascending-order weighted sum of aligned arrays, clamped to the
     per-element envelope of the inputs: the one kernel of every fusion.
 
-    It fills one output of the arrays' dtype per band of ``_BAND_ROWS``
-    rows.  A coefficient with as many axes as the arrays is cut per band;
-    any other (a scalar, a per-channel vector) broadcasts as it is.  Terms
-    are formed in the promoted type of arrays and coefficients and rounded
-    once, as the clamped sum is written.
+    It fills one output of the arrays' dtype per band of
+    ``grids._band_rows`` rows of the arrays' width (axis 1).  A coefficient
+    with as many axes as the arrays is cut per band; any other (a scalar, a
+    per-channel vector) broadcasts as it is.  Each term is formed in the
+    promoted type of its array and coefficient, and each partial sum in the
+    promoted type of the sum so far and the term, as ``acc + a * w`` would
+    form them; the clamped sum is rounded once, as it is written.  A band
+    works in place in one accumulator and one term buffer, and builds the
+    envelope in its rows of the output, in the arrays' dtype.
     """
     if len(arrays) != len(coeffs) or not arrays:
         raise DataValidationError("arrays and coefficients must pair up, non-empty")
@@ -98,19 +102,38 @@ def weighted_average(arrays: Sequence[np.ndarray], coeffs: Sequence) -> np.ndarr
             raise ShapeError(f"array shapes {a.shape} vs {shape} mismatch")
     cut = [np.ndim(w) == len(shape) for w in coeffs]
     out = np.empty(shape, dtype=np.result_type(*arrays))
-    for r0 in range(0, shape[0], _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
-        terms = [(a[band], w[band] if c else w)
+    kinds = [np.result_type(a, w) for a, w in zip(arrays, coeffs)]
+    sums = [kinds[0]]
+    for kind in kinds[1:]:
+        sums.append(np.result_type(sums[-1], kind))
+    step = _band_rows(shape[1] if len(shape) > 1 else 1)
+    rows = (min(step, shape[0]), *shape[1:])
+    acc_rows = np.empty(rows, dtype=sums[-1])
+    term_rows = np.empty(rows, dtype=np.result_type(*kinds))
+    for r0 in range(0, shape[0], step):
+        dest = out[r0:r0 + step]
+        # the last band may be shorter than the buffers
+        acc, term = acc_rows[:len(dest)], term_rows[:len(dest)]
+        parts = [(a[r0:r0 + step], w[r0:r0 + step] if c else w)
                  for a, w, c in zip(arrays, coeffs, cut)]
-        lo = hi = terms[0][0]
-        acc = lo * terms[0][1]
-        for a, w in terms[1:]:
-            acc = acc + a * w
-            lo = np.minimum(lo, a)
-            hi = np.maximum(hi, a)
-        np.maximum(acc, lo, out=acc)
-        np.minimum(acc, hi, out=out[band])
+        np.multiply(*parts[0], out=acc, dtype=kinds[0])
+        for (a, w), kind, total in zip(parts[1:], kinds[1:], sums[1:]):
+            np.multiply(a, w, out=term, dtype=kind)
+            np.add(acc, term, out=acc, dtype=total)
+        # clamp to the envelope, each side built in the output rows
+        _extreme(np.minimum, parts, dest)
+        np.maximum(acc, dest, out=acc)
+        _extreme(np.maximum, parts, dest)
+        np.minimum(acc, dest, out=dest)
     return out
+
+
+def _extreme(ufunc, parts, out: np.ndarray) -> None:
+    """Fill ``out`` with the elementwise ``ufunc`` (min or max) of the
+    arrays of ``parts``, taken in order."""
+    np.copyto(out, parts[0][0])
+    for a, _ in parts[1:]:
+        ufunc(out, a, out=out)
 
 
 def fuse_masks(members: Sequence[MaskInstance],

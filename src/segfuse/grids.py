@@ -13,11 +13,14 @@ the package:
   separable passes, along x for each source row some output row reads,
   then along y between two such rows: the same operations in the same
   order as lerping the four corners of each output pixel.
-- Resampling and every weighted fusion (``fusion.weighted_average``: the
-  logit ensembles, the frame/object blend and the scale fold) run per band
-  of ``_BAND_ROWS`` output rows, each written into one preallocated output,
-  so no whole-frame temporary is built.  Every element sees the same
-  operations in the same order, so the band height changes no byte.
+- Every loop over the rows of a grid runs per band of ``_band_rows(width)``
+  rows, as many as hold ``_BAND_PIXELS`` pixels of the width it walks (at
+  least one), so a band's temporaries do not grow with the width.
+  Resampling and every weighted fusion (``fusion.weighted_average``: the
+  logit ensembles, the frame/object blend and the scale fold) write each
+  band into one preallocated output, so no whole-frame temporary is built.
+  Every element sees the same operations in the same order, so the band
+  height changes no byte.
 - One lerp core, ``_lerp``, builds any rows x cols window of a resample
   from the taps of those rows and columns; ``bilinear_resize`` runs it over
   the whole output.  A window can leave out an output pixel whose four
@@ -44,8 +47,14 @@ import numpy as np
 
 from .errors import DataValidationError, ShapeError
 
-# output rows per band of bilinear_resize and fusion.weighted_average
-_BAND_ROWS = 64
+# pixels per band of every row loop: 64 rows of a 128-wide grid
+_BAND_PIXELS = 8192
+
+
+def _band_rows(width: int) -> int:
+    """Rows per band of a loop over a grid ``width`` pixels wide (a window
+    of a resample may be 0 wide)."""
+    return max(1, _BAND_PIXELS // max(width, 1))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -171,11 +180,11 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
 
 
 def _negative_zeros(rows: np.ndarray) -> int:
-    """How many -0.0 ``rows`` hold, counted a band of ``_BAND_ROWS`` rows at
-    a time."""
+    """How many -0.0 ``rows`` hold, counted a band of rows at a time."""
     bits = rows.view(np.uint32)
-    return sum(int(np.count_nonzero(bits[r0:r0 + _BAND_ROWS] == 0x80000000))
-               for r0 in range(0, len(bits), _BAND_ROWS))
+    step = _band_rows(bits.shape[1])
+    return sum(int(np.count_nonzero(bits[r0:r0 + step] == 0x80000000))
+               for r0 in range(0, len(bits), step))
 
 
 def _taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,18 +205,28 @@ def _lerp(src: np.ndarray, ys, xs) -> np.ndarray:
     y0, y1, dy = ys
     x0, x1, dx = xs
     out = np.empty((len(dy), len(dx), src.shape[2]), dtype=np.float32)
-    for r0 in range(0, len(dy), _BAND_ROWS):
-        band = slice(r0, r0 + _BAND_ROWS)
+    step = _band_rows(len(dx))
+    for r0 in range(0, len(dy), step):
+        band = slice(r0, r0 + step)
         n = len(dy[band])
-        # x pass over only the source rows this band reads, then y pass
+        # x pass over only the source rows this band reads, then y pass,
+        # each in place in the buffers its taps were gathered into
         rows, pick = np.unique(np.concatenate([y0[band], y1[band]]),
                                return_inverse=True)
-        read = src[rows].astype(np.float64)
-        left = read[:, x0]
-        xl = left + (read[:, x1] - left) * dx[None, :, None]
-        top = xl[pick[:n]]
+        read = np.take(src, rows, axis=0).astype(np.float64)
+        xl, right = np.take(read, x0, axis=1), np.take(read, x1, axis=1)
+        del read
+        np.subtract(right, xl, out=right)
+        np.multiply(right, dx[:, None], out=right)
+        np.add(xl, right, out=xl)
+        del right
+        top, bottom = (np.take(xl, pick[:n], axis=0),
+                       np.take(xl, pick[n:], axis=0))
+        del xl
+        np.subtract(bottom, top, out=bottom)
+        np.multiply(bottom, dy[band, None, None], out=bottom)
         # rounded once, to float32, as it is written into the output
-        out[band] = top + (xl[pick[n:]] - top) * dy[band, None, None]
+        np.add(top, bottom, out=out[band])
     return out
 
 

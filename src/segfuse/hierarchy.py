@@ -6,9 +6,11 @@ The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
 
 One row core, ``_fold_rows``, upsamples both over just the rows it folds,
-through ``grids._lerp``, and blends them.  The pipeline's band pass folds
-each band it builds through it; ``run_inference_chain`` is the whole-frame
-form of that fold, kept as library API and as a test oracle.
+through ``grids._lerp``, and blends them in ``fusion.weighted_average``,
+both of which work in place, a band of ``grids._band_rows`` rows at a
+time.  The pipeline's band pass folds each band it builds through it;
+``run_inference_chain`` is the whole-frame form of that fold, kept as
+library API and as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 from .errors import DataValidationError, ShapeError
 from .fusion import weighted_average
-from .grids import _BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps
+from .grids import AttentionMap, LogitMap, _band_rows, _lerp, _taps
 
 import numpy as np
 
@@ -39,7 +41,7 @@ def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
 def run_inference_chain(
         levels: Sequence[tuple[LogitMap, AttentionMap | None]]) -> LogitMap:
     """Fold ``(logits, alpha)`` levels, coarsest first, into the finest
-    grid, one band of ``_BAND_ROWS`` rows at a time.
+    grid, one band of ``grids._band_rows`` rows of its width at a time.
 
     Every level but the finest needs an alpha map on its own grid and the
     next level's channel count; every level is checked before any is
@@ -62,8 +64,9 @@ def run_inference_chain(
     for (_, alpha), (finer, _) in zip(levels, levels[1:]):
         ys, xs = _taps(acc.height, finer.height), _taps(acc.width, finer.width)
         out = np.empty_like(finer.data)
-        for r0 in range(0, finer.height, _BAND_ROWS):
-            band = slice(r0, r0 + _BAND_ROWS)
+        step = _band_rows(finer.width)
+        for r0 in range(0, finer.height, step):
+            band = slice(r0, r0 + step)
             out[band] = _fold_rows(acc, alpha, finer.data[band],
                                    [t[band] for t in ys], xs)
         acc = LogitMap._own(out)

@@ -7,15 +7,17 @@ weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
 
-Each scale is one pass over bands of ``_BAND_ROWS`` rows that yields the
-scale's fused rows (``_fuse_scale``), so no pass holds a whole frame of
-the finest grid.  A coarser scale's bands, and the same rows of its alpha
-maps, are collected into its level (``_level``), which the next finer
-pass folds in band by band.  The finest scale's bands are resampled to
-the reference grid as the rows they tap arrive (``_reference_rows``),
-labeled by their argmax (``_emit``) and handed to a sink: the in-memory
-``_Frames`` or the CLI's ``_PipelineFiles``.  The carving reads its
-regions' rows back from the sink.
+Each scale is one pass over bands of rows that yields the scale's fused
+rows (``_fuse_scale``), so no pass holds a whole frame of the finest grid.
+Every band loop takes its height from ``grids._band_rows`` for the width
+it walks, so a band's temporaries do not grow with the width.  A coarser
+scale's bands, and the same rows of its alpha maps, are collected into
+its level (``_level``), which the next finer pass folds in band by band.
+The finest scale's bands are resampled to the reference grid as the rows
+they tap arrive (``_reference_rows``), labeled by their argmax (``_emit``)
+and handed to a sink: the in-memory ``_Frames`` or the CLI's
+``_PipelineFiles``.  The carving reads its regions' rows back from the
+sink.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .formats import (_overlay_header, _overlay_pixels, _payload,
                       write_json_report)
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
                      fuse_masks)
-from .grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp,
+from .grids import (AttentionMap, LogitMap, _band_rows, _lerp,
                     _negative_zeros, _row_max, _taps, argmax_channel,
                     scaled_dim, softmax_rows)
 from .hierarchy import _fold_rows
@@ -303,8 +305,8 @@ def _grid_rows(grid):
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                 cfg: PipelineConfig, workers: int,
                 coarser: tuple[LogitMap, AttentionMap] | None = None):
-    """Yield ``(r0, rows)`` for each band of ``_BAND_ROWS`` rows of the
-    fused frame of ``sub``, the image at one scale, under that scale's
+    """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
+    the fused frame of ``sub``, the image at one scale, under that scale's
     ``weights``, with ``coarser``, the next coarser level, folded in when
     given.
 
@@ -341,8 +343,9 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     with ExitStack() as stack:
         reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
                  for m in sub.models}
-        for r0 in range(0, sh, _BAND_ROWS):
-            r1 = min(r0 + _BAND_ROWS, sh)
+        step = _band_rows(sw)
+        for r0 in range(0, sh, step):
+            r1 = min(r0 + step, sh)
             ens = _fuse_global(
                 {m: LogitMap._own(read(r0, r1), checked=True)
                  for m, read in reads.items()}, vectors).data
@@ -481,8 +484,8 @@ def _emit(sink, bands) -> None:
 
 
 def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
-    """Yield ``(r0, rows)`` for each band of ``_BAND_ROWS`` rows of the
-    finest level resampled to the height x width reference grid, as
+    """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
+    the finest level resampled to the height x width reference grid, as
     ``bilinear_resize`` resamples the whole level, from ``bands``, the
     level's ``_fuse_scale`` bands, of ``shape``.
 
@@ -494,11 +497,12 @@ def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
     same = shape == (height, width)
     ys, xs = _taps(shape[0], height), _taps(shape[1], width)
     held = []  # (r0, rows) of the level bands a later reference row reads
+    step = _band_rows(width)
     q0 = 0
     for r0, band in bands:
         held.append((r0, band))
         while q0 < height:
-            q1 = min(q0 + _BAND_ROWS, height)
+            q1 = min(q0 + step, height)
             lo, hi = ys[0][q0], ys[1][q1 - 1] + 1
             if hi > r0 + len(band):
                 break  # a row it taps has not arrived
@@ -617,18 +621,19 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
     carved into both objects' instances.
 
     ``rows(r0, r1)`` reads rows [r0, r1) of the reference-grid logits and
-    labels, a band of ``_BAND_ROWS`` region rows at a time, and the softmax
-    runs per band.  Each component's selected tail probabilities are
-    gathered in row order and averaged by one ``np.mean``, so the score is
-    that of the whole region.
+    labels, a band of ``grids._band_rows`` rows of the frame's width at a
+    time, and the softmax runs per band.  Each component's selected tail
+    probabilities are gathered in row order and averaged by one
+    ``np.mean``, so the score is that of the whole region.
     """
     out = []
+    step = _band_rows(bundle.width)
     for oid, region in _object_regions(bundle, cfg).items():
         cols = region.slices[1]
         picked = {comp: [] for comp in COMPONENTS}
         region_labels = []
-        for r0 in range(region.y0, region.y1, _BAND_ROWS):
-            logits, labels = rows(r0, min(r0 + _BAND_ROWS, region.y1))
+        for r0 in range(region.y0, region.y1, step):
+            logits, labels = rows(r0, min(r0 + step, region.y1))
             logits, labels = logits[:, cols], labels[:, cols]
             channels = logits.shape[2]
             # tail_probs[:, c] = P(label >= c): the component-or-deeper
@@ -691,8 +696,9 @@ def write_pipeline_outputs(result: PipelineResult, out_dir) -> list[Path]:
             "frame to write")
     with _PipelineFiles(out_dir) as files:
         files.start(*logits.shape)
-        _emit(files, ((r0, logits.data[r0:r0 + _BAND_ROWS].copy())
-                      for r0 in range(0, logits.height, _BAND_ROWS)))
+        step = _band_rows(logits.width)
+        _emit(files, ((r0, logits.data[r0:r0 + step].copy())
+                      for r0 in range(0, logits.height, step)))
         return files.commit(result)
 
 

@@ -46,8 +46,8 @@ FIXTURES = {
     "s512": ["--height", "512", "--width", "512", "--scales", "0.25", "0.5",
              "1.0"],
     # finest scales off the reference grid: upsampled, downsampled, and
-    # near-equal grids that round to one size; and a canvas of two bands
-    # and two rows, with an odd width
+    # near-equal grids that round to one size; and a canvas of two bands,
+    # with an odd width
     "s025_05": ["--scales", "0.25", "0.5"],
     "s05_2": ["--scales", "0.5", "2.0"],
     "s0999": ["--scales", "0.999", "1.0"],

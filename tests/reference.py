@@ -142,26 +142,42 @@ def staircase_ap(flags: list[bool], gt_count: int) -> float:
 
 
 def weighted_average_ref(arrays: list[np.ndarray], coeffs: list) -> np.ndarray:
-    """Scalar weighted sum in given order with the envelope clamp (float64).
+    """Scalar weighted sum in given order with the envelope clamp.
 
     A coefficient is a number or an array that broadcasts to the arrays'
-    shape, read element by element.
+    shape, read element by element.  Each term is formed in the promoted
+    type of its array and coefficient, each partial sum in the promoted
+    type of the sum so far and the term, and the envelope in the arrays'
+    type, the type the clamped sum is rounded to once.  Float64 arrays with
+    Python or float64 coefficients work in float64 throughout.
     """
-    out = np.empty(arrays[0].shape, dtype=np.float64)
+    kinds = [np.result_type(a, w) for a, w in zip(arrays, coeffs)]
+    sums = [kinds[0]]
+    for kind in kinds[1:]:
+        sums.append(np.result_type(sums[-1], kind))
+    dtype = np.result_type(*arrays)
+    out = np.empty(arrays[0].shape, dtype=dtype)
     flat = [a.reshape(-1) for a in arrays]
-    ws = [np.broadcast_to(np.asarray(w, dtype=np.float64), out.shape).reshape(-1)
-          for w in coeffs]
+    ws = [np.broadcast_to(np.asarray(w, dtype=k), out.shape).reshape(-1)
+          for w, k in zip(coeffs, kinds)]
+    # Python floats are float64 arithmetic; numpy scalars round to float32
+    num = {np.dtype(np.float64): float, np.dtype(np.float32): F32}
+    term_of = [num[k] for k in kinds]
+    sum_of = [num[k] for k in sums]
+    env = num[dtype]
     flat_out = out.reshape(-1)
     for i in range(flat[0].size):
-        acc = float(flat[0][i]) * float(ws[0][i])
-        lo = float(flat[0][i])
+        acc = term_of[0](flat[0][i]) * term_of[0](ws[0][i])
+        lo = env(flat[0][i])
         hi = lo
-        for a, w in zip(flat[1:], ws[1:]):
-            v = float(a[i])
-            acc = acc + v * float(w[i])
-            lo = _lesser(lo, v)
-            hi = _greater(hi, v)
-        flat_out[i] = _lesser(_greater(acc, lo), hi)
+        for a, w, term, total in zip(flat[1:], ws[1:], term_of[1:],
+                                     sum_of[1:]):
+            v = term(a[i]) * term(w[i])
+            acc = total(acc) + total(v)
+            lo = _lesser(lo, env(a[i]))
+            hi = _greater(hi, env(a[i]))
+        # the clamp compares in the type of the sum
+        flat_out[i] = _lesser(_greater(acc, sum_of[-1](lo)), sum_of[-1](hi))
     return out
 
 

@@ -11,7 +11,7 @@ from segfuse.attention import (attention_to_map, difference_matrix,
                                row_normalize)
 from segfuse.errors import (DataValidationError, DegenerateAttentionError,
                             ShapeError)
-from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap
+from segfuse.grids import AttentionMap, LogitMap, _band_rows
 from segfuse.masks import BBox
 
 from conftest import signed_zeros
@@ -225,10 +225,13 @@ class TestFuseGlobalLocal:
     def test_patches_across_bands_match_scalar_oracle(self, rng):
         # patches that start and end inside bands, overlap each other and
         # cross one or two band edges
-        h, w, c = 2 * _BAND_ROWS + 20, 6, 3
-        boxes = [BBox(0, 10, 4, _BAND_ROWS + 6), BBox(2, 30, 6, h - 8),
-                 BBox(1, _BAND_ROWS - 1, 3, _BAND_ROWS + 1),
-                 BBox(0, 2 * _BAND_ROWS + 3, 6, 2 * _BAND_ROWS + 9)]
+        w, c = 128, 3
+        rows = _band_rows(w)
+        h = 2 * rows + 20
+        boxes = [BBox(0, 10, 4, rows + 6), BBox(2, 30, 6, h - 8),
+                 BBox(1, rows - 1, 3, rows + 1),
+                 BBox(0, 2 * rows + 3, 6, 2 * rows + 9)]
+        assert rows == 64 and all(b.y0 < rows < b.y1 for b in boxes[:3])
         g = signed_zeros(rng, rng.normal(scale=3.0, size=(h, w, c))
                          .astype(np.float32))
         patches = [signed_zeros(rng, rng.normal(
@@ -242,13 +245,16 @@ class TestFuseGlobalLocal:
         want = fuse_global_local_ref(g, list(zip(patches, boxes)), beta)
         assert got.data.tobytes() == want.tobytes()
 
+    # a 4-wide frame of two bands and two rows
+    MISFIT_ROW = _band_rows(4) + 100
+
     @pytest.mark.parametrize("patch, box, message", [
-        (LogitMap.zeros(2, 2, 1), BBox(0, 100, 3, 103),
+        (LogitMap.zeros(2, 2, 1), BBox(0, MISFIT_ROW, 3, MISFIT_ROW + 3),
          "local patch (2, 2) does not fit box (3, 3)"),
-        (LogitMap.zeros(2, 2, 2), BBox(0, 100, 2, 102),
+        (LogitMap.zeros(2, 2, 2), BBox(0, MISFIT_ROW, 2, MISFIT_ROW + 2),
          "local channels 2 != frame channels 1"),
-        (LogitMap.zeros(2, 2, 1), BBox(3, 100, 5, 102),
-         "exceeds 130x4 grid"),
+        (LogitMap.zeros(2, 2, 1), BBox(3, MISFIT_ROW, 5, MISFIT_ROW + 2),
+         f"exceeds {2 * _band_rows(4) + 2}x4 grid"),
     ], ids=["shape", "channels", "bounds"])
     def test_misfit_patch_raises_before_any_band(self, monkeypatch, patch,
                                                  box, message):
@@ -256,8 +262,10 @@ class TestFuseGlobalLocal:
         monkeypatch.setattr(attention, "weighted_average",
                             lambda *args: blends.append(args))
         # a fitting patch in the first band, the misfit one in a later band
+        h = 2 * _band_rows(4) + 2
+        assert _band_rows(4) <= box.y0 < h
         good = (LogitMap.zeros(2, 2, 1), BBox(0, 0, 2, 2))
         with pytest.raises(ShapeError, match=re.escape(message)):
-            fuse_global_local(LogitMap.zeros(130, 4, 1), [good, (patch, box)],
-                              AttentionMap.full(130, 4, 0.5))
+            fuse_global_local(LogitMap.zeros(h, 4, 1), [good, (patch, box)],
+                              AttentionMap.full(h, 4, 0.5))
         assert blends == []

@@ -19,7 +19,7 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor, write_json_report, write_overlay)
-from segfuse.grids import _BAND_ROWS, LogitMap
+from segfuse.grids import LogitMap, _band_rows
 from segfuse.masks import COMPONENTS, BBox, scale_box
 from segfuse.pipeline import run_pipeline, write_pipeline_outputs
 
@@ -893,7 +893,7 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                       if r["scale"] == (0.5 if field == "alpha_maps" else 1.0))
         target = (src / rec["path"]).resolve()
         h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
-        assert h > _BAND_ROWS
+        assert h > _band_rows(w)
         read_rows = formats._read_rows
 
         def read_then_changed(f, path, *args):
@@ -1007,13 +1007,15 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                     if once:
                         assert path not in bands
                         continue
-                    height = struct.unpack("<I", path.read_bytes()[8:12])[0]
+                    height, width = struct.unpack("<2I",
+                                                  path.read_bytes()[8:16])
                     got = bands[path]
-                    # bands of at most _BAND_ROWS rows, in order, each row
-                    # read once
+                    # bands of at most _band_rows(width) rows, in order,
+                    # each row read once
                     assert got[0][0] == 0 and got[-1][1] == height
                     assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
-                    assert all(0 < r1 - r0 <= _BAND_ROWS for r0, r1 in got)
+                    assert all(0 < r1 - r0 <= _band_rows(width)
+                               for r0, r1 in got)
         # the carving reads rows back from the two frame files it staged,
         # which are gone once renamed into --out-dir
         staged = [p for p in bands if p.parent.name.startswith(".segfuse-")]
@@ -1084,7 +1086,8 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                       if r["scale"] == 1.0)
         target = (src / rec["path"]).resolve()
         h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
-        assert h > 2 * _BAND_ROWS
+        step = _band_rows(w)
+        assert h > 2 * step
         out = tmp_path / "out"
         if prior == "earlier-run":
             assert main(["pipeline", str(image), "--calib", str(calib),
@@ -1124,7 +1127,10 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         assert re.search(rf"logit_maps\[{k}\]: .*payload contains "
                          r"non-finite values", captured.err), captured.err
         assert "wrote" not in captured.out
-        assert written == [0, _BAND_ROWS]
+        # a reference band is written once the level row after it has
+        # arrived, so the bands before the last two were written
+        assert written == list(range(0, h - 2 * step, step))
+        assert len(written) >= 2
         assert state() == before
         assert not list(tmp_path.rglob(".segfuse-*"))
         assert sorted(p.name for p in tmp_path.iterdir()) == (

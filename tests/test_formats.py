@@ -16,7 +16,7 @@ from segfuse.errors import DataValidationError, FormatError
 from segfuse.formats import (PALETTE, TENSOR_MAGIC, load_manifest,
                              load_tensor, save_manifest, save_tensor,
                              write_overlay)
-from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, scaled_dim
+from segfuse.grids import AttentionMap, LogitMap, _band_rows, scaled_dim
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
@@ -603,8 +603,9 @@ class TestChunkedCheck:
         with pytest.raises((FormatError, DataValidationError)) as caught:
             with formats._tensor_rows(path.parent / rec["path"], f"{field}[0]",
                                       field == "alpha_maps", shape) as read:
-                for r0 in range(0, self.SIDE, _BAND_ROWS):
-                    read(r0, min(r0 + _BAND_ROWS, self.SIDE))
+                step = _band_rows(self.SIDE)
+                for r0 in range(0, self.SIDE, step):
+                    read(r0, min(r0 + step, self.SIDE))
         errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1] == errors[2]
         kind, message = self.ERRORS[how]

@@ -8,12 +8,17 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import (FusionWeights, binarize, compute_weights,
                             fuse_logits, fuse_masks, weighted_average)
-from segfuse.grids import _BAND_ROWS, LogitMap
+from segfuse.grids import LogitMap, _band_rows
 from segfuse.metrics import ApTable
 from segfuse.pipeline import run_fuse
 
 from conftest import block_mask, fused_frame, make_instance, traced_peak_ratio
 from reference import fuse_logits_ref, weighted_average_ref
+
+# a 128-wide grid walks 64-row bands; heights on both sides of two edges
+WIDTH = 128
+ROWS = _band_rows(WIDTH)
+EDGE_HEIGHTS = [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]
 
 
 class TestGroupPredictions:
@@ -123,12 +128,12 @@ class TestFuseMasks:
 class TestWeightedAverage:
     """The one fusion kernel: bands, coefficients cut per band, promotion."""
 
-    @pytest.mark.parametrize("height", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("height", EDGE_HEIGHTS)
     def test_per_element_coefficients_across_band_edges(self, rng, height):
-        assert _BAND_ROWS == 64
-        shape = (height, 3, 2)
+        assert ROWS == 64 and max(EDGE_HEIGHTS) > 2 * ROWS
+        shape = (height, WIDTH, 2)
         arrays = [rng.normal(scale=3.0, size=shape) for _ in range(3)]
-        raw = rng.uniform(0.05, 1.0, size=(3, height, 3, 1))
+        raw = rng.uniform(0.05, 1.0, size=(3, height, WIDTH, 1))
         coeffs = list(raw / raw.sum(axis=0))
         got = weighted_average(arrays, coeffs)
         assert got.shape == shape and got.dtype == np.float64
@@ -197,13 +202,12 @@ class TestFuseLogits:
                                    [c for _, c in vec.weights])
             assert np.array_equal(got[:, :, ch], want)
 
-    # heights on both sides of the band edges
-    @pytest.mark.parametrize("height", [1, _BAND_ROWS - 1, _BAND_ROWS,
-                                        _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
+    @pytest.mark.parametrize("height", EDGE_HEIGHTS)
     @pytest.mark.parametrize("channels", [1, 5])
     def test_bytes_across_band_edges(self, height, channels):
+        assert max(EDGE_HEIGHTS) > 2 * _band_rows(WIDTH)
         rng = np.random.default_rng(100 * height + channels)
-        stacks = [rng.normal(scale=4.0, size=(height, 3, channels)
+        stacks = [rng.normal(scale=4.0, size=(height, WIDTH, channels)
                              ).astype(np.float32) for _ in range(3)]
         maps = {f"m{i}": LogitMap.from_array(s) for i, s in enumerate(stacks)}
         vectors = []

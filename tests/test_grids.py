@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import weighted_average
-from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap, _lerp, _taps,
+from segfuse.grids import (AttentionMap, LogitMap, _band_rows, _lerp, _taps,
                            argmax_channel, bilinear_resize, scaled_dim,
                            softmax_rows)
 from segfuse.hierarchy import run_inference_chain
@@ -17,17 +17,24 @@ from conftest import signed_zeros, traced_peak_ratio
 from reference import (bilinear_gather_ref, bilinear_ref, fuse_adjacent_ref,
                        gated_blend_ref)
 
+# a 128-wide grid walks 64-row bands; heights on both sides of two edges
+WIDTH = 128
+EDGE_HEIGHTS = [1, _band_rows(WIDTH) - 1, _band_rows(WIDTH),
+                _band_rows(WIDTH) + 1, 2 * _band_rows(WIDTH) + 1]
+
 
 @st.composite
 def resize_cases(draw):
     """(in_h, in_w, channels, out_h, out_w, seed, zero_frac) for up-, down-,
     same-size and mixed resamples of small grids, and for narrow grids up to
-    200 output rows, which cross the resampling bands."""
+    200 output rows, which cross the resampling bands when they are at
+    least 64 wide."""
     in_h, in_w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     mode = draw(st.sampled_from(("up", "down", "same", "mixed", "tall")))
     if mode == "tall":
         in_h, in_w = draw(st.integers(1, 300)), draw(st.integers(1, 4))
-        out_h, out_w = draw(st.integers(1, 200)), draw(st.integers(1, 4))
+        out_h = draw(st.integers(1, 200))
+        out_w = draw(st.sampled_from((1, 2, 4, 64, 128, 160)))
     elif mode == "same":
         out_h, out_w = in_h, in_w
     elif mode == "up":
@@ -122,14 +129,15 @@ class TestBilinearResize:
         with pytest.raises(DataValidationError):
             bilinear_resize(LogitMap.zeros(2, 2, 1), 0, 4)
 
-    # output heights on both sides of the 64-row band edges
-    @pytest.mark.parametrize("out_h", [1, 63, 64, 65, 129])
+    # output heights on both sides of the band edges of a 128-wide output
+    @pytest.mark.parametrize("out_h", EDGE_HEIGHTS)
     @pytest.mark.parametrize("factor", [8, 1 / 8])
     @pytest.mark.parametrize("channels", [1, 5])
     def test_bytes_across_band_edges(self, out_h, factor, channels):
         # a band of 64 rows reads 128 source rows at 8x down, 9 at 8x up
+        assert max(EDGE_HEIGHTS) > 2 * _band_rows(WIDTH) == 128
         in_h = max(1, round(out_h * factor))
-        in_w, out_w = (24, 3) if factor > 1 else (3, 24)
+        in_w, out_w = (2 * WIDTH, WIDTH) if factor > 1 else (WIDTH // 8, WIDTH)
         src = planted_grid(in_h, in_w, channels, out_h, 0.25)
         got = bilinear_resize(LogitMap.from_array(src), out_h, out_w).data
         assert got.tobytes() == bilinear_gather_ref(src, out_h, out_w).tobytes()
@@ -153,7 +161,7 @@ class TestBilinearResize:
     def test_same_size_looks_for_negative_zero_a_band_at_a_time(self, rng):
         # 16 bands, every third row +0.0 and no -0.0: the grid is its own
         # resample, and the search for a -0.0 builds no whole-frame mask
-        src = rng.normal(size=(16 * _BAND_ROWS, 64, 5)).astype(np.float32)
+        src = rng.normal(size=(16 * _band_rows(64), 64, 5)).astype(np.float32)
         src[::3] = 0.0
         a = LogitMap.from_array(src)
         assert bilinear_resize(a, *src.shape[:2]) is a
@@ -278,7 +286,8 @@ class TestGatedBlend:
 
     @pytest.mark.parametrize("gate_ndim", [2, 3])
     def test_matches_scalar_reference_across_bands(self, rng, gate_ndim):
-        shape = (130, 4, 3)
+        shape = (2 * _band_rows(WIDTH) + 2, WIDTH, 2)
+        assert shape[0] > 2 * _band_rows(shape[1])
         a = signed_zeros(rng, rng.normal(size=shape).astype(np.float32))
         b = signed_zeros(rng, rng.normal(size=shape).astype(np.float32))
         g = rng.uniform(size=shape[:gate_ndim]).astype(np.float32)
@@ -300,12 +309,14 @@ class TestGatedBlend:
 
 class TestFuseAdjacentAcrossBands:
     def test_matches_reference_65_to_130_rows(self, rng):
-        # mostly signed zeros, so that many upsampled pixels are zeros too
-        lower = signed_zeros(rng, rng.normal(scale=3.0, size=(65, 3, 2))
+        # mostly signed zeros, so that many upsampled pixels are zeros too;
+        # the finer grid is two bands and two rows
+        lower = signed_zeros(rng, rng.normal(scale=3.0, size=(65, 64, 2))
                              .astype(np.float32), share=0.8)
-        alpha = signed_zeros(rng, rng.uniform(size=(65, 3)).astype(np.float32))
-        higher = signed_zeros(rng, rng.normal(scale=3.0, size=(130, 6, 2))
+        alpha = signed_zeros(rng, rng.uniform(size=(65, 64)).astype(np.float32))
+        higher = signed_zeros(rng, rng.normal(scale=3.0, size=(130, WIDTH, 2))
                               .astype(np.float32))
+        assert len(higher) == 2 * _band_rows(WIDTH) + 2
         got = run_inference_chain([
             (LogitMap.from_array(lower), AttentionMap.from_array(alpha)),
             (LogitMap.from_array(higher), None)])

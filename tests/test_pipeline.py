@@ -15,7 +15,7 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
-from segfuse.grids import (_BAND_ROWS, AttentionMap, LogitMap,
+from segfuse.grids import (AttentionMap, LogitMap, _band_rows,
                            argmax_channel, bilinear_resize)
 from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import COMPONENTS, rle_decode
@@ -26,6 +26,10 @@ from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
 from reference import fuse_logits_ref, label_instances_ref, mean_alpha_ref
+
+# a 128-wide grid walks 64-row bands
+WIDTH = 128
+ROWS = _band_rows(WIDTH)
 
 
 @pytest.fixture
@@ -157,13 +161,15 @@ def test_mean_alpha_over_present_maps_matches_reference(dropped):
 
 
 @pytest.mark.parametrize("alphas", ["all", "one-missing", "none"])
-@pytest.mark.parametrize("rows", [1, 63, _BAND_ROWS, 65, 2 * _BAND_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
 def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
                                                   rows, alphas):
-    # the coarser scale's grid has ``rows`` rows, so its gate is built from
-    # one band, from whole bands, or from whole bands and one row more
+    # the coarser scale's grid has ``rows`` rows of 128 pixels, so its gate
+    # is built from one band, from whole bands, or from whole bands and one
+    # row more
+    assert 2 * ROWS + 1 > 2 * _band_rows(WIDTH)
     height, scale = (16, 0.0625) if rows == 1 else (2 * rows, 0.5)
-    bundle = generate(3, objects=1, height=height, width=16,
+    bundle = generate(3, objects=1, height=height, width=2 * WIDTH,
                       scales=(scale, 1.0))
     keep = {"all": bundle.models, "one-missing": ("m0", "m2"),
             "none": ()}[alphas]
@@ -188,7 +194,7 @@ def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
     # the finest scale's bands go to the reference grid: it makes no level,
     # no gate
     [(_, gate)] = levels
-    assert gate.shape == (rows, 8 if rows > 1 else 1)
+    assert gate.shape == (rows, WIDTH if rows > 1 else 16)
     want = (mean_alpha_ref([bundle.alpha_maps[m, scale].data for m in keep])
             if keep else np.full(gate.shape, 0.25, np.float32))
     assert gate.data.tobytes() == want.tobytes()
@@ -321,7 +327,8 @@ def test_carving_equals_whole_frame_oracle(case):
     if case.startswith("overlap") or case == "tall":
         assert _overlapping_pairs(regions)
     if case == "tall":
-        assert all(r.height > 2 * _BAND_ROWS for r in regions.values())
+        assert all(r.height > 2 * _band_rows(bundle.width)
+                   for r in regions.values())
     if case == "edge":
         boxes = _union_boxes(bundle)
         assert any(regions[o].width < boxes[o].width * cfg.expand_factor
@@ -339,16 +346,17 @@ def test_carving_equals_whole_frame_oracle(case):
     assert [i.uid for i in result.carved.instances] == list(range(len(got)))
 
 
-@pytest.mark.parametrize("height", [16, 2 * _BAND_ROWS + 9])
+@pytest.mark.parametrize("height", [16, 2 * ROWS + 9])
 def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     # at scales 0.999 and 1.0 both levels round to one grid, so the band
     # pass folds equal grids, where a resample keeps every value but the
     # -0.0 that bilinear_resize's same-size rule flips.  The coarser level
     # is swapped for one full of signed zeros, beside negative neighbours
     # and positive ones, so every case of that rule occurs
-    bundle = generate(2, objects=1, height=height, width=16,
+    bundle = generate(2, objects=1, height=height, width=WIDTH,
                       scales=(0.999, 1.0))
-    assert {m.shape[:2] for m in bundle.logit_maps.values()} == {(height, 16)}
+    assert {m.shape[:2] for m in bundle.logit_maps.values()} == {
+        (height, WIDTH)}
     rng = np.random.default_rng(height)
     fuse_scale, folds = pipeline._fuse_scale, []
 
@@ -369,19 +377,21 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
         bands = list(fuse_scale(sub, maps, weights, cfg, workers,
                                 (lower, alpha)))
         assert [r0 for r0, _ in bands] == list(range(0, len(finer.data),
-                                                     _BAND_ROWS))
+                                                     ROWS))
         folds.append((lower, alpha, finer, frame(bands)))
         yield from bands
 
     monkeypatch.setattr(pipeline, "_fuse_scale", swapped)
     run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"))
     [(lower, alpha, finer, folded)] = folds
+    assert height < ROWS or height > 2 * ROWS
     assert np.signbit(lower.data[lower.data == 0]).any()
     assert (run_inference_chain([(lower, alpha), (finer, None)]).data.tobytes()
             == folded.data.tobytes())
     # the rule itself, as bilinear_resize applies it to whole frames
-    up = bilinear_resize(lower, height, 16).data
-    gate = bilinear_resize(LogitMap.from_array(alpha.data), height, 16).data
+    up = bilinear_resize(lower, height, WIDTH).data
+    gate = bilinear_resize(LogitMap.from_array(alpha.data), height,
+                           WIDTH).data
     gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
     assert (weighted_average([up, finer.data], [gate, np.float32(1) - gate])
             .tobytes() == folded.data.tobytes())
@@ -446,27 +456,29 @@ class _Recorder:
 
 
 def _streamed(level, height, width):
-    """The sink's bands when ``level`` arrives in bands of ``_BAND_ROWS``
-    rows and is resampled toward a height x width reference grid."""
+    """The sink's bands when ``level`` arrives in the bands the band pass
+    yields and is resampled toward a height x width reference grid."""
     sink = _Recorder()
     sink.start(height, width, level.shape[2])
-    bands = ((r0, level[r0:r0 + _BAND_ROWS].copy())
-             for r0 in range(0, len(level), _BAND_ROWS))
+    step = _band_rows(level.shape[1])
+    bands = ((r0, level[r0:r0 + step].copy())
+             for r0 in range(0, len(level), step))
     pipeline._emit(sink, pipeline._reference_rows(bands, level.shape[:2],
                                                   height, width))
-    assert [b[0] for b in sink.bands] == list(range(0, height, _BAND_ROWS))
+    assert [b[0] for b in sink.bands] == list(range(0, height,
+                                                    _band_rows(width)))
     return sink.frames()
 
 
-@pytest.mark.parametrize("height", [_BAND_ROWS, _BAND_ROWS + 1,
-                                    2 * _BAND_ROWS + 7])
+@pytest.mark.parametrize("height", [ROWS, ROWS + 1, 2 * ROWS + 7])
 def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
-    # -0.0 on rows 63 and 64, either side of the first band edge, on the
-    # last row and in the last column.  A -0.0 on row 63 beside a negative
-    # right neighbour stays -0.0 only where row 64, the next band's first
-    # row, is negative below it; the last row and column clamp to
-    # themselves, so every zero there flips
-    width = 12
+    # -0.0 on rows 63 and 64, either side of the first band edge of a
+    # 128-wide grid, on the last row and in the last column.  A -0.0 on
+    # row 63 beside a negative right neighbour stays -0.0 only where row
+    # 64, the next band's first row, is negative below it; the last row and
+    # column clamp to themselves, so every zero there flips
+    width = WIDTH
+    assert ROWS == 64 and 2 * ROWS + 7 > 2 * _band_rows(width)
     rng = np.random.default_rng(height)
     frame = rng.choice(np.array([-1.5, -0.0, 0.0, 0.75], np.float32),
                        size=(height, width, 5))
@@ -493,45 +505,47 @@ def test_equal_grid_stream_passes_bands_on_and_holds_no_stale_band():
     # positive neighbours, which the resample turns to +0.0.  Every other
     # band is its own resample and passes on as the level band itself, and
     # no level band is still held while the band two after it is built
-    height, width = 5 * _BAND_ROWS + 7, 12
+    height, width = 5 * ROWS + 7, WIDTH
+    assert _band_rows(width) == ROWS
     frame = np.random.default_rng(0).uniform(
         0.5, 2.0, size=(height, width, 5)).astype(np.float32)
-    frame[_BAND_ROWS + 3, 4, 1] = frame[-1, -1, -1] = -0.0
+    frame[ROWS + 3, 4, 1] = frame[-1, -1, -1] = -0.0
     want = bilinear_resize(LogitMap.from_array(frame), height, width).data
-    assert not np.signbit(want[_BAND_ROWS + 3, 4, 1])
+    assert not np.signbit(want[ROWS + 3, 4, 1])
     refs = []
 
     def level_bands():
-        for k, r0 in enumerate(range(0, height, _BAND_ROWS)):
+        for k, r0 in enumerate(range(0, height, ROWS)):
             if k >= 2:
                 assert refs[k - 2]() is None, f"level band {k - 2} is held"
-            band = frame[r0:r0 + _BAND_ROWS].copy()
+            band = frame[r0:r0 + ROWS].copy()
             refs.append(weakref.ref(band))
             yield r0, band
 
     built = []
     for q0, rows in pipeline._reference_rows(level_bands(), (height, width),
                                              height, width):
-        k = q0 // _BAND_ROWS
+        k = q0 // ROWS
         assert (rows is refs[k]()) == (k not in (1, 5))
-        assert rows.tobytes() == want[q0:q0 + _BAND_ROWS].tobytes()
+        assert rows.tobytes() == want[q0:q0 + ROWS].tobytes()
         built.append(q0)
         del rows  # so that the loop holds no band while the next is built
-    assert built == list(range(0, height, _BAND_ROWS))
+    assert built == list(range(0, height, ROWS))
 
 
 # upsampled by 2 and by about 4, downsampled by 2; a 1-row level, a
 # near-equal ratio whose taps cross band edges one row apart from the
 # level's, and a downsample by more than 2, whose reference bands tap
-# several level bands each
-@pytest.mark.parametrize("shape, ref", [((65, 49), (130, 97)),
-                                        ((33, 25), (130, 97)),
-                                        ((130, 97), (65, 49)),
-                                        ((1, 49), (130, 97)),
-                                        ((129, 97), (130, 97)),
-                                        ((300, 61), (97, 23))])
+# several level bands each.  The widths make bands of 16 to 71 rows
+@pytest.mark.parametrize("shape, ref", [((65, 245), (130, 485)),
+                                        ((33, 125), (130, 485)),
+                                        ((130, 485), (65, 245)),
+                                        ((1, 245), (130, 485)),
+                                        ((129, 485), (130, 485)),
+                                        ((300, 305), (97, 115))])
 def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
                                                                    ref):
+    assert ref[0] > _band_rows(ref[1]) or shape[0] > _band_rows(shape[1])
     level = np.random.default_rng(shape[0]).normal(
         scale=3.0, size=(*shape, 5)).astype(np.float32)
     level[::7, ::5] = -0.0
@@ -545,10 +559,11 @@ def test_resampling_holds_a_few_level_bands_not_the_level():
     # a 512-row level resampled to 1024 reference rows: besides the band
     # of logits and labels being handed to the sink, the run holds a few
     # level bands (the ones later reference rows tap, and the band pass's
-    # own), never the whole level, which is 8 bands
+    # own), never the whole level, which is 16 bands
     level = np.random.default_rng(0).normal(
         size=(512, 256, 5)).astype(np.float32)
-    band = level.nbytes // 8
+    band = level.nbytes // (512 // _band_rows(256))
+    assert band == level.nbytes // 16
     bundle = PredictionBundle(
         image_id="x", height=1024, width=512, models=("m0",), scales=(0.5,),
         instances=(), logit_maps={("m0", 0.5): LogitMap.from_array(level)})
@@ -573,8 +588,44 @@ def test_resampling_holds_a_few_level_bands_not_the_level():
                      sink=Sink())
     finally:
         tracemalloc.stop()
-    assert len(held) == 1024 // _BAND_ROWS
+    assert len(held) == 1024 // _band_rows(512)
     assert max(held) < 4 * band, [round(h / band, 2) for h in held]
+
+
+def _largest_band_transient(width):
+    """The largest traced rise of a 256-row, one-object run at ``width``
+    while it builds one reference band after the first, above what it held
+    when it handed the sink the band before and above the band it hands
+    the sink, and the number of bands."""
+    bundle = generate(3, objects=1, models=2, height=256, width=width)
+    marks = []
+
+    class Traced(pipeline._Frames):
+        def write(self, r0, logits, labels):
+            super().write(r0, logits, labels)
+            now, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            marks.append((now, peak, logits.nbytes + labels.nbytes))
+
+    tracemalloc.start()
+    try:
+        run_pipeline(bundle, None, PipelineConfig(weights_mode="uniform"),
+                     sink=Traced())
+    finally:
+        tracemalloc.stop()
+    pairs = zip(marks, marks[1:])
+    return max(peak - band - (held - handed)
+               for (held, _, handed), (_, peak, band) in pairs), len(marks)
+
+
+def test_band_memory_does_not_grow_with_the_width():
+    # bands of 64 rows built about 11 MiB of temporaries per band at
+    # 1024 wide and twice that at 2048; bands of a fixed pixel count build
+    # the same at both
+    (narrow, n_narrow), (wide, n_wide) = (_largest_band_transient(w)
+                                          for w in (1024, 2048))
+    assert n_narrow > 2 and n_wide > 2
+    assert wide <= 1.25 * narrow, (narrow, wide)
 
 
 def test_writing_a_streamed_result_is_refused(tmp_path):

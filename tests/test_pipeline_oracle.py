@@ -24,7 +24,7 @@ from segfuse.cli import main
 from segfuse.config import PipelineConfig
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor, write_json_report, write_overlay)
-from segfuse.grids import _BAND_ROWS, AttentionMap, LogitMap, scaled_dim
+from segfuse.grids import AttentionMap, LogitMap, _band_rows, scaled_dim
 from segfuse.masks import (COMPONENTS, BBox, MaskInstance, RleMask,
                            rle_encode, tight_bbox)
 from segfuse.synth import generate
@@ -32,20 +32,21 @@ from segfuse.synth import generate
 from reference import pipeline_ref
 
 # name -> (height, width, scales, alpha maps, beta const, weights); alpha
-# maps are synth's, random, or none
+# maps are synth's, random, or none.  The widths make reference-grid bands
+# of 60 to 68 rows, so every grid of more than one row crosses a band edge
 CASES = {
-    "s1_h63_gate_ap": (63, 33, (1.0,), "synth", None, "ap"),
-    "s05_h64_gate_uniform_noalpha": (64, 35, (0.5, 1.0), None, None,
+    "s1_h63_gate_ap": (63, 133, (1.0,), "synth", None, "ap"),
+    "s05_h64_gate_uniform_noalpha": (64, 135, (0.5, 1.0), None, None,
                                      "uniform"),
-    "s05_h130_beta_uniform": (130, 31, (0.5, 1.0), "synth", 0.5, "uniform"),
-    "s025_05_h130_gate_ap": (130, 37, (0.25, 0.5), "synth", None, "ap"),
-    "s025_05_h65_beta_ap_noalpha": (65, 29, (0.25, 0.5), None, 0.25, "ap"),
-    "s0999_h65_gate_ap": (65, 27, (0.999, 1.0), "synth", None, "ap"),
-    "s0999_h130_gate_uniform_noalpha": (130, 25, (0.999, 1.0), None, None,
+    "s05_h130_beta_uniform": (130, 127, (0.5, 1.0), "synth", 0.5, "uniform"),
+    "s025_05_h130_gate_ap": (130, 133, (0.25, 0.5), "synth", None, "ap"),
+    "s025_05_h65_beta_ap_noalpha": (65, 129, (0.25, 0.5), None, 0.25, "ap"),
+    "s0999_h65_gate_ap": (65, 131, (0.999, 1.0), "synth", None, "ap"),
+    "s0999_h130_gate_uniform_noalpha": (130, 125, (0.999, 1.0), None, None,
                                         "uniform"),
-    "s05_h130_gate_ap_random_alpha": (130, 27, (0.5, 1.0), "random", None,
+    "s05_h130_gate_ap_random_alpha": (130, 119, (0.5, 1.0), "random", None,
                                       "ap"),
-    "s025_05_h65_gate_uniform_random_alpha": (65, 31, (0.25, 0.5), "random",
+    "s025_05_h65_gate_uniform_random_alpha": (65, 127, (0.25, 0.5), "random",
                                               None, "uniform"),
 }
 
@@ -57,12 +58,12 @@ HAND_CASES = {
     "h1_s1_gate_ap": (1, 29, (1.0,), None, "ap", None),
     "h1_s05_beta_uniform": (1, 31, (0.5, 1.0), 0.75, "uniform", None),
     "h1_s0999_gate_ap": (1, 27, (0.999, 1.0), None, "ap", None),
-    "h130_s05_gate_ap": (130, 31, (0.5, 1.0), None, "ap", None),
-    "h130_s05_signed_zeros": (130, 30, (0.5, 1.0), 1.0, "uniform",
+    "h130_s05_gate_ap": (130, 127, (0.5, 1.0), None, "ap", None),
+    "h130_s05_signed_zeros": (130, 128, (0.5, 1.0), 1.0, "uniform",
                               "signed_zeros"),
-    "h130_s05_touching_gate_ap": (130, 31, (0.5, 1.0), None, "ap",
+    "h130_s05_touching_gate_ap": (130, 127, (0.5, 1.0), None, "ap",
                                   "touching"),
-    "h130_s05_missed_gate_ap": (130, 31, (0.5, 1.0), None, "ap", "missed"),
+    "h130_s05_missed_gate_ap": (130, 127, (0.5, 1.0), None, "ap", "missed"),
 }
 
 # columns that the "touching" variant moves object 1's boxes to the left:
@@ -70,8 +71,10 @@ HAND_CASES = {
 TOUCH_SHIFT = 5
 
 # reference-grid row -> the columns where ``_plant_signed_zeros`` makes the
-# fused frame -0.0: the first band's last row and the second band's first
-PLANTED = {_BAND_ROWS - 1: (3, 11, 19), _BAND_ROWS: (7, 15, 23)}
+# fused frame -0.0: the first band's last row and the second band's first,
+# on the 128-wide grid of the "signed_zeros" case, whose bands are 64 rows
+EDGE = _band_rows(HAND_CASES["h130_s05_signed_zeros"][1])
+PLANTED = {EDGE - 1: (3, 11, 19), EDGE: (7, 15, 23)}
 
 OUTPUTS = ("fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
            "report.json")
@@ -177,23 +180,24 @@ def _plant_signed_zeros(bundle):
     its gate is 1 over those rows, and the finest level is negative there,
     so that the fold takes the coarse value and its sign."""
     tiny = np.float32(2.0 ** -149)  # the smallest subnormal
+    assert EDGE == _band_rows(bundle.width) == 64
     # coarse rows 31 and 32 are the taps of reference rows 63 and 64;
     # reference column 2j + 1 taps coarse columns j and j + 1
-    patterns = {_BAND_ROWS - 1: ((0, -tiny), (0, -3 * tiny)),
-                _BAND_ROWS: ((0, 0), (0, -tiny))}
+    patterns = {EDGE - 1: ((0, -tiny), (0, -3 * tiny)),
+                EDGE: ((0, 0), (0, -tiny))}
     logit_maps, alpha_maps = {}, dict(bundle.alpha_maps)
     for (model, scale), logits in bundle.logit_maps.items():
         data = logits.data.copy()
         if scale == 1.0:
-            data[_BAND_ROWS - 2:_BAND_ROWS + 3, :, 0] = -1.0
+            data[EDGE - 2:EDGE + 3, :, 0] = -1.0
         else:
-            rows = data[_BAND_ROWS // 2 - 2:_BAND_ROWS // 2 + 2, :, 0]
+            rows = data[EDGE // 2 - 2:EDGE // 2 + 2, :, 0]
             rows[:] = -1.0
             for row, columns in PLANTED.items():
                 for x in columns:
                     rows[1:3, x // 2:x // 2 + 2] = patterns[row]
             alpha = bundle.alpha_maps[model, scale].data.copy()
-            alpha[_BAND_ROWS // 2 - 2:_BAND_ROWS // 2 + 2] = 1.0
+            alpha[EDGE // 2 - 2:EDGE // 2 + 2] = 1.0
             alpha_maps[model, scale] = AttentionMap.from_array(alpha)
         logit_maps[model, scale] = LogitMap.from_array(data)
     return replace(bundle, logit_maps=logit_maps, alpha_maps=alpha_maps)
@@ -236,11 +240,13 @@ def test_pipeline_matches_the_whole_frame_oracle(tmp_path, case):
     elif alphas == "random":
         image, calib = _random_alphas(image, 4), _random_alphas(calib, 5)
     _check_against_oracle(tmp_path, image, calib, beta, weights)
-    if height > 2 * _BAND_ROWS:
+    step = _band_rows(width)
+    assert height > step
+    if height == 130:
         # the three objects sit in one row, so their regions cross the
         # first band edge
         regions = pipeline._object_regions(image, PipelineConfig()).values()
-        assert all(r.y0 < _BAND_ROWS < r.y1 for r in regions)
+        assert all(r.y0 < step < r.y1 for r in regions)
 
 
 @pytest.mark.parametrize("case", list(HAND_CASES))
@@ -265,7 +271,7 @@ def test_hand_built_manifest_matches_the_whole_frame_oracle(tmp_path, case):
                           == (model, scale, "shell")]
                 overlap = shells[0].intersection(shells[1])
                 assert overlap is not None
-                assert overlap.y0 < _BAND_ROWS < overlap.y1
+                assert overlap.y0 < _band_rows(width) < overlap.y1
     if variant == "missed":
         held = {(i.model_id, i.object_id) for i in image.instances}
         assert ("m1", 1) not in held and ("m0", 1) in held

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from segfuse import pipeline
 from segfuse.attention import row_normalize
 from segfuse.config import PipelineConfig
-from segfuse.grids import _BAND_ROWS, LogitMap, argmax_channel, softmax_rows
+from segfuse.grids import LogitMap, _band_rows, argmax_channel, softmax_rows
 from segfuse.masks import BBox
 from segfuse.pipeline import _band_gate, _object_gate
 
@@ -29,12 +29,17 @@ from reference import (argmax_ref, object_gate_ref, row_normalize_ref,
 
 LAYOUTS = ("c", "columns", "fortran", "transpose")
 
+# a 128-wide frame walks 64-row bands; heights on both sides of two edges
+FRAME_WIDTH = 128
+ROWS = _band_rows(FRAME_WIDTH)
+EDGE_HEIGHTS = [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]
+
 
 @st.composite
 def channel_rows(draw, channels=(1, 2, 5, 7)):
     """(rows x channels float64 matrix, layout name)."""
     k = draw(st.sampled_from(channels))
-    n = draw(st.integers(1, 2 * _BAND_ROWS + 10))
+    n = draw(st.integers(1, 2 * ROWS + 10))
     kind = draw(st.sampled_from(("normal", "ties", "underflow")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "ties":
@@ -114,14 +119,13 @@ def test_object_gate_matches_oracle(case, factor):
     assert got.tobytes() == object_gate_ref(g, l, factor).tobytes()
 
 
-@pytest.mark.parametrize("height", [1, _BAND_ROWS - 1, _BAND_ROWS,
-                                    _BAND_ROWS + 1, 2 * _BAND_ROWS + 1])
+@pytest.mark.parametrize("height", EDGE_HEIGHTS)
 @pytest.mark.parametrize("width", [1, 7])
 def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
                                                          height, width):
     # the region is a window of a larger frame, as the engine crops it, and
     # the frame's bands cut it where the band pass does
-    frame = rng.normal(scale=3.0, size=(height + 5, width + 3, 5))
+    frame = rng.normal(scale=3.0, size=(height + 5, FRAME_WIDTH, 5))
     frame = frame.astype(np.float32)
     region = BBox(1, 2, 1 + width, 2 + height)
     g = frame[region.slices]
@@ -137,9 +141,11 @@ def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
     attention_to_map = pipeline.attention_to_map
     monkeypatch.setattr(pipeline, "attention_to_map", pasted)
     cfg = PipelineConfig(attention_factor=1.5, neutral_beta=0.25)
+    step = _band_rows(frame.shape[1])
+    assert 2 + max(EDGE_HEIGHTS) > 2 * step
     bands = []
-    for r0 in range(0, len(frame), _BAND_ROWS):
-        bands.append(_band_gate(frame[r0:r0 + _BAND_ROWS], r0,
+    for r0 in range(0, len(frame), step):
+        bands.append(_band_gate(frame[r0:r0 + step], r0,
                                 [(LogitMap.from_array(l), region)], cfg).data)
     got = np.concatenate(bands)
     want = object_gate_ref(g.reshape(-1, 5).astype(np.float64),
