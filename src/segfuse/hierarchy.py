@@ -5,12 +5,12 @@ finer grid and blends: ``U(lower) * U(alpha) + finer * (1 - U(alpha))``.
 The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
 
-One row core, ``_fold_rows``, upsamples both over just the rows it folds,
-through ``grids._lerp``, and blends them in ``fusion.weighted_average``,
-both of which work in place, a band of ``grids._band_rows`` rows at a
-time.  The pipeline's band pass folds each band it builds through it;
-``run_inference_chain`` is the whole-frame form of that fold, kept as
-library API and as a test oracle.
+One row core, ``_fold_rows``, blends some upsampled rows under their
+clamped gate in ``fusion.weighted_average``.  The pipeline's band pass
+folds each band it builds through it, upsampled by its streaming
+resampler; ``run_inference_chain``, the whole-frame form of that fold,
+kept as library API and as a test oracle, lerps each band through
+``grids._lerp``.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ from .grids import AttentionMap, LogitMap, _band_rows, _lerp, _taps
 import numpy as np
 
 
-def _fold_rows(lower: LogitMap, alpha: AttentionMap, finer: np.ndarray,
-               ys, xs) -> np.ndarray:
-    """Some rows of the fold of ``lower``, gated by ``alpha``, into a finer
-    grid: ``finer`` holds those rows of the finer level, ``ys`` are their
-    ``_taps`` into ``lower``'s rows and ``xs`` the finer grid's column taps.
-
-    ``lower`` and ``alpha`` are upsampled over just those rows, by the
-    lerp core of ``bilinear_resize``, on equal grids too."""
-    up = _lerp(lower.data, ys, xs)
-    gate = _lerp(alpha.data[:, :, None], ys, xs)
+def _fold_rows(up: np.ndarray, gate: np.ndarray,
+               finer: np.ndarray) -> np.ndarray:
+    """Some rows of the fold of a coarser level into a finer grid:
+    ``finer`` holds those rows of the finer level, ``up`` and ``gate``
+    (rows x width x 1) the same rows of the coarser level and of its gate,
+    upsampled onto the finer grid.  The gate is clamped to [0, 1]."""
     gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
     return weighted_average([up, finer], [gate, np.float32(1) - gate])
 
@@ -67,7 +63,9 @@ def run_inference_chain(
         step = _band_rows(finer.width)
         for r0 in range(0, finer.height, step):
             band = slice(r0, r0 + step)
-            out[band] = _fold_rows(acc, alpha, finer.data[band],
-                                   [t[band] for t in ys], xs)
+            rows = [t[band] for t in ys]
+            out[band] = _fold_rows(_lerp(acc.data, rows, xs),
+                                   _lerp(alpha.data[:, :, None], rows, xs),
+                                   finer.data[band])
         acc = LogitMap._own(out)
     return acc

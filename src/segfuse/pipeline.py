@@ -8,16 +8,16 @@ fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
 
 Each scale is one pass over bands of rows that yields the scale's fused
-rows (``_fuse_scale``), so no pass holds a whole frame of the finest grid.
+rows (``_fuse_scale``), so no pass holds a whole frame of any scale.
 Every band loop takes its height from ``grids._band_rows`` for the width
-it walks, so a band's temporaries do not grow with the width.  A coarser
-scale's bands, and the same rows of its alpha maps, are collected into
-its level (``_level``), which the next finer pass folds in band by band.
-The finest scale's bands are resampled to the reference grid as the rows
-they tap arrive (``_reference_rows``), labeled by their argmax (``_emit``)
-and handed to a sink: the in-memory ``_Frames`` or the CLI's
-``_PipelineFiles``.  The carving reads its regions' rows back from the
-sink.
+it walks, so a band's temporaries do not grow with the width.  The next
+finer pass pulls a coarser scale's bands, and the bands of its gate
+(``_gate_bands``), as it folds them in, each upsampled onto its own bands
+by the one streaming resampler, ``_reference_rows``.  That resampler also
+takes the finest scale's bands to the reference grid, where they are
+labeled by their argmax (``_emit``) and handed to a sink: the in-memory
+``_Frames`` or the CLI's ``_PipelineFiles``.  The carving reads its
+regions' rows back from the sink.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -303,18 +303,18 @@ def _grid_rows(grid):
 
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
-                cfg: PipelineConfig, workers: int,
-                coarser: tuple[LogitMap, AttentionMap] | None = None):
+                cfg: PipelineConfig, workers: int, coarser=None):
     """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
     the fused frame of ``sub``, the image at one scale, under that scale's
-    ``weights``, with ``coarser``, the next coarser level, folded in when
-    given.
+    ``weights``, with ``coarser``, the next coarser scale's bands, gate
+    bands and grid shape, folded in when given.
 
     The per-object maps are built first.  Then one pass over the bands
     reads each model's rows of logits from ``maps``, ensembles them, gates
     and blends them with the per-object maps that cross the band, and
-    folds in the coarser level upsampled over those rows.  Each logit map
-    is opened once, and no whole frame is built."""
+    folds in the coarser bands and gate, upsampled onto the band by
+    ``_reference_rows``.  Each logit map is opened once, and no whole frame
+    is built."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -337,12 +337,13 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
 
     local_logits = list(zip(_pmap(_object_task, regions_s, workers),
                             regions_s.values()))
-    if coarser is not None:
-        lower, alpha = coarser
-        ys, xs = _taps(lower.height, sh), _taps(lower.width, sw)
     with ExitStack() as stack:
         reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
                  for m in sub.models}
+        if coarser is not None:  # its streams are closed with this pass
+            *streams, shape = coarser
+            ups = zip(*(_reference_rows(stack.enter_context(closing(rows)),
+                                        shape, sh, sw) for rows in streams))
         step = _band_rows(sw)
         for r0 in range(0, sh, step):
             r1 = min(r0 + step, sh)
@@ -354,32 +355,26 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                     else _band_gate(ens, r0, local_logits, cfg))
             band = _blend_rows(ens, r0, local_logits, beta.data[:, :, None])
             if coarser is not None:
-                band = _fold_rows(lower, alpha, band,
-                                  [t[r0:r1] for t in ys], xs)
+                (_, up), (_, gate) = next(ups)
+                band = _fold_rows(up, gate, band)
             yield r0, band
 
 
-def _level(sub: PredictionBundle, maps: dict, cfg: PipelineConfig,
-           channels: int, bands) -> tuple[LogitMap, AttentionMap]:
-    """The level of ``sub``, a scale whose fold into the next finer one
-    reads it whole: its frame, collected from ``bands``, its
-    ``_fuse_scale`` bands, and its gate, the ``_mean_alpha`` of the same
-    rows of its alpha maps, read as each band arrives.  Each alpha map is
-    opened once."""
+def _gate_bands(sub: PredictionBundle, maps: dict, cfg: PipelineConfig):
+    """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
+    the gate of ``sub``, the image at one scale, as rows x width x 1: the
+    ``_mean_alpha`` of the same rows of its alpha maps.  Each alpha map is
+    opened once, when the first band is pulled."""
     scale = sub.scales[0]
     sh, sw = scaled_dim(sub.height, scale), scaled_dim(sub.width, scale)
-    frame = np.empty((sh, sw, channels), dtype=np.float32)
-    gate = np.empty((sh, sw), dtype=np.float32)
     with ExitStack() as stack:
         alphas = {m: stack.enter_context(maps["alpha_maps", m, scale][1]())
                   for m in sub.models if ("alpha_maps", m, scale) in maps}
-        for r0, rows in bands:
-            r1 = r0 + len(rows)
-            frame[r0:r1] = rows
-            gate[r0:r1] = _mean_alpha(
-                sub.models, {m: read(r0, r1) for m, read in alphas.items()},
-                (r1 - r0, sw, 1), cfg)[:, :, 0]
-    return LogitMap._own(frame), AttentionMap._own(gate)
+        step = _band_rows(sw)
+        for r0 in range(0, sh, step):
+            r1 = min(r0 + step, sh)
+            rows = {m: read(r0, r1) for m, read in alphas.items()}
+            yield r0, _mean_alpha(sub.models, rows, (r1 - r0, sw, 1), cfg)
 
 
 # output names in write order: the three frames the finest pass streams,
@@ -485,18 +480,19 @@ def _emit(sink, bands) -> None:
 
 def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
     """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
-    the finest level resampled to the height x width reference grid, as
-    ``bilinear_resize`` resamples the whole level, from ``bands``, the
-    level's ``_fuse_scale`` bands, of ``shape``.
+    a level resampled to a height x width grid, as ``bilinear_resize``
+    resamples the whole level, from ``bands``, its bands, of ``shape``:
+    the one resampler of a streamed level, for the scale fold and for the
+    final resize to the reference grid.
 
-    A reference band is built once the last level row its ``_taps`` read
-    has arrived, and a level band is dropped once no later reference row
+    An output band is built once the last level row its ``_taps`` read
+    has arrived, and a level band is dropped once no later output row
     reads it.  The tapped rows are lerped, except that on equal grids
     level rows that hold no -0.0 are their own resample and pass on as
     they are."""
     same = shape == (height, width)
     ys, xs = _taps(shape[0], height), _taps(shape[1], width)
-    held = []  # (r0, rows) of the level bands a later reference row reads
+    held = []  # (r0, rows) of the level bands a later output row reads
     step = _band_rows(width)
     q0 = 0
     for r0, band in bands:
@@ -543,12 +539,12 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     """Ensemble logits, local attention, and the coarse-to-fine fold;
     ``workers`` threads run the per-object stage.  Maps are read from
     ``maps`` as ``load_manifest(path, maps={})`` fills it, or else from the
-    bundle.  Each scale's level is folded into the next finer scale's pass;
-    the finest scale's bands, resampled to the reference grid, go with
-    their argmax labels to ``sink``: by default an in-memory one, whose
-    frame and labels the result holds, or the CLI's ``_PipelineFiles``,
-    which writes them to files; the carving reads its regions' rows back
-    from the sink."""
+    bundle.  Each scale's bands are folded into the next finer scale's
+    pass as it pulls them; the finest scale's bands, resampled to the
+    reference grid, go with their argmax labels to ``sink``: by default an
+    in-memory one, whose frame and labels the result holds, or the CLI's
+    ``_PipelineFiles``, which writes them to files; the carving reads its
+    regions' rows back from the sink."""
     if workers < 1:
         raise DataValidationError("workers must be >= 1")
     if maps is None:
@@ -580,14 +576,15 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         for scale, oids in zip(bundle.scales, horizontal)})
     frames = _Frames() if sink is None else sink
     frames.start(height, width, channels[0])
-    level = None
-    for sub in subs[:-1]:
-        level = _level(sub, maps, cfg, channels[0],
-                       _fuse_scale(sub, maps, weights, cfg, workers, level))
-    finest = bundle.scales[-1]
-    _emit(frames, _reference_rows(
-        _fuse_scale(subs[-1], maps, weights, cfg, workers, level),
-        (scaled_dim(height, finest), scaled_dim(width, finest)), height, width))
+    level = None  # a scale's bands, its gate's bands and its grid, unpulled
+    for sub in subs:
+        scale = sub.scales[0]
+        level = (_fuse_scale(sub, maps, weights, cfg, workers, level),
+                 _gate_bands(sub, maps, cfg),
+                 (scaled_dim(height, scale), scaled_dim(width, scale)))
+    # the finest scale's gate is never pulled, so its alpha maps stay unread
+    bands, _, shape = level
+    _emit(frames, _reference_rows(bands, shape, height, width))
 
     with frames.rows() as rows:
         instances = _label_instances(bundle, rows, cfg)

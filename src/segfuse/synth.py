@@ -159,6 +159,8 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
              height: int = 96, width: int = 128, perturb: int = 2,
              scales: tuple[float, ...] = (1.0,)) -> PredictionBundle:
     """Build a deterministic synthetic bundle from ``seed``."""
+    if seed < 0:
+        raise DataValidationError(f"seed: {seed} must not be negative")
     if objects < 1 or models < 1:
         raise DataValidationError("synthetic scene needs >= 1 object and model")
     if height < 16 or width < 16:

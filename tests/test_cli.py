@@ -119,6 +119,7 @@ class TestSynthCommand:
         ("--objects", "0", "object"),
         ("--height", "8", "16x16"),
         ("--perturb", "-1", "perturbation"),
+        ("--seed", "-1", "seed: -1"),
         ("--scales", "1.0 0.5", "scales"),
         ("--scales", "nan", "scales"),
         ("--scales", "0.5 inf", "scales"),
@@ -1071,23 +1072,31 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak
 
+    # a map whose last row turns NaN after the load and after its first
+    # band is read: a scale-1.0 logit map, or a logit or alpha map of the
+    # next coarser scale, whose last rows the finest pass pulls only when
+    # it folds in its fourth band of 32 rows
+    @pytest.mark.parametrize("field, scale, bands_written", [
+        ("logit_maps", 1.0, 6), ("logit_maps", 0.5, 2),
+        ("alpha_maps", 0.5, 2)], ids=["finest-logits", "coarser-logits",
+                                      "coarser-alpha"])
     @pytest.mark.parametrize("prior", ["none", "earlier-run", "file"])
     def test_failed_finest_pass_leaves_out_dir_as_it_was(
-            self, tmp_path, capsys, monkeypatch, dense, prior):
-        # a scale-1.0 logit map whose last row turns NaN after the load: the
-        # finest pass fails at its last band, after the sink has written
-        # the bands before it
+            self, tmp_path, capsys, monkeypatch, dense, prior, field, scale,
+            bands_written):
+        # the finest pass fails after the sink has written the bands before
+        # the one the fault reaches
         image, calib = dense
         src = tmp_path / "src"
         shutil.copytree(image.parent, src)
         image = src / image.name
         doc = json.loads(image.read_text())
-        k, rec = next((k, r) for k, r in enumerate(doc["logit_maps"])
-                      if r["scale"] == 1.0)
+        k, rec = next((k, r) for k, r in enumerate(doc[field])
+                      if r["scale"] == scale)
         target = (src / rec["path"]).resolve()
         h, w, c = struct.unpack("<3I", target.read_bytes()[8:20])
-        step = _band_rows(w)
-        assert h > 2 * step
+        step = _band_rows(256)
+        assert (h, step) == (256 * scale, 32)
         out = tmp_path / "out"
         if prior == "earlier-run":
             assert main(["pipeline", str(image), "--calib", str(calib),
@@ -1124,13 +1133,13 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                      "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        assert re.search(rf"logit_maps\[{k}\]: .*payload contains "
+        assert re.search(rf"{field}\[{k}\]: .*payload contains "
                          r"non-finite values", captured.err), captured.err
         assert "wrote" not in captured.out
-        # a reference band is written once the level row after it has
-        # arrived, so the bands before the last two were written
-        assert written == list(range(0, h - 2 * step, step))
-        assert len(written) >= 2
+        # a reference band is written once the finest row after it has
+        # arrived, so every band built before the failing one but the last
+        # was written
+        assert written == list(range(0, bands_written * step, step))
         assert state() == before
         assert not list(tmp_path.rglob(".segfuse-*"))
         assert sorted(p.name for p in tmp_path.iterdir()) == (

@@ -182,22 +182,27 @@ def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
     path = save_manifest(bundle, tmp_path / "manifest.json")
     maps = {}
     loaded = load_manifest(path, maps=maps)
-    level, levels = pipeline._level, []
+    gate_bands, pulled = pipeline._gate_bands, []
 
     def recorded(*args):
-        levels.append(level(*args))
-        return levels[-1]
+        bands = []  # listed when the generator is made, not when pulled
+        pulled.append(bands)
+        return (bands.append(item) or item for item in gate_bands(*args))
 
-    monkeypatch.setattr(pipeline, "_level", recorded)
+    monkeypatch.setattr(pipeline, "_gate_bands", recorded)
     run_pipeline(loaded, None, PipelineConfig(weights_mode="uniform",
                                               alpha_const=0.25), maps=maps)
-    # the finest scale's bands go to the reference grid: it makes no level,
-    # no gate
-    [(_, gate)] = levels
-    assert gate.shape == (rows, WIDTH if rows > 1 else 16)
+    # the finest scale's bands go to the reference grid: its gate is never
+    # pulled
+    coarse, finest = pulled
+    assert finest == []
+    width = WIDTH if rows > 1 else 16
+    assert [r0 for r0, _ in coarse] == list(range(0, rows, _band_rows(width)))
+    gate = np.concatenate([band for _, band in coarse])
+    assert gate.shape == (rows, width, 1)
     want = (mean_alpha_ref([bundle.alpha_maps[m, scale].data for m in keep])
-            if keep else np.full(gate.shape, 0.25, np.float32))
-    assert gate.data.tobytes() == want.tobytes()
+            if keep else np.full(gate.shape[:2], 0.25, np.float32))
+    assert gate.tobytes() == want.tobytes()
 
 
 def test_evaluate_requires_ground_truth():
@@ -363,19 +368,26 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     def frame(bands):
         return LogitMap.from_array(np.concatenate([rows for _, rows in bands]))
 
+    def banded(data):
+        # in the bands the coarser scale's pass and gate yield
+        step = _band_rows(data.shape[1])
+        return ((r0, data[r0:r0 + step].copy())
+                for r0 in range(0, len(data), step))
+
     def swapped(sub, maps, weights, cfg, workers, coarser=None):
         if coarser is None:
             yield from fuse_scale(sub, maps, weights, cfg, workers)
             return
-        shape = coarser[0].shape
+        shape = coarser[2]
         lower = LogitMap.from_array(rng.choice(
-            np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=shape))
+            np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=(*shape, 5)))
         alpha = AttentionMap.from_array(rng.choice(
-            np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape[:2]))
+            np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape))
         finer = frame(fuse_scale(sub, maps, weights, cfg, workers))
         # the finest scale's frame, from the bands it yields
         bands = list(fuse_scale(sub, maps, weights, cfg, workers,
-                                (lower, alpha)))
+                                (banded(lower.data),
+                                 banded(alpha.data[:, :, None]), shape)))
         assert [r0 for r0, _ in bands] == list(range(0, len(finer.data),
                                                      ROWS))
         folds.append((lower, alpha, finer, frame(bands)))
@@ -555,18 +567,10 @@ def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
     assert labels.tobytes() == argmax_channel(want).tobytes()
 
 
-def test_resampling_holds_a_few_level_bands_not_the_level():
-    # a 512-row level resampled to 1024 reference rows: besides the band
-    # of logits and labels being handed to the sink, the run holds a few
-    # level bands (the ones later reference rows tap, and the band pass's
-    # own), never the whole level, which is 16 bands
-    level = np.random.default_rng(0).normal(
-        size=(512, 256, 5)).astype(np.float32)
-    band = level.nbytes // (512 // _band_rows(256))
-    assert band == level.nbytes // 16
-    bundle = PredictionBundle(
-        image_id="x", height=1024, width=512, models=("m0",), scales=(0.5,),
-        instances=(), logit_maps={("m0", 0.5): LogitMap.from_array(level)})
+def _held_at_writes(bundle):
+    """The traced memory a run of ``bundle``, which has no instances, holds
+    each time it hands the sink a band, above what it held at its start
+    and above that band of logits and labels."""
     held = []
 
     class Sink:
@@ -588,8 +592,45 @@ def test_resampling_holds_a_few_level_bands_not_the_level():
                      sink=Sink())
     finally:
         tracemalloc.stop()
+    return held
+
+
+def test_resampling_holds_a_few_level_bands_not_the_level():
+    # a 512-row level resampled to 1024 reference rows: besides the band
+    # of logits and labels being handed to the sink, the run holds a few
+    # level bands (the ones later reference rows tap, and the band pass's
+    # own), never the whole level, which is 16 bands
+    level = np.random.default_rng(0).normal(
+        size=(512, 256, 5)).astype(np.float32)
+    band = level.nbytes // (512 // _band_rows(256))
+    assert band == level.nbytes // 16
+    held = _held_at_writes(PredictionBundle(
+        image_id="x", height=1024, width=512, models=("m0",), scales=(0.5,),
+        instances=(), logit_maps={("m0", 0.5): LogitMap.from_array(level)}))
     assert len(held) == 1024 // _band_rows(512)
     assert max(held) < 4 * band, [round(h / band, 2) for h in held]
+
+
+def test_the_fold_holds_a_few_coarser_bands_not_the_coarser_level():
+    # a 1024-row coarser level folded into a 2048-row finest one: while the
+    # finest pass hands the sink its bands, the run holds a few bands of
+    # each scale (about 0.25 of the coarser level), never the coarser
+    # level, which is 32 bands, and its gate (1.35 of it when both were
+    # kept whole)
+    rng = np.random.default_rng(0)
+    coarse = rng.normal(size=(1024, 256, 5)).astype(np.float32)
+    assert 1024 // _band_rows(256) == 32
+    held = _held_at_writes(PredictionBundle(
+        image_id="x", height=2048, width=512, models=("m0",),
+        scales=(0.5, 1.0), instances=(), logit_maps={
+            ("m0", 0.5): LogitMap.from_array(coarse),
+            ("m0", 1.0): LogitMap.from_array(rng.normal(
+                size=(2048, 512, 5)).astype(np.float32))},
+        alpha_maps={("m0", 0.5): AttentionMap.from_array(
+            rng.uniform(size=(1024, 256)).astype(np.float32))}))
+    assert len(held) == 2048 // _band_rows(512)
+    assert max(held) < coarse.nbytes / 2, [round(h / coarse.nbytes, 2)
+                                           for h in held]
 
 
 def _largest_band_transient(width):

@@ -8,8 +8,9 @@ either side of a band edge and two bands and more, finest scales on and
 off the reference grid, near-equal grids, runs with synth's alpha maps,
 random ones and none, the gate and a constant gate, and AP and uniform
 weights.  Hand-built manifests add what synth does not draw: a height of
-1, random logits, a -0.0 at the first band edge whose sign the row below
-it decides, two objects whose shells overlap, and a model that misses an
+1, random logits, a coarser level of more than one band, with random
+alpha maps, a -0.0 at the first band edge whose sign the row below it
+decides, two objects whose shells overlap, and a model that misses an
 object.
 """
 
@@ -64,6 +65,8 @@ HAND_CASES = {
     "h130_s05_touching_gate_ap": (130, 127, (0.5, 1.0), None, "ap",
                                   "touching"),
     "h130_s05_missed_gate_ap": (130, 127, (0.5, 1.0), None, "ap", "missed"),
+    # a coarser level of two bands, of 126 rows and 3, at scale 0.5
+    "h258_s05_gate_ap": (258, 130, (0.5, 1.0), None, "ap", None),
 }
 
 # columns that the "touching" variant moves object 1's boxes to the left:
@@ -261,6 +264,10 @@ def test_hand_built_manifest_matches_the_whole_frame_oracle(tmp_path, case):
     # its horizontal weights
     calib = _hand_bundle(3, height, width, scales, shift)
     _check_against_oracle(tmp_path, image, calib, beta, weights)
+    if height == 258:
+        # the coarser scale's pass and gate each yield two bands
+        sh, sw = scaled_dim(height, scales[0]), scaled_dim(width, scales[0])
+        assert _band_rows(sw) < sh < 2 * _band_rows(sw)
     if variant == "touching":
         # every model's two shells overlap, over rows across the first
         # band edge, so their local maps are summed there
