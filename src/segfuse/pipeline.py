@@ -10,10 +10,10 @@ byte-identical outputs regardless of worker count.
 Each scale is one pass over bands of rows that yields the scale's fused
 rows (``_fuse_scale``), so no pass holds a whole frame of any scale.
 Every band loop takes its height from ``grids._band_rows`` for the width
-it walks, so a band's temporaries do not grow with the width.  The next
-finer pass pulls a coarser scale's bands, and the bands of its gate
-(``_gate_bands``), as it folds them in, each upsampled onto its own bands
-by the one streaming resampler, ``_reference_rows``.  That resampler also
+it walks, so a band's temporaries do not grow with the width.  A coarser
+scale's bands carry its gate as a last channel; the next finer pass pulls
+them as it folds them in, upsampled onto its own bands by the one
+streaming resampler, ``_reference_rows``.  That resampler also
 takes the finest scale's bands to the reference grid, where they are
 labeled by their argmax (``_emit``) and handed to a sink: the in-memory
 ``_Frames`` or the CLI's ``_PipelineFiles``.  The carving reads its
@@ -303,18 +303,21 @@ def _grid_rows(grid):
 
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
-                cfg: PipelineConfig, workers: int, coarser=None):
+                cfg: PipelineConfig, workers: int, coarser=None,
+                finest=False):
     """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
     the fused frame of ``sub``, the image at one scale, under that scale's
-    ``weights``, with ``coarser``, the next coarser scale's bands, gate
-    bands and grid shape, folded in when given.
+    ``weights``, with ``coarser``, the next coarser scale's pass and grid
+    shape, folded in when given.  Unless ``finest``, each band carries
+    those rows of the scale's gate, the ``_mean_alpha`` of its alpha maps,
+    as a last channel.
 
     The per-object maps are built first.  Then one pass over the bands
     reads each model's rows of logits from ``maps``, ensembles them, gates
     and blends them with the per-object maps that cross the band, and
-    folds in the coarser bands and gate, upsampled onto the band by
-    ``_reference_rows``.  Each logit map is opened once, and no whole frame
-    is built."""
+    folds in the coarser bands under the gate they carry, upsampled onto
+    the band by ``_reference_rows``.  Each logit and alpha map is opened
+    once, when the first band is pulled, and no whole frame is built."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
@@ -340,10 +343,14 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     with ExitStack() as stack:
         reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
                  for m in sub.models}
-        if coarser is not None:  # its streams are closed with this pass
-            *streams, shape = coarser
-            ups = zip(*(_reference_rows(stack.enter_context(closing(rows)),
-                                        shape, sh, sw) for rows in streams))
+        # the finest gate is never folded: its alpha maps stay unread
+        alphas = {} if finest else {
+            m: stack.enter_context(maps["alpha_maps", m, scale][1]())
+            for m in sub.models if ("alpha_maps", m, scale) in maps}
+        if coarser is not None:  # its pass is closed with this one
+            rows, shape = coarser
+            ups = _reference_rows(stack.enter_context(closing(rows)), shape,
+                                  sh, sw)
         step = _band_rows(sw)
         for r0 in range(0, sh, step):
             r1 = min(r0 + step, sh)
@@ -354,27 +361,17 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                     if cfg.beta_const is not None
                     else _band_gate(ens, r0, local_logits, cfg))
             band = _blend_rows(ens, r0, local_logits, beta.data[:, :, None])
+            del ens, beta  # so that neither is held at the yield
             if coarser is not None:
-                (_, up), (_, gate) = next(ups)
-                band = _fold_rows(up, gate, band)
+                _, up = next(ups)
+                band = _fold_rows(np.ascontiguousarray(up[..., :-1]),
+                                  up[..., -1:], band)
+                del up
+            if not finest:
+                band = np.concatenate((band, _mean_alpha(sub.models, {
+                    m: read(r0, r1) for m, read in alphas.items()},
+                    (r1 - r0, sw, 1), cfg)), axis=2)
             yield r0, band
-
-
-def _gate_bands(sub: PredictionBundle, maps: dict, cfg: PipelineConfig):
-    """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
-    the gate of ``sub``, the image at one scale, as rows x width x 1: the
-    ``_mean_alpha`` of the same rows of its alpha maps.  Each alpha map is
-    opened once, when the first band is pulled."""
-    scale = sub.scales[0]
-    sh, sw = scaled_dim(sub.height, scale), scaled_dim(sub.width, scale)
-    with ExitStack() as stack:
-        alphas = {m: stack.enter_context(maps["alpha_maps", m, scale][1]())
-                  for m in sub.models if ("alpha_maps", m, scale) in maps}
-        step = _band_rows(sw)
-        for r0 in range(0, sh, step):
-            r1 = min(r0 + step, sh)
-            rows = {m: read(r0, r1) for m, read in alphas.items()}
-            yield r0, _mean_alpha(sub.models, rows, (r1 - r0, sw, 1), cfg)
 
 
 # output names in write order: the three frames the finest pass streams,
@@ -576,14 +573,13 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         for scale, oids in zip(bundle.scales, horizontal)})
     frames = _Frames() if sink is None else sink
     frames.start(height, width, channels[0])
-    level = None  # a scale's bands, its gate's bands and its grid, unpulled
+    level = None  # a scale's pass, unpulled, and its grid
     for sub in subs:
         scale = sub.scales[0]
-        level = (_fuse_scale(sub, maps, weights, cfg, workers, level),
-                 _gate_bands(sub, maps, cfg),
+        level = (_fuse_scale(sub, maps, weights, cfg, workers, level,
+                             finest=sub is subs[-1]),
                  (scaled_dim(height, scale), scaled_dim(width, scale)))
-    # the finest scale's gate is never pulled, so its alpha maps stay unread
-    bands, _, shape = level
+    bands, shape = level
     _emit(frames, _reference_rows(bands, shape, height, width))
 
     with frames.rows() as rows:

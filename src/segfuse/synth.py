@@ -167,6 +167,9 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
         raise DataValidationError("synthetic canvas must be at least 16x16")
     if perturb < 0:
         raise DataValidationError("perturbation magnitude cannot be negative")
+    if perturb > _MAX_SIDE:  # larger ones only change which draws are clipped
+        raise DataValidationError(
+            f"perturb: {perturb} exceeds the largest grid side {_MAX_SIDE}")
     if not scales or any(not (0 < s < math.inf) for s in scales):
         raise DataValidationError("scales must be positive and finite")
     if max(scales) > _MAX_SCALE:

@@ -119,6 +119,8 @@ class TestSynthCommand:
         ("--objects", "0", "object"),
         ("--height", "8", "16x16"),
         ("--perturb", "-1", "perturbation"),
+        ("--perturb", "4097", "perturb"),
+        ("--perturb", "9223372036854775807", "perturb"),
         ("--seed", "-1", "seed: -1"),
         ("--scales", "1.0 0.5", "scales"),
         ("--scales", "nan", "scales"),

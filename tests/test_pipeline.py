@@ -180,25 +180,34 @@ def test_band_built_gate_is_the_whole_frame_mean(tmp_path, monkeypatch,
         k: AttentionMap.from_array(rng.uniform(size=a.shape).astype(np.float32))
         for k, a in bundle.alpha_maps.items() if k[0] in keep})
     path = save_manifest(bundle, tmp_path / "manifest.json")
-    maps = {}
+    maps, opened = {}, []
     loaded = load_manifest(path, maps=maps)
-    gate_bands, pulled = pipeline._gate_bands, []
 
-    def recorded(*args):
-        bands = []  # listed when the generator is made, not when pulled
-        pulled.append(bands)
-        return (bands.append(item) or item for item in gate_bands(*args))
+    def counted(key, opener):
+        return lambda: opened.append(key) or opener()
 
-    monkeypatch.setattr(pipeline, "_gate_bands", recorded)
+    maps = {k: (c, counted(k, opener)) for k, (c, opener) in maps.items()}
+    fuse_scale, passes = pipeline._fuse_scale, []
+
+    def recorded(*args, **kwargs):
+        bands = []  # listed when the pass is made, not when pulled
+        passes.append(bands)
+        return (bands.append(item) or item
+                for item in fuse_scale(*args, **kwargs))
+
+    monkeypatch.setattr(pipeline, "_fuse_scale", recorded)
     run_pipeline(loaded, None, PipelineConfig(weights_mode="uniform",
                                               alpha_const=0.25), maps=maps)
-    # the finest scale's bands go to the reference grid: its gate is never
-    # pulled
-    coarse, finest = pulled
-    assert finest == []
+    # the finest scale's bands go to the reference grid: they carry no
+    # gate, and its alpha maps are never opened
+    coarse, finest = passes
+    assert {band.shape[2] for _, band in finest} == {len(COMPONENTS) + 1}
+    assert {band.shape[2] for _, band in coarse} == {len(COMPONENTS) + 2}
+    assert [k for k in opened if k[0] == "alpha_maps"] == [
+        ("alpha_maps", m, scale) for m in keep]
     width = WIDTH if rows > 1 else 16
     assert [r0 for r0, _ in coarse] == list(range(0, rows, _band_rows(width)))
-    gate = np.concatenate([band for _, band in coarse])
+    gate = np.concatenate([band[..., -1:] for _, band in coarse])
     assert gate.shape == (rows, width, 1)
     want = (mean_alpha_ref([bundle.alpha_maps[m, scale].data for m in keep])
             if keep else np.full(gate.shape[:2], 0.25, np.float32))
@@ -369,25 +378,29 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
         return LogitMap.from_array(np.concatenate([rows for _, rows in bands]))
 
     def banded(data):
-        # in the bands the coarser scale's pass and gate yield
+        # in the bands the coarser scale's pass yields, its gate the last
+        # channel
         step = _band_rows(data.shape[1])
         return ((r0, data[r0:r0 + step].copy())
                 for r0 in range(0, len(data), step))
 
-    def swapped(sub, maps, weights, cfg, workers, coarser=None):
+    def swapped(sub, maps, weights, cfg, workers, coarser=None,
+                finest=False):
         if coarser is None:
-            yield from fuse_scale(sub, maps, weights, cfg, workers)
+            yield from fuse_scale(sub, maps, weights, cfg, workers,
+                                  finest=finest)
             return
-        shape = coarser[2]
+        shape = coarser[1]
         lower = LogitMap.from_array(rng.choice(
             np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=(*shape, 5)))
         alpha = AttentionMap.from_array(rng.choice(
             np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape))
-        finer = frame(fuse_scale(sub, maps, weights, cfg, workers))
+        finer = frame(fuse_scale(sub, maps, weights, cfg, workers,
+                                 finest=finest))
         # the finest scale's frame, from the bands it yields
+        level = np.concatenate((lower.data, alpha.data[:, :, None]), axis=2)
         bands = list(fuse_scale(sub, maps, weights, cfg, workers,
-                                (banded(lower.data),
-                                 banded(alpha.data[:, :, None]), shape)))
+                                (banded(level), shape), finest=finest))
         assert [r0 for r0, _ in bands] == list(range(0, len(finer.data),
                                                      ROWS))
         folds.append((lower, alpha, finer, frame(bands)))
