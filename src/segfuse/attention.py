@@ -12,7 +12,9 @@ the frame's width at a time through one row core, ``_blend_rows``, so the
 summed maps never take a whole frame.  The pipeline's band pass runs the
 same row core on the bands it builds, so ``fuse_global_local`` is the
 whole-frame form of the blend it does, kept as library API and as a test
-oracle.
+oracle.  The row core takes each object's map as planes, one 2-D grid per
+channel over a box: ``fuse_global_local`` gives one per channel over each
+patch's whole box, the pipeline one per component over its support.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ def fuse_global_local(global_logits: LogitMap,
     are summed in the given order, and the output is
     ``global * beta + local_sum * (1 - beta)`` in float32, clamped per pixel
     to the envelope of the two by :func:`segfuse.fusion.weighted_average`.
-    Every patch is checked before any pixel is blended; the sum and the
-    blend are then built one band of rows at a time, which changes no byte.
+    Every patch is checked before any pixel is blended; each is then taken
+    as one plane per channel over its whole box, and the sum and the blend
+    are built one band of rows at a time, which changes no byte.
     """
     if (global_logits.height, global_logits.width) != (beta.height, beta.width):
         raise ShapeError(
@@ -118,27 +121,39 @@ def fuse_global_local(global_logits: LogitMap,
         if patch.channels != channels:
             raise ShapeError(
                 f"local channels {patch.channels} != frame channels {channels}")
+    objects = [(box, [(ch, box, patch.data[:, :, ch]) for ch in range(channels)])
+               for patch, box in local_logits]
     out = np.empty_like(global_logits.data)
     step = _band_rows(width)
     for r0 in range(0, height, step):
         band = slice(r0, r0 + step)
-        out[band] = _blend_rows(global_logits.data[band], r0, local_logits,
+        out[band] = _blend_rows(global_logits.data[band], r0, objects,
                                 beta.data[band, :, None])
     return LogitMap._own(out)
 
 
-def _blend_rows(frame: np.ndarray, r0: int,
-                local_logits: Sequence[tuple[LogitMap, BBox]],
-                gate: np.ndarray) -> np.ndarray:
+def _add_planes(out: np.ndarray, window: BBox, planes) -> None:
+    """Add each of ``planes``, ``(channel, box, plane)`` with ``plane`` a
+    2-D grid over ``box``, into that channel of ``out``, the rows x cols x
+    channels grid over ``window``, where the two boxes overlap."""
+    for ch, box, plane in planes:
+        cut = box.intersection(window)
+        if cut is not None:
+            out[cut.y0 - window.y0:cut.y1 - window.y0,
+                cut.x0 - window.x0:cut.x1 - window.x0, ch] += \
+                plane[cut.y0 - box.y0:cut.y1 - box.y0,
+                      cut.x0 - box.x0:cut.x1 - box.x0]
+
+
+def _blend_rows(frame: np.ndarray, r0: int, objects, gate: np.ndarray
+                ) -> np.ndarray:
     """Rows [r0, r0 + len(frame)) of the blend, from ``frame``, those rows of
     the whole-frame logits, and ``gate``, their beta as rows x width x 1.
-    Each local map must fit its box inside the frame; the maps are pasted
-    and summed over these rows alone."""
+    ``objects`` holds each object's box inside the frame and its local map
+    as planes, ``(channel, box, plane)``; the planes are added over these
+    rows alone, channel by channel in object order, into zeros."""
     band = BBox(0, r0, frame.shape[1], r0 + len(frame))
     local_sum = np.zeros_like(frame)
-    for patch, box in local_logits:
-        cut = box.intersection(band)
-        if cut is not None:
-            local_sum[cut.y0 - r0:cut.y1 - r0, cut.x0:cut.x1] += \
-                patch.data[cut.y0 - box.y0:cut.y1 - box.y0]
+    for _, planes in objects:
+        _add_planes(local_sum, band, planes)
     return weighted_average([frame, local_sum], [gate, np.float32(1) - gate])

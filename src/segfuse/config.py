@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DataValidationError
@@ -31,8 +32,15 @@ class PipelineConfig:
                 raise DataValidationError(f"{name} {v} outside [0, 1]")
         if self.beta_const is not None and not (0.0 <= self.beta_const <= 1.0):
             raise DataValidationError(f"beta_const {self.beta_const} outside [0, 1]")
-        if not (0 < self.attention_factor < math.inf):
-            raise DataValidationError("attention_factor must be positive and finite")
+        # the gate scales |G - L|, at most twice the largest float32, by the
+        # factor in float64: it must stay finite for any finite logits
+        widest = 2 * float.fromhex("0x1.fffffep+127")
+        if not (0 < self.attention_factor
+                and math.isfinite(self.attention_factor * widest)):
+            raise DataValidationError(
+                f"attention_factor {self.attention_factor} must be positive "
+                f"and at most {sys.float_info.max / widest:.3g}, so that "
+                f"f·|G − L| stays finite for finite float32 logits")
         if not (1.0 <= self.expand_factor < math.inf):
             raise DataValidationError("expand_factor must be finite and >= 1")
         if self.normalization not in ("fraction", "minmax"):

@@ -7,6 +7,15 @@ weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
 byte-identical outputs regardless of worker count.
 
+An object's local ensemble (``_local_map``) is one read-only float32 plane
+per component channel over that channel's support, the union across
+models of the windows its instances reach.  Every other value, the
+background channel included, is +0.0 in every model's map and so in the
+ensemble, and is never allocated, fused or stored.  Skipping it moves no
+byte: local values are >= +0.0 and never -0.0, so adding +0.0 to their
+running sum is the identity, the sum over objects keeps its order for
+each pixel and channel, and the ensemble of zeros is +0.0.
+
 Each scale is one pass over bands of rows that yields the scale's fused
 rows (``_fuse_scale``), so no pass holds a whole frame of any scale.
 Every band loop takes its height from ``grids._band_rows`` for the width
@@ -27,13 +36,13 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 
-from .attention import (_blend_rows, attention_to_map, difference_matrix,
-                        local_attention, row_normalize)
+from .attention import (_add_planes, _blend_rows, attention_to_map,
+                        difference_matrix, local_attention, row_normalize)
 from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
@@ -41,8 +50,8 @@ from .formats import (_overlay_header, _overlay_pixels, _payload,
                       _read_rows, _tensor_header, save_manifest,
                       write_json_report)
 from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
-                     fuse_masks)
-from .grids import (AttentionMap, LogitMap, _band_rows, _lerp,
+                     fuse_masks, weighted_average)
+from .grids import (AttentionMap, LogitMap, _band_rows, _frozen, _lerp,
                     _negative_zeros, _row_max, _taps, argmax_channel,
                     scaled_dim, softmax_rows)
 from .hierarchy import _fold_rows
@@ -192,35 +201,63 @@ def _fuse_global(maps: dict[str, LogitMap], vectors) -> LogitMap:
     return fuse_logits(maps, vectors)
 
 
-def _local_map(sub: PredictionBundle, model: str, oid: int, region_ref: BBox,
-               region_s: BBox, channels: int) -> LogitMap:
-    """Rasterize one model's per-object component masks into crop logits,
-    using the shared gain ramp so nested components survive the argmax.
+def _local_map(sub: PredictionBundle, oid: int, region_ref: BBox,
+               region_s: BBox, weights: FusionWeights) -> tuple:
+    """One object's local ensemble at one scale, as ``(channel, box,
+    plane)`` for each component channel that some instance reaches, in
+    channel order: a read-only float32 plane over ``box``, the channel's
+    support on the scale grid.  Each model's masks of the channel are
+    rasterized into a plane of the support with the shared gain ramp, so
+    nested components survive the argmax, and the planes are fused under
+    the object's horizontal ``weights``, each a float64 0-d array, so that
+    every term widens exactly as in ``fuse_logits``.
 
     ``region_ref`` encloses the box of every instance of the object, as
-    ``_object_regions`` makes it.  Each instance's bits are resampled only
-    over the output window whose taps reach its box: any other pixel lerps
-    four zero taps to +0.0, which leaves the running maximum as it is.  At
-    equal sizes the window is the box and the resample is the bits, since
-    a bool window holds no -0.0."""
-    data = np.zeros((region_s.height, region_s.width, channels), dtype=np.float32)
+    ``_object_regions`` makes it, and ``region_s`` is its box on the scale
+    grid.  Each instance's bits are resampled only over the output window
+    whose taps reach its box: any other pixel lerps four zero taps to
+    +0.0, which leaves the running maximum as it is.  At equal sizes the
+    window is the box and the resample is the bits, since a bool window
+    holds no -0.0."""
     same = (region_s.height, region_s.width) == (region_ref.height,
                                                  region_ref.width)
     ys = _taps(region_ref.height, region_s.height)
     xs = _taps(region_ref.width, region_s.width)
-    for inst in sub.instances_for(model=model, object_id=oid):
+    reached: dict[int, list] = {}  # channel: [(instance, window)]
+    for inst in sub.instances_for(object_id=oid):
         box = inst.bbox.shifted(-region_ref.x0, -region_ref.y0)
-        if same:
-            rows, cols = box.slices
-            resized = inst.window(inst.bbox)
-        else:
+        if not same:
             rows, cols = _reach(ys, box.y0, box.y1), _reach(xs, box.x0, box.x1)
-            resized = _lerp(inst.window(region_ref)[:, :, None],
-                            [t[rows] for t in ys], [t[cols] for t in xs])[:, :, 0]
-        ch = COMPONENT_IDS[inst.component]
-        gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
-        data[rows, cols, ch] = np.maximum(data[rows, cols, ch], gain * resized)
-    return LogitMap._own(data)
+            if rows.start == rows.stop or cols.start == cols.stop:
+                continue  # no tap of the scaled region meets the box
+            box = BBox(cols.start, rows.start, cols.stop, rows.stop)
+        reached.setdefault(COMPONENT_IDS[inst.component], []).append(
+            (inst, box))
+    planes = []
+    for ch in sorted(reached):
+        support = reduce(BBox.union, [box for _, box in reached[ch]])
+        per_model = []
+        for model, _ in weights.weights:
+            plane = np.zeros((support.height, support.width), dtype=np.float32)
+            for inst, box in reached[ch]:
+                if inst.model_id != model:
+                    continue
+                if same:
+                    resized = inst.window(inst.bbox)
+                else:
+                    rows, cols = box.slices
+                    resized = _lerp(inst.window(region_ref)[:, :, None],
+                                    [t[rows] for t in ys],
+                                    [t[cols] for t in xs])[:, :, 0]
+                gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
+                dest = plane[box.shifted(-support.x0, -support.y0).slices]
+                np.maximum(dest, gain * resized, out=dest)
+            per_model.append(plane)
+        fused = weighted_average(per_model,
+                                 [np.array(w) for _, w in weights.weights])
+        planes.append((ch, support.shifted(region_s.x0, region_s.y0),
+                       _frozen(fused)))
+    return tuple(planes)
 
 
 def _reach(taps, lo: int, hi: int) -> slice:
@@ -254,27 +291,30 @@ def _object_gate(global_rows: np.ndarray, local_rows: np.ndarray,
     return np.clip((1.0 - peak) / (1.0 - 1.0 / global_rows.shape[1]), 0.0, 1.0)
 
 
-def _band_gate(ens: np.ndarray, r0: int,
-               local_logits: list[tuple[LogitMap, BBox]],
+def _band_gate(ens: np.ndarray, r0: int, objects: list[tuple[BBox, tuple]],
                cfg: PipelineConfig) -> AttentionMap:
     """Rows [r0, r0 + len(ens)) of one scale's gate, from ``ens``, those
-    rows of the scale's ensemble: each object's ``_object_gate`` over the
-    rows of its region in the band, widened to float64, pasted by
+    rows of the scale's ensemble, and ``objects``, each object's region
+    with the planes of its ``_local_map``: each object's ``_object_gate``
+    over the rows of its region in the band, widened to float64, pasted by
     ``attention_to_map`` in object order, so a later object's gate
-    overwrites an earlier one's where regions overlap.  A pixel's gate
-    depends on its own row alone, so the band height changes no byte."""
+    overwrites an earlier one's where regions overlap.  An object's local
+    rows are zeros with its planes added in.  A pixel's gate depends on its
+    own row alone, so the band height changes no byte."""
     rows, width, channels = ens.shape
     band = BBox(0, r0, width, r0 + rows)
     patches = []
-    for local, box in local_logits:
+    for box, planes in objects:
         cut = box.intersection(band)
         if cut is None:
             continue
+        local = np.zeros((cut.height, cut.width, channels), dtype=np.float32)
+        _add_planes(local, cut, planes)
         gate = _object_gate(
             ens[cut.y0 - r0:cut.y1 - r0, cut.x0:cut.x1].astype(np.float64)
             .reshape(-1, channels),
-            local.data[cut.y0 - box.y0:cut.y1 - box.y0].reshape(-1, channels)
-            .astype(np.float64), cfg.attention_factor)
+            local.reshape(-1, channels).astype(np.float64),
+            cfg.attention_factor)
         patches.append((gate.reshape(cut.height, cut.width),
                         cut.shifted(0, -r0)))
     return attention_to_map(patches, rows, width, neutral=cfg.neutral_beta)
@@ -312,9 +352,9 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     those rows of the scale's gate, the ``_mean_alpha`` of its alpha maps,
     as a last channel.
 
-    The per-object maps are built first.  Then one pass over the bands
+    The per-object planes are built first.  Then one pass over the bands
     reads each model's rows of logits from ``maps``, ensembles them, gates
-    and blends them with the per-object maps that cross the band, and
+    and blends them with the per-object planes that cross the band, and
     folds in the coarser bands under the gate they carry, upsampled onto
     the band by ``_reference_rows``.  Each logit and alpha map is opened
     once, when the first band is pulled, and no whole frame is built."""
@@ -325,21 +365,15 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     # its component's vertical weights
     vectors = [FusionWeights.uniform(sub.models, "channel0"),
                *weights[scale, "vertical"].values()]
-    channels = len(vectors)
     horizontal = weights[scale, "horizontal"]
 
     regions_ref = _object_regions(sub, cfg)
     regions_s = {oid: scale_box(box, height, width, sh, sw)
                  for oid, box in regions_ref.items()}
 
-    def _object_task(oid: int) -> LogitMap:
-        return fuse_logits(
-            {m: _local_map(sub, m, oid, regions_ref[oid], regions_s[oid],
-                           channels) for m in sub.models},
-            [horizontal[oid]] * channels)
-
-    local_logits = list(zip(_pmap(_object_task, regions_s, workers),
-                            regions_s.values()))
+    objects = list(zip(regions_s.values(), _pmap(
+        lambda oid: _local_map(sub, oid, regions_ref[oid], regions_s[oid],
+                               horizontal[oid]), regions_s, workers)))
     with ExitStack() as stack:
         reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
                  for m in sub.models}
@@ -359,8 +393,8 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
                  for m, read in reads.items()}, vectors).data
             beta = (AttentionMap.full(r1 - r0, sw, cfg.beta_const)
                     if cfg.beta_const is not None
-                    else _band_gate(ens, r0, local_logits, cfg))
-            band = _blend_rows(ens, r0, local_logits, beta.data[:, :, None])
+                    else _band_gate(ens, r0, objects, cfg))
+            band = _blend_rows(ens, r0, objects, beta.data[:, :, None])
             del ens, beta  # so that neither is held at the yield
             if coarser is not None:
                 _, up = next(ups)

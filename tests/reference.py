@@ -5,7 +5,9 @@ a per-element Python loop, except ``bilinear_gather_ref``: four whole-grid
 corner gathers, the unfactored form of the engine's separable resize;
 ``local_map_ref``, the whole-region rasterisation of one model's masks of
 one object, which resamples each instance's whole region window through
-``bilinear_gather_ref``;
+``bilinear_gather_ref``; ``planes_region`` and ``region_planes``, which
+turn an object's local map from the engine's planes into a dense region
+grid and back;
 ``pipeline_ref``, the whole-frame composition of these oracles that the
 ``pipeline`` command must match byte for byte;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
@@ -119,6 +121,30 @@ def local_map_ref(sub, model: str, oid: int, region_ref, region_s,
         gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
         data[:, :, ch] = np.maximum(data[:, :, ch], gain * resized[:, :, 0])
     return data
+
+
+def planes_region(planes, region, channels: int) -> np.ndarray:
+    """The dense region x channels float32 grid that an object's local
+    planes stand for, ``(channel, box, plane)`` on the scale grid: zeros,
+    with each plane written at its box.  Each plane must be a read-only
+    2-D float32 grid of its box inside ``region``, of a component channel,
+    each channel at most once and in ascending order."""
+    out = np.zeros((region.height, region.width, channels), dtype=np.float32)
+    assert [ch for ch, _, _ in planes] == sorted({ch for ch, _, _ in planes})
+    for ch, box, plane in planes:
+        assert 1 <= ch < channels
+        assert region.intersection(box) == box
+        assert plane.dtype == np.float32 and not plane.flags.writeable
+        assert plane.shape == (box.height, box.width)
+        out[box.y0 - region.y0:box.y1 - region.y0,
+            box.x0 - region.x0:box.x1 - region.x0, ch] = plane
+    return out
+
+
+def region_planes(data: np.ndarray, region) -> tuple:
+    """A dense region x channels local map as the engine's planes: one
+    plane per channel, background included, over the whole region."""
+    return tuple((ch, region, data[:, :, ch]) for ch in range(data.shape[2]))
 
 
 def staircase_ap(flags: list[bool], gt_count: int) -> float:

@@ -245,6 +245,25 @@ class TestFuseGlobalLocal:
         want = fuse_global_local_ref(g, list(zip(patches, boxes)), beta)
         assert got.data.tobytes() == want.tobytes()
 
+    def test_stacked_patches_sum_in_the_given_order(self, rng):
+        # five patches over one pixel block: float32 sums of five terms
+        # depend on their order, so only the given order matches the oracle
+        g = rng.normal(scale=3.0, size=(6, 6, 3)).astype(np.float32)
+        boxes = [BBox(0, 0, 6, 6), BBox(1, 1, 5, 6), BBox(0, 2, 4, 5),
+                 BBox(2, 0, 6, 4), BBox(1, 1, 4, 4)]
+        patches = [rng.normal(scale=100.0, size=(b.height, b.width, 3))
+                   .astype(np.float32) for b in boxes]
+        beta = AttentionMap.full(6, 6, 0.0)
+        want = fuse_global_local_ref(g, list(zip(patches, boxes)), beta.data)
+        backwards = fuse_global_local_ref(g, list(zip(patches, boxes))[::-1],
+                                          beta.data)
+        assert want.tobytes() != backwards.tobytes()
+        got = fuse_global_local(
+            LogitMap.from_array(g),
+            [(LogitMap.from_array(p), b) for p, b in zip(patches, boxes)],
+            beta)
+        assert got.data.tobytes() == want.tobytes()
+
     # a 4-wide frame of two bands and two rows
     MISFIT_ROW = _band_rows(4) + 100
 

@@ -5,7 +5,9 @@ box pairs that are nested, touching, identical or disjoint, which the
 synthetic generator never produces, and checks that working inside boxes
 gives exactly what the full-frame definition gives.  The per-object
 rasterisation, which resamples each mask only over the output window its
-box reaches, is checked against resampling its whole region window.
+box reaches and holds each component channel as a plane over its support,
+is checked against resampling its whole region window, and the local
+ensemble it builds against ``fuse_logits`` over those whole-region maps.
 """
 
 import numpy as np
@@ -13,15 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segfuse.bundle import PredictionBundle
-from segfuse.fusion import FusionWeights, fuse_masks
-from segfuse.grids import scaled_dim
-from segfuse.masks import (BBox, MaskInstance, iou, rle_decode, rle_encode,
-                           scale_box, tight_bbox)
+from segfuse.fusion import FusionWeights, fuse_logits, fuse_masks
+from segfuse.grids import LogitMap, scaled_dim
+from segfuse.masks import (COMPONENTS, BBox, MaskInstance, iou, rle_decode,
+                           rle_encode, scale_box, tight_bbox)
 from segfuse.metrics import match_predictions
 from segfuse.pipeline import _local_map
 
 from reference import (local_map_ref, match_predictions_ref,
-                       weighted_average_ref)
+                       planes_region, weighted_average_ref)
 
 FRAMES = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
@@ -253,20 +255,23 @@ def region_box(draw, h, w, region):
     return box
 
 
-def local_case(h, w, region, scale, members):
-    """(bundle, region, scaled region) for model m0's instances of object 0,
-    each given as (box, bits inside it or None for a full box, component,
-    score)."""
+def local_case(h, w, region, scale, members, models=("m0",)):
+    """(bundle, region, scaled region) for object 0's instances, each given
+    as (box, bits inside it or None for a full box, component, score), of
+    model m0, or with a fifth entry, its model, one of ``models``."""
     insts = []
-    for k, (box, bits, component, score) in enumerate(members):
+    for k, (box, bits, component, score, *model) in enumerate(members):
         frame = np.zeros((h, w), dtype=bool)
         frame[box.slices] = True if bits is None else bits
         insts.append(instance(frame, box, uid=k, component=component,
-                              score=score, model_id="m0"))
-    sub = PredictionBundle(image_id="x", height=h, width=w, models=("m0",),
+                              score=score, model_id=model[0] if model else "m0"))
+    sub = PredictionBundle(image_id="x", height=h, width=w, models=models,
                            scales=(1.0,), instances=tuple(insts))
     return sub, region, scale_box(region, h, w, scaled_dim(h, scale),
                                   scaled_dim(w, scale))
+
+
+SCALES = st.sampled_from((0.25, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0))
 
 
 @st.composite
@@ -279,9 +284,7 @@ def local_cases(draw):
         members.append((box, draw(frame_bits(h, w, box))[box.slices],
                         draw(st.sampled_from(("shell", "meat"))),
                         draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))))
-    scale = draw(st.sampled_from((0.25, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0,
-                                  4.0)))
-    return local_case(h, w, region, scale, members)
+    return local_case(h, w, region, draw(SCALES), members)
 
 
 @given(local_cases())
@@ -297,6 +300,75 @@ def local_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_local_map_windows_equal_the_whole_region_resample(case):
     sub, region, region_s = case
-    got = _local_map(sub, "m0", 0, region, region_s, 5)
+    planes = _local_map(sub, 0, region, region_s, FusionWeights.uniform(("m0",)))
+    got = planes_region(planes, region_s, 5)
     want = local_map_ref(sub, "m0", 0, region, region_s, 5)
-    assert got.data.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def ensemble_case(h, w, region, scale, members, raw):
+    """``local_case`` of ``len(raw)`` models, with the object's horizontal
+    weights proportional to ``raw``."""
+    models = tuple(f"m{k}" for k in range(len(raw)))
+    weights = FusionWeights(0, tuple((m, r / sum(raw))
+                                     for m, r in zip(models, raw)))
+    return (*local_case(h, w, region, scale, members, models), weights)
+
+
+@st.composite
+def ensemble_cases(draw):
+    h, w = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+    region = draw(boxes(h, w))
+    raw = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        box = draw(region_box(h, w, region))
+        members.append((box, draw(frame_bits(h, w, box))[box.slices],
+                        draw(st.sampled_from(COMPONENTS)),
+                        draw(st.sampled_from((0.0, 0.5, 0.9, 1.0))),
+                        f"m{draw(st.integers(0, len(raw) - 1))}"))
+    return ensemble_case(h, w, region, draw(SCALES), members, raw)
+
+
+@given(ensemble_cases())
+# upsampled: m1 has no meat, and m0's meat scores 0
+@example(ensemble_case(8, 8, BBox(1, 1, 7, 7), 3.0, [
+    (BBox(1, 1, 5, 5), None, "shell", 0.5, "m0"),
+    (BBox(3, 3, 7, 7), None, "shell", 0.9, "m1"),
+    (BBox(2, 2, 4, 4), None, "meat", 0.0, "m0")], [1, 2]))
+# downsampled to a quarter: no tap reaches m1's one-pixel gonad, the only
+# gonad, and m2 has no instance at all
+@example(ensemble_case(16, 16, BBox(0, 0, 16, 16), 0.25, [
+    (BBox(4, 4, 5, 5), None, "gonad", 1.0, "m1"),
+    (BBox(0, 15, 16, 16), None, "meat", 0.9, "m0"),
+    (BBox(2, 0, 14, 12), None, "shell", 0.5, "m1")], [1, 1, 1]))
+# four models, one of them weighted 0, each reaching another component
+@example(ensemble_case(12, 10, BBox(1, 2, 9, 12), 0.75, [
+    (BBox(1, 2, 9, 12), None, "shell", 1.0, "m0"),
+    (BBox(3, 4, 7, 9), None, "meat", 0.9, "m1"),
+    (BBox(4, 5, 6, 8), None, "gonad", 0.5, "m2"),
+    (BBox(4, 6, 5, 7), None, "muscle", 0.9, "m3")], [3, 0, 2, 1]))
+# one model at equal size: the planes are its own rasterisation
+@example(ensemble_case(6, 6, BBox(0, 0, 6, 6), 1.0, [
+    (BBox(1, 1, 4, 4), None, "shell", 0.9, "m0"),
+    (BBox(2, 2, 3, 3), None, "muscle", 0.0, "m0")], [1]))
+@settings(max_examples=300, deadline=None)
+def test_local_planes_paste_to_the_ensemble_of_whole_region_maps(case):
+    sub, region, region_s, weights = case
+    got = planes_region(_local_map(sub, 0, region, region_s, weights),
+                        region_s, 5)
+    want = fuse_logits({m: LogitMap.from_array(
+        local_map_ref(sub, m, 0, region, region_s, 5)) for m in sub.models},
+        [weights] * 5)
+    assert got.tobytes() == want.data.tobytes()
+
+
+def test_a_channel_that_no_tap_reaches_has_no_plane():
+    # at a quarter of the size no output tap reads row or column 4, so the
+    # one-pixel gonad leaves every value +0.0 and gets no plane
+    sub, region, region_s, weights = ensemble_case(
+        16, 16, BBox(0, 0, 16, 16), 0.25, [
+            (BBox(4, 4, 5, 5), None, "gonad", 1.0, "m1"),
+            (BBox(0, 14, 16, 16), None, "meat", 0.9, "m0")], [1, 1])
+    planes = _local_map(sub, 0, region, region_s, weights)
+    assert [(ch, box) for ch, box, _ in planes] == [(2, BBox(0, 3, 4, 4))]

@@ -19,12 +19,13 @@ from segfuse.config import PipelineConfig
 from segfuse.errors import DataValidationError
 from segfuse.formats import (load_manifest, load_tensor, save_manifest,
                              save_tensor, write_json_report, write_overlay)
+from segfuse.fusion import fuse_logits
 from segfuse.grids import LogitMap, _band_rows
 from segfuse.masks import COMPONENTS, BBox, scale_box
 from segfuse.pipeline import run_pipeline, write_pipeline_outputs
 
 from conftest import block_mask, make_instance
-from reference import local_map_ref
+from reference import local_map_ref, region_planes
 
 
 def constant_chain_manifest(tmp_path):
@@ -494,17 +495,22 @@ class TestPipelineCommand:
     def test_upsampled_local_windows_match_whole_region_resamples(
             self, tmp_path, monkeypatch):
         # at scale 2.0 every local window is upsampled; the run must write
-        # the bytes of one whose local maps resample each whole region
+        # the bytes of one whose local ensembles fuse, over every channel of
+        # the whole region, local maps that resample each whole region
         manifest = synth_fixture(tmp_path, scales=("1.0", "2.0"))
         local_map, upsampled = pipeline._local_map, []
 
-        def watched(sub, model, oid, region_ref, region_s, channels):
+        def watched(sub, oid, region_ref, region_s, weights):
             upsampled.append((region_s.height, region_s.width)
                              > (region_ref.height, region_ref.width))
-            return local_map(sub, model, oid, region_ref, region_s, channels)
+            return local_map(sub, oid, region_ref, region_s, weights)
 
-        def whole(*args):
-            return LogitMap._own(local_map_ref(*args))
+        def whole(sub, oid, region_ref, region_s, weights):
+            return region_planes(fuse_logits(
+                {m: LogitMap._own(local_map_ref(sub, m, oid, region_ref,
+                                                region_s, len(COMPONENTS) + 1))
+                 for m in sub.models}, [weights] * (len(COMPONENTS) + 1)).data,
+                region_s)
 
         outs = tmp_path / "windows", tmp_path / "whole"
         for out, fn in zip(outs, (watched, whole)):
@@ -579,6 +585,35 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err and "Traceback" not in err
+
+    def test_attention_factor_that_overflows_the_gate_is_data_error(
+            self, tmp_path, capsys, recwarn):
+        # f·|G − L| is formed in float64 from float32 logits, so a factor
+        # above 1.797e308 / (2 · 3.403e38) may overflow it: on this fixture
+        # 1e308 did, mid-run, with numpy's RuntimeWarning.  The run exits 2
+        # before any pixel, and the largest factor that cannot overflow runs
+        manifest = synth_fixture(tmp_path, seed=2)
+        widest = 2 * float(np.finfo(np.float32).max)
+        bound = 2.6414728131223744e269
+        assert np.isfinite(bound * widest)
+        above = float(np.nextafter(bound, np.inf))
+        assert not np.isfinite(above * widest)
+        for factor in ("1e308", repr(above)):
+            out = tmp_path / f"o{factor}"
+            assert main(["pipeline", str(manifest), "--calib", str(manifest),
+                         "--attention-factor", factor,
+                         "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "attention_factor" in err and "2.64e+269" in err, err
+            assert "Warning" not in err and "Traceback" not in err, err
+            assert not out.exists()
+        out = tmp_path / "bound"
+        assert main(["pipeline", str(manifest), "--calib", str(manifest),
+                     "--attention-factor", repr(bound),
+                     "--out-dir", str(out)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        assert len(recwarn) == 0, [str(w.message) for w in recwarn]
+        assert load_tensor(out / "labels.tns").shape == (64, 64, 1)
 
     def test_huge_expand_factor_covers_the_frame(self, tmp_path):
         # 1e308 * a box side overflows to an infinite half-width; the region
@@ -1073,6 +1108,28 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak
+
+    def test_traced_peak_holds_no_dense_local_map(self, tmp_path):
+        # the pipeline_ap geometry: 640x640, 16 objects, 4 models, scales
+        # 0.5/1.0, --workers 2.  14.1 MiB traced when every object's local
+        # ensemble was a dense region x 5 grid, built from one such grid per
+        # model; 8.6 MiB with one plane per component over its support
+        geometry = ["--objects", "16", "--models", "4", "--height", "640",
+                    "--width", "640", "--scales", "0.5", "1.0"]
+        for seed in (2, 3):
+            assert main(["synth", "--seed", str(seed), *geometry,
+                         "--out-dir", str(tmp_path / f"s{seed}")]) == 0
+        argv = ["pipeline", str(tmp_path / "s2" / "manifest.json"),
+                "--calib", str(tmp_path / "s3" / "manifest.json"),
+                "--workers", "2", "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
     # a map whose last row turns NaN after the load and after its first
     # band is read: a scale-1.0 logit map, or a logit or alpha map of the

@@ -24,8 +24,8 @@ from segfuse.grids import LogitMap, _band_rows, argmax_channel, softmax_rows
 from segfuse.masks import BBox
 from segfuse.pipeline import _band_gate, _object_gate
 
-from reference import (argmax_ref, object_gate_ref, row_normalize_ref,
-                       softmax_rows_ref)
+from reference import (argmax_ref, object_gate_ref, region_planes,
+                       row_normalize_ref, softmax_rows_ref)
 
 LAYOUTS = ("c", "columns", "fortran", "transpose")
 
@@ -123,6 +123,21 @@ def test_object_gate_matches_oracle(case, factor):
 @pytest.mark.parametrize("width", [1, 7])
 def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
                                                          height, width):
+    # the local map is one plane per channel over the whole region
+    check_region_gate(rng, monkeypatch, height, width, parts=False)
+
+
+@pytest.mark.parametrize("height", EDGE_HEIGHTS)
+@pytest.mark.parametrize("width", [1, 7])
+def test_region_gate_bands_match_the_oracle_on_partial_planes(
+        rng, monkeypatch, height, width):
+    check_region_gate(rng, monkeypatch, height, width, parts=True)
+
+
+def check_region_gate(rng, monkeypatch, height, width, parts):
+    """The gate of one region, built band by band by ``_band_gate`` from
+    random frame rows and the region's local planes, against
+    ``object_gate_ref`` over the whole region."""
     # the region is a window of a larger frame, as the engine crops it, and
     # the frame's bands cut it where the band pass does
     frame = rng.normal(scale=3.0, size=(height + 5, FRAME_WIDTH, 5))
@@ -131,6 +146,20 @@ def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
     g = frame[region.slices]
     l = rng.normal(scale=3.0, size=(height, width, 5)).astype(np.float32)
     l[::3] = g[::3]  # rows that agree give uniform attention, a gate of 1
+    planes = region_planes(l, region)
+    if parts:
+        # as the engine holds a local map: no background plane, and each
+        # component's plane over a corner of the region that starts a
+        # quarter further in per channel, with zeros outside it
+        planes = []
+        l[:, :, 0] = 0
+        for ch in range(1, 5):
+            y0, x0 = (ch - 1) * height // 4, (ch - 1) * width // 4
+            keep = l[y0:, x0:, ch].copy()
+            l[:, :, ch] = 0
+            l[y0:, x0:, ch] = keep
+            planes.append((ch, BBox(region.x0 + x0, region.y0 + y0,
+                                    region.x1, region.y1), keep))
     patches = np.full((height, width), np.nan)
 
     def pasted(band_patches, *args, **kwargs):
@@ -146,7 +175,7 @@ def test_region_gate_bands_match_the_whole_region_oracle(rng, monkeypatch,
     bands = []
     for r0 in range(0, len(frame), step):
         bands.append(_band_gate(frame[r0:r0 + step], r0,
-                                [(LogitMap.from_array(l), region)], cfg).data)
+                                [(region, planes)], cfg).data)
     got = np.concatenate(bands)
     want = object_gate_ref(g.reshape(-1, 5).astype(np.float64),
                            l.reshape(-1, 5).astype(np.float64), 1.5)
