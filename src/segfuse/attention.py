@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_attention_factor
 from .errors import DataValidationError, DegenerateAttentionError, ShapeError
 from .fusion import weighted_average
 from .grids import (AttentionMap, LogitMap, _band_rows, _row_sums,
@@ -46,10 +47,11 @@ def difference_matrix(global_feat, local_feat) -> np.ndarray:
 def local_attention(d: np.ndarray, f: float) -> np.ndarray:
     """Row-stochastic attention from a difference matrix: softmax of -f*d.
 
-    ``f`` is the sharpness factor; larger is peakier.
+    ``f`` is the sharpness factor; larger is peakier.  It is checked before
+    any arithmetic, by the rule ``PipelineConfig`` applies to its
+    ``attention_factor``.
     """
-    if not (f > 0):
-        raise DataValidationError(f"attention factor must be positive, got {f}")
+    check_attention_factor(f, "attention factor f")
     a = np.asarray(d, dtype=np.float64)
     if a.size and a.min() < 0:
         raise DataValidationError("difference matrix entries must be nonnegative")

@@ -9,6 +9,19 @@ from dataclasses import dataclass
 from .errors import DataValidationError
 
 
+def check_attention_factor(f: float, name: str) -> None:
+    """Reject an attention factor, called ``name`` in the error, that is not
+    positive or so large that f·|G − L| can overflow: the gate scales |G −
+    L|, at most twice the largest float32, by the factor in float64, so the
+    largest accepted is 2.6414728131223744e269."""
+    widest = 2 * float.fromhex("0x1.fffffep+127")
+    if not (0 < f and math.isfinite(float(f) * widest)):
+        raise DataValidationError(
+            f"{name} {f} must be positive and at most "
+            f"{sys.float_info.max / widest:.3g}, so that f·|G − L| stays "
+            f"finite for finite float32 logits")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     iou_threshold: float = 0.6
@@ -32,15 +45,7 @@ class PipelineConfig:
                 raise DataValidationError(f"{name} {v} outside [0, 1]")
         if self.beta_const is not None and not (0.0 <= self.beta_const <= 1.0):
             raise DataValidationError(f"beta_const {self.beta_const} outside [0, 1]")
-        # the gate scales |G - L|, at most twice the largest float32, by the
-        # factor in float64: it must stay finite for any finite logits
-        widest = 2 * float.fromhex("0x1.fffffep+127")
-        if not (0 < self.attention_factor
-                and math.isfinite(self.attention_factor * widest)):
-            raise DataValidationError(
-                f"attention_factor {self.attention_factor} must be positive "
-                f"and at most {sys.float_info.max / widest:.3g}, so that "
-                f"f·|G − L| stays finite for finite float32 logits")
+        check_attention_factor(self.attention_factor, "attention_factor")
         if not (1.0 <= self.expand_factor < math.inf):
             raise DataValidationError("expand_factor must be finite and >= 1")
         if self.normalization not in ("fraction", "minmax"):

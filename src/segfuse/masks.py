@@ -5,6 +5,9 @@ accept anything ``np.asarray(m, dtype=bool)`` makes 2-D.
 
 RLE convention (normative): row-major run lengths, first run counting zeros,
 runs alternating 0/1 afterwards.  Only the leading zero-run may be empty.
+An ``RleMask`` holds the runs once, as their boundaries in one read-only
+int64 array; ``rle_decode`` reads them as they are, and the IoU of two
+instances is counted from the runs of both, with nothing decoded.
 Boxes are half-open integer rectangles [x0, x1) x [y0, y1).
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,24 +40,29 @@ def _mask_array(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class RleMask:
     """Run-length encoding of a height x width mask (layout in the module
-    docstring); ``rle_decode`` gives back a read-only 2-D bool array."""
+    docstring); ``rle_decode`` gives back a read-only 2-D bool array.
+
+    The runs are held once, as ``bounds``: a read-only int64 array of 0,
+    then the end of each run, with ``height * width`` last, so run k spans
+    pixels [bounds[k], bounds[k + 1]) and the odd-numbered runs are ones.
+    ``counts``, the run lengths as Python ints, is derived from it.
+    """
 
     height: int
     width: int
-    counts: tuple[int, ...]
+    bounds: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, height: int, width: int, counts) -> None:
         # builtins over Python ints: one C loop each, no int64 to overflow
-        counts = tuple(map(int, self.counts))
-        object.__setattr__(self, "counts", counts)
-        if self.height < 1 or self.width < 1:
+        counts = tuple(map(int, counts))
+        if height < 1 or width < 1:
             raise DataValidationError("RleMask dimensions must be positive")
-        if self.height * self.width > 2 ** 63 - 1:
+        if height * width > 2 ** 63 - 1:
             raise DataValidationError(
-                f"{self.height}x{self.width} grid has more pixels than a "
+                f"{height}x{width} grid has more pixels than a "
                 f"signed 64-bit count holds")
         if not counts:
             raise FormatError("RLE counts must be non-empty")
@@ -62,10 +71,40 @@ class RleMask:
         if 0 in counts[1:]:
             raise FormatError("only the leading zero-run of an RLE may be empty")
         total = sum(counts)
-        if total != self.height * self.width:
+        if total != height * width:
             raise FormatError(
-                f"RLE counts sum {total} != {self.height * self.width} "
-                f"({self.height}x{self.width} grid)")
+                f"RLE counts sum {total} != {height * width} "
+                f"({height}x{width} grid)")
+        # every partial sum is now at most height * width, inside int64
+        bounds = np.asarray((0, *counts), dtype=np.int64).cumsum()
+        bounds.setflags(write=False)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple((self.bounds[1:] - self.bounds[:-1]).tolist())
+
+    def _fields(self) -> tuple:
+        """What the mask is made of, by which it is compared, hashed and
+        pickled."""
+        return self.height, self.width, self.counts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "RleMask(height={!r}, width={!r}, counts={!r})".format(
+            *self._fields())
+
+    def __reduce__(self):
+        return RleMask, self._fields()
 
 
 def rle_encode(m: np.ndarray, box: BBox | None = None,
@@ -105,7 +144,7 @@ def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
     if box is None:
         box = BBox(0, 0, r.width, r.height)
     _check_in_bounds(box, r.height, r.width)
-    starts = np.asarray((0, *r.counts), dtype=np.int64).cumsum()
+    starts = r.bounds
     lo, hi = box.y0 * r.width, box.y1 * r.width
     # the runs that meet the box's rows, their bounds clipped to those rows
     first = int(starts.searchsorted(lo, side="right")) - 1
@@ -124,10 +163,8 @@ def rle_decode(r: RleMask, box: BBox | None = None) -> np.ndarray:
 
 def _run_extent(r: RleMask) -> BBox:
     """``tight_bbox(rle_decode(r))`` of a mask with set pixels, from its runs."""
-    counts = np.asarray(r.counts, dtype=np.int64)
-    ends = counts.cumsum()[1::2]
-    rows0, cols0 = np.divmod(ends - counts[1::2], r.width)
-    rows1, cols1 = np.divmod(ends - 1, r.width)
+    rows0, cols0 = np.divmod(r.bounds[1:-1:2], r.width)
+    rows1, cols1 = np.divmod(r.bounds[2::2] - 1, r.width)
     if (rows0 != rows1).any():  # a run across rows spans every column
         cols0, cols1 = 0, r.width - 1
     return BBox(np.min(cols0), rows0[0], np.max(cols1) + 1, rows1[-1] + 1)
@@ -245,8 +282,8 @@ class MaskInstance:
 
     The runs in ``mask`` are the only copy of the mask it holds: ``area``,
     its pixel count, is set once at construction, ``window`` decodes the
-    bits over any box and ``iou`` the IoU with another instance, over the
-    overlap of the two boxes alone.
+    bits over any box and ``iou`` counts the IoU with another instance
+    from the two masks' runs.
     """
 
     mask: RleMask
@@ -270,7 +307,8 @@ class MaskInstance:
             raise DataValidationError(
                 f"bbox {self.bbox} exceeds the {self.mask.height}x"
                 f"{self.mask.width} mask grid")
-        area = sum(self.mask.counts[1::2])
+        bounds = self.mask.bounds
+        area = sum((bounds[2::2] - bounds[1:-1:2]).tolist())
         # the box holds every set pixel iff it holds as many as the one-runs
         if np.count_nonzero(rle_decode(self.mask, self.bbox)) != area:
             raise DataValidationError(
@@ -293,12 +331,73 @@ class MaskInstance:
         return rle_decode(self.mask, box)
 
     def iou(self, other: "MaskInstance") -> float:
-        """IoU with ``other`` on the same grid, counted over the overlap of
-        the two boxes; 0.0 for disjoint boxes or two empty masks."""
-        common = self.bbox.intersection(other.bbox)
-        if common is None:
+        """IoU with ``other`` on the same grid (``ShapeError`` otherwise),
+        its shared pixels counted from the two masks' runs; 0.0 for
+        disjoint boxes or two empty masks."""
+        grids = (self.mask.height, self.mask.width), (other.mask.height,
+                                                      other.mask.width)
+        if grids[0] != grids[1]:
+            raise ShapeError(f"mask grids {grids[0]} vs {grids[1]} mismatch")
+        if self.bbox.intersection(other.bbox) is None:
             return 0.0
-        inter = int(np.count_nonzero(rle_decode(self.mask, common)
-                                     & rle_decode(other.mask, common)))
+        inter = int(_shared_pixels([self], [other])[2][0])
         union = self.area + other.area - inter
         return inter / union if union else 0.0
+
+
+def _shared_pixels(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, n)`` for every pair of ``preds[i]`` and ``gts[j]``, all on
+    one grid, whose boxes overlap, ordered by i, then j: ``n`` is the count
+    of set pixels the two masks share, taken from their runs, with nothing
+    decoded.
+
+    The ground truths' bounds are laid end to end, the j-th shifted by j
+    grids, with the count of set pixels before each bound.  A prediction's
+    one-run [s, e), shifted by j grids, shares with ground truth j that
+    count at e less the count at s, and one ``searchsorted`` reads every
+    count.  The numpy calls are a fixed number per stretch of ground truths
+    whose shifted pixels stay inside int64: one stretch on any grid of
+    fewer than 2**63 / len(gts) pixels.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if not preds or not gts:
+        return empty, empty, empty
+    pb, gb = (np.array([(m.bbox.x0, m.bbox.y0, m.bbox.x1, m.bbox.y1)
+                        for m in side], dtype=np.int64) for side in (preds, gts))
+    pi, gj = ((pb[:, None, 0] < gb[:, 2]) & (gb[:, 0] < pb[:, None, 2])
+              & (pb[:, None, 1] < gb[:, 3]) & (gb[:, 1] < pb[:, None, 3])
+              ).nonzero()
+    # every prediction's one-runs [start, end), end to end
+    starts = np.concatenate([p.mask.bounds[1:-1:2] for p in preds])
+    ends = np.concatenate([p.mask.bounds[2::2] for p in preds])
+    runs = np.array([(p.mask.bounds.size - 1) // 2 for p in preds],
+                    dtype=np.int64)
+    first = runs.cumsum() - runs
+    pixels = preds[0].mask.height * preds[0].mask.width
+    step = (2 ** 63 - 1) // pixels
+    shared = np.zeros(pi.size, dtype=np.int64)
+    for a in range(0, len(gts), step):
+        part = gts[a:a + step]
+        k, = ((gj >= a) & (gj < a + step)).nonzero()
+        sizes = np.array([g.mask.bounds.size for g in part], dtype=np.int64)
+        bounds = (np.concatenate([g.mask.bounds for g in part])
+                  + np.repeat(np.arange(len(part)) * pixels, sizes))
+        # a one-run starts at each odd-numbered bound of a mask; a mask's
+        # last bound is the next one's first, so nothing lies between them
+        odd = (np.arange(bounds.size) - np.repeat(sizes.cumsum() - sizes,
+                                                  sizes)) & 1
+        before = np.concatenate(
+            ([0], ((bounds[1:] - bounds[:-1]) * odd[:-1]).cumsum()))
+        # each pair's prediction runs, shifted onto its ground truth
+        n = runs[pi[k]]
+        end = n.cumsum()
+        at, count = end - n, int(end[-1]) if end.size else 0
+        run = np.arange(count) + np.repeat(first[pi[k]] - at, n)
+        lift = np.repeat((gj[k] - a) * pixels, n)
+        q = np.concatenate((starts[run] + lift, ends[run] + lift))
+        e = bounds.searchsorted(q, side="right") - 1
+        seen = before[e] + odd[e] * (q - bounds[e])  # set pixels before q
+        per = np.concatenate(([0], (seen[count:] - seen[:count]).cumsum()))
+        shared[k] = per[end] - per[at]
+    return pi, gj, shared

@@ -3,6 +3,13 @@
 Matching is greedy in descending score order (ties broken by prediction id)
 against unmatched ground truths of the same component; AP uses all-point
 interpolation over the cumulative precision/recall sequence.
+
+No mask is decoded to match it.  ``_candidates`` counts the pixels that
+each same-component pair with overlapping boxes shares from the two masks'
+runs (``masks._shared_pixels``), one pass per model and component, and the
+one matcher core, ``_greedy``, reads IoUs from that table.
+``match_predictions`` builds the table for its own inputs; ``group_ap``
+builds it once per call and matches every group from it.
 """
 
 from __future__ import annotations
@@ -12,11 +19,74 @@ from typing import Sequence
 
 from .bundle import PredictionBundle
 from .errors import DataValidationError
-from .masks import COMPONENTS, MaskInstance
+from .masks import COMPONENTS, MaskInstance, _shared_pixels
 
 
 def _pred_key(inst: MaskInstance, position: int) -> int:
     return inst.uid if inst.uid is not None else position
+
+
+def _check_match(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance],
+                 iou_threshold: float) -> None:
+    if not (0.0 < iou_threshold <= 1.0):
+        raise DataValidationError(f"IoU threshold {iou_threshold} outside (0, 1]")
+    grids = {(i.mask.height, i.mask.width) for i in (*preds, *gts)}
+    if len(grids) > 1:
+        raise DataValidationError(
+            f"predictions and ground truths live on different grids: "
+            f"{sorted(grids)}")
+
+
+def _candidates(preds: Sequence[MaskInstance],
+                gts: Sequence[MaskInstance]) -> list[list[tuple[int, int]]]:
+    """For each prediction, ``(j, n)`` for each same-component ground truth
+    ``gts[j]`` on its grid that it shares ``n > 0`` pixels with, in
+    ground-truth order: one ``_shared_pixels`` pass per model and
+    component, so its temporaries stay bounded by one model's masks of one
+    component."""
+    cells: dict = {}  # (component, model id, grid) -> positions in preds
+    for k, p in enumerate(preds):
+        cells.setdefault((p.component, p.model_id, p.mask.height,
+                          p.mask.width), []).append(k)
+    out = [[] for _ in preds]
+    for (component, _, h, w), pk in cells.items():
+        gk = [j for j, g in enumerate(gts) if g.component == component
+              and (g.mask.height, g.mask.width) == (h, w)]
+        for i, j, n in zip(*(a.tolist() for a in _shared_pixels(
+                [preds[k] for k in pk], [gts[j] for j in gk]))):
+            if n:
+                out[pk[i]].append((gk[j], n))
+    return out
+
+
+def _greedy(preds: Sequence[MaskInstance], candidates: Sequence[list],
+            gts: Sequence[MaskInstance],
+            iou_threshold: float) -> list[tuple[int, float, bool]]:
+    """The matcher core: each of ``preds``, in evaluation order, takes its
+    best-IoU unmatched ground truth among its ``candidates`` entry, in
+    ``_candidates``' form.  A ground truth that shares no pixel with it has
+    IoU 0, which never beats the starting best, so it need not be listed."""
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-preds[i].score, _pred_key(preds[i], i)))
+    taken = set()
+    entries = []
+    for i in order:
+        pred = preds[i]
+        best_iou = 0.0
+        best_j = -1
+        for j, inter in candidates[i]:
+            if j in taken:
+                continue
+            # the IoU of MaskInstance.iou, on the same Python ints
+            v = inter / (pred.area + gts[j].area - inter)
+            if v > best_iou:
+                best_iou = v
+                best_j = j
+        is_tp = best_j >= 0 and best_iou >= iou_threshold
+        if is_tp:
+            taken.add(best_j)
+        entries.append((_pred_key(pred, i), pred.score, is_tp))
+    return entries
 
 
 def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance],
@@ -27,35 +97,11 @@ def match_predictions(preds: Sequence[MaskInstance], gts: Sequence[MaskInstance]
     score descending, ties broken by prediction id ascending.  A prediction
     is a true positive iff its best-IoU unmatched ground truth of the same
     component reaches the threshold; that ground truth is then consumed.
-    Empty inputs are allowed.
+    Empty inputs are allowed.  The shared pixels of every pair are counted
+    from the masks' runs, by ``_candidates``.
     """
-    if not (0.0 < iou_threshold <= 1.0):
-        raise DataValidationError(f"IoU threshold {iou_threshold} outside (0, 1]")
-    grids = {(i.mask.height, i.mask.width) for i in (*preds, *gts)}
-    if len(grids) > 1:
-        raise DataValidationError(
-            f"predictions and ground truths live on different grids: "
-            f"{sorted(grids)}")
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].score, _pred_key(preds[i], i)))
-    taken = [False] * len(gts)
-    entries = []
-    for i in order:
-        pred = preds[i]
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(gts):
-            if taken[j] or gt.component != pred.component:
-                continue
-            v = pred.iou(gt)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        is_tp = best_j >= 0 and best_iou >= iou_threshold
-        if is_tp:
-            taken[best_j] = True
-        entries.append((_pred_key(pred, i), pred.score, is_tp))
-    return entries
+    _check_match(preds, gts, iou_threshold)
+    return _greedy(preds, _candidates(preds, gts), gts, iou_threshold)
 
 
 def average_precision(flags: Sequence[bool], gt_count: int) -> float:
@@ -138,17 +184,29 @@ def group_keys(instances: Sequence[MaskInstance], mode: str) -> list:
 def group_ap(bundle: PredictionBundle, gts: Sequence[MaskInstance], mode: str,
              iou_threshold: float) -> ApTable:
     """AP per (model, component) in vertical mode or (model, object id) in
-    horizontal mode, pooling the complementary axis."""
+    horizontal mode, pooling the complementary axis.
+
+    Each group is checked and matched as ``match_predictions`` would match
+    it, but the shared pixels of every same-component pair are counted
+    once per call, into one ``_candidates`` table that every group reads."""
     keys = group_keys((*bundle.instances, *gts), mode)
     field = GROUP_FIELDS[mode]
+    members: dict = {}  # (model, key) -> positions in bundle.instances
+    for p, inst in enumerate(bundle.instances):
+        members.setdefault((inst.model_id, getattr(inst, field)), []).append(p)
+    table = _candidates(bundle.instances, gts)
     entries = {}
     for model in bundle.models:
         for key in keys:
-            preds = bundle.instances_for(model=model, **{field: key})
-            key_gts = [g for g in gts if getattr(g, field) == key]
-            matched = match_predictions(preds, key_gts, iou_threshold)
+            pk = members.get((model, key), [])
+            preds = [bundle.instances[p] for p in pk]
+            gk = [j for j, g in enumerate(gts) if getattr(g, field) == key]
+            _check_match(preds, [gts[j] for j in gk], iou_threshold)
+            keep = set(gk)
+            matched = _greedy(preds, [[c for c in table[p] if c[0] in keep]
+                                      for p in pk], gts, iou_threshold)
             entries[(model, key)] = average_precision(
-                [tp for _, _, tp in matched], len(key_gts))
+                [tp for _, _, tp in matched], len(gk))
     return ApTable(entries)
 
 

@@ -216,7 +216,8 @@ def _local_map(sub: PredictionBundle, oid: int, region_ref: BBox,
     ``_object_regions`` makes it, and ``region_s`` is its box on the scale
     grid.  Each instance's bits are resampled only over the output window
     whose taps reach its box: any other pixel lerps four zero taps to
-    +0.0, which leaves the running maximum as it is.  At equal sizes the
+    +0.0, which leaves the running maximum as it is.  Only the source rows
+    and columns that window's taps read are decoded.  At equal sizes the
     window is the box and the resample is the bits, since a bool window
     holds no -0.0."""
     same = (region_s.height, region_s.width) == (region_ref.height,
@@ -246,9 +247,13 @@ def _local_map(sub: PredictionBundle, oid: int, region_ref: BBox,
                     resized = inst.window(inst.bbox)
                 else:
                     rows, cols = box.slices
-                    resized = _lerp(inst.window(region_ref)[:, :, None],
-                                    [t[rows] for t in ys],
-                                    [t[cols] for t in xs])[:, :, 0]
+                    ty, tx = [t[rows] for t in ys], [t[cols] for t in xs]
+                    src = BBox(tx[0][0], ty[0][0], tx[1][-1] + 1, ty[1][-1] + 1)
+                    bits = inst.window(src.shifted(region_ref.x0, region_ref.y0))
+                    resized = _lerp(bits[:, :, None],
+                                    [ty[0] - src.y0, ty[1] - src.y0, ty[2]],
+                                    [tx[0] - src.x0, tx[1] - src.x0, tx[2]]
+                                    )[:, :, 0]
                 gain = np.float32(COMPONENT_GAIN[inst.component] * inst.score)
                 dest = plane[box.shifted(-support.x0, -support.y0).slices]
                 np.maximum(dest, gain * resized, out=dest)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from segfuse.errors import FormatError
-from segfuse.masks import COMPONENT_GAIN, COMPONENT_IDS
+from segfuse.masks import COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS
 
 F32 = np.float32
 
@@ -439,6 +439,24 @@ def match_predictions_ref(preds, gts, iou_threshold: float) -> list:
         if is_tp:
             taken[best_j] = True
         out.append((keys[i], preds[i].score, is_tp))
+    return out
+
+
+def group_ap_ref(bundle, gts, mode: str, iou_threshold: float) -> dict:
+    """AP per (model, group key), in ``group_ap``'s order, from full-frame
+    matching of each group on its own and the explicit staircase."""
+    field = {"vertical": "component", "horizontal": "object_id"}[mode]
+    present = {getattr(i, field) for i in (*bundle.instances, *gts)}
+    keys = sorted(present, key=COMPONENTS.index if mode == "vertical" else None)
+    out = {}
+    for model in bundle.models:
+        for key in keys:
+            preds = [i for i in bundle.instances
+                     if i.model_id == model and getattr(i, field) == key]
+            key_gts = [g for g in gts if getattr(g, field) == key]
+            flags = [tp for _, _, tp in
+                     match_predictions_ref(preds, key_gts, iou_threshold)]
+            out[(model, key)] = staircase_ap(flags, len(key_gts))
     return out
 
 

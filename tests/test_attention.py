@@ -1,6 +1,7 @@
 """Difference attention and the whole-frame / per-object blend."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from segfuse import attention
 from segfuse.attention import (attention_to_map, difference_matrix,
                                fuse_global_local, local_attention,
                                row_normalize)
+from segfuse.config import PipelineConfig
 from segfuse.errors import (DataValidationError, DegenerateAttentionError,
                             ShapeError)
 from segfuse.grids import AttentionMap, LogitMap, _band_rows
@@ -71,6 +73,27 @@ class TestLocalAttention:
     def test_factor_must_be_positive(self):
         with pytest.raises(DataValidationError):
             local_attention(np.zeros((1, 2)), 0.0)
+
+    def test_factor_past_the_bound_is_rejected_before_any_arithmetic(self):
+        # f·d is formed in float64, and d of finite float32 logits is at
+        # most twice the largest float32: 1e308 overflowed it with numpy's
+        # RuntimeWarning and failed as "softmax input must be finite"
+        bound = 2.6414728131223744e269
+        d = np.array([[2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (1e308, float(np.nextafter(bound, np.inf)), np.inf,
+                      np.float64(1e308)):
+                with pytest.raises(DataValidationError, match=(
+                        r"^attention factor f \S+ must be positive and at "
+                        r"most 2\.64e\+269")):
+                    local_attention(d, f)
+            # the bound itself runs: -f·2 is finite and its softmax exact
+            assert local_attention(d, bound).tolist() == [[0.0, 1.0]]
+        # one rule for the library and PipelineConfig
+        assert PipelineConfig(attention_factor=bound).attention_factor == bound
+        with pytest.raises(DataValidationError, match="^attention_factor"):
+            PipelineConfig(attention_factor=float(np.nextafter(bound, np.inf)))
 
 
 class TestRowNormalize:

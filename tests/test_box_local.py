@@ -8,7 +8,11 @@ rasterisation, which resamples each mask only over the output window its
 box reaches and holds each component channel as a plane over its support,
 is checked against resampling its whole region window, and the local
 ensemble it builds against ``fuse_logits`` over those whole-region maps.
+IoUs, which are counted from the runs alone, are checked against
+full-frame grids, pair by pair, per matching and per AP table.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,12 +21,13 @@ from hypothesis import strategies as st
 from segfuse.bundle import PredictionBundle
 from segfuse.fusion import FusionWeights, fuse_logits, fuse_masks
 from segfuse.grids import LogitMap, scaled_dim
-from segfuse.masks import (COMPONENTS, BBox, MaskInstance, iou, rle_decode,
-                           rle_encode, scale_box, tight_bbox)
-from segfuse.metrics import match_predictions
+from segfuse.masks import (COMPONENTS, BBox, MaskInstance, RleMask,
+                           _shared_pixels, iou, rle_decode, rle_encode,
+                           scale_box, tight_bbox)
+from segfuse.metrics import group_ap, match_predictions
 from segfuse.pipeline import _local_map
 
-from reference import (local_map_ref, match_predictions_ref,
+from reference import (group_ap_ref, local_map_ref, match_predictions_ref,
                        planes_region, weighted_average_ref)
 
 FRAMES = st.tuples(st.integers(1, 12), st.integers(1, 12))
@@ -208,6 +213,124 @@ def test_matching_equals_full_frame_oracle(data):
     threshold = data.draw(st.sampled_from((0.2, 0.5, 0.6, 1.0)))
     got = match_predictions(preds, gts, threshold)
     assert got == match_predictions_ref(preds, gts, threshold)
+
+
+def span_instance(h, w, a, b, **kw):
+    """An instance whose set pixels are [a, b) in row-major order, so its
+    one-run wraps across row ends; ``kw`` gives the other fields."""
+    flat = np.zeros(h * w, dtype=bool)
+    flat[a:b] = True
+    bits = flat.reshape(h, w)
+    return MaskInstance(mask=rle_encode(bits), bbox=tight_bbox(bits),
+                        scale=1.0, **kw)
+
+
+@st.composite
+def ap_cases(draw):
+    """A bundle of 1-3 models, ground truths and an IoU threshold: masks
+    random in boxes that overlap or touch across groups, or one run from
+    pixel 0, to the last pixel, or between, wrapping across row ends;
+    tied scores, and prediction ids from uids or from group positions."""
+    h, w = draw(FRAMES)
+    models = ("m0", "m1", "m2")[:draw(st.integers(1, 3))]
+    made = []
+
+    def one(model_id, score, uid):
+        kw = dict(component=draw(st.sampled_from(("shell", "meat"))),
+                  object_id=draw(st.integers(0, 2)), score=score,
+                  model_id=model_id, uid=uid)
+        kind = draw(st.sampled_from(("box", "span", "head", "tail")))
+        if kind == "box":
+            box = (draw(boxes(h, w)) if not made else
+                   draw(related_box(h, w, draw(st.sampled_from(made)))))
+            made.append(box)
+            return MaskInstance(mask=rle_encode(draw(frame_bits(h, w, box))),
+                                bbox=box, scale=1.0, **kw)
+        a = 0 if kind == "head" else draw(st.integers(0, h * w - 1))
+        b = h * w if kind == "tail" else draw(st.integers(a + 1, h * w))
+        inst = span_instance(h, w, a, b, **kw)
+        made.append(inst.bbox)
+        return inst
+
+    preds = [one(draw(st.sampled_from(models)),
+                 draw(st.sampled_from((0.25, 0.5, 0.9))),
+                 draw(st.sampled_from((None, k))))
+             for k in range(draw(st.integers(0, 8)))]
+    gts = [one("gt", 1.0, k) for k in range(draw(st.integers(0, 5)))]
+    # some ground truths copy a prediction, so true positives occur
+    for k in draw(st.lists(st.integers(0, 7), max_size=3)):
+        if preds:
+            src = preds[k % len(preds)]
+            gts.append(replace(src, score=1.0, model_id="gt", uid=len(gts)))
+    bundle = PredictionBundle(image_id="ap", height=h, width=w, models=models,
+                              scales=(1.0,), instances=tuple(preds))
+    return bundle, gts, draw(st.sampled_from((0.2, 0.5, 0.6, 1.0)))
+
+
+def _span_case():
+    """Runs that wrap rows, from pixel 0 and to the last pixel, in two
+    objects whose boxes overlap across groups, with tied scores."""
+    h, w = 3, 4
+    shell = dict(component="shell", score=0.5)
+    preds = (span_instance(h, w, 0, 7, object_id=0, model_id="m0", uid=None,
+                           **shell),
+             span_instance(h, w, 5, 12, object_id=1, model_id="m0", uid=None,
+                           **shell),
+             span_instance(h, w, 3, 9, object_id=1, model_id="m1", uid=None,
+                           **shell))
+    gts = [span_instance(h, w, 0, 6, object_id=0, model_id="gt", uid=0,
+                         **shell),
+           span_instance(h, w, 6, 12, object_id=1, model_id="gt", uid=1,
+                         **shell)]
+    bundle = PredictionBundle(image_id="ap", height=h, width=w,
+                              models=("m0", "m1"), scales=(1.0,),
+                              instances=preds)
+    return bundle, gts, 0.5
+
+
+@given(ap_cases())
+@example(_span_case())
+@settings(max_examples=200, deadline=None)
+def test_group_ap_equals_the_full_frame_oracle(case):
+    """``group_ap``, which counts every pair's shared pixels from the runs
+    in one table per call, gives each group's AP bit for bit as matching
+    that group alone on full-frame grids and integrating the staircase."""
+    bundle, gts, threshold = case
+    for mode in ("vertical", "horizontal"):
+        got = group_ap(bundle, gts, mode, threshold).entries
+        want = group_ap_ref(bundle, gts, mode, threshold)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in
+                                                   want.values()]
+
+
+def test_shared_pixels_where_the_laid_out_grids_pass_int64():
+    """On a 2**31 x 2**31 grid, ground truths laid end to end pass int64
+    after two masks, so each is counted in a stretch of its own; the counts
+    and IoUs equal those of the decoded windows over the common boxes."""
+    side = 2 ** 31
+
+    def block(r, c):
+        start = r * side + c
+        counts = (start, 2, side - 2, 2, side * side - start - side - 2)
+        return MaskInstance(mask=RleMask(side, side, counts),
+                            bbox=BBox(c, r, c + 2, r + 2), component="shell",
+                            object_id=0, score=0.5, model_id="m0", scale=1.0)
+
+    far = side - 3
+    gts = [block(5, 5), block(far, far), block(far, far + 1)]
+    preds = [block(far, far + 1), block(6, 5), block(far + 1, far)]
+    want = []
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            common = p.bbox.intersection(g.bbox)
+            if common is not None:
+                want.append((i, j, int(np.count_nonzero(
+                    p.window(common) & g.window(common)))))
+    got = _shared_pixels(preds, gts)
+    assert list(zip(*(a.tolist() for a in got))) == want
+    assert [n for *_, n in want] == [2, 4, 2, 2, 1]
+    assert preds[0].iou(gts[1]) == 2 / 6 and preds[2].iou(gts[2]) == 1 / 7
 
 
 @given(st.data())

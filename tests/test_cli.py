@@ -365,6 +365,25 @@ class TestHostileManifest:
         assert "instances[0]: " in err and "signed 64-bit" in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fuse", "evaluate"])
+    def test_rle_count_past_int64_is_the_sum_error(self, tmp_path, capsys,
+                                                   command):
+        # counts are summed as Python ints before any int64 array is made,
+        # so a count of 2**70 is the sum error, never an OverflowError
+        def edit(doc):
+            doc["instances"][0]["rle"] = [0, 2 ** 70, 4]
+        bad = _edited(single_model_manifest(tmp_path), "past.json", edit)
+        argv = {"fuse": ["fuse", str(bad), "--grouping", "both", "--calib",
+                         str(bad), "--out-dir", str(tmp_path / "o")],
+                "evaluate": ["evaluate", str(bad), str(bad),
+                             "--out", str(tmp_path / "e.json")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"instances[0]: RLE counts sum {2 ** 70 + 4} != 256 "
+                f"(16x16 grid)") in err, err
+        assert "Traceback" not in err and "Overflow" not in err, err
+
     @pytest.mark.parametrize("field, digits", [("schema_version", 5001),
                                                ("score", 5000)])
     def test_oversized_integer_is_not_echoed(self, tmp_path, capsys, field,

@@ -1,5 +1,8 @@
 """Mask types, the RLE codec, IoU, and box machinery."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -125,6 +128,75 @@ class TestRleCodec:
         side = 10 ** 10
         with pytest.raises(DataValidationError, match="signed 64-bit"):
             RleMask(side, side, (0, 1, side * side - 1))
+
+
+class TestRleMaskContract:
+    """An ``RleMask`` holds its runs once, as a read-only int64 array of run
+    boundaries, and keeps the checks, messages, equality and hashing it
+    had as a dataclass of counts."""
+
+    @given(_rle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_round_trip_as_python_ints(self, case):
+        h, w, counts = case
+        if _outcome(lambda: rle_counts_ref(counts, h, w)) is None:
+            for given_counts in (tuple(counts), list(counts),
+                                 np.array(counts, dtype=np.int64)):
+                r = RleMask(h, w, given_counts)
+                assert r.counts == tuple(counts)
+                assert all(type(c) is int for c in r.counts)
+                assert RleMask(h, w, r.counts) == r
+
+    def test_bounds_are_one_read_only_int64_array(self):
+        r = RleMask(2, 3, (0, 2, 4))
+        assert r.bounds.dtype == np.int64
+        assert r.bounds.tolist() == [0, 0, 2, 6]
+        assert not r.bounds.flags.writeable
+        with pytest.raises(ValueError):
+            r.bounds[1] = 1
+        with pytest.raises(FrozenInstanceError):
+            r.bounds = np.zeros(4, dtype=np.int64)
+        with pytest.raises(FrozenInstanceError):
+            r.height = 3
+
+    def test_equality_and_hashing_follow_height_width_and_counts(self):
+        a, b = RleMask(2, 3, (1, 2, 3)), RleMask(2, 3, [1, 2, 3])
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((2, 3, (1, 2, 3)))
+        assert a != RleMask(3, 2, (1, 2, 3))
+        assert a != RleMask(2, 3, (1, 3, 2))
+        assert a != RleMask(2, 3, (1, 2, 2, 1))
+        assert a != (2, 3, (1, 2, 3))
+        assert len({a, b, RleMask(2, 3, (6,))}) == 2
+        assert repr(a) == "RleMask(height=2, width=3, counts=(1, 2, 3))"
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert not pickle.loads(pickle.dumps(a)).bounds.flags.writeable
+        # the instance dataclass compares and hashes through its mask
+        bits = block_mask(4, 4, 1, 3, 1, 3)
+        one, two = make_instance(bits), make_instance(bits.copy())
+        assert one == two and hash(one) == hash(two)
+        assert one != make_instance(block_mask(4, 4, 1, 3, 1, 4))
+
+    @pytest.mark.parametrize("h, w, counts, error, message", [
+        (0, 3, (0,), DataValidationError, "RleMask dimensions must be positive"),
+        (10 ** 10, 10 ** 10, (1,), DataValidationError,
+         "10000000000x10000000000 grid has more pixels than a signed 64-bit "
+         "count holds"),
+        (2, 2, (), FormatError, "RLE counts must be non-empty"),
+        (2, 2, (5, -1), FormatError, "RLE counts must be nonnegative"),
+        (2, 2, (1, 0, 3), FormatError,
+         "only the leading zero-run of an RLE may be empty"),
+        (2, 2, (3,), FormatError, "RLE counts sum 3 != 4 (2x2 grid)"),
+        (2, 2, (0, 2 ** 70), FormatError,
+         f"RLE counts sum {2 ** 70} != 4 (2x2 grid)"),
+        (2, 2, (2 ** 62,) * 4 + (4,), FormatError,
+         f"RLE counts sum {2 ** 64 + 4} != 4 (2x2 grid)"),
+    ], ids=["dims", "pixels", "empty", "negative", "interior-zero", "sum",
+            "past-int64", "int64-sum-wraps"])
+    def test_malformed_rle_messages(self, h, w, counts, error, message):
+        with pytest.raises(error) as caught:
+            RleMask(h, w, counts)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestIou:
