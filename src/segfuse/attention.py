@@ -47,12 +47,17 @@ def difference_matrix(global_feat, local_feat) -> np.ndarray:
 def local_attention(d: np.ndarray, f: float) -> np.ndarray:
     """Row-stochastic attention from a difference matrix: softmax of -f*d.
 
-    ``f`` is the sharpness factor; larger is peakier.  It is checked before
-    any arithmetic, by the rule ``PipelineConfig`` applies to its
-    ``attention_factor``.
+    ``f`` is the sharpness factor; larger is peakier.  It and ``d`` are
+    checked before any arithmetic, ``f`` by the rule ``PipelineConfig``
+    applies to its ``attention_factor``.
     """
     check_attention_factor(f, "attention factor f")
     a = np.asarray(d, dtype=np.float64)
+    # f·max(d) in Python floats, whose overflow is a silent inf, no warning
+    if not (np.isfinite(a).all()
+            and np.isfinite(float(f) * float(a.max(initial=0.0)))):
+        raise DataValidationError(
+            "difference matrix d must be finite, and so must f·max(d)")
     if a.size and a.min() < 0:
         raise DataValidationError("difference matrix entries must be nonnegative")
     return softmax_rows(-f * a)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataValidationError, ShapeError
 from .grids import LogitMap, _band_rows, _frozen
-from .masks import BBox, MaskInstance
+from .masks import MaskInstance
 from .metrics import ApTable, normalize_ap
 
 WEIGHT_SUM_TOL = 1e-9
@@ -137,40 +137,38 @@ def _extreme(ufunc, parts, out: np.ndarray) -> None:
 
 
 def fuse_masks(members: Sequence[MaskInstance],
-               weights: FusionWeights) -> tuple[BBox, np.ndarray]:
-    """Per-pixel weighted average of one cell's masks as a float64 soft mask.
+               weights: FusionWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted average of one cell's masks on their runs: ``(bounds, soft)``.
 
-    The average covers the union of the members' boxes and is returned with
-    that box; outside it every member, and so the average, is zero.
-    Members are keyed by model id; a model contributing several masks has
-    them merged by elementwise max first; a model with no member
-    contributes an empty (all-zero) mask.
+    ``bounds`` holds every member's run bounds once, in order, so segment
+    k, pixels [bounds[k], bounds[k + 1]) of the row-major frame, lies in
+    one run of each member, and ``soft[k]`` is the float64 average each of
+    its pixels gets.  A model's several masks are merged by elementwise
+    max; a model with no member contributes an empty (all-zero) mask.
     """
     if not members:
         raise DataValidationError("cannot fuse an empty group")
-    h = members[0].mask.height
-    w = members[0].mask.width
     extra = {m.model_id for m in members} - set(weights.models)
     if extra:
         raise DataValidationError(
             f"group has models without weights: {sorted(extra)}")
-    box = members[0].bbox
-    for inst in members:
-        if (inst.mask.height, inst.mask.width) != (h, w):
-            raise ShapeError("group members must share grid dimensions")
-        box = box.union(inst.bbox)
+    if len({(inst.mask.height, inst.mask.width) for inst in members}) > 1:
+        raise ShapeError("group members must share grid dimensions")
+    bounds = np.concatenate([inst.mask.bounds for inst in members])
+    bounds.sort()
+    # each bound once; every member's first bound is 0
+    bounds = np.concatenate(([0], bounds[1:][bounds[1:] != bounds[:-1]]))
     per_model = {}
     for inst in members:
-        soft = inst.window(box).astype(np.float64)
+        # a segment is set where it lies in an odd-numbered run
+        run = inst.mask.bounds.searchsorted(bounds[:-1], side="right") - 1
+        soft = (run & 1).astype(np.float64)
         prev = per_model.get(inst.model_id)
         per_model[inst.model_id] = soft if prev is None else np.maximum(prev, soft)
-    arrays = []
-    coeffs = []
-    for model, coeff in weights.weights:
-        arrays.append(per_model.get(
-            model, np.zeros((box.height, box.width), dtype=np.float64)))
-        coeffs.append(coeff)
-    return box, weighted_average(arrays, coeffs)
+    absent = np.zeros(bounds.size - 1, dtype=np.float64)
+    return bounds, weighted_average(
+        [per_model.get(model, absent) for model in weights.models],
+        [coeff for _, coeff in weights.weights])
 
 
 def fuse_logits(maps: Mapping[str, LogitMap],

@@ -6,8 +6,8 @@ accept anything ``np.asarray(m, dtype=bool)`` makes 2-D.
 RLE convention (normative): row-major run lengths, first run counting zeros,
 runs alternating 0/1 afterwards.  Only the leading zero-run may be empty.
 An ``RleMask`` holds the runs once, as their boundaries in one read-only
-int64 array; ``rle_decode`` reads them as they are, and the IoU of two
-instances is counted from the runs of both, with nothing decoded.
+int64 array; ``rle_decode`` reads them as they are.  Instance boxes are
+checked and IoUs counted from the runs, with nothing decoded.
 Boxes are half-open integer rectangles [x0, x1) x [y0, y1).
 """
 
@@ -124,9 +124,14 @@ def rle_encode(m: np.ndarray, box: BBox | None = None,
     flat = padded.ravel()
     rows, cols = np.divmod(np.flatnonzero(flat[1:] != flat[:-1]) + 1, mw + 2)
     pos = (rows + box.y0) * width + cols + box.x0 - 1
-    starts, ends = pos[0::2], pos[1::2]
     # runs that end one row's window and start the next one touch in the
-    # frame when the window spans it: merge them
+    # frame when the window spans it, and are merged
+    return _from_runs(pos[0::2], pos[1::2], height, width)
+
+
+def _from_runs(starts, ends, height: int, width: int) -> RleMask:
+    """The height x width mask whose set pixels are the runs [starts[k],
+    ends[k]), in order and disjoint; runs that touch are merged."""
     keep = np.flatnonzero(starts[1:] != ends[:-1])
     starts = np.concatenate((starts[:1], starts[1:][keep]))
     ends = np.concatenate((ends[:-1][keep], ends[-1:]))
@@ -280,10 +285,10 @@ def crop(grid: LogitMap, b: BBox) -> LogitMap:
 class MaskInstance:
     """One predicted or ground-truth instance of a component.
 
-    The runs in ``mask`` are the only copy of the mask it holds: ``area``,
-    its pixel count, is set once at construction, ``window`` decodes the
-    bits over any box and ``iou`` counts the IoU with another instance
-    from the two masks' runs.
+    The runs in ``mask`` are the only copy of the mask it holds: ``area``
+    and the check that ``bbox`` holds every set pixel come from them once,
+    at construction; ``window`` decodes the bits over any box and ``iou``
+    counts the IoU with another instance from the two masks' runs.
     """
 
     mask: RleMask
@@ -309,11 +314,10 @@ class MaskInstance:
                 f"{self.mask.width} mask grid")
         bounds = self.mask.bounds
         area = sum((bounds[2::2] - bounds[1:-1:2]).tolist())
-        # the box holds every set pixel iff it holds as many as the one-runs
-        if np.count_nonzero(rle_decode(self.mask, self.bbox)) != area:
+        extent = _run_extent(self.mask) if area else self.bbox
+        if self.bbox.union(extent) != self.bbox:
             raise DataValidationError(
-                f"bbox {self.bbox} does not enclose the mask extent "
-                f"{_run_extent(self.mask)}")
+                f"bbox {self.bbox} does not enclose the mask extent {extent}")
         self.__dict__["area"] = area
 
     def _at_scale(self, scale: float, uid: int | None) -> "MaskInstance":

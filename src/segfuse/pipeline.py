@@ -49,15 +49,15 @@ from .errors import DataValidationError
 from .formats import (_overlay_header, _overlay_pixels, _payload,
                       _read_rows, _tensor_header, save_manifest,
                       write_json_report)
-from .fusion import (FusionWeights, binarize, compute_weights, fuse_logits,
-                     fuse_masks, weighted_average)
+from .fusion import (FusionWeights, compute_weights, fuse_logits, fuse_masks,
+                     weighted_average)
 from .grids import (AttentionMap, LogitMap, _band_rows, _frozen, _lerp,
                     _negative_zeros, _row_max, _taps, argmax_channel,
                     scaled_dim, softmax_rows)
 from .hierarchy import _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
-                    MaskInstance, expand_bbox, rle_encode, scale_box,
-                    tight_bbox)
+                    MaskInstance, _from_runs, _run_extent, expand_bbox,
+                    rle_encode, scale_box)
 from .metrics import GROUP_FIELDS, ApTable, group_ap, group_keys
 
 ENSEMBLE_MODEL_ID = "ensemble"
@@ -152,11 +152,12 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             # this orders cells by the str of the other half (object 10 < 2)
             for cell in sorted(cells, key=lambda c: (c[0], str(c[1]))):
                 members = cells[cell]
-                box, soft = fuse_masks(members, w)
-                binary = binarize(soft, cfg.binarize_threshold)
-                tight = tight_bbox(binary)
-                if tight is None:
+                bounds, soft = fuse_masks(members, w)
+                ones = np.flatnonzero(soft >= cfg.binarize_threshold)
+                if not ones.size:
                     continue
+                mask = _from_runs(bounds[ones], bounds[ones + 1],
+                                  bundle.height, bundle.width)
                 best = {}
                 for m in members:
                     best[m.model_id] = max(best.get(m.model_id, 0.0), m.score)
@@ -164,8 +165,7 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
                 for model, coeff in w.weights:
                     score += coeff * best.get(model, 0.0)
                 fused.append(MaskInstance(
-                    mask=rle_encode(binary, box, bundle.height, bundle.width),
-                    bbox=tight.shifted(box.x0, box.y0),
+                    mask=mask, bbox=_run_extent(mask),
                     component=members[0].component,
                     object_id=members[0].object_id,
                     score=min(1.0, max(0.0, score)), model_id=ENSEMBLE_MODEL_ID,
@@ -685,9 +685,9 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
             if not bits.any():
                 continue
             score = float(np.mean(np.concatenate(picked[comp])))
+            mask = rle_encode(bits, region, bundle.height, bundle.width)
             out.append(MaskInstance(
-                mask=rle_encode(bits, region, bundle.height, bundle.width),
-                bbox=tight_bbox(bits).shifted(region.x0, region.y0),
+                mask=mask, bbox=_run_extent(mask),
                 component=comp, object_id=oid, score=min(1.0, max(0.0, score)),
                 model_id=PIPELINE_MODEL_ID, scale=1.0, uid=len(out)))
     return tuple(out)

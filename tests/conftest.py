@@ -25,12 +25,11 @@ def make_instance(bits, component="shell", object_id=0, score=0.9,
 
 
 def fused_frame(members, weights):
-    """fuse_masks pasted into the full frame, zero outside its box."""
-    box, soft = fuse_masks(members, weights)
+    """fuse_masks's segments spread over the full frame."""
+    bounds, soft = fuse_masks(members, weights)
     mask = members[0].mask
-    out = np.zeros((mask.height, mask.width), dtype=np.float64)
-    out[box.slices] = soft
-    return out
+    return np.repeat(soft, bounds[1:] - bounds[:-1]).reshape(mask.height,
+                                                             mask.width)
 
 
 def block_mask(h, w, y0, y1, x0, x1):

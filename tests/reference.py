@@ -8,6 +8,7 @@ one object, which resamples each instance's whole region window through
 ``bilinear_gather_ref``; ``planes_region`` and ``region_planes``, which
 turn an object's local map from the engine's planes into a dense region
 grid and back;
+``fuse_masks_ref``, the whole-frame average of one cell's masks;
 ``pipeline_ref``, the whole-frame composition of these oracles that the
 ``pipeline`` command must match byte for byte;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
@@ -205,6 +206,21 @@ def weighted_average_ref(arrays: list[np.ndarray], coeffs: list) -> np.ndarray:
         # the clamp compares in the type of the sum
         flat_out[i] = _lesser(_greater(acc, sum_of[-1](lo)), sum_of[-1](hi))
     return out
+
+
+def fuse_masks_ref(members, weights) -> np.ndarray:
+    """fuse_masks oracle on the full frame: each model's masks decoded to
+    whole frames pixel by pixel and merged by max, a model without a
+    member an all-zero frame, averaged in ascending model id order."""
+    h, w = members[0].mask.height, members[0].mask.width
+    frames = []
+    for model, _ in weights.weights:
+        acc = np.zeros((h, w), dtype=np.float64)
+        for m in members:
+            if m.model_id == model:
+                acc = np.maximum(acc, rle_decode_ref(m.mask.counts, h, w))
+        frames.append(acc)
+    return weighted_average_ref(frames, [c for _, c in weights.weights])
 
 
 def fuse_logits_ref(stacks: list[np.ndarray], coeffs: list[float]) -> np.ndarray:

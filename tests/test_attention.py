@@ -74,6 +74,23 @@ class TestLocalAttention:
         with pytest.raises(DataValidationError):
             local_attention(np.zeros((1, 2)), 0.0)
 
+    def test_non_finite_or_overflowing_d_is_rejected_before_any_arithmetic(
+            self):
+        # f·1e308 overflowed with numpy's RuntimeWarning and then failed as
+        # "softmax input must be finite"; NaN and inf got that message too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in ([[np.nan, 0.0]], [[np.inf, 0.0]], [[0.0, -np.inf]],
+                      [[1e308, 0.0]]):
+                with pytest.raises(DataValidationError, match=(
+                        r"^difference matrix d must be finite, and so must "
+                        r"f·max\(d\)$")):
+                    local_attention(np.array(d), 2.0)
+            # the largest d whose f·d is finite runs
+            top = np.finfo(np.float64).max / 2.0
+            assert local_attention(np.array([[top, 0.0]]), 2.0).tolist() == [
+                [0.0, 1.0]]
+
     def test_factor_past_the_bound_is_rejected_before_any_arithmetic(self):
         # f·d is formed in float64, and d of finite float32 logits is at
         # most twice the largest float32: 1e308 overflowed it with numpy's

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segfuse.bundle import PredictionBundle
-from segfuse.fusion import FusionWeights, fuse_logits, fuse_masks
+from segfuse.fusion import FusionWeights, fuse_logits
 from segfuse.grids import LogitMap, scaled_dim
 from segfuse.masks import (COMPONENTS, BBox, MaskInstance, RleMask,
                            _shared_pixels, iou, rle_decode, rle_encode,
@@ -27,6 +27,7 @@ from segfuse.masks import (COMPONENTS, BBox, MaskInstance, RleMask,
 from segfuse.metrics import group_ap, match_predictions
 from segfuse.pipeline import _local_map
 
+from conftest import fused_frame
 from reference import (group_ap_ref, local_map_ref, match_predictions_ref,
                        planes_region, weighted_average_ref)
 
@@ -343,9 +344,7 @@ def test_pasted_mask_fusion_equals_full_frame_average(data):
     raw = data.draw(st.lists(st.integers(0, 8), min_size=3, max_size=3).filter(any))
     weights = FusionWeights("shell", tuple(
         (m, r / sum(raw)) for m, r in zip(models, raw)))
-    box, soft = fuse_masks(members, weights)
-    pasted = np.zeros((h, w), dtype=np.float64)
-    pasted[box.y0:box.y1, box.x0:box.x1] = soft
+    pasted = fused_frame(members, weights)
     per_model = []
     for model in models:
         acc = np.zeros((h, w), dtype=np.float64)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segfuse import cli, formats, pipeline
+from segfuse import cli, formats, masks, pipeline
 from segfuse.bundle import PredictionBundle
 from segfuse.cli import build_parser, main
 from segfuse.config import PipelineConfig
@@ -267,6 +267,31 @@ class TestFuseCommand:
         assert len(got.instances) == len(fused.instances)
         for a, b in zip(got.instances, fused.instances):
             assert a.mask.counts == b.mask.counts and a.score == b.score
+
+
+class TestFuseAndEvaluateDecodeNoMask:
+    def test_outputs_are_the_same_without_the_decoder(self, tmp_path,
+                                                      monkeypatch):
+        # fuse averages each cell on its runs and every instance's box is
+        # checked from its runs, so neither command needs rle_decode
+        image = synth_fixture(tmp_path, seed=21, scales=("1.0",))
+        calib = synth_fixture(tmp_path, seed=22, scales=("1.0",))
+
+        def run(out):
+            assert main(["fuse", str(image), "--grouping", "both", "--calib",
+                         str(calib), "--out-dir", str(out)]) == 0
+            assert main(["evaluate", str(out / "fused_vertical.json"),
+                         str(image), "--out", str(out / "evaluation.json")]) == 0
+            return _tree_bytes(out)
+
+        want = run(tmp_path / "decoded")
+        assert len(want) == 5
+
+        def decode(*args, **kwargs):
+            raise AssertionError("a mask was decoded")
+
+        monkeypatch.setattr(masks, "rle_decode", decode)
+        assert run(tmp_path / "runs") == want
 
 
 class TestCalibrationModels:

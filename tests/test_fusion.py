@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segfuse.bundle import PredictionBundle
 from segfuse.config import PipelineConfig
@@ -9,11 +11,12 @@ from segfuse.errors import DataValidationError, ShapeError
 from segfuse.fusion import (FusionWeights, binarize, compute_weights,
                             fuse_logits, fuse_masks, weighted_average)
 from segfuse.grids import LogitMap, _band_rows
+from segfuse.masks import BBox, rle_encode, tight_bbox
 from segfuse.metrics import ApTable
 from segfuse.pipeline import run_fuse
 
 from conftest import block_mask, fused_frame, make_instance, traced_peak_ratio
-from reference import fuse_logits_ref, weighted_average_ref
+from reference import fuse_logits_ref, fuse_masks_ref, weighted_average_ref
 
 # a 128-wide grid walks 64-row bands; heights on both sides of two edges
 WIDTH = 128
@@ -123,6 +126,88 @@ class TestFuseMasks:
         w = FusionWeights("shell", (("m0", 0.5), ("m1", 0.5)))
         soft = fused_frame(members, w)
         assert np.allclose(soft, 0.5, atol=0)
+
+
+    def test_segments_of_every_bound_and_one_at_the_threshold(self):
+        # rows [0, 4) and [2, 6) of a 2x4 frame, the second across the end
+        # of row 0: one segment per pair of bounds, two of them at exactly
+        # the threshold, fused into one run across the row end
+        pixel = np.arange(8).reshape(2, 4)
+        members = (make_instance(pixel < 4, model_id="m0"),
+                   make_instance((pixel >= 2) & (pixel < 6), model_id="m1"))
+        w = FusionWeights.uniform(("m0", "m1"), "shell")
+        bounds, soft = fuse_masks(members, w)
+        assert bounds.tolist() == [0, 2, 4, 6, 8]
+        assert soft.tolist() == [0.5, 1.0, 0.5, 0.0]
+        bundle = PredictionBundle(image_id="x", height=2, width=4,
+                                  models=("m0", "m1"), scales=(1.0,),
+                                  instances=members)
+        fused, _ = run_fuse(bundle, None, PipelineConfig(
+            weights_mode="uniform"), "vertical")
+        inst, = fused.instances
+        assert inst.mask.counts == (0, 6, 2)
+        assert inst.bbox == BBox(0, 0, 4, 2)
+
+
+@st.composite
+def run_cells(draw):
+    """(height, width, members, models) of one cell.  Every member's runs
+    are cut at bounds from one shared pool: 0, the frame's end, every row
+    end and a few free picks, so members start at pixel 0, end at the last
+    pixel, overlap, share bounds and touch across row ends.  A model may
+    give several members or none."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = h * w
+    pool = sorted({*range(0, n + 1, w),
+                   *draw(st.lists(st.integers(0, n), max_size=6))})
+    models = ("m0", "m1", "m2", "m3")[:draw(st.integers(1, 4))]
+    members = []
+    for k in range(draw(st.integers(1, 5))):
+        cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=6))))
+        flat = np.zeros(n, dtype=bool)
+        for start, end in zip(cuts[0::2], cuts[1::2]):
+            flat[start:end] = True
+        bits = flat.reshape(h, w)
+        box = tight_bbox(bits)
+        members.append(make_instance(
+            bits, model_id=draw(st.sampled_from(models)), uid=k,
+            bbox=box if box is not None and draw(st.booleans())
+            else BBox(0, 0, w, h)))
+    return h, w, members, models
+
+
+@given(run_cells(), st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_run_fusion_equals_the_dense_oracle(cell, data):
+    """The run kernel against the whole-frame oracle, bit for bit, and
+    run_fuse's mask and box against encoding the binarized oracle.  The
+    weights are multiples of 1/8 and the thresholds too, so a segment
+    often averages to exactly the threshold."""
+    h, w, members, models = cell
+    raw = data.draw(st.lists(st.integers(0, 4), min_size=len(models),
+                             max_size=len(models)).filter(any))
+    weights = FusionWeights("shell", tuple(
+        (m, r / sum(raw)) for m, r in zip(models, raw)))
+    bounds, soft = fuse_masks(members, weights)
+    assert bounds.tolist() == sorted({b for m in members
+                                      for b in m.mask.bounds.tolist()})
+    assert soft.dtype == np.float64 and soft.size == bounds.size - 1
+    ref = fuse_masks_ref(members, weights)
+    assert fused_frame(members, weights).tobytes() == ref.tobytes()
+
+    threshold = data.draw(st.sampled_from((0.125, 0.25, 0.5, 0.75)))
+    bundle = PredictionBundle(image_id="x", height=h, width=w, models=models,
+                              scales=(1.0,), instances=tuple(members))
+    fused, _ = run_fuse(bundle, None, PipelineConfig(
+        weights_mode="uniform", binarize_threshold=threshold), "vertical")
+    bits = binarize(fuse_masks_ref(members, FusionWeights.uniform(models)),
+                    threshold)
+    if not bits.any():
+        assert fused.instances == ()
+    else:
+        inst, = fused.instances
+        assert inst.mask == rle_encode(bits)
+        assert inst.bbox == tight_bbox(bits)
 
 
 class TestWeightedAverage:

@@ -200,15 +200,21 @@ class TestWindowPerturbation:
 
 
 def test_each_mask_is_decoded_once(monkeypatch):
+    # at most once, and now never: construction checks each box from its
+    # mask's runs, one extent per mask, and the later scales share it
     import segfuse.masks as masks
     calls = []
-    decode = masks.rle_decode
+    extent = masks._run_extent
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return decode(*args, **kwargs)
+        return extent(*args, **kwargs)
 
-    monkeypatch.setattr(masks, "rle_decode", counted)
+    def decode(*args, **kwargs):
+        raise AssertionError("a mask was decoded")
+
+    monkeypatch.setattr(masks, "_run_extent", counted)
+    monkeypatch.setattr(masks, "rle_decode", decode)
     bundle = generate(3, objects=4, models=3, scales=(0.25, 0.5, 1.0))
     per_scale = len(bundle.instances) // 3
     assert len(calls) == len(bundle.ground_truth) + per_scale
