@@ -285,10 +285,11 @@ def crop(grid: LogitMap, b: BBox) -> LogitMap:
 class MaskInstance:
     """One predicted or ground-truth instance of a component.
 
-    The runs in ``mask`` are the only copy of the mask it holds: ``area``
-    and the check that ``bbox`` holds every set pixel come from them once,
-    at construction; ``window`` decodes the bits over any box and ``iou``
-    counts the IoU with another instance from the two masks' runs.
+    The constructor, which ``dataclasses.replace`` runs too, checks every
+    field.  The runs in ``mask`` are the only copy of the mask it holds:
+    ``area`` and the check that ``bbox`` holds every set pixel come from
+    them, with nothing decoded; ``window`` decodes the bits over any box and
+    ``iou`` counts the IoU with another instance from the two masks' runs.
     """
 
     mask: RleMask
@@ -306,8 +307,9 @@ class MaskInstance:
                 f"unknown component {self.component!r}; expected one of {COMPONENTS}")
         if not (0.0 <= self.score <= 1.0):
             raise DataValidationError(f"score {self.score} outside [0, 1]")
-        if self.scale <= 0:
-            raise DataValidationError(f"scale must be positive, got {self.scale}")
+        if not (0 < self.scale < math.inf):
+            raise DataValidationError(
+                f"scale must be positive and finite, got {self.scale}")
         if self.bbox.x1 > self.mask.width or self.bbox.y1 > self.mask.height:
             raise DataValidationError(
                 f"bbox {self.bbox} exceeds the {self.mask.height}x"
@@ -319,16 +321,6 @@ class MaskInstance:
             raise DataValidationError(
                 f"bbox {self.bbox} does not enclose the mask extent {extent}")
         self.__dict__["area"] = area
-
-    def _at_scale(self, scale: float, uid: int | None) -> "MaskInstance":
-        """This instance at another ``scale`` under another ``uid``.  The
-        mask and box are the same, so the area is shared instead of decoded
-        and checked again."""
-        if scale <= 0:
-            raise DataValidationError(f"scale must be positive, got {scale}")
-        twin = object.__new__(MaskInstance)
-        twin.__dict__.update(self.__dict__, scale=scale, uid=uid)
-        return twin
 
     def window(self, box: BBox) -> np.ndarray:
         """This instance's bits over ``box``, empty outside ``bbox``."""

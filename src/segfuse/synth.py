@@ -14,6 +14,8 @@ alpha maps.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -22,7 +24,7 @@ from .bundle import PredictionBundle
 from .errors import DataValidationError
 from .grids import LogitMap, AttentionMap, bilinear_resize, scaled_dim
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
-                    MaskInstance, rle_encode, tight_bbox, iou)
+                    MaskInstance, _run_extent, rle_encode, iou)
 
 _BACKGROUND_BIAS = 0.5
 # largest scale a fixture is rendered at: 4x the canvas on each axis
@@ -44,19 +46,12 @@ def _shift(bits: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def _dilate(bits: np.ndarray, iterations: int) -> np.ndarray:
+def _morph(bits: np.ndarray, iterations: int, op) -> np.ndarray:
+    """Dilate (``op=np.bitwise_or``) or erode (``np.bitwise_and``) by a cross."""
     out = bits
     for _ in range(iterations):
-        out = (out | _shift(out, 1, 0) | _shift(out, -1, 0)
-               | _shift(out, 0, 1) | _shift(out, 0, -1))
-    return out
-
-
-def _erode(bits: np.ndarray, iterations: int) -> np.ndarray:
-    out = bits
-    for _ in range(iterations):
-        out = (out & _shift(out, 1, 0) & _shift(out, -1, 0)
-               & _shift(out, 0, 1) & _shift(out, 0, -1))
+        out = functools.reduce(op, (out, _shift(out, 1, 0), _shift(out, -1, 0),
+                                    _shift(out, 0, 1), _shift(out, 0, -1)))
     return out
 
 
@@ -122,10 +117,8 @@ def _perturb(rng, bits: np.ndarray, magnitude: int) -> np.ndarray:
     out = _shift(bits, dy, dx)
     op = rng.integers(0, 3)
     iters = min(int(rng.integers(1, magnitude + 1)), cap)
-    if op == 0:
-        out = _dilate(out, iters)
-    elif op == 1:
-        out = _erode(out, iters)
+    if op < 2:
+        out = _morph(out, iters, (np.bitwise_or, np.bitwise_and)[op])
     return out
 
 
@@ -212,14 +205,13 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
                     1, h, w)
         comps = _object_components(rng, win, cy, cx, ry, rx)
         for name in COMPONENTS:
-            box = tight_bbox(comps[name])
-            if box is None:
+            if not comps[name].any():
                 raise DataValidationError(
                     f"objects: object {k}'s {name} covers no pixel on a "
                     f"{h}x{w} canvas")
+            mask = rle_encode(comps[name], win, h, w)
             ground_truth.append(MaskInstance(
-                mask=rle_encode(comps[name], win, h, w),
-                bbox=box.shifted(win.x0, win.y0), component=name,
+                mask=mask, bbox=_run_extent(mask), component=name,
                 object_id=k, score=1.0, model_id="gt", scale=1.0,
                 uid=len(ground_truth)))
         gt_objects.append((win, comps))
@@ -240,15 +232,13 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
             for name in COMPONENTS:
                 truth = _paste(comps[name], win, grown)
                 bits = _perturb(rng, truth, magnitude)
-                box = tight_bbox(bits)
-                if box is None:
+                if not bits.any():
                     continue  # the perturbation erased it: a missed component
                 union[name][grown.slices] |= bits
                 score = min(1.0, max(0.05, round(iou(bits, truth), 4)))
                 scores[name] += score
                 seen[name] += 1
-                predicted.append((rle_encode(bits, grown, h, w),
-                                  box.shifted(grown.x0, grown.y0), score,
+                predicted.append((rle_encode(bits, grown, h, w), score,
                                   model, oid, name))
         mean_scores = {name: (scores[name] / seen[name] if seen[name] else 0.0)
                        for name in COMPONENTS}
@@ -258,15 +248,17 @@ def generate(seed: int = 0, *, objects: int = 4, models: int = 3,
             alpha_maps[(model, scale)] = AttentionMap._own(
                 _alpha_map(sh, sw, 0.01 * mi + 0.02 * si))
 
-    # an instance differs between scales only in its scale and uid, so each
-    # mask is decoded once, for the first scale
-    first = [MaskInstance(mask=rle, bbox=box, component=name, object_id=oid,
-                          score=score, model_id=model, scale=scales[0], uid=uid)
-             for uid, (rle, box, score, model, oid, name) in enumerate(predicted)]
+    # an instance differs between scales only in its scale and uid, so the
+    # later scales' instances are checked copies that share its mask
+    first = [MaskInstance(mask=rle, bbox=_run_extent(rle), component=name,
+                          object_id=oid, score=score, model_id=model,
+                          scale=scales[0], uid=uid)
+             for uid, (rle, score, model, oid, name) in enumerate(predicted)]
     instances = list(first)
     for scale in scales[1:]:
         for inst in first:
-            instances.append(inst._at_scale(scale, len(instances)))
+            instances.append(dataclasses.replace(inst, scale=scale,
+                                                 uid=len(instances)))
 
     return PredictionBundle(
         image_id=f"synth-{seed}", height=h, width=w, models=model_ids,

@@ -1,6 +1,8 @@
 """Mask types, the RLE codec, IoU, and box machinery."""
 
+import dataclasses
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -358,15 +360,15 @@ class TestMaskInstance:
         with pytest.raises(DataValidationError):
             make_instance(block_mask(4, 4, 0, 2, 0, 2), component="pearl")
 
-    def test_at_scale_shares_the_area(self):
-        inst = make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=0.5, uid=3)
-        twin = inst._at_scale(1.0, 9)
-        assert twin == make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=1.0,
-                                     uid=9)
-        assert twin.mask is inst.mask and twin.area == inst.area == 9
-        assert (inst.scale, inst.uid) == (0.5, 3)
-        with pytest.raises(DataValidationError, match="scale must be positive"):
-            inst._at_scale(0.0, 10)
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        # dataclasses.replace runs the constructor's checks on its copy
+        inst = make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=0.5)
+        message = re.escape(f"scale must be positive and finite, got {scale}")
+        with pytest.raises(DataValidationError, match=message):
+            make_instance(block_mask(6, 6, 1, 4, 2, 5), scale=scale)
+        with pytest.raises(DataValidationError, match=message):
+            dataclasses.replace(inst, scale=scale)
 
     def test_tight_bbox_of_empty_mask(self):
         assert tight_bbox(np.zeros((3, 3), dtype=bool)) is None

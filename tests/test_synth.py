@@ -200,24 +200,25 @@ class TestWindowPerturbation:
 
 
 def test_each_mask_is_decoded_once(monkeypatch):
-    # at most once, and now never: construction checks each box from its
-    # mask's runs, one extent per mask, and the later scales share it
+    # at most once, and now never: every instance, the later scales' too,
+    # is built by the checked constructor, which decodes nothing, and the
+    # later scales share the first scale's mask
     import segfuse.masks as masks
     calls = []
-    extent = masks._run_extent
+    post_init = masks.MaskInstance.__post_init__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return extent(*args, **kwargs)
+    def counted(self):
+        calls.append(self)
+        post_init(self)
 
     def decode(*args, **kwargs):
         raise AssertionError("a mask was decoded")
 
-    monkeypatch.setattr(masks, "_run_extent", counted)
+    monkeypatch.setattr(masks.MaskInstance, "__post_init__", counted)
     monkeypatch.setattr(masks, "rle_decode", decode)
     bundle = generate(3, objects=4, models=3, scales=(0.25, 0.5, 1.0))
+    assert len(calls) == len(bundle.instances) + len(bundle.ground_truth)
     per_scale = len(bundle.instances) // 3
-    assert len(calls) == len(bundle.ground_truth) + per_scale
     first, later = bundle.instances[:per_scale], bundle.instances[per_scale:]
     for k, inst in enumerate(later):
         twin = first[k % per_scale]
