@@ -119,12 +119,12 @@ def _load_again(path, args, first):
 
 
 def _load_calib(args, parser, bundle):
-    if args.weights_mode == "uniform":
-        return None
-    if not args.calib:
+    if args.weights_mode == "ap" and not args.calib:
         parser.error("--weights ap requires --calib MANIFEST "
                      "(name the weight-calibration split explicitly)")
-    return _load_again(args.calib, args, bundle)
+    # a named manifest is read and checked under any weights; uniform
+    # weights use none of its APs
+    return args.calib and _load_again(args.calib, args, bundle)
 
 
 def _cmd_synth(args, parser) -> int:

@@ -22,14 +22,15 @@ the package:
   Every element sees the same operations in the same order, so the band
   height changes no byte.
 - One lerp core, ``_lerp``, builds any rows x cols window of a resample
-  from the taps of those rows and columns; ``bilinear_resize`` runs it over
-  the whole output.  A window can leave out an output pixel whose four
-  taps read zeros: such a pixel lerps to exactly +0.0.
+  from the taps of those rows and columns.  ``_resample_rows`` streams every
+  whole level through it (``bilinear_resize``, ``run_inference_chain``, the
+  pipeline's fold and final resize); a per-object window can leave out an
+  output pixel whose four taps read zeros: such a pixel lerps to +0.0.
 - A same-size resample is that lerp at t = 0, ``v + (w - v) * 0``, which
   returns every value bit for bit except a -0.0, which may become +0.0.
-  So rows that hold no -0.0 (``_negative_zeros``, counted band by band)
-  are their own resample and are not lerped; the input grid itself comes
-  back when the lerp changes no bit.
+  So in ``_resample_rows`` rows that hold no -0.0 (``_negative_zeros``)
+  are their own resample and are not lerped; ``bilinear_resize`` returns
+  the input grid itself when the lerp changes no bit.
 - Reductions across the channels of a row (sum, max, argmax) run as one
   elementwise pass per column, left to right, never as numpy's per-row
   reduction: a sum adds the columns in ascending index order, not
@@ -174,7 +175,9 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     zeros = _negative_zeros(a.data) if same else 0
     if same and not zeros:
         return a
-    out = _lerp(a.data, _taps(a.height, out_h), _taps(a.width, out_w))
+    out = np.empty((out_h, out_w, a.channels), dtype=np.float32)
+    for q0, rows in _resample_rows([(0, a.data)], a.shape[:2], out_h, out_w):
+        out[q0:q0 + len(rows)] = rows
     # at t = 0 the lerp can only turn a -0.0 into +0.0
     return a if same and _negative_zeros(out) == zeros else LogitMap._own(out)
 
@@ -228,6 +231,49 @@ def _lerp(src: np.ndarray, ys, xs) -> np.ndarray:
         # rounded once, to float32, as it is written into the output
         np.add(top, bottom, out=out[band])
     return out
+
+
+def _resample_rows(bands, shape: tuple[int, int], height: int, width: int):
+    """Yield ``(r0, rows)`` for each band of ``_band_rows`` rows of a level
+    of ``shape`` resampled to a height x width grid, from ``bands``, the
+    level's ``(r0, rows)`` bands in order, of any height: the one resampler
+    of every whole level.
+
+    An output band is built once the last level row its ``_taps`` read
+    has arrived, and a level band is dropped once no later output row
+    reads it.  The tapped rows are lerped, except that on equal grids
+    level rows that hold no -0.0 are their own resample and pass on as
+    they are."""
+    same = shape == (height, width)
+    ys, xs = _taps(shape[0], height), _taps(shape[1], width)
+    held = []  # (r0, rows) of the level bands a later output row reads
+    step = _band_rows(width)
+    q0 = 0
+    for r0, band in bands:
+        held.append((r0, band))
+        while q0 < height:
+            q1 = min(q0 + step, height)
+            lo, hi = ys[0][q0], ys[1][q1 - 1] + 1
+            if hi > r0 + len(band):
+                break  # a row it taps has not arrived
+            keep = same and not _negative_zeros(_held_rows(held, q0, q1))
+            # yielded as it is built, so that no local holds it while the
+            # next band is built
+            yield q0, (_held_rows(held, q0, q1) if keep else
+                       _lerp(_held_rows(held, lo, hi),
+                             [ys[0][q0:q1] - lo, ys[1][q0:q1] - lo,
+                              ys[2][q0:q1]], xs))
+            q0 = q1
+            first = ys[0][q0] if q0 < height else shape[0]
+            held = [(b0, b) for b0, b in held if b0 + len(b) > first]
+
+
+def _held_rows(held, lo: int, hi: int) -> np.ndarray:
+    """Level rows [lo, hi) from ``held``'s bands: a band itself when it is
+    all of them, a view of one band, or the pieces of several joined."""
+    parts = [b if lo <= b0 and b0 + len(b) <= hi else b[max(lo - b0, 0):hi - b0]
+             for b0, b in held if b0 < hi and lo < b0 + len(b)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

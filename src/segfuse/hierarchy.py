@@ -6,11 +6,11 @@ The fold starts at the coarsest scale; the finest level's gate is never
 consumed.
 
 One row core, ``_fold_rows``, blends some upsampled rows under their
-clamped gate in ``fusion.weighted_average``.  The pipeline's band pass
-folds each band it builds through it, upsampled by its streaming
-resampler; ``run_inference_chain``, the whole-frame form of that fold,
-kept as library API and as a test oracle, lerps each band through
-``grids._lerp``.
+clamped gate in ``fusion.weighted_average``, from the coarser rows with
+their gate as a last channel, upsampled by ``grids._resample_rows``: the
+pipeline's band pass folds each band it builds so, and
+``run_inference_chain``, the whole-frame form of that fold, kept as
+library API and as a test oracle, feeds it its levels band by band.
 """
 
 from __future__ import annotations
@@ -19,19 +19,19 @@ from typing import Sequence
 
 from .errors import DataValidationError, ShapeError
 from .fusion import weighted_average
-from .grids import AttentionMap, LogitMap, _band_rows, _lerp, _taps
+from .grids import AttentionMap, LogitMap, _band_rows, _resample_rows
 
 import numpy as np
 
 
-def _fold_rows(up: np.ndarray, gate: np.ndarray,
-               finer: np.ndarray) -> np.ndarray:
+def _fold_rows(up: np.ndarray, finer: np.ndarray) -> np.ndarray:
     """Some rows of the fold of a coarser level into a finer grid:
-    ``finer`` holds those rows of the finer level, ``up`` and ``gate``
-    (rows x width x 1) the same rows of the coarser level and of its gate,
-    upsampled onto the finer grid.  The gate is clamped to [0, 1]."""
-    gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
-    return weighted_average([up, finer], [gate, np.float32(1) - gate])
+    ``finer`` holds those rows of the finer level, ``up`` the same rows of
+    the coarser level, upsampled onto the finer grid, with its upsampled
+    gate as a last channel.  The gate is clamped to [0, 1]."""
+    gate = np.minimum(np.maximum(up[..., -1:], np.float32(0)), np.float32(1))
+    return weighted_average([np.ascontiguousarray(up[..., :-1]), finer],
+                            [gate, np.float32(1) - gate])
 
 
 def run_inference_chain(
@@ -42,7 +42,7 @@ def run_inference_chain(
     Every level but the finest needs an alpha map on its own grid and the
     next level's channel count; every level is checked before any is
     folded.  A single level returns its logits unchanged; k levels perform
-    exactly k - 1 folds.
+    exactly k - 1 folds.  A coarser level meets its alpha band by band.
     """
     if not levels:
         raise DataValidationError("scale chain cannot be empty")
@@ -58,14 +58,13 @@ def run_inference_chain(
                 f"channel counts differ: {lower.channels} vs {finer.channels}")
     acc = levels[0][0]
     for (_, alpha), (finer, _) in zip(levels, levels[1:]):
-        ys, xs = _taps(acc.height, finer.height), _taps(acc.width, finer.width)
+        step = _band_rows(acc.width)
+        bands = ((r0, np.concatenate((acc.data[r0:r0 + step],
+                                      alpha.data[r0:r0 + step, :, None]),
+                                     axis=2))
+                 for r0 in range(0, acc.height, step))
         out = np.empty_like(finer.data)
-        step = _band_rows(finer.width)
-        for r0 in range(0, finer.height, step):
-            band = slice(r0, r0 + step)
-            rows = [t[band] for t in ys]
-            out[band] = _fold_rows(_lerp(acc.data, rows, xs),
-                                   _lerp(alpha.data[:, :, None], rows, xs),
-                                   finer.data[band])
+        for q0, up in _resample_rows(bands, acc.shape[:2], *finer.shape[:2]):
+            out[q0:q0 + len(up)] = _fold_rows(up, finer.data[q0:q0 + len(up)])
         acc = LogitMap._own(out)
     return acc

@@ -22,11 +22,11 @@ Every band loop takes its height from ``grids._band_rows`` for the width
 it walks, so a band's temporaries do not grow with the width.  A coarser
 scale's bands carry its gate as a last channel; the next finer pass pulls
 them as it folds them in, upsampled onto its own bands by the one
-streaming resampler, ``_reference_rows``.  That resampler also
-takes the finest scale's bands to the reference grid, where they are
-labeled by their argmax (``_emit``) and handed to a sink: the in-memory
-``_Frames`` or the CLI's ``_PipelineFiles``.  The carving reads its
-regions' rows back from the sink.
+streaming resampler, ``grids._resample_rows``, which also takes the finest
+scale's bands to the reference grid, where they are labeled by their
+argmax (``_emit``) and handed to a sink: the in-memory ``_Frames`` or the
+CLI's ``_PipelineFiles``.  The carving reads its regions' rows back from
+the sink.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .formats import (_overlay_header, _overlay_pixels, _payload,
 from .fusion import (FusionWeights, compute_weights, fuse_logits, fuse_masks,
                      weighted_average)
 from .grids import (AttentionMap, LogitMap, _band_rows, _frozen, _lerp,
-                    _negative_zeros, _row_max, _taps, argmax_channel,
+                    _resample_rows, _row_max, _taps, argmax_channel,
                     scaled_dim, softmax_rows)
 from .hierarchy import _fold_rows
 from .masks import (COMPONENT_GAIN, COMPONENT_IDS, COMPONENTS, BBox,
@@ -361,7 +361,7 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     reads each model's rows of logits from ``maps``, ensembles them, gates
     and blends them with the per-object planes that cross the band, and
     folds in the coarser bands under the gate they carry, upsampled onto
-    the band by ``_reference_rows``.  Each logit and alpha map is opened
+    the band by ``grids._resample_rows``.  Each logit and alpha map is opened
     once, when the first band is pulled, and no whole frame is built."""
     height, width = sub.height, sub.width
     scale = sub.scales[0]
@@ -388,8 +388,8 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
             for m in sub.models if ("alpha_maps", m, scale) in maps}
         if coarser is not None:  # its pass is closed with this one
             rows, shape = coarser
-            ups = _reference_rows(stack.enter_context(closing(rows)), shape,
-                                  sh, sw)
+            ups = _resample_rows(stack.enter_context(closing(rows)), shape,
+                                 sh, sw)
         step = _band_rows(sw)
         for r0 in range(0, sh, step):
             r1 = min(r0 + step, sh)
@@ -403,8 +403,7 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
             del ens, beta  # so that neither is held at the yield
             if coarser is not None:
                 _, up = next(ups)
-                band = _fold_rows(np.ascontiguousarray(up[..., :-1]),
-                                  up[..., -1:], band)
+                band = _fold_rows(up, band)
                 del up
             if not finest:
                 band = np.concatenate((band, _mean_alpha(sub.models, {
@@ -514,50 +513,6 @@ def _emit(sink, bands) -> None:
         del logits  # so that it is not held while the next band is built
 
 
-def _reference_rows(bands, shape: tuple[int, int], height: int, width: int):
-    """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
-    a level resampled to a height x width grid, as ``bilinear_resize``
-    resamples the whole level, from ``bands``, its bands, of ``shape``:
-    the one resampler of a streamed level, for the scale fold and for the
-    final resize to the reference grid.
-
-    An output band is built once the last level row its ``_taps`` read
-    has arrived, and a level band is dropped once no later output row
-    reads it.  The tapped rows are lerped, except that on equal grids
-    level rows that hold no -0.0 are their own resample and pass on as
-    they are."""
-    same = shape == (height, width)
-    ys, xs = _taps(shape[0], height), _taps(shape[1], width)
-    held = []  # (r0, rows) of the level bands a later output row reads
-    step = _band_rows(width)
-    q0 = 0
-    for r0, band in bands:
-        held.append((r0, band))
-        while q0 < height:
-            q1 = min(q0 + step, height)
-            lo, hi = ys[0][q0], ys[1][q1 - 1] + 1
-            if hi > r0 + len(band):
-                break  # a row it taps has not arrived
-            keep = same and not _negative_zeros(_held_rows(held, q0, q1))
-            # yielded as it is built, so that no local holds it while the
-            # next band is built
-            yield q0, (_held_rows(held, q0, q1) if keep else
-                       _lerp(_held_rows(held, lo, hi),
-                             [ys[0][q0:q1] - lo, ys[1][q0:q1] - lo,
-                              ys[2][q0:q1]], xs))
-            q0 = q1
-            first = ys[0][q0] if q0 < height else shape[0]
-            held = [(b0, b) for b0, b in held if b0 + len(b) > first]
-
-
-def _held_rows(held, lo: int, hi: int) -> np.ndarray:
-    """Level rows [lo, hi) from ``held``'s bands: a band itself when it is
-    all of them, a view of one band, or the pieces of several joined."""
-    parts = [b if lo <= b0 and b0 + len(b) <= hi else b[max(lo - b0, 0):hi - b0]
-             for b0, b in held if b0 < hi and lo < b0 + len(b)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 @dataclass(frozen=True)
 class PipelineResult:
     """What ``run_pipeline`` returns; ``final_logits`` and ``labels`` are
@@ -619,7 +574,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                              finest=sub is subs[-1]),
                  (scaled_dim(height, scale), scaled_dim(width, scale)))
     bands, shape = level
-    _emit(frames, _reference_rows(bands, shape, height, width))
+    _emit(frames, _resample_rows(bands, shape, height, width))
 
     with frames.rows() as rows:
         instances = _label_instances(bundle, rows, cfg)

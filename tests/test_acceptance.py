@@ -166,8 +166,8 @@ def test_04_scalar_oracle_reproduces_engine_bitwise():
                    None if al is None else AttentionMap.from_array(al))
                   for a, al in zip(arrays, alphas)]
         engine_chain = run_inference_chain(levels)
-        assert np.array_equal(engine_chain.data,
-                              chain_ref(list(zip(arrays, alphas))))
+        assert (engine_chain.data.tobytes()
+                == chain_ref(list(zip(arrays, alphas))).tobytes())
 
 
 def _ap_candidates():

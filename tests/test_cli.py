@@ -472,6 +472,13 @@ class TestDroppedMapsStillValidated:
             "evaluate", good, bad, "--out", f"{out}/report.json"],
         "pipeline-calib": lambda good, bad, out: [
             "pipeline", good, "--calib", bad, "--out-dir", out],
+        # uniform weights use no AP, but a named manifest is still checked
+        "fuse-calib-uniform": lambda good, bad, out: [
+            "fuse", good, "--weights", "uniform", "--calib", bad,
+            "--out-dir", out],
+        "pipeline-calib-uniform": lambda good, bad, out: [
+            "pipeline", good, "--weights", "uniform", "--calib", bad,
+            "--out-dir", out],
     }
 
     @pytest.mark.parametrize("site", sorted(SITES))
@@ -503,6 +510,21 @@ class TestDroppedMapsStillValidated:
         assert re.search(rf"{field}\[1\]: .*{message}", captured.err), \
             captured.err
         assert captured.err.count(f"{field}[1]") == 1, captured.err
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "pipeline"])
+    def test_missing_calib_exits_two_under_uniform_weights(
+            self, tmp_path, capsys, map_fixture, command):
+        missing = tmp_path / "nowhere" / "calib.json"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, str(map_fixture / "manifest.json"), "--weights",
+                     "uniform", "--calib", str(missing),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"manifest not found: {missing}" in captured.err
+        assert "Traceback" not in captured.err
         assert "wrote" not in captured.out
         assert not out.exists()
 

@@ -155,18 +155,37 @@ class TestRunInferenceChain:
             run_inference_chain(levels)
         assert calls == []
 
-    def test_matches_scalar_oracle_bitwise(self, rng):
-        arrays = [rng.normal(scale=2.0, size=(4, 4, 3)).astype(np.float32),
-                  rng.normal(scale=2.0, size=(8, 8, 3)).astype(np.float32),
-                  rng.normal(scale=2.0, size=(16, 16, 3)).astype(np.float32)]
-        alphas = [rng.uniform(size=(4, 4)).astype(np.float32),
-                  rng.uniform(size=(8, 8)).astype(np.float32), None]
+    @staticmethod
+    def check_against_oracle(rng, grids):
+        # -0.0 planted in the logits and alphas: compared as bytes, the
+        # fold must keep or flip each one as the oracle does
+        arrays = [signed_zeros(rng, rng.normal(scale=2.0, size=(*g, 3))
+                               .astype(np.float32), share=0.2)
+                  for g in grids]
+        alphas = [signed_zeros(rng, rng.uniform(size=g).astype(np.float32),
+                               share=0.2) for g in grids[:-1]] + [None]
         levels = [(LogitMap.from_array(a),
                    None if al is None else AttentionMap.from_array(al))
                   for a, al in zip(arrays, alphas)]
         got = run_inference_chain(levels)
         want = chain_ref(list(zip(arrays, alphas)))
-        assert np.array_equal(got.data, want)
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_matches_scalar_oracle_bitwise(self, rng):
+        self.check_against_oracle(rng, ((4, 4), (8, 8), (16, 16)))
+
+    # grids of each level, coarsest first: a 130 x 97 level, two bands of
+    # 84 rows, folded into two bands of 42; non-dyadic ratios; equal grids,
+    # as scales 0.999 and 1.0 round on a 70 x 128 frame (bands of 64 rows);
+    # a 1-row coarsest level
+    @pytest.mark.parametrize("grids", [
+        ((130, 97), (260, 194)),
+        ((5, 7), (13, 11), (30, 17)),
+        ((70, 128), (70, 128)),
+        ((1, 9), (6, 18)),
+    ], ids=["several-bands", "non-dyadic", "equal-grids", "one-row"])
+    def test_matches_scalar_oracle_bitwise_beyond_one_band(self, rng, grids):
+        self.check_against_oracle(rng, grids)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(DataValidationError):

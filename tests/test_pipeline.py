@@ -16,7 +16,7 @@ from segfuse.errors import DataValidationError
 from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
 from segfuse.grids import (AttentionMap, LogitMap, _band_rows,
-                           argmax_channel, bilinear_resize)
+                           _resample_rows)
 from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
@@ -25,7 +25,8 @@ from segfuse.pipeline import (_fuse_global, _fusion_weights,
 from segfuse.synth import generate
 
 from conftest import block_mask, make_instance
-from reference import fuse_logits_ref, label_instances_ref, mean_alpha_ref
+from reference import (argmax_ref, bilinear_gather_ref, fuse_logits_ref,
+                       label_instances_ref, mean_alpha_ref)
 
 # a 128-wide grid walks 64-row bands
 WIDTH = 128
@@ -364,7 +365,7 @@ def test_carving_equals_whole_frame_oracle(case):
 def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     # at scales 0.999 and 1.0 both levels round to one grid, so the band
     # pass folds equal grids, where a resample keeps every value but the
-    # -0.0 that bilinear_resize's same-size rule flips.  The coarser level
+    # -0.0 that a lerp at t = 0 flips.  The coarser level
     # is swapped for one full of signed zeros, beside negative neighbours
     # and positive ones, so every case of that rule occurs
     bundle = generate(2, objects=1, height=height, width=WIDTH,
@@ -413,10 +414,9 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
     assert np.signbit(lower.data[lower.data == 0]).any()
     assert (run_inference_chain([(lower, alpha), (finer, None)]).data.tobytes()
             == folded.data.tobytes())
-    # the rule itself, as bilinear_resize applies it to whole frames
-    up = bilinear_resize(lower, height, WIDTH).data
-    gate = bilinear_resize(LogitMap.from_array(alpha.data), height,
-                           WIDTH).data
+    # the rule itself, as the gather oracle resamples whole frames
+    up = bilinear_gather_ref(lower.data, height, WIDTH)
+    gate = bilinear_gather_ref(alpha.data[:, :, None], height, WIDTH)
     gate = np.minimum(np.maximum(gate, np.float32(0.0)), np.float32(1.0))
     assert (weighted_average([up, finer.data], [gate, np.float32(1) - gate])
             .tobytes() == folded.data.tobytes())
@@ -488,8 +488,8 @@ def _streamed(level, height, width):
     step = _band_rows(level.shape[1])
     bands = ((r0, level[r0:r0 + step].copy())
              for r0 in range(0, len(level), step))
-    pipeline._emit(sink, pipeline._reference_rows(bands, level.shape[:2],
-                                                  height, width))
+    pipeline._emit(sink, _resample_rows(bands, level.shape[:2], height,
+                                        width))
     assert [b[0] for b in sink.bands] == list(range(0, height,
                                                     _band_rows(width)))
     return sink.frames()
@@ -513,11 +513,11 @@ def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
     if height > 64:
         frame[64] = np.where(cols % 4 == 2, -0.0, -1.5)
     frame[:, -1] = -0.0
-    want = bilinear_resize(LogitMap.from_array(frame), height, width)
+    want = bilinear_gather_ref(frame, height, width)
     logits, labels = _streamed(frame, height, width)
-    assert logits.tobytes() == want.data.tobytes()
-    assert labels.tobytes() == argmax_channel(want).tobytes()
-    kept = np.signbit(want.data) & (want.data == 0)
+    assert logits.tobytes() == want.tobytes()
+    assert labels.tobytes() == argmax_ref(want).tobytes()
+    kept = np.signbit(want) & (want == 0)
     assert not kept[-1].any() and not kept[:, -1].any()
     if height > 64:
         # row 63 keeps its zeros where row 64 is negative, flips the others
@@ -526,16 +526,17 @@ def test_streamed_same_size_resize_is_the_whole_frame_resize(height):
 
 
 def test_equal_grid_stream_passes_bands_on_and_holds_no_stale_band():
-    # five level bands and 7 rows; bands 1 and 5 hold a -0.0 beside
-    # positive neighbours, which the resample turns to +0.0.  Every other
-    # band is its own resample and passes on as the level band itself, and
-    # no level band is still held while the band two after it is built
+    # five level bands and 7 rows; bands 1, 3 and 5 hold a -0.0 beside
+    # positive neighbours, which the resample turns to +0.0, band 3 on its
+    # first row, which band 2's last row taps.  Every other band is its own
+    # resample and passes on as the level band itself, and no level band is
+    # still held while the band two after it is built
     height, width = 5 * ROWS + 7, WIDTH
     assert _band_rows(width) == ROWS
     frame = np.random.default_rng(0).uniform(
         0.5, 2.0, size=(height, width, 5)).astype(np.float32)
-    frame[ROWS + 3, 4, 1] = frame[-1, -1, -1] = -0.0
-    want = bilinear_resize(LogitMap.from_array(frame), height, width).data
+    frame[ROWS + 3, 4, 1] = frame[3 * ROWS, 7, 2] = frame[-1, -1, -1] = -0.0
+    want = bilinear_gather_ref(frame, height, width)
     assert not np.signbit(want[ROWS + 3, 4, 1])
     refs = []
 
@@ -548,10 +549,10 @@ def test_equal_grid_stream_passes_bands_on_and_holds_no_stale_band():
             yield r0, band
 
     built = []
-    for q0, rows in pipeline._reference_rows(level_bands(), (height, width),
-                                             height, width):
+    for q0, rows in _resample_rows(level_bands(), (height, width), height,
+                                   width):
         k = q0 // ROWS
-        assert (rows is refs[k]()) == (k not in (1, 5))
+        assert (rows is refs[k]()) == (k not in (1, 3, 5))
         assert rows.tobytes() == want[q0:q0 + ROWS].tobytes()
         built.append(q0)
         del rows  # so that the loop holds no band while the next is built
@@ -574,10 +575,10 @@ def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
     level = np.random.default_rng(shape[0]).normal(
         scale=3.0, size=(*shape, 5)).astype(np.float32)
     level[::7, ::5] = -0.0
-    want = bilinear_resize(LogitMap.from_array(level), *ref)
+    want = bilinear_gather_ref(level, *ref)
     logits, labels = _streamed(level, *ref)
-    assert logits.tobytes() == want.data.tobytes()
-    assert labels.tobytes() == argmax_channel(want).tobytes()
+    assert logits.tobytes() == want.tobytes()
+    assert labels.tobytes() == argmax_ref(want).tobytes()
 
 
 def _held_at_writes(bundle):
