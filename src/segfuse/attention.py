@@ -64,12 +64,17 @@ def local_attention(d: np.ndarray, f: float) -> np.ndarray:
 
 
 def row_normalize(a) -> np.ndarray:
-    """Divide each row by its sum (ascending-order accumulation)."""
+    """Divide each row by its sum (ascending-order accumulation).  A NaN,
+    an inf, or an entry past float64's largest value over twice the row
+    length, where a row sum could overflow, raises before any arithmetic."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected 2D matrix, got ndim={m.ndim}")
-    if m.size and m.min() < 0:
+    if m.size and not m.min() >= 0:  # NaN too
         raise DataValidationError("attention entries must be nonnegative")
+    # 2·n·max(m) bounds every rounded row sum; Python floats overflow unwarned
+    if m.size and not np.isfinite(2.0 * m.shape[1] * float(m.max())):
+        raise DataValidationError("attention row sums must be finite")
     sums = _row_sums(m)
     if (sums == 0).any():
         raise DegenerateAttentionError("cannot normalize an all-zero attention row")

@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand-factor", type=float,
                    help="expansion of each object's bounding box (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over independent objects; output is identical "
-                        "for any value (default 1)")
+                   help="checked to be >= 1; starts no thread, the engine "
+                        "runs on one (default 1)")
     p.set_defaults(**_CONFIG_DEFAULTS, run=_cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="AP tables of predictions vs ground truth")

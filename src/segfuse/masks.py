@@ -244,7 +244,7 @@ def expand_bbox(b: BBox, factor: float, image_h: int, image_w: int) -> BBox:
     The result always encloses ``b`` (before clamping can only grow) and
     never exits [0, image_w) x [0, image_h).
     """
-    if factor < 1.0:
+    if not factor >= 1.0:  # NaN too
         raise DataValidationError(f"expansion factor must be >= 1, got {factor}")
     cx = (b.x0 + b.x1) / 2.0
     cy = (b.y0 + b.y1) / 2.0

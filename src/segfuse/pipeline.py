@@ -5,7 +5,7 @@ Weight plumbing: the whole-frame ensemble fuses channel c with the vertical
 per-object local ensembles use that object's horizontal weights.  All
 weighted sums and blends inherit the deterministic ordering rules of the
 fusion and grids modules, so a fixed (manifest, config) pair reproduces
-byte-identical outputs regardless of worker count.
+byte-identical outputs.  The engine runs on one thread.
 
 An object's local ensemble (``_local_map``) is one read-only float32 plane
 per component channel over that channel's support, the union across
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -65,12 +64,9 @@ PIPELINE_MODEL_ID = "pipeline"
 
 
 def _pmap(fn, items, workers: int) -> list:
-    """Order-preserving map over pure tasks; identical output for any worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` over ``items`` in order, on the calling thread; ``workers`` is
+    unread, kept where the benchmark's tracer reads it."""
+    return [fn(x) for x in items]
 
 
 def _ap_table(calib: PredictionBundle, mode: str,
@@ -348,8 +344,7 @@ def _grid_rows(grid):
 
 
 def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
-                cfg: PipelineConfig, workers: int, coarser=None,
-                finest=False):
+                cfg: PipelineConfig, coarser=None, finest=False):
     """Yield ``(r0, rows)`` for each band of ``grids._band_rows`` rows of
     the fused frame of ``sub``, the image at one scale, under that scale's
     ``weights``, with ``coarser``, the next coarser scale's pass and grid
@@ -378,7 +373,7 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
 
     objects = list(zip(regions_s.values(), _pmap(
         lambda oid: _local_map(sub, oid, regions_ref[oid], regions_s[oid],
-                               horizontal[oid]), regions_s, workers)))
+                               horizontal[oid]), regions_s, workers=1)))
     with ExitStack() as stack:
         reads = {m: stack.enter_context(maps["logit_maps", m, scale][1]())
                  for m in sub.models}
@@ -527,13 +522,13 @@ class PipelineResult:
 def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
                  cfg: PipelineConfig, workers: int = 1,
                  maps: dict | None = None, sink=None) -> PipelineResult:
-    """Ensemble logits, local attention, and the coarse-to-fine fold;
-    ``workers`` threads run the per-object stage.  Maps are read from
-    ``maps`` as ``load_manifest(path, maps={})`` fills it, or else from the
-    bundle.  Each scale's bands are folded into the next finer scale's
-    pass as it pulls them; the finest scale's bands, resampled to the
-    reference grid, go with their argmax labels to ``sink``: by default an
-    in-memory one, whose frame and labels the result holds, or the CLI's
+    """Ensemble logits, local attention, and the coarse-to-fine fold on
+    one thread; ``workers`` must be >= 1.  Maps are read from ``maps`` as
+    ``load_manifest(path, maps={})`` fills it, or else from the bundle.
+    Each scale's bands are folded into the next finer scale's pass as it
+    pulls them; the finest scale's bands, resampled to the reference grid,
+    go with their argmax labels to ``sink``: by default an in-memory one,
+    whose frame and labels the result holds, or the CLI's
     ``_PipelineFiles``, which writes them to files; the carving reads its
     regions' rows back from the sink."""
     if workers < 1:
@@ -570,7 +565,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     level = None  # a scale's pass, unpulled, and its grid
     for sub in subs:
         scale = sub.scales[0]
-        level = (_fuse_scale(sub, maps, weights, cfg, workers, level,
+        level = (_fuse_scale(sub, maps, weights, cfg, level,
                              finest=sub is subs[-1]),
                  (scaled_dim(height, scale), scaled_dim(width, scale)))
     bands, shape = level

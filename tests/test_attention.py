@@ -128,6 +128,19 @@ class TestRowNormalize:
         with pytest.raises(DegenerateAttentionError):
             row_normalize(np.array([[0.0, 0.0]]))
 
+    def test_non_finite_rows_are_rejected_without_a_warning(self):
+        # NaN once passed `m.min() < 0` and came back as a NaN row; inf and
+        # an overflowing sum printed numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in ([[np.nan, 1.0]], [[np.inf, 1.0]], [[1e308, 1e308]]):
+                with pytest.raises(DataValidationError):
+                    row_normalize(np.array(rows))
+            # the largest entries the bound admits still normalize
+            top = np.finfo(np.float64).max / 4.0
+            assert row_normalize(np.array([[top, top]])).tolist() == [
+                [0.5, 0.5]]
+
 
 class TestAttentionToMap:
     def test_whole_canvas_uniform(self):

@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import struct
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -637,6 +638,23 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "workers" in err and "Traceback" not in err
+
+    def test_workers_start_no_thread(self, tmp_path, monkeypatch):
+        # the engine runs on one thread; --workers is only checked
+        out = tmp_path / "fx"
+        assert main(["synth", "--seed", "3", "--out-dir", str(out),
+                     "--height", "64", "--width", "64", "--objects", "4"]) == 0
+        start, started = threading.Thread.start, []
+
+        def spied(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spied)
+        manifest = str(out / "manifest.json")
+        assert main(["pipeline", manifest, "--calib", manifest,
+                     "--workers", "4", "--out-dir", str(tmp_path / "o")]) == 0
+        assert started == []
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--expand-factor", "nan", "expand_factor"),

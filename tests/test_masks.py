@@ -272,6 +272,12 @@ class TestExpandBbox:
         with pytest.raises(DataValidationError):
             expand_bbox(BBox(0, 0, 4, 4), 0.9, 10, 10)
 
+    def test_nan_factor_rejected(self):
+        # NaN < 1.0 is False, so a NaN factor once passed the check and
+        # returned the whole image
+        with pytest.raises(DataValidationError, match="got nan"):
+            expand_bbox(BBox(10, 10, 20, 20), float("nan"), 100, 100)
+
     @pytest.mark.parametrize("factor", [1e6, 1e200, 1e308])
     def test_huge_factor_clamps_to_the_image(self, factor):
         # 1e308 * 6 overflows to an infinite half-width

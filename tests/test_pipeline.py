@@ -385,22 +385,19 @@ def test_equal_grid_fold_matches_the_whole_frame_fold(monkeypatch, height):
         return ((r0, data[r0:r0 + step].copy())
                 for r0 in range(0, len(data), step))
 
-    def swapped(sub, maps, weights, cfg, workers, coarser=None,
-                finest=False):
+    def swapped(sub, maps, weights, cfg, coarser=None, finest=False):
         if coarser is None:
-            yield from fuse_scale(sub, maps, weights, cfg, workers,
-                                  finest=finest)
+            yield from fuse_scale(sub, maps, weights, cfg, finest=finest)
             return
         shape = coarser[1]
         lower = LogitMap.from_array(rng.choice(
             np.array([-1.5, -0.0, 0.0, 0.75], np.float32), size=(*shape, 5)))
         alpha = AttentionMap.from_array(rng.choice(
             np.array([-0.0, 0.0, 0.25, 1.0], np.float32), size=shape))
-        finer = frame(fuse_scale(sub, maps, weights, cfg, workers,
-                                 finest=finest))
+        finer = frame(fuse_scale(sub, maps, weights, cfg, finest=finest))
         # the finest scale's frame, from the bands it yields
         level = np.concatenate((lower.data, alpha.data[:, :, None]), axis=2)
-        bands = list(fuse_scale(sub, maps, weights, cfg, workers,
+        bands = list(fuse_scale(sub, maps, weights, cfg,
                                 (banded(level), shape), finest=finest))
         assert [r0 for r0, _ in bands] == list(range(0, len(finer.data),
                                                      ROWS))
