@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
-from .errors import SegfuseError
+from .errors import DataValidationError, SegfuseError
 from .formats import load_manifest, save_manifest, write_json_report
 from .pipeline import (_PipelineFiles, run_evaluate, run_fuse, run_pipeline,
                        write_fuse_outputs)
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expand-factor", type=float,
                    help="expansion of each object's bounding box (default %(default)s)")
     p.add_argument("--workers", type=int, default=1,
-                   help="checked to be >= 1; starts no thread, the engine "
-                        "runs on one (default 1)")
+                   help="checked to be >= 1 before any manifest is read; "
+                        "starts no thread, the engine runs on one (default 1)")
     p.set_defaults(**_CONFIG_DEFAULTS, run=_cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="AP tables of predictions vs ground truth")
@@ -151,6 +151,8 @@ def _cmd_fuse(args, parser) -> int:
 
 
 def _cmd_pipeline(args, parser) -> int:
+    if args.workers < 1:
+        raise DataValidationError("workers must be >= 1")
     cfg = _config_from(args)
     maps = {}  # each scale's tensors are read again when it is fused
     bundle = load_manifest(args.manifest, maps=maps)
@@ -158,7 +160,7 @@ def _cmd_pipeline(args, parser) -> int:
     # the finest scale streams the frame, labels and overlay to files that
     # are renamed into --out-dir only once every output is complete
     with _PipelineFiles(args.out_dir) as files:
-        result = run_pipeline(bundle, calib, cfg, args.workers, maps, files)
+        result = run_pipeline(bundle, calib, cfg, maps, files)
         paths = files.commit(result)
     for path in paths:
         print(f"wrote {path}")

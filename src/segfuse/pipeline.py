@@ -415,7 +415,8 @@ _OUTPUTS = ("fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
 
 class _Frames:
     """The in-memory sink: the reference-grid logits and label grid that
-    ``PipelineResult`` holds, filled a band of rows at a time."""
+    ``PipelineResult`` holds, filled a band of rows at a time and read back
+    by ``rows``."""
 
     def start(self, height: int, width: int, channels: int) -> None:
         self.logits = np.empty((height, width, channels), dtype=np.float32)
@@ -425,30 +426,23 @@ class _Frames:
         self.logits[r0:r0 + len(logits)] = logits
         self.labels[r0:r0 + len(labels)] = labels
 
-    @contextmanager
-    def rows(self):
-        """``read(r0, r1)``: rows [r0, r1) of the logits and of the labels."""
-        yield lambda r0, r1: (self.logits[r0:r1], self.labels[r0:r1])
+    def rows(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows [r0, r1) of the logits and of the labels."""
+        return self.logits[r0:r1], self.labels[r0:r1]
 
 
-class _PipelineFiles:
+class _PipelineFiles(ExitStack):
     """The file sink: the pipeline's outputs, written under their names in
     a staging directory, the three frames a band of rows at a time to files
-    opened once, and renamed into ``out_dir`` by ``commit`` once all five
-    are complete.  One ``ExitStack`` owns the directory and the files:
-    leaving the ``with`` block closes them and removes what is still
-    staged, so a failed run leaves ``out_dir`` as it was and no temporary
-    behind."""
+    opened once and read back by ``rows``, and renamed into ``out_dir`` by
+    ``commit`` once all five are complete.  The sink is the ``ExitStack``
+    that owns the directory and the files: leaving its ``with`` block
+    closes them and removes what is still staged, so a failed run leaves
+    ``out_dir`` as it was and no temporary behind."""
 
     def __init__(self, out_dir) -> None:
+        super().__init__()
         self.out_dir = Path(out_dir)
-        self._owned = ExitStack()
-
-    def __enter__(self) -> "_PipelineFiles":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._owned.close()
 
     def start(self, height: int, width: int, channels: int) -> None:
         # staged in out_dir, or where it would be made, so that the renames
@@ -456,7 +450,7 @@ class _PipelineFiles:
         # failed cleanup does not hide the run's own error
         anchor = next(p for p in (self.out_dir, *self.out_dir.parents)
                       if p.is_dir())
-        own = self._owned.enter_context
+        own = self.enter_context
         self.staging = Path(own(tempfile.TemporaryDirectory(
             prefix=".segfuse-", dir=anchor, ignore_cleanup_errors=True)))
         self.shapes = (height, width, channels), (height, width, 1)
@@ -472,26 +466,30 @@ class _PipelineFiles:
         labels_file.write(labels.astype("<f4"))
         overlay_file.write(_overlay_pixels(labels))
 
-    @contextmanager
-    def rows(self):
-        """``read(r0, r1)``: rows [r0, r1) of the logits and of the labels,
-        read back through the handles that wrote them, each read checked
-        as a band read of an input map is (``formats._read_rows``)."""
-        logits, labels = (partial(_read_rows, f, self.staging / name, name,
-                                  False, shape)
+    def rows(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows [r0, r1) of the logits and of the labels, read back through
+        the handles that wrote them, each read checked as a band read of an
+        input map is (``formats._read_rows``)."""
+        logits, labels = (_read_rows(f, self.staging / name, name, False,
+                                     shape, r0, r1)
                           for f, name, shape in zip(self.files, _OUTPUTS,
                                                     self.shapes))
-        yield lambda r0, r1: (logits(r0, r1), labels(r0, r1)[:, :, 0])
+        return logits, labels[:, :, 0]
 
     def commit(self, result: "PipelineResult") -> list[Path]:
         """Close the frames, write the carving and the report, then move all
-        five into ``out_dir``; returns their paths, in write order."""
+        five into ``out_dir``; returns their paths, in write order.  An
+        output name that is a directory (a symlink is replaced, not
+        followed) fails the run before any rename."""
         for f in self.files:
             f.close()
         save_manifest(result.carved, self.staging / _OUTPUTS[3])
         write_json_report(result.report, self.staging / _OUTPUTS[4])
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         paths = [self.out_dir / name for name in _OUTPUTS]
+        for path in paths:
+            if path.is_dir() and not path.is_symlink():
+                raise DataValidationError(f"output {path} is a directory")
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         for name, path in zip(_OUTPUTS, paths):
             os.replace(self.staging / name, path)
         return paths
@@ -520,36 +518,33 @@ class PipelineResult:
 
 
 def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
-                 cfg: PipelineConfig, workers: int = 1,
-                 maps: dict | None = None, sink=None) -> PipelineResult:
-    """Ensemble logits, local attention, and the coarse-to-fine fold on
-    one thread; ``workers`` must be >= 1.  Maps are read from ``maps`` as
-    ``load_manifest(path, maps={})`` fills it, or else from the bundle.
-    Each scale's bands are folded into the next finer scale's pass as it
-    pulls them; the finest scale's bands, resampled to the reference grid,
-    go with their argmax labels to ``sink``: by default an in-memory one,
-    whose frame and labels the result holds, or the CLI's
-    ``_PipelineFiles``, which writes them to files; the carving reads its
-    regions' rows back from the sink."""
-    if workers < 1:
-        raise DataValidationError("workers must be >= 1")
+                 cfg: PipelineConfig, maps: dict | None = None,
+                 sink=None) -> PipelineResult:
+    """Ensemble logits, local attention, and the coarse-to-fine fold.
+    Maps are read from ``maps`` as ``load_manifest(path, maps={})`` fills
+    it, or else from the bundle.  Each scale's bands are folded into the
+    next finer scale's pass as it pulls them; the finest scale's bands,
+    resampled to the reference grid, go with their argmax labels to
+    ``sink``: by default an in-memory one, whose frame and labels the
+    result holds, or the CLI's ``_PipelineFiles``, which writes them to
+    files.  A sink has ``start(height, width, channels)``, ``write(r0,
+    logits, labels)`` and ``rows(r0, r1) -> (logits, labels)``, through
+    which the carving reads its regions' rows back."""
     if maps is None:
         maps = {(f, m, s): (getattr(g, "channels", 1), partial(_grid_rows, g))
                 for f in ("logit_maps", "alpha_maps")
                 for (m, s), g in getattr(bundle, f).items()}
     height, width = bundle.height, bundle.width
-    channels = [c for (f, _, _), (c, _) in maps.items() if f == "logit_maps"]
-    if not channels:
-        raise DataValidationError("pipeline needs logit maps in the manifest")
-    if channels[0] != len(COMPONENTS) + 1:
-        raise DataValidationError(
-            f"pipeline expects {len(COMPONENTS) + 1} channels (background + "
-            f"components), got {channels[0]}")
     for scale in bundle.scales:
         for model in bundle.models:
             if ("logit_maps", model, scale) not in maps:
                 raise DataValidationError(
                     f"no logit map for model {model!r} at scale {scale}")
+    channels = maps["logit_maps", bundle.models[0], bundle.scales[0]][0]
+    if channels != len(COMPONENTS) + 1:
+        raise DataValidationError(
+            f"pipeline expects {len(COMPONENTS) + 1} channels (background + "
+            f"components), got {channels}")
     if any(inst.object_id is None for inst in bundle.instances):
         raise DataValidationError(
             "the pipeline requires object ids on every instance")
@@ -561,7 +556,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
         for scale, oids in zip(bundle.scales, horizontal)})
     frames = _Frames() if sink is None else sink
-    frames.start(height, width, channels[0])
+    frames.start(height, width, channels)
     level = None  # a scale's pass, unpulled, and its grid
     for sub in subs:
         scale = sub.scales[0]
@@ -571,8 +566,7 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     bands, shape = level
     _emit(frames, _resample_rows(bands, shape, height, width))
 
-    with frames.rows() as rows:
-        instances = _label_instances(bundle, rows, cfg)
+    instances = _label_instances(bundle, frames.rows, cfg)
     carved = PredictionBundle(
         image_id=bundle.image_id, height=height, width=width,
         models=(PIPELINE_MODEL_ID,), scales=(1.0,), instances=instances,
@@ -602,9 +596,10 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
     each region's logits.  Where two regions overlap, a labeled pixel is
     carved into both objects' instances.
 
-    ``rows(r0, r1)`` reads rows [r0, r1) of the reference-grid logits and
-    labels, a band of ``grids._band_rows`` rows of the frame's width at a
-    time, and the softmax runs per band.  Each component's selected tail
+    ``rows(r0, r1)``, a sink's ``rows`` method, returns rows [r0, r1) of
+    the reference-grid logits and labels; they are read a band of
+    ``grids._band_rows`` rows of the frame's width at a time, and the
+    softmax runs per band.  Each component's selected tail
     probabilities are gathered in row order and averaged by one
     ``np.mean``, so the score is that of the whole region.
     """

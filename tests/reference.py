@@ -10,7 +10,8 @@ turn an object's local map from the engine's planes into a dense region
 grid and back;
 ``fuse_masks_ref``, the whole-frame average of one cell's masks;
 ``pipeline_ref``, the whole-frame composition of these oracles that the
-``pipeline`` command must match byte for byte;
+``pipeline`` command must match byte for byte, with its AP weights from
+``ap_weights_ref``, which normalizes ``group_ap_ref``'s APs itself;
 ``synth_ref``, the whole-frame synthetic scene generator, whose every mask
 is a full height x width frame, drawn and perturbed with the same rng
 draws in the same order as ``segfuse.synth.generate``, which works on
@@ -321,10 +322,40 @@ def mean_alpha_ref(present: list[np.ndarray]) -> np.ndarray:
 
 def _channels_ref(stacks: dict, vectors) -> np.ndarray:
     """``fuse_logits_ref`` of each channel of the per-model ``stacks`` under
-    that channel's weight vector, stacked back into channels."""
-    return np.stack([fuse_logits_ref([stacks[m][:, :, ch] for m in vec.models],
-                                     [c for _, c in vec.weights])
+    that channel's weight vector of ``(model, weight)`` pairs, stacked back
+    into channels."""
+    return np.stack([fuse_logits_ref([stacks[m][:, :, ch] for m, _ in vec],
+                                     [c for _, c in vec])
                      for ch, vec in enumerate(vectors)], axis=2)
+
+
+def ap_weights_ref(calib, keys, mode: str, iou_threshold: float,
+                   normalization: str) -> list:
+    """The fusion weights of each group key in ``keys``, in order, from the
+    APs ``group_ap_ref`` gives ``calib``, one scale of the calibration
+    split, against its ground truth: ``[(key, ((model, weight), ...))]``,
+    models ascending.
+
+    A group's APs are normalized over its models: ``fraction`` keeps each,
+    ``minmax`` maps each to (ap - min) / (max - min) + 1e-6, or to 1 when
+    they are all equal.  A model's weight is its normalized AP over their
+    sum, added up in model order; when that sum is zero every model is
+    weighted 1 / N."""
+    aps = group_ap_ref(calib, calib.ground_truth, mode, iou_threshold)
+    models = sorted(calib.models)
+    out = []
+    for key in keys:
+        values = [aps[model, key] for model in models]
+        if normalization == "minmax":
+            lo, hi = min(values), max(values)
+            values = ([1.0] * len(values) if hi == lo else
+                      [(v - lo) / (hi - lo) + 1e-6 for v in values])
+        total = 0.0
+        for v in values:
+            total += v
+        out.append((key, tuple((m, v / total if total else 1.0 / len(models))
+                               for m, v in zip(models, values))))
+    return out
 
 
 def pipeline_ref(bundle, calib, cfg):
@@ -341,30 +372,42 @@ def pipeline_ref(bundle, calib, cfg):
     ``cfg.neutral_beta``, or ``cfg.beta_const``; the blend of the ensemble
     with the summed local maps; and the mean of the scale's alpha maps, or
     ``cfg.alpha_const``.  Then the coarse-to-fine fold, the resize to the
-    reference grid, the argmax and the carving.  The weights come from
-    ``pipeline._fusion_weights`` and the object regions from
-    ``pipeline._object_regions``; no band, no sink and no other engine
-    code is used."""
-    from segfuse.fusion import FusionWeights
-    from segfuse.masks import COMPONENTS, scale_box
-    from segfuse.metrics import group_keys
-    from segfuse.pipeline import _fusion_weights, _object_regions
+    reference grid, the argmax and the carving.  AP weights come from
+    ``ap_weights_ref``, for every component and for each object of the
+    scale; uniform ones are 1 / N, keyed by channel and by object.  The
+    object regions come from ``pipeline._object_regions``; no band, no sink
+    and no other engine code is used."""
+    from segfuse.masks import scale_box
+    from segfuse.pipeline import _object_regions
 
     height, width, models = bundle.height, bundle.width, bundle.models
     subs = [bundle.with_scale(scale) for scale in bundle.scales]
-    vertical = {comp: f"channel{COMPONENT_IDS[comp]}" for comp in COMPONENTS}
-    weights, records = _fusion_weights(bundle, calib, cfg, {
-        scale: {"vertical": vertical,
-                "horizontal": {o: o for o in group_keys(sub.instances,
-                                                        "horizontal")}}
-        for scale, sub in zip(bundle.scales, subs)})
+    uniform = tuple((m, 1.0 / len(models)) for m in models)
+    weights, records = {}, []
+    for scale, sub in zip(bundle.scales, subs):
+        # (AP key, the key a uniform vector carries) of each group
+        groups = {"vertical": [(c, f"channel{COMPONENT_IDS[c]}")
+                               for c in COMPONENTS],
+                  "horizontal": [(o, o) for o in
+                                 sorted({i.object_id for i in sub.instances})]}
+        for mode, keys in groups.items():
+            if cfg.weights_mode == "ap":
+                vectors = ap_weights_ref(
+                    calib.with_scale(scale), [k for k, _ in keys], mode,
+                    cfg.iou_threshold, cfg.normalization)
+            else:
+                vectors = [(u, uniform) for _, u in keys]
+            weights[scale, mode] = {k: w for (k, _), (_, w)
+                                    in zip(keys, vectors)}
+            records += [{"scale": scale, "mode": mode, "group": g,
+                         "weights": dict(w)} for g, w in vectors]
     channels = len(COMPONENTS) + 1
     levels = []
     for scale, sub in zip(bundle.scales, subs):
         sh, sw = _round_half_up(height, scale), _round_half_up(width, scale)
         ens = _channels_ref(
             {m: bundle.logit_maps[m, scale].data for m in models},
-            [FusionWeights.uniform(models), *weights[scale, "vertical"].values()])
+            [uniform, *weights[scale, "vertical"].values()])
         locals_ = []
         for oid, region in _object_regions(sub, cfg).items():
             box = scale_box(region, height, width, sh, sw)
@@ -428,11 +471,13 @@ def rle_counts_ref(counts, height: int, width: int) -> None:
 def match_predictions_ref(preds, gts, iou_threshold: float) -> list:
     """Greedy matching on full-frame grids: (prediction id, score, is_tp)."""
     def frame(inst):
-        return rle_decode_ref(inst.mask.counts, inst.mask.height, inst.mask.width)
+        # the frame's pixels as a list of Python bools, in row-major order
+        return rle_decode_ref(inst.mask.counts, inst.mask.height,
+                              inst.mask.width).ravel().tolist()
 
     def iou(a, b):
         inter = union = 0
-        for x, y in zip(a.ravel(), b.ravel()):
+        for x, y in zip(a, b):
             inter += int(x and y)
             union += int(x or y)
         return inter / union if union else 0.0

@@ -26,7 +26,7 @@ from segfuse.masks import COMPONENTS, BBox, scale_box
 from segfuse.pipeline import run_pipeline, write_pipeline_outputs
 
 from conftest import block_mask, make_instance
-from reference import local_map_ref, region_planes
+from reference import ap_weights_ref, local_map_ref, region_planes
 
 
 def constant_chain_manifest(tmp_path):
@@ -253,6 +253,40 @@ class TestFuseCommand:
         err = capsys.readouterr().err
         assert "horizontal grouping requires object ids" in err, err
         assert not out.exists()
+
+    def test_minmax_weight_records_match_the_oracle(self, tmp_path):
+        # the byte ladder's "small" geometry, on which min-max weights are
+        # not the fraction ones: a fuse that ignored --normalization would
+        # write the fraction records
+        geometry = ["--height", "64", "--width", "64", "--objects", "9",
+                    "--models", "4", "--perturb", "4"]
+        paths = [tmp_path / f"s{seed}" / "manifest.json" for seed in (2, 3)]
+        for seed, path in zip((2, 3), paths):
+            assert main(["synth", "--seed", str(seed), *geometry,
+                         "--out-dir", str(path.parent)]) == 0
+        for norm in ("fraction", "minmax"):
+            assert main(["fuse", str(paths[0]), "--calib", str(paths[1]),
+                         "--grouping", "both", "--normalization", norm,
+                         "--out-dir", str(tmp_path / norm)]) == 0
+        image, calib = (load_manifest(path, maps=False) for path in paths)
+        threshold = PipelineConfig().iou_threshold
+        for mode, field in (("vertical", "component"),
+                            ("horizontal", "object_id")):
+            want = [{"scale": scale, "mode": mode, "group": key,
+                     "weights": dict(w)}
+                    for scale in image.scales
+                    for key, w in ap_weights_ref(
+                        calib.with_scale(scale),
+                        sorted({getattr(i, field) for i in
+                                image.with_scale(scale).instances},
+                               key=COMPONENTS.index if field == "component"
+                               else None),
+                        mode, threshold, "minmax")]
+            records = {norm: json.loads((tmp_path / norm / f"weights_{mode}"
+                                         ".json").read_text())["records"]
+                       for norm in ("fraction", "minmax")}
+            assert records["minmax"] == want, mode
+            assert records["fraction"] != want, mode
 
     def test_matches_library_composition(self, tmp_path):
         # CLI output equals running the module pipeline by hand
@@ -639,6 +673,47 @@ class TestPipelineCommand:
         assert code == 2
         assert "workers" in err and "Traceback" not in err
 
+    def test_zero_workers_fails_before_the_manifest_is_read(self, tmp_path,
+                                                            capsys):
+        # the CLI checks --workers before it opens the manifest
+        code = main(["pipeline", str(tmp_path / "nonexistent.json"),
+                     "--workers", "0", "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "workers must be >= 1" in err, err
+        assert "not found" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("taken", ["directory", "symlink"])
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, taken):
+        # a directory where report.json goes fails the run before any
+        # rename, so the earlier run's files stay; a symlink is replaced
+        manifest = synth_fixture(tmp_path)
+        out = tmp_path / "out"
+        argv = ["pipeline", str(manifest), "--calib", str(manifest),
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        (out / "report.json").unlink()
+        if taken == "directory":
+            (out / "report.json").mkdir()
+        else:
+            (tmp_path / "elsewhere").mkdir()
+            (out / "report.json").symlink_to(tmp_path / "elsewhere")
+        before = _tree_bytes(out)
+        capsys.readouterr()
+        code = main([*argv, "--expand-factor", "1.5"])
+        captured = capsys.readouterr()
+        assert not list(tmp_path.rglob(".segfuse-*"))
+        if taken == "symlink":
+            assert code == 0
+            assert (out / "report.json").is_file()
+            assert not (out / "report.json").is_symlink()
+            return
+        assert code == 2 and "wrote" not in captured.out
+        assert _tree_bytes(out) == before
+        assert (out / "report.json").is_dir()
+        assert f"output {out / 'report.json'} is a directory" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_workers_start_no_thread(self, tmp_path, monkeypatch):
         # the engine runs on one thread; --workers is only checked
         out = tmp_path / "fx"
@@ -742,6 +817,8 @@ class TestPipelineCommand:
         code = main(["pipeline", str(stripped), "--weights", "uniform",
                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "no logit map for model 'm0' at scale 1.0" in err, err
 
     def test_missing_model_logits_at_one_scale_named(self, tmp_path, capsys):
         manifest = synth_fixture(tmp_path)

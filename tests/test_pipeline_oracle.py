@@ -6,14 +6,15 @@ from ``reference.pipeline_ref``'s arrays: no bands, no sink, only the
 scalar oracles composed in the paper's order.  The cases cover heights on
 either side of a band edge and two bands and more, finest scales on and
 off the reference grid, near-equal grids, runs with synth's alpha maps,
-random ones and none, the gate and a constant gate, and AP and uniform
-weights.  Hand-built manifests add what synth does not draw: a height of
-1, random logits, a coarser level of more than one band, with random
-alpha maps, a -0.0 at the first band edge whose sign the row below it
-decides, two objects whose shells overlap, and a model that misses an
-object.
+random ones and none, the gate and a constant gate, uniform weights and
+AP weights under both normalizations.  Hand-built manifests add what
+synth does not draw: a height of 1, random logits, a coarser level of
+more than one band, with random alpha maps, a -0.0 at the first band edge
+whose sign the row below it decides, two objects whose shells overlap,
+and a model that misses an object.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -206,7 +207,8 @@ def _plant_signed_zeros(bundle):
     return replace(bundle, logit_maps=logit_maps, alpha_maps=alpha_maps)
 
 
-def _check_against_oracle(tmp_path, image, calib, beta, weights):
+def _check_against_oracle(tmp_path, image, calib, beta, weights,
+                          normalization="fraction"):
     """Run the CLI ``pipeline`` on the manifests of ``image`` and, with AP
     weights, ``calib``; assert that its five outputs are the oracle's bytes
     and return the oracle's carving."""
@@ -219,9 +221,10 @@ def _check_against_oracle(tmp_path, image, calib, beta, weights):
         argv += ["--weights", "uniform"]
     if beta is not None:
         argv += ["--beta-const", str(beta)]
-    assert main(argv) == 0
+    assert main([*argv, "--normalization", normalization]) == 0
 
-    cfg = PipelineConfig(weights_mode=weights, beta_const=beta)
+    cfg = PipelineConfig(weights_mode=weights, beta_const=beta,
+                         normalization=normalization)
     instances = _write_oracle(
         load_manifest(image_path),
         load_manifest(calib_path, maps=False) if weights == "ap" else None,
@@ -292,3 +295,19 @@ def test_hand_built_manifest_matches_the_whole_frame_oracle(tmp_path, case):
             for x in columns:
                 assert logits[y, x, 0] == 0 and np.signbit(logits[y, x, 0])
                 assert logits[y, x + 1, 0] < 0 and logits[y + 1, x, 0] < 0
+
+
+def test_minmax_weights_match_the_whole_frame_oracle(tmp_path):
+    # the byte ladder's "small" geometry: four models whose calibration APs
+    # differ, so that min-max weights are not the fraction ones and a run
+    # that ignored --normalization would write another report
+    image, calib = (generate(seed, objects=9, models=4, perturb=4,
+                             height=64, width=64, scales=(0.5, 1.0))
+                    for seed in (2, 3))
+    _check_against_oracle(tmp_path, image, calib, None, "ap", "minmax")
+    argv = ["pipeline", str(tmp_path / "image" / "manifest.json"), "--calib",
+            str(tmp_path / "calib" / "manifest.json"), "--out-dir",
+            str(tmp_path / "fraction")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "fraction" / OUTPUTS[4]).read_text())
+    assert report != json.loads((tmp_path / "cli" / OUTPUTS[4]).read_text())
