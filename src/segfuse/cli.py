@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 data or contract error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import DataValidationError, SegfuseError
-from .formats import load_manifest, save_manifest, write_json_report
+from .formats import _Staged, load_manifest, save_manifest, write_json_report
 from .pipeline import (_PipelineFiles, run_evaluate, run_fuse, run_pipeline,
                        write_fuse_outputs)
 from .synth import generate
@@ -127,68 +128,65 @@ def _load_calib(args, parser, bundle):
     return args.calib and _load_again(args.calib, args, bundle)
 
 
-def _cmd_synth(args, parser) -> int:
+def _cmd_synth(args, parser) -> list[Path]:
     bundle = generate(args.seed, objects=args.objects, models=args.models,
                       height=args.height, width=args.width,
                       perturb=args.perturb, scales=args.scales)
-    path = save_manifest(bundle, f"{args.out_dir}/manifest.json")
-    print(f"wrote {path}")
-    return 0
+    with _Staged(args.out_dir) as stage:
+        save_manifest(bundle, stage.staging / "manifest.json")
+        tensors = [p.relative_to(stage.staging)
+                   for p in sorted(stage.staging.glob("tensors/*"))]
+        return stage.commit([*tensors, "manifest.json"])[-1:]
 
 
-def _cmd_fuse(args, parser) -> int:
+def _cmd_fuse(args, parser) -> list[Path]:
     cfg = _config_from(args)
     bundle = load_manifest(args.manifest, maps=False)
     calib = _load_calib(args, parser, bundle)
     modes = (("vertical", "horizontal") if args.grouping == "both"
              else (args.grouping,))
-    # run every grouping before writing, so a failing one leaves no files
-    runs = [(mode, *run_fuse(bundle, calib, cfg, mode)) for mode in modes]
-    for mode, fused, records in runs:
-        for path in write_fuse_outputs(fused, records, cfg, mode, args.out_dir):
-            print(f"wrote {path}")
-    return 0
+    with _Staged(args.out_dir) as stage:
+        staged = [path.name for mode in modes for path in write_fuse_outputs(
+            *run_fuse(bundle, calib, cfg, mode), cfg, mode, stage.staging)]
+        return stage.commit(staged)
 
 
-def _cmd_pipeline(args, parser) -> int:
+def _cmd_pipeline(args, parser) -> list[Path]:
     if args.workers < 1:
         raise DataValidationError("workers must be >= 1")
     cfg = _config_from(args)
     maps = {}  # each scale's tensors are read again when it is fused
     bundle = load_manifest(args.manifest, maps=maps)
     calib = _load_calib(args, parser, bundle)
-    # the finest scale streams the frame, labels and overlay to files that
-    # are renamed into --out-dir only once every output is complete
     with _PipelineFiles(args.out_dir) as files:
-        result = run_pipeline(bundle, calib, cfg, maps, files)
-        paths = files.commit(result)
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+        return files.commit(run_pipeline(bundle, calib, cfg, maps, files))
 
 
-def _cmd_evaluate(args, parser) -> int:
+def _cmd_evaluate(args, parser) -> list[Path]:
     cfg = _config_from(args)
     pred = load_manifest(args.manifest, maps=False)
     gt = _load_again(args.gt_manifest, args, pred)
     report = run_evaluate(pred, gt, cfg)
-    if args.out:
-        path = write_json_report(report, args.out)
-        print(f"wrote {path}")
-    else:
-        import json
+    if not args.out:
         print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
+        return []
+    out = Path(args.out)
+    with _Staged(out.parent) as stage:
+        write_json_report(report, stage.staging / out.name)
+        return stage.commit([out.name])
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.run(args, parser)
+    try:  # a handler returns the paths it committed: a failed run has none
+        paths = args.run(args, parser)
     except (SegfuseError, OSError) as e:
         print(f"segfuse: error: {e}", file=sys.stderr)
         return 2
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ import math
 import os
 import reprlib
 import struct
-from contextlib import contextmanager
+import tempfile
+from contextlib import ExitStack, contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -223,13 +224,10 @@ def save_manifest(bundle: PredictionBundle, path) -> Path:
             records.append({"model": model, "scale": scale, "path": rel})
         if records:
             doc[field] = records
-    path.parent.mkdir(parents=True, exist_ok=True)
     for target, grid in tensors:
-        target.parent.mkdir(exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         save_tensor(target, grid)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_json_report(doc, path)
 
 
 def _number(value, what: str) -> float:
@@ -435,3 +433,34 @@ def write_json_report(doc: dict, path) -> Path:
     p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                  encoding="utf-8")
     return p
+
+
+class _Staged(ExitStack):
+    """Every command's files are written under their names in ``staging``,
+    a hidden ``.segfuse-*`` directory this stack owns, and renamed into
+    ``out_dir`` together by ``commit``; leaving the ``with`` block removes
+    what is still staged, so a failed run leaves ``out_dir`` as it was."""
+
+    def __init__(self, out_dir) -> None:
+        super().__init__()
+        self.out_dir = Path(out_dir)
+        # staged in out_dir, or where it would be made, so that the renames
+        # stay on one file system and a failed run makes no out_dir; a
+        # failed cleanup does not hide the run's own error
+        anchor = next(p for p in (self.out_dir, *self.out_dir.parents)
+                      if p.is_dir())
+        self.staging = Path(self.enter_context(tempfile.TemporaryDirectory(
+            prefix=".segfuse-", dir=anchor, ignore_cleanup_errors=True)))
+
+    def commit(self, names) -> list[Path]:
+        """Rename the staged ``names`` into ``out_dir`` in order, making
+        missing parents, and return their paths there; a name that is a
+        real directory there (not a symlink) fails before any rename."""
+        paths = [self.out_dir / name for name in names]
+        for path in paths:
+            if path.is_dir() and not path.is_symlink():
+                raise DataValidationError(f"output {path} is a directory")
+        for name, path in zip(names, paths):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(self.staging / name, path)
+        return paths

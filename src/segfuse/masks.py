@@ -118,6 +118,11 @@ def rle_encode(m: np.ndarray, box: BBox | None = None,
     mh, mw = m.shape
     if box is None:
         box, height, width = BBox(0, 0, mw, mh), mh, mw
+    elif height is None or width is None:
+        raise DataValidationError(f"box {box} needs the frame's height and width")
+    if (box.height, box.width) != (mh, mw):
+        raise ShapeError(f"window of shape {m.shape} does not fill box {box}")
+    _check_in_bounds(box, height, width)
     # a zero column on each side ends every run of ones at its row's end
     padded = np.zeros((mh, mw + 2), dtype=bool)
     padded[:, 1:-1] = m

@@ -113,11 +113,11 @@ def average_precision(flags: Sequence[bool], gt_count: int) -> float:
     """
     if gt_count < 0:
         raise DataValidationError("ground-truth count cannot be negative")
+    if sum(map(bool, flags)) > gt_count:
+        raise DataValidationError("more true positives than ground truths")
     n = len(flags)
     if gt_count == 0:
         return 1.0 if n == 0 else 0.0
-    if n == 0:
-        return 0.0
     precisions = []
     recalls = []
     tp_cum = 0

@@ -31,8 +31,6 @@ the sink.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -46,7 +44,7 @@ from .bundle import PredictionBundle
 from .config import PipelineConfig
 from .errors import DataValidationError
 from .formats import (_overlay_header, _overlay_pixels, _payload,
-                      _read_rows, _tensor_header, save_manifest,
+                      _read_rows, _Staged, _tensor_header, save_manifest,
                       write_json_report)
 from .fusion import (FusionWeights, compute_weights, fuse_logits, fuse_masks,
                      weighted_average)
@@ -178,7 +176,6 @@ def write_fuse_outputs(fused: PredictionBundle, records: list[dict],
                        cfg: PipelineConfig, mode: str, out_dir) -> list[Path]:
     """Returns the paths written, in write order."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     return [save_manifest(fused, out_dir / f"fused_{mode}.json"),
             write_json_report(
                 {"schema_version": 1, "kind": "fusion_weights",
@@ -431,30 +428,13 @@ class _Frames:
         return self.logits[r0:r1], self.labels[r0:r1]
 
 
-class _PipelineFiles(ExitStack):
-    """The file sink: the pipeline's outputs, written under their names in
-    a staging directory, the three frames a band of rows at a time to files
-    opened once and read back by ``rows``, and renamed into ``out_dir`` by
-    ``commit`` once all five are complete.  The sink is the ``ExitStack``
-    that owns the directory and the files: leaving its ``with`` block
-    closes them and removes what is still staged, so a failed run leaves
-    ``out_dir`` as it was and no temporary behind."""
-
-    def __init__(self, out_dir) -> None:
-        super().__init__()
-        self.out_dir = Path(out_dir)
+class _PipelineFiles(_Staged):
+    """The file sink: a ``formats._Staged`` whose three frames are written a
+    band of rows at a time to files opened once and read back by ``rows``."""
 
     def start(self, height: int, width: int, channels: int) -> None:
-        # staged in out_dir, or where it would be made, so that the renames
-        # stay on one file system and a failed run makes no out_dir; a
-        # failed cleanup does not hide the run's own error
-        anchor = next(p for p in (self.out_dir, *self.out_dir.parents)
-                      if p.is_dir())
-        own = self.enter_context
-        self.staging = Path(own(tempfile.TemporaryDirectory(
-            prefix=".segfuse-", dir=anchor, ignore_cleanup_errors=True)))
         self.shapes = (height, width, channels), (height, width, 1)
-        self.files = [own((self.staging / name).open("w+b"))
+        self.files = [self.enter_context((self.staging / name).open("w+b"))
                       for name in _OUTPUTS[:3]]
         heads = [_tensor_header(*shape) for shape in self.shapes]
         for f, head in zip(self.files, (*heads, _overlay_header(height, width))):
@@ -478,21 +458,12 @@ class _PipelineFiles(ExitStack):
 
     def commit(self, result: "PipelineResult") -> list[Path]:
         """Close the frames, write the carving and the report, then move all
-        five into ``out_dir``; returns their paths, in write order.  An
-        output name that is a directory (a symlink is replaced, not
-        followed) fails the run before any rename."""
+        five into ``out_dir``; returns their paths, in write order."""
         for f in self.files:
             f.close()
         save_manifest(result.carved, self.staging / _OUTPUTS[3])
         write_json_report(result.report, self.staging / _OUTPUTS[4])
-        paths = [self.out_dir / name for name in _OUTPUTS]
-        for path in paths:
-            if path.is_dir() and not path.is_symlink():
-                raise DataValidationError(f"output {path} is a directory")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, path in zip(_OUTPUTS, paths):
-            os.replace(self.staging / name, path)
-        return paths
+        return super().commit(_OUTPUTS)
 
 
 def _emit(sink, bands) -> None:

@@ -1597,22 +1597,104 @@ class TestUsage:
 
 
     @pytest.mark.parametrize("argv, names", [
-        (["fuse", "--grouping", "both"],
+        (["fuse", "{m}", "--calib", "{m}", "--grouping", "both",
+          "--out-dir", "{o}"],
          ["fused_vertical.json", "weights_vertical.json",
           "fused_horizontal.json", "weights_horizontal.json"]),
-        (["pipeline"], ["fused_logits.tns", "labels.tns", "overlay.ppm",
-                        "instances.json", "report.json"]),
-    ], ids=["fuse", "pipeline"])
+        (["pipeline", "{m}", "--calib", "{m}", "--out-dir", "{o}"],
+         ["fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
+          "report.json"]),
+        (["synth", "--seed", "3", "--out-dir", "{o}"], ["manifest.json"]),
+        (["evaluate", "{m}", "{m}", "--out", "{o}/eval.json"], ["eval.json"]),
+    ], ids=["fuse", "pipeline", "synth", "evaluate"])
     def test_wrote_lines_follow_write_order(self, tmp_path, capsys, argv,
                                             names):
+        # synth names its manifest alone, not the tensors committed before it
         manifest = synth_fixture(tmp_path)
         capsys.readouterr()
         out = tmp_path / "o"
-        assert main([*argv[:1], str(manifest), *argv[1:], "--calib",
-                     str(manifest), "--out-dir", str(out)]) == 0
+        assert main([a.format(m=manifest, o=out) for a in argv]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / name}" for name in names]
-        assert sorted(f.name for f in out.iterdir()) == sorted(names)
+        assert sorted(f.name for f in out.iterdir() if f.is_file()) == sorted(
+            names)
+        assert not list(tmp_path.rglob(".segfuse-*"))
+
+
+class TestStagedOutputs:
+    """Every command's files are staged and renamed into place together: a
+    run that fails, before or at the renames, leaves an earlier run's files
+    as they were, prints no ``wrote`` line and leaves no staging behind."""
+
+    @staticmethod
+    def _fails_and_leaves(tmp_path, capsys, argv, out, message):
+        before = _tree_bytes(out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert "wrote" not in captured.out
+        assert _tree_bytes(out) == before
+        assert not list(tmp_path.rglob(".segfuse-*"))
+
+    def test_fuse_refuses_a_directory_name_before_any_rename(self, tmp_path,
+                                                             capsys):
+        # the second grouping's weights name is a directory: the first
+        # grouping's files of the earlier run are not rewritten either
+        manifest, out = synth_fixture(tmp_path), tmp_path / "out"
+        argv = ["fuse", str(manifest), "--calib", str(manifest),
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        (out / "weights_horizontal.json").mkdir()
+        self._fails_and_leaves(
+            tmp_path, capsys, [*argv, "--grouping", "both",
+                               "--binarize-threshold", "0.6"], out,
+            f"output {out / 'weights_horizontal.json'} is a directory")
+
+    def test_synth_refuses_a_directory_name_before_any_rename(self, tmp_path,
+                                                              capsys):
+        # a tensor name of the earlier fixture is a directory: no tensor of
+        # the new seed replaces the earlier fixture's beside its manifest
+        out = synth_fixture(tmp_path, seed=1).parent
+        taken = sorted((out / "tensors").iterdir())[-1]
+        taken.unlink()
+        taken.mkdir()
+        self._fails_and_leaves(
+            tmp_path, capsys, ["synth", "--seed", "2", "--height", "64",
+                               "--width", "64", "--objects", "2",
+                               "--out-dir", str(out)], out,
+            f"output {taken} is a directory")
+
+    def test_evaluate_refuses_a_directory_name(self, tmp_path, capsys):
+        manifest, out = synth_fixture(tmp_path), tmp_path / "rep"
+        (out / "eval.json").mkdir(parents=True)
+        (out / "eval.json" / "kept.json").write_text("{}")
+        self._fails_and_leaves(
+            tmp_path, capsys, ["evaluate", str(manifest), str(manifest),
+                               "--out", str(out / "eval.json")], out,
+            f"output {out / 'eval.json'} is a directory")
+
+    def test_fuse_that_fails_writing_its_second_grouping_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # the report writer fails on its second call, once the first
+        # grouping's fused manifest is staged
+        manifest, out = synth_fixture(tmp_path), tmp_path / "out"
+        argv = ["fuse", str(manifest), "--calib", str(manifest),
+                "--grouping", "both", "--out-dir", str(out)]
+        assert main(argv) == 0
+        write, calls = formats.write_json_report, []
+
+        def fail_second(doc, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("no space left for the report")
+            return write(doc, path)
+        for module in (formats, pipeline):
+            monkeypatch.setattr(module, "write_json_report", fail_second)
+        self._fails_and_leaves(tmp_path, capsys,
+                               [*argv, "--binarize-threshold", "0.6"], out,
+                               "no space left for the report")
+        assert len(calls) == 2
 
 
 class TestRecordOrder:

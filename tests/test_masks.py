@@ -86,6 +86,23 @@ class TestRleCodec:
         with pytest.raises(ShapeError, match=r"exceeds 4x4 grid"):
             make_instance(block_mask(4, 4, 1, 3, 1, 3)).window(box)
 
+    @pytest.mark.parametrize("box", [BBox(3, 0, 5, 2), BBox(0, 3, 2, 5)],
+                             ids=["columns", "rows"])
+    def test_encode_box_off_the_grid_is_shape_error(self, box):
+        # a window past the last column must not wrap into the next row
+        with pytest.raises(ShapeError, match=r"exceeds 4x4 grid"):
+            rle_encode(np.ones((2, 2), dtype=bool), box, 4, 4)
+
+    def test_encode_window_that_does_not_fill_its_box_is_shape_error(self):
+        with pytest.raises(ShapeError, match=r"\(2, 2\) does not fill box"):
+            rle_encode(np.ones((2, 2), dtype=bool), BBox(0, 0, 3, 3), 4, 4)
+
+    @pytest.mark.parametrize("size", [{"width": 4}, {"height": 4}, {}],
+                             ids=["no_height", "no_width", "neither"])
+    def test_encode_box_without_the_frame_size_is_data_error(self, size):
+        with pytest.raises(DataValidationError, match="height and width"):
+            rle_encode(np.ones((2, 2), dtype=bool), BBox(0, 0, 2, 2), **size)
+
     def test_sum_mismatch_is_format_error(self):
         with pytest.raises(FormatError):
             RleMask(2, 2, (3,))

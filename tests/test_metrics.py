@@ -98,8 +98,11 @@ class TestAveragePrecision:
         for n in range(0, 7):
             for flags in itertools.product([False, True], repeat=n):
                 for gt_count in range(0, 4):
-                    if sum(flags) > gt_count:
-                        continue  # more TPs than gts cannot arise
+                    if sum(flags) > gt_count:  # cannot arise from matching
+                        with pytest.raises(DataValidationError,
+                                           match="more true positives"):
+                            average_precision(list(flags), gt_count)
+                        continue
                     got = average_precision(list(flags), gt_count)
                     want = staircase_ap(list(flags), gt_count)
                     assert abs(got - want) <= 1e-12, (flags, gt_count)
@@ -132,6 +135,11 @@ class TestAveragePrecision:
     def test_negative_gt_count_rejected(self):
         with pytest.raises(DataValidationError, match="negative"):
             average_precision([], -1)
+
+    def test_more_true_positives_than_ground_truths_rejected(self):
+        # each true positive consumes a ground truth: two cannot share one
+        with pytest.raises(DataValidationError, match="more true positives"):
+            average_precision([True, True], 1)
 
 
 def _two_model_bundle():
