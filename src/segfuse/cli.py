@@ -132,11 +132,9 @@ def _cmd_synth(args, parser) -> list[Path]:
     bundle = generate(args.seed, objects=args.objects, models=args.models,
                       height=args.height, width=args.width,
                       perturb=args.perturb, scales=args.scales)
-    with _Staged(args.out_dir) as stage:
+    with _Staged(args.out_dir) as stage:  # its tensors are renamed first
         save_manifest(bundle, stage.staging / "manifest.json")
-        tensors = [p.relative_to(stage.staging)
-                   for p in sorted(stage.staging.glob("tensors/*"))]
-        return stage.commit([*tensors, "manifest.json"])[-1:]
+        return stage.commit(["manifest.json"])
 
 
 def _cmd_fuse(args, parser) -> list[Path]:

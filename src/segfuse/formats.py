@@ -224,10 +224,13 @@ def save_manifest(bundle: PredictionBundle, path) -> Path:
             records.append({"model": model, "scale": scale, "path": rel})
         if records:
             doc[field] = records
+    path.parent.mkdir(parents=True, exist_ok=True)
     for target, grid in tensors:
-        target.parent.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(exist_ok=True)
         save_tensor(target, grid)
-    return write_json_report(doc, path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 def _number(value, what: str) -> float:
@@ -436,10 +439,9 @@ def write_json_report(doc: dict, path) -> Path:
 
 
 class _Staged(ExitStack):
-    """Every command's files are written under their names in ``staging``,
-    a hidden ``.segfuse-*`` directory this stack owns, and renamed into
-    ``out_dir`` together by ``commit``; leaving the ``with`` block removes
-    what is still staged, so a failed run leaves ``out_dir`` as it was."""
+    """Stages a command's files in ``staging``, a hidden ``.segfuse-*``
+    directory it owns, for ``commit`` to rename into ``out_dir`` together;
+    leaving the ``with`` block removes the rest: a failed run changes none."""
 
     def __init__(self, out_dir) -> None:
         super().__init__()
@@ -453,14 +455,16 @@ class _Staged(ExitStack):
             prefix=".segfuse-", dir=anchor, ignore_cleanup_errors=True)))
 
     def commit(self, names) -> list[Path]:
-        """Rename the staged ``names`` into ``out_dir`` in order, making
-        missing parents, and return their paths there; a name that is a
-        real directory there (not a symlink) fails before any rename."""
-        paths = [self.out_dir / name for name in names]
-        for path in paths:
+        """Rename every staged file into ``out_dir``, making parents: the
+        unnamed ones sorted, then ``names`` in order, whose paths it returns.
+        A real directory (not a symlink) at any of them fails before any."""
+        named = [self.out_dir / name for name in names]
+        paths = sorted({self.out_dir / p.relative_to(self.staging) for p in
+                        self.staging.rglob("*") if p.is_file()} - set(named))
+        for path in paths + named:
             if path.is_dir() and not path.is_symlink():
                 raise DataValidationError(f"output {path} is a directory")
-        for name, path in zip(names, paths):
+        for path in paths + named:
             path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self.staging / name, path)
-        return paths
+            os.replace(self.staging / path.relative_to(self.out_dir), path)
+        return named

@@ -1596,19 +1596,21 @@ class TestUsage:
         assert f"(default {PipelineConfig.iou_threshold})" in shown
 
 
-    @pytest.mark.parametrize("argv, names", [
+    @pytest.mark.parametrize("argv, names, unnamed", [
         (["fuse", "{m}", "--calib", "{m}", "--grouping", "both",
           "--out-dir", "{o}"],
          ["fused_vertical.json", "weights_vertical.json",
-          "fused_horizontal.json", "weights_horizontal.json"]),
+          "fused_horizontal.json", "weights_horizontal.json"], []),
         (["pipeline", "{m}", "--calib", "{m}", "--out-dir", "{o}"],
          ["fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
-          "report.json"]),
-        (["synth", "--seed", "3", "--out-dir", "{o}"], ["manifest.json"]),
-        (["evaluate", "{m}", "{m}", "--out", "{o}/eval.json"], ["eval.json"]),
+          "report.json"], []),
+        (["synth", "--seed", "3", "--out-dir", "{o}"], ["manifest.json"],
+         ["tensors"]),
+        (["evaluate", "{m}", "{m}", "--out", "{o}/eval.json"], ["eval.json"],
+         []),
     ], ids=["fuse", "pipeline", "synth", "evaluate"])
     def test_wrote_lines_follow_write_order(self, tmp_path, capsys, argv,
-                                            names):
+                                            names, unnamed):
         # synth names its manifest alone, not the tensors committed before it
         manifest = synth_fixture(tmp_path)
         capsys.readouterr()
@@ -1616,8 +1618,7 @@ class TestUsage:
         assert main([a.format(m=manifest, o=out) for a in argv]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out / name}" for name in names]
-        assert sorted(f.name for f in out.iterdir() if f.is_file()) == sorted(
-            names)
+        assert sorted(f.name for f in out.iterdir()) == sorted(names + unnamed)
         assert not list(tmp_path.rglob(".segfuse-*"))
 
 
