@@ -6,14 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 data or contract error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .config import PipelineConfig
 from .errors import DataValidationError, SegfuseError
-from .formats import _Staged, load_manifest, save_manifest, write_json_report
+from .formats import (_json_text, _Staged, load_manifest, save_manifest,
+                      write_json_report)
 from .pipeline import (_PipelineFiles, run_evaluate, run_fuse, run_pipeline,
                        write_fuse_outputs)
 from .synth import generate
@@ -166,7 +166,7 @@ def _cmd_evaluate(args, parser) -> list[Path]:
     gt = _load_again(args.gt_manifest, args, pred)
     report = run_evaluate(pred, gt, cfg)
     if not args.out:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report), end="")
         return []
     out = Path(args.out)
     with _Staged(out.parent) as stage:

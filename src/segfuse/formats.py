@@ -50,23 +50,27 @@ PALETTE = (
 
 def save_tensor(path, grid) -> None:
     """Write a LogitMap, AttentionMap, or 2D/3D float array."""
-    if isinstance(grid, LogitMap):
-        arr = grid.data
-    elif isinstance(grid, AttentionMap):
-        arr = grid.data[:, :, None]
-    else:
-        arr = np.asarray(grid, dtype=np.float32)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise FormatError(f"tensor payload must be 2D or 3D, got ndim={arr.ndim}")
+    if isinstance(grid, (LogitMap, AttentionMap)):
+        grid = grid.data
+    arr = np.asarray(grid, dtype=np.float32)
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    if arr.ndim != 3:
+        raise FormatError(f"tensor payload must be 2D or 3D, got ndim={arr.ndim}")
+    with _named(str(path)):  # the text a load of the file would give
+        head = _tensor_header(*arr.shape)
     payload = _payload(arr)
     with Path(path).open("wb") as f:
-        f.write(_tensor_header(*arr.shape))
+        f.write(head)
         f.write(payload)
 
 
 def _tensor_header(h: int, w: int, c: int) -> bytes:
+    """An (h, w, c) tensor's header, refused where a load would refuse it."""
+    if h < 1 or w < 1 or c < 1:
+        raise FormatError(f"non-positive dimensions {(h, w, c)}")
+    if max(h, w, c) >= 2**32:
+        raise FormatError(f"dimensions {(h, w, c)} exceed the uint32 header")
     return TENSOR_MAGIC + struct.pack("<4I", h, w, c, 0)
 
 
@@ -228,8 +232,7 @@ def save_manifest(bundle: PredictionBundle, path) -> Path:
     for target, grid in tensors:
         target.parent.mkdir(exist_ok=True)
         save_tensor(target, grid)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(_json_text(doc), encoding="utf-8")
     return path
 
 
@@ -429,12 +432,16 @@ def load_manifest(path, *, maps: bool | dict = True) -> PredictionBundle:
     return bundle
 
 
+def _json_text(doc) -> str:
+    """Every JSON text written: sorted keys, 2-space indents, a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_json_report(doc: dict, path) -> Path:
-    """Serialize a report deterministically (sorted keys, trailing newline)."""
+    """Serialize a report deterministically (``_json_text``)."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                 encoding="utf-8")
+    p.write_text(_json_text(doc), encoding="utf-8")
     return p
 
 

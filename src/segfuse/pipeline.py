@@ -23,10 +23,11 @@ it walks, so a band's temporaries do not grow with the width.  A coarser
 scale's bands carry its gate as a last channel; the next finer pass pulls
 them as it folds them in, upsampled onto its own bands by the one
 streaming resampler, ``grids._resample_rows``, which also takes the finest
-scale's bands to the reference grid, where they are labeled by their
-argmax (``_emit``) and handed to a sink: the in-memory ``_Frames`` or the
-CLI's ``_PipelineFiles``.  The carving reads its regions' rows back from
-the sink.
+scale's bands to the reference grid, where they are checked (``_emit``)
+and handed to a sink: the in-memory ``_Frames`` or the CLI's
+``_PipelineFiles``.  A sink holds the logits alone: the carving reads its
+regions' rows back from it and labels them by their argmax, as the file
+sink labels each band it writes.
 """
 
 from __future__ import annotations
@@ -411,50 +412,47 @@ _OUTPUTS = ("fused_logits.tns", "labels.tns", "overlay.ppm", "instances.json",
 
 
 class _Frames:
-    """The in-memory sink: the reference-grid logits and label grid that
-    ``PipelineResult`` holds, filled a band of rows at a time and read back
-    by ``rows``."""
+    """The in-memory sink: the reference-grid logits that ``PipelineResult``
+    holds, filled a band of rows at a time and read back by ``rows``."""
 
     def start(self, height: int, width: int, channels: int) -> None:
         self.logits = np.empty((height, width, channels), dtype=np.float32)
-        self.labels = np.empty((height, width), dtype=np.int64)
 
-    def write(self, r0: int, logits: np.ndarray, labels: np.ndarray) -> None:
+    def write(self, r0: int, logits: np.ndarray) -> None:
         self.logits[r0:r0 + len(logits)] = logits
-        self.labels[r0:r0 + len(labels)] = labels
 
-    def rows(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows [r0, r1) of the logits and of the labels."""
-        return self.logits[r0:r1], self.labels[r0:r1]
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows [r0, r1) of the logits."""
+        return self.logits[r0:r1]
 
 
 class _PipelineFiles(_Staged):
     """The file sink: a ``formats._Staged`` whose three frames are written a
-    band of rows at a time to files opened once and read back by ``rows``."""
+    band of rows at a time to files opened once; only the logits are read
+    back, by ``rows``."""
 
     def start(self, height: int, width: int, channels: int) -> None:
-        self.shapes = (height, width, channels), (height, width, 1)
-        self.files = [self.enter_context((self.staging / name).open("w+b"))
-                      for name in _OUTPUTS[:3]]
-        heads = [_tensor_header(*shape) for shape in self.shapes]
-        for f, head in zip(self.files, (*heads, _overlay_header(height, width))):
+        self.shape = height, width, channels
+        self.files = [self.enter_context((self.staging / name).open(mode))
+                      for name, mode in zip(_OUTPUTS, ("w+b", "wb", "wb"))]
+        for f, head in zip(self.files, (_tensor_header(*self.shape),
+                                        _tensor_header(height, width, 1),
+                                        _overlay_header(height, width))):
             f.write(head)
 
-    def write(self, r0: int, logits: np.ndarray, labels: np.ndarray) -> None:
-        logits_file, labels_file, overlay_file = self.files
-        logits_file.write(logits)
-        labels_file.write(labels.astype("<f4"))
-        overlay_file.write(_overlay_pixels(labels))
+    def write(self, r0: int, logits: np.ndarray) -> None:
+        """Write a band of logits, its argmax labels and their overlay."""
+        labels = argmax_channel(LogitMap._own(logits, checked=True))
+        for f, rows in zip(self.files, (logits, labels.astype("<f4"),
+                                        _overlay_pixels(labels))):
+            f.write(rows)
 
-    def rows(self, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows [r0, r1) of the logits and of the labels, read back through
-        the handles that wrote them, each read checked as a band read of an
-        input map is (``formats._read_rows``)."""
-        logits, labels = (_read_rows(f, self.staging / name, name, False,
-                                     shape, r0, r1)
-                          for f, name, shape in zip(self.files, _OUTPUTS,
-                                                    self.shapes))
-        return logits, labels[:, :, 0]
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows [r0, r1) of the logits, read back through the handle that
+        wrote them, checked as a band read of an input map is
+        (``formats._read_rows``)."""
+        return _read_rows(self.files[0], self.staging / _OUTPUTS[0],
+                          _OUTPUTS[0], False, self.shape, r0, r1)
 
     def commit(self, result: "PipelineResult") -> list[Path]:
         """Close the frames, write the carving and the report, then move all
@@ -468,12 +466,10 @@ class _PipelineFiles(_Staged):
 
 def _emit(sink, bands) -> None:
     """Hand each ``(r0, rows)`` of ``bands``, rows of the reference-grid
-    logits that own their data, to ``sink`` with their labels,
-    ``argmax_channel`` of the rows, once every value is checked as a tensor
-    write checks it."""
+    logits that own their data, to ``sink``, once every value is checked
+    as a tensor write checks it."""
     for r0, logits in bands:
-        logits = _payload(logits)
-        sink.write(r0, logits, argmax_channel(LogitMap._own(logits, checked=True)))
+        sink.write(r0, _payload(logits))
         del logits  # so that it is not held while the next band is built
 
 
@@ -495,12 +491,13 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     Maps are read from ``maps`` as ``load_manifest(path, maps={})`` fills
     it, or else from the bundle.  Each scale's bands are folded into the
     next finer scale's pass as it pulls them; the finest scale's bands,
-    resampled to the reference grid, go with their argmax labels to
-    ``sink``: by default an in-memory one, whose frame and labels the
-    result holds, or the CLI's ``_PipelineFiles``, which writes them to
-    files.  A sink has ``start(height, width, channels)``, ``write(r0,
-    logits, labels)`` and ``rows(r0, r1) -> (logits, labels)``, through
-    which the carving reads its regions' rows back."""
+    resampled to the reference grid, go to ``sink``: by default an
+    in-memory one, whose frame the result holds with its argmax labels,
+    or the CLI's ``_PipelineFiles``, which writes the frame, its labels
+    and its overlay to files.  A sink has ``start(height, width,
+    channels)``, ``write(r0, logits)`` and ``rows(r0, r1) -> logits``,
+    through which the carving reads its regions' rows back to label
+    them."""
     if maps is None:
         maps = {(f, m, s): (getattr(g, "channels", 1), partial(_grid_rows, g))
                 for f in ("logit_maps", "alpha_maps")
@@ -552,8 +549,8 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
     }
     if sink is not None:
         return PipelineResult(None, None, carved, report)
-    return PipelineResult(LogitMap._own(frames.logits, checked=True),
-                          frames.labels, carved, report)
+    final = LogitMap._own(frames.logits, checked=True)
+    return PipelineResult(final, argmax_channel(final), carved, report)
 
 
 def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
@@ -568,9 +565,10 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
     carved into both objects' instances.
 
     ``rows(r0, r1)``, a sink's ``rows`` method, returns rows [r0, r1) of
-    the reference-grid logits and labels; they are read a band of
-    ``grids._band_rows`` rows of the frame's width at a time, and the
-    softmax runs per band.  Each component's selected tail
+    the reference-grid logits; they are read a band of ``grids._band_rows``
+    rows of the frame's width at a time, and each band's region columns
+    are labeled by ``argmax_channel``, as the file sink labels the frame,
+    and their softmax is taken.  Each component's selected tail
     probabilities are gathered in row order and averaged by one
     ``np.mean``, so the score is that of the whole region.
     """
@@ -581,8 +579,9 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
         picked = {comp: [] for comp in COMPONENTS}
         region_labels = []
         for r0 in range(region.y0, region.y1, step):
-            logits, labels = rows(r0, min(r0 + step, region.y1))
-            logits, labels = logits[:, cols], labels[:, cols]
+            # one copy of the region's columns, owned by the argmax's map
+            logits = rows(r0, min(r0 + step, region.y1))[:, cols].copy()
+            labels = argmax_channel(LogitMap._own(logits, checked=True))
             channels = logits.shape[2]
             # tail_probs[:, c] = P(label >= c): the component-or-deeper
             # probability, summed from the last channel down one column at
@@ -590,10 +589,9 @@ def _label_instances(bundle: PredictionBundle, rows, cfg: PipelineConfig
             tail_probs = softmax_rows(logits.reshape(-1, channels))
             for ch in range(channels - 2, -1, -1):
                 tail_probs[:, ch] += tail_probs[:, ch + 1]
-            band_labels = labels.ravel()
             for comp in COMPONENTS:
                 ch = COMPONENT_IDS[comp]
-                picked[comp].append(tail_probs[:, ch][band_labels >= ch])
+                picked[comp].append(tail_probs[:, ch][labels.ravel() >= ch])
             region_labels.append(labels)
         region_labels = np.concatenate(region_labels)
         for comp in COMPONENTS:
@@ -633,10 +631,10 @@ def _ap_records(bundle: PredictionBundle, gts: tuple[MaskInstance, ...],
 
 def write_pipeline_outputs(result: PipelineResult, out_dir) -> list[Path]:
     """Write an in-memory result's outputs into ``out_dir`` through the file
-    sink the CLI streams to: its frame a band of rows at a time, with the
-    labels ``argmax_channel`` derives from each band, as the run derived
-    ``result.labels``, renamed into ``out_dir`` once all five are
-    complete.  Returns the paths written, in write order."""
+    sink the CLI streams to: its frame a band of rows at a time, which the
+    sink labels by ``argmax_channel`` as the run derived ``result.labels``,
+    renamed into ``out_dir`` once all five are complete.  Returns the
+    paths written, in write order."""
     logits = result.final_logits
     if logits is None:
         raise DataValidationError(

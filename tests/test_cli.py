@@ -1144,7 +1144,7 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                                                     monkeypatch, dense):
         image, calib = dense
         loads, opens, bands, whole, files = Counter(), Counter(), {}, [], []
-        staged_opens = Counter()
+        staged_opens, staged_modes = Counter(), {}
         read_tensor, tensor_rows = formats._read_tensor, formats._tensor_rows
         read_rows, open_tensor = formats._read_rows, formats._open_tensor
         path_open = Path.open
@@ -1170,11 +1170,12 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
         def counted_path_open(path, *args, **kw):
             if path.parent.name.startswith(".segfuse-"):
                 staged_opens[path.name] += 1
+                staged_modes[path.name] = args[0] if args else kw["mode"]
             return path_open(path, *args, **kw)
 
         monkeypatch.setattr(formats, "_read_tensor", counted_read)
         monkeypatch.setattr(formats, "_tensor_rows", counted_open)
-        # the file sink reads its frames back through the name pipeline
+        # the file sink reads its logits back through the name pipeline
         # bound at import
         monkeypatch.setattr(formats, "_read_rows", spied_rows)
         monkeypatch.setattr(pipeline, "_read_rows", spied_rows)
@@ -1184,10 +1185,15 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                      "--out-dir", str(tmp_path / "out")]) == 0
 
         assert whole == []
-        # each staged frame is opened once and read back through the handle
-        # that wrote it, never opened again as an input map
+        # each staged frame is opened once, and the logits are read back
+        # through the handle that wrote them, never opened again as an
+        # input map
         assert all(staged_opens[n] == 1 for n in ("fused_logits.tns",
                                                   "labels.tns", "overlay.ppm"))
+        # and only the logits are opened to be read
+        frames = {"fused_logits.tns": "w+b", "labels.tns": "wb",
+                  "overlay.ppm": "wb"}
+        assert {n: staged_modes[n] for n in frames} == frames
         assert files and not any(p.parent.name.startswith(".segfuse-")
                                  for p in files)
         # each image tensor is read on load and opened once more, but the
@@ -1215,13 +1221,13 @@ class TestPipelineReadsEachScaleWhenItFusesIt:
                     assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
                     assert all(0 < r1 - r0 <= _band_rows(width)
                                for r0, r1 in got)
-        # the carving reads rows back from the two frame files it staged,
-        # which are gone once renamed into --out-dir
+        # the carving reads rows back from the staged logits alone, which
+        # are gone once renamed into --out-dir; labels.tns and overlay.ppm
+        # are only written
         staged = [p for p in bands if p.parent.name.startswith(".segfuse-")]
-        assert sorted(p.name for p in staged) == ["fused_logits.tns",
-                                                  "labels.tns"]
+        assert [p.name for p in staged] == ["fused_logits.tns"]
         assert not any(p.parent.exists() for p in staged)
-        assert len(loads) == 36 and len(opens) == len(bands) - 2 == 15
+        assert len(loads) == 36 and len(opens) == len(bands) - 1 == 15
 
     def test_run_pipeline_peak_is_under_4_5_frames(
             self, tmp_path, monkeypatch):
@@ -1506,6 +1512,20 @@ class TestEvaluateCommand:
         shell = [r for r in report["records"]
                  if r["mode"] == "vertical" and r["group"] == "shell"]
         assert shell[0]["ap"] == pytest.approx(0.8333, abs=5e-5)
+
+    def test_stdout_report_is_the_out_file(self, tmp_path, capsys):
+        # one JSON text: the report printed is byte for byte the file
+        # --out writes, sorted keys, 2-space indents, one trailing newline
+        manifest = single_model_manifest(tmp_path)
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", str(manifest), str(manifest),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", str(manifest), str(manifest)]) == 0
+        shown = capsys.readouterr().out
+        assert shown.encode() == out.read_bytes()
+        assert shown == json.dumps(json.loads(shown), indent=2,
+                                   sort_keys=True) + "\n"
 
     def test_same_manifest_twice_loads_once(self, tmp_path, monkeypatch):
         out = tmp_path / "fx"

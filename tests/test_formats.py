@@ -104,6 +104,34 @@ class TestTensorFile:
         with pytest.raises(FormatError):
             load_tensor(p)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 2), (2, 2, 0),
+                                       (2**32, 0)])
+    def test_save_refuses_what_a_load_refuses_before_any_file(self, tmp_path,
+                                                              shape):
+        # the writer refuses an empty dimension with the text a load of
+        # the header would give, and opens no file; 2**32 rows were a
+        # struct.error that left an empty file
+        p = tmp_path / "empty.tns"
+        dims = (*shape, 1) if len(shape) == 2 else shape
+        with pytest.raises(FormatError) as saved:
+            save_tensor(p, np.zeros(shape, np.float32))
+        assert str(saved.value) == f"{p}: non-positive dimensions {dims}"
+        assert not p.exists()
+        if max(dims) >= 2**32:
+            return  # no header holds it
+        p.write_bytes(TENSOR_MAGIC + struct.pack("<4I", *dims, 0))
+        with pytest.raises(FormatError) as loaded:
+            load_tensor(p)
+        assert str(loaded.value) == str(saved.value)
+
+    @pytest.mark.parametrize("dims", [(2**32, 1, 1), (1, 2**32, 1),
+                                      (1, 1, 2**40)])
+    def test_header_refuses_dimensions_past_uint32(self, dims):
+        with pytest.raises(FormatError, match="exceed the uint32 header"):
+            formats._tensor_header(*dims)
+        assert len(formats._tensor_header(*(min(d, 2**32 - 1)
+                                            for d in dims))) == 24
+
 
 def _tiny_bundle(with_maps=False):
     inst = make_instance(block_mask(4, 4, 0, 2, 0, 2), score=0.75, uid=0)

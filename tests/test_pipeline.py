@@ -15,7 +15,7 @@ from segfuse.errors import DataValidationError
 from segfuse.formats import load_manifest, save_manifest
 from segfuse.fusion import FusionWeights, weighted_average
 from segfuse.grids import (AttentionMap, LogitMap, _band_rows,
-                           _resample_rows)
+                           _resample_rows, argmax_channel)
 from segfuse.hierarchy import run_inference_chain
 from segfuse.masks import COMPONENTS, rle_decode
 from segfuse.pipeline import (_fuse_global, _fusion_weights,
@@ -463,13 +463,15 @@ def test_per_object_stage_builds_no_whole_region_float64_frames(monkeypatch):
 
 
 class _Recorder:
-    """A sink that keeps every band it is handed."""
+    """A sink that keeps every band it is handed, with the labels the file
+    sink writes for it, its ``argmax_channel``."""
 
     def start(self, height, width, channels):
         self.shape, self.bands = (height, width, channels), []
 
-    def write(self, r0, logits, labels):
-        self.bands.append((r0, logits.copy(), labels.copy()))
+    def write(self, r0, logits):
+        kept = LogitMap._own(logits.copy(), checked=True)
+        self.bands.append((r0, kept.data, argmax_channel(kept)))
 
     def frames(self):
         return (np.concatenate([b[1] for b in self.bands]),
@@ -580,16 +582,16 @@ def test_streamed_resize_of_a_kept_level_is_the_whole_frame_resize(shape,
 def _held_at_writes(bundle):
     """The traced memory a run of ``bundle``, which has no instances, holds
     each time it hands the sink a band, above what it held at its start
-    and above that band of logits and labels."""
+    and above that band of logits."""
     held = []
 
     class Sink:
         def start(self, height, width, channels):
             pass
 
-        def write(self, r0, logits, labels):
+        def write(self, r0, logits):
             held.append(tracemalloc.get_traced_memory()[0] - base
-                        - logits.nbytes - labels.nbytes)
+                        - logits.nbytes)
 
         def rows(self, r0, r1):
             # no object regions, so the carving reads no rows
@@ -607,7 +609,7 @@ def _held_at_writes(bundle):
 
 def test_resampling_holds_a_few_level_bands_not_the_level():
     # a 512-row level resampled to 1024 reference rows: besides the band
-    # of logits and labels being handed to the sink, the run holds a few
+    # of logits being handed to the sink, the run holds a few
     # level bands (the ones later reference rows tap, and the band pass's
     # own), never the whole level, which is 16 bands
     level = np.random.default_rng(0).normal(
@@ -652,11 +654,11 @@ def _largest_band_transient(width):
     marks = []
 
     class Traced(pipeline._Frames):
-        def write(self, r0, logits, labels):
-            super().write(r0, logits, labels)
+        def write(self, r0, logits):
+            super().write(r0, logits)
             now, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            marks.append((now, peak, logits.nbytes + labels.nbytes))
+            marks.append((now, peak, logits.nbytes))
 
     tracemalloc.start()
     try:
