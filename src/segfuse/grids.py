@@ -42,7 +42,7 @@ the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,27 +64,28 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The invariants both grid types hold: positive dimensions, float32
-    C-ordered data of exactly ``shape``, finite values, frozen data, and for
+    """The invariants both grid types hold: float32 C-ordered data of the
+    class's rank, positive dimensions, finite values, frozen data, and for
     an ``AttentionMap`` values in [0, 1].  Each subclass is a frozen
-    dataclass whose fields are its dimensions in axis order, then ``data``."""
+    dataclass whose one field is ``data``; its sizes are read from it."""
 
+    _ndim = 3  # rank of ``data``
     _unit = False  # values must lie in [0, 1]
 
     def __post_init__(self) -> None:
         # own a copy: freezing a caller's array in place would be a surprise
         self._freeze(np.array(self.data, dtype=np.float32, order="C"))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(getattr(self, f.name) for f in fields(self)[:-1])
+    shape = property(lambda self: self.data.shape)
+    height = property(lambda self: self.data.shape[0])
+    width = property(lambda self: self.data.shape[1])
 
     def _freeze(self, arr: np.ndarray, checked: bool = False) -> None:
         kind = type(self).__name__
-        if min(self.shape) < 1:
+        if arr.ndim != self._ndim:
+            raise ShapeError(f"expected {self._ndim}D array, got ndim={arr.ndim}")
+        if min(arr.shape) < 1:
             raise DataValidationError(f"{kind} dimensions must be positive")
-        if arr.shape != self.shape:
-            raise ShapeError(f"{kind} data shape {arr.shape} != {self.shape}")
         if not checked:
             if not np.isfinite(arr).all():
                 raise DataValidationError(f"{kind} contains non-finite values")
@@ -98,28 +99,30 @@ class _Grid:
         holds, freezing it in place instead of copying it.  Its values are
         checked unless ``checked=True`` says the caller has already checked
         every one (a tensor load does, chunk by chunk as it reads)."""
-        dims = fields(cls)[:-1]
-        if arr.ndim != len(dims):
-            raise ShapeError(f"expected {len(dims)}D array, got ndim={arr.ndim}")
         if (arr.dtype != np.float32 or not arr.flags.c_contiguous
                 or not arr.flags.owndata):
             raise DataValidationError(
                 f"{cls.__name__} can only own a C-contiguous float32 array")
         grid = object.__new__(cls)
-        for f, n in zip(dims, arr.shape):
-            object.__setattr__(grid, f.name, n)
         grid._freeze(arr, checked)
         return grid
+
+
+def _check_sizes(kind: str, sizes: tuple) -> None:
+    """Refuse grid sizes that are not integers or are below 1, before numpy
+    sees them."""
+    if not all(isinstance(n, (int, np.integer)) for n in sizes):
+        raise DataValidationError(f"{kind} dimensions must be integers, got {sizes}")
+    if min(sizes) < 1:
+        raise DataValidationError(f"{kind} dimensions must be positive")
 
 
 @dataclass(frozen=True)
 class LogitMap(_Grid):
     """An immutable height x width x channels grid of per-class scores."""
 
-    height: int
-    width: int
-    channels: int
     data: np.ndarray
+    channels = property(lambda self: self.data.shape[2])
 
     @classmethod
     def from_array(cls, arr) -> "LogitMap":
@@ -128,10 +131,11 @@ class LogitMap(_Grid):
             a = a[:, :, None]
         if a.ndim != 3:
             raise ShapeError(f"expected 2D or 3D array, got ndim={a.ndim}")
-        return cls(*a.shape, a)
+        return cls(a)
 
     @classmethod
     def full(cls, height: int, width: int, channels: int, value: float) -> "LogitMap":
+        _check_sizes(cls.__name__, (height, width, channels))
         return cls._own(np.full((height, width, channels), value, dtype=np.float32))
 
     @classmethod
@@ -143,21 +147,18 @@ class LogitMap(_Grid):
 class AttentionMap(_Grid):
     """An immutable height x width grid of blend gates in [0, 1]."""
 
-    height: int
-    width: int
     data: np.ndarray
 
+    _ndim = 2
     _unit = True
 
     @classmethod
     def from_array(cls, arr) -> "AttentionMap":
-        a = np.asarray(arr, dtype=np.float32)
-        if a.ndim != 2:
-            raise ShapeError(f"expected 2D array, got ndim={a.ndim}")
-        return cls(*a.shape, a)
+        return cls(arr)
 
     @classmethod
     def full(cls, height: int, width: int, value: float) -> "AttentionMap":
+        _check_sizes(cls.__name__, (height, width))
         return cls._own(np.full((height, width), value, dtype=np.float32))
 
 
@@ -169,8 +170,7 @@ def bilinear_resize(a: LogitMap, out_h: int, out_w: int) -> LogitMap:
     that constant at every output pixel.  On equal grids ``a`` itself comes
     back when the resample changes no bit.
     """
-    if out_h < 1 or out_w < 1:
-        raise DataValidationError("output dimensions must be positive")
+    _check_sizes("output", (out_h, out_w))
     same = (out_h, out_w) == (a.height, a.width)
     zeros = _negative_zeros(a.data) if same else 0
     if same and not zeros:

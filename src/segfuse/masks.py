@@ -282,8 +282,7 @@ def _check_in_bounds(b: BBox, height: int, width: int) -> None:
 def crop(grid: LogitMap, b: BBox) -> LogitMap:
     """Sub-grid of a LogitMap covered by ``b``."""
     _check_in_bounds(b, grid.height, grid.width)
-    return LogitMap(b.height, b.width, grid.channels,
-                    grid.data[b.y0:b.y1, b.x0:b.x1, :])
+    return LogitMap(grid.data[b.y0:b.y1, b.x0:b.x1, :])
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,11 @@ def _ap_table(calib: PredictionBundle, mode: str,
 
 def _fusion_weights(bundle: PredictionBundle, calib: PredictionBundle | None,
                     cfg: PipelineConfig, groups: dict) -> tuple[dict, list[dict]]:
-    """Every scale's weights, ``{(scale, mode): {AP key: FusionWeights}}``,
+    """Every scale's weights, ``{(scale, mode): {group key: FusionWeights}}``,
     and their records in report order, computed before any pixel.
 
-    ``groups[scale][mode]`` maps each group's AP key to the key its vector
-    carries under uniform weights.  AP weights need a calibration split
+    ``groups[scale][mode]`` lists the group keys, which every vector
+    carries under either weighting.  AP weights need a calibration split
     with ground truth, the image's models and scales, and an AP entry for
     every group."""
     models = bundle.models
@@ -112,7 +112,7 @@ def _fusion_weights(bundle: PredictionBundle, calib: PredictionBundle | None,
                 vectors = [compute_weights(table, k, cfg.normalization)
                            for k in keys]
             else:
-                vectors = [FusionWeights.uniform(models, keys[k]) for k in keys]
+                vectors = [FusionWeights.uniform(models, k) for k in keys]
             weights[scale, mode] = dict(zip(keys, vectors))
             records += [{"scale": scale, "mode": mode, "group": w.group_key,
                          "weights": dict(w.weights)} for w in vectors]
@@ -136,7 +136,7 @@ def run_fuse(bundle: PredictionBundle, calib: PredictionBundle | None,
             "mask fusion requires object ids to put instances from different "
             "models in correspondence")
     weights, records = _fusion_weights(bundle, calib, cfg, {
-        scale: {mode: dict(zip(k, k))} for scale, k in zip(bundle.scales, keys)})
+        scale: {mode: k} for scale, k in zip(bundle.scales, keys)})
     fused: list[MaskInstance] = []
     for scale, sub in zip(bundle.scales, subs):
         for key, w in weights[scale, mode].items():
@@ -361,7 +361,7 @@ def _fuse_scale(sub: PredictionBundle, maps: dict, weights: dict,
     sh, sw = scaled_dim(height, scale), scaled_dim(width, scale)
     # background is fused with uniform weights, each component channel with
     # its component's vertical weights
-    vectors = [FusionWeights.uniform(sub.models, "channel0"),
+    vectors = [FusionWeights.uniform(sub.models),
                *weights[scale, "vertical"].values()]
     horizontal = weights[scale, "horizontal"]
 
@@ -517,11 +517,9 @@ def run_pipeline(bundle: PredictionBundle, calib: PredictionBundle | None,
         raise DataValidationError(
             "the pipeline requires object ids on every instance")
     subs = [bundle.with_scale(scale) for scale in bundle.scales]
-    # under uniform weights a component channel's vector is keyed by channel
-    vertical = {comp: f"channel{COMPONENT_IDS[comp]}" for comp in COMPONENTS}
     horizontal = [group_keys(sub.instances, "horizontal") for sub in subs]
     weights, weights_records = _fusion_weights(bundle, calib, cfg, {
-        scale: {"vertical": vertical, "horizontal": dict(zip(oids, oids))}
+        scale: {"vertical": COMPONENTS, "horizontal": oids}
         for scale, oids in zip(bundle.scales, horizontal)})
     frames = _Frames() if sink is None else sink
     frames.start(height, width, channels)

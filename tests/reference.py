@@ -374,7 +374,7 @@ def pipeline_ref(bundle, calib, cfg):
     ``cfg.alpha_const``.  Then the coarse-to-fine fold, the resize to the
     reference grid, the argmax and the carving.  AP weights come from
     ``ap_weights_ref``, for every component and for each object of the
-    scale; uniform ones are 1 / N, keyed by channel and by object.  The
+    scale; uniform ones are 1 / N, keyed by component and by object.  The
     object regions come from ``pipeline._object_regions``; no band, no sink
     and no other engine code is used."""
     from segfuse.masks import scale_box
@@ -385,20 +385,17 @@ def pipeline_ref(bundle, calib, cfg):
     uniform = tuple((m, 1.0 / len(models)) for m in models)
     weights, records = {}, []
     for scale, sub in zip(bundle.scales, subs):
-        # (AP key, the key a uniform vector carries) of each group
-        groups = {"vertical": [(c, f"channel{COMPONENT_IDS[c]}")
-                               for c in COMPONENTS],
-                  "horizontal": [(o, o) for o in
-                                 sorted({i.object_id for i in sub.instances})]}
+        # README's group order: components, then object ids
+        groups = {"vertical": list(COMPONENTS),
+                  "horizontal": sorted({i.object_id for i in sub.instances})}
         for mode, keys in groups.items():
             if cfg.weights_mode == "ap":
                 vectors = ap_weights_ref(
-                    calib.with_scale(scale), [k for k, _ in keys], mode,
+                    calib.with_scale(scale), keys, mode,
                     cfg.iou_threshold, cfg.normalization)
             else:
-                vectors = [(u, uniform) for _, u in keys]
-            weights[scale, mode] = {k: w for (k, _), (_, w)
-                                    in zip(keys, vectors)}
+                vectors = [(k, uniform) for k in keys]
+            weights[scale, mode] = {k: w for k, (_, w) in zip(keys, vectors)}
             records += [{"scale": scale, "mode": mode, "group": g,
                          "weights": dict(w)} for g, w in vectors]
     channels = len(COMPONENTS) + 1

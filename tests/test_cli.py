@@ -7,7 +7,7 @@ import struct
 import threading
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -1513,6 +1513,32 @@ class TestEvaluateCommand:
                  if r["mode"] == "vertical" and r["group"] == "shell"]
         assert shell[0]["ap"] == pytest.approx(0.8333, abs=5e-5)
 
+    @pytest.mark.parametrize("swapped, ap", [(False, 0.5), (True, 1.0)])
+    def test_iou_tie_goes_to_the_earlier_ground_truth(self, tmp_path,
+                                                      swapped, ap):
+        # the 0.9 prediction has IoU 8/13 with both ground truths and takes
+        # the earlier record; the 0.8 one overlaps the left ground truth
+        # alone (IoU 0.8, the right one 0.2), so it is a true positive only
+        # when the right ground truth comes first
+        h = w = 20
+        gts = [make_instance(block_mask(h, w, 0, 10, x0, x1), model_id="gt")
+               for x0, x1 in ((0, 10), (5, 15))]
+        if swapped:
+            gts.reverse()
+        preds = (make_instance(block_mask(h, w, 0, 10, 2, 13), score=0.9),
+                 make_instance(block_mask(h, w, 0, 10, 0, 8), score=0.8))
+        bundle = PredictionBundle(
+            image_id="tie", height=h, width=w, models=("m0",), scales=(1.0,),
+            instances=preds, ground_truth=tuple(
+                replace(g, uid=k) for k, g in enumerate(gts)))
+        path = save_manifest(bundle, tmp_path / "tie" / "m.json")
+        report_path = tmp_path / "tie.json"
+        assert main(["evaluate", str(path), str(path),
+                     "--out", str(report_path)]) == 0
+        shell = [r["ap"] for r in json.loads(report_path.read_text())["records"]
+                 if r["mode"] == "vertical" and r["group"] == "shell"]
+        assert shell == [ap]
+
     def test_stdout_report_is_the_out_file(self, tmp_path, capsys):
         # one JSON text: the report printed is byte for byte the file
         # --out writes, sorted keys, 2-space indents, one trailing newline
@@ -1762,6 +1788,22 @@ class TestRecordOrder:
                 for r in records]
         assert keys == sorted(keys)
         assert len(records) == 2 * 3 * (len(COMPONENTS) + 12)
+
+    def test_uniform_pipeline_names_vertical_groups_as_fuse_does(self, tmp_path,
+                                                                twelve):
+        # under either command and either weighting, a vertical group is
+        # named by its component
+        fuse, pipe = tmp_path / "fuse", tmp_path / "pipe"
+        assert main(["fuse", str(twelve), "--weights", "uniform",
+                     "--out-dir", str(fuse)]) == 0
+        assert main(["pipeline", str(twelve), "--weights", "uniform",
+                     "--out-dir", str(pipe)]) == 0
+        fused = json.loads((fuse / "weights_vertical.json").read_text())
+        report = json.loads((pipe / "report.json").read_text())
+        vertical = [r for r in report["weights"] if r["mode"] == "vertical"]
+        assert vertical == fused["records"]
+        assert [(r["scale"], r["group"]) for r in vertical] == [
+            (s, c) for s in (0.5, 1.0) for c in COMPONENTS]
 
     def test_report_without_gt_object_ids_is_vertical_only(self, tmp_path):
         manifest = single_model_manifest(tmp_path)

@@ -1,5 +1,7 @@
 """Grid primitives: resampling, softmax, argmax, gated blend."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -358,6 +360,27 @@ class TestTypeInvariants:
             with pytest.raises(DataValidationError):
                 LogitMap._own(bad)
 
+    def test_a_grid_is_its_data(self):
+        # one field, the array; every size is read from it
+        assert [f.name for f in fields(LogitMap)] == ["data"]
+        assert [f.name for f in fields(AttentionMap)] == ["data"]
+        arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        grid = LogitMap(arr)
+        assert (grid.height, grid.width, grid.channels) == (2, 3, 4)
+        assert grid.shape == (2, 3, 4)
+        # the constructor owns a frozen copy, not the caller's array
+        assert grid.data is not arr and arr.flags.writeable
+        assert np.array_equal(grid.data, arr) and not grid.data.flags.writeable
+        gate = AttentionMap(np.full((5, 2), 0.5))
+        assert (gate.height, gate.width, gate.shape) == (5, 2, (5, 2))
+        assert gate.data.dtype == np.float32
+        with pytest.raises(ShapeError, match="expected 3D array, got ndim=2"):
+            LogitMap(np.ones((2, 3), np.float32))
+        with pytest.raises(ShapeError, match="expected 2D array, got ndim=3"):
+            AttentionMap.from_array(np.ones((2, 3, 1), np.float32))
+        with pytest.raises(ShapeError, match="expected 2D or 3D array"):
+            LogitMap.from_array(np.ones(3, np.float32))
+
     def test_attention_range_enforced(self):
         with pytest.raises(DataValidationError):
             AttentionMap.from_array(np.array([[1.5]], dtype=np.float32))
@@ -402,3 +425,28 @@ class TestOwnChecksByDefault:
             LogitMap.full(2, 2, 1, np.inf)
         with pytest.raises(DataValidationError, match="LogitMap dimensions"):
             LogitMap.zeros(0, 2, 1)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LogitMap.zeros(-1, 2, 1), "LogitMap dimensions must be positive"),
+        (lambda: AttentionMap.full(2, -3, 0.5),
+         "AttentionMap dimensions must be positive"),
+        (lambda: LogitMap.full(2.5, 2, 1, 0.0),
+         r"LogitMap dimensions must be integers, got \(2\.5, 2, 1\)"),
+        (lambda: AttentionMap.full(2, "3", 0.5),
+         "AttentionMap dimensions must be integers"),
+        (lambda: bilinear_resize(LogitMap.zeros(2, 2, 1), 2.5, 3),
+         "output dimensions must be integers"),
+        (lambda: bilinear_resize(LogitMap.zeros(2, 2, 1), 3, -1),
+         "output dimensions must be positive"),
+        # refused before numpy is asked for 10**12 floats
+        (lambda: LogitMap.zeros(10**6, 10**6, 0.5),
+         "LogitMap dimensions must be integers"),
+    ], ids=["negative", "attention-negative", "float", "str", "resize-float",
+            "resize-negative", "huge-float"])
+    def test_sizes_are_checked_before_numpy_sees_them(self, make, message):
+        with pytest.raises(DataValidationError, match=message):
+            make()
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        assert LogitMap.zeros(np.int64(2), 3, 1).shape == (2, 3, 1)
+        assert bilinear_resize(LogitMap.zeros(2, 2, 1), np.int32(3), 1).shape == (3, 1, 1)

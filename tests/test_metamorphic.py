@@ -6,6 +6,7 @@ digests of every file written.
 """
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -109,3 +110,52 @@ def test_record_order_moves_no_byte_when_ties_keep_their_order(tmp_path):
     got = _commands(tmp_path / "reordered", reordered, calib)
     assert len(want) == 10 and sorted(got) == sorted(want)
     assert [path for path in got if got[path] != want[path]] == []
+
+
+def _shuffled_ground_truth(manifest, rng):
+    """A copy of ``manifest`` beside it with its ground-truth records in an
+    order ``rng`` picks, which differs from the input order."""
+    doc = json.loads(manifest.read_text())
+    records = list(doc["ground_truth"])
+    while records == doc["ground_truth"]:
+        rng.shuffle(records)
+    doc["ground_truth"] = records
+    path = manifest.with_name("shuffled.json")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _echo_commands(root, manifest, calib):
+    """``_commands``, then ``evaluate`` of the pipeline's ``instances.json``
+    and of ``fused_vertical.json`` against ``manifest``; returns the digests
+    of every file written."""
+    _commands(root, manifest, calib)
+    for pred in ("pipeline/instances.json", "fuse/fused_vertical.json"):
+        _run(["evaluate", str(root / pred), str(manifest), "--out",
+              str(root / "evaluate" / pred.replace("/", "_"))])
+    return digests(root)
+
+
+def test_shuffled_ground_truth_moves_only_the_echo(tmp_path):
+    # an IoU tie goes to the earlier ground-truth record, but on this
+    # fixture no such tie decides a match, so the order of the ground-truth
+    # records moves no AP, weight or pixel; the ground-truth echo of
+    # fused_*.json and instances.json keeps input order
+    manifest, calib = _synth(tmp_path / "fx", [
+        "--objects", "9", "--models", "4", "--perturb", "4",
+        "--scales", "0.5", "1.0"])
+    rng = random.Random(0)
+    shuffled = [_shuffled_ground_truth(m, rng) for m in (manifest, calib)]
+    want = _echo_commands(tmp_path / "as_is", manifest, calib)
+    got = _echo_commands(tmp_path / "shuffled", *shuffled)
+    assert len(want) == 12 and sorted(got) == sorted(want)
+    moved = [path for path in got if got[path] != want[path]]
+    assert sorted(moved) == ["fuse/fused_horizontal.json",
+                             "fuse/fused_vertical.json",
+                             "pipeline/instances.json"]
+    for path in moved:
+        a, b = (json.loads((tmp_path / run / path).read_text())
+                for run in ("as_is", "shuffled"))
+        echo = [sorted(map(json.dumps, doc.pop("ground_truth")))
+                for doc in (a, b)]
+        assert echo[0] == echo[1] and a == b

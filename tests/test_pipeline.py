@@ -271,7 +271,7 @@ def test_frame_ensemble_matches_oracle_per_channel():
     bundle = generate(6, objects=3, height=48, width=64)
     cfg = PipelineConfig()
     weights, _ = _fusion_weights(bundle, bundle, cfg, {
-        1.0: {"vertical": dict.fromkeys(COMPONENTS)}})
+        1.0: {"vertical": COMPONENTS}})
     vectors = [FusionWeights.uniform(bundle.models),
                *weights[1.0, "vertical"].values()]
     assert len({v.weights for v in vectors}) > 2  # channels weigh differently
